@@ -220,7 +220,7 @@ func run() error {
 			// the Zipf hot set into a user-specific region of the row
 			// space, so the aggregate stream carries a long per-user tail
 			// instead of one shared global head.
-			off = splitmix64(uint64(*seed) ^ uint64(rng.Int63n(*users))) % *rows
+			off = splitmix64(uint64(*seed)^uint64(rng.Int63n(*users))) % *rows
 		}
 		idx := drawIndices(rng, z, *q, *rows, off)
 		if *recPath != "" {

@@ -38,17 +38,17 @@ import (
 
 func main() {
 	var (
-		mode   = flag.String("mode", "lookup", "lookup, spmv, graph, or solver")
-		engine = flag.String("engine", "fafnir", "lookup: fafnir|interactive|recnmp|tensordimm|cpu; spmv: fafnir|twostep")
-		algo   = flag.String("algo", "pagerank", "graph: bfs|pagerank|cc; solver: jacobi|cg")
-		batch  = flag.Int("batch", 32, "lookup: queries per batch")
-		q      = flag.Int("q", 16, "lookup: indices per query")
-		rows   = flag.Int("rows", 1<<17, "lookup: rows per table (32 tables)")
-		zipf   = flag.Float64("zipf", 1.3, "lookup: Zipf skew (<=1 for uniform)")
-		dedup  = flag.Bool("dedup", true, "lookup (fafnir): eliminate redundant accesses")
-		seed   = flag.Int64("seed", 1, "workload seed")
-		matrix = flag.String("matrix", "banded", "spmv: banded|graph|uniform")
-		size     = flag.Int("size", 8192, "spmv: matrix dimension")
+		mode      = flag.String("mode", "lookup", "lookup, spmv, graph, or solver")
+		engine    = flag.String("engine", "fafnir", "lookup: fafnir|interactive|recnmp|tensordimm|cpu; spmv: fafnir|twostep")
+		algo      = flag.String("algo", "pagerank", "graph: bfs|pagerank|cc; solver: jacobi|cg")
+		batch     = flag.Int("batch", 32, "lookup: queries per batch")
+		q         = flag.Int("q", 16, "lookup: indices per query")
+		rows      = flag.Int("rows", 1<<17, "lookup: rows per table (32 tables)")
+		zipf      = flag.Float64("zipf", 1.3, "lookup: Zipf skew (<=1 for uniform)")
+		dedup     = flag.Bool("dedup", true, "lookup (fafnir): eliminate redundant accesses")
+		seed      = flag.Int64("seed", 1, "workload seed")
+		matrix    = flag.String("matrix", "banded", "spmv: banded|graph|uniform")
+		size      = flag.Int("size", 8192, "spmv: matrix dimension")
 		faults    = flag.String("faults", "", `lookup (fafnir): fault plan, e.g. "rank=3@0;ecc=0.001;stall=5+200;seed=9"`)
 		traceOut  = flag.String("trace-out", "", "lookup: write a Chrome trace-event JSON file of the run (load at ui.perfetto.dev)")
 		logFormat = flag.String("log-format", "text", "summary output format: text or json")

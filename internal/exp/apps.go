@@ -50,13 +50,19 @@ func executors() (faf, ts solver.SpMV, err error) {
 // components) on a power-law graph with every SpMV on the Fafnir tree and
 // on the Two-Step baseline — the application-level view of the paper's
 // genericity claim.
-func AppGraph() (*Report, error) {
+func AppGraph() (*Report, error) { return AppGraphOn(AppGraphInput()) }
+
+// AppGraphInput generates the suite's power-law adjacency matrix.
+func AppGraphInput() *sparse.LIL { return sparse.PowerLawGraph(8192, 8, 50) }
+
+// AppGraphOn runs the suite on an already generated adjacency matrix, so
+// benchmarks can time the kernels apart from graph construction.
+func AppGraphOn(adj *sparse.LIL) (*Report, error) {
 	rep := &Report{
 		ID:     "app-graph",
 		Title:  "application: graph analytics on the tree (vs Two-Step)",
 		Header: []string{"algorithm", "SpMVs", "Fafnir us", "Two-Step us", "speedup"},
 	}
-	adj := sparse.PowerLawGraph(8192, 8, 50)
 	g, err := graph.New(adj)
 	if err != nil {
 		return nil, err
@@ -114,16 +120,27 @@ func AppGraph() (*Report, error) {
 // AppSolver runs the iterative-solver suite (Jacobi, CG) on an SPD stencil
 // system with SpMVs on both accelerators.
 func AppSolver() (*Report, error) {
+	a, b, err := AppSolverInput()
+	if err != nil {
+		return nil, err
+	}
+	return AppSolverOn(a, b)
+}
+
+// AppSolverInput generates the SPD system A x = b with a known solution.
+func AppSolverInput() (*sparse.LIL, tensor.Vector, error) {
+	a := sparse.SymmetricDiagDominant(4096, 2, 51)
+	b, err := a.MulVec(sparse.DenseVector(4096, 52))
+	return a, b, err
+}
+
+// AppSolverOn runs the suite on an already generated system, so benchmarks
+// can time the solvers apart from matrix construction.
+func AppSolverOn(a *sparse.LIL, b tensor.Vector) (*Report, error) {
 	rep := &Report{
 		ID:     "app-solver",
 		Title:  "application: iterative solvers on the tree (vs Two-Step)",
 		Header: []string{"solver", "iterations", "converged", "Fafnir us", "Two-Step us", "speedup"},
-	}
-	a := sparse.SymmetricDiagDominant(4096, 2, 51)
-	xTrue := sparse.DenseVector(4096, 52)
-	b, err := a.MulVec(xTrue)
-	if err != nil {
-		return nil, err
 	}
 	faf, ts, err := executors()
 	if err != nil {

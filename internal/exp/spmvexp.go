@@ -43,11 +43,11 @@ type spmvWorkload struct {
 	m    *sparse.LIL
 }
 
-// fig14Suite builds the synthetic stand-ins for the paper's scientific
+// Fig14Suite builds the synthetic stand-ins for the paper's scientific
 // (matrix-inversion/banded) and graph workloads: small matrices need no
 // merge iterations (Fafnir's best case), large ones are merge-heavy
 // (Two-Step's best case).
-func fig14Suite() []spmvWorkload {
+func Fig14Suite() []spmvWorkload {
 	return []spmvWorkload{
 		{"SC-small (banded 2k, dense band)", sparse.Banded(2000, 96, 41)},
 		{"SC-medium (banded 8k)", sparse.Banded(8000, 64, 42)},
@@ -61,7 +61,11 @@ func fig14Suite() []spmvWorkload {
 
 // Fig14 reproduces the SpMV speedup of Fafnir over the Two-Step algorithm
 // across the workload suite.
-func Fig14() (*Report, error) {
+func Fig14() (*Report, error) { return Fig14On(Fig14Suite()) }
+
+// Fig14On runs the Fig. 14 comparison over an already generated suite, so
+// benchmarks can time the engines apart from matrix construction.
+func Fig14On(suite []spmvWorkload) (*Report, error) {
 	fcfg := spmv.Default()
 	faf, err := spmv.NewEngine(fcfg)
 	if err != nil {
@@ -77,7 +81,7 @@ func Fig14() (*Report, error) {
 		Title:  "SpMV speedup of Fafnir over Two-Step",
 		Header: []string{"workload", "nnz", "merge iters", "Fafnir cycles", "Two-Step cycles", "speedup"},
 	}
-	for _, wl := range fig14Suite() {
+	for _, wl := range suite {
 		x := sparse.DenseVector(wl.m.Cols, 7)
 		fres, err := faf.Multiply(wl.m, x, dram.MustSystem(dram.DDR4()))
 		if err != nil {

@@ -141,12 +141,12 @@ func TestParseFleetRoundTrip(t *testing.T) {
 
 func TestParseFleetRejectsGarbage(t *testing.T) {
 	for _, spec := range []string{
-		"shard=1",          // missing cycle
-		"flap=2@9-3",       // empty window
-		"storm=0@10",       // zero ranks
-		"blarg=1",          // unknown key
-		"shard",            // not key=value
-		"flap=2@x-y",       // unparsable
+		"shard=1",    // missing cycle
+		"flap=2@9-3", // empty window
+		"storm=0@10", // zero ranks
+		"blarg=1",    // unknown key
+		"shard",      // not key=value
+		"flap=2@x-y", // unparsable
 	} {
 		if _, err := ParseFleet(spec); err == nil {
 			t.Fatalf("spec %q accepted", spec)

@@ -170,7 +170,15 @@ func (g *Graph) transition() (*sparse.LIL, []int) {
 			outDeg[c] += v
 		}
 	}
-	trans := sparse.NewLIL(n, n)
+	sizes := make([]int, n)
+	for r, cols := range g.adj.ColIdx {
+		for _, c := range cols {
+			if outDeg[c] != 0 {
+				sizes[r]++
+			}
+		}
+	}
+	trans := sparse.NewLILSized(n, n, sizes)
 	for r := range g.adj.ColIdx {
 		for i, c := range g.adj.ColIdx[r] {
 			if outDeg[c] == 0 {
@@ -264,12 +272,15 @@ func (g *Graph) ConnectedComponents(mul solver.SpMV) (*ComponentsResult, error) 
 
 // pattern returns the 0/1 structure matrix of the graph.
 func (g *Graph) pattern() *sparse.LIL {
-	p := sparse.NewLIL(g.adj.Rows, g.adj.Cols)
-	for r := range g.adj.ColIdx {
-		p.ColIdx[r] = append([]int32(nil), g.adj.ColIdx[r]...)
-		p.Vals[r] = make([]float32, len(g.adj.ColIdx[r]))
-		for i := range p.Vals[r] {
-			p.Vals[r][i] = 1
+	sizes := make([]int, g.adj.Rows)
+	for r, cols := range g.adj.ColIdx {
+		sizes[r] = len(cols)
+	}
+	p := sparse.NewLILSized(g.adj.Rows, g.adj.Cols, sizes)
+	for r, cols := range g.adj.ColIdx {
+		p.ColIdx[r] = append(p.ColIdx[r], cols...)
+		for range cols {
+			p.Vals[r] = append(p.Vals[r], 1)
 		}
 	}
 	return p

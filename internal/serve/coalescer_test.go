@@ -38,8 +38,8 @@ func testSystem(t testing.TB, cfg fafnir.SystemConfig) *fafnir.System {
 // without the engine's cost.
 type fakeBackend struct {
 	store *embedding.Store
-	gate  chan struct{}   // when non-nil, every Lookup receives once before working
-	enter chan struct{}   // when non-nil, signals Lookup entry
+	gate  chan struct{} // when non-nil, every Lookup receives once before working
+	enter chan struct{} // when non-nil, signals Lookup entry
 	fail  func(b embedding.Batch) error
 }
 

@@ -1,14 +1,14 @@
 // Package sparse provides the sparse-matrix substrate for the SpMV
 // experiments: the LIL (list-of-lists) compression format the paper
-// recommends for streaming (Section IV-D), CSR and COO for interchange,
+// recommends for streaming (Section IV-D), COO for interchange,
 // deterministic synthetic matrix generators standing in for the paper's
 // scientific and graph workloads, and a reference SpMV implementation.
 package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 
 	"fafnir/internal/tensor"
 )
@@ -29,21 +29,72 @@ type COO struct {
 // Validate reports a descriptive error when entries fall outside the shape
 // or coordinates repeat.
 func (m *COO) Validate() error {
-	if m.Rows <= 0 || m.Cols <= 0 {
-		return fmt.Errorf("sparse: bad shape %dx%d", m.Rows, m.Cols)
-	}
-	seen := make(map[[2]int]bool, len(m.Entries))
-	for _, e := range m.Entries {
-		if e.Row < 0 || e.Row >= m.Rows || e.Col < 0 || e.Col >= m.Cols {
-			return fmt.Errorf("sparse: entry (%d,%d) outside %dx%d", e.Row, e.Col, m.Rows, m.Cols)
-		}
-		key := [2]int{e.Row, e.Col}
-		if seen[key] {
-			return fmt.Errorf("sparse: duplicate entry (%d,%d)", e.Row, e.Col)
-		}
-		seen[key] = true
+	_, _, _, err := m.sorted()
+	return err
+}
+
+// entryCountError rejects entry counts the int32 row pointers cannot index.
+func entryCountError(n int64) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("sparse: %d entries exceed the int32 index range", n)
 	}
 	return nil
+}
+
+// sorted checks the shape, every entry's bounds and that no coordinate
+// repeats, and returns the entries ordered by (row, column) in one flat
+// backing: cols[rowPtr[r]:rowPtr[r+1]] and the matching vals are row r.
+//
+// The order comes from two stable counting sorts, by column and then by
+// row, so the cost is O(nnz + Rows + Cols) with no comparison sort. The
+// second scatter fills every row in ascending column order, which puts
+// equal coordinates next to each other: one compare with the slot just
+// written finds a duplicate.
+func (m *COO) sorted() (rowPtr, cols []int32, vals []float32, err error) {
+	if m.Rows <= 0 || m.Cols <= 0 {
+		return nil, nil, nil, fmt.Errorf("sparse: bad shape %dx%d", m.Rows, m.Cols)
+	}
+	if err := entryCountError(int64(len(m.Entries))); err != nil {
+		return nil, nil, nil, err
+	}
+	rowPtr = make([]int32, m.Rows+1)
+	colPos := make([]int32, m.Cols)
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		if e.Row < 0 || e.Row >= m.Rows || e.Col < 0 || e.Col >= m.Cols {
+			return nil, nil, nil, fmt.Errorf("sparse: entry (%d,%d) outside %dx%d", e.Row, e.Col, m.Rows, m.Cols)
+		}
+		rowPtr[e.Row+1]++
+		colPos[e.Col]++
+	}
+	for r := 0; r < m.Rows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	var sum int32
+	for c, n := range colPos {
+		colPos[c], sum = sum, sum+n
+	}
+
+	byCol := make([]int32, len(m.Entries)) // entry numbers, ordered by column
+	for i := range m.Entries {
+		c := m.Entries[i].Col
+		byCol[colPos[c]] = int32(i)
+		colPos[c]++
+	}
+
+	next := append([]int32(nil), rowPtr[:m.Rows]...) // next free slot per row
+	cols = make([]int32, len(m.Entries))
+	vals = make([]float32, len(m.Entries))
+	for _, i := range byCol {
+		e := &m.Entries[i]
+		p := next[e.Row]
+		if p > rowPtr[e.Row] && cols[p-1] == int32(e.Col) {
+			return nil, nil, nil, fmt.Errorf("sparse: duplicate entry (%d,%d)", e.Row, e.Col)
+		}
+		cols[p], vals[p] = int32(e.Col), e.Val
+		next[e.Row] = p + 1
+	}
+	return rowPtr, cols, vals, nil
 }
 
 // NNZ reports the number of non-zero entries.
@@ -56,6 +107,7 @@ func (m *COO) NNZ() int { return len(m.Entries) }
 type LIL struct {
 	Rows, Cols int
 	// ColIdx[r] lists the column indices of row r's non-zeros, ascending.
+	// An empty row may be nil or zero-length.
 	ColIdx [][]int32
 	// Vals[r] lists the matching values.
 	Vals [][]float32
@@ -74,30 +126,37 @@ func NewLIL(rows, cols int) *LIL {
 	}
 }
 
-// FromCOO builds a LIL matrix from coordinates, sorting each row's entries
-// by column.
+// NewLILSized returns an empty matrix whose row r takes sizes[r] appended
+// entries without allocating: every row is a zero-length window of one
+// backing array per field, its capacity clipped so an append past the
+// announced size cannot overwrite the next row.
+func NewLILSized(rows, cols int, sizes []int) *LIL {
+	l := NewLIL(rows, cols)
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	flatCols, flatVals := make([]int32, total), make([]float32, total)
+	off := 0
+	for r, n := range sizes {
+		l.ColIdx[r], l.Vals[r] = flatCols[off:off:off+n], flatVals[off:off:off+n]
+		off += n
+	}
+	return l
+}
+
+// FromCOO builds a LIL matrix from coordinates, each row's entries ordered
+// by column. All rows are windows of one backing array per field, so a
+// matrix costs a constant number of allocations whatever its shape.
 func FromCOO(m *COO) (*LIL, error) {
-	if err := m.Validate(); err != nil {
+	rowPtr, cols, vals, err := m.sorted()
+	if err != nil {
 		return nil, err
 	}
 	l := NewLIL(m.Rows, m.Cols)
-	for _, e := range m.Entries {
-		l.ColIdx[e.Row] = append(l.ColIdx[e.Row], int32(e.Col))
-		l.Vals[e.Row] = append(l.Vals[e.Row], e.Val)
-	}
 	for r := range l.ColIdx {
-		cols, vals := l.ColIdx[r], l.Vals[r]
-		order := make([]int, len(cols))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool { return cols[order[i]] < cols[order[j]] })
-		sc := make([]int32, len(cols))
-		sv := make([]float32, len(vals))
-		for i, o := range order {
-			sc[i], sv[i] = cols[o], vals[o]
-		}
-		l.ColIdx[r], l.Vals[r] = sc, sv
+		s, e := rowPtr[r], rowPtr[r+1]
+		l.ColIdx[r], l.Vals[r] = cols[s:e:e], vals[s:e:e]
 	}
 	return l, nil
 }
@@ -123,81 +182,100 @@ func (l *LIL) BytesStreamed() int {
 	return l.NNZ() * (4 + 4)
 }
 
+// lowerBound returns the first position in ascending cols holding a value
+// >= v.
+func lowerBound(cols []int32, v int32) int {
+	lo, hi := 0, len(cols)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cols[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // ColumnChunk extracts the sub-matrix of columns [lo, hi) as a new LIL with
 // original row numbering and column indices rebased to lo. It implements the
 // splitting "through their non-compressed dimension" used to fit large
-// matrices into the Fafnir tree (Fig. 8).
+// matrices into the Fafnir tree (Fig. 8). A product that visits every chunk
+// in turn walks them with a ChunkCursor instead and copies nothing.
 func (l *LIL) ColumnChunk(lo, hi int) *LIL {
 	if lo < 0 || hi > l.Cols || lo >= hi {
 		panic(fmt.Sprintf("sparse: bad chunk [%d,%d) of %d cols", lo, hi, l.Cols))
 	}
 	c := NewLIL(l.Rows, hi-lo)
-	for r := range l.ColIdx {
-		cols := l.ColIdx[r]
-		// Rows are sorted by column: binary-search the window.
-		start := sort.Search(len(cols), func(i int) bool { return cols[i] >= int32(lo) })
-		end := sort.Search(len(cols), func(i int) bool { return cols[i] >= int32(hi) })
-		if start == end {
-			continue
+	// Rows are sorted by column: binary-search each window and park it in
+	// the chunk as a view of l while counting, then replace the views by
+	// rebased copies in one backing.
+	total := 0
+	for r, cols := range l.ColIdx {
+		start := lowerBound(cols, int32(lo))
+		end := start + lowerBound(cols[start:], int32(hi))
+		c.ColIdx[r], c.Vals[r] = cols[start:end], l.Vals[r][start:end]
+		total += end - start
+	}
+	flatCols, flatVals := make([]int32, total), make([]float32, total)
+	off := 0
+	for r, window := range c.ColIdx {
+		end := off + len(window)
+		for i, col := range window {
+			flatCols[off+i] = col - int32(lo)
 		}
-		c.ColIdx[r] = make([]int32, end-start)
-		c.Vals[r] = make([]float32, end-start)
-		for i := start; i < end; i++ {
-			c.ColIdx[r][i-start] = cols[i] - int32(lo)
-			c.Vals[r][i-start] = l.Vals[r][i]
-		}
+		copy(flatVals[off:end], c.Vals[r])
+		c.ColIdx[r], c.Vals[r] = flatCols[off:end:end], flatVals[off:end:end]
+		off = end
 	}
 	return c
 }
 
-// ToCSR converts to compressed-sparse-row form.
-func (l *LIL) ToCSR() *CSR {
-	csr := &CSR{
-		Rows:   l.Rows,
-		Cols:   l.Cols,
-		RowPtr: make([]int, l.Rows+1),
-	}
-	nnz := l.NNZ()
-	csr.ColIdx = make([]int32, 0, nnz)
-	csr.Vals = make([]float32, 0, nnz)
-	for r := 0; r < l.Rows; r++ {
-		csr.RowPtr[r] = len(csr.ColIdx)
-		csr.ColIdx = append(csr.ColIdx, l.ColIdx[r]...)
-		csr.Vals = append(csr.Vals, l.Vals[r]...)
-	}
-	csr.RowPtr[l.Rows] = len(csr.ColIdx)
-	return csr
+// ChunkCursor walks a matrix's column chunks from left to right without
+// copying them. Rows are sorted by column and the chunks arrive in ascending
+// column order, so each row's window in the next chunk begins where its
+// previous one ended: a whole walk costs O(nnz + rows x chunks) and no
+// search.
+type ChunkCursor struct {
+	m *LIL
+	// Row r's window in the current chunk is entries [start[r], end[r]).
+	start, end []int32
 }
 
-// CSR is the compressed-sparse-row format used by the reference SpMV.
-type CSR struct {
-	Rows, Cols int
-	RowPtr     []int
-	ColIdx     []int32
-	Vals       []float32
+// Cursor returns a cursor positioned before column 0.
+func (l *LIL) Cursor() *ChunkCursor {
+	pos := make([]int32, 2*l.Rows)
+	return &ChunkCursor{m: l, start: pos[:l.Rows], end: pos[l.Rows:]}
 }
 
-// NNZ reports the number of non-zero entries.
-func (m *CSR) NNZ() int { return len(m.ColIdx) }
+// Advance moves the cursor to the chunk that ends before column hi (it
+// starts where the previous one ended) and reports how many rows have
+// entries in it and how many entries that is.
+func (c *ChunkCursor) Advance(hi int) (rows, elems int) {
+	for r, cols := range c.m.ColIdx {
+		s := int(c.end[r])
+		e := s
+		for e < len(cols) && int(cols[e]) < hi {
+			e++
+		}
+		c.start[r], c.end[r] = int32(s), int32(e)
+		if e > s {
+			rows++
+			elems += e - s
+		}
+	}
+	return rows, elems
+}
+
+// Row returns row r's window in the current chunk as views of the matrix;
+// the column indices are the matrix's own, not rebased to the chunk.
+func (c *ChunkCursor) Row(r int) ([]int32, []float32) {
+	s, e := c.start[r], c.end[r]
+	return c.m.ColIdx[r][s:e], c.m.Vals[r][s:e]
+}
 
 // MulVec computes y = A*x, the reference SpMV all engines are validated
 // against.
-func (m *CSR) MulVec(x tensor.Vector) (tensor.Vector, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("sparse: vector of %d elements against %d columns", len(x), m.Cols)
-	}
-	y := tensor.New(m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		var acc float32
-		for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
-			acc += m.Vals[i] * x[m.ColIdx[i]]
-		}
-		y[r] = acc
-	}
-	return y, nil
-}
-
-// MulVecLIL computes y = A*x directly from the LIL form.
 func (l *LIL) MulVec(x tensor.Vector) (tensor.Vector, error) {
 	if len(x) != l.Cols {
 		return nil, fmt.Errorf("sparse: vector of %d elements against %d columns", len(x), l.Cols)
@@ -228,14 +306,13 @@ func RandomUniform(rows, cols int, density float64, seed int64) *LIL {
 	if target < 1 {
 		target = 1
 	}
-	seen := make(map[[2]int]bool, target)
-	coo := &COO{Rows: rows, Cols: cols}
+	seen := newPairSet(target)
+	coo := &COO{Rows: rows, Cols: cols, Entries: make([]Coord, 0, target)}
 	for len(coo.Entries) < target {
 		r, c := rng.Intn(rows), rng.Intn(cols)
-		if seen[[2]int{r, c}] {
+		if !seen.add(r, c) {
 			continue
 		}
-		seen[[2]int{r, c}] = true
 		v := smallVal(rng)
 		if v == 0 {
 			v = 1
@@ -258,15 +335,16 @@ func PowerLawGraph(nodes, edgesPerNode int, seed int64) *LIL {
 		panic(fmt.Sprintf("sparse: bad graph shape nodes=%d edges=%d", nodes, edgesPerNode))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	coo := &COO{Rows: nodes, Cols: nodes}
-	seen := make(map[[2]int]bool)
+	// Two seed edges, then at most two per attachment.
+	maxEdges := 2 + 2*(nodes-2)*edgesPerNode
+	coo := &COO{Rows: nodes, Cols: nodes, Entries: make([]Coord, 0, maxEdges)}
+	seen := newPairSet(maxEdges)
 	// Degree-proportional sampling via a repeated-endpoints list.
-	var endpoints []int
+	endpoints := make([]int, 0, 2*maxEdges)
 	add := func(u, v int) {
-		if u == v || seen[[2]int{u, v}] {
+		if u == v || !seen.add(u, v) {
 			return
 		}
-		seen[[2]int{u, v}] = true
 		coo.Entries = append(coo.Entries, Coord{Row: u, Col: v, Val: 1})
 		endpoints = append(endpoints, u, v)
 	}
@@ -294,6 +372,12 @@ func PowerLawGraph(nodes, edgesPerNode int, seed int64) *LIL {
 	return l
 }
 
+// bandedNNZ counts the entries of a full n x n band of the given half-width.
+func bandedNNZ(n, band int) int {
+	b := min(band, n-1)
+	return n*(2*b+1) - b*(b+1)
+}
+
 // Banded generates a banded matrix (half-bandwidth band on each side of the
 // diagonal), the stand-in for the paper's scientific stencil and matrix-
 // inversion workloads.
@@ -302,7 +386,7 @@ func Banded(n, band int, seed int64) *LIL {
 		panic(fmt.Sprintf("sparse: bad banded shape n=%d band=%d", n, band))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	coo := &COO{Rows: n, Cols: n}
+	coo := &COO{Rows: n, Cols: n, Entries: make([]Coord, 0, bandedNNZ(n, band))}
 	for r := 0; r < n; r++ {
 		lo := r - band
 		if lo < 0 {
@@ -347,7 +431,7 @@ func SymmetricDiagDominant(n, band int, seed int64) *LIL {
 		panic(fmt.Sprintf("sparse: bad SPD shape n=%d band=%d", n, band))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	coo := &COO{Rows: n, Cols: n}
+	coo := &COO{Rows: n, Cols: n, Entries: make([]Coord, 0, bandedNNZ(n, band))}
 	offSum := make([]float32, n)
 	for r := 0; r < n; r++ {
 		hi := r + band
@@ -395,7 +479,14 @@ func (l *LIL) Diagonal() tensor.Vector {
 // WithoutDiagonal returns a copy of the matrix with the main diagonal
 // removed (the R = A - D operand of Jacobi iteration).
 func (l *LIL) WithoutDiagonal() *LIL {
-	out := NewLIL(l.Rows, l.Cols)
+	sizes := make([]int, l.Rows)
+	for r, cols := range l.ColIdx {
+		sizes[r] = len(cols)
+		if i := lowerBound(cols, int32(r)); i < len(cols) && int(cols[i]) == r {
+			sizes[r]--
+		}
+	}
+	out := NewLILSized(l.Rows, l.Cols, sizes)
 	for r := range l.ColIdx {
 		for i, c := range l.ColIdx[r] {
 			if int(c) == r {

@@ -114,33 +114,45 @@ func TestChunksPartitionMatrix(t *testing.T) {
 	}
 }
 
-func TestToCSRAndMulVecAgree(t *testing.T) {
+// naiveMulVec is the dense triple loop: every (row, column) pair is looked
+// up in the row's list, so it shares nothing with MulVec's traversal.
+func naiveMulVec(l *LIL, x tensor.Vector) tensor.Vector {
+	y := tensor.New(l.Rows)
+	for r := 0; r < l.Rows; r++ {
+		for c := 0; c < l.Cols; c++ {
+			for i, cc := range l.ColIdx[r] {
+				if int(cc) == c {
+					y[r] += l.Vals[r][i] * x[c]
+				}
+			}
+		}
+	}
+	return y
+}
+
+func TestMulVecMatchesNaive(t *testing.T) {
 	l := RandomUniform(64, 80, 0.1, 5)
 	x := DenseVector(80, 6)
-	yl, err := l.MulVec(x)
+	got, err := l.MulVec(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := l.ToCSR()
-	if csr.NNZ() != l.NNZ() {
-		t.Fatalf("CSR NNZ %d != LIL NNZ %d", csr.NNZ(), l.NNZ())
+	stored := 0
+	for r := range l.ColIdx {
+		stored += len(l.Vals[r])
 	}
-	yc, err := csr.MulVec(x)
-	if err != nil {
-		t.Fatal(err)
+	if stored != l.NNZ() {
+		t.Fatalf("rows hold %d values, NNZ reports %d", stored, l.NNZ())
 	}
-	if !yl.Equal(yc) {
-		t.Fatal("LIL and CSR SpMV disagree")
+	if !got.Equal(naiveMulVec(l, x)) {
+		t.Fatal("MulVec and the naive triple loop disagree")
 	}
 }
 
 func TestMulVecDimensionError(t *testing.T) {
 	l := RandomUniform(4, 4, 0.5, 1)
 	if _, err := l.MulVec(tensor.New(5)); err == nil {
-		t.Fatal("bad operand accepted by LIL")
-	}
-	if _, err := l.ToCSR().MulVec(tensor.New(5)); err == nil {
-		t.Fatal("bad operand accepted by CSR")
+		t.Fatal("bad operand accepted")
 	}
 }
 
@@ -377,5 +389,64 @@ func TestQuickSPDSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The cursor's windows are ColumnChunk's rows without the copy and the
+// rebase, for flat-backed and hand-assembled matrices alike.
+func TestCursorMatchesColumnChunk(t *testing.T) {
+	hand := NewLIL(3, 9)
+	hand.ColIdx[0], hand.Vals[0] = []int32{0, 4, 8}, []float32{1, 2, 3}
+	hand.ColIdx[2], hand.Vals[2] = []int32{3, 4}, []float32{4, 5}
+	for name, l := range map[string]*LIL{
+		"uniform": RandomUniform(30, 97, 0.1, 3),
+		"graph":   PowerLawGraph(60, 2, 4),
+		"hand":    hand,
+	} {
+		for _, width := range []int{1, 7, 20, l.Cols, l.Cols + 5} {
+			cur := l.Cursor()
+			for lo := 0; lo < l.Cols; lo += width {
+				hi := min(lo+width, l.Cols)
+				chunk := l.ColumnChunk(lo, hi)
+				hit, elems := cur.Advance(hi)
+				if elems != chunk.NNZ() {
+					t.Fatalf("%s width %d chunk [%d,%d): cursor saw %d entries, chunk holds %d", name, width, lo, hi, elems, chunk.NNZ())
+				}
+				for r := 0; r < l.Rows; r++ {
+					cols, vals := cur.Row(r)
+					if len(cols) != len(chunk.ColIdx[r]) || len(vals) != len(chunk.Vals[r]) {
+						t.Fatalf("%s width %d chunk [%d,%d) row %d: window of %d, chunk row of %d", name, width, lo, hi, r, len(cols), len(chunk.ColIdx[r]))
+					}
+					if len(cols) > 0 {
+						hit--
+					}
+					for i := range cols {
+						if int(cols[i])-lo != int(chunk.ColIdx[r][i]) || vals[i] != chunk.Vals[r][i] {
+							t.Fatalf("%s width %d chunk [%d,%d) row %d entry %d differs", name, width, lo, hi, r, i)
+						}
+					}
+				}
+				if hit != 0 {
+					t.Fatalf("%s width %d chunk [%d,%d): non-empty row count off by %d", name, width, lo, hi, hit)
+				}
+			}
+		}
+	}
+}
+
+func TestNewLILSized(t *testing.T) {
+	sizes := []int{2, 0, 1}
+	l := NewLILSized(3, 4, sizes)
+	for r, n := range sizes {
+		if len(l.ColIdx[r]) != 0 || cap(l.ColIdx[r]) != n || len(l.Vals[r]) != 0 || cap(l.Vals[r]) != n {
+			t.Fatalf("row %d: len %d cap %d, want 0 and %d", r, len(l.ColIdx[r]), cap(l.ColIdx[r]), n)
+		}
+	}
+	l.ColIdx[0] = append(l.ColIdx[0], 1, 3)
+	l.ColIdx[2] = append(l.ColIdx[2], 0)
+	// One entry too many moves that row elsewhere and leaves the next intact.
+	l.ColIdx[0] = append(l.ColIdx[0], 2)
+	if l.ColIdx[2][0] != 0 || len(l.ColIdx[1]) != 0 {
+		t.Fatalf("overfull row 0 spilled: %v", l.ColIdx)
 	}
 }

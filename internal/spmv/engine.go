@@ -2,7 +2,6 @@ package spmv
 
 import (
 	"fmt"
-	"sort"
 
 	"fafnir/internal/dram"
 	"fafnir/internal/fafnir"
@@ -27,22 +26,58 @@ func (s *PartialStream) Len() int { return len(s.Rows) }
 // Bytes reports the streamed size: a row index and a value per element.
 func (s *PartialStream) Bytes() int { return s.Len() * 8 }
 
-// mergeStreams sums any number of partial streams per row index.
-func mergeStreams(streams []*PartialStream) *PartialStream {
-	acc := make(map[int32]float32)
+// MultiplyChunk advances the cursor to the chunk ending before column hi
+// and returns its partial stream — per row with entries in the chunk, the
+// sum of val*x[col] in column order — and the number of matrix elements
+// the chunk streamed. A row whose products cancel to exactly zero stays in
+// the stream when keepZero is set (the Fafnir leaves forward whatever they
+// reduce) and leaves it otherwise (Two-Step's first step emits non-zeros
+// only).
+func MultiplyChunk(cur *sparse.ChunkCursor, hi int, x tensor.Vector, keepZero bool) (*PartialStream, int) {
+	hit, elems := cur.Advance(hi)
+	out := &PartialStream{Rows: make([]int32, 0, hit), Vals: make([]float32, 0, hit)}
+	for r := 0; hit > 0; r++ {
+		cols, vals := cur.Row(r)
+		if len(cols) == 0 {
+			continue
+		}
+		hit--
+		var acc float32
+		for i, c := range cols {
+			acc += vals[i] * x[c]
+		}
+		if acc != 0 || keepZero {
+			out.Rows = append(out.Rows, int32(r))
+			out.Vals = append(out.Vals, acc)
+		}
+	}
+	return out, elems
+}
+
+// MergeStreams sums any number of partial streams of a matrix with the
+// given row count into one stream ordered by row. It accumulates on a
+// dense per-row array, adding each row's values in stream order — the order
+// a hardware merge of these streams meets them, and the order that fixes the
+// float32 result.
+func MergeStreams(streams []*PartialStream, rows int) *PartialStream {
+	acc := make([]float32, rows)
+	hit := make([]bool, rows)
+	n := 0
 	for _, s := range streams {
 		for i, r := range s.Rows {
+			if !hit[r] {
+				hit[r] = true
+				n++
+			}
 			acc[r] += s.Vals[i]
 		}
 	}
-	rows := make([]int32, 0, len(acc))
-	for r := range acc {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	out := &PartialStream{Rows: rows, Vals: make([]float32, len(rows))}
-	for i, r := range rows {
-		out.Vals[i] = acc[r]
+	out := &PartialStream{Rows: make([]int32, 0, n), Vals: make([]float32, 0, n)}
+	for r := 0; len(out.Rows) < n; r++ {
+		if hit[r] {
+			out.Rows = append(out.Rows, int32(r))
+			out.Vals = append(out.Vals, acc[r])
+		}
 	}
 	return out
 }
@@ -186,7 +221,7 @@ func (e *Engine) writeBack(mem *dram.System, clock sim.Cycle, s *PartialStream, 
 }
 
 // Multiply computes y = m*x with full timing against the DRAM model. The
-// functional result is exact (validated against sparse.CSR.MulVec); the
+// functional result is exact (validated against sparse.LIL.MulVec); the
 // timing follows the Fig. 8 schedule.
 func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result, error) {
 	if len(x) != m.Cols {
@@ -202,15 +237,10 @@ func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Re
 	var streams []*PartialStream
 	var clock sim.Cycle // DRAM-domain time
 	var peClock sim.Cycle
+	cur := m.Cursor()
 	for lo := 0; lo < m.Cols; lo += e.cfg.VectorSize {
-		hi := lo + e.cfg.VectorSize
-		if hi > m.Cols {
-			hi = m.Cols
-		}
-		chunk := m.ColumnChunk(lo, hi)
-		partial := multiplyChunk(chunk, x[lo:hi])
+		partial, elems := MultiplyChunk(cur, min(lo+e.cfg.VectorSize, m.Cols), x, true)
 		streams = append(streams, partial)
-		elems := chunk.NNZ()
 		res.ElementsStreamed += elems
 		res.BytesStreamed += uint64(elems) * 8
 		clock, peClock, err = e.roundTime(mem, clock, peClock, elems, e.cfg.MultElemsPerCycle)
@@ -253,7 +283,7 @@ func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Re
 			if err != nil {
 				return nil, err
 			}
-			merged := mergeStreams(group)
+			merged := MergeStreams(group, m.Rows)
 			next = append(next, merged)
 			clock, err = e.writeBack(mem, clock, merged, iter+1 < plan.Iterations())
 			if err != nil {
@@ -279,22 +309,4 @@ func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Re
 		}
 	}
 	return res, nil
-}
-
-// multiplyChunk computes the partial stream of one column chunk: per-row
-// sums of val*x[col] over the chunk's non-zeros.
-func multiplyChunk(chunk *sparse.LIL, x tensor.Vector) *PartialStream {
-	out := &PartialStream{}
-	for r := 0; r < chunk.Rows; r++ {
-		if len(chunk.ColIdx[r]) == 0 {
-			continue
-		}
-		var acc float32
-		for i, c := range chunk.ColIdx[r] {
-			acc += chunk.Vals[r][i] * x[c]
-		}
-		out.Rows = append(out.Rows, int32(r))
-		out.Vals = append(out.Vals, acc)
-	}
-	return out
 }

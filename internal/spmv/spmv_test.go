@@ -233,17 +233,23 @@ func TestPartialStreamBytes(t *testing.T) {
 }
 
 func TestMergeStreams(t *testing.T) {
-	a := &PartialStream{Rows: []int32{0, 2}, Vals: []float32{1, 2}}
-	b := &PartialStream{Rows: []int32{2, 5}, Vals: []float32{10, 20}}
-	m := mergeStreams([]*PartialStream{a, b})
-	if m.Len() != 3 {
+	// Rows need not arrive sorted (the paper: "the row indices are no longer
+	// sorted, but this does not impact the functionality"); the merge emits
+	// them ascending. Row 4 cancels to zero and stays in the stream.
+	a := &PartialStream{Rows: []int32{3, 0, 2, 4}, Vals: []float32{3, 1, 2, 8}}
+	b := &PartialStream{Rows: []int32{2, 5, 4}, Vals: []float32{10, 20, -8}}
+	m := MergeStreams([]*PartialStream{a, b}, 7)
+	wantRows, wantVals := []int32{0, 2, 3, 4, 5}, []float32{1, 12, 3, 0, 20}
+	if m.Len() != len(wantRows) {
 		t.Fatalf("merged %v", m)
 	}
-	if m.Rows[0] != 0 || m.Rows[1] != 2 || m.Rows[2] != 5 {
-		t.Fatalf("rows %v", m.Rows)
+	for i := range wantRows {
+		if m.Rows[i] != wantRows[i] || m.Vals[i] != wantVals[i] {
+			t.Fatalf("merged rows %v vals %v, want %v %v", m.Rows, m.Vals, wantRows, wantVals)
+		}
 	}
-	if m.Vals[1] != 12 {
-		t.Fatalf("row 2 sum %v", m.Vals[1])
+	if empty := MergeStreams(nil, 7); empty.Len() != 0 {
+		t.Fatalf("merge of nothing: %v", empty)
 	}
 }
 

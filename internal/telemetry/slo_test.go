@@ -8,9 +8,9 @@ import (
 // sloClock is an injectable test clock for the flight recorder.
 type sloClock struct{ t time.Time }
 
-func (c *sloClock) now() time.Time            { return c.t }
-func (c *sloClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
-func newSLOClock() *sloClock                  { return &sloClock{t: time.Unix(1_000_000, 0)} }
+func (c *sloClock) now() time.Time          { return c.t }
+func (c *sloClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newSLOClock() *sloClock                { return &sloClock{t: time.Unix(1_000_000, 0)} }
 func mustLane(t *testing.T, s SLOSnapshot, name string) LaneSLO {
 	t.Helper()
 	for _, l := range s.Lanes {

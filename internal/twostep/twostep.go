@@ -16,7 +16,6 @@ package twostep
 
 import (
 	"fmt"
-	"sort"
 
 	"fafnir/internal/dram"
 	"fafnir/internal/sim"
@@ -173,19 +172,10 @@ func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Re
 
 	var streams []*spmv.PartialStream
 	var clock, peClock sim.Cycle
+	cur := m.Cursor()
 	for lo := 0; lo < m.Cols; lo += e.cfg.VectorSize {
-		hi := lo + e.cfg.VectorSize
-		if hi > m.Cols {
-			hi = m.Cols
-		}
-		chunk := m.ColumnChunk(lo, hi)
-		partial, err := chunk.MulVec(x[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		stream := densePartial(partial)
+		stream, elems := spmv.MultiplyChunk(cur, min(lo+e.cfg.VectorSize, m.Cols), x, false)
 		streams = append(streams, stream)
-		elems := chunk.NNZ()
 		res.ElementsStreamed += elems
 		res.BytesStreamed += uint64(elems) * 8
 		clock, peClock, err = e.roundTime(mem, clock, peClock, elems, e.cfg.Step1ElemsPerCycle)
@@ -224,7 +214,7 @@ func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Re
 			if err != nil {
 				return nil, err
 			}
-			merged := MergeStreams(group)
+			merged := spmv.MergeStreams(group, m.Rows)
 			next = append(next, merged)
 			clock, err = e.writeBack(mem, clock, merged, iter+1 < plan.Iterations())
 			if err != nil {
@@ -246,38 +236,4 @@ func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Re
 		}
 	}
 	return res, nil
-}
-
-// densePartial converts a dense partial vector into a sparse stream of its
-// non-zero rows.
-func densePartial(y tensor.Vector) *spmv.PartialStream {
-	out := &spmv.PartialStream{}
-	for r, v := range y {
-		if v != 0 {
-			out.Rows = append(out.Rows, int32(r))
-			out.Vals = append(out.Vals, v)
-		}
-	}
-	return out
-}
-
-// MergeStreams sums partial streams per row index, exposed for the merge
-// core's unit tests.
-func MergeStreams(streams []*spmv.PartialStream) *spmv.PartialStream {
-	acc := make(map[int32]float32)
-	var order []int32
-	for _, s := range streams {
-		for i, r := range s.Rows {
-			if _, ok := acc[r]; !ok {
-				order = append(order, r)
-			}
-			acc[r] += s.Vals[i]
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := &spmv.PartialStream{Rows: order, Vals: make([]float32, len(order))}
-	for i, r := range order {
-		out.Vals[i] = acc[r]
-	}
-	return out
 }

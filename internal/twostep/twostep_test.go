@@ -119,18 +119,3 @@ func TestStep1SlowerMergeFasterThanFafnir(t *testing.T) {
 		t.Fatalf("merge phase: Two-Step %d not faster than Fafnir %d", rts2.MergeCycles, rfa2.MergeCycles)
 	}
 }
-
-func TestMergeStreams(t *testing.T) {
-	a := &spmv.PartialStream{Rows: []int32{3, 1}, Vals: []float32{3, 1}}
-	b := &spmv.PartialStream{Rows: []int32{1, 7}, Vals: []float32{10, 70}}
-	m := MergeStreams([]*spmv.PartialStream{a, b})
-	if m.Len() != 3 {
-		t.Fatalf("merged %v", m)
-	}
-	if m.Rows[0] != 1 || m.Vals[0] != 11 {
-		t.Fatalf("row 1: %v %v", m.Rows, m.Vals)
-	}
-	if m.Rows[2] != 7 || m.Vals[2] != 70 {
-		t.Fatalf("row 7: %v %v", m.Rows, m.Vals)
-	}
-}

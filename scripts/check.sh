@@ -2,6 +2,7 @@
 # check.sh — the repo's tier-1+ gate. Everything here must pass before a
 # change lands:
 #
+#   0. gofmt         — gofmt -l . must list no file
 #   1. go vet        — static checks
 #   2. staticcheck   — soft gate: runs when installed, skipped otherwise
 #   3. go build      — every package compiles
@@ -14,9 +15,9 @@
 #                      exercised both fully serialized and fully interleaved
 #   6. conformance   — the oracle sweep once more with -count=1, so the gate
 #                      never passes on a cached test result
-#   7. fuzz corpus   — FuzzCodec's, FuzzBatchBuild's, and FuzzCacheOps' seed
-#                      corpora replayed in -run mode (no fuzzing;
-#                      deterministic and fast)
+#   7. fuzz corpus   — FuzzCodec's, FuzzBatchBuild's, FuzzCacheOps' and
+#                      FuzzFromCOO's seed corpora replayed in -run mode (no
+#                      fuzzing; deterministic and fast)
 #   8. coverage      — every internal/ package must keep statement coverage
 #                      at or above the floor (80%)
 #   9. telemetry     — run fafnir-sim with -trace-out, validate the emitted
@@ -62,6 +63,7 @@
 #
 #   go test -fuzz=FuzzCodec -fuzztime=30s ./internal/header
 #   go test -fuzz=FuzzBatchBuild -fuzztime=30s ./internal/batch
+#   go test -fuzz=FuzzFromCOO -fuzztime=30s ./internal/sparse
 #
 # Perf regressions are gated separately by scripts/bench_diff.sh (benchmarks
 # are too slow for every pre-land run).
@@ -72,6 +74,14 @@ set -eu
 cd "$(dirname "$0")/.."
 
 COVER_FLOOR=${COVER_FLOOR:-80}
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -99,7 +109,7 @@ echo "==> oracle conformance sweep (-race, -count=1)"
 go test -race -count=1 -run 'TestConformance' ./internal/oracle
 
 echo "==> fuzz corpus (replay, -run mode)"
-go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/
+go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/
 
 echo "==> coverage floor (internal packages >= ${COVER_FLOOR}%)"
 go test -cover ./internal/... | awk -v floor="$COVER_FLOOR" '
