@@ -520,7 +520,8 @@ func NewServer(sys *System, cfg ServeConfig) (*Server, error) {
 
 // Fault-tolerant sharded serving (internal/router), re-exported: a fleet
 // front-end that owns N independent System shards, scatters each batch's
-// indices to their owning shards, and reduces the partial pools host-side.
+// indices to their owning shards, and reduces the partial pools through an
+// in-network switch tree (RnetConfig below).
 // Shard health is tracked by a per-shard three-state breaker fed by
 // structured sub-lookup errors; dark shards fail over to the peer holding
 // their replica rows, and when both copies are unreachable the batch
@@ -581,17 +582,17 @@ func NewFleetServer(f *Fleet, cfg ServeConfig) (*Server, error) {
 }
 
 // Cross-shard reduction network and multi-fleet federation (internal/rnet,
-// internal/router), re-exported. With FleetConfig.Rnet.Radix >= 2 a fleet
-// reduces its per-shard partial pools through a simulated in-network switch
-// tree instead of the serial host fold: a switch fires the moment its last
-// live child's partial lands (a lost shard is simply an absent leaf), link
-// and combine latency are charged in simulated cycles, and outputs stay
-// bit-identical to the host fold. A Federation stacks M such fleets behind
+// internal/router), re-exported. Every fleet reduces its per-shard partial
+// pools through a simulated in-network switch tree shaped by
+// FleetConfig.Rnet: a switch fires the moment its last live child's partial
+// lands (a lost shard is simply an absent leaf), link and combine latency
+// are charged in simulated cycles, and outputs are bit-identical to the
+// reference oracle at every radix. A Federation stacks M such fleets behind
 // one Lookup front-end and reduces the fleet partials through the same
-// switch-tree machinery.
+// pipeline and switch-tree machinery.
 type (
-	// RnetConfig shapes a reduction tree: fan-in radix (0 = legacy host
-	// fold), per-hop link cycles, switch latency, and per-combine cost.
+	// RnetConfig shapes a reduction tree: fan-in radix (0 = the default of
+	// 2), per-hop link cycles, switch latency, and per-combine cost.
 	RnetConfig = rnet.Config
 	// FederationConfig parameterizes a multi-fleet federation: fleet count,
 	// the shared member-fleet template, and the cross-fleet tree shape.
@@ -603,7 +604,8 @@ type (
 )
 
 // NewFederation builds a multi-fleet federation; the zero config selects
-// two default fleets reduced through a radix-2 cross-fleet tree.
+// two default fleets reduced through a radix-2 cross-fleet tree (the
+// cross-fleet radix inherits the member fleets').
 func NewFederation(cfg FederationConfig) (*Federation, error) { return router.NewFederation(cfg) }
 
 // NewFederationServer builds the online serving front-end over a

@@ -10,7 +10,7 @@
 //	fafnir-serve -faults "rank=3@0;ecc=0.0005;seed=9"
 //	fafnir-serve -shards 4                                    # fault-tolerant fleet router
 //	fafnir-serve -shards 4 -fault-storm "shard=1@40000;seed=7"
-//	fafnir-serve -shards 4 -radix 2                           # in-network shard combine (rnet)
+//	fafnir-serve -shards 8 -radix 4                           # wider rnet combine switches
 //	fafnir-serve -fleets 2 -shards 4 -verify                  # multi-fleet federation, oracle-checked
 //	fafnir-serve -debug-addr 127.0.0.1:6060   # adds /debug/pprof and /debug/vars
 //
@@ -65,7 +65,7 @@ func run() error {
 		faults    = flag.String("faults", "", `fault plan, e.g. "rank=3@0;ecc=0.001;seed=9"`)
 		shards    = flag.Int("shards", 1, "shard count; >1 serves through the fault-tolerant fleet router")
 		fleets    = flag.Int("fleets", 1, "fleet count; >1 serves a multi-fleet federation (implies the fleet router)")
-		radix     = flag.Int("radix", 0, "rnet combine radix: >=2 reduces shard partials through the in-network switch tree, 0 keeps the host fold (federation mode defaults the cross-fleet tree to 2)")
+		radix     = flag.Int("radix", 0, "fan-in of the rnet switch trees that combine shard (and, in federation mode, fleet) partials (0 = default 2; setting it implies the fleet router)")
 		verify    = flag.Bool("verify", false, "federation mode: re-check every healthy batch bit-for-bit against the reference oracle")
 		storm     = flag.String("fault-storm", "", `fleet fault plan, e.g. "shard=1@40000;flap=2@1-300000;storm=6@20000;seed=7" (implies the fleet router)`)
 		cacheMB   = flag.Int("cache-mb", 0, "hot-embedding cache budget in MiB (0 disables; split per shard in fleet mode)")

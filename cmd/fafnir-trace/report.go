@@ -39,7 +39,7 @@ var reportStages = []struct{ stage, help string }{
 	{"backend", "hardware gather+reduce batches (engine and shard windows)"},
 	{"pe", "reduction-tree PE activity (inside backend)"},
 	{"failover", "replica replays after shard failure"},
-	{"combine", "partial-pool combining: host folds and rnet switch hops"},
+	{"combine", "partial-pool combining: rnet switch hops"},
 }
 
 // stageOf buckets one simulated-timeline span by name; "" means unattributed.

@@ -123,8 +123,8 @@ type StageCycles struct {
 	Backend sim.Cycle
 	// Failover is serial replay time on replica shards after primary failures.
 	Failover sim.Cycle
-	// Combine is partial-output combining: the host fold or the rnet switch
-	// tree's critical path beyond the moment the leaves were ready.
+	// Combine is partial-output combining: the rnet switch tree's critical
+	// path beyond the moment the leaves were ready.
 	Combine sim.Cycle
 	// Transfer is the final root/combine-to-host transfer of the outputs.
 	Transfer sim.Cycle

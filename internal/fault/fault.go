@@ -105,7 +105,7 @@ func (p Plan) Empty() bool {
 // Validate reports a descriptive error for an unusable plan.
 func (p Plan) Validate() error {
 	switch {
-	case p.ReadFaultProb < 0 || p.ReadFaultProb >= 1:
+	case !(p.ReadFaultProb >= 0 && p.ReadFaultProb < 1): // also rejects NaN
 		return fmt.Errorf("fault: ReadFaultProb %v outside [0,1)", p.ReadFaultProb)
 	case p.MaxConsecutiveFaults < 0:
 		return fmt.Errorf("fault: MaxConsecutiveFaults must be non-negative, got %d", p.MaxConsecutiveFaults)
@@ -274,6 +274,22 @@ func (i *Injector) PEStall(id int) sim.Cycle {
 	return i.stallBy[id]
 }
 
+// scan parses one clause value with fmt.Sscanf and rejects anything left
+// over after the last verb. Sscanf alone stops at the first byte that does
+// not match, so "3@5xyz" would silently parse as 3@5.
+func scan(val, format string, args ...any) error {
+	var extra rune
+	n, err := fmt.Sscanf(val, format+"%c", append(args, &extra)...)
+	switch {
+	case n == len(args):
+		return nil // only the sentinel verb ran out of input
+	case n > len(args):
+		return fmt.Errorf("unexpected input from %q on", extra)
+	default:
+		return err
+	}
+}
+
 // String renders the plan compactly (the Parse format).
 func (p Plan) String() string {
 	var parts []string
@@ -319,22 +335,22 @@ func Parse(spec string) (Plan, error) {
 		}
 		switch key {
 		case "seed":
-			if _, err := fmt.Sscanf(val, "%d", &p.Seed); err != nil {
+			if err := scan(val, "%d", &p.Seed); err != nil {
 				return Plan{}, fmt.Errorf("fault: bad seed %q: %v", val, err)
 			}
 		case "rank":
 			var f RankFailure
-			if _, err := fmt.Sscanf(val, "%d@%d", &f.Rank, &f.At); err != nil {
+			if err := scan(val, "%d@%d", &f.Rank, &f.At); err != nil {
 				return Plan{}, fmt.Errorf("fault: bad rank clause %q (want R@CYCLE): %v", val, err)
 			}
 			p.RankFailures = append(p.RankFailures, f)
 		case "ecc":
-			if _, err := fmt.Sscanf(val, "%g", &p.ReadFaultProb); err != nil {
+			if err := scan(val, "%g", &p.ReadFaultProb); err != nil {
 				return Plan{}, fmt.Errorf("fault: bad ecc probability %q: %v", val, err)
 			}
 		case "stall":
 			var s PEStall
-			if _, err := fmt.Sscanf(val, "%d+%d", &s.PE, &s.Extra); err != nil {
+			if err := scan(val, "%d+%d", &s.PE, &s.Extra); err != nil {
 				return Plan{}, fmt.Errorf("fault: bad stall clause %q (want PE+CYCLES): %v", val, err)
 			}
 			p.PEStalls = append(p.PEStalls, s)

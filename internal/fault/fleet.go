@@ -75,12 +75,12 @@ type FleetPlan struct {
 	ShardFlaps []ShardFlap
 	// RankStorms lists correlated rank-failure bursts.
 	RankStorms []RankStorm
-	// SwitchStalls lists slow rnet switches; ignored by a fleet whose
-	// combine path is the legacy host fold (no switches exist).
+	// SwitchStalls lists slow rnet switches.
 	SwitchStalls []SwitchStall
 	// Shard is the base plan applied to every shard (rank failures listed
 	// here strike the same local rank on every shard; ECC and retry policy
-	// apply per shard with a derived seed).
+	// apply per shard with a seed derived from Seed — Shard.Seed itself is
+	// never read).
 	Shard Plan
 }
 
@@ -199,8 +199,12 @@ func (p FleetPlan) String() string {
 	for _, s := range p.SwitchStalls {
 		parts = append(parts, fmt.Sprintf("swstall=%d+%d", s.Switch, s.Cycles))
 	}
-	if base := p.Shard.String(); base != "" {
-		parts = append(parts, base)
+	// The fleet seed is the only seed (ShardPlan derives every shard's from
+	// it), so the base plan's own is not rendered as a second seed clause.
+	base := p.Shard
+	base.Seed = 0
+	if b := base.String(); b != "" {
+		parts = append(parts, b)
 	}
 	return strings.Join(parts, ";")
 }
@@ -212,7 +216,7 @@ func (p FleetPlan) String() string {
 //	shard=S@C      shard S goes down at fleet cycle C and stays down
 //	flap=S@D-U     shard S is down in fleet-cycle window [D,U)
 //	storm=N@C      N seed-drawn (shard, rank) pairs go dark at cycle C
-//	swstall=K+N    rnet switch K fires N cycles late (rnet combine path only)
+//	swstall=K+N    rnet switch K fires N cycles late
 //	rank=R@C       local rank R goes dark at cycle C on every shard
 //	ecc=P          per-shard transient read-fault probability
 //	stall=PE+N     tree node PE gains N extra cycles on every shard
@@ -237,31 +241,30 @@ func ParseFleet(spec string) (FleetPlan, error) {
 		}
 		switch key {
 		case "seed":
-			if _, err := fmt.Sscanf(val, "%d", &p.Seed); err != nil {
+			if err := scan(val, "%d", &p.Seed); err != nil {
 				return FleetPlan{}, fmt.Errorf("fault: bad seed %q: %v", val, err)
 			}
-			baseClauses = append(baseClauses, clause)
 		case "shard":
 			var f ShardFailure
-			if _, err := fmt.Sscanf(val, "%d@%d", &f.Shard, &f.At); err != nil {
+			if err := scan(val, "%d@%d", &f.Shard, &f.At); err != nil {
 				return FleetPlan{}, fmt.Errorf("fault: bad shard clause %q (want S@CYCLE): %v", val, err)
 			}
 			p.ShardFailures = append(p.ShardFailures, f)
 		case "flap":
 			var f ShardFlap
-			if _, err := fmt.Sscanf(val, "%d@%d-%d", &f.Shard, &f.DownAt, &f.UpAt); err != nil {
+			if err := scan(val, "%d@%d-%d", &f.Shard, &f.DownAt, &f.UpAt); err != nil {
 				return FleetPlan{}, fmt.Errorf("fault: bad flap clause %q (want S@DOWN-UP): %v", val, err)
 			}
 			p.ShardFlaps = append(p.ShardFlaps, f)
 		case "storm":
 			var s RankStorm
-			if _, err := fmt.Sscanf(val, "%d@%d", &s.Ranks, &s.At); err != nil {
+			if err := scan(val, "%d@%d", &s.Ranks, &s.At); err != nil {
 				return FleetPlan{}, fmt.Errorf("fault: bad storm clause %q (want RANKS@CYCLE): %v", val, err)
 			}
 			p.RankStorms = append(p.RankStorms, s)
 		case "swstall":
 			var s SwitchStall
-			if _, err := fmt.Sscanf(val, "%d+%d", &s.Switch, &s.Cycles); err != nil {
+			if err := scan(val, "%d+%d", &s.Switch, &s.Cycles); err != nil {
 				return FleetPlan{}, fmt.Errorf("fault: bad swstall clause %q (want SWITCH+CYCLES): %v", val, err)
 			}
 			p.SwitchStalls = append(p.SwitchStalls, s)

@@ -157,3 +157,61 @@ func TestParseFleetRejectsGarbage(t *testing.T) {
 		t.Fatalf("blank spec: %+v, %v", p, err)
 	}
 }
+
+// TestParseRejectsTrailingInput pins the strict clause grammar: input left
+// over after a clause's last field is an error naming the clause, in both
+// parsers, and a seed renders exactly once.
+func TestParseRejectsTrailingInput(t *testing.T) {
+	for _, spec := range []string{
+		"shard=1@5xyz", "flap=1@5-9-11", "swstall=0+5 junk", "seed=7abc",
+		"storm=2@9!", "rank=3@0x", "ecc=0.5%", "stall=5+200+1",
+	} {
+		_, err := ParseFleet(spec)
+		if err == nil {
+			t.Errorf("ParseFleet(%q) accepted", spec)
+			continue
+		}
+		if key, _, _ := strings.Cut(spec, "="); !strings.Contains(err.Error(), key) {
+			t.Errorf("ParseFleet(%q) = %v, want the error to name the %s clause", spec, err, key)
+		}
+	}
+	// NaN compares false with every bound; Validate must still refuse it.
+	for _, spec := range []string{"rank=3@0x", "ecc=0.5%", "stall=5+200+1", "seed=7abc", "ecc=NaN"} {
+		if _, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) accepted", spec)
+		}
+	}
+	p, err := ParseFleet("seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.String(); got != "seed=7" {
+		t.Fatalf(`ParseFleet("seed=7").String() = %q, want the seed once`, got)
+	}
+}
+
+// FuzzParseFleet: no spec may panic the parser, and any accepted spec must
+// survive a render → re-parse round trip unchanged.
+func FuzzParseFleet(f *testing.F) {
+	for _, spec := range []string{
+		"", "seed=7", "shard=1@1;seed=7",
+		"seed=7;shard=1@40000;flap=2@1-300000;storm=6@20000;ecc=0.001",
+		"swstall=0+500;rank=3@0;stall=5+200",
+		"shard=1@5xyz", "flap=1@5-9-11", "swstall=0+5 junk", "seed=7abc",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFleet(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseFleet(p.String())
+		if err != nil {
+			t.Fatalf("ParseFleet(%q) accepted, but its rendering %q does not re-parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("ParseFleet(%q) round trip through %q:\ngot  %+v\nwant %+v", spec, p.String(), back, p)
+		}
+	})
+}

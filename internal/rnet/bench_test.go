@@ -12,7 +12,7 @@ import (
 // shard contributing a partial to every query) across growing fleets and
 // reports the simulated combine critical path of both paths side by side:
 // combine_path_cycles is the rnet tree's root completion (grows with
-// log_radix(shards) switch levels), host_fold_cycles the legacy serial host
+// log_radix(shards) switch levels), host_fold_cycles the analytic serial host
 // combine over the same partials (grows linearly in shards). The wall-clock
 // ns/op measures the simulation itself.
 func BenchmarkRnetCombine(b *testing.B) {

@@ -11,15 +11,16 @@
 // LinkCycles, every switch adds SwitchLatency when it fires, and every
 // vector combine performed at a switch costs CombineCycles. The root's
 // completion time is therefore the tree's *critical path* — O(log_radix N)
-// switch hops instead of the host fold's O(N) serial combine — and it is the
-// number the router charges as its combine phase.
+// switch hops instead of a host-side fold's O(N) serial combine (see
+// HostFoldCycles) — and it is the number the router charges as its combine
+// phase.
 //
 // Determinism. A switch's output is a pure function of its children's
 // outputs, and each switch folds its children in ascending child order —
-// exactly the left-to-right shard order of the legacy host fold, just
+// exactly the left-to-right shard order of a serial fold, just
 // re-associated. The embedding store holds integer-valued float32 rows
 // (docs/ARCHITECTURE.md §13), so re-association is exact and tree outputs
-// are bit-identical to the host fold at every Parallelism setting. All
+// are bit-identical to the serial fold at every Parallelism setting. All
 // statistics and switch spans are folded post-hoc in node-ID order, so the
 // parallel path reports bit-identical cycles and traces too (the same
 // construction-order argument as the engine's tree scheduler, §9).
@@ -42,24 +43,23 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// Default switch timing, in simulated cycles of the fleet clock. The link
-// hop dominates (a serialized partial-pool transfer between nodes); the
-// per-combine cost matches the host CPU's per-vector handle cost so the
+// Default switch fan-in and timing, in simulated cycles of the fleet clock.
+// The link hop dominates (a serialized partial-pool transfer between nodes);
+// the per-combine cost matches the host CPU's per-vector handle cost so the
 // rnet-vs-host comparison isolates topology, not ALU speed.
 const (
+	DefaultRadix         = 2
 	DefaultLinkCycles    = 64
 	DefaultSwitchLatency = 16
 	DefaultCombineCycles = 8
 )
 
-// Config parameterizes one reduction tree. The zero value of every cycle
-// field selects its default; Radix is the enable switch: 0 disables rnet
-// entirely (callers keep their legacy host fold), and values >= 2 select the
-// switch fan-in.
+// Config parameterizes one reduction tree. The zero value of Radix and of
+// every cycle field selects its default.
 type Config struct {
 	// Radix is the switch fan-in: every interior node reduces up to Radix
-	// children. 0 disables rnet (the legacy host-fold path); 1 is invalid
-	// (a chain reduces nothing).
+	// children. 0 selects DefaultRadix; 1 is invalid (a chain reduces
+	// nothing).
 	Radix int
 	// LinkCycles is the child→parent partial-pool transfer cost per hop.
 	LinkCycles sim.Cycle
@@ -77,10 +77,10 @@ type Config struct {
 	Stalls map[int]sim.Cycle
 }
 
-// Enabled reports whether the configuration selects the rnet combine path.
-func (c Config) Enabled() bool { return c.Radix != 0 }
-
 func (c *Config) fillDefaults() {
+	if c.Radix == 0 {
+		c.Radix = DefaultRadix
+	}
 	if c.LinkCycles == 0 {
 		c.LinkCycles = DefaultLinkCycles
 	}
@@ -97,7 +97,7 @@ func (c *Config) fillDefaults() {
 func (c Config) Validate() error {
 	switch {
 	case c.Radix < 0 || c.Radix == 1:
-		return fmt.Errorf("rnet: Config.Radix = %d: want 0 (disabled) or >= 2", c.Radix)
+		return fmt.Errorf("rnet: Config.Radix = %d: want 0 (the default of 2) or >= 2", c.Radix)
 	case c.Parallelism < 0:
 		return fmt.Errorf("rnet: Config.Parallelism = %d: must be non-negative", c.Parallelism)
 	}
@@ -132,14 +132,11 @@ type Tree struct {
 // NewTree builds the reduction topology for the given leaf count:
 // consecutive runs of Radix nodes per switch, repeated bottom-up until one
 // root remains. Leaf i is node ID i, matching the caller's shard order, so
-// ascending-child folds reproduce the host fold's shard order.
+// ascending-child folds reproduce a serial fold's shard order.
 func NewTree(leaves int, cfg Config) (*Tree, error) {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if !cfg.Enabled() {
-		return nil, fmt.Errorf("rnet: NewTree with Radix = 0 (rnet disabled)")
 	}
 	if leaves < 1 {
 		return nil, fmt.Errorf("rnet: %d leaves: need at least 1", leaves)
@@ -233,7 +230,7 @@ type Result struct {
 	// leaf was missing.
 	CriticalPath sim.Cycle
 	// Combines is the total vector combines performed across all switches;
-	// it equals the combine count the legacy host fold would have performed.
+	// it equals the combine count a serial host fold would have performed.
 	Combines int
 	// Fires is how many switches fired (had at least one live child).
 	Fires int
@@ -534,10 +531,10 @@ func (t *Tree) evalAsync(op tensor.ReduceOp, st *reduceState, workers int) {
 	wg.Wait()
 }
 
-// HostFoldCycles models the critical path of the legacy host-side serial
-// combine over the same leaves, for apples-to-apples benchmark comparison:
-// the host starts when the slowest live partial lands (one hop away) and
-// then performs every combine serially.
+// HostFoldCycles is the analytic critical path of a host-side serial combine
+// over the same leaves — the O(Shards) design the tree replaces — for
+// apples-to-apples benchmark comparison: the host starts when the slowest
+// live partial lands (one hop away) and then performs every combine serially.
 func (t *Tree) HostFoldCycles(leaves []*Partial, combines int) sim.Cycle {
 	var ready sim.Cycle
 	for _, p := range leaves {

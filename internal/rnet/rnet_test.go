@@ -46,7 +46,7 @@ func genLeaves(rng *rand.Rand, leaves, queries int, nilLeaf, nilVec float64) []*
 }
 
 // hostFold is the reference: clone the first present vector in leaf order,
-// apply the rest left to right — exactly the router's legacy serial fold.
+// apply the rest left to right — exactly a host-side serial fold.
 func hostFold(t *testing.T, op tensor.ReduceOp, queries int, leaves []*Partial) []tensor.Vector {
 	t.Helper()
 	out := make([]tensor.Vector, queries)
@@ -92,14 +92,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config: %v", err)
 	}
-	if (Config{}).Enabled() {
-		t.Fatal("zero config reports enabled")
-	}
 }
 
 func TestNewTreeRejects(t *testing.T) {
-	if _, err := NewTree(4, Config{}); err == nil || !strings.Contains(err.Error(), "disabled") {
-		t.Fatalf("NewTree radix 0 = %v, want disabled error", err)
+	// The zero config is the default tree, not a disabled one.
+	tr, err := NewTree(4, Config{})
+	if err != nil || tr.Config().Radix != DefaultRadix || tr.Interior() != 3 {
+		t.Fatalf("NewTree zero config = %+v, %v; want the default radix-2 tree", tr, err)
 	}
 	if _, err := NewTree(0, testCfg()); err == nil {
 		t.Fatal("NewTree with 0 leaves succeeded")

@@ -5,10 +5,10 @@ package router
 // (index i belongs to fleet i mod M; the member's owner-stride addressing
 // keeps its internal shards balanced at (i/M) mod Shards), runs the member
 // lookups concurrently, and reduces the fleet partials through the same
-// in-network reduction tree (internal/rnet) the fleets use internally — the
-// FAFNIR combine argument applied recursively: shard partials reduce inside
-// each fleet, fleet partials reduce across the machine room, and the host
-// only ever receives one fully reduced pool.
+// pipeline (pipeline.go) and in-network reduction tree (internal/rnet) the
+// fleets use internally — the FAFNIR combine argument applied recursively:
+// shard partials reduce inside each fleet, fleet partials reduce across the
+// machine room, and the host only ever receives one fully reduced pool.
 //
 // Every member fleet is built from the same template (rows, seed, fault
 // plan), so all members hold bit-identical copies of the global store and
@@ -21,8 +21,6 @@ package router
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
@@ -40,12 +38,11 @@ type FederationConfig struct {
 	Fleets int
 	// Fleet is the member template: shard count, rows (the GLOBAL row
 	// space — every member holds a full copy of the store), seed, fault
-	// plan, breaker knobs, and the intra-fleet combine path. OwnerStride
+	// plan, breaker knobs, and the intra-fleet reduction tree. OwnerStride
 	// and OwnerPhase must be left zero; the federation assigns them.
 	Fleet Config
 	// Rnet shapes the cross-fleet reduction tree. Radix 0 inherits the
-	// member radix, or 2 when members run the legacy host fold — a
-	// federation always combines through the network.
+	// member radix.
 	Rnet rnet.Config
 	// Verify re-checks every non-degraded batch bit-for-bit against the
 	// reference oracle before returning it, turning any combine-path
@@ -64,11 +61,7 @@ func (c *FederationConfig) fillDefaults() {
 	c.Fleet.fillDefaults()
 	c.Fleet.OwnerStride, c.Fleet.OwnerPhase = 0, 0
 	if c.Rnet.Radix == 0 {
-		if c.Fleet.Rnet.Enabled() {
-			c.Rnet.Radix = c.Fleet.Rnet.Radix
-		} else {
-			c.Rnet.Radix = 2
-		}
+		c.Rnet.Radix = c.Fleet.Rnet.Radix
 	}
 }
 
@@ -91,15 +84,10 @@ func (c FederationConfig) Validate() error {
 // safe for concurrent use; the serving layer's single flusher goroutine is
 // its intended caller.
 type Federation struct {
+	pipeline
 	cfg    FederationConfig
 	fleets []*Fleet
-	rtree  *rnet.Tree
-	clock  sim.Cycle
-	tracer telemetry.Tracer
-	// spanCtx is the parent span ID for request-linked tracing; see
-	// Fleet.SetSpanContext.
-	spanCtx uint64
-	m       *fedMetrics
+	m      *fedMetrics
 }
 
 // NewFederation builds the federation: Fleets member fleets from the shared
@@ -129,7 +117,12 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	fed.rtree = tree
+	// Every member holds the same store behind the same host link, so
+	// member 0's shape stands for the federation's.
+	member := fed.fleets[0]
+	fed.pipeline = pipeline{
+		rtree: tree, dim: member.dim, host: member.host, mcfg: member.mcfg, switchEvent: "fleet-switch",
+	}
 	return fed, nil
 }
 
@@ -150,18 +143,11 @@ func (fd *Federation) Config() FederationConfig { return fd.cfg }
 // Topology returns the one-line deployment description the serving CLI
 // prints at startup: fleets x shards plus both combine tiers.
 func (fd *Federation) Topology() string {
-	mcfg := fd.fleets[0].Config() // member defaults resolved by New
-	member := "host fold"
-	if mcfg.Rnet.Enabled() {
-		member = fmt.Sprintf("rnet radix %d", mcfg.Rnet.Radix)
-	}
-	return fmt.Sprintf("federation: %d fleets x %d shards x %d ranks, fleet combine %s, cross-fleet rnet radix %d (%d switches, depth %d)",
-		fd.cfg.Fleets, mcfg.Shards, mcfg.RanksPerShard, member,
-		fd.rtree.Config().Radix, fd.rtree.Interior(), fd.rtree.Depth())
+	mcfg := fd.cfg.Fleet
+	return fmt.Sprintf("federation: %d fleets x %d shards x %d ranks, fleet combine rnet radix %d, cross-fleet rnet radix %d (%d switches, depth %d)",
+		fd.cfg.Fleets, mcfg.Shards, mcfg.RanksPerShard, mcfg.Rnet.Radix,
+		fd.cfg.Rnet.Radix, fd.rtree.Interior(), fd.rtree.Depth())
 }
-
-// Clock reports the federation's simulated cycle clock.
-func (fd *Federation) Clock() sim.Cycle { return fd.clock }
 
 // TotalRows reports the global embedding-vector count.
 func (fd *Federation) TotalRows() uint64 { return fd.cfg.Fleet.Rows }
@@ -207,231 +193,66 @@ func (fd *Federation) GenerateBatch(n int, seed int64) (embedding.Batch, error) 
 // fleet) and the cross-fleet switch fires on the PIDRnet timeline. Member
 // fleets stay detached — their per-shard lanes would collide across fleets.
 func (fd *Federation) AttachTracer(t telemetry.Tracer) {
-	fd.tracer = t
-	if t == nil {
-		return
-	}
-	t.NameProcess(telemetry.PIDRouter, "federation")
-	for fm := range fd.fleets {
-		t.NameLane(telemetry.PIDRouter, fm, fmt.Sprintf("fleet %d", fm))
-	}
-	t.NameProcess(telemetry.PIDRnet, "rnet")
-	for lvl := 1; lvl <= fd.rtree.Depth(); lvl++ {
-		t.NameLane(telemetry.PIDRnet, lvl, fmt.Sprintf("fleet switch level %d", lvl))
-	}
+	fd.attachTracer(t, "federation", "fleet", len(fd.fleets), "fleet switch")
 }
 
-// SetSpanContext installs the parent span ID that subsequent batch spans
-// link under (0 detaches). Annotation only — timing is never perturbed.
-func (fd *Federation) SetSpanContext(parent uint64) { fd.spanCtx = parent }
-
 // Lookup scatters the batch across the member fleets, runs every owning
-// fleet's sub-batch (concurrently up to the template's Parallelism; folded
+// fleet's sub-batch (concurrently up to the template's Parallelism; settled
 // in fleet order), reduces the fleet partials through the cross-fleet rnet
 // tree, and returns the combined result. Member fleets absorb their own
 // faults (failover, degradation), so like Fleet.Lookup only programming
 // errors return a non-nil error; shard losses inside a member surface as a
 // merged DegradedReport with global shard IDs.
 func (fd *Federation) Lookup(b embedding.Batch) (*core.TimedResult, error) {
-	if len(b.Queries) == 0 {
-		return nil, fmt.Errorf("router: empty batch")
-	}
-	if !b.Op.Valid() {
-		return nil, fmt.Errorf("router: invalid reduce op %d", b.Op)
-	}
-	m := fd.cfg.Fleets
-	dim := fd.Dim()
-	// Span parentage for request-linked tracing (0 when standalone).
-	ctx := fd.spanCtx
-	combineID := telemetry.SpanID(ctx, "combine", 0)
-	op := b.Op
-	subOp := op
-	if op == tensor.OpMean {
-		// Members accumulate raw sums; the federation finalizes the mean
-		// once over the global surviving operand count.
-		subOp = tensor.OpSum
-	}
-
-	// Scatter by owning fleet, preserving index order within sub-queries.
-	subs := make([]embedding.Batch, m)
-	refs := make([][]subref, m)
-	survivors := make([]int, len(b.Queries))
-	res := &core.TimedResult{}
-	res.Outputs = make([]tensor.Vector, len(b.Queries))
-	for qi, q := range b.Queries {
-		survivors[qi] = q.Indices.Len()
-		if q.Indices.Len() == 0 {
-			res.Outputs[qi] = tensor.New(dim)
-			continue
-		}
-		per := make(map[int][]header.Index)
-		for _, idx := range q.Indices {
-			fm := fd.fleetOf(idx)
-			per[fm] = append(per[fm], idx)
-		}
-		for fm := 0; fm < m; fm++ {
-			indices, ok := per[fm]
-			if !ok {
-				continue
-			}
-			subs[fm].Op = subOp
-			subs[fm].Queries = append(subs[fm].Queries, embedding.Query{Indices: header.NewIndexSet(indices...)})
-			refs[fm] = append(refs[fm], subref{query: qi, indices: len(indices)})
-		}
-	}
-
-	// Dispatch: member fleets are fully independent (own stores, engines,
-	// clocks), so sub-lookups run concurrently; everything folds in fleet
-	// order below.
-	type attempt struct {
-		res *core.TimedResult
-		err error
-	}
-	attempts := make([]attempt, m)
-	var run []int
-	for fm := 0; fm < m; fm++ {
-		if len(subs[fm].Queries) > 0 {
-			run = append(run, fm)
-		}
-	}
-	par := fd.cfg.Fleet.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > 1 && len(run) > 1 {
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
-		for _, fm := range run {
-			wg.Add(1)
-			go func(fm int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				r, err := fd.fleets[fm].Lookup(subs[fm])
-				attempts[fm] = attempt{res: r, err: err}
-			}(fm)
-		}
-		wg.Wait()
-	} else {
-		for _, fm := range run {
-			r, err := fd.fleets[fm].Lookup(subs[fm])
-			attempts[fm] = attempt{res: r, err: err}
-		}
-	}
-
-	// Fold, strictly in fleet order: stage each member's partial pool as an
-	// rnet leaf, accumulate statistics, and merge degraded reports onto
-	// global shard IDs. A member query that lost every index delivered a
-	// zero vector, not a partial — it must stay out of the pool or it would
-	// poison min/max pooling — so losses mark their slot absent.
-	deg := &core.DegradedReport{}
-	leaves := make([]*rnet.Partial, m)
-	var maxMember sim.Cycle // slowest member completion, the backend stage
-	for fm := 0; fm < m; fm++ {
-		if len(subs[fm].Queries) == 0 {
-			continue
-		}
-		a := attempts[fm]
-		if a.err != nil {
-			return nil, fmt.Errorf("router: federation member %d: %w", fm, a.err)
-		}
-		fd.countFleetLookup(fm)
-		r := a.res
-		pool := make([]tensor.Vector, len(b.Queries))
-		lost := make(map[int]int) // member-local query -> lost index count
-		if !r.Degraded.Empty() {
-			fd.countFleetDegraded(fm)
-			for i, lq := range r.Degraded.LostQueries {
-				lost[lq] = r.Degraded.LostIndexCounts[i]
-			}
-		}
-		for li, out := range r.Outputs {
-			ref := refs[fm][li]
-			n := lost[li]
-			if n > 0 {
-				survivors[ref.query] -= n
-				deg.AddLost(ref.query, n)
-			}
-			if n >= ref.indices {
-				continue // full loss: no partial from this member
-			}
-			pool[ref.query] = out
-		}
-		leaves[fm] = &rnet.Partial{Vectors: pool, Ready: r.TotalCycles}
-		maxMember = sim.Max(maxMember, r.TotalCycles)
-		fd.emitFleetSpan(fm, r, ctx)
-
-		res.MemoryReads += r.MemoryReads
-		res.BytesRead += r.BytesRead
-		res.PETotals.Add(r.PETotals)
-		res.HWBatches += r.HWBatches
-		if r.MaxOccupancy > res.MaxOccupancy {
-			res.MaxOccupancy = r.MaxOccupancy
-		}
-		res.MemCycles = sim.Max(res.MemCycles, r.MemCycles)
-		if !r.Degraded.Empty() {
-			deg.RemappedReads += r.Degraded.RemappedReads
-			deg.RemappedQueries += r.Degraded.RemappedQueries
-			deg.Retries += r.Degraded.Retries
-			deg.RetryCycles += r.Degraded.RetryCycles
-			for _, e := range r.Degraded.Shards {
-				ge := e
-				ge.Shard = fm*fd.cfg.Fleet.Shards + e.Shard
-				deg.Shards = append(deg.Shards, ge)
-			}
-		}
-	}
-
-	// Cross-fleet reduce: member pools are the leaves, member completion
-	// times their network-injection times. Only the root pool crosses the
-	// host link.
-	rres, err := fd.rtree.Reduce(op, len(b.Queries), leaves)
+	sc, err := partition(b, fd.cfg.Fleets, fd.fleetOf)
 	if err != nil {
 		return nil, err
 	}
-	rootQueries := 0
-	for qi, v := range rres.Outputs {
-		if v != nil {
-			res.Outputs[qi] = v
-			rootQueries++
+	attempts := make([]attempt, fd.cfg.Fleets)
+	var run []int
+	for fm := range sc.subs {
+		if len(sc.subs[fm].Queries) > 0 {
+			run = append(run, fm)
 		}
 	}
-	for qi := range res.Outputs {
-		if res.Outputs[qi] == nil {
-			res.Outputs[qi] = tensor.New(dim)
-			continue
+	dispatch(attempts, run, fd.cfg.Fleet.Parallelism, func(fm int) (*core.TimedResult, error) {
+		return fd.fleets[fm].Lookup(sc.subs[fm])
+	})
+
+	// Settle strictly in fleet order: each member's partial pool becomes an
+	// rnet leaf entering the network at the member's completion time; the
+	// slowest member's completion is the backend stage.
+	res := &core.TimedResult{}
+	deg := &core.DegradedReport{}
+	leaves := make([]*rnet.Partial, fd.cfg.Fleets)
+	var stages core.StageCycles
+	for _, fm := range run {
+		r, err := attempts[fm].res, attempts[fm].err
+		if err != nil {
+			return nil, fmt.Errorf("router: federation member %d: %w", fm, err)
 		}
-		if op == tensor.OpMean {
-			op.FinalizeMean(res.Outputs[qi], survivors[qi])
+		fd.countFleetLookup(fm)
+		pool := sc.pool(fm, r.Outputs)
+		absorb(res, deg, r)
+		if !r.Degraded.Empty() {
+			fd.countFleetDegraded(fm)
+			fd.mergeDegraded(sc, fm, r.Degraded, pool, deg)
 		}
+		leaves[fm] = &rnet.Partial{Vectors: pool, Ready: r.TotalCycles}
+		stages.Backend = sim.Max(stages.Backend, r.TotalCycles)
+		fd.emit("fleet.lookup", fm, telemetry.PhaseSpan, fd.clock, r.TotalCycles, "fleet.lookup", fm,
+			telemetry.Arg{Key: "degraded", Int: int64(boolInt(!r.Degraded.Empty()))})
 	}
 
-	host := fd.fleets[0]
-	xfer := host.cfg.Host.DRAMToHost(host.mcfg.TransferCycles(rootQueries * 512))
-	res.TransferCycles = xfer
-	res.TotalCycles = rres.CriticalPath + xfer
-	res.ComputeCycles = res.TotalCycles - res.MemCycles - xfer
-	// Stage attribution: the slowest member's completion is the backend
-	// window; what the cross-fleet tree's critical path adds beyond it is the
-	// combine stage. Leaf readiness bounds the critical path from below, so
-	// the subtraction cannot underflow; the else arm is defensive.
-	backendStage := maxMember
-	var combineStage sim.Cycle
-	if rres.CriticalPath >= maxMember {
-		combineStage = rres.CriticalPath - maxMember
-	} else {
-		backendStage = rres.CriticalPath
+	if _, err := fd.reduce(sc, leaves, res, stages); err != nil {
+		return nil, err
 	}
-	res.Stages = core.StageCycles{Backend: backendStage, Combine: combineStage, Transfer: xfer}
-	fd.countBatch(rres)
-	fd.emitRnetSpans(fd.clock, rres, combineID)
-	fd.clock += res.TotalCycles
-
+	fd.countBatch()
 	if !deg.Empty() {
 		res.Degraded = deg
 	}
 	if fd.cfg.Verify && deg.Empty() {
-		want, err := oracle.Lookup(host.Store(), b)
+		want, err := oracle.Lookup(fd.fleets[0].Store(), b)
 		if err != nil {
 			return nil, fmt.Errorf("router: federation verify: %w", err)
 		}
@@ -443,43 +264,24 @@ func (fd *Federation) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	return res, nil
 }
 
-// emitFleetSpan records one member fleet's lookup window on the federation
-// timeline, span-linked under the batch's request context.
-func (fd *Federation) emitFleetSpan(fm int, r *core.TimedResult, parent uint64) {
-	if fd.tracer == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Name: "fleet.lookup", Cat: "router", Phase: telemetry.PhaseSpan,
-		PID: telemetry.PIDRouter, TID: fm,
-		TS: uint64(fd.clock), Dur: uint64(r.TotalCycles), ClockMHz: 200,
-	}
-	ev.AddArg(telemetry.Arg{Key: "degraded", Int: int64(boolInt(!r.Degraded.Empty()))})
-	ev.AddArg(telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(parent, "fleet.lookup", uint64(fm)))})
-	ev.AddArg(telemetry.Arg{Key: telemetry.ArgParent, Int: int64(parent)})
-	fd.tracer.Emit(ev)
-}
-
-// emitRnetSpans mirrors Fleet.emitRnetSpans for the cross-fleet tree; spans
-// link under the batch's combine span.
-func (fd *Federation) emitRnetSpans(base sim.Cycle, r *rnet.Result, parent uint64) {
-	if fd.tracer == nil {
-		return
-	}
-	for _, sp := range r.Spans {
-		ev := telemetry.Event{
-			Name: "fleet-switch", Cat: "rnet", Phase: telemetry.PhaseSpan,
-			PID: telemetry.PIDRnet, TID: sp.Level,
-			TS: uint64(base + sp.Fire), Dur: uint64(sp.Done - sp.Fire), ClockMHz: 200,
+// mergeDegraded folds member fm's degraded report into the batch's: lost
+// indices come off the global survivor counts, and shard entries are
+// re-labelled with global shard IDs. A member query that lost every index
+// delivered a zero vector, not a partial — it must stay out of the pool or
+// it would poison min/max pooling — so full losses mark their slot absent.
+func (fd *Federation) mergeDegraded(sc *scatter, fm int, member *core.DegradedReport, pool []tensor.Vector, deg *core.DegradedReport) {
+	for i, lq := range member.LostQueries {
+		ref := sc.refs[fm][lq]
+		n := member.LostIndexCounts[i]
+		sc.survivors[ref.query] -= n
+		deg.AddLost(ref.query, n)
+		if n >= ref.indices {
+			pool[ref.query] = nil
 		}
-		ev.AddArg(telemetry.Arg{Key: "node", Int: int64(sp.Node)})
-		ev.AddArg(telemetry.Arg{Key: "combines", Int: int64(sp.Combines)})
-		if sp.Missing > 0 {
-			ev.AddArg(telemetry.Arg{Key: "missing_children", Int: int64(sp.Missing)})
-		}
-		ev.AddArg(telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(parent, "fleet-switch", uint64(sp.Node)))})
-		ev.AddArg(telemetry.Arg{Key: telemetry.ArgParent, Int: int64(parent)})
-		fd.tracer.Emit(ev)
+	}
+	for _, e := range member.Shards {
+		e.Shard += fm * fd.cfg.Fleet.Shards
+		deg.Shards = append(deg.Shards, e)
 	}
 }
 

@@ -3,27 +3,20 @@ package router
 import (
 	"strconv"
 
-	"fafnir/internal/rnet"
 	"fafnir/internal/telemetry"
 )
 
 // fedMetrics is the federation's family set: per-fleet traffic and
 // degradation counters (the "fleet" label is loadgen's per-fleet roll-up
-// key), batch/verify totals, and the cross-fleet rnet switch families. The
-// member fleets' own per-shard families are deliberately NOT registered —
-// their shard-labelled names would collide across members — so in
-// federation mode the fafnir_rnet_* families describe the cross-fleet tree.
+// key) and batch/verify totals, followed by the shared rnet switch families.
+// The member fleets' own families are deliberately NOT registered — their
+// names would collide across members — so in federation mode the
+// fafnir_rnet_* families describe the cross-fleet tree.
 type fedMetrics struct {
 	fleetLookups  *telemetry.CounterVec
 	fleetDegraded *telemetry.CounterVec
 	batches       *telemetry.Counter
 	verified      *telemetry.Counter
-
-	rnetCombines *telemetry.Counter
-	rnetFires    *telemetry.Counter
-	rnetMissing  *telemetry.Counter
-	rnetLinks    *telemetry.Counter
-	rnetCritical *telemetry.Gauge
 }
 
 // RegisterMetrics publishes the federation's metric families into reg. Call
@@ -42,17 +35,8 @@ func (fd *Federation) RegisterMetrics(reg *telemetry.Registry) {
 			"Batches combined across the federation."),
 		verified: reg.Counter("fafnir_federation_verified_total",
 			"Batches re-checked bit-for-bit against the reference oracle."),
-		rnetCombines: reg.Counter("fafnir_rnet_combines_total",
-			"Vector combines performed at cross-fleet rnet switch nodes."),
-		rnetFires: reg.Counter("fafnir_rnet_switch_fires_total",
-			"Cross-fleet rnet switch firings (one per live switch per batch)."),
-		rnetMissing: reg.Counter("fafnir_rnet_missing_children_total",
-			"Cross-fleet rnet switch children absent at fire time."),
-		rnetLinks: reg.Counter("fafnir_rnet_link_transfers_total",
-			"Fleet-to-switch partial-pool hops through the cross-fleet tree."),
-		rnetCritical: reg.Gauge("fafnir_rnet_critical_path_cycles",
-			"Cross-fleet combine critical path of the most recent batch."),
 	}
+	fd.rm = registerRnetMetrics(reg)
 }
 
 func (fd *Federation) countFleetLookup(fm int) {
@@ -67,16 +51,10 @@ func (fd *Federation) countFleetDegraded(fm int) {
 	}
 }
 
-func (fd *Federation) countBatch(r *rnet.Result) {
-	if fd.m == nil {
-		return
+func (fd *Federation) countBatch() {
+	if fd.m != nil {
+		fd.m.batches.Add(1)
 	}
-	fd.m.batches.Add(1)
-	fd.m.rnetCombines.Add(uint64(r.Combines))
-	fd.m.rnetFires.Add(uint64(r.Fires))
-	fd.m.rnetMissing.Add(uint64(r.MissingChildren))
-	fd.m.rnetLinks.Add(uint64(r.LinkTransfers))
-	fd.m.rnetCritical.Set(int64(r.CriticalPath))
 }
 
 func (fd *Federation) countVerified() {

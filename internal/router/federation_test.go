@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fafnir/internal/embedding"
+	core "fafnir/internal/fafnir"
 	"fafnir/internal/fault"
 	"fafnir/internal/header"
 	"fafnir/internal/oracle"
@@ -117,6 +118,52 @@ func TestFederationMatchesSingleFleet(t *testing.T) {
 		if !reflect.DeepEqual(got.Outputs, want.Outputs) {
 			t.Fatalf("round %d: federation outputs diverge from the standalone fleet", round)
 		}
+	}
+}
+
+// TestFederationOfOneMatchesFleet drives the shared scatter → dispatch →
+// reduce pipeline from both front-ends with one assertion: a one-member
+// federation adds a pass-through tree level over a fleet addressed exactly
+// like the standalone one, so the same batches — healthy, then with a shard
+// pair lost — must yield identical outputs, memory reads, and degraded
+// reports, with the stage split summing to the total on both.
+func TestFederationOfOneMatchesFleet(t *testing.T) {
+	pairLoss := []fault.ShardFailure{{Shard: 1, At: 1}, {Shard: 3, At: 1}}
+	fd := testFederation(t, func(c *FederationConfig) {
+		c.Fleets = 1
+		c.Fleet.Fleet.ShardFailures = pairLoss
+	})
+	single := testFleet(t, func(c *Config) { c.Fleet.ShardFailures = pairLoss })
+	ops := []tensor.ReduceOp{tensor.OpSum, tensor.OpMean, tensor.OpMax, tensor.OpMin}
+	sawLoss := false
+	for round, op := range ops {
+		b := testBatch(t, single, 16, int64(round+5), op)
+		want, err := single.Lookup(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fd.Lookup(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+			t.Fatalf("round %d: federation-of-one outputs diverge from the fleet", round)
+		}
+		if got.MemoryReads != want.MemoryReads {
+			t.Fatalf("round %d: MemoryReads = %d, fleet read %d", round, got.MemoryReads, want.MemoryReads)
+		}
+		if !reflect.DeepEqual(got.Degraded, want.Degraded) {
+			t.Fatalf("round %d: degraded reports diverge:\nfederation %+v\nfleet      %+v", round, got.Degraded, want.Degraded)
+		}
+		sawLoss = sawLoss || !want.Degraded.Empty() && len(want.Degraded.LostQueries) > 0
+		for name, res := range map[string]*core.TimedResult{"federation": got, "fleet": want} {
+			if res.Stages.Sum() != res.TotalCycles {
+				t.Fatalf("round %d: %s Stages.Sum() = %d, TotalCycles = %d", round, name, res.Stages.Sum(), res.TotalCycles)
+			}
+		}
+	}
+	if !sawLoss {
+		t.Fatal("pair loss never landed; the degraded half of the comparison ran on nothing")
 	}
 }
 

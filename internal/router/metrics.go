@@ -49,22 +49,51 @@ type Metrics struct {
 	// lookups counts sub-lookups each shard served (primary and failover),
 	// the per-shard traffic family loadgen's roll-up reads.
 	lookups *telemetry.CounterVec
+}
 
-	// The rnet families exist only on the in-network combine path
-	// (Config.Rnet.Radix >= 2); a legacy host-fold fleet never registers
-	// them, so their absence on /metrics identifies the combine path.
+// rnetMetrics is the switch-tree family set both front-ends register after
+// their own families: it describes the fleet's tree on a fleet's page and
+// the cross-fleet tree on a federation's.
+type rnetMetrics struct {
+	// combines counts vector combines performed at rnet switches.
+	combines *telemetry.Counter
+	// fires counts switch firings (one per live switch per batch).
+	fires *telemetry.Counter
+	// missing counts switch children that never arrived (dark subtrees).
+	missing *telemetry.Counter
+	// links counts child-to-parent partial-pool hops.
+	links *telemetry.Counter
+	// critical publishes the last batch's combine critical path, in
+	// simulated cycles.
+	critical *telemetry.Gauge
+}
 
-	// rnetCombines counts vector combines performed at rnet switches.
-	rnetCombines *telemetry.Counter
-	// rnetFires counts switch firings (one per live switch per batch).
-	rnetFires *telemetry.Counter
-	// rnetMissing counts switch children that never arrived (dark subtrees).
-	rnetMissing *telemetry.Counter
-	// rnetLinks counts child-to-parent partial-pool hops.
-	rnetLinks *telemetry.Counter
-	// rnetCritical publishes the last batch's combine critical path, in
-	// fleet-clock cycles.
-	rnetCritical *telemetry.Gauge
+func registerRnetMetrics(reg *telemetry.Registry) *rnetMetrics {
+	return &rnetMetrics{
+		combines: reg.Counter("fafnir_rnet_combines_total",
+			"Vector combines performed at rnet switch nodes."),
+		fires: reg.Counter("fafnir_rnet_switch_fires_total",
+			"Rnet switch firings (one per live switch per batch)."),
+		missing: reg.Counter("fafnir_rnet_missing_children_total",
+			"Rnet switch children absent at fire time (dark subtrees)."),
+		links: reg.Counter("fafnir_rnet_link_transfers_total",
+			"Child-to-parent partial-pool hops through the rnet tree."),
+		critical: reg.Gauge("fafnir_rnet_critical_path_cycles",
+			"Combine critical path of the most recent batch, in simulated cycles."),
+	}
+}
+
+// count folds one reduction's switch activity into the families; a nil set
+// (no registry attached) skips all metric work.
+func (m *rnetMetrics) count(r *rnet.Result) {
+	if m == nil {
+		return
+	}
+	m.combines.Add(uint64(r.Combines))
+	m.fires.Add(uint64(r.Fires))
+	m.missing.Add(uint64(r.MissingChildren))
+	m.links.Add(uint64(r.LinkTransfers))
+	m.critical.Set(int64(r.CriticalPath))
 }
 
 // RegisterMetrics publishes the router's metric families into reg (the
@@ -103,19 +132,8 @@ func (f *Fleet) RegisterMetrics(reg *telemetry.Registry) {
 		lookups: reg.CounterVec("fafnir_router_shard_lookups_total",
 			"Sub-lookups served per shard (primary and failover).", "shard", labels...),
 	}
-	if f.rtree != nil {
-		m.rnetCombines = reg.Counter("fafnir_rnet_combines_total",
-			"Vector combines performed at rnet switch nodes.")
-		m.rnetFires = reg.Counter("fafnir_rnet_switch_fires_total",
-			"Rnet switch firings (one per live switch per batch).")
-		m.rnetMissing = reg.Counter("fafnir_rnet_missing_children_total",
-			"Rnet switch children absent at fire time (dark subtrees).")
-		m.rnetLinks = reg.Counter("fafnir_rnet_link_transfers_total",
-			"Child-to-parent partial-pool hops through the rnet tree.")
-		m.rnetCritical = reg.Gauge("fafnir_rnet_critical_path_cycles",
-			"Combine critical path of the most recent batch, in fleet cycles.")
-	}
 	f.m = m
+	f.rm = registerRnetMetrics(reg)
 }
 
 // The count helpers keep the Lookup path free of nil checks at every site;
@@ -189,16 +207,4 @@ func (f *Fleet) countShardLookup(s int) {
 	if f.m != nil {
 		f.m.lookups.At(s).Add(1)
 	}
-}
-
-// countRnet folds one reduction's switch activity into the rnet families.
-func (f *Fleet) countRnet(r *rnet.Result) {
-	if f.m == nil || f.m.rnetCombines == nil {
-		return
-	}
-	f.m.rnetCombines.Add(uint64(r.Combines))
-	f.m.rnetFires.Add(uint64(r.Fires))
-	f.m.rnetMissing.Add(uint64(r.MissingChildren))
-	f.m.rnetLinks.Add(uint64(r.LinkTransfers))
-	f.m.rnetCritical.Set(int64(r.CriticalPath))
 }

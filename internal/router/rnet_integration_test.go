@@ -16,10 +16,9 @@ import (
 )
 
 // This file is the fleet-level acceptance suite for the in-network combine
-// path (ISSUE 9): with Rnet.Radix >= 2 the per-shard partial pools reduce
-// through the rnet switch tree instead of the serial host fold, and the
-// outputs must stay bit-identical to the legacy path and the reference
-// oracle — healthy, degraded, and mid-combine-loss alike — at every
+// (ISSUE 9): the per-shard partial pools reduce through the rnet switch
+// tree, and the outputs must stay bit-identical to the reference oracle —
+// healthy, degraded, and mid-combine-loss alike — at every radix and
 // Parallelism.
 
 // rnetFleet builds the canonical rnet test fleet: 4 shards behind a radix-2
@@ -34,30 +33,22 @@ func rnetFleet(t *testing.T, mut func(*Config)) *Fleet {
 	})
 }
 
-// TestRnetLookupMatchesLegacyAndOracle drives the same batches through a
-// legacy host-fold fleet and rnet fleets of several radices, for every
-// pooling op: outputs must be bit-identical across all paths and exact
-// against the oracle (the integer-valued store makes tree re-association
-// exact; docs/ARCHITECTURE.md §15).
+// TestRnetLookupMatchesLegacyAndOracle drives the same batches through
+// fleets of several radices, for every pooling op: outputs must be exact
+// against the oracle, the independent reference (the integer-valued store
+// makes tree re-association exact; docs/ARCHITECTURE.md §15). The name
+// predates the removal of the legacy host fold it once also compared with.
 func TestRnetLookupMatchesLegacyAndOracle(t *testing.T) {
 	ops := []tensor.ReduceOp{tensor.OpSum, tensor.OpMean, tensor.OpMax, tensor.OpMin}
 	for _, op := range ops {
 		for _, radix := range []int{2, 3, 4} {
 			t.Run(fmt.Sprintf("op=%v/radix=%d", op, radix), func(t *testing.T) {
-				legacy := testFleet(t, nil)
 				tree := testFleet(t, func(c *Config) { c.Rnet.Radix = radix })
 				for round := 0; round < 3; round++ {
-					b := testBatch(t, legacy, 16, int64(round+1), op)
-					want, err := legacy.Lookup(b)
-					if err != nil {
-						t.Fatal(err)
-					}
+					b := testBatch(t, tree, 16, int64(round+1), op)
 					got, err := tree.Lookup(b)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-						t.Fatalf("round %d: rnet outputs diverge from legacy fold", round)
 					}
 					ref, err := oracle.Lookup(tree.Store(), b)
 					if err != nil {
@@ -72,12 +63,9 @@ func TestRnetLookupMatchesLegacyAndOracle(t *testing.T) {
 	}
 }
 
-// TestRnetChaosDeterminism replays the chaos_test.go seeded storm on the
-// rnet path: Parallelism 1, 2, and NumCPU must stay bit-identical (outputs,
-// cycles, degraded reports, health). No cross-path comparison here: the two
-// combine paths charge different cycles, so the fleet clock — which decides
-// when storm faults land — diverges across rounds; per-batch bit-identity
-// against the legacy fold is pinned by the other tests in this file.
+// TestRnetChaosDeterminism replays the chaos_test.go seeded storm with the
+// radix set explicitly: Parallelism 1, 2, and NumCPU must stay bit-identical
+// (outputs, cycles, degraded reports, health).
 func TestRnetChaosDeterminism(t *testing.T) {
 	radix2 := func(c *Config) { c.Rnet.Radix = 2 }
 	want := runChaos(t, 1, radix2)
@@ -206,12 +194,14 @@ func TestRnetMidCombineMissingChild(t *testing.T) {
 	}
 }
 
-// TestRnetSwitchStallChargesCycles pins the swstall fault clause: stalling
-// the root switch (plan switch 2 in the 4-leaf radix-2 tree) delays the
-// batch by exactly the stall, and outputs stay untouched.
+// TestRnetSwitchStallChargesCycles pins the swstall fault clause on a
+// default-config fleet (no Rnet field set — the clause used to be silently
+// ignored there): stalling the root switch (plan switch 2 in the 4-leaf
+// radix-2 tree) lengthens the combine stage, and so the batch, by exactly
+// the stall, and outputs stay untouched.
 func TestRnetSwitchStallChargesCycles(t *testing.T) {
-	base := rnetFleet(t, nil)
-	stalled := rnetFleet(t, func(c *Config) {
+	base := testFleet(t, nil)
+	stalled := testFleet(t, func(c *Config) {
 		plan, err := fault.ParseFleet("swstall=2+1000")
 		if err != nil {
 			t.Fatal(err)
@@ -230,16 +220,18 @@ func TestRnetSwitchStallChargesCycles(t *testing.T) {
 	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
 		t.Fatal("switch stall changed the outputs")
 	}
+	if got.Stages.Combine != want.Stages.Combine+1000 {
+		t.Fatalf("stalled combine stage = %d cycles, want %d + 1000", got.Stages.Combine, want.Stages.Combine)
+	}
 	if got.TotalCycles != want.TotalCycles+1000 {
 		t.Fatalf("stalled batch = %d cycles, want %d + 1000", got.TotalCycles, want.TotalCycles)
 	}
 }
 
-// TestRnetMetricsRender checks the rnet families register and count on the
-// in-network path — and stay absent on a legacy fleet, so their presence on
-// /metrics identifies the combine path.
+// TestRnetMetricsRender checks the rnet families register and count on a
+// default-config fleet: every fleet combines in-network.
 func TestRnetMetricsRender(t *testing.T) {
-	f := rnetFleet(t, nil)
+	f := testFleet(t, nil)
 	reg := telemetry.NewRegistry()
 	f.RegisterMetrics(reg)
 	b := testBatch(t, f, 16, 3, tensor.OpSum)
@@ -260,15 +252,6 @@ func TestRnetMetricsRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rnet metrics missing %q:\n%s", want, out)
 		}
-	}
-
-	legacy := testFleet(t, nil)
-	lreg := telemetry.NewRegistry()
-	legacy.RegisterMetrics(lreg)
-	sb.Reset()
-	lreg.Render(&sb)
-	if strings.Contains(sb.String(), "fafnir_rnet_") {
-		t.Fatal("legacy host-fold fleet registered rnet families")
 	}
 }
 

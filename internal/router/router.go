@@ -1,9 +1,10 @@
 // Package router is the fleet front-end for sharded serving: it owns N
 // simulated Fafnir systems (one reduction tree + memory node each), scatters
 // every batch's indices to the shards that store them, reduces the per-shard
-// partial pools host-side, and wraps each sub-lookup in a robustness
-// envelope so the fleet survives the faults internal/fault knows how to
-// inject.
+// partial pools through an in-network switch tree (internal/rnet), and wraps
+// each sub-lookup in a robustness envelope so the fleet survives the faults
+// internal/fault knows how to inject. A Federation stacks fleets behind the
+// same scatter → dispatch → reduce pipeline (pipeline.go) one level up.
 //
 // The envelope has four layers:
 //
@@ -27,7 +28,7 @@
 //
 // Everything is deterministic: replaying a seeded fleet fault plan at any
 // Parallelism produces bit-identical outputs, cycle counts, degraded
-// reports, and failover decisions, because shard sub-lookups fold in shard
+// reports, and failover decisions, because shard sub-lookups settle in shard
 // order and every health transition is a pure function of prior structured
 // results and the fleet clock.
 package router
@@ -35,8 +36,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fafnir/internal/cpu"
 	"fafnir/internal/dram"
@@ -87,13 +86,12 @@ type Config struct {
 	// budget, remaining failed sub-lookups degrade instead of retrying.
 	// 0 never abandons a retry.
 	RetryDeadline sim.Cycle
-	// Host models the partial-pool combine (zero value: cpu.Default()).
+	// Host models the host link the reduced root pool crosses (zero value:
+	// cpu.Default()).
 	Host cpu.Config
-	// Rnet selects the combine path. The zero value (Radix 0) keeps the
-	// legacy serial host fold; Radix >= 2 reduces the per-shard partial
-	// pools through an in-network reduction tree (internal/rnet) whose
-	// leaves are the shards. Outputs are bit-identical on both paths — only
-	// the cycle charging differs (tree critical path vs serial host fold).
+	// Rnet shapes the in-network reduction tree (internal/rnet) whose
+	// leaves are the shards and whose root hands the host one fully reduced
+	// pool. Zero fields select the rnet defaults (radix 2).
 	Rnet rnet.Config
 	// OwnerStride and OwnerPhase generalize index ownership so a federation
 	// can stack fleets without skewing shards: this fleet serves the global
@@ -132,6 +130,9 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Host == (cpu.Config{}) {
 		c.Host = cpu.Default()
+	}
+	if c.Rnet.Radix == 0 {
+		c.Rnet.Radix = rnet.DefaultRadix
 	}
 	if c.OwnerStride == 0 {
 		c.OwnerStride = 1
@@ -191,21 +192,12 @@ type shardNode struct {
 // single System it is not safe for concurrent use — the serving layer's
 // single flusher goroutine is its intended caller.
 type Fleet struct {
+	pipeline
 	cfg      Config
 	store    *embedding.Store
 	shards   []*shardNode
 	breakers []*breaker
-	host     *cpu.Engine
-	mcfg     dram.Config
-	rtree    *rnet.Tree // nil on the legacy host-fold path (Rnet.Radix 0)
-	clock    sim.Cycle
-	tracer   telemetry.Tracer
-	// spanCtx is the parent span ID for request-linked tracing: the serving
-	// layer sets it to the flush span's ID before each Lookup (see
-	// SetSpanContext) so shard, failover, combine, and switch spans chain
-	// under the request that paid for them.
-	spanCtx uint64
-	m       *Metrics
+	m        *Metrics
 }
 
 // New builds the fleet: Shards independent systems over one content-seeded
@@ -232,30 +224,25 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	host, err := cpu.NewEngine(cfg.Host)
+	rcfg := cfg.Rnet
+	if rcfg.Parallelism == 0 {
+		rcfg.Parallelism = cfg.Parallelism
+	}
+	if len(cfg.Fleet.SwitchStalls) > 0 {
+		rcfg.Stalls = make(map[int]sim.Cycle, len(cfg.Fleet.SwitchStalls))
+		for _, st := range cfg.Fleet.SwitchStalls {
+			// Plan clauses number switches 0..Interior-1; tree node IDs
+			// start past the leaves.
+			rcfg.Stalls[cfg.Shards+st.Switch] += st.Cycles
+		}
+	}
+	tree, err := rnet.NewTree(cfg.Shards, rcfg)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, store: store, host: host, mcfg: mcfg}
-	if cfg.Rnet.Enabled() {
-		rcfg := cfg.Rnet
-		if rcfg.Parallelism == 0 {
-			rcfg.Parallelism = cfg.Parallelism
-		}
-		if len(cfg.Fleet.SwitchStalls) > 0 {
-			rcfg.Stalls = make(map[int]sim.Cycle, len(cfg.Fleet.SwitchStalls))
-			for _, st := range cfg.Fleet.SwitchStalls {
-				// Plan clauses number switches 0..Interior-1; tree node IDs
-				// start past the leaves.
-				rcfg.Stalls[cfg.Shards+st.Switch] += st.Cycles
-			}
-		}
-		tree, err := rnet.NewTree(cfg.Shards, rcfg)
-		if err != nil {
-			return nil, err
-		}
-		f.rtree = tree
-	}
+	f := &Fleet{cfg: cfg, store: store, pipeline: pipeline{
+		rtree: tree, dim: store.Dim(), host: cfg.Host, mcfg: mcfg, switchEvent: "switch",
+	}}
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := core.Default()
 		ecfg.NumRanks = cfg.RanksPerShard
@@ -376,49 +363,25 @@ func (f *Fleet) Shards() int { return f.cfg.Shards }
 func (f *Fleet) Config() Config { return f.cfg }
 
 // Topology returns the one-line deployment description the serving CLI
-// prints at startup: shard and rank counts plus the combine path.
+// prints at startup: shard and rank counts plus the combine tree.
 func (f *Fleet) Topology() string {
-	combine := "host fold"
-	if f.rtree != nil {
-		combine = fmt.Sprintf("rnet radix %d (%d switches, depth %d)",
-			f.rtree.Config().Radix, f.rtree.Interior(), f.rtree.Depth())
-	}
-	return fmt.Sprintf("fleet: %d shards x %d ranks, %s", f.cfg.Shards, f.cfg.RanksPerShard, combine)
+	return fmt.Sprintf("fleet: %d shards x %d ranks, rnet radix %d (%d switches, depth %d)",
+		f.cfg.Shards, f.cfg.RanksPerShard, f.cfg.Rnet.Radix, f.rtree.Interior(), f.rtree.Depth())
 }
-
-// Clock reports the fleet's simulated cycle clock, advanced by every batch.
-func (f *Fleet) Clock() sim.Cycle { return f.clock }
 
 // Health reports shard s's current breaker state.
 func (f *Fleet) Health(s int) State { return f.breakers[s].state }
 
 // AttachTracer threads a telemetry tracer through the router: subsequent
 // batches emit per-shard scatter windows, failover retries, probes, and the
-// host combine as spans on the PIDRouter timeline (one lane per shard, all
-// in fleet-clock cycles). Per-shard engine/DRAM traces stay detached in
-// fleet mode — their rank-keyed lanes would collide across shards. A nil
-// tracer detaches. Tracing is observational only.
+// combine as spans on the PIDRouter timeline (one lane per shard, all in
+// fleet-clock cycles) and the switch firings on the PIDRnet timeline.
+// Per-shard engine/DRAM traces stay detached in fleet mode — their
+// rank-keyed lanes would collide across shards. A nil tracer detaches.
+// Tracing is observational only.
 func (f *Fleet) AttachTracer(t telemetry.Tracer) {
-	f.tracer = t
-	if t == nil {
-		return
-	}
-	t.NameProcess(telemetry.PIDRouter, "router")
-	for s := range f.shards {
-		t.NameLane(telemetry.PIDRouter, s, fmt.Sprintf("shard %d", s))
-	}
-	t.NameLane(telemetry.PIDRouter, len(f.shards), "combine")
-	if f.rtree != nil {
-		t.NameProcess(telemetry.PIDRnet, "rnet")
-		for lvl := 1; lvl <= f.rtree.Depth(); lvl++ {
-			t.NameLane(telemetry.PIDRnet, lvl, fmt.Sprintf("switch level %d", lvl))
-		}
-	}
+	f.attachTracer(t, "router", "shard", len(f.shards), "switch", "combine")
 }
-
-// SetSpanContext installs the parent span ID that subsequent batch spans
-// link under (0 detaches). Annotation only — timing is never perturbed.
-func (f *Fleet) SetSpanContext(parent uint64) { f.spanCtx = parent }
 
 // MemoryCounter sums one cumulative memory-system counter across the fleet
 // (e.g. "dram.row_hits"); the serving layer's per-flush attribution works
@@ -429,25 +392,6 @@ func (f *Fleet) MemoryCounter(name string) uint64 {
 		total += sh.mem.Stats().Counter(name)
 	}
 	return total
-}
-
-// emit records one router span on the fleet timeline (200 MHz PE clock).
-func (f *Fleet) emit(name string, lane int, phase byte, ts, dur sim.Cycle, args ...telemetry.Arg) {
-	if f.tracer == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Name: name, Cat: "router", Phase: phase,
-		PID: telemetry.PIDRouter, TID: lane,
-		TS: uint64(ts), ClockMHz: 200,
-	}
-	if phase == telemetry.PhaseSpan {
-		ev.Dur = uint64(dur)
-	}
-	for _, a := range args {
-		ev.AddArg(a)
-	}
-	f.tracer.Emit(ev)
 }
 
 // structuredFault reports whether err is a fault the robustness envelope
@@ -470,12 +414,6 @@ func (f *Fleet) lookupShard(s int, view core.Placement, b embedding.Batch, at si
 	return sh.engine.TimedLookupFaulted(f.store, view, sh.mem, b, true, sh.inj)
 }
 
-// subref ties one shard sub-query back to its batch query.
-type subref struct {
-	query   int // batch query index
-	indices int // index count contributed by this shard
-}
-
 // GenerateBatch draws n deterministic Zipf-skewed queries over the global
 // row space (16 indices each, sum pooling), for benchmarks and smoke tests.
 func (f *Fleet) GenerateBatch(n int, seed int64) (embedding.Batch, error) {
@@ -493,476 +431,250 @@ func (f *Fleet) GenerateBatch(n int, seed int64) (embedding.Batch, error) {
 	return gen.Batch(tensor.OpSum), nil
 }
 
-// Lookup scatters the batch across the fleet, runs every owning shard's
-// sub-batch (concurrently up to Parallelism; folded in shard order), retries
-// failed sub-lookups on replica shards within the retry deadline, reduces
-// the partial pools host-side, and returns the combined result. A batch that
-// lost data to unreachable shard pairs still succeeds: the outputs are the
-// partial reduction of every surviving shard and res.Degraded itemizes the
-// loss per shard and per query. Only programming errors (invariant
-// violations, bad ops) return a non-nil error.
-func (f *Fleet) Lookup(b embedding.Batch) (*core.TimedResult, error) {
-	if len(b.Queries) == 0 {
-		return nil, fmt.Errorf("router: empty batch")
-	}
-	if !b.Op.Valid() {
-		return nil, fmt.Errorf("router: invalid reduce op %d", b.Op)
-	}
-	start := f.clock
-	n := f.cfg.Shards
-	dim := f.store.Dim()
-	// Span parentage for request-linked tracing: every span this batch emits
-	// links under the installed context (0 when the router runs standalone).
-	ctx := f.spanCtx
-	combineID := telemetry.SpanID(ctx, "combine", 0)
-	res := &core.TimedResult{}
-	res.Outputs = make([]tensor.Vector, len(b.Queries))
-	deg := &core.DegradedReport{}
-	entries := make([]*core.ShardDegraded, n)
-	entry := func(s int) *core.ShardDegraded {
-		if entries[s] == nil {
-			entries[s] = &core.ShardDegraded{Shard: s}
-		}
-		return entries[s]
-	}
+// flight is one batch in flight through the fleet: the state Lookup's phases
+// hand along.
+type flight struct {
+	sc    *scatter
+	start sim.Cycle // fleet clock at batch entry
+	res   *core.TimedResult
+	deg   *core.DegradedReport
+	// entries[s] is shard s's degraded-report entry, created on first use.
+	entries []*core.ShardDegraded
+	// leaves[s] is the partial pool delivered for shard s's sub-batch — by
+	// the shard itself or its replica holder — nil while undelivered.
+	leaves   []*rnet.Partial
+	partials int // delivered sub-queries, the combine span's annotation
+	// stages accumulates the probe, backend and failover windows as the
+	// phases run; reduce completes it.
+	stages core.StageCycles
+}
 
-	// Probe phase: dark shards whose backoff elapsed get a canary lookup
-	// before the batch scatters. Probe time overlaps across shards (the
-	// slowest one gates the scatter).
-	var probeCycles sim.Cycle
-	for s := 0; s < n; s++ {
-		br := f.breakers[s]
-		if !br.probeDue(start) {
+func (fl *flight) entry(s int) *core.ShardDegraded {
+	if fl.entries[s] == nil {
+		fl.entries[s] = &core.ShardDegraded{Shard: s}
+	}
+	return fl.entries[s]
+}
+
+// Lookup scatters the batch across the fleet and runs it through the five
+// phases StageCycles names: probe dark shards whose backoff elapsed, run
+// every owning shard's sub-batch (backend), retry failed sub-batches on
+// replica shards within the retry deadline (failover), then reduce the
+// delivered partial pools through the switch tree and move the root pool to
+// the host (combine, transfer). A batch that lost data to unreachable shard
+// pairs still succeeds: the outputs are the partial reduction of every
+// surviving shard and res.Degraded itemizes the loss per shard and per
+// query. Only programming errors (invariant violations, bad ops) return a
+// non-nil error.
+func (f *Fleet) Lookup(b embedding.Batch) (*core.TimedResult, error) {
+	sc, err := partition(b, f.cfg.Shards, f.ownerOf)
+	if err != nil {
+		return nil, err
+	}
+	fl := &flight{
+		sc:      sc,
+		start:   f.clock,
+		res:     &core.TimedResult{},
+		deg:     &core.DegradedReport{},
+		entries: make([]*core.ShardDegraded, f.cfg.Shards),
+		leaves:  make([]*rnet.Partial, f.cfg.Shards),
+	}
+	if err := f.probe(fl); err != nil {
+		return nil, err
+	}
+	failed, err := f.backend(fl)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.failover(fl, failed); err != nil {
+		return nil, err
+	}
+	rres, err := f.reduce(sc, fl.leaves, fl.res, fl.stages)
+	if err != nil {
+		return nil, err
+	}
+	windows := fl.stages.Probe + fl.stages.Backend + fl.stages.Failover
+	f.emit("combine", f.cfg.Shards, telemetry.PhaseSpan, fl.start+windows, fl.res.TotalCycles-windows, "combine", 0,
+		telemetry.Arg{Key: "partials", Int: int64(fl.partials)},
+		telemetry.Arg{Key: "switch_fires", Int: int64(rres.Fires)})
+
+	for _, e := range fl.entries {
+		if e != nil {
+			if e.State == "" {
+				e.State = f.breakers[e.Shard].state.String()
+			}
+			fl.deg.Shards = append(fl.deg.Shards, *e)
+		}
+	}
+	if !fl.deg.Empty() {
+		fl.res.Degraded = fl.deg
+		f.countDegraded(len(fl.deg.LostQueries))
+	}
+	return fl.res, nil
+}
+
+// probe sends every dark shard whose backoff elapsed a one-query canary
+// lookup before the batch scatters. Probe time overlaps across shards (the
+// slowest one gates the scatter).
+func (f *Fleet) probe(fl *flight) error {
+	for s, br := range f.breakers {
+		if !br.probeDue(fl.start) {
 			continue
 		}
 		f.countProbe(s)
 		canary := embedding.Batch{Op: tensor.OpSum, Queries: []embedding.Query{
 			{Indices: header.NewIndexSet(f.canaryRow(s))},
 		}}
-		r, err := f.lookupShard(s, f.shards[s].primary, canary, start)
+		r, err := f.lookupShard(s, f.shards[s].primary, canary, fl.start)
 		switch {
 		case err == nil:
 			br.onSuccess()
 			f.setShardState(s, Healthy)
-			probeCycles = sim.Max(probeCycles, r.TotalCycles)
+			fl.stages.Probe = sim.Max(fl.stages.Probe, r.TotalCycles)
 			f.countReopen(s)
-			f.emit("probe.ok", s, telemetry.PhaseInstant, start, 0,
-				telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(ctx, "probe", uint64(s)))},
-				telemetry.Arg{Key: telemetry.ArgParent, Int: int64(ctx)})
+			f.emit("probe.ok", s, telemetry.PhaseInstant, fl.start, 0, "probe", s)
 		case structuredFault(err):
-			br.onProbeFailure(start)
-			f.emit("probe.fail", s, telemetry.PhaseInstant, start, 0,
-				telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(ctx, "probe", uint64(s)))},
-				telemetry.Arg{Key: telemetry.ArgParent, Int: int64(ctx)})
+			br.onProbeFailure(fl.start)
+			f.emit("probe.fail", s, telemetry.PhaseInstant, fl.start, 0, "probe", s)
 		default:
-			return nil, err
+			return err
 		}
-	}
-
-	// Scatter: split every query's indices by owning shard, preserving
-	// index order within each sub-query.
-	op := b.Op
-	subOp := op
-	if op == tensor.OpMean {
-		// Shard trees accumulate raw sums; the router finalizes the mean
-		// once, over the surviving operand count, exactly as a single tree's
-		// root would.
-		subOp = tensor.OpSum
-	}
-	subs := make([]embedding.Batch, n)
-	refs := make([][]subref, n)
-	survivors := make([]int, len(b.Queries))
-	for qi, q := range b.Queries {
-		survivors[qi] = q.Indices.Len()
-		if q.Indices.Len() == 0 {
-			res.Outputs[qi] = tensor.New(dim)
-			continue
-		}
-		per := make(map[int][]header.Index)
-		for _, idx := range q.Indices {
-			s := f.ownerOf(idx)
-			per[s] = append(per[s], idx)
-		}
-		for s := 0; s < n; s++ {
-			indices, ok := per[s]
-			if !ok {
-				continue
-			}
-			subs[s].Op = subOp
-			subs[s].Queries = append(subs[s].Queries, embedding.Query{Indices: header.NewIndexSet(indices...)})
-			refs[s] = append(refs[s], subref{query: qi, indices: len(indices)})
-		}
-	}
-
-	// Dispatch: dark shards are skipped (their traffic goes straight to
-	// failover); everything else attempts its primary, concurrently up to
-	// Parallelism. Results fold in shard order below, so execution order
-	// never leaks into outputs, cycles, or health transitions.
-	type attempt struct {
-		res *core.TimedResult
-		err error
-	}
-	attempts := make([]attempt, n)
-	var run []int
-	for s := 0; s < n; s++ {
-		if len(subs[s].Queries) == 0 {
-			continue
-		}
-		if f.breakers[s].state == Dark {
-			attempts[s] = attempt{err: fmt.Errorf("router: shard %d is dark (breaker open): %w", s, fault.ErrShardDown)}
-			continue
-		}
-		run = append(run, s)
-	}
-	if par := f.parallelism(); par > 1 && len(run) > 1 {
-		// Shards are fully independent (own engine, memory, injector), so
-		// concurrent sub-lookups share no mutable state; only the fold below
-		// touches fleet-level state, in shard order.
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
-		for _, s := range run {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				r, err := f.lookupShard(s, f.shards[s].primary, subs[s], start)
-				attempts[s] = attempt{res: r, err: err}
-			}(s)
-		}
-		wg.Wait()
-	} else {
-		for _, s := range run {
-			r, err := f.lookupShard(s, f.shards[s].primary, subs[s], start)
-			attempts[s] = attempt{res: r, err: err}
-		}
-	}
-
-	// Fold phase, strictly in shard order: combine successful partials,
-	// drive the breakers, and queue failovers.
-	type failover struct {
-		shard int
-		cause error
-	}
-	var shardCycles sim.Cycle
-	var failovers []failover
-	delivered := make([]bool, n)
-	// On the rnet path each delivered sub-lookup stages its partial pool
-	// (dense over the batch's queries) and its network-injection time
-	// instead of folding into res.Outputs — the switch tree combines below.
-	var pools [][]tensor.Vector
-	var readys []sim.Cycle
-	if f.rtree != nil {
-		pools = make([][]tensor.Vector, n)
-		readys = make([]sim.Cycle, n)
-	}
-	poolFor := func(s int, ready sim.Cycle) []tensor.Vector {
-		if f.rtree == nil {
-			return nil
-		}
-		pools[s] = make([]tensor.Vector, len(b.Queries))
-		readys[s] = ready
-		return pools[s]
-	}
-	for s := 0; s < n; s++ {
-		if len(subs[s].Queries) == 0 {
-			continue
-		}
-		a := attempts[s]
-		wasDark := f.breakers[s].state == Dark
-		switch {
-		case a.err == nil:
-			f.breakers[s].onSuccess()
-			f.setShardState(s, Healthy)
-			f.countShardLookup(s)
-			if err := f.fold(res, deg, entry, s, a.res, refs[s], op, poolFor(s, a.res.TotalCycles)); err != nil {
-				return nil, err
-			}
-			delivered[s] = true
-			shardCycles = sim.Max(shardCycles, a.res.TotalCycles)
-			f.emit("shard.lookup", s, telemetry.PhaseSpan, start+probeCycles, a.res.TotalCycles,
-				telemetry.Arg{Key: "queries", Int: int64(len(subs[s].Queries))},
-				telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(ctx, "shard.lookup", uint64(s)))},
-				telemetry.Arg{Key: telemetry.ArgParent, Int: int64(ctx)})
-		case structuredFault(a.err):
-			if !wasDark {
-				f.countFailure(s)
-				if f.breakers[s].onFailure(start) {
-					f.countDark(s)
-				}
-				f.setShardState(s, f.breakers[s].state)
-			}
-			e := entry(s)
-			e.State = f.breakers[s].state.String()
-			e.Err = a.err.Error()
-			failovers = append(failovers, failover{shard: s, cause: a.err})
-			f.emit("shard.fail", s, telemetry.PhaseInstant, start+probeCycles, 0,
-				telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(ctx, "shard.fail", uint64(s)))},
-				telemetry.Arg{Key: telemetry.ArgParent, Int: int64(ctx)})
-		default:
-			return nil, a.err
-		}
-	}
-
-	// Failover phase, serial in shard order: each failed sub-batch retries
-	// once against its replica holder, unless the retry deadline is spent or
-	// the replica is itself unreachable — then the sub-batch's contribution
-	// is dropped and the loss recorded.
-	var failoverCycles sim.Cycle
-	for _, fo := range failovers {
-		s := fo.shard
-		target := f.replicaHolder(s)
-		e := entry(s)
-		spent := probeCycles + shardCycles + failoverCycles
-		switch {
-		case f.cfg.RetryDeadline > 0 && spent >= f.cfg.RetryDeadline:
-			f.countAbandoned(s)
-			f.lose(res, deg, e, refs[s], survivors)
-		case target == s || f.breakers[target].state == Dark || f.cfg.Fleet.Down(target, start):
-			f.lose(res, deg, e, refs[s], survivors)
-		default:
-			f.countRetry(s)
-			r, err := f.lookupShard(target, f.shards[target].peerView, subs[s], start)
-			switch {
-			case err == nil:
-				f.countFailover(s)
-				f.countShardLookup(target)
-				e.FailedOver = true
-				// A failed-over partial is just a late leaf: it enters the
-				// network when its serial retry completes, after the scatter
-				// window and every earlier retry.
-				if err := f.fold(res, deg, entry, target, r, refs[s], op,
-					poolFor(s, shardCycles+failoverCycles+r.TotalCycles)); err != nil {
-					return nil, err
-				}
-				delivered[s] = true
-				failoverCycles += r.TotalCycles
-				f.emit("shard.failover", target, telemetry.PhaseSpan, start+probeCycles+shardCycles, r.TotalCycles,
-					telemetry.Arg{Key: "for_shard", Int: int64(s)},
-					telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(ctx, "shard.failover", uint64(s)))},
-					telemetry.Arg{Key: telemetry.ArgParent, Int: int64(ctx)})
-			case structuredFault(err):
-				f.countFailure(target)
-				if f.breakers[target].onFailure(start) {
-					f.countDark(target)
-				}
-				f.setShardState(target, f.breakers[target].state)
-				te := entry(target)
-				te.State = f.breakers[target].state.String()
-				te.Err = err.Error()
-				f.lose(res, deg, e, refs[s], survivors)
-			default:
-				return nil, err
-			}
-		}
-	}
-
-	// Combine phase. Legacy (Radix 0): the fold above already merged the
-	// outputs serially; charge one handled vector per delivered partial
-	// beyond each query's first, plus channel transfer of every partial
-	// pool — the host waits for the slowest shard, then combines O(Shards)
-	// pools one after another. Rnet (Radix >= 2): reduce the staged pools
-	// through the switch tree — every partial takes O(log_radix Shards)
-	// link hops, a switch fires the moment its last live child lands, lost
-	// shards are simply absent leaves, and only the root pool crosses the
-	// host link. Lost sub-batches delivered nothing, so on both paths they
-	// cost (and contribute) nothing.
-	partials := 0
-	combines := 0
-	partialsPer := make(map[int]int, len(b.Queries))
-	for s := 0; s < n; s++ {
-		if !delivered[s] {
-			continue
-		}
-		for _, ref := range refs[s] {
-			partialsPer[ref.query]++
-		}
-	}
-	for _, p := range partialsPer {
-		partials += p
-		if p > 1 {
-			combines += p - 1
-		}
-	}
-	var xfer sim.Cycle
-	if f.rtree == nil {
-		combineCycles := f.host.HandleVectors(combines)
-		xfer = f.cfg.Host.DRAMToHost(f.mcfg.TransferCycles(partials * 512))
-		res.TotalCycles = probeCycles + shardCycles + failoverCycles + combineCycles + xfer
-		res.Stages = core.StageCycles{
-			Probe: probeCycles, Backend: shardCycles, Failover: failoverCycles,
-			Combine: combineCycles, Transfer: xfer,
-		}
-		f.emit("combine", n, telemetry.PhaseSpan, start+probeCycles+shardCycles+failoverCycles, combineCycles+xfer,
-			telemetry.Arg{Key: "partials", Int: int64(partials)},
-			telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(combineID)},
-			telemetry.Arg{Key: telemetry.ArgParent, Int: int64(ctx)})
-	} else {
-		leavesIn := make([]*rnet.Partial, n)
-		for s := 0; s < n; s++ {
-			if delivered[s] {
-				leavesIn[s] = &rnet.Partial{Vectors: pools[s], Ready: readys[s]}
-			}
-		}
-		rres, err := f.rtree.Reduce(op, len(b.Queries), leavesIn)
-		if err != nil {
-			return nil, err
-		}
-		rootQueries := 0
-		for qi, v := range rres.Outputs {
-			if v != nil {
-				res.Outputs[qi] = v
-				rootQueries++
-			}
-		}
-		// The critical path already contains the slowest contributing
-		// shard's (or retry's) completion on its leaf, so it replaces the
-		// scatter + failover + combine terms wholesale.
-		xfer = f.cfg.Host.DRAMToHost(f.mcfg.TransferCycles(rootQueries * 512))
-		res.TotalCycles = probeCycles + rres.CriticalPath + xfer
-		// The tree's critical path contains the leaf windows (shard scatter
-		// plus serial failovers); what it adds beyond them is the combine
-		// stage. Leaf readiness bounds the critical path from below, so the
-		// subtraction cannot underflow; the else arm is a defensive fold that
-		// preserves the Sum() == TotalCycles invariant regardless.
-		backendStage, failStage := shardCycles, failoverCycles
-		var combineStage sim.Cycle
-		if rres.CriticalPath >= shardCycles+failoverCycles {
-			combineStage = rres.CriticalPath - shardCycles - failoverCycles
-		} else {
-			backendStage, failStage = rres.CriticalPath, 0
-		}
-		res.Stages = core.StageCycles{
-			Probe:    probeCycles,
-			Backend:  backendStage,
-			Failover: failStage,
-			Combine:  combineStage,
-			Transfer: xfer,
-		}
-		f.countRnet(rres)
-		f.emitRnetSpans(start+probeCycles, rres, combineID)
-		f.emit("combine", n, telemetry.PhaseSpan, start+probeCycles+shardCycles+failoverCycles,
-			res.TotalCycles-(shardCycles+failoverCycles)-probeCycles,
-			telemetry.Arg{Key: "partials", Int: int64(partials)},
-			telemetry.Arg{Key: "switch_fires", Int: int64(rres.Fires)},
-			telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(combineID)},
-			telemetry.Arg{Key: telemetry.ArgParent, Int: int64(ctx)})
-	}
-
-	// Finalize outputs: queries that lost everything (or arrived empty)
-	// produce zero vectors like the engines; mean scales by the surviving
-	// operand count, the single-tree root's exact finalize operation.
-	for qi := range res.Outputs {
-		if res.Outputs[qi] == nil {
-			res.Outputs[qi] = tensor.New(dim)
-			continue
-		}
-		if op == tensor.OpMean {
-			op.FinalizeMean(res.Outputs[qi], survivors[qi])
-		}
-	}
-
-	res.TransferCycles = xfer
-	res.ComputeCycles = res.TotalCycles - res.MemCycles - xfer
-	f.clock = start + res.TotalCycles
-
-	for _, e := range entries {
-		if e != nil {
-			if e.State == "" {
-				e.State = f.breakers[e.Shard].state.String()
-			}
-			deg.Shards = append(deg.Shards, *e)
-		}
-	}
-	if !deg.Empty() {
-		res.Degraded = deg
-		f.countDegraded(len(deg.LostQueries))
-	}
-	return res, nil
-}
-
-// fold merges one successful sub-lookup into the batch result, in shard
-// order. Statistics always accumulate here; the partial vectors either
-// combine into res.Outputs per query (legacy host fold, pool nil) or stage
-// into the sub-lookup's dense pool for the rnet switch tree to reduce. The
-// sub-lookup's own degraded work (in-shard rank remaps, ECC retries) lands
-// on the shard's report entry either way.
-func (f *Fleet) fold(res *core.TimedResult, deg *core.DegradedReport, entry func(int) *core.ShardDegraded,
-	s int, r *core.TimedResult, refs []subref, op tensor.ReduceOp, pool []tensor.Vector) error {
-	for i, out := range r.Outputs {
-		qi := refs[i].query
-		switch {
-		case pool != nil:
-			pool[qi] = out
-		case res.Outputs[qi] == nil:
-			res.Outputs[qi] = out.Clone()
-		default:
-			if err := op.Apply(res.Outputs[qi], out); err != nil {
-				return err
-			}
-		}
-	}
-	res.MemoryReads += r.MemoryReads
-	res.BytesRead += r.BytesRead
-	res.PETotals.Add(r.PETotals)
-	res.HWBatches += r.HWBatches
-	if r.MaxOccupancy > res.MaxOccupancy {
-		res.MaxOccupancy = r.MaxOccupancy
-	}
-	res.MemCycles = sim.Max(res.MemCycles, r.MemCycles)
-	if !r.Degraded.Empty() {
-		deg.RemappedReads += r.Degraded.RemappedReads
-		deg.RemappedQueries += r.Degraded.RemappedQueries
-		deg.Retries += r.Degraded.Retries
-		deg.RetryCycles += r.Degraded.RetryCycles
-		e := entry(s)
-		e.FailedRanks = append([]int(nil), r.Degraded.FailedRanks...)
 	}
 	return nil
 }
 
-// lose records a sub-batch whose shard and replica were both unreachable:
-// its queries keep whatever partials other shards contributed, the loss is
-// itemized per query, and the per-shard entry carries the totals.
-func (f *Fleet) lose(res *core.TimedResult, deg *core.DegradedReport, e *core.ShardDegraded,
-	refs []subref, survivors []int) {
-	for _, ref := range refs {
-		survivors[ref.query] -= ref.indices
+// backend runs every owning shard's sub-batch on its primary, concurrently
+// up to Parallelism — dark shards are skipped, their traffic goes straight
+// to failover — then settles the attempts strictly in shard order: delivered
+// partials stage as tree leaves, structured failures drive the breakers and
+// are returned for the failover phase.
+func (f *Fleet) backend(fl *flight) (failed []int, err error) {
+	subs := fl.sc.subs
+	attempts := make([]attempt, len(subs))
+	var run []int
+	for s := range subs {
+		switch {
+		case len(subs[s].Queries) == 0:
+		case f.breakers[s].state == Dark:
+			attempts[s].err = fmt.Errorf("router: shard %d is dark (breaker open): %w", s, fault.ErrShardDown)
+		default:
+			run = append(run, s)
+		}
+	}
+	dispatch(attempts, run, f.cfg.Parallelism, func(s int) (*core.TimedResult, error) {
+		return f.lookupShard(s, f.shards[s].primary, subs[s], fl.start)
+	})
+	scatterAt := fl.start + fl.stages.Probe
+	for s, a := range attempts {
+		if len(subs[s].Queries) == 0 {
+			continue
+		}
+		switch {
+		case a.err == nil:
+			f.breakers[s].onSuccess()
+			f.setShardState(s, Healthy)
+			f.deliver(fl, s, s, a.res, a.res.TotalCycles)
+			fl.stages.Backend = sim.Max(fl.stages.Backend, a.res.TotalCycles)
+			f.emit("shard.lookup", s, telemetry.PhaseSpan, scatterAt, a.res.TotalCycles, "shard.lookup", s,
+				telemetry.Arg{Key: "queries", Int: int64(len(subs[s].Queries))})
+		case structuredFault(a.err):
+			// A shard that was already dark never ran: the breaker has
+			// nothing new to learn from its synthesized error.
+			if f.breakers[s].state != Dark {
+				f.tripBreaker(s, fl.start)
+			}
+			f.blame(fl, s, a.err)
+			failed = append(failed, s)
+			f.emit("shard.fail", s, telemetry.PhaseInstant, scatterAt, 0, "shard.fail", s)
+		default:
+			return nil, a.err
+		}
+	}
+	return failed, nil
+}
+
+// failover retries each failed sub-batch once against its replica holder,
+// serially in shard order, unless the retry deadline is spent or the replica
+// is itself unreachable — then the sub-batch's contribution is dropped and
+// the loss recorded.
+func (f *Fleet) failover(fl *flight, failed []int) error {
+	retryAt := fl.start + fl.stages.Probe + fl.stages.Backend
+	for _, s := range failed {
+		target := f.replicaHolder(s)
+		spent := fl.stages.Probe + fl.stages.Backend + fl.stages.Failover
+		switch {
+		case f.cfg.RetryDeadline > 0 && spent >= f.cfg.RetryDeadline:
+			f.countAbandoned(s)
+			f.lose(fl, s)
+			continue
+		case target == s || f.breakers[target].state == Dark || f.cfg.Fleet.Down(target, fl.start):
+			f.lose(fl, s)
+			continue
+		}
+		f.countRetry(s)
+		r, err := f.lookupShard(target, f.shards[target].peerView, fl.sc.subs[s], fl.start)
+		switch {
+		case err == nil:
+			f.countFailover(s)
+			fl.entry(s).FailedOver = true
+			// A failed-over partial is just a late leaf: it enters the
+			// network when its serial retry completes, after the scatter
+			// window and every earlier retry.
+			f.deliver(fl, s, target, r, fl.stages.Backend+fl.stages.Failover+r.TotalCycles)
+			fl.stages.Failover += r.TotalCycles
+			f.emit("shard.failover", target, telemetry.PhaseSpan, retryAt, r.TotalCycles, "shard.failover", s,
+				telemetry.Arg{Key: "for_shard", Int: int64(s)})
+		case structuredFault(err):
+			f.tripBreaker(target, fl.start)
+			f.blame(fl, target, err)
+			f.lose(fl, s)
+		default:
+			return err
+		}
+	}
+	return nil
+}
+
+// deliver stages the partial pool shard served produced for shard owner's
+// sub-batch as owner's tree leaf, entering the network at ready, and folds
+// the sub-lookup's statistics into the batch. The serving shard's own
+// degraded work (in-shard rank remaps) lands on its report entry.
+func (f *Fleet) deliver(fl *flight, owner, served int, r *core.TimedResult, ready sim.Cycle) {
+	f.countShardLookup(served)
+	fl.leaves[owner] = &rnet.Partial{Vectors: fl.sc.pool(owner, r.Outputs), Ready: ready}
+	fl.partials += len(r.Outputs)
+	absorb(fl.res, fl.deg, r)
+	if !r.Degraded.Empty() {
+		fl.entry(served).FailedRanks = append([]int(nil), r.Degraded.FailedRanks...)
+	}
+}
+
+// tripBreaker feeds one structured sub-lookup failure to shard s's breaker.
+func (f *Fleet) tripBreaker(s int, now sim.Cycle) {
+	f.countFailure(s)
+	if f.breakers[s].onFailure(now) {
+		f.countDark(s)
+	}
+	f.setShardState(s, f.breakers[s].state)
+}
+
+// blame records the failure on shard s's report entry.
+func (f *Fleet) blame(fl *flight, s int, err error) {
+	e := fl.entry(s)
+	e.State = f.breakers[s].state.String()
+	e.Err = err.Error()
+}
+
+// lose records shard s's sub-batch as lost — shard and replica were both
+// unreachable: its queries keep whatever partials other shards contributed,
+// the loss is itemized per query, and the shard's entry carries the totals.
+func (f *Fleet) lose(fl *flight, s int) {
+	e := fl.entry(s)
+	for _, ref := range fl.sc.refs[s] {
+		fl.sc.survivors[ref.query] -= ref.indices
 		e.LostQueries++
 		e.LostIndices += ref.indices
-		deg.AddLost(ref.query, ref.indices)
+		fl.deg.AddLost(ref.query, ref.indices)
 	}
-	f.countLostShard(e.Shard)
-}
-
-// emitRnetSpans records every switch firing on the rnet timeline, one lane
-// per switch level, each span-linked under the batch's combine span. Spans
-// arrive in node-ID order from the reduction (the deterministic post-hoc
-// fold), so traced streams are bit-identical at every Parallelism.
-func (f *Fleet) emitRnetSpans(base sim.Cycle, r *rnet.Result, parent uint64) {
-	if f.tracer == nil {
-		return
-	}
-	for _, sp := range r.Spans {
-		ev := telemetry.Event{
-			Name: "switch", Cat: "rnet", Phase: telemetry.PhaseSpan,
-			PID: telemetry.PIDRnet, TID: sp.Level,
-			TS: uint64(base + sp.Fire), Dur: uint64(sp.Done - sp.Fire), ClockMHz: 200,
-		}
-		ev.AddArg(telemetry.Arg{Key: "node", Int: int64(sp.Node)})
-		ev.AddArg(telemetry.Arg{Key: "combines", Int: int64(sp.Combines)})
-		if sp.Missing > 0 {
-			ev.AddArg(telemetry.Arg{Key: "missing_children", Int: int64(sp.Missing)})
-		}
-		ev.AddArg(telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(telemetry.SpanID(parent, "switch", uint64(sp.Node)))})
-		ev.AddArg(telemetry.Arg{Key: telemetry.ArgParent, Int: int64(parent)})
-		f.tracer.Emit(ev)
-	}
-}
-
-func (f *Fleet) parallelism() int {
-	if f.cfg.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return f.cfg.Parallelism
+	f.countLostShard(s)
 }

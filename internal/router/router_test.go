@@ -333,8 +333,9 @@ func TestMetricsRender(t *testing.T) {
 	}
 }
 
-// TestRouterTrace checks router spans land on the PIDRouter timeline and
-// stay off the engine/DRAM PID blocks.
+// TestRouterTrace checks a default-config fleet's spans land on the
+// PIDRouter timeline, its switch firings on PIDRnet, and nothing on the
+// engine/DRAM PID blocks.
 func TestRouterTrace(t *testing.T) {
 	f := testFleet(t, nil)
 	tr := telemetry.NewTrace()
@@ -347,20 +348,22 @@ func TestRouterTrace(t *testing.T) {
 	if len(evs) == 0 {
 		t.Fatal("no router events")
 	}
-	var lookups, combines int
+	var lookups, combines, switches int
 	for _, ev := range evs {
-		if ev.PID != telemetry.PIDRouter {
-			t.Fatalf("event %q on PID %d, want %d", ev.Name, ev.PID, telemetry.PIDRouter)
-		}
-		switch ev.Name {
-		case "shard.lookup":
+		switch {
+		case ev.PID == telemetry.PIDRnet && ev.Name == "switch":
+			switches++
+		case ev.PID != telemetry.PIDRouter:
+			t.Fatalf("event %q on PID %d, want %d or %d", ev.Name, ev.PID, telemetry.PIDRouter, telemetry.PIDRnet)
+		case ev.Name == "shard.lookup":
 			lookups++
-		case "combine":
+		case ev.Name == "combine":
 			combines++
 		}
 	}
-	if lookups == 0 || combines != 1 {
-		t.Fatalf("lookup spans = %d, combine spans = %d", lookups, combines)
+	if lookups == 0 || combines != 1 || switches != 3 {
+		t.Fatalf("lookup spans = %d, combine spans = %d, switch spans = %d (want 3: 4-leaf radix-2 tree)",
+			lookups, combines, switches)
 	}
 	f.AttachTracer(nil)
 	n := tr.Len()

@@ -8,14 +8,14 @@ import (
 )
 
 // The Stages attribution contract — Stages.Sum() == TotalCycles exactly —
-// must hold on every fleet path: the legacy host fold, the rnet switch tree,
-// and both under failover.
+// must hold on every fleet configuration: the default radix, an explicit
+// one, and both under failover.
 func TestFleetStagesSumToTotal(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"legacy", nil},
+		{"default-radix", nil},
 		{"rnet", func(c *Config) { c.Rnet.Radix = 2 }},
 		{"faulted", func(c *Config) {
 			c.Fleet.ShardFailures = []fault.ShardFailure{{Shard: 1, At: 1}}

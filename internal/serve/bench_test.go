@@ -53,7 +53,7 @@ func BenchmarkCoalescer(b *testing.B) {
 							return
 						}
 						q := pool.Queries[i%int64(len(pool.Queries))]
-						if _, _, err := co.Submit(ctx, pool.Op, []embedding.Query{q}); err != nil {
+						if _, err := co.Submit(ctx, serve.Request{Op: pool.Op, Queries: []embedding.Query{q}}); err != nil {
 							failed.Add(1)
 							return
 						}
@@ -109,7 +109,7 @@ func BenchmarkCoalescerCached(b *testing.B) {
 							return
 						}
 						q := pool.Queries[i%int64(len(pool.Queries))]
-						if _, _, err := co.Submit(ctx, pool.Op, []embedding.Query{q}); err != nil {
+						if _, err := co.Submit(ctx, serve.Request{Op: pool.Op, Queries: []embedding.Query{q}}); err != nil {
 							failed.Add(1)
 							return
 						}

@@ -43,7 +43,7 @@ type Breakdown struct {
 	// Backend is the engine gather+reduce (for fleets: probe, the slowest
 	// shard window, and failover replays).
 	Backend StageLatency `json:"backend"`
-	// Combine is partial-pool combining: host fold or rnet switch tree.
+	// Combine is partial-pool combining in the rnet switch tree.
 	Combine StageLatency `json:"combine"`
 	// Transfer is the final root/combine-to-host output transfer.
 	Transfer StageLatency `json:"transfer"`

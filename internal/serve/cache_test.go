@@ -61,11 +61,11 @@ func submitAll(t *testing.T, co *serve.Coalescer, op tensor.ReduceOp, reqs [][]e
 	var outs []tensor.Vector
 	for pass := 0; pass < 2; pass++ {
 		for i, qs := range reqs {
-			o, _, err := co.Submit(context.Background(), op, qs)
+			res, err := co.Submit(context.Background(), serve.Request{Op: op, Queries: qs})
 			if err != nil {
 				t.Fatalf("pass %d request %d: %v", pass, i, err)
 			}
-			outs = append(outs, o...)
+			outs = append(outs, res.Outputs...)
 		}
 	}
 	return outs
@@ -239,31 +239,31 @@ func TestCacheWholeBatchFromCache(t *testing.T) {
 			defer co.Close(context.Background())
 
 			qs := []embedding.Query{query(3, 9, 27), query(9, 81)}
-			first, st1, err := co.Submit(context.Background(), op, qs)
+			first, err := co.Submit(context.Background(), serve.Request{Op: op, Queries: qs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st1.CacheMisses != 5 { // 3+2 index reads; 9 misses in both queries
-				t.Fatalf("first pass CacheMisses = %d, want 5", st1.CacheMisses)
+			if first.Stats.CacheMisses != 5 { // 3+2 index reads; 9 misses in both queries
+				t.Fatalf("first pass CacheMisses = %d, want 5", first.Stats.CacheMisses)
 			}
 
 			// Any backend call now is a bug: the whole batch must come from
 			// the cache.
 			f.fail = func(embedding.Batch) error { return errors.New("backend touched on a fully cached batch") }
-			second, st2, err := co.Submit(context.Background(), op, qs)
+			second, err := co.Submit(context.Background(), serve.Request{Op: op, Queries: qs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st2.MemoryReads != 0 {
-				t.Fatalf("fully cached batch reported %d memory reads", st2.MemoryReads)
+			if second.Stats.MemoryReads != 0 {
+				t.Fatalf("fully cached batch reported %d memory reads", second.Stats.MemoryReads)
 			}
-			if st2.CacheHits != 5 || st2.CacheMisses != 0 { // 3+2 index reads
-				t.Fatalf("second pass hits/misses = %d/%d, want 5/0", st2.CacheHits, st2.CacheMisses)
+			if second.Stats.CacheHits != 5 || second.Stats.CacheMisses != 0 { // 3+2 index reads
+				t.Fatalf("second pass hits/misses = %d/%d, want 5/0", second.Stats.CacheHits, second.Stats.CacheMisses)
 			}
-			for i := range first {
-				if !second[i].Equal(first[i]) {
+			for i := range first.Outputs {
+				if !second.Outputs[i].Equal(first.Outputs[i]) {
 					t.Fatalf("query %d: cached output diverges from computed one\n  got  %v\n  want %v",
-						i, second[i], first[i])
+						i, second.Outputs[i], first.Outputs[i])
 				}
 			}
 		})
@@ -282,11 +282,11 @@ func TestCacheReducesReads(t *testing.T) {
 	reqs := conformanceQueries(43, 1<<16, 16, 2, 16)
 	pass := func() (reads int) {
 		for _, qs := range reqs {
-			_, st, err := co.Submit(context.Background(), tensor.OpSum, qs)
+			res, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: qs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			reads += st.MemoryReads
+			reads += res.Stats.MemoryReads
 		}
 		return reads
 	}

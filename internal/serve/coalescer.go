@@ -302,58 +302,57 @@ func (c *Coalescer) Metrics() *Metrics { return c.m }
 // Config returns the coalescer's configuration with defaults resolved.
 func (c *Coalescer) Config() Config { return c.cfg }
 
+// Request is one lookup handed to Submit.
+type Request struct {
+	// Op is the pooling operation; Queries all travel in the same batch and
+	// resolve together.
+	Op      tensor.ReduceOp
+	Queries []embedding.Query
+	// Priority is the QoS lane. Mind the zero value: it is PriorityHigh (the
+	// constants order by urgency), not the wire default PriorityNormal. With
+	// Config.QoS disabled the priority is ignored and every request travels
+	// the normal lane.
+	Priority Priority
+	// Trace asks for a trace echo: when the backend implements
+	// TraceAttacher, Response.Trace is the Chrome trace-event JSON of the
+	// flushed batch that served this request — including the engine and DRAM
+	// events of any co-travelling requests coalesced into it.
+	Trace bool
+}
+
+// Response is what Submit returns for one Request.
+type Response struct {
+	Outputs []tensor.Vector
+	Stats   BatchStats
+	// Trace is nil unless Request.Trace was set and the backend can trace.
+	Trace []byte
+}
+
 // Submit queues the request's queries for the next shared batch and blocks
-// until the flusher delivers the result or ctx expires. All queries of one
-// call travel in the same batch and resolve together. It fails fast with
+// until the flusher delivers the result or ctx expires. It fails fast with
 // ErrOverloaded when the admission queue is full and ErrDraining after Close.
-// Submit travels the normal QoS lane; see SubmitPriority.
-func (c *Coalescer) Submit(ctx context.Context, op tensor.ReduceOp, queries []embedding.Query) ([]tensor.Vector, BatchStats, error) {
-	out, stats, _, err := c.submit(ctx, op, queries, PriorityNormal, false)
-	return out, stats, err
-}
-
-// SubmitPriority is Submit on an explicit QoS lane. With Config.QoS disabled
-// the priority is ignored and every request travels the normal lane.
-func (c *Coalescer) SubmitPriority(ctx context.Context, op tensor.ReduceOp, queries []embedding.Query, pri Priority) ([]tensor.Vector, BatchStats, error) {
-	out, stats, _, err := c.submit(ctx, op, queries, pri, false)
-	return out, stats, err
-}
-
-// SubmitTraced is Submit with a trace echo: when the backend implements
-// TraceAttacher, the returned bytes are the Chrome trace-event JSON of the
-// flushed batch that served this request — including the engine and DRAM
-// events of any co-travelling requests coalesced into it. The trace is nil
-// when the backend cannot trace.
-func (c *Coalescer) SubmitTraced(ctx context.Context, op tensor.ReduceOp, queries []embedding.Query) ([]tensor.Vector, BatchStats, []byte, error) {
-	return c.submit(ctx, op, queries, PriorityNormal, true)
-}
-
-// SubmitTracedPriority is SubmitTraced on an explicit QoS lane.
-func (c *Coalescer) SubmitTracedPriority(ctx context.Context, op tensor.ReduceOp, queries []embedding.Query, pri Priority) ([]tensor.Vector, BatchStats, []byte, error) {
-	return c.submit(ctx, op, queries, pri, true)
-}
-
-func (c *Coalescer) submit(ctx context.Context, op tensor.ReduceOp, queries []embedding.Query, pri Priority, debug bool) ([]tensor.Vector, BatchStats, []byte, error) {
+func (c *Coalescer) Submit(ctx context.Context, r Request) (Response, error) {
+	queries, pri := r.Queries, r.Priority
 	if len(queries) == 0 {
-		return nil, BatchStats{}, nil, fmt.Errorf("serve: empty request")
+		return Response{}, fmt.Errorf("serve: empty request")
 	}
-	if !op.Valid() {
-		return nil, BatchStats{}, nil, fmt.Errorf("serve: invalid reduce op %d", op)
+	if !r.Op.Valid() {
+		return Response{}, fmt.Errorf("serve: invalid reduce op %d", r.Op)
 	}
 	if pri < 0 || pri >= numLanes {
-		return nil, BatchStats{}, nil, fmt.Errorf("serve: invalid priority %d", pri)
+		return Response{}, fmt.Errorf("serve: invalid priority %d", pri)
 	}
 	if !c.cfg.QoS {
 		// QoS off: one lane, one queue — behavior-identical to the
 		// pre-lane coalescer.
 		pri = PriorityNormal
 	}
-	req := &request{ctx: ctx, queries: queries, op: op, pri: pri, enq: time.Now(), debug: debug, done: make(chan result, 1)}
+	req := &request{ctx: ctx, queries: queries, op: r.Op, pri: pri, enq: time.Now(), debug: r.Trace, done: make(chan result, 1)}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, BatchStats{}, nil, ErrDraining
+		return Response{}, ErrDraining
 	}
 	// Admission control: bounded queue. A request the queue could never
 	// hold is still admitted when the queue is empty, so oversized requests
@@ -367,7 +366,7 @@ func (c *Coalescer) submit(ctx context.Context, op tensor.ReduceOp, queries []em
 	if c.queued > 0 && c.queued+len(queries) > limit {
 		c.mu.Unlock()
 		c.m.Shed.At(int(pri)).Add(1)
-		return nil, BatchStats{}, nil, ErrOverloaded
+		return Response{}, ErrOverloaded
 	}
 	c.nextID++
 	req.id = c.nextID
@@ -388,11 +387,11 @@ func (c *Coalescer) submit(ctx context.Context, op tensor.ReduceOp, queries []em
 
 	select {
 	case res := <-req.done:
-		return res.outputs, res.stats, res.trace, res.err
+		return Response{Outputs: res.outputs, Stats: res.stats, Trace: res.trace}, res.err
 	case <-ctx.Done():
 		// The flusher may still compute this request's batch; delivery into
 		// the buffered channel is dropped on the floor.
-		return nil, BatchStats{}, nil, ctx.Err()
+		return Response{}, ctx.Err()
 	}
 }
 

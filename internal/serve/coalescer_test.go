@@ -108,13 +108,13 @@ func TestCoalescerConcurrentRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				qi := g*perG + i
-				outs, stats, err := co.Submit(context.Background(), b.Op, []embedding.Query{b.Queries[qi]})
+				res, err := co.Submit(context.Background(), serve.Request{Op: b.Op, Queries: []embedding.Query{b.Queries[qi]}})
 				if err != nil {
 					errs[g] = fmt.Errorf("query %d: %w", qi, err)
 					return
 				}
-				if len(outs) != 1 || !outs[0].Equal(golden[qi]) {
-					errs[g] = fmt.Errorf("query %d: wrong output (batch %+v)", qi, stats)
+				if len(res.Outputs) != 1 || !res.Outputs[0].Equal(golden[qi]) {
+					errs[g] = fmt.Errorf("query %d: wrong output (batch %+v)", qi, res.Stats)
 					return
 				}
 			}
@@ -172,7 +172,7 @@ func TestCoalescingWinDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = co.Submit(context.Background(), b.Op, []embedding.Query{b.Queries[i]})
+			_, errs[i] = co.Submit(context.Background(), serve.Request{Op: b.Op, Queries: []embedding.Query{b.Queries[i]}})
 		}(i)
 	}
 	wg.Wait()
@@ -211,7 +211,7 @@ func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 	// A occupies the backend.
 	aDone := make(chan error, 1)
 	go func() {
-		_, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(1, 2)})
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1, 2)}})
 		aDone <- err
 	}()
 	<-fake.enter
@@ -219,7 +219,7 @@ func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 	// B queues behind A with a short deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err = co.Submit(ctx, tensor.OpSum, []embedding.Query{query(3, 4)})
+	_, err = co.Submit(ctx, serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3, 4)}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued request returned %v, want DeadlineExceeded", err)
 	}
@@ -230,8 +230,8 @@ func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 	if err := <-aDone; err != nil {
 		t.Fatalf("request A failed: %v", err)
 	}
-	outs, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(5)})
-	if err != nil || len(outs) != 1 {
+	res, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(5)}})
+	if err != nil || len(res.Outputs) != 1 {
 		t.Fatalf("coalescer wedged after expiry: %v", err)
 	}
 	waitFor(t, func() bool { return co.Metrics().ExpiredInQueue.Value() == 1 })
@@ -253,7 +253,7 @@ func TestCoalescerDeadlineDuringFlush(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = co.Submit(ctx, tensor.OpSum, []embedding.Query{query(7, 8)})
+	_, err = co.Submit(ctx, serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(7, 8)}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-flush expiry returned %v, want DeadlineExceeded", err)
 	}
@@ -263,8 +263,8 @@ func TestCoalescerDeadlineDuringFlush(t *testing.T) {
 	<-fake.enter     // the flush had started before the deadline hit
 	close(fake.gate) // let it finish; delivery lands in the buffer and is dropped
 
-	outs, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(9)})
-	if err != nil || len(outs) != 1 {
+	res, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(9)}})
+	if err != nil || len(res.Outputs) != 1 {
 		t.Fatalf("coalescer wedged after mid-flush expiry: %v", err)
 	}
 }
@@ -283,7 +283,7 @@ func TestCoalescerShutdownWhileQueued(t *testing.T) {
 
 	aDone := make(chan error, 1)
 	go func() {
-		_, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(1), query(2)})
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1), query(2)}})
 		aDone <- err
 	}()
 	<-fake.enter // A is mid-flush, holding the backend
@@ -296,8 +296,8 @@ func TestCoalescerShutdownWhileQueued(t *testing.T) {
 	bcDone := make(chan res, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			outs, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(header.Index(10 + i))})
-			bcDone <- res{outs, err}
+			r, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(header.Index(10 + i))}})
+			bcDone <- res{r.Outputs, err}
 		}(i)
 	}
 	waitFor(t, func() bool { return co.Metrics().QueueDepth.Value() == 2 })
@@ -319,7 +319,7 @@ func TestCoalescerShutdownWhileQueued(t *testing.T) {
 	if err := <-closeDone; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(1)}); !errors.Is(err, serve.ErrDraining) {
+	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}}); !errors.Is(err, serve.ErrDraining) {
 		t.Fatalf("post-drain Submit returned %v, want ErrDraining", err)
 	}
 	// Close is idempotent.
@@ -345,18 +345,18 @@ func TestCoalescerOverload(t *testing.T) {
 
 	done := make(chan error, 2)
 	go func() {
-		_, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(1)})
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}})
 		done <- err
 	}()
 	<-fake.enter // A holds the backend; queue is empty again
 	go func() {
-		_, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(2)})
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(2)}})
 		done <- err
 	}()
 	waitFor(t, func() bool { return co.Metrics().QueueDepth.Value() == 1 })
 
 	start := time.Now()
-	_, _, err = co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(3)})
+	_, err = co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}})
 	if !errors.Is(err, serve.ErrOverloaded) {
 		t.Fatalf("over-admission returned %v, want ErrOverloaded", err)
 	}
@@ -390,8 +390,8 @@ func TestCoalescerMixedOps(t *testing.T) {
 		err   error
 	}
 	run := func(op tensor.ReduceOp, ch chan res) {
-		outs, stats, err := co.Submit(context.Background(), op, []embedding.Query{q})
-		ch <- res{outs, stats, err}
+		r, err := co.Submit(context.Background(), serve.Request{Op: op, Queries: []embedding.Query{q}})
+		ch <- res{r.Outputs, r.Stats, err}
 	}
 	sumCh, maxCh := make(chan res, 1), make(chan res, 1)
 	go run(tensor.OpSum, sumCh)
@@ -475,12 +475,12 @@ func TestCoalescerFaultIsolation(t *testing.T) {
 	}
 	goodCh, badCh := make(chan res, 1), make(chan res, 1)
 	go func() {
-		outs, stats, err := co.Submit(context.Background(), fafnir.OpSum, []embedding.Query{goodQ})
-		goodCh <- res{outs, stats, err}
+		r, err := co.Submit(context.Background(), serve.Request{Op: fafnir.OpSum, Queries: []embedding.Query{goodQ}})
+		goodCh <- res{r.Outputs, r.Stats, err}
 	}()
 	go func() {
-		outs, stats, err := co.Submit(context.Background(), fafnir.OpSum, []embedding.Query{badQ})
-		badCh <- res{outs, stats, err}
+		r, err := co.Submit(context.Background(), serve.Request{Op: fafnir.OpSum, Queries: []embedding.Query{badQ}})
+		badCh <- res{r.Outputs, r.Stats, err}
 	}()
 	good, bad := <-goodCh, <-badCh
 
@@ -512,10 +512,10 @@ func TestCoalescerSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close(context.Background())
-	if _, _, err := co.Submit(context.Background(), tensor.OpSum, nil); err == nil {
+	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: nil}); err == nil {
 		t.Error("empty request accepted")
 	}
-	if _, _, err := co.Submit(context.Background(), tensor.ReduceOp(42), []embedding.Query{query(1)}); err == nil {
+	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.ReduceOp(42), Queries: []embedding.Query{query(1)}}); err == nil {
 		t.Error("invalid op accepted")
 	}
 	if _, err := serve.NewCoalescer(serve.Config{BatchCapacity: -1}, newFake(), nil); err == nil {

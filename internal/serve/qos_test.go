@@ -54,7 +54,7 @@ func occupyFlusher(t *testing.T, co *serve.Coalescer, f *fakeBackend) chan error
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := co.Submit(context.Background(), tensor.OpSum, []embedding.Query{query(1)})
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}, Priority: serve.PriorityNormal})
 		done <- err
 	}()
 	select {
@@ -89,7 +89,7 @@ func TestQoSShedLowFirst(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := co.SubmitPriority(context.Background(), tensor.OpSum, []embedding.Query{query(2)}, pri)
+			_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(2)}, Priority: pri})
 			results <- err
 		}()
 	}
@@ -108,7 +108,7 @@ func TestQoSShedLowFirst(t *testing.T) {
 		}
 	}
 	tryReject := func(pri serve.Priority) {
-		_, _, err := co.SubmitPriority(context.Background(), tensor.OpSum, []embedding.Query{query(3)}, pri)
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}, Priority: pri})
 		if !errors.Is(err, serve.ErrOverloaded) {
 			t.Fatalf("priority %v submission past its bound returned %v, want ErrOverloaded", pri, err)
 		}
@@ -199,7 +199,7 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 		go func(pri serve.Priority) {
 			defer wg.Done()
 			start := time.Now()
-			_, _, err := co.SubmitPriority(context.Background(), tensor.OpSum, []embedding.Query{query(7)}, pri)
+			_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(7)}, Priority: pri})
 			if pri == serve.PriorityHigh && err == nil {
 				highLat <- time.Since(start)
 			}
@@ -296,7 +296,7 @@ func TestQoSDeadlineEscape(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _, err := co.SubmitPriority(context.Background(), tensor.OpSum, []embedding.Query{query(11)}, serve.PriorityHigh)
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(11)}, Priority: serve.PriorityHigh})
 		if err != nil {
 			t.Error(err)
 		}
@@ -310,7 +310,7 @@ func TestQoSDeadlineEscape(t *testing.T) {
 	defer cancel()
 	go func() {
 		defer wg.Done()
-		_, _, err := co.SubmitPriority(ctx, tensor.OpMin, []embedding.Query{query(12)}, serve.PriorityLow)
+		_, err := co.Submit(ctx, serve.Request{Op: tensor.OpMin, Queries: []embedding.Query{query(12)}, Priority: serve.PriorityLow})
 		if err != nil {
 			t.Error(err)
 		}
@@ -350,7 +350,7 @@ func TestQoSOffSingleQueue(t *testing.T) {
 	// Fill the one-query queue...
 	admitted := make(chan error, 1)
 	go func() {
-		_, _, err := co.SubmitPriority(context.Background(), tensor.OpSum, []embedding.Query{query(2)}, serve.PriorityLow)
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(2)}, Priority: serve.PriorityLow})
 		admitted <- err
 	}()
 	for int(co.Metrics().QueueDepth.Value()) < 1 {
@@ -359,7 +359,7 @@ func TestQoSOffSingleQueue(t *testing.T) {
 	// ...then every lane rejects identically, and the shed lands on the
 	// normal lane regardless of the requested priority.
 	for _, pri := range []serve.Priority{serve.PriorityHigh, serve.PriorityNormal, serve.PriorityLow} {
-		_, _, err := co.SubmitPriority(context.Background(), tensor.OpSum, []embedding.Query{query(3)}, pri)
+		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}, Priority: pri})
 		if !errors.Is(err, serve.ErrOverloaded) {
 			t.Fatalf("priority %v got %v, want ErrOverloaded", pri, err)
 		}

@@ -369,15 +369,9 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	var outputs []tensor.Vector
-	var stats BatchStats
-	var trace []byte
 	debug := r.URL.Query().Get("debug") == "trace"
-	if debug {
-		outputs, stats, trace, err = s.co.SubmitTracedPriority(ctx, op, queries, pri)
-	} else {
-		outputs, stats, err = s.co.SubmitPriority(ctx, op, queries, pri)
-	}
+	res, err := s.co.Submit(ctx, Request{Op: op, Queries: queries, Priority: pri, Trace: debug})
+	stats := res.Stats
 	if err != nil {
 		outcome, status, kind := classify(err)
 		finish(outcome)
@@ -400,7 +394,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	s.slo.Observe(pri.String(), stats.RequestID, time.Since(start), degraded != nil, stats.Breakdown)
 	resp := LookupResponse{
-		Outputs: outputs,
+		Outputs: res.Outputs,
 		Batch: BatchInfo{
 			Queries:           stats.BatchQueries,
 			CoalescedRequests: stats.Requests,
@@ -410,7 +404,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 			Isolated:          stats.Isolated,
 		},
 		Degraded: degraded,
-		Trace:    trace,
+		Trace:    res.Trace,
 	}
 	if debug {
 		resp.Breakdown = stats.Breakdown

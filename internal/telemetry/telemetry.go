@@ -40,7 +40,7 @@ const (
 	// PIDServe groups serving-layer lanes (request lifecycle).
 	PIDServe = 2
 	// PIDRouter groups fleet-router lanes (per-shard scatter windows,
-	// failover retries, probes, and the host-side combine).
+	// failover retries, probes, and the combine window).
 	PIDRouter = 3
 	// PIDRnet groups the in-network reduction lanes: one lane per switch
 	// level of the rnet tree, carrying switch-fire spans (internal/rnet).

@@ -15,9 +15,10 @@
 #                      exercised both fully serialized and fully interleaved
 #   6. conformance   — the oracle sweep once more with -count=1, so the gate
 #                      never passes on a cached test result
-#   7. fuzz corpus   — FuzzCodec's, FuzzBatchBuild's, FuzzCacheOps' and
-#                      FuzzFromCOO's seed corpora replayed in -run mode (no
-#                      fuzzing; deterministic and fast)
+#   7. fuzz corpus   — FuzzCodec's, FuzzBatchBuild's, FuzzCacheOps',
+#                      FuzzFromCOO's and FuzzParseFleet's seed corpora
+#                      replayed in -run mode (no fuzzing; deterministic and
+#                      fast)
 #   8. coverage      — every internal/ package must keep statement coverage
 #                      at or above the floor (80%)
 #   9. telemetry     — run fafnir-sim with -trace-out, validate the emitted
@@ -38,8 +39,9 @@
 #                      -fault-storm, fire a burst through the router, and
 #                      require zero 5xx (every request rides replica
 #                      failover), degraded responses surfaced to clients,
-#                      the shard_dark metric tripped on /metrics, and a
-#                      clean SIGTERM drain
+#                      the shard_dark metric tripped and rnet combines
+#                      counted on /metrics (a default fleet combines
+#                      in-network), and a clean SIGTERM drain
 #  12. qos gate      — boot with -qos, fire a seeded open-loop burst at 2x
 #                      the queue bound with a 20/80 high/low priority mix,
 #                      and require zero high-priority sheds, at least one
@@ -64,6 +66,7 @@
 #   go test -fuzz=FuzzCodec -fuzztime=30s ./internal/header
 #   go test -fuzz=FuzzBatchBuild -fuzztime=30s ./internal/batch
 #   go test -fuzz=FuzzFromCOO -fuzztime=30s ./internal/sparse
+#   go test -fuzz=FuzzParseFleet -fuzztime=30s ./internal/fault
 #
 # Perf regressions are gated separately by scripts/bench_diff.sh (benchmarks
 # are too slow for every pre-land run).
@@ -109,7 +112,7 @@ echo "==> oracle conformance sweep (-race, -count=1)"
 go test -race -count=1 -run 'TestConformance' ./internal/oracle
 
 echo "==> fuzz corpus (replay, -run mode)"
-go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/
+go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/
 
 echo "==> coverage floor (internal packages >= ${COVER_FLOOR}%)"
 go test -cover ./internal/... | awk -v floor="$COVER_FLOOR" '
@@ -257,6 +260,8 @@ grep -q 'fafnir_router_shard_dark_total{shard="1"} [1-9]' "$SMOKE/chaos.log" \
     || { cat "$SMOKE/chaos.log"; echo "chaos: breaker never tripped shard 1 dark"; exit 1; }
 grep -q 'fafnir_router_failovers_total{shard="1"} [1-9]' "$SMOKE/chaos.log" \
     || { cat "$SMOKE/chaos.log"; echo "chaos: no failovers recorded for shard 1"; exit 1; }
+grep -q '^fafnir_rnet_combines_total [1-9]' "$SMOKE/chaos.log" \
+    || { cat "$SMOKE/chaos.log"; echo "chaos: default fleet performed no in-network combines"; exit 1; }
 
 kill -TERM "$FLEET_PID"
 CHAOS_RC=0
