@@ -473,13 +473,15 @@ func NewBatch(op ReduceOp, queries ...Query) Batch {
 // across users.
 type (
 	// ServeConfig parameterizes the serving layer (linger window, admission
-	// queue bound, per-request deadline).
+	// queue bound, per-request deadline). Priority lanes are always on: a
+	// request that names no priority rides the normal lane.
 	ServeConfig = serve.Config
 	// Server is the HTTP lookup front-end; see NewServer.
 	Server = serve.Server
 	// ServeMetrics is the serving layer's live instrumentation.
 	ServeMetrics = serve.Metrics
-	// Priority is a request's QoS lane: high, normal, or low.
+	// Priority is a request's QoS lane: high, normal (the wire default), or
+	// low. Low sheds first under overload; high is scheduled first.
 	Priority = serve.Priority
 	// RequestBreakdown is the per-request latency attribution the serving
 	// layer returns on ?debug=trace and files in the SLO flight recorder:

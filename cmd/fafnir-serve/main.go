@@ -70,7 +70,6 @@ func run() error {
 		storm     = flag.String("fault-storm", "", `fleet fault plan, e.g. "shard=1@40000;flap=2@1-300000;storm=6@20000;seed=7" (implies the fleet router)`)
 		cacheMB   = flag.Int("cache-mb", 0, "hot-embedding cache budget in MiB (0 disables; split per shard in fleet mode)")
 		cacheSeed = flag.Uint64("cache-seed", 1, "cache CLOCK-eviction seed")
-		qos       = flag.Bool("qos", false, "enable priority lanes: shed-low-first admission and deadline-aware scheduling")
 		drainWait = flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener serving /debug/pprof and /debug/vars (off when empty)")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
@@ -94,7 +93,6 @@ func run() error {
 		DefaultTimeout: *timeout,
 		CacheBytes:     int64(*cacheMB) << 20,
 		CacheSeed:      *cacheSeed,
-		QoS:            *qos,
 		SLOObjectives:  objectives,
 	}
 
@@ -197,12 +195,8 @@ func run() error {
 	if *cacheMB > 0 {
 		cacheInfo = fmt.Sprintf("%d MiB", *cacheMB)
 	}
-	qosInfo := "off"
-	if *qos {
-		qosInfo = "on"
-	}
-	logger.Infof("%s, %d vectors, batch capacity %d, linger %v, queue bound %d, cache %s, qos %s",
-		topology, totalRows, *batch, *linger, srv.Coalescer().Config().MaxQueued, cacheInfo, qosInfo)
+	logger.Infof("%s, %d vectors, batch capacity %d, linger %v, queue bound %d, cache %s",
+		topology, totalRows, *batch, *linger, srv.Coalescer().Config().MaxQueued, cacheInfo)
 
 	// The debug listener is a separate socket so profiling endpoints never
 	// share the service port: keep it bound to localhost or a firewalled

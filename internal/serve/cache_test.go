@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"fafnir"
 	"fafnir/internal/embedding"
@@ -301,6 +302,71 @@ func TestCacheReducesReads(t *testing.T) {
 	m := co.Metrics()
 	if m.CacheHits.Value() == 0 {
 		t.Fatal("no cache hits recorded")
+	}
+}
+
+// TestCacheCountersSurviveFailedSharedBatch fails a shared batch after its
+// cache consult: the consult's hits and misses must still reach
+// fafnir_cache_{hits,misses}_total, so the counters always equal what the
+// CLOCK rings themselves counted. One rider also gives up while the shared
+// batch is in the backend; it flew, so it is not an in-queue expiry.
+func TestCacheCountersSurviveFailedSharedBatch(t *testing.T) {
+	f := newFake()
+	co, err := serve.NewCoalescer(serve.Config{BatchCapacity: 2, Linger: time.Minute, CacheBytes: 1 << 16}, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close(context.Background())
+
+	// Warm rows 1-4 with one full, healthy batch.
+	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1, 2), query(3, 4)}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// From here on, any batch carrying two queries fails — after the second
+	// rider has walked away.
+	quitter, quit := context.WithCancel(context.Background())
+	f.fail = func(b embedding.Batch) error {
+		if len(b.Queries) > 1 {
+			quit()
+			return errors.New("shared batch poisoned")
+		}
+		return nil
+	}
+	stays, err := co.Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1, 2, 50)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves, err := co.Admit(quitter, serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3, 60)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := stays.Wait(); err != nil || !res.Stats.Isolated {
+		t.Fatalf("surviving rider: err %v, stats %+v; want an isolated success", err, res.Stats)
+	}
+	if _, err := leaves.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("departed rider returned %v, want Canceled", err)
+	}
+	// The flusher is serial: once this (full, fully cached) batch is back,
+	// both retries are over.
+	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1), query(2)}}); err != nil {
+		t.Fatal(err)
+	}
+
+	m := co.Metrics()
+	hits, misses := co.CacheRingStats()
+	if hits != 5 || misses != 6 {
+		t.Fatalf("rings counted %d hits / %d misses, want 5 / 6", hits, misses)
+	}
+	if m.CacheHits.Value() != hits || m.CacheMisses.Value() != misses {
+		t.Fatalf("metrics report %d hits / %d misses, rings counted %d / %d",
+			m.CacheHits.Value(), m.CacheMisses.Value(), hits, misses)
+	}
+	if got := m.ExpiredInQueue.Value(); got != 0 {
+		t.Fatalf("ExpiredInQueue = %d, want 0: the departed rider reached the backend before it left", got)
+	}
+	if got := m.IsolationRetries.Value(); got != 1 {
+		t.Fatalf("IsolationRetries = %d, want 1", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/pprof"
 	"slices"
 	"sync"
 	"time"
@@ -72,7 +73,7 @@ type BatchStats struct {
 	CacheHits   int
 	CacheMisses int
 	// Isolated marks a result recomputed alone after its shared batch
-	// failed (see the isolation retry in flush).
+	// failed (see Coalescer.flush).
 	Isolated bool
 	// QueryOffset is this request's first query's index within the flushed
 	// batch; the HTTP layer uses it to map the batch-level degraded report's
@@ -95,24 +96,19 @@ type BatchStats struct {
 	Degraded *core.DegradedReport
 }
 
-// result is what the flusher delivers back to one waiting Submit call.
+// result is what the flusher delivers back to one waiting ticket.
 type result struct {
-	outputs []tensor.Vector
-	stats   BatchStats
-	trace   []byte // Chrome trace JSON of the serving batch (debug requests)
-	err     error
+	Response
+	err error
 }
 
-// request is one queued Submit call.
+// request is one admitted Request, queued until a flight carries it.
 type request struct {
-	ctx     context.Context
-	id      uint64 // coalescer-assigned, in admission order; doubles as span ID
-	queries []embedding.Query
-	op      tensor.ReduceOp
-	pri     Priority
-	enq     time.Time
-	debug   bool        // caller asked for the batch's trace echo
-	done    chan result // buffered 1; the flusher never blocks on delivery
+	Request
+	ctx  context.Context
+	id   uint64 // coalescer-assigned, in admission order; doubles as span ID
+	enq  time.Time
+	done chan result // buffered 1; the flusher never blocks on delivery
 }
 
 func (r *request) deliver(res result) {
@@ -132,44 +128,93 @@ func (r *request) deadlineSlack(now time.Time) time.Duration {
 	return d.Sub(now)
 }
 
+// sink tees serve-lifecycle events onto whichever tracers are live: the
+// global serve timeline (Config.Tracer) and, on a flight carrying a
+// ?debug=trace rider, that flight's echo collector. Serve events carry
+// wall-clock nanoseconds since t0; ClockMHz 1000 maps nanoseconds onto the
+// microsecond export timeline.
+type sink struct {
+	t0     time.Time
+	global telemetry.Tracer
+	echo   *telemetry.Trace
+}
+
+func (s sink) live() bool { return s.global != nil || s.echo != nil }
+
+// emit records one event (instants pass a zero dur) on every live tracer.
+func (s sink) emit(name string, tid int, phase byte, start time.Time, dur time.Duration, args ...telemetry.Arg) {
+	ev := telemetry.Event{
+		Name: name, Cat: "serve", Phase: phase,
+		PID: telemetry.PIDServe, TID: tid,
+		TS: uint64(start.Sub(s.t0)), Dur: uint64(dur), ClockMHz: 1000,
+	}
+	for _, a := range args {
+		ev.AddArg(a)
+	}
+	if s.global != nil {
+		s.global.Emit(ev)
+	}
+	if s.echo != nil {
+		s.echo.Emit(ev)
+	}
+}
+
+// nameServeLanes names the serve process and lanes on a tracer so the
+// request/flush/cache spans render alike on the global timeline and on a
+// per-batch echo.
+func nameServeLanes(t telemetry.Tracer, cached bool) {
+	t.NameProcess(telemetry.PIDServe, "serve")
+	t.NameLane(telemetry.PIDServe, telemetry.TIDServeRequests, "requests")
+	t.NameLane(telemetry.PIDServe, telemetry.TIDServeFlusher, "flusher")
+	if cached {
+		t.NameLane(telemetry.PIDServe, telemetry.TIDServeCache, "cache")
+	}
+}
+
 // Coalescer accumulates concurrent lookup requests and flushes them through
 // the backend as shared hardware batches. It is safe for concurrent use; the
 // backend itself is only ever called from the single flusher goroutine, so a
 // Backend need not be concurrency-safe (fafnir.System is not).
 //
-// Flush policy: a batch is cut as the longest queue prefix that shares one
-// pooling op, capped at BatchCapacity queries. It flushes immediately when it
-// is full or when requests with a different op wait behind it; otherwise the
-// flusher lingers up to Config.Linger past the oldest request's enqueue time
-// before flushing a partial batch.
+// Admission queues each request on its priority lane and sheds low-priority
+// work first (above ShedLowWater x MaxQueued); a request with no priority
+// rides the normal lane, and traffic that all rides one lane sees a plain
+// bounded FIFO.
 //
-// With Config.QoS enabled, the single queue becomes three priority lanes.
-// Admission sheds low-priority work first (above ShedLowWater x MaxQueued),
-// the flusher cuts batches from the highest non-empty lane, and a lower
-// lane whose head request is about to miss its deadline (slack below
-// Config.DeadlineSlack) preempts, bounding starvation. A cut batch tops up
-// with same-op work from other lanes, so QoS never reduces coalescing.
+// Flush policy: a batch is cut from the highest non-empty lane — unless a
+// lower lane's head request is about to miss its deadline (slack below
+// Config.DeadlineSlack), which preempts and bounds starvation — as the
+// longest lane prefix that shares one pooling op, capped at BatchCapacity
+// queries and topped up with same-op work from the other lanes, so priority
+// scheduling never reduces coalescing. It flushes immediately when it is
+// full or when work it could not absorb waits behind it; otherwise the
+// flusher lingers up to Config.Linger past the oldest cut request's enqueue
+// time before flushing a partial batch.
 //
-// With Config.CacheBytes > 0 and a backend exposing RowSource, the flusher
-// consults a hot-embedding cache at batch build time: cached indices are
-// stripped from the hardware batch, the backend reads only the misses, and
-// cached rows merge back into the pooled outputs bit-exactly (see
-// docs/ARCHITECTURE.md §14 for the determinism argument).
+// Every flushed batch is one flight through the stage list in flight.go.
+// With Config.CacheBytes > 0 and a backend exposing RowSource, the flight
+// consults a hot-embedding cache: cached indices are stripped from the
+// hardware batch, the backend reads only the misses, and cached rows merge
+// back into the pooled outputs bit-exactly (see docs/ARCHITECTURE.md §14
+// for the determinism argument).
 type Coalescer struct {
 	cfg Config
 	be  Backend
 	m   *Metrics
+	clk clock
 
-	// tracer receives request-lifecycle events (enqueue/flush/respond) on
-	// the serve timeline when Config.Tracer is set; nil costs one check.
-	// Serve events carry wall-clock nanoseconds since t0 (ClockMHz 1000).
-	tracer telemetry.Tracer
-	t0     time.Time
+	// sink is the global serve timeline (dead when Config.Tracer is nil, at
+	// the cost of one check per event); flights copy it and add their echo.
+	sink sink
+	// labels are the pprof goroutine-label sets the flusher wears while a
+	// stage runs, indexed by the stage's Breakdown column — built once here
+	// so labelling costs no allocation per flush.
+	labels [numStages]context.Context
 
 	// attacher/spanner/memStats are the backend's optional capabilities,
 	// resolved once at construction; all are exercised only from the flusher
 	// goroutine. lastRow* hold the previously folded cumulative counters;
-	// flushSeq numbers flushes for span-ID derivation.
+	// flushSeq numbers flights for span-ID derivation.
 	attacher      TraceAttacher
 	spanner       SpanContexter
 	memStats      MemoryStatsSource
@@ -203,6 +248,10 @@ type Coalescer struct {
 // NewCoalescer starts a coalescer over the backend. A nil Metrics allocates
 // a private one (retrievable via Metrics()).
 func NewCoalescer(cfg Config, be Backend, m *Metrics) (*Coalescer, error) {
+	return newCoalescer(cfg, be, m, realClock{})
+}
+
+func newCoalescer(cfg Config, be Backend, m *Metrics, clk clock) (*Coalescer, error) {
 	if be == nil {
 		return nil, fmt.Errorf("serve: nil backend")
 	}
@@ -217,10 +266,13 @@ func NewCoalescer(cfg Config, be Backend, m *Metrics) (*Coalescer, error) {
 		cfg:     cfg,
 		be:      be,
 		m:       m,
-		tracer:  cfg.Tracer,
-		t0:      time.Now(),
+		clk:     clk,
+		sink:    sink{t0: clk.Now(), global: cfg.Tracer},
 		kick:    make(chan struct{}, 1),
 		drained: make(chan struct{}),
+	}
+	for i, name := range stageNames {
+		c.labels[i] = pprof.WithLabels(context.Background(), pprof.Labels("stage", name))
 	}
 	c.attacher, _ = be.(TraceAttacher)
 	c.spanner, _ = be.(SpanContexter)
@@ -252,48 +304,11 @@ func NewCoalescer(cfg Config, be Backend, m *Metrics) (*Coalescer, error) {
 			c.caches[i] = cc
 		}
 	}
-	if c.tracer != nil {
-		c.tracer.NameProcess(telemetry.PIDServe, "serve")
-		c.tracer.NameLane(telemetry.PIDServe, telemetry.TIDServeRequests, "requests")
-		c.tracer.NameLane(telemetry.PIDServe, telemetry.TIDServeFlusher, "flusher")
-		if c.caches != nil {
-			c.tracer.NameLane(telemetry.PIDServe, telemetry.TIDServeCache, "cache")
-		}
+	if c.sink.global != nil {
+		nameServeLanes(c.sink.global, c.caches != nil)
 	}
 	go c.run()
 	return c, nil
-}
-
-// emit records one serve-lifecycle event at wall-clock nanoseconds since the
-// coalescer started; ClockMHz 1000 maps nanoseconds onto the microsecond
-// export timeline.
-func (c *Coalescer) emit(name string, tid int, phase byte, start time.Time, dur time.Duration, args ...telemetry.Arg) {
-	c.emitTo(c.tracer, name, tid, phase, start, dur, args...)
-}
-
-// emitTo is emit onto an explicit tracer — the global serve timeline or a
-// per-batch ?debug=trace echo collector.
-func (c *Coalescer) emitTo(t telemetry.Tracer, name string, tid int, phase byte, start time.Time, dur time.Duration, args ...telemetry.Arg) {
-	ev := telemetry.Event{
-		Name: name, Cat: "serve", Phase: phase,
-		PID: telemetry.PIDServe, TID: tid,
-		TS: uint64(start.Sub(c.t0)), ClockMHz: 1000,
-	}
-	if phase == telemetry.PhaseSpan {
-		ev.Dur = uint64(dur)
-	}
-	for _, a := range args {
-		ev.AddArg(a)
-	}
-	t.Emit(ev)
-}
-
-// nameServeLanes names the serve process and lanes on a per-batch trace echo
-// so the request/flush spans it carries render like the global timeline's.
-func nameServeLanes(t telemetry.Tracer) {
-	t.NameProcess(telemetry.PIDServe, "serve")
-	t.NameLane(telemetry.PIDServe, telemetry.TIDServeRequests, "requests")
-	t.NameLane(telemetry.PIDServe, telemetry.TIDServeFlusher, "flusher")
 }
 
 // Metrics returns the live metrics the coalescer reports into.
@@ -302,16 +317,14 @@ func (c *Coalescer) Metrics() *Metrics { return c.m }
 // Config returns the coalescer's configuration with defaults resolved.
 func (c *Coalescer) Config() Config { return c.cfg }
 
-// Request is one lookup handed to Submit.
+// Request is one lookup handed to Admit or Submit.
 type Request struct {
 	// Op is the pooling operation; Queries all travel in the same batch and
 	// resolve together.
 	Op      tensor.ReduceOp
 	Queries []embedding.Query
 	// Priority is the QoS lane. Mind the zero value: it is PriorityHigh (the
-	// constants order by urgency), not the wire default PriorityNormal. With
-	// Config.QoS disabled the priority is ignored and every request travels
-	// the normal lane.
+	// constants order by urgency), not the wire default PriorityNormal.
 	Priority Priority
 	// Trace asks for a trace echo: when the backend implements
 	// TraceAttacher, Response.Trace is the Chrome trace-event JSON of the
@@ -320,7 +333,7 @@ type Request struct {
 	Trace bool
 }
 
-// Response is what Submit returns for one Request.
+// Response is what a ticket resolves to for one Request.
 type Response struct {
 	Outputs []tensor.Vector
 	Stats   BatchStats
@@ -328,31 +341,34 @@ type Response struct {
 	Trace []byte
 }
 
-// Submit queues the request's queries for the next shared batch and blocks
-// until the flusher delivers the result or ctx expires. It fails fast with
-// ErrOverloaded when the admission queue is full and ErrDraining after Close.
-func (c *Coalescer) Submit(ctx context.Context, r Request) (Response, error) {
-	queries, pri := r.Queries, r.Priority
-	if len(queries) == 0 {
-		return Response{}, fmt.Errorf("serve: empty request")
+// Ticket is an admitted request's claim on its result.
+type Ticket struct{ req *request }
+
+// ID is the request's coalescer-assigned ID (see BatchStats.RequestID).
+func (t Ticket) ID() uint64 { return t.req.id }
+
+// Admit validates the request and queues it for the next shared batch
+// without waiting for the result: when it returns, the request holds its
+// place in its lane. It fails fast with ErrOverloaded when the admission
+// queue is full and ErrDraining after Close. ctx bounds the whole request —
+// its deadline drives lane escape, and a ticket whose ctx expires stops
+// waiting.
+func (c *Coalescer) Admit(ctx context.Context, r Request) (Ticket, error) {
+	if len(r.Queries) == 0 {
+		return Ticket{}, fmt.Errorf("serve: empty request")
 	}
 	if !r.Op.Valid() {
-		return Response{}, fmt.Errorf("serve: invalid reduce op %d", r.Op)
+		return Ticket{}, fmt.Errorf("serve: invalid reduce op %d", r.Op)
 	}
-	if pri < 0 || pri >= numLanes {
-		return Response{}, fmt.Errorf("serve: invalid priority %d", pri)
+	if r.Priority < 0 || r.Priority >= numLanes {
+		return Ticket{}, fmt.Errorf("serve: invalid priority %d", r.Priority)
 	}
-	if !c.cfg.QoS {
-		// QoS off: one lane, one queue — behavior-identical to the
-		// pre-lane coalescer.
-		pri = PriorityNormal
-	}
-	req := &request{ctx: ctx, queries: queries, op: r.Op, pri: pri, enq: time.Now(), debug: r.Trace, done: make(chan result, 1)}
+	req := &request{Request: r, ctx: ctx, enq: c.clk.Now(), done: make(chan result, 1)}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Response{}, ErrDraining
+		return Ticket{}, ErrDraining
 	}
 	// Admission control: bounded queue. A request the queue could never
 	// hold is still admitted when the queue is empty, so oversized requests
@@ -360,39 +376,56 @@ func (c *Coalescer) Submit(ctx context.Context, r Request) (Response, error) {
 	// early — at the low-water fraction of the bound — so overload consumes
 	// best-effort traffic before it touches anything latency-critical.
 	limit := c.cfg.MaxQueued
-	if c.cfg.QoS && pri == PriorityLow {
+	if r.Priority == PriorityLow {
 		limit = int(c.cfg.ShedLowWater * float64(c.cfg.MaxQueued))
 	}
-	if c.queued > 0 && c.queued+len(queries) > limit {
+	if c.queued > 0 && c.queued+len(r.Queries) > limit {
 		c.mu.Unlock()
-		c.m.Shed.At(int(pri)).Add(1)
-		return Response{}, ErrOverloaded
+		c.m.Shed.At(int(r.Priority)).Add(1)
+		return Ticket{}, ErrOverloaded
 	}
 	c.nextID++
 	req.id = c.nextID
-	c.lanes[pri] = append(c.lanes[pri], req)
-	c.queued += len(queries)
+	c.lanes[r.Priority] = append(c.lanes[r.Priority], req)
+	c.queued += len(r.Queries)
 	depth := c.queued
 	c.mu.Unlock()
 
-	if c.tracer != nil {
-		c.emit("enqueue", telemetry.TIDServeRequests, telemetry.PhaseInstant, req.enq, 0,
+	if c.sink.live() {
+		c.sink.emit("enqueue", telemetry.TIDServeRequests, telemetry.PhaseInstant, req.enq, 0,
 			telemetry.Arg{Key: "req", Int: int64(req.id)},
-			telemetry.Arg{Key: "queries", Int: int64(len(queries))},
-			telemetry.Arg{Key: "lane", Str: pri.String()},
+			telemetry.Arg{Key: "queries", Int: int64(len(r.Queries))},
+			telemetry.Arg{Key: "lane", Str: r.Priority.String()},
 			telemetry.Arg{Key: "depth", Int: int64(depth)})
 	}
 	c.m.QueueDepth.Set(int64(depth))
 	c.kickFlusher()
+	return Ticket{req}, nil
+}
 
+// Wait blocks until the flusher delivers the ticket's result or the
+// request's ctx expires. Either way Response.Stats.RequestID names the
+// request, so a caller can file a timed-out or failed request under its ID.
+func (t Ticket) Wait() (Response, error) {
+	var res result
 	select {
-	case res := <-req.done:
-		return Response{Outputs: res.outputs, Stats: res.stats, Trace: res.trace}, res.err
-	case <-ctx.Done():
+	case res = <-t.req.done:
+	case <-t.req.ctx.Done():
 		// The flusher may still compute this request's batch; delivery into
 		// the buffered channel is dropped on the floor.
-		return Response{}, ctx.Err()
+		res.err = t.req.ctx.Err()
 	}
+	res.Stats.RequestID = t.req.id
+	return res.Response, res.err
+}
+
+// Submit is Admit followed by Wait.
+func (c *Coalescer) Submit(ctx context.Context, r Request) (Response, error) {
+	t, err := c.Admit(ctx, r)
+	if err != nil {
+		return Response{}, err
+	}
+	return t.Wait()
 }
 
 // Close stops admitting new requests, flushes everything still queued, and
@@ -417,20 +450,82 @@ func (c *Coalescer) kickFlusher() {
 	}
 }
 
+// run is the flusher: the single goroutine that cuts batches off the lanes
+// and flies them serially against the backend, waiting for a kick (or the
+// linger timer) whenever no batch is ready.
+func (c *Coalescer) run() {
+	defer close(c.drained)
+	var f flight // one value, reset per cut: the flusher flies one at a time
+	for {
+		riders, wait, done := c.next()
+		switch {
+		case riders != nil:
+			f = flight{riders: riders}
+			c.flush(&f)
+		case done:
+			return
+		case wait > 0:
+			fired, stop := c.clk.NewTimer(wait)
+			select {
+			case <-c.kick:
+				stop()
+			case <-fired:
+			}
+		default:
+			<-c.kick
+		}
+	}
+}
+
+// next dequeues the next batch's riders. With nothing ready it returns nil
+// riders and either done (closed and empty: the flusher exits), a positive
+// linger wait, or zero (empty queue: wait for a kick).
+func (c *Coalescer) next() (riders []*request, wait time.Duration, done bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := 0
+	for l := range c.lanes {
+		total += len(c.lanes[l])
+	}
+	if total == 0 {
+		return nil, 0, c.closed
+	}
+	now := c.clk.Now()
+	cut, counts, nq := c.cut(c.pickLane(now))
+
+	// Flush now when the batch is full, when work the cut could not absorb
+	// waits behind it, or when draining; otherwise linger past the oldest
+	// cut request's enqueue time.
+	if nq < c.cfg.BatchCapacity && len(cut) == total && !c.closed {
+		oldest := cut[0].enq
+		for _, r := range cut[1:] {
+			if r.enq.Before(oldest) {
+				oldest = r.enq
+			}
+		}
+		if wait := c.cfg.Linger - now.Sub(oldest); wait > 0 {
+			return nil, wait, false
+		}
+	}
+	for l, n := range counts {
+		if n > 0 {
+			c.lanes[l] = slices.Delete(c.lanes[l], 0, n)
+		}
+	}
+	c.queued -= nq
+	c.m.QueueDepth.Set(int64(c.queued))
+	return cut, 0, false
+}
+
 // pickLane chooses the lane the next batch is cut from: the highest-priority
 // non-empty lane, unless a lower lane's head request is about to miss its
 // deadline (slack below Config.DeadlineSlack and tighter than the chosen
-// head's), in which case the urgent lane preempts. Callers hold c.mu.
+// head's), in which case the urgent lane preempts. Callers hold c.mu and
+// have checked that some lane is non-empty.
 func (c *Coalescer) pickLane(now time.Time) int {
-	chosen := -1
-	for l := 0; l < int(numLanes); l++ {
-		if len(c.lanes[l]) > 0 {
-			chosen = l
-			break
-		}
-	}
-	if chosen < 0 || !c.cfg.QoS {
-		return chosen
+	chosen := 0
+	for len(c.lanes[chosen]) == 0 {
+		chosen++
 	}
 	bestSlack := c.lanes[chosen][0].deadlineSlack(now)
 	for l := chosen + 1; l < int(numLanes); l++ {
@@ -444,100 +539,32 @@ func (c *Coalescer) pickLane(now time.Time) int {
 	return chosen
 }
 
-// run is the flusher: the single goroutine that cuts batches off the lanes
-// and executes them serially against the backend.
-func (c *Coalescer) run() {
-	defer close(c.drained)
-	for {
-		c.mu.Lock()
-		total := 0
-		for l := range c.lanes {
-			total += len(c.lanes[l])
-		}
-		if total == 0 {
-			closed := c.closed
-			c.mu.Unlock()
-			if closed {
+// cut selects the candidate batch: requests sharing the scheduled lane's
+// head op, at most BatchCapacity queries, drawn from that lane first and
+// topped up from the others in priority order. A request is never split
+// across batches; one request larger than the capacity forms its own batch
+// (the engine splits it into hardware batches internally). It returns the
+// riders, how many it took off the front of each lane, and their query
+// count; nothing is dequeued. Callers hold c.mu.
+func (c *Coalescer) cut(lane int) (riders []*request, counts [numLanes]int, nq int) {
+	op := c.lanes[lane][0].Op
+	take := func(l int) {
+		for _, r := range c.lanes[l] {
+			if nq >= c.cfg.BatchCapacity || r.Op != op || (len(riders) > 0 && nq+len(r.Queries) > c.cfg.BatchCapacity) {
 				return
 			}
-			<-c.kick
-			continue
+			riders = append(riders, r)
+			counts[l]++
+			nq += len(r.Queries)
 		}
-
-		// Cut the candidate batch: same op, at most BatchCapacity queries,
-		// drawn from the scheduled lane first. A request is never split
-		// across batches; one request larger than the capacity forms its own
-		// batch (the engine splits it into hardware batches internally).
-		// With QoS on, a partial batch tops up with same-op work from the
-		// other lanes so priority scheduling never reduces coalescing.
-		now := time.Now()
-		lane := c.pickLane(now)
-		op := c.lanes[lane][0].op
-		var cut []*request
-		var counts [numLanes]int
-		nq := 0
-		appendFrom := func(l int) {
-			for _, r := range c.lanes[l][counts[l]:] {
-				if r.op != op {
-					break
-				}
-				if len(cut) > 0 && nq+len(r.queries) > c.cfg.BatchCapacity {
-					break
-				}
-				cut = append(cut, r)
-				counts[l]++
-				nq += len(r.queries)
-				if nq >= c.cfg.BatchCapacity {
-					break
-				}
-			}
-		}
-		appendFrom(lane)
-		if c.cfg.QoS && nq < c.cfg.BatchCapacity {
-			for l := 0; l < int(numLanes); l++ {
-				if l != lane && nq < c.cfg.BatchCapacity {
-					appendFrom(l)
-				}
-			}
-		}
-
-		// Flush now when the batch is full, when work the cut could not
-		// absorb waits behind it, or when draining; otherwise linger past
-		// the oldest cut request's enqueue time.
-		ready := nq >= c.cfg.BatchCapacity || len(cut) < total || c.closed
-		if !ready {
-			oldest := cut[0].enq
-			for _, r := range cut[1:] {
-				if r.enq.Before(oldest) {
-					oldest = r.enq
-				}
-			}
-			wait := c.cfg.Linger - time.Since(oldest)
-			if wait > 0 {
-				c.mu.Unlock()
-				timer := time.NewTimer(wait)
-				select {
-				case <-c.kick:
-					timer.Stop()
-				case <-timer.C:
-				}
-				continue
-			}
-		}
-
-		reqs := slices.Clone(cut)
-		for l, n := range counts {
-			if n > 0 {
-				c.lanes[l] = slices.Delete(c.lanes[l], 0, n)
-			}
-		}
-		c.queued -= nq
-		depth := c.queued
-		c.mu.Unlock()
-
-		c.m.QueueDepth.Set(int64(depth))
-		c.flush(op, reqs)
 	}
+	take(lane)
+	for l := 0; l < int(numLanes); l++ {
+		if l != lane {
+			take(l)
+		}
+	}
+	return riders, counts, nq
 }
 
 // cachePlan is one flush's cache consultation: which indices were served
@@ -575,13 +602,12 @@ func (c *Coalescer) shardOf(idx header.Index) int {
 	return c.owner.OwnerOf(idx)
 }
 
-// consult runs the batch through the hot-embedding cache, pooling cached
-// rows host-side and building the stripped hardware batch of misses.
-// Returns nil when the cache is off.
-func (c *Coalescer) consult(b embedding.Batch) *cachePlan {
-	if c.caches == nil {
-		return nil
-	}
+// consult is the cache-consult stage: it runs the batch through the
+// hot-embedding cache, pooling cached rows host-side and building the
+// stripped hardware batch of misses. The consult's hit/miss counts are
+// published here, as the rings count them, whatever the flight's fate.
+func (c *Coalescer) consult(f *flight) bool {
+	b := f.batch
 	nq := len(b.Queries)
 	p := &cachePlan{
 		partial: make([]tensor.Vector, nq),
@@ -622,10 +648,13 @@ func (c *Coalescer) consult(b embedding.Batch) *cachePlan {
 			p.missed = append(p.missed, missed...)
 		}
 	}
-	return p
+	c.m.CacheHits.Add(uint64(p.hits))
+	c.m.CacheMisses.Add(uint64(p.misses))
+	f.plan = p
+	return true
 }
 
-// merge folds the cached partials back into the stripped batch's outputs,
+// mergeCached folds the cached partials back into the stripped batch's outputs,
 // returning the output slice in original batch order. It also remaps the
 // result's degraded report (if any) from stripped coordinates back to
 // original batch coordinates, in place.
@@ -635,7 +664,7 @@ func (c *Coalescer) consult(b embedding.Batch) *cachePlan {
 // construction; mean is a sum finalized by one multiply with the same
 // operand count the unstripped batch would use. The merged outputs are
 // therefore bit-identical to a cache-off run (docs/ARCHITECTURE.md §14).
-func (c *Coalescer) merge(b embedding.Batch, p *cachePlan, res *core.TimedResult) []tensor.Vector {
+func (c *Coalescer) mergeCached(b embedding.Batch, p *cachePlan, res *core.TimedResult) []tensor.Vector {
 	nq := len(b.Queries)
 	lostCount := make([]int, nq)
 	if res.Degraded != nil {
@@ -696,13 +725,19 @@ func (c *Coalescer) fill(op tensor.ReduceOp, missed []header.Index) {
 	}
 }
 
-// foldCacheStats publishes one flush's cache work: consultation counts
-// directly, eviction/admission counters delta-folded from the rings'
-// cumulative stats, and the instantaneous resident footprint. Flusher
-// goroutine only.
-func (c *Coalescer) foldCacheStats(p *cachePlan) {
-	c.m.CacheHits.Add(uint64(p.hits))
-	c.m.CacheMisses.Add(uint64(p.misses))
+// foldDelta folds a cumulative counter the flusher polls into the registry:
+// it adds what cur gained over the last-seen value. Only the flusher calls
+// it, so the last-seen values need no synchronization.
+func foldDelta(into *telemetry.Counter, cur uint64, last *uint64) {
+	if cur > *last {
+		into.Add(cur - *last)
+		*last = cur
+	}
+}
+
+// foldCacheStats publishes what a fill changed: the rings' cumulative
+// eviction/admission counters and the instantaneous resident footprint.
+func (c *Coalescer) foldCacheStats() {
 	var evict, ins uint64
 	var resident int64
 	for _, ca := range c.caches {
@@ -711,305 +746,18 @@ func (c *Coalescer) foldCacheStats(p *cachePlan) {
 		ins += st.InsertedBytes
 		resident += ca.Bytes()
 	}
-	if evict > c.lastCacheEvict {
-		c.m.CacheEvictions.Add(evict - c.lastCacheEvict)
-		c.lastCacheEvict = evict
-	}
-	if ins > c.lastCacheIns {
-		c.m.CacheBytes.Add(ins - c.lastCacheIns)
-		c.lastCacheIns = ins
-	}
+	foldDelta(c.m.CacheEvictions, evict, &c.lastCacheEvict)
+	foldDelta(c.m.CacheBytes, ins, &c.lastCacheIns)
 	c.m.CacheResident.Set(resident)
 }
 
-// flush executes one shared batch and demultiplexes per-request results.
-func (c *Coalescer) flush(op tensor.ReduceOp, reqs []*request) {
-	// Requests whose deadline expired while queued are dropped before any
-	// engine work is spent on them; their Submit already returned.
-	live := make([]*request, 0, len(reqs))
-	for _, r := range reqs {
-		if err := r.ctx.Err(); err != nil {
-			c.m.ExpiredInQueue.Add(1)
-			r.deliver(result{err: err})
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	queries := make([]embedding.Query, 0, c.cfg.BatchCapacity)
-	wantTrace := false
-	for _, r := range live {
-		queries = append(queries, r.queries...)
-		wantTrace = wantTrace || r.debug
-	}
-	b := embedding.Batch{Queries: queries, Op: op}
-	buildStart := time.Now()
-	plan := c.consult(b)
-
-	// The flush span parents the backend's whole span tree. It is itself
-	// parent-linked under a rider: the first debug request when one is
-	// present — so the traced request's chain is unbroken — else the first
-	// request in the cut. Every other rider's request span records the flush
-	// it rode as a plain arg.
-	parent := live[0]
-	for _, r := range live {
-		if r.debug {
-			parent = r
-			break
-		}
-	}
-	c.flushSeq++
-	flushID := telemetry.SpanID(parent.id, "flush", c.flushSeq)
-
-	var batchTrace *telemetry.Trace
-	var res *core.TimedResult
-	var err error
-	var beWall time.Duration
-	flushStart := time.Now()
-	cacheWall := flushStart.Sub(buildStart) // cache-consult side of the cache stage
-	if plan == nil {
-		cacheWall = 0
-	}
-	if plan != nil && len(plan.stripped.Queries) == 0 {
-		// The whole batch was served from cache: no hardware work at all.
-		res = &core.TimedResult{}
-	} else {
-		hw := b
-		if plan != nil {
-			hw = plan.stripped
-		}
-		// A debug request gets the engine + DRAM trace of its whole batch: a
-		// fresh collector is attached around the lookup (flusher-only access,
-		// honouring the backend's single-goroutine contract) and the rendered
-		// JSON rides back on the result.
-		if wantTrace && c.attacher != nil {
-			batchTrace = telemetry.NewTrace()
-			nameServeLanes(batchTrace)
-			c.attacher.AttachTracer(batchTrace)
-		}
-		if c.spanner != nil {
-			c.spanner.SetSpanContext(flushID)
-		}
-		beStart := time.Now()
-		res, err = c.be.Lookup(hw)
-		beWall = time.Since(beStart)
-		if batchTrace != nil {
-			c.attacher.AttachTracer(nil)
-		}
-	}
-	flushArgs := []telemetry.Arg{
-		{Key: "queries", Int: int64(len(queries))},
-		{Key: "requests", Int: int64(len(live))},
-		{Key: telemetry.ArgSpan, Int: int64(flushID)},
-		{Key: telemetry.ArgParent, Int: int64(parent.id)},
-	}
-	flushDur := time.Since(flushStart)
-	if c.tracer != nil {
-		c.emit("flush", telemetry.TIDServeFlusher, telemetry.PhaseSpan, flushStart, flushDur, flushArgs...)
-	}
-	if batchTrace != nil {
-		c.emitTo(batchTrace, "flush", telemetry.TIDServeFlusher, telemetry.PhaseSpan, flushStart, flushDur, flushArgs...)
-	}
-	if err != nil {
-		c.isolate(op, live, err)
-		return
-	}
-	outputs := res.Outputs
-	if plan != nil {
-		mergeStart := time.Now()
-		outputs = c.merge(b, plan, res)
-		c.fill(op, plan.missed)
-		c.foldCacheStats(plan)
-		mergeWall := time.Since(mergeStart)
-		cacheWall += mergeWall
-		if c.tracer != nil || batchTrace != nil {
-			cacheArgs := []telemetry.Arg{
-				{Key: "hits", Int: int64(plan.hits)},
-				{Key: "misses", Int: int64(plan.misses)},
-				{Key: "stripped_queries", Int: int64(len(plan.stripped.Queries))},
-			}
-			if c.tracer != nil {
-				c.emit("cache", telemetry.TIDServeCache, telemetry.PhaseSpan, mergeStart, mergeWall, cacheArgs...)
-			}
-			if batchTrace != nil {
-				c.emitTo(batchTrace, "cache", telemetry.TIDServeCache, telemetry.PhaseSpan, mergeStart, mergeWall, cacheArgs...)
-			}
-		}
-	}
-	stats := BatchStats{
-		BatchQueries: len(queries),
-		Requests:     len(live),
-		MemoryReads:  res.MemoryReads,
-		NaiveReads:   b.TotalAccesses(),
-		TotalCycles:  res.TotalCycles,
-		BytesRead:    res.BytesRead,
-		Reduces:      res.PETotals.Reduces,
-		Compares:     res.PETotals.Compares,
-	}
-	if plan != nil {
-		stats.CacheHits = plan.hits
-		stats.CacheMisses = plan.misses
-	}
-	if !res.Degraded.Empty() {
-		stats.Degraded = res.Degraded
-	}
-	c.m.observeBatch(stats)
-	c.foldMemoryStats()
-
-	// The batch-level breakdown columns every rider shares: exact simulated
-	// cycles split by the backend's Stages invariant, measured wall time for
-	// the host-side stages. Coalesce absorbs the flush overhead the cache and
-	// backend stages don't account for.
-	bCyc, cCyc, tCyc := backendStages(res)
-	hostWall := time.Since(buildStart)
-	coalesceWall := hostWall - cacheWall - beWall
-	if coalesceWall < 0 {
-		coalesceWall = 0
-	}
-	base := Breakdown{
-		Coalesce:    StageLatency{WallUS: usOf(coalesceWall)},
-		Cache:       StageLatency{WallUS: usOf(cacheWall)},
-		Backend:     StageLatency{Cycles: bCyc, WallUS: usOf(beWall)},
-		Combine:     StageLatency{Cycles: cCyc, WallUS: simUS(cCyc)},
-		Transfer:    StageLatency{Cycles: tCyc, WallUS: simUS(tCyc)},
-		TotalCycles: res.TotalCycles,
-	}
-
-	// Request spans: one per rider, rooted (parent 0) and spanning enqueue to
-	// delivery, with the flush they rode recorded as an arg. They are emitted
-	// before the echo renders so a ?debug=trace response carries the full
-	// serve → flush → backend chain.
-	if c.tracer != nil || batchTrace != nil {
-		now := time.Now()
-		for _, r := range live {
-			reqArgs := []telemetry.Arg{
-				{Key: telemetry.ArgSpan, Int: int64(r.id)},
-				{Key: telemetry.ArgParent, Int: 0},
-				{Key: "flush", Int: int64(flushID)},
-				{Key: "lane", Str: r.pri.String()},
-				{Key: "queries", Int: int64(len(r.queries))},
-			}
-			if c.tracer != nil {
-				c.emit("request", telemetry.TIDServeRequests, telemetry.PhaseSpan, r.enq, now.Sub(r.enq), reqArgs...)
-			}
-			if batchTrace != nil {
-				c.emitTo(batchTrace, "request", telemetry.TIDServeRequests, telemetry.PhaseSpan, r.enq, now.Sub(r.enq), reqArgs...)
-			}
-		}
-	}
-	var traceJSON []byte
-	if batchTrace != nil {
-		traceJSON = batchTrace.ChromeJSON()
-	}
-	off := 0
-	for _, r := range live {
-		out := outputs[off : off+len(r.queries)]
-		rr := result{outputs: out, stats: stats}
-		rr.stats.QueryOffset = off
-		rr.stats.RequestID = r.id
-		off += len(r.queries)
-		bd := base
-		bd.RequestID = r.id
-		bd.Queue = StageLatency{WallUS: usOf(buildStart.Sub(r.enq))}
-		bd.TotalWallUS = usOf(time.Since(r.enq))
-		rr.stats.Breakdown = &bd
-		c.m.observeStages(&bd)
-		if r.debug {
-			rr.trace = traceJSON
-		}
-		r.deliver(rr)
-		if c.tracer != nil {
-			c.emit("respond", telemetry.TIDServeRequests, telemetry.PhaseInstant, time.Now(), 0,
-				telemetry.Arg{Key: "req", Int: int64(r.id)},
-				telemetry.Arg{Key: "queries", Int: int64(len(r.queries))})
-		}
-	}
-}
-
-// foldMemoryStats delta-folds the backend's cumulative row-buffer counters
-// into the registry. Only the flusher goroutine calls it, so the last-seen
-// values need no synchronization and the deltas attribute exactly the reads
-// issued since the previous flush.
+// foldMemoryStats publishes the backend's cumulative row-buffer counters, so
+// the deltas attribute exactly the reads issued since the previous flight.
 func (c *Coalescer) foldMemoryStats() {
 	if c.memStats == nil {
 		return
 	}
-	if h := c.memStats.MemoryCounter("dram.row_hits"); h > c.lastRowHits {
-		c.m.RowHits.Add(h - c.lastRowHits)
-		c.lastRowHits = h
-	}
-	if ms := c.memStats.MemoryCounter("dram.row_misses"); ms > c.lastRowMisses {
-		c.m.RowMisses.Add(ms - c.lastRowMisses)
-		c.lastRowMisses = ms
-	}
-	if cf := c.memStats.MemoryCounter("dram.row_conflicts"); cf > c.lastRowConfl {
-		c.m.RowConflicts.Add(cf - c.lastRowConfl)
-		c.lastRowConfl = cf
-	}
-}
-
-// isolate handles a failed shared batch: each request is re-run alone, so a
-// structured engine error (a dark rank, exhausted retries) reaches only the
-// caller whose queries actually trip it, and innocent co-travellers still
-// get their answers. Isolation retries bypass the cache entirely — the
-// failure may implicate any part of the original batch, so each retry is
-// the full, unstripped request.
-func (c *Coalescer) isolate(op tensor.ReduceOp, reqs []*request, batchErr error) {
-	if len(reqs) == 1 {
-		reqs[0].deliver(result{err: batchErr})
-		return
-	}
-	c.m.IsolationRetries.Add(1)
-	for _, r := range reqs {
-		if err := r.ctx.Err(); err != nil {
-			c.m.ExpiredInQueue.Add(1)
-			r.deliver(result{err: err})
-			continue
-		}
-		// Each isolation retry is its own flush for span purposes, parented
-		// directly under the lone request it serves.
-		if c.spanner != nil {
-			c.flushSeq++
-			c.spanner.SetSpanContext(telemetry.SpanID(r.id, "flush", c.flushSeq))
-		}
-		beStart := time.Now()
-		res, err := c.be.Lookup(embedding.Batch{Queries: r.queries, Op: op})
-		beWall := time.Since(beStart)
-		if err != nil {
-			r.deliver(result{err: err})
-			continue
-		}
-		stats := BatchStats{
-			BatchQueries: len(r.queries),
-			Requests:     1,
-			MemoryReads:  res.MemoryReads,
-			NaiveReads:   embedding.Batch{Queries: r.queries}.TotalAccesses(),
-			TotalCycles:  res.TotalCycles,
-			BytesRead:    res.BytesRead,
-			Reduces:      res.PETotals.Reduces,
-			Compares:     res.PETotals.Compares,
-			Isolated:     true,
-			RequestID:    r.id,
-		}
-		if !res.Degraded.Empty() {
-			stats.Degraded = res.Degraded
-		}
-		bCyc, cCyc, tCyc := backendStages(res)
-		stats.Breakdown = &Breakdown{
-			RequestID:   r.id,
-			Queue:       StageLatency{WallUS: usOf(beStart.Sub(r.enq))},
-			Backend:     StageLatency{Cycles: bCyc, WallUS: usOf(beWall)},
-			Combine:     StageLatency{Cycles: cCyc, WallUS: simUS(cCyc)},
-			Transfer:    StageLatency{Cycles: tCyc, WallUS: simUS(tCyc)},
-			TotalCycles: res.TotalCycles,
-			TotalWallUS: usOf(time.Since(r.enq)),
-		}
-		c.m.observeStages(stats.Breakdown)
-		c.m.observeBatch(stats)
-		c.foldMemoryStats()
-		r.deliver(result{outputs: res.Outputs, stats: stats})
-	}
+	foldDelta(c.m.RowHits, c.memStats.MemoryCounter("dram.row_hits"), &c.lastRowHits)
+	foldDelta(c.m.RowMisses, c.memStats.MemoryCounter("dram.row_misses"), &c.lastRowMisses)
+	foldDelta(c.m.RowConflicts, c.memStats.MemoryCounter("dram.row_conflicts"), &c.lastRowConfl)
 }

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"fafnir/internal/memmap"
 	"fafnir/internal/oracle"
 	"fafnir/internal/serve"
+	"fafnir/internal/telemetry"
 	"fafnir/internal/tensor"
 )
 
@@ -216,12 +218,15 @@ func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 	}()
 	<-fake.enter
 
-	// B queues behind A with a short deadline.
+	// B queues behind A with a deadline that passes while it waits.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err = co.Submit(ctx, serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3, 4)}})
+	res, err := co.Submit(ctx, serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3, 4)}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued request returned %v, want DeadlineExceeded", err)
+	}
+	if res.Stats.RequestID != 2 {
+		t.Fatalf("timed-out request reports ID %d, want 2 (its admission order)", res.Stats.RequestID)
 	}
 
 	// Release A (and everything after it); the flusher must skip expired B
@@ -230,11 +235,14 @@ func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 	if err := <-aDone; err != nil {
 		t.Fatalf("request A failed: %v", err)
 	}
-	res, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(5)}})
+	res, err = co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(5)}})
 	if err != nil || len(res.Outputs) != 1 {
 		t.Fatalf("coalescer wedged after expiry: %v", err)
 	}
-	waitFor(t, func() bool { return co.Metrics().ExpiredInQueue.Value() == 1 })
+	// B sat ahead of this request in the same lane, so its flight is over.
+	if got := co.Metrics().ExpiredInQueue.Value(); got != 1 {
+		t.Fatalf("ExpiredInQueue = %d, want 1", got)
+	}
 }
 
 // TestCoalescerDeadlineDuringFlush expires a request while its own batch is
@@ -289,34 +297,35 @@ func TestCoalescerShutdownWhileQueued(t *testing.T) {
 	<-fake.enter // A is mid-flush, holding the backend
 
 	// B and C queue behind it.
-	type res struct {
-		outs []tensor.Vector
-		err  error
-	}
-	bcDone := make(chan res, 2)
+	var queued []serve.Ticket
 	for i := 0; i < 2; i++ {
-		go func(i int) {
-			r, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(header.Index(10 + i))}})
-			bcDone <- res{r.Outputs, err}
-		}(i)
+		tk, err := co.Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(header.Index(10 + i))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, tk)
 	}
-	waitFor(t, func() bool { return co.Metrics().QueueDepth.Value() == 2 })
 
-	closeDone := make(chan error, 1)
-	go func() { closeDone <- co.Close(context.Background()) }()
-	time.Sleep(30 * time.Millisecond) // let Close mark the queue draining
-	close(fake.gate)                  // unblock A and everything after it
+	// A Close that cannot wait still marks the queue draining.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := co.Close(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Close on a cancelled context returned %v, want Canceled", err)
+	}
+	if _, err := co.Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}}); !errors.Is(err, serve.ErrDraining) {
+		t.Fatalf("Admit while draining returned %v, want ErrDraining", err)
+	}
+	close(fake.gate) // unblock A and everything after it
 
 	if err := <-aDone; err != nil {
 		t.Fatalf("in-flight request failed during drain: %v", err)
 	}
-	for i := 0; i < 2; i++ {
-		r := <-bcDone
-		if r.err != nil || len(r.outs) != 1 {
-			t.Fatalf("queued request dropped during drain: %v", r.err)
+	for _, tk := range queued {
+		if r, err := tk.Wait(); err != nil || len(r.Outputs) != 1 {
+			t.Fatalf("queued request dropped during drain: %v", err)
 		}
 	}
-	if err := <-closeDone; err != nil {
+	if err := co.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}}); !errors.Is(err, serve.ErrDraining) {
@@ -343,17 +352,15 @@ func TestCoalescerOverload(t *testing.T) {
 		co.Close(context.Background())
 	}()
 
-	done := make(chan error, 2)
-	go func() {
-		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}})
-		done <- err
-	}()
-	<-fake.enter // A holds the backend; queue is empty again
-	go func() {
-		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(2)}})
-		done <- err
-	}()
-	waitFor(t, func() bool { return co.Metrics().QueueDepth.Value() == 1 })
+	var admitted [2]serve.Ticket
+	for i := range admitted {
+		if admitted[i], err = co.Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(header.Index(i + 1))}}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-fake.enter // A holds the backend; queue is empty again
+		}
+	}
 
 	start := time.Now()
 	_, err = co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}})
@@ -366,8 +373,8 @@ func TestCoalescerOverload(t *testing.T) {
 	fake.gate <- struct{}{}
 	fake.gate <- struct{}{}
 	<-fake.enter
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
+	for i, tk := range admitted {
+		if _, err := tk.Wait(); err != nil {
 			t.Fatalf("admitted request %d failed: %v", i, err)
 		}
 	}
@@ -448,7 +455,8 @@ func poisonedIndexRanks(t *testing.T) (poison header.Index, dark []int, healthy 
 // on a rank whose primary and replica are both dark) with a healthy one. The
 // shared batch fails; the isolation retry must confine the structured
 // ErrRankFailed to the poisoned caller while the healthy caller still gets
-// its verified answer.
+// its verified answer — and, having asked for ?debug=trace, the echo, flush
+// span and full Breakdown of the one-request flight that served it.
 func TestCoalescerFaultIsolation(t *testing.T) {
 	poison, dark, healthy := poisonedIndexRanks(t)
 	plan := fafnir.FaultPlan{
@@ -468,40 +476,71 @@ func TestCoalescerFaultIsolation(t *testing.T) {
 	goodQ := query(healthy[:4]...)
 	badQ := query(poison, healthy[4], healthy[5])
 
-	type res struct {
-		outs  []tensor.Vector
-		stats serve.BatchStats
-		err   error
+	goodTk, err := co.Admit(context.Background(), serve.Request{Op: fafnir.OpSum, Queries: []embedding.Query{goodQ}, Trace: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	goodCh, badCh := make(chan res, 1), make(chan res, 1)
-	go func() {
-		r, err := co.Submit(context.Background(), serve.Request{Op: fafnir.OpSum, Queries: []embedding.Query{goodQ}})
-		goodCh <- res{r.Outputs, r.Stats, err}
-	}()
-	go func() {
-		r, err := co.Submit(context.Background(), serve.Request{Op: fafnir.OpSum, Queries: []embedding.Query{badQ}})
-		badCh <- res{r.Outputs, r.Stats, err}
-	}()
-	good, bad := <-goodCh, <-badCh
+	badTk, err := co.Admit(context.Background(), serve.Request{Op: fafnir.OpSum, Queries: []embedding.Query{badQ}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, goodErr := goodTk.Wait()
+	_, badErr := badTk.Wait()
 
-	if !errors.Is(bad.err, fafnir.ErrRankFailed) {
-		t.Fatalf("poisoned caller got %v, want ErrRankFailed", bad.err)
+	if !errors.Is(badErr, fafnir.ErrRankFailed) {
+		t.Fatalf("poisoned caller got %v, want ErrRankFailed", badErr)
 	}
-	if good.err != nil {
-		t.Fatalf("healthy caller got the batch error: %v", good.err)
+	if goodErr != nil {
+		t.Fatalf("healthy caller got the batch error: %v", goodErr)
 	}
-	if !good.stats.Isolated || good.stats.Requests != 1 {
-		t.Fatalf("healthy result should come from an isolation retry, got %+v", good.stats)
+	if !good.Stats.Isolated || good.Stats.Requests != 1 {
+		t.Fatalf("healthy result should come from an isolation retry, got %+v", good.Stats)
 	}
 	golden, err := sys.Golden(embedding.Batch{Queries: []embedding.Query{goodQ}, Op: fafnir.OpSum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(good.outs) != 1 || !good.outs[0].Equal(golden[0]) {
+	if len(good.Outputs) != 1 || !good.Outputs[0].Equal(golden[0]) {
 		t.Fatal("healthy caller's output wrong after isolation retry")
 	}
 	if co.Metrics().IsolationRetries.Value() != 1 {
 		t.Fatalf("IsolationRetries = %d, want 1", co.Metrics().IsolationRetries.Value())
+	}
+	if got := co.Metrics().ExpiredInQueue.Value(); got != 0 {
+		t.Fatalf("ExpiredInQueue = %d, want 0", got)
+	}
+
+	// The isolated rider flew the same stage list as any other flight.
+	bd := good.Stats.Breakdown
+	if bd == nil || bd.RequestID != goodTk.ID() || bd.TotalCycles == 0 || bd.TotalWallUS <= 0 {
+		t.Fatalf("isolated rider's breakdown = %+v, want its own ID, cycles and wall time", bd)
+	}
+	if sum := bd.Backend.Cycles + bd.Combine.Cycles + bd.Transfer.Cycles; sum != bd.TotalCycles {
+		t.Fatalf("isolated breakdown stages sum to %d, total is %d", sum, bd.TotalCycles)
+	}
+	if _, err := fafnir.ValidateTrace(good.Trace); err != nil {
+		t.Fatalf("isolated rider's trace echo invalid: %v", err)
+	}
+	var doc struct {
+		TraceEvents []chainEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(good.Trace, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var flushID int64
+	hwBatches := 0
+	for _, ev := range doc.TraceEvents {
+		if parent, _ := argInt(ev, telemetry.ArgParent); ev.Name == "flush" && parent == int64(goodTk.ID()) {
+			flushID, _ = argInt(ev, telemetry.ArgSpan)
+		}
+	}
+	for _, ev := range doc.TraceEvents {
+		if parent, _ := argInt(ev, telemetry.ArgParent); ev.Name == "hw_batch" && parent == flushID {
+			hwBatches++
+		}
+	}
+	if flushID == 0 || hwBatches == 0 {
+		t.Fatalf("isolated echo has flush span %d with %d hw_batch children, want the request -> flush -> hw_batch chain", flushID, hwBatches)
 	}
 }
 
@@ -524,16 +563,4 @@ func TestCoalescerSubmitValidation(t *testing.T) {
 	if _, err := serve.NewCoalescer(serve.Config{}, nil, nil); err == nil {
 		t.Error("nil backend accepted")
 	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not reached within 5s")
 }

@@ -74,8 +74,8 @@ type Metrics struct {
 	// DegradedBatches counts the flushed batches themselves.
 	DegradedResponses *telemetry.Counter
 	DegradedBatches   *telemetry.Counter
-	// ExpiredInQueue counts requests whose deadline passed while queued or
-	// mid-flush, before a result could be delivered.
+	// ExpiredInQueue counts requests whose context ended while they were
+	// queued, so they were dropped before reaching the backend.
 	ExpiredInQueue *telemetry.Counter
 	// DRAMReads accumulates simulated DRAM vector reads after cross-request
 	// deduplication; NaiveReads is what the same traffic would have read
@@ -181,11 +181,7 @@ func NewMetrics() *Metrics {
 	m.CacheEvictions = reg.Counter("fafnir_cache_evictions_total", "Hot-embedding cache CLOCK evictions.")
 	m.CacheBytes = reg.Counter("fafnir_cache_bytes_total", "Cumulative bytes admitted into the hot-embedding cache.")
 	m.CacheResident = reg.Gauge("fafnir_cache_resident_bytes", "Instantaneous hot-embedding cache footprint in bytes.")
-	lanes := make([]string, numLanes)
-	for p := Priority(0); p < numLanes; p++ {
-		lanes[p] = p.String()
-	}
-	m.Shed = reg.CounterVec("fafnir_serve_shed_total", "Submissions rejected by QoS admission control, by lane.", "lane", lanes...)
+	m.Shed = reg.CounterVec("fafnir_serve_shed_total", "Submissions rejected by QoS admission control, by lane.", "lane", laneNames[:]...)
 	m.StageSeconds = reg.HistogramVec("fafnir_serve_stage_seconds", "Per-request latency attribution by pipeline stage.", "stage", requestBuckets, stageNames[:]...)
 	return m
 }

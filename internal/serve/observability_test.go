@@ -1,15 +1,20 @@
 package serve_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
 	"fafnir"
+	"fafnir/internal/embedding"
 	"fafnir/internal/serve"
 	"fafnir/internal/telemetry"
+	"fafnir/internal/tensor"
 )
 
 // chainEvent is the decoded slice of a trace event the span-chain walk needs.
@@ -300,5 +305,27 @@ func TestServerStageAndSLOFamilies(t *testing.T) {
 	// The slowest ring carries the request's breakdown as detail.
 	if snap.Slowest[0].Detail == nil {
 		t.Fatal("slowest record carries no detail")
+	}
+}
+
+// TestFlusherWearsStageLabel pins the profile seam: while the backend stage
+// runs, the flusher goroutine carries the pprof label stage=backend — the
+// Breakdown column's name — so a CPU profile slices by the same names.
+func TestFlusherWearsStageLabel(t *testing.T) {
+	f := newFake()
+	var during bytes.Buffer
+	f.fail = func(embedding.Batch) error {
+		return pprof.Lookup("goroutine").WriteTo(&during, 1)
+	}
+	co, err := serve.NewCoalescer(serve.Config{}, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close(context.Background())
+	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(during.String(), `"stage":"backend"`) {
+		t.Fatalf("no goroutine labelled stage=backend during the backend call:\n%s", during.String())
 	}
 }

@@ -3,12 +3,12 @@ package serve_test
 import (
 	"context"
 	"errors"
-	"sort"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
 	"fafnir/internal/embedding"
+	"fafnir/internal/header"
 	"fafnir/internal/serve"
 	"fafnir/internal/tensor"
 )
@@ -48,21 +48,34 @@ func TestParsePriority(t *testing.T) {
 }
 
 // occupyFlusher parks the coalescer's flusher inside a gated backend Lookup
-// so subsequent submissions accumulate in the admission queue. Returns the
-// channel the parked request's result arrives on.
-func occupyFlusher(t *testing.T, co *serve.Coalescer, f *fakeBackend) chan error {
+// so subsequent admissions accumulate in the queue. Returns the parked
+// request's ticket.
+func occupyFlusher(t *testing.T, co *serve.Coalescer, f *fakeBackend) serve.Ticket {
 	t.Helper()
-	done := make(chan error, 1)
-	go func() {
-		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}, Priority: serve.PriorityNormal})
-		done <- err
-	}()
-	select {
-	case <-f.enter:
-	case <-time.After(5 * time.Second):
-		t.Fatal("flusher never reached the backend")
+	parked := admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 1)
+	<-f.enter
+	return parked
+}
+
+// admit queues a one-query request synchronously: when it returns, the
+// request holds its place in its lane, so a test orders arrivals by program
+// order alone.
+func admit(t *testing.T, co *serve.Coalescer, ctx context.Context, op tensor.ReduceOp, pri serve.Priority, idx header.Index) serve.Ticket {
+	t.Helper()
+	tk, err := co.Admit(ctx, serve.Request{Op: op, Queries: []embedding.Query{query(idx)}, Priority: pri})
+	if err != nil {
+		t.Fatalf("admit (priority %v): %v", pri, err)
 	}
-	return done
+	return tk
+}
+
+func wait(t *testing.T, tk serve.Ticket) serve.Response {
+	t.Helper()
+	res, err := tk.Wait()
+	if err != nil {
+		t.Fatalf("request %d: %v", tk.ID(), err)
+	}
+	return res
 }
 
 // TestQoSShedLowFirst pins the admission thresholds: past the low-water
@@ -73,7 +86,6 @@ func TestQoSShedLowFirst(t *testing.T) {
 	f.gate = make(chan struct{})
 	f.enter = make(chan struct{}, 64)
 	co, err := serve.NewCoalescer(serve.Config{
-		QoS:           true,
 		BatchCapacity: 1, // full batches flush without lingering
 		MaxQueued:     10,
 		ShedLowWater:  0.5,
@@ -83,32 +95,9 @@ func TestQoSShedLowFirst(t *testing.T) {
 	}
 	parked := occupyFlusher(t, co, f)
 
-	var wg sync.WaitGroup
-	results := make(chan error, 64)
-	submit := func(pri serve.Priority) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(2)}, Priority: pri})
-			results <- err
-		}()
-	}
-	// enqueue blocks until the queue really holds n queries, so each
-	// admission below is observed before the next submission races it.
-	enqueue := func(pri serve.Priority, want int) {
-		submit(pri)
-		deadline := time.After(5 * time.Second)
-		for int(co.Metrics().QueueDepth.Value()) < want {
-			select {
-			case <-deadline:
-				t.Fatalf("queue never reached %d queries", want)
-			default:
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
+	var queued []serve.Ticket
 	tryReject := func(pri serve.Priority) {
-		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}, Priority: pri})
+		_, err := co.Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}, Priority: pri})
 		if !errors.Is(err, serve.ErrOverloaded) {
 			t.Fatalf("priority %v submission past its bound returned %v, want ErrOverloaded", pri, err)
 		}
@@ -116,38 +105,31 @@ func TestQoSShedLowFirst(t *testing.T) {
 
 	// Low admits up to the low-water mark (0.5 x 10 = 5 queries)...
 	for i := 0; i < 5; i++ {
-		enqueue(serve.PriorityLow, i+1)
+		queued = append(queued, admit(t, co, context.Background(), tensor.OpSum, serve.PriorityLow, 2))
 	}
 	tryReject(serve.PriorityLow) // ...then sheds.
 	// Normal and high still admit up to the full bound.
 	for i := 0; i < 5; i++ {
-		enqueue(serve.PriorityNormal, 6+i)
+		queued = append(queued, admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 2))
 	}
 	tryReject(serve.PriorityNormal)
 	tryReject(serve.PriorityHigh)
 
 	m := co.Metrics()
-	if got := m.Shed.At(int(serve.PriorityLow)).Value(); got != 1 {
-		t.Errorf("shed{low} = %d, want 1", got)
+	if got := m.QueueDepth.Value(); got != 10 {
+		t.Errorf("queue depth = %d, want 10", got)
 	}
-	if got := m.Shed.At(int(serve.PriorityNormal)).Value(); got != 1 {
-		t.Errorf("shed{normal} = %d, want 1", got)
-	}
-	if got := m.Shed.At(int(serve.PriorityHigh)).Value(); got != 1 {
-		t.Errorf("shed{high} = %d, want 1", got)
+	for _, pri := range []serve.Priority{serve.PriorityLow, serve.PriorityNormal, serve.PriorityHigh} {
+		if got := m.Shed.At(int(pri)).Value(); got != 1 {
+			t.Errorf("shed{%v} = %d, want 1", pri, got)
+		}
 	}
 
 	// Release the backend and drain everything still queued.
 	close(f.gate)
-	if err := <-parked; err != nil {
-		t.Fatalf("parked request: %v", err)
-	}
-	wg.Wait()
-	close(results)
-	for err := range results {
-		if err != nil {
-			t.Fatalf("queued request failed after release: %v", err)
-		}
+	wait(t, parked)
+	for _, tk := range queued {
+		wait(t, tk)
 	}
 	if err := co.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -164,7 +146,6 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 	f.enter = make(chan struct{}, 1024)
 	const maxQueued = 64
 	co, err := serve.NewCoalescer(serve.Config{
-		QoS:           true,
 		BatchCapacity: 8,
 		MaxQueued:     maxQueued,
 		ShedLowWater:  0.25,
@@ -177,68 +158,46 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 	parked := occupyFlusher(t, co, f)
 
 	// Seeded 20/80 mix over a burst of 2x MaxQueued requests: every fifth
-	// request is high priority. The burst arrives open-loop (no waiting for
-	// completions) from one goroutine, so admission order is deterministic
-	// up to the flusher's single parked cut.
+	// request is high priority. The burst is admitted open-loop (no waiting
+	// for completions) from one goroutine, so admission order is the loop
+	// order.
 	const burst = 2 * maxQueued
-	type shot struct {
-		pri serve.Priority
-		err error
-	}
-	var wg sync.WaitGroup
-	shots := make(chan shot, burst)
-	highLat := make(chan time.Duration, burst)
-	wantHigh := 0
+	var admitted []serve.Ticket
+	var highOK, highShed, lowOK, lowShed int
 	for i := 0; i < burst; i++ {
 		pri := serve.PriorityLow
 		if i%5 == 0 {
 			pri = serve.PriorityHigh
-			wantHigh++
 		}
-		wg.Add(1)
-		go func(pri serve.Priority) {
-			defer wg.Done()
-			start := time.Now()
-			_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(7)}, Priority: pri})
-			if pri == serve.PriorityHigh && err == nil {
-				highLat <- time.Since(start)
-			}
-			shots <- shot{pri, err}
-		}(pri)
-		// Give each admission a moment to land so the queue fills in
-		// arrival order rather than goroutine-scheduler order.
-		time.Sleep(200 * time.Microsecond)
-	}
-
-	// Release the backend and let everything queued complete.
-	close(f.gate)
-	if err := <-parked; err != nil {
-		t.Fatalf("parked request: %v", err)
-	}
-	wg.Wait()
-	close(shots)
-	close(highLat)
-
-	var highOK, highShed, lowOK, lowShed int
-	for s := range shots {
+		tk, err := co.Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(7)}, Priority: pri})
 		switch {
-		case s.pri == serve.PriorityHigh && s.err == nil:
+		case pri == serve.PriorityHigh && err == nil:
 			highOK++
-		case s.pri == serve.PriorityHigh && errors.Is(s.err, serve.ErrOverloaded):
+		case pri == serve.PriorityHigh && errors.Is(err, serve.ErrOverloaded):
 			highShed++
-		case s.pri == serve.PriorityLow && s.err == nil:
+		case pri == serve.PriorityLow && err == nil:
 			lowOK++
-		case s.pri == serve.PriorityLow && errors.Is(s.err, serve.ErrOverloaded):
+		case pri == serve.PriorityLow && errors.Is(err, serve.ErrOverloaded):
 			lowShed++
-		case s.err != nil:
-			t.Fatalf("unexpected error on %v request: %v", s.pri, s.err)
+		default:
+			t.Fatalf("unexpected error on %v request: %v", pri, err)
+		}
+		if err == nil {
+			admitted = append(admitted, tk)
 		}
 	}
+
+	// Low requests shed once the queue as a whole holds the low-water mark
+	// (0.25 x 64 = 16 queries: the burst's first 12 low and 4 high); every
+	// high request fits the full bound.
 	if highShed != 0 {
 		t.Errorf("%d high-priority requests shed; overload must consume the low lane first", highShed)
 	}
-	if lowShed == 0 {
-		t.Error("no low-priority requests shed at 2x queue capacity")
+	if wantHigh := (burst + 4) / 5; highOK != wantHigh {
+		t.Errorf("%d high-priority requests admitted, want all %d", highOK, wantHigh)
+	}
+	if lowOK != 12 || lowShed != burst-highOK-12 {
+		t.Errorf("low lane admitted %d and shed %d, want 12 and %d", lowOK, lowShed, burst-highOK-12)
 	}
 	m := co.Metrics()
 	if got := m.Shed.At(int(serve.PriorityHigh)).Value(); got != 0 {
@@ -247,139 +206,74 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 	if got := m.Shed.At(int(serve.PriorityLow)).Value(); got != uint64(lowShed) {
 		t.Errorf("shed_total{lane=low} = %d, want %d (one per client-observed rejection)", got, lowShed)
 	}
-	// Every admitted high request completed; its queueing delay is bounded
-	// by the release, not by low-priority work scheduled ahead of it.
-	if highOK+highShed != wantHigh {
-		t.Errorf("high outcomes %d+%d, want %d", highOK, highShed, wantHigh)
-	}
-	var lats []time.Duration
-	for d := range highLat {
-		lats = append(lats, d)
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if p99 := lats[len(lats)*99/100]; p99 > 30*time.Second {
-		t.Errorf("high-priority p99 %v unbounded under overload", p99)
+
+	// Release the backend: every admitted request completes.
+	close(f.gate)
+	wait(t, parked)
+	for _, tk := range admitted {
+		wait(t, tk)
 	}
 	if err := co.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQoSDeadlineEscape pins the starvation bound: a low-priority request
-// about to miss its deadline is scheduled ahead of healthier high-priority
-// work.
+// deadlineCtx reports a deadline without ever firing, so a test places the
+// deadline on the manual clock's timeline.
+type deadlineCtx struct {
+	context.Context
+	at time.Time
+}
+
+func (d deadlineCtx) Deadline() (time.Time, bool) { return d.at, true }
+
+// TestQoSDeadlineEscape pins the starvation bound on manual time: a
+// low-priority request is scheduled ahead of healthier high-priority work
+// exactly when its deadline slack has shrunk below Config.DeadlineSlack.
 func TestQoSDeadlineEscape(t *testing.T) {
-	f := newFake()
-	f.gate = make(chan struct{})
-	f.enter = make(chan struct{}, 16)
-	// The flusher calls the backend sequentially, so recording each batch's
-	// op gives the exact scheduling order without racing on completions.
-	var opOrder []tensor.ReduceOp
-	f.fail = func(b embedding.Batch) error {
-		opOrder = append(opOrder, b.Op)
-		return nil
-	}
-	co, err := serve.NewCoalescer(serve.Config{
-		QoS:           true,
-		BatchCapacity: 1,
-		MaxQueued:     64,
-		DeadlineSlack: time.Hour, // every finite deadline counts as urgent
-	}, f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := occupyFlusher(t, co, f)
+	const slack, budget = 5 * time.Millisecond, 100 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		elapsed time.Duration
+		want    []tensor.ReduceOp
+	}{
+		{"slack at the threshold keeps priority order", budget - slack, []tensor.ReduceOp{tensor.OpSum, tensor.OpSum, tensor.OpMin}},
+		{"slack below the threshold escapes", budget - slack + 1, []tensor.ReduceOp{tensor.OpSum, tensor.OpMin, tensor.OpSum}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFake()
+			f.gate = make(chan struct{})
+			f.enter = make(chan struct{}, 16)
+			// The flusher calls the backend sequentially, so recording each
+			// batch's op gives the exact scheduling order.
+			var opOrder []tensor.ReduceOp
+			f.fail = func(b embedding.Batch) error {
+				opOrder = append(opOrder, b.Op)
+				return nil
+			}
+			clk := serve.NewManualClock()
+			co, err := serve.NewCoalescerAt(serve.Config{BatchCapacity: 1, MaxQueued: 64, DeadlineSlack: slack}, f, nil, clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked := occupyFlusher(t, co, f)
 
-	// Queue a no-deadline high request, then a deadlined low request, with
-	// different ops so they cannot share a batch.
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(11)}, Priority: serve.PriorityHigh})
-		if err != nil {
-			t.Error(err)
-		}
-	}()
-	// The high request must be queued before the low one so strict priority
-	// alone would schedule it first.
-	for int(co.Metrics().QueueDepth.Value()) < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	go func() {
-		defer wg.Done()
-		_, err := co.Submit(ctx, serve.Request{Op: tensor.OpMin, Queries: []embedding.Query{query(12)}, Priority: serve.PriorityLow})
-		if err != nil {
-			t.Error(err)
-		}
-	}()
-	for int(co.Metrics().QueueDepth.Value()) < 2 {
-		time.Sleep(time.Millisecond)
-	}
+			// A no-deadline high request, then a deadlined low request, with
+			// different ops so they cannot share a batch.
+			high := admit(t, co, context.Background(), tensor.OpSum, serve.PriorityHigh, 11)
+			low := admit(t, co, deadlineCtx{context.Background(), clk.Now().Add(budget)}, tensor.OpMin, serve.PriorityLow, 12)
+			clk.Advance(tc.elapsed)
 
-	// Release the parked batch, then serve the two queued ones.
-	close(f.gate)
-	if err := <-parked; err != nil {
-		t.Fatalf("parked request: %v", err)
-	}
-	wg.Wait()
-	want := []tensor.ReduceOp{tensor.OpSum, tensor.OpMin, tensor.OpSum}
-	if len(opOrder) != 3 || opOrder[1] != want[1] || opOrder[2] != want[2] {
-		t.Fatalf("backend saw batches %v; the deadlined OpMin low request should have escaped ahead of the no-deadline OpSum high one (want %v)", opOrder, want)
-	}
-	if err := co.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQoSOffSingleQueue pins backward compatibility: with QoS disabled,
-// priorities collapse onto the normal lane — admission, scheduling, and
-// shed accounting behave exactly like the pre-lane single queue.
-func TestQoSOffSingleQueue(t *testing.T) {
-	f := newFake()
-	f.gate = make(chan struct{})
-	f.enter = make(chan struct{}, 16)
-	co, err := serve.NewCoalescer(serve.Config{BatchCapacity: 1, MaxQueued: 1}, f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parked := occupyFlusher(t, co, f)
-
-	// Fill the one-query queue...
-	admitted := make(chan error, 1)
-	go func() {
-		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(2)}, Priority: serve.PriorityLow})
-		admitted <- err
-	}()
-	for int(co.Metrics().QueueDepth.Value()) < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	// ...then every lane rejects identically, and the shed lands on the
-	// normal lane regardless of the requested priority.
-	for _, pri := range []serve.Priority{serve.PriorityHigh, serve.PriorityNormal, serve.PriorityLow} {
-		_, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}, Priority: pri})
-		if !errors.Is(err, serve.ErrOverloaded) {
-			t.Fatalf("priority %v got %v, want ErrOverloaded", pri, err)
-		}
-	}
-	m := co.Metrics()
-	if got := m.Shed.At(int(serve.PriorityNormal)).Value(); got != 3 {
-		t.Errorf("shed{normal} = %d, want 3 (QoS off folds every lane into normal)", got)
-	}
-	if got := m.Shed.At(int(serve.PriorityHigh)).Value() + m.Shed.At(int(serve.PriorityLow)).Value(); got != 0 {
-		t.Errorf("shed{high}+shed{low} = %d, want 0 with QoS off", got)
-	}
-
-	close(f.gate)
-	if err := <-parked; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-admitted; err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Close(context.Background()); err != nil {
-		t.Fatal(err)
+			close(f.gate)
+			wait(t, parked)
+			wait(t, high)
+			wait(t, low)
+			if !slices.Equal(opOrder, tc.want) {
+				t.Fatalf("backend saw batches %v, want %v", opOrder, tc.want)
+			}
+			if err := co.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -96,8 +96,8 @@ type Priority int
 const (
 	// PriorityHigh is latency-critical traffic: scheduled first, shed last.
 	PriorityHigh Priority = iota
-	// PriorityNormal is the default lane; with QoS disabled every request
-	// travels here and the coalescer behaves exactly as a single queue.
+	// PriorityNormal is the wire default: a request that names no priority
+	// rides here, and traffic that all rides one lane sees a plain FIFO.
 	PriorityNormal
 	// PriorityLow is best-effort traffic: shed first once the admission
 	// queue passes the low-water mark, scheduled last otherwise.
@@ -105,18 +105,15 @@ const (
 	numLanes
 )
 
+// laneNames are the lanes' wire names and metric label values.
+var laneNames = [numLanes]string{"high", "normal", "low"}
+
 // String returns the lane's metric label value.
 func (p Priority) String() string {
-	switch p {
-	case PriorityHigh:
-		return "high"
-	case PriorityNormal:
-		return "normal"
-	case PriorityLow:
-		return "low"
-	default:
+	if p < 0 || p >= numLanes {
 		return fmt.Sprintf("Priority(%d)", int(p))
 	}
+	return laneNames[p]
 }
 
 // ParsePriority maps a wire-format priority name to its lane. The empty
@@ -173,18 +170,13 @@ type Config struct {
 	// starting slot). Equal seeds and equal traffic give bit-identical
 	// cache contents; zero selects seed 1.
 	CacheSeed uint64
-	// QoS enables priority-lane scheduling and shed-low-first admission.
-	// Off — the default — every request travels the normal lane and the
-	// coalescer behaves exactly as a single FIFO queue.
-	QoS bool
 	// ShedLowWater is the fraction of MaxQueued above which PriorityLow
-	// submissions are shed (QoS mode only). High and normal traffic is
-	// only rejected at the full MaxQueued bound. Default 0.5.
+	// submissions are shed. High and normal traffic is only rejected at the
+	// full MaxQueued bound. Default 0.5.
 	ShedLowWater float64
-	// DeadlineSlack is the lane-escape threshold (QoS mode only): a
-	// lower-priority request whose deadline slack has shrunk below this
-	// is scheduled ahead of healthier higher-priority work, bounding
-	// starvation. Default 1ms.
+	// DeadlineSlack is the lane-escape threshold: a lower-priority request
+	// whose deadline slack has shrunk below this is scheduled ahead of
+	// healthier higher-priority work, bounding starvation. Default 1ms.
 	DeadlineSlack time.Duration
 	// SLOWindow is the flight recorder's rolling accounting window for
 	// good/bad request counts and burn rates. Default 60s.

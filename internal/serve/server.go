@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -32,10 +34,10 @@ type LookupRequest struct {
 	Queries [][]uint64 `json:"queries,omitempty"`
 	// Op is the pooling operation: sum (default), min, max, or mean.
 	Op string `json:"op,omitempty"`
-	// Priority is the QoS lane: high, normal (default), or low. Ignored
-	// unless the server runs with Config.QoS enabled.
+	// Priority is the QoS lane: high, normal (default), or low.
 	Priority string `json:"priority,omitempty"`
-	// TimeoutMS overrides the server's default per-request deadline.
+	// TimeoutMS overrides the server's default per-request deadline; zero
+	// keeps the default and a negative value is rejected.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
@@ -165,6 +167,7 @@ type Server struct {
 	sys       System
 	co        *Coalescer
 	m         *Metrics
+	clk       clock
 	slo       *telemetry.SLO
 	mux       *http.ServeMux
 	draining  atomic.Bool
@@ -178,40 +181,40 @@ type Server struct {
 // New builds a server over sys. The zero Config selects defaults; see
 // Config. The server starts its coalescer immediately.
 func New(sys System, cfg Config) (*Server, error) {
+	return newServer(sys, cfg, realClock{})
+}
+
+func newServer(sys System, cfg Config, clk clock) (*Server, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("serve: nil system")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg.fillDefaults()
 	m := NewMetrics()
-	co, err := NewCoalescer(cfg, sys, m)
+	co, err := newCoalescer(cfg, sys, m, clk)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, sys: sys, co: co, m: m, totalRows: sys.TotalRows()}
+	cfg = co.Config() // validated, defaults resolved
+	s := &Server{cfg: cfg, sys: sys, co: co, m: m, clk: clk, totalRows: sys.TotalRows()}
 	if reg, ok := sys.(MetricsRegistrar); ok {
 		reg.RegisterMetrics(m.Registry())
 	}
 	// The SLO flight recorder: rolling good/bad accounting per lane, a
 	// burn-rate gauge family on the shared registry, and the /debug/slo
 	// rings of slowest and degraded requests.
-	lanes := make([]string, numLanes)
 	objectives := make(map[string]time.Duration, numLanes)
-	for p := Priority(0); p < numLanes; p++ {
-		lanes[p] = p.String()
-		objectives[p.String()] = cfg.SLOObjectives[p]
+	for p, name := range laneNames {
+		objectives[name] = cfg.SLOObjectives[Priority(p)]
 	}
 	s.slo = telemetry.NewSLO(telemetry.SLOConfig{
 		Window:         cfg.SLOWindow,
 		Objectives:     objectives,
 		BudgetFraction: cfg.SLOBudget,
 		K:              cfg.SLOK,
+		Now:            clk.Now,
 	})
 	m.Registry().GaugeFuncVec("fafnir_slo_burn_rate",
 		"SLO error-budget burn rate by lane over the rolling window (1.0 = bad requests arriving at exactly the budgeted fraction).",
-		"lane", s.slo.BurnRate, lanes...)
+		"lane", s.slo.BurnRate, laneNames[:]...)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/lookup", s.handleLookup)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -301,6 +304,40 @@ func (s *Server) parseQueries(req *LookupRequest) ([]embedding.Query, error) {
 	return queries, nil
 }
 
+// maxTimeoutMS is the largest timeout_ms that still fits a time.Duration.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// decodeLookup reads exactly one JSON request from body and validates it
+// into the coalescer request and its deadline budget; every error it returns
+// is the caller's fault (400 bad_request).
+func (s *Server) decodeLookup(body io.Reader) (call Request, timeout time.Duration, err error) {
+	var req LookupRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err = dec.Decode(&req); err != nil {
+		return call, 0, fmt.Errorf("serve: bad request body: %w", err)
+	}
+	if _, err = dec.Token(); err != io.EOF {
+		return call, 0, fmt.Errorf("serve: bad request body: trailing data after the request object")
+	}
+	if call.Op, err = ParseOp(req.Op); err != nil {
+		return call, 0, err
+	}
+	if call.Priority, err = ParsePriority(req.Priority); err != nil {
+		return call, 0, err
+	}
+	if call.Queries, err = s.parseQueries(&req); err != nil {
+		return call, 0, err
+	}
+	if req.TimeoutMS < 0 || int64(req.TimeoutMS) > maxTimeoutMS {
+		return call, 0, fmt.Errorf("serve: timeout_ms %d out of range [0,%d]", req.TimeoutMS, maxTimeoutMS)
+	}
+	if req.TimeoutMS == 0 {
+		return call, s.cfg.DefaultTimeout, nil
+	}
+	return call, time.Duration(req.TimeoutMS) * time.Millisecond, nil
+}
+
 // classify maps a Submit error to its outcome, HTTP status, and wire kind.
 func classify(err error) (Outcome, int, string) {
 	switch {
@@ -332,50 +369,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	finish := func(o Outcome) { s.m.ObserveRequest(o, time.Since(start)) }
-
-	var req LookupRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		finish(OutcomeBadRequest)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: bad request body: " + err.Error(), Kind: "bad_request"})
-		return
-	}
-	op, err := ParseOp(req.Op)
+	start := s.clk.Now()
+	call, timeout, err := s.decodeLookup(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		finish(OutcomeBadRequest)
+		s.m.ObserveRequest(OutcomeBadRequest, s.clk.Now().Sub(start))
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: "bad_request"})
 		return
-	}
-	pri, err := ParsePriority(req.Priority)
-	if err != nil {
-		finish(OutcomeBadRequest)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: "bad_request"})
-		return
-	}
-	queries, err := s.parseQueries(&req)
-	if err != nil {
-		finish(OutcomeBadRequest)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: "bad_request"})
-		return
-	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	debug := r.URL.Query().Get("debug") == "trace"
-	res, err := s.co.Submit(ctx, Request{Op: op, Queries: queries, Priority: pri, Trace: debug})
+	// finish takes the request's one end stamp: the latency histogram and
+	// the SLO recorder see the same number, filed under the same ID.
+	finish := func(o Outcome, id uint64, bad bool, detail any) {
+		lat := s.clk.Now().Sub(start)
+		s.m.ObserveRequest(o, lat)
+		s.slo.Observe(call.Priority.String(), id, lat, bad, detail)
+	}
+	call.Trace = r.URL.Query().Get("debug") == "trace"
+	res, err := s.co.Submit(ctx, call)
 	stats := res.Stats
 	if err != nil {
 		outcome, status, kind := classify(err)
-		finish(outcome)
-		s.slo.Observe(pri.String(), stats.RequestID, time.Since(start), true, kind)
+		finish(outcome, stats.RequestID, true, kind)
 		if status == http.StatusServiceUnavailable {
 			// Overload backs off with seeded jitter so synchronized clients
 			// spread their retries; a drain never comes back, so the fixed
@@ -385,14 +401,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, ErrorResponse{Error: err.Error(), Kind: kind})
 		return
 	}
-	degraded := degradedInfo(stats, len(queries))
+	degraded := degradedInfo(stats, len(call.Queries))
+	outcome := OutcomeOK
 	if degraded != nil {
-		finish(OutcomeDegraded)
+		outcome = OutcomeDegraded
 		s.m.DegradedResponses.Add(1)
-	} else {
-		finish(OutcomeOK)
 	}
-	s.slo.Observe(pri.String(), stats.RequestID, time.Since(start), degraded != nil, stats.Breakdown)
+	finish(outcome, stats.RequestID, degraded != nil, stats.Breakdown)
 	resp := LookupResponse{
 		Outputs: res.Outputs,
 		Batch: BatchInfo{
@@ -406,7 +421,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		Degraded: degraded,
 		Trace:    res.Trace,
 	}
-	if debug {
+	if call.Trace {
 		resp.Breakdown = stats.Breakdown
 	}
 	writeJSON(w, http.StatusOK, resp)

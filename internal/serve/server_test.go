@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -213,6 +214,11 @@ func TestServerBadRequests(t *testing.T) {
 		{"empty query", `{"queries": [[1], []]}`, "query 1 is empty"},
 		{"too many queries", `{"queries": [[1],[2],[3]]}`, "limit is 2"},
 		{"not json", `hello`, "bad request body"},
+		{"trailing garbage", `{"queries":[[1,2,3]]} garbage`, "trailing data"},
+		{"second object", `{"queries":[[1,2,3]]}{"queries":[[9]]}`, "trailing data"},
+		{"trailing brace", `{"indices": [1]} }`, "trailing data"},
+		{"negative timeout", `{"indices": [1], "timeout_ms": -5}`, "timeout_ms -5 out of range"},
+		{"overflowing timeout", `{"indices": [1], "timeout_ms": 9223372036854775807}`, "out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,6 +236,28 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// holdBackendAndQueue admits two one-query requests straight into the
+// server's coalescer: the first parks the flusher at the fake's gate, the
+// second then sits in the admission queue. Admission is synchronous, so when
+// this returns the queue holds exactly one query.
+func holdBackendAndQueue(t *testing.T, srv *serve.Server, fake *fakeSystem) [2]serve.Ticket {
+	t.Helper()
+	var held [2]serve.Ticket
+	for i := range held {
+		tk, err := srv.Coalescer().Admit(context.Background(), serve.Request{
+			Op: tensor.OpSum, Queries: []embedding.Query{query(1, 2)}, Priority: serve.PriorityNormal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = tk
+		if i == 0 {
+			<-fake.enter // the first request holds the backend; the queue is empty again
+		}
+	}
+	return held
+}
+
 // TestServerOverload saturates the bounded queue and checks the server
 // answers 503 with Retry-After while the backend is stuck.
 func TestServerOverload(t *testing.T) {
@@ -241,23 +269,7 @@ func TestServerOverload(t *testing.T) {
 	release := sync.OnceFunc(func() { close(fake.gate) })
 	defer release()
 
-	done := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/v1/lookup", "application/json", strings.NewReader(`{"indices": [1,2]}`))
-			if err != nil {
-				done <- -1
-				return
-			}
-			resp.Body.Close()
-			done <- resp.StatusCode
-		}()
-		if i == 0 {
-			<-fake.enter // first request holds the backend; queue empties again
-		} else {
-			waitFor(t, func() bool { return srv.Metrics().QueueDepth.Value() == 1 })
-		}
-	}
+	held := holdBackendAndQueue(t, srv, fake)
 
 	resp, decoded := postLookup(t, ts.URL, `{"indices": [5]}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -271,9 +283,9 @@ func TestServerOverload(t *testing.T) {
 	}
 
 	release()
-	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Fatalf("admitted request finished with %d", code)
+	for i, tk := range held {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatalf("admitted request %d failed: %v", i, err)
 		}
 	}
 }
@@ -284,7 +296,6 @@ func TestServerDeadline(t *testing.T) {
 	fake := &fakeSystem{fakeBackend: newFake(), rows: 1 << 16}
 	fake.gate = make(chan struct{})
 	srv, ts := newTestServer(t, fake, serve.Config{BatchCapacity: 1})
-	_ = srv
 
 	start := time.Now()
 	resp, decoded := postLookup(t, ts.URL, `{"indices": [1], "timeout_ms": 30}`)
@@ -296,6 +307,11 @@ func TestServerDeadline(t *testing.T) {
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("504 took %v, want roughly the 30ms deadline", took)
+	}
+	// The request was admitted before it timed out, so the flight recorder
+	// files it under its real ID, joinable to its trace.
+	if slowest := srv.SLO().Snapshot().Slowest; len(slowest) != 1 || slowest[0].ID != 1 || slowest[0].Good {
+		t.Errorf("slowest ring = %+v, want the timed-out request filed bad under ID 1", slowest)
 	}
 	close(fake.gate)
 }
@@ -514,23 +530,7 @@ func TestServerRetryAfterJitter(t *testing.T) {
 	release := sync.OnceFunc(func() { close(fake.gate) })
 	defer release()
 
-	done := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/v1/lookup", "application/json", strings.NewReader(`{"indices": [1,2]}`))
-			if err != nil {
-				done <- -1
-				return
-			}
-			resp.Body.Close()
-			done <- resp.StatusCode
-		}()
-		if i == 0 {
-			<-fake.enter
-		} else {
-			waitFor(t, func() bool { return srv.Metrics().QueueDepth.Value() == 1 })
-		}
-	}
+	held := holdBackendAndQueue(t, srv, fake)
 
 	for seq := uint64(1); seq <= 5; seq++ {
 		resp, _ := postLookup(t, ts.URL, `{"indices": [5]}`)
@@ -548,9 +548,9 @@ func TestServerRetryAfterJitter(t *testing.T) {
 	}
 
 	release()
-	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Fatalf("admitted request finished with %d", code)
+	for i, tk := range held {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatalf("admitted request %d failed: %v", i, err)
 		}
 	}
 }
@@ -565,54 +565,34 @@ func TestServerHealthzDuringDrain(t *testing.T) {
 	fake.enter = make(chan struct{}, 16)
 	srv, ts := newTestServer(t, fake, serve.Config{BatchCapacity: 1})
 
-	done := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/v1/lookup", "application/json", strings.NewReader(`{"indices": [3]}`))
-			if err != nil {
-				done <- -1
-				return
-			}
-			resp.Body.Close()
-			done <- resp.StatusCode
-		}()
-		if i == 0 {
-			<-fake.enter // first request holds the backend at the gate
-		} else {
-			waitFor(t, func() bool { return srv.Metrics().QueueDepth.Value() == 1 })
-		}
+	held := holdBackendAndQueue(t, srv, fake)
+
+	// A Drain that cannot wait still begins the drain: health flips
+	// unhealthy while both admitted requests are unanswered.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Drain(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drain on a cancelled context returned %v, want Canceled", err)
 	}
-
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- srv.Drain(ctx)
-	}()
-
-	// Health flips unhealthy while the queued request is still unanswered.
-	waitFor(t, func() bool {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusServiceUnavailable
-	})
-	select {
-	case code := <-done:
-		t.Fatalf("a request finished with %d before the backend gate opened", code)
-	default:
-	}
-
-	// Open the gate: both admitted requests must still complete with 200.
-	close(fake.gate)
-	if err := <-drained; err != nil {
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Fatalf("queued request finished with %d after drain, want 200", code)
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("healthz during drain: %s, want 503", hz.Status)
+	}
+
+	// Open the gate: both admitted requests must still complete.
+	close(fake.gate)
+	ctx, cancelDrain := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelDrain()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range held {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatalf("queued request %d failed after drain: %v", i, err)
 		}
 	}
 

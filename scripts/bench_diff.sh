@@ -26,6 +26,10 @@
 # INT32_MAX (2147483647) for benchmarks slower than ~2.1 s. Such a point
 # carries no real timing information, so it is flagged as "clamped" and its
 # ns/op diff is skipped; the allocs/op gate still applies.
+#
+# A baseline cut on a different core count is refused (exit 2), as
+# `benchmark -compare` refuses differing nproc: concurrent benchmarks and
+# their allocation counts are not comparable across core counts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,7 +45,17 @@ fi
 FRESH=$(mktemp)
 trap 'rm -f "$FRESH"' EXIT
 
-echo "==> baseline: $BASE (threshold: +$PCT%)"
+# cpus_of SNAPSHOT: the core count the snapshot was cut on.
+cpus_of() { awk -F'[:,]' '/"cpus"/ { gsub(/ /, "", $2); print $2; exit }' "$1"; }
+
+BASE_CPUS=$(cpus_of "$BASE")
+HOST_CPUS=$(nproc 2>/dev/null || echo 1)
+if [ "$BASE_CPUS" != "$HOST_CPUS" ]; then
+	echo "bench_diff: $BASE was cut on ${BASE_CPUS:-an unrecorded number of} CPU(s), this host has $HOST_CPUS; not comparable" >&2
+	exit 2
+fi
+
+echo "==> baseline: $BASE ($BASE_CPUS CPUs, threshold: +$PCT%)"
 BENCH_OUT="$FRESH" ./scripts/bench.sh >/dev/null
 
 # Flatten one snapshot into "pkg|name ns allocs nsmax" lines. Baselines

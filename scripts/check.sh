@@ -15,10 +15,13 @@
 #                      exercised both fully serialized and fully interleaved
 #   6. conformance   — the oracle sweep once more with -count=1, so the gate
 #                      never passes on a cached test result
+#   6b. serve -race  — the serving layer's suite twenty times over under the
+#                      race detector: its schedules run on a manual clock and
+#                      synchronous admission, so a flake here is a bug
 #   7. fuzz corpus   — FuzzCodec's, FuzzBatchBuild's, FuzzCacheOps',
-#                      FuzzFromCOO's and FuzzParseFleet's seed corpora
-#                      replayed in -run mode (no fuzzing; deterministic and
-#                      fast)
+#                      FuzzFromCOO's, FuzzParseFleet's and
+#                      FuzzLookupRequest's seed corpora replayed in -run mode
+#                      (no fuzzing; deterministic and fast)
 #   8. coverage      — every internal/ package must keep statement coverage
 #                      at or above the floor (80%)
 #   9. telemetry     — run fafnir-sim with -trace-out, validate the emitted
@@ -42,8 +45,8 @@
 #                      the shard_dark metric tripped and rnet combines
 #                      counted on /metrics (a default fleet combines
 #                      in-network), and a clean SIGTERM drain
-#  12. qos gate      — boot with -qos, fire a seeded open-loop burst at 2x
-#                      the queue bound with a 20/80 high/low priority mix,
+#  12. qos gate      — fire a seeded open-loop burst at 2x the queue bound
+#                      with a 20/80 high/low priority mix (lanes are always on),
 #                      and require zero high-priority sheds, at least one
 #                      low-priority shed, and the shed_total{lane} counters
 #                      agreeing with the client's view
@@ -67,6 +70,7 @@
 #   go test -fuzz=FuzzBatchBuild -fuzztime=30s ./internal/batch
 #   go test -fuzz=FuzzFromCOO -fuzztime=30s ./internal/sparse
 #   go test -fuzz=FuzzParseFleet -fuzztime=30s ./internal/fault
+#   go test -fuzz=FuzzLookupRequest -fuzztime=30s ./internal/serve
 #
 # Perf regressions are gated separately by scripts/bench_diff.sh (benchmarks
 # are too slow for every pre-land run).
@@ -111,8 +115,11 @@ go test -race -count=1 ./internal/fafnir .
 echo "==> oracle conformance sweep (-race, -count=1)"
 go test -race -count=1 -run 'TestConformance' ./internal/oracle
 
+echo "==> go test -race -count=20 ./internal/serve"
+go test -race -count=20 ./internal/serve
+
 echo "==> fuzz corpus (replay, -run mode)"
-go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/
+go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/
 
 echo "==> coverage floor (internal packages >= ${COVER_FLOOR}%)"
 go test -cover ./internal/... | awk -v floor="$COVER_FLOOR" '
@@ -295,7 +302,7 @@ echo "==> qos gate: overload sheds low-priority traffic first"
 # (0.5 x 64) while the burst's 25 high-priority requests always fit the full
 # bound (25 + 32 < 64), whatever the arrival timing.
 "$SMOKE/fafnir-serve" -addr 127.0.0.1:0 -rows 4096 -batch 128 -queue 64 \
-    -linger 200ms -qos -cache-mb 16 > "$SMOKE/qos-serve.log" 2>&1 &
+    -linger 200ms -cache-mb 16 > "$SMOKE/qos-serve.log" 2>&1 &
 QOS_PID=$!
 QADDR=$(wait_addr "$SMOKE/qos-serve.log" "$QOS_PID" "qos") || exit 1
 
