@@ -154,11 +154,11 @@ type SystemConfig struct {
 	// plan injects nothing and leaves every run bit-identical to a system
 	// built without it.
 	Faults FaultPlan
-	// Parallelism bounds the simulator's worker pool (concurrent PE
-	// evaluation and hardware-batch pipelining). It changes wall-clock
-	// speed only: outputs, statistics, and cycle counts are bit-identical
-	// at every setting. 0 uses every core (runtime.GOMAXPROCS); 1 runs the
-	// exact single-threaded legacy path.
+	// Parallelism is how many hardware batches of one lookup are computed
+	// at once (a lookup of a single hardware batch runs on the caller's
+	// goroutine at every setting). It changes wall-clock speed only:
+	// outputs, statistics, and cycle counts are bit-identical at every
+	// setting. 0 uses every core (runtime.GOMAXPROCS); 1 is fully serial.
 	Parallelism int
 }
 

@@ -89,33 +89,42 @@ func (m priorityMix) pick(rng *rand.Rand) string {
 	}
 }
 
+// parseMix parses the -mix flag: comma-separated lane=percent clauses. Each
+// lane may appear once; normal is the remainder, so a normal clause is only
+// accepted when it agrees with 100 - high - low.
 func parseMix(s string) (priorityMix, error) {
-	var m priorityMix
 	if s == "" {
-		return m, nil
+		return priorityMix{}, nil
 	}
+	type clause struct {
+		text string
+		pct  int
+	}
+	set := make(map[string]clause) // lane -> the clause that set it
 	for _, part := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return m, fmt.Errorf("bad -mix clause %q (want lane=percent)", part)
+			return priorityMix{}, fmt.Errorf("bad -mix clause %q (want lane=percent)", part)
 		}
 		pct, err := strconv.Atoi(v)
 		if err != nil || pct < 0 || pct > 100 {
-			return m, fmt.Errorf("bad -mix percent %q in clause %q", v, part)
+			return priorityMix{}, fmt.Errorf("bad -mix percent %q in clause %q", v, part)
 		}
-		switch k {
-		case "high":
-			m.high = pct
-		case "low":
-			m.low = pct
-		case "normal":
-			// The remainder is normal by construction.
-		default:
-			return m, fmt.Errorf("unknown -mix lane %q (want high, normal, or low)", k)
+		if k != "high" && k != "normal" && k != "low" {
+			return priorityMix{}, fmt.Errorf("unknown -mix lane %q (want high, normal, or low)", k)
 		}
+		if first, dup := set[k]; dup {
+			return priorityMix{}, fmt.Errorf("-mix clause %q repeats lane %s (already set by %q)", part, k, first.text)
+		}
+		set[k] = clause{part, pct}
 	}
+	m := priorityMix{high: set["high"].pct, low: set["low"].pct}
 	if m.high+m.low > 100 {
-		return m, fmt.Errorf("-mix lanes sum past 100%%")
+		return priorityMix{}, fmt.Errorf("-mix lanes sum past 100%%")
+	}
+	if normal, ok := set["normal"]; ok && normal.pct != 100-m.high-m.low {
+		return priorityMix{}, fmt.Errorf("-mix clause %q disagrees with the other lanes: high=%d and low=%d leave %d%% for normal",
+			normal.text, m.high, m.low, 100-m.high-m.low)
 	}
 	return m, nil
 }

@@ -248,8 +248,8 @@ func run() error {
 }
 
 // parseSLO parses the -slo flag: comma-separated lane=duration clauses, e.g.
-// "high=50ms,normal=250ms,low=1s". Lanes left out keep the serving layer's
-// defaults; an empty flag keeps all of them.
+// "high=50ms,normal=250ms,low=1s". Each lane may appear once; lanes left out
+// keep the serving layer's defaults, and an empty flag keeps all of them.
 func parseSLO(s string) (map[fafnir.Priority]time.Duration, error) {
 	if s == "" {
 		return nil, nil
@@ -270,6 +270,9 @@ func parseSLO(s string) (map[fafnir.Priority]time.Duration, error) {
 		}
 		if d <= 0 {
 			return nil, fmt.Errorf("bad -slo duration in %q: must be positive", clause)
+		}
+		if _, dup := m[pri]; dup {
+			return nil, fmt.Errorf("-slo clause %q repeats lane %s", clause, pri)
 		}
 		m[pri] = d
 	}

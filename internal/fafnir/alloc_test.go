@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"fafnir/internal/batch"
+	"fafnir/internal/dram"
 	"fafnir/internal/embedding"
 	"fafnir/internal/tensor"
 )
 
-// Allocation budgets for the hot path. The async scheduler PR flattened the
-// tree into an arena and moved every per-action allocation (vector clones,
-// index-set unions, Queries slices) into per-worker bump allocators, so the
+// Allocation budgets for the hot path. The tree is flattened into an arena
+// and every per-action allocation (vector clones, index-set unions, Queries
+// slices) comes from the leased scratch's bump allocators, so the
 // steady-state costs below are structural invariants, not tuning targets: a
 // budget breach means an arena was lost, a scratch stopped being pooled, or a
 // slice started escaping again.
@@ -105,6 +106,30 @@ func TestLookupAllocBudget(t *testing.T) {
 	const budget = 1000
 	if got > budget {
 		t.Errorf("Lookup(batch=32): %.0f allocs/op, budget %d", got, budget)
+	}
+}
+
+// TestTimedLookupAllocBudget pins the timed batch-32 lookup at Parallelism 1
+// and at the default: one hardware batch runs inline on the caller's
+// goroutine at every setting, so both pay the same allocations (plan, leaf
+// and ready slices, outputs) and neither a goroutine nor a channel.
+func TestTimedLookupAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budgets are not short-mode material")
+	}
+	for _, par := range []int{1, 0} {
+		e, plan, store, pl := allocTreeSetup(t, par)
+		bt := plan.Batch()
+		mem := dram.MustSystem(dram.DDR4())
+		got := allocsPerRun(t, func() {
+			if _, err := e.TimedLookup(store, pl, mem, bt, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const budget = 1000
+		if got > budget {
+			t.Errorf("TimedLookup(batch=32, Parallelism=%d): %.0f allocs/op, budget %d", par, got, budget)
+		}
 	}
 }
 

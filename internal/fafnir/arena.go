@@ -9,7 +9,7 @@ package fafnir
 // recycles every chunk at once instead of feeding the garbage collector.
 //
 // Arena-backed slices are only valid while the owning scratch is leased
-// (getTreeScratch/putTreeScratch in parallel.go); the engine releases a
+// (getTreeScratch/putTreeScratch in scratch.go); the engine releases a
 // batch's scratch only after resolve and trace emission have consumed the
 // root outputs. The exported ProcessPE/SelfMerge wrappers use a fresh,
 // never-recycled scratch, so their results live as long as the caller keeps
@@ -100,10 +100,10 @@ type selfPair struct {
 	member int
 }
 
-// workScratch is the per-worker working set of tree evaluation: the typed
-// arenas every PE invocation allocates from, plus reusable transient slices
-// for the merge unit. Each scheduler worker owns one exclusively, so no
-// synchronization is needed on the allocation path.
+// workScratch is the working set of one tree evaluation: the typed arenas
+// every PE invocation allocates from, plus reusable transient slices for the
+// merge unit. A treeScratch embeds one and a single goroutine evaluates the
+// whole tree on it, so no synchronization is needed on the allocation path.
 type workScratch struct {
 	ents bump[Entry]           // PE output slices and leaf-entry buffers
 	vals bump[float32]         // reduced vector values

@@ -122,34 +122,25 @@ func BenchmarkLeafInputs(b *testing.B) {
 }
 
 // BenchmarkRunTree measures one full tree reduction of a batch-32 hardware
-// batch, serial vs the asynchronous scheduler, including the per-iteration
-// scratch lease/release (the real steady-state cost). The leaf inputs are
-// staged once on a scratch that is deliberately never released, so they stay
-// valid across iterations.
+// batch, including the per-iteration scratch lease/release (the real
+// steady-state cost). The leaf inputs are staged once on a scratch that is
+// deliberately never released, so they stay valid across iterations.
 func BenchmarkRunTree(b *testing.B) {
-	for _, par := range []int{1, 0} { // 0 = GOMAXPROCS
-		name := "serial"
-		if par == 0 {
-			name = "parallel"
+	e, plan, store, pl := benchTreeSetup(b, 1)
+	leafSc := e.getTreeScratch() // holds the leaf entries; never released
+	leafIn, err := e.leafInputs(leafSc, store, pl, plan, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var totals PEStats
+		var maxOcc int
+		sc := e.getTreeScratch()
+		if _, err := e.runTree(sc, tensor.OpSum, leafIn, &totals, &maxOcc, sc.perPE); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			e, plan, store, pl := benchTreeSetup(b, par)
-			leafSc := e.getTreeScratch() // holds the leaf entries; never released
-			leafIn, err := e.leafInputs(leafSc, store, pl, plan, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var totals PEStats
-				var maxOcc int
-				sc := e.getTreeScratch()
-				if _, err := e.runTree(sc, tensor.OpSum, leafIn, &totals, &maxOcc, sc.perPE); err != nil {
-					b.Fatal(err)
-				}
-				e.putTreeScratch(sc)
-			}
-		})
+		e.putTreeScratch(sc)
 	}
 }
 

@@ -72,13 +72,12 @@ type Config struct {
 	// DRAMClockMHz is the memory clock, for converting memory completion
 	// times into PE cycles.
 	DRAMClockMHz float64
-	// Parallelism bounds the simulator's host-side concurrency: how many
-	// workers the dependency-driven tree scheduler runs (each PE fires the
-	// moment its children finish; see parallel.go), and how many hardware
-	// batches precompute their functional pass while an earlier batch is
-	// being timed. It changes wall-clock speed only — outputs, PE statistics,
-	// and cycle counts are bit-identical at every setting. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs the exact single-threaded serial order.
+	// Parallelism is how many hardware batches of one lookup compute their
+	// functional pass at once, ahead of the batch being folded or timed (see
+	// passSource); within a hardware batch the tree evaluates serially. It
+	// changes wall-clock speed only — outputs, PE statistics, and cycle
+	// counts are bit-identical at every setting. 0 selects
+	// runtime.GOMAXPROCS(0); 1 runs everything on the caller's goroutine.
 	Parallelism int
 }
 

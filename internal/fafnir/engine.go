@@ -2,6 +2,7 @@ package fafnir
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"fafnir/internal/batch"
@@ -35,9 +36,10 @@ type ReplicatedPlacement interface {
 	Replica(idx header.Index) (rank int, addr dram.Addr, err error)
 }
 
-// Engine runs embedding-lookup batches through a Fafnir tree. One engine may
-// evaluate several hardware batches concurrently (see Config.Parallelism);
-// the methods themselves keep the external contract of the serial engine.
+// Engine runs embedding-lookup batches through a Fafnir tree. One lookup may
+// evaluate several hardware batches concurrently (see Config.Parallelism and
+// passSource); the methods themselves keep the external contract of the
+// serial engine.
 type Engine struct {
 	cfg  Config
 	tree *Tree
@@ -52,10 +54,6 @@ type Engine struct {
 	// serving layer sets it (see SetSpanContext), every hw_batch span derives
 	// its own ID from it and carries the parentage as span/parent args.
 	spanCtx uint64
-	// stallHook, when non-nil, is called by every scheduler worker before it
-	// evaluates a node. Tests use it to inject adversarial scheduling delays;
-	// nil in production.
-	stallHook func(worker, pe int)
 }
 
 // NewEngine builds an engine; it returns an error for invalid configurations.
@@ -234,56 +232,34 @@ func (r TimedResult) Seconds(cfg Config) float64 {
 // every query.
 func (e *Engine) Lookup(store *embedding.Store, layout Placement, b embedding.Batch) (*Result, error) {
 	res := &Result{Outputs: make([]tensor.Vector, len(b.Queries))}
-	starts := e.hwBatchStarts(len(b.Queries))
-	res.HWBatches = len(starts)
-
-	if e.parallelism() > 1 && len(starts) > 1 {
-		// Pipelined: hardware batches compile, read, and reduce concurrently.
-		// Each batch resolves into a disjoint region of res.Outputs; the
-		// per-batch statistics are folded in program order afterwards so the
-		// result is bit-identical to the serial loop.
-		partials := make([]Result, len(starts))
-		errs := make([]error, len(starts))
-		sem := make(chan struct{}, e.parallelism())
-		var wg sync.WaitGroup
-		for k, start := range starts {
-			wg.Add(1)
-			go func(k, start int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				partials[k].Outputs = res.Outputs // disjoint [start,end) writes
-				sub := e.hwBatch(b, start)
-				plan := batch.Build(sub, true)
-				errs[k] = e.runPlan(store, layout, plan, start, &partials[k])
-			}(k, start)
+	src := e.newPassSource(store, layout, b, true, false)
+	defer src.close()
+	res.HWBatches = len(src.starts)
+	for p := src.next(); p != nil; p = src.next() {
+		if err := src.reduce(p, nil); err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		for k := range starts {
-			if errs[k] != nil {
-				return nil, errs[k]
-			}
-			res.PETotals.Add(partials[k].PETotals)
-			if partials[k].MaxOccupancy > res.MaxOccupancy {
-				res.MaxOccupancy = partials[k].MaxOccupancy
-			}
-			res.MemoryReads += partials[k].MemoryReads
-		}
-	} else {
-		for _, start := range starts {
-			sub := e.hwBatch(b, start)
-			plan := batch.Build(sub, true)
-			if err := e.runPlan(store, layout, plan, start, res); err != nil {
-				return nil, err
-			}
+		res.MemoryReads += p.plan.NumAccesses()
+		res.PETotals.Add(p.totals)
+		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
+		if err := e.resolve(p.plan, p.outputs, p.start, res); err != nil {
+			return nil, err
 		}
 	}
-	for qi, out := range res.Outputs {
-		if out == nil {
-			return nil, fmt.Errorf("fafnir: query %d produced no output: %w", qi, fault.ErrInvariantViolated)
-		}
+	if err := checkCovered(res.Outputs); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// checkCovered reports a query the hardware batches left without an output.
+func checkCovered(outputs []tensor.Vector) error {
+	for qi, out := range outputs {
+		if out == nil {
+			return fmt.Errorf("fafnir: query %d produced no output: %w", qi, fault.ErrInvariantViolated)
+		}
+	}
+	return nil
 }
 
 // hwBatchStarts lists the query offsets at which hardware batches begin.
@@ -305,31 +281,19 @@ func (e *Engine) hwBatch(b embedding.Batch, start int) embedding.Batch {
 	return embedding.Batch{Queries: b.Queries[start:end], Op: b.Op}
 }
 
-// runPlan pushes one hardware batch through the tree and stores the resolved
-// outputs at offset qBase of res.Outputs. The scratch lease spans the whole
-// batch — leaf staging, tree evaluation, and resolve — because the tree's
-// entries live in the scratch's arenas; resolve clones the outputs it keeps.
-func (e *Engine) runPlan(store *embedding.Store, layout Placement, plan *batch.Plan, qBase int, res *Result) error {
-	sc := e.getTreeScratch()
-	defer e.putTreeScratch(sc)
-
-	op := plan.Batch().Op
-	leafIn, err := e.leafInputs(sc, store, layout, plan, nil)
-	if err != nil {
-		return err
-	}
-	res.MemoryReads += plan.NumAccesses()
-
-	outputs, err := e.runTree(sc, op, leafIn, &res.PETotals, &res.MaxOccupancy, nil)
-	if err != nil {
-		return err
-	}
-	return e.resolve(plan, outputs, qBase, res)
-}
-
 // rankEntries groups the leaf entries of one hardware batch by the global
 // rank they were read from; the slice is indexed by rank.
 type rankEntries [][]Entry
+
+// checkRank rejects a placement that maps idx outside the tree's ranks. Every
+// path that turns a placement rank into a leaf goes through it, so the same
+// bad placement reports the same error from every lookup mode.
+func (e *Engine) checkRank(idx header.Index, r int) error {
+	if r < 0 || r >= e.cfg.NumRanks {
+		return fmt.Errorf("fafnir: index %d maps to rank %d beyond the tree's %d ranks", idx, r, e.cfg.NumRanks)
+	}
+	return nil
+}
 
 // leafInputs reads every planned access from the store and builds the leaf
 // entries, grouped by rank. The per-rank buffers are carved out of one arena
@@ -342,7 +306,7 @@ type rankEntries [][]Entry
 // the entry must enter the tree at the leaf that actually served the read so
 // the functional and timing passes agree.
 func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Placement, plan *batch.Plan, remap map[header.Index]int) (rankEntries, error) {
-	ws := sc.worker(0)
+	ws := &sc.ws
 	in := sc.in
 	counts := sc.counts
 	clear(in)
@@ -352,9 +316,8 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		if rr, ok := remap[acc.Index]; ok {
 			r = rr
 		}
-		if r < 0 || r >= e.cfg.NumRanks {
-			return nil, fmt.Errorf("fafnir: index %d maps to rank %d beyond the tree's %d ranks",
-				acc.Index, r, e.cfg.NumRanks)
+		if err := e.checkRank(acc.Index, r); err != nil {
+			return nil, err
 		}
 		counts[r]++
 	}
@@ -391,10 +354,9 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 // post-merge stats indexed by PE ID (used by the timing engine); callers
 // usually pass the scratch's own perPE slice.
 //
-// With Parallelism > 1 the tree evaluates on the dependency-driven scheduler
-// of parallel.go; either way each node's result is a pure function of its
-// children's, and all accounting folds in fixed construction order below, so
-// outputs and statistics are bit-identical at every Parallelism setting.
+// The tree evaluates serially on the calling goroutine (see evalTree) and all
+// accounting folds in construction order below, so a pass is a pure function
+// of its leaf inputs no matter which goroutine ran it.
 func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, totals *PEStats, maxOcc *int, perPE []PEStats) ([]Entry, error) {
 	if err := e.evalTree(op, in, sc); err != nil {
 		return nil, err
@@ -548,18 +510,138 @@ func (e *Engine) readFaulted(layout Placement, mem *dram.System, inj *fault.Inje
 }
 
 // funcPass is the timing-independent work of one hardware batch: the
-// compiled plan, the functional tree reduction, and its accounting. In
-// pipelined mode later batches compute their pass concurrently while earlier
-// batches are being timed.
+// compiled plan, the functional tree reduction, and its accounting.
 type funcPass struct {
-	plan    *batch.Plan
-	sc      *treeScratch // leased for the pass; released by the timed loop
-	outputs []Entry      // arena-backed; valid while sc is leased
-	perPE   []PEStats    // aliases sc.perPE
-	totals  PEStats
-	maxOcc  int
-	err     error
-	done    chan struct{}
+	k, start int // hardware-batch ordinal and its first query's batch offset
+	plan     *batch.Plan
+	sc       *treeScratch // leased by run; released when the source moves on
+	outputs  []Entry      // arena-backed; valid while sc is leased
+	perPE    []PEStats    // aliases sc.perPE
+	totals   PEStats
+	maxOcc   int
+	err      error
+	done     chan struct{} // ahead-of-time mode: signalled once per computed pass
+}
+
+// parallelism resolves Config.Parallelism: 0 means "use every core the
+// runtime gives us".
+func (e *Engine) parallelism() int {
+	if e.cfg.Parallelism == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return e.cfg.Parallelism
+}
+
+// passSource yields the functional passes of a lookup's hardware batches in
+// program order. It is the engine's one grain of host parallelism: either
+// every pass runs inline on the caller's goroutine, or a fixed set of workers
+// computes passes ahead of the consumer inside a bounded window. A pass is a
+// pure function of its hardware batch and the consumer folds passes strictly
+// in order, so the two modes — and every Parallelism — are bit-identical.
+//
+// The consumer calls next for the pass (plan compiled), reduce for its tree
+// outputs, and close when done; next and close end the previous pass's
+// scratch lease, so at most len(ring) leases are ever live.
+type passSource struct {
+	e      *Engine
+	store  *embedding.Store
+	layout Placement
+	b      embedding.Batch
+	dedup  bool
+	starts []int
+
+	ring   []funcPass     // pass k lives in ring[k%len(ring)]; one slot when inline
+	k      int            // ordinal of the pass the next call yields
+	issued int            // passes handed to the workers so far
+	jobs   chan *funcPass // nil when inline
+	wg     sync.WaitGroup
+}
+
+// newPassSource decides, once per lookup, between inline and ahead-of-time
+// passes. Inline when there is nothing to overlap (Parallelism 1, a single
+// hardware batch) and when the caller is serial by nature: a faulted run
+// threads the timed read loop's remap into each pass.
+func (e *Engine) newPassSource(store *embedding.Store, layout Placement, b embedding.Batch, dedup, serial bool) *passSource {
+	s := &passSource{e: e, store: store, layout: layout, b: b, dedup: dedup, starts: e.hwBatchStarts(len(b.Queries))}
+	workers := min(e.parallelism(), len(s.starts))
+	if serial || workers <= 1 {
+		s.ring = make([]funcPass, 1)
+		return s
+	}
+	// One pass with the consumer plus one per worker: the window that bounds
+	// both the look-ahead and the live scratch leases.
+	s.ring = make([]funcPass, workers+1)
+	for i := range s.ring {
+		s.ring[i].done = make(chan struct{}, 1)
+	}
+	s.jobs = make(chan *funcPass, len(s.ring)) // holds the whole window, so next never blocks sending
+	s.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer s.wg.Done()
+			for p := range s.jobs {
+				s.compile(p)
+				s.run(p, nil)
+				p.done <- struct{}{}
+			}
+		}()
+	}
+	return s
+}
+
+// compile builds the pass's access plan.
+func (s *passSource) compile(p *funcPass) {
+	p.plan = batch.Build(s.e.hwBatch(s.b, p.start), s.dedup)
+}
+
+// next ends the previous pass's lease and returns the next pass in program
+// order with its plan compiled, or nil after the last one.
+func (s *passSource) next() *funcPass {
+	n := len(s.ring)
+	if s.k > 0 {
+		s.ring[(s.k-1)%n].release(s.e)
+	}
+	if s.k == len(s.starts) {
+		return nil
+	}
+	p := &s.ring[s.k%n]
+	if s.jobs == nil {
+		*p = funcPass{k: s.k, start: s.starts[s.k]}
+		s.compile(p)
+	} else {
+		// Top the window up (the slot just released is free again), then
+		// wait for this pass.
+		for ; s.issued < len(s.starts) && s.issued < s.k+n; s.issued++ {
+			q := &s.ring[s.issued%n]
+			*q = funcPass{k: s.issued, start: s.starts[s.issued], done: q.done}
+			s.jobs <- q
+		}
+		<-p.done
+	}
+	s.k++
+	return p
+}
+
+// reduce returns once p holds its tree outputs: it runs the functional pass
+// now when inline (remap carries a faulted read loop's redirected indices)
+// and only reports the outcome of a pass computed ahead.
+func (s *passSource) reduce(p *funcPass, remap map[header.Index]int) error {
+	if s.jobs == nil {
+		s.run(p, remap)
+	}
+	return p.err
+}
+
+// close stops the workers, waits for the passes still in flight, and returns
+// every scratch to the pool; nothing of the lookup runs after it.
+func (s *passSource) close() {
+	if s.jobs != nil {
+		close(s.jobs)
+		s.wg.Wait()
+	}
+	for i := range s.ring {
+		s.ring[i].release(s.e)
+	}
 }
 
 // release returns the pass's scratch (if any) to the pool, invalidating its
@@ -573,22 +655,18 @@ func (p *funcPass) release(e *Engine) {
 	}
 }
 
-// runFuncPass compiles the batch (unless already compiled) and runs the
-// functional tree reduction, filling the pass in place. The pass holds its
-// scratch lease so the arena-backed outputs survive until the serial timed
-// loop has resolved and traced the batch.
-func (e *Engine) runFuncPass(p *funcPass, store *embedding.Store, layout Placement, b embedding.Batch, start int, dedup bool, remap map[header.Index]int) {
-	if p.plan == nil {
-		p.plan = batch.Build(e.hwBatch(b, start), dedup)
-	}
-	p.sc = e.getTreeScratch()
-	leafIn, err := e.leafInputs(p.sc, store, layout, p.plan, remap)
+// run performs the functional tree reduction of a compiled pass, filling it
+// in place. The pass holds its scratch lease so the arena-backed outputs
+// survive until the consumer has resolved and traced the batch.
+func (s *passSource) run(p *funcPass, remap map[header.Index]int) {
+	p.sc = s.e.getTreeScratch()
+	leafIn, err := s.e.leafInputs(p.sc, s.store, s.layout, p.plan, remap)
 	if err != nil {
 		p.err = err
 		return
 	}
 	p.perPE = p.sc.perPE
-	p.outputs, p.err = e.runTree(p.sc, b.Op, leafIn, &p.totals, &p.maxOcc, p.perPE)
+	p.outputs, p.err = s.e.runTree(p.sc, s.b.Op, leafIn, &p.totals, &p.maxOcc, p.perPE)
 }
 
 // treeTiming propagates input readiness up the tree in the PE clock domain
@@ -632,49 +710,21 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 		res.Degraded = deg
 		mem.AttachFaults(inj)
 	}
-	starts := e.hwBatchStarts(len(b.Queries))
-	res.HWBatches = len(starts)
-
-	// Pipelined mode overlaps the compile + leaf-read + tree phases of
-	// successive hardware batches with the timing pass of earlier batches.
-	// Timing itself is still charged strictly per batch in program order by
-	// the loop below (the DRAM model's queues see the exact serial read
-	// sequence), so cycle counts are bit-identical to the serial engine.
-	// Fault injection threads host state through the read loop (remapped
-	// reads feed the functional pass), so faulted runs stay fully serial.
-	passes := make([]*funcPass, len(starts))
-	pipelined := !faulted && e.parallelism() > 1 && len(starts) > 1
-	if pipelined {
-		sem := make(chan struct{}, e.parallelism())
-		for k, start := range starts {
-			p := &funcPass{done: make(chan struct{})}
-			passes[k] = p
-			go func(p *funcPass, start int) {
-				defer close(p.done)
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				e.runFuncPass(p, store, layout, b, start, dedup, nil)
-			}(p, start)
-		}
-	}
+	// Later hardware batches may compute their functional pass while this
+	// loop is still timing an earlier one. Timing itself is charged strictly
+	// per batch in program order below (the DRAM model's queues see the exact
+	// serial read sequence), so cycle counts are bit-identical at every
+	// Parallelism. Fault injection threads host state through the read loop
+	// (remapped reads feed the functional pass), so faulted runs stay serial.
+	src := e.newPassSource(store, layout, b, dedup, faulted)
+	defer src.close()
+	res.HWBatches = len(src.starts)
 
 	var clock sim.Cycle // DRAM-domain time at which the next batch may issue
 	leafReady := make([]sim.Cycle, e.tree.NumPEs())
 	ready := make([]sim.Cycle, e.tree.NumPEs())
 
-	for k, start := range starts {
-		p := passes[k]
-		if pipelined {
-			<-p.done
-			if p.err != nil {
-				p.release(e)
-				return nil, p.err
-			}
-		} else {
-			p = &funcPass{}
-			passes[k] = p
-			p.plan = batch.Build(e.hwBatch(b, start), dedup)
-		}
+	for p := src.next(); p != nil; p = src.next() {
 		plan := p.plan
 		res.MemoryReads += plan.NumAccesses()
 
@@ -693,7 +743,6 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 				before := deg.RemappedReads
 				rank, done, err = e.readFaulted(layout, mem, inj, acc.Index, clock, res, deg)
 				if err != nil {
-					p.release(e)
 					return nil, err
 				}
 				if deg.RemappedReads > before {
@@ -707,9 +756,11 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 				done = mem.Read(clock, layout.Addr(acc.Index), layout.VectorBytes(), dram.DestLocal)
 				res.BytesRead += uint64(layout.VectorBytes())
 			}
+			if err := e.checkRank(acc.Index, rank); err != nil {
+				return nil, err
+			}
 			leaf, err := e.tree.LeafOfRank(rank)
 			if err != nil {
-				p.release(e)
 				return nil, err
 			}
 			leafReady[leaf.ID] = sim.Max(leafReady[leaf.ID], done)
@@ -726,21 +777,14 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 			}
 		}
 
-		// Functional pass to learn per-PE occupancies (precomputed when
-		// pipelined; faulted runs need the read loop's remap first).
-		if !pipelined {
-			e.runFuncPass(p, store, layout, b, start, dedup, remap)
-			if p.err != nil {
-				p.release(e)
-				return nil, p.err
-			}
+		// Functional pass to learn per-PE occupancies (already computed when
+		// running ahead; faulted runs need the read loop's remap first).
+		if err := src.reduce(p, remap); err != nil {
+			return nil, err
 		}
 		res.PETotals.Add(p.totals)
-		if p.maxOcc > res.MaxOccupancy {
-			res.MaxOccupancy = p.maxOcc
-		}
-		if err := e.resolve(plan, p.outputs, start, &res.Result); err != nil {
-			p.release(e)
+		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
+		if err := e.resolve(plan, p.outputs, p.start, &res.Result); err != nil {
 			return nil, err
 		}
 
@@ -755,7 +799,7 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 		// event stream is deterministic at every Parallelism setting. clock
 		// still holds this batch's issue time.
 		if e.tracer != nil {
-			e.traceBatch(k, plan.NumAccesses(), len(plan.Batch().Queries),
+			e.traceBatch(p.k, plan.NumAccesses(), len(plan.Batch().Queries),
 				clock, leafReady, ready, p.perPE, rootDone+xfer)
 		}
 
@@ -765,20 +809,16 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 		res.TransferCycles += xfer
 		res.TotalCycles = rootDone + xfer
 
-		// The batch's outputs and per-PE stats have been fully consumed
-		// (resolve clones, treeTiming and traceBatch only read), so the
-		// scratch lease ends here and its arenas recycle to the next batch.
-		p.release(e)
-
-		// The next hardware batch issues its reads once this batch's reads
-		// have drained (input FIFOs double-buffer the tree traversal).
+		// The batch's outputs and per-PE stats are fully consumed by now
+		// (resolve clones, treeTiming and traceBatch only read): src.next
+		// ends the scratch lease. The next hardware batch issues its reads
+		// once this batch's reads have drained (input FIFOs double-buffer the
+		// tree traversal).
 		clock = memDone
 	}
 
-	for qi, out := range res.Outputs {
-		if out == nil {
-			return nil, fmt.Errorf("fafnir: query %d produced no output: %w", qi, fault.ErrInvariantViolated)
-		}
+	if err := checkCovered(res.Outputs); err != nil {
+		return nil, err
 	}
 	if faulted {
 		deg.FailedRanks = inj.FailedRanks(clock)
@@ -876,9 +916,8 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 		var memDone sim.Cycle
 		var acc tensor.Vector
 		for _, idx := range q.Indices {
-			if r := layout.Rank(idx); r >= e.cfg.NumRanks {
-				return nil, fmt.Errorf("fafnir: index %d maps to rank %d beyond the tree's %d ranks",
-					idx, r, e.cfg.NumRanks)
+			if err := e.checkRank(idx, layout.Rank(idx)); err != nil {
+				return nil, err
 			}
 			done := mem.Read(clock, layout.Addr(idx), layout.VectorBytes(), dram.DestLocal)
 			memDone = sim.Max(memDone, done)

@@ -1,41 +1,38 @@
 package fafnir
 
+import (
+	"fmt"
+
+	"fafnir/internal/tensor"
+)
+
 // flatPE is one node of the arena-flattened tree: the dense, pointer-free
-// mirror of PENode that the hot path iterates. Child, parent, and stats slots
-// are all plain indices into engine- or scratch-owned slices, so evaluation
-// touches contiguous records instead of chasing *PENode pointers, and the
-// scheduler's dependency state (pendInit countdown seeds) lives right next to
-// the topology it guards.
+// mirror of PENode that the hot path iterates. Child and stats slots are all
+// plain indices into engine- or scratch-owned slices, so evaluation touches
+// contiguous records instead of chasing *PENode pointers.
 type flatPE struct {
 	ranksA, ranksB []int // leaf rank assignments (aliases PENode's slices)
 
 	left, right int32 // child node IDs, -1 if absent
-	parent      int32 // parent node ID, -1 at the root
 	level       int32 // construction level (carried-up nodes keep their own)
-	pendInit    int32 // number of children that must finish before this node
 	leaf        bool
 	kind        NodeKind
 }
 
 // flatten builds the dense mirror of t, indexed by PENode.ID. Construction
 // order (t.all) is ID order with levels non-decreasing — children always
-// precede parents — which the scheduler and the post-hoc stats fold both
-// rely on.
+// precede parents — which tree evaluation, the timing walk, and the stats
+// fold all rely on.
 func flatten(t *Tree) []flatPE {
 	fl := make([]flatPE, t.NumPEs())
 	for _, n := range t.all {
 		f := &fl[n.ID]
-		f.left, f.right, f.parent = -1, -1, -1
+		f.left, f.right = -1, -1
 		if n.Left != nil {
 			f.left = int32(n.Left.ID)
-			f.pendInit++
 		}
 		if n.Right != nil {
 			f.right = int32(n.Right.ID)
-			f.pendInit++
-		}
-		if n.Parent != nil {
-			f.parent = int32(n.Parent.ID)
 		}
 		f.level = int32(n.Level)
 		f.ranksA, f.ranksB = n.RanksA, n.RanksB
@@ -43,4 +40,83 @@ func flatten(t *Tree) []flatPE {
 		f.kind = n.Kind
 	}
 	return fl
+}
+
+// evalTree evaluates every PE bottom-up: flat is in construction order, so
+// each node's children have already left their outputs in the scratch's memo
+// slots. The hardware's PEs fire asynchronously; that lives in the cycle
+// model (treeTiming), not in the host's evaluation order.
+func (e *Engine) evalTree(op tensor.ReduceOp, in rankEntries, sc *treeScratch) error {
+	for i := range e.flat {
+		if err := e.evalFlatNode(op, int32(i), in, sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evalFlatNode evaluates one PE: leaves gather and self-merge their ranks'
+// entries, internal nodes join their children's memoized outputs. The node's
+// results land in the scratch's dense slots and its allocations in the
+// scratch's arena.
+func (e *Engine) evalFlatNode(op tensor.ReduceOp, id int32, in rankEntries, sc *treeScratch) error {
+	n := &e.flat[id]
+	var inA, inB []Entry
+	if n.leaf {
+		inA = gatherRanks(&sc.ws, in, n.ranksA)
+		inB = gatherRanks(&sc.ws, in, n.ranksB)
+		// Serially merge co-query entries arriving on the same input
+		// stream (see SelfMerge); required whenever a query holds two
+		// indices on one rank.
+		var stA, stB PEStats
+		var err error
+		inA, stA, err = selfMerge(&sc.ws, op, inA)
+		if err != nil {
+			return fmt.Errorf("fafnir: PE %d input A: %w", id, err)
+		}
+		inB, stB, err = selfMerge(&sc.ws, op, inB)
+		if err != nil {
+			return fmt.Errorf("fafnir: PE %d input B: %w", id, err)
+		}
+		stA.Add(stB)
+		sc.self[id] = stA
+	} else {
+		if n.left >= 0 {
+			inA = sc.memo[n.left]
+		}
+		if n.right >= 0 {
+			inB = sc.memo[n.right]
+		}
+	}
+	out, st, err := processPE(&sc.ws, op, inA, inB)
+	if err != nil {
+		return fmt.Errorf("fafnir: PE %d: %w", id, err)
+	}
+	sc.memo[id] = out
+	sc.proc[id] = st
+	return nil
+}
+
+// gatherRanks collects the leaf entries of the given ranks. The single-rank
+// case (the paper's 1PE:2R geometry) aliases the per-rank slice directly —
+// entries are immutable in flight, so no copy is needed.
+func gatherRanks(ws *workScratch, in rankEntries, ranks []int) []Entry {
+	switch len(ranks) {
+	case 0:
+		return nil
+	case 1:
+		return in[ranks[0]]
+	}
+	n := 0
+	for _, r := range ranks {
+		n += len(in[r])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := ws.ents.alloc(n)[:0]
+	for _, r := range ranks {
+		out = append(out, in[r]...)
+	}
+	return out
 }

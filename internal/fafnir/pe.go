@@ -307,7 +307,7 @@ func selfMerge(ws *workScratch, op tensor.ReduceOp, entries []Entry) ([]Entry, P
 //
 // This exported form allocates a private scratch whose memory is owned by the
 // returned entries, so results live as long as the caller keeps them. The
-// engine's hot path uses processPE with pooled per-worker scratches instead.
+// engine's hot path uses processPE on the pooled treeScratch instead.
 func ProcessPE(op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error) {
 	return processPE(newWorkScratch(), op, inA, inB)
 }

@@ -19,7 +19,7 @@ func BenchmarkRnetCombine(b *testing.B) {
 	const queries = 32
 	for _, shards := range []int{2, 4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := Config{Radix: 2, Parallelism: 1}
+			cfg := Config{Radix: 2}
 			tr, err := NewTree(shards, cfg)
 			if err != nil {
 				b.Fatalf("NewTree: %v", err)

@@ -20,10 +20,11 @@
 // exactly the left-to-right shard order of a serial fold, just
 // re-associated. The embedding store holds integer-valued float32 rows
 // (docs/ARCHITECTURE.md §13), so re-association is exact and tree outputs
-// are bit-identical to the serial fold at every Parallelism setting. All
-// statistics and switch spans are folded post-hoc in node-ID order, so the
-// parallel path reports bit-identical cycles and traces too (the same
-// construction-order argument as the engine's tree scheduler, §9).
+// are bit-identical to the serial fold. Switches evaluate serially in
+// node-ID order on the caller's goroutine — the asynchrony is simulated (each
+// switch's Fire/Done cycles), not re-enacted by the host: a reduction is a few
+// microseconds of host work, and the coarse units above it (shards, fleets)
+// already run concurrently (docs/ARCHITECTURE.md §9).
 //
 // Degradation. A missing leaf (a shard lost mid-combine) simply never
 // arrives: presence is computed bottom-up, a switch waits only for children
@@ -35,9 +36,6 @@ package rnet
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fafnir/internal/sim"
 	"fafnir/internal/tensor"
@@ -67,10 +65,6 @@ type Config struct {
 	SwitchLatency sim.Cycle
 	// CombineCycles is the cost of one vector combine at a switch.
 	CombineCycles sim.Cycle
-	// Parallelism is the switch-evaluation worker count: <= 1 evaluates
-	// serially in node-ID order, larger values run the asynchronous
-	// pending-children scheduler. Results are bit-identical either way.
-	Parallelism int
 	// Stalls maps interior node IDs (see Tree.Interior) to extra cycles
 	// added to that switch's firing, modelling a slow or degraded switch
 	// (the fault plan's swstall clause). Nil injects nothing.
@@ -95,11 +89,8 @@ func (c *Config) fillDefaults() {
 // Validate reports a descriptive error naming the offending field for an
 // unusable configuration.
 func (c Config) Validate() error {
-	switch {
-	case c.Radix < 0 || c.Radix == 1:
+	if c.Radix < 0 || c.Radix == 1 {
 		return fmt.Errorf("rnet: Config.Radix = %d: want 0 (the default of 2) or >= 2", c.Radix)
-	case c.Parallelism < 0:
-		return fmt.Errorf("rnet: Config.Parallelism = %d: must be non-negative", c.Parallelism)
 	}
 	for id, st := range c.Stalls {
 		if id < 0 {
@@ -116,7 +107,6 @@ func (c Config) Validate() error {
 // interior switches follow in bottom-up level order, the root is last.
 type node struct {
 	children []int32 // interior only, ascending
-	parent   int32   // -1 at the root
 	level    int     // 0 at leaves
 }
 
@@ -143,9 +133,6 @@ func NewTree(leaves int, cfg Config) (*Tree, error) {
 	}
 	t := &Tree{cfg: cfg, leaves: leaves}
 	t.nodes = make([]node, leaves, 2*leaves)
-	for i := range t.nodes {
-		t.nodes[i].parent = -1
-	}
 	cur := make([]int32, leaves)
 	for i := range cur {
 		cur[i] = int32(i)
@@ -157,12 +144,8 @@ func NewTree(leaves int, cfg Config) (*Tree, error) {
 			id := int32(len(t.nodes))
 			t.nodes = append(t.nodes, node{
 				children: append([]int32(nil), cur[lo:hi]...),
-				parent:   -1,
 				level:    level,
 			})
-			for _, c := range cur[lo:hi] {
-				t.nodes[c].parent = id
-			}
 			next = append(next, id)
 		}
 		cur = next
@@ -202,7 +185,7 @@ type Partial struct {
 
 // SwitchSpan is one interior switch's firing record, for trace emission and
 // fault forensics. Spans are reported in node-ID order (bottom-up levels,
-// left to right), which is also deterministic evaluation order.
+// left to right), which is also the evaluation order.
 type SwitchSpan struct {
 	// Node is the switch's tree node ID (in [Tree.Leaves, Tree.Leaves+Tree.Interior)).
 	Node int32
@@ -250,8 +233,6 @@ type reduceState struct {
 	done    []sim.Cycle       // node ID -> completion cycle
 	present []bool            // node ID -> subtree holds >= 1 live leaf
 	spans   []SwitchSpan      // interior spans, indexed by id - leaves
-	errs    []error           // interior node ID -> combine error
-	pending []atomic.Int32    // interior countdowns (present children)
 }
 
 // Reduce runs one reduction: leaves[i] is leaf i's partial (nil for a leaf
@@ -274,7 +255,6 @@ func (t *Tree) Reduce(op tensor.ReduceOp, numQueries int, leaves []*Partial) (*R
 		done:    make([]sim.Cycle, len(t.nodes)),
 		present: make([]bool, len(t.nodes)),
 		spans:   make([]SwitchSpan, t.Interior()),
-		errs:    make([]error, len(t.nodes)),
 	}
 	for i, p := range leaves {
 		if p == nil {
@@ -284,8 +264,9 @@ func (t *Tree) Reduce(op tensor.ReduceOp, numQueries int, leaves []*Partial) (*R
 		st.outs[i] = p.Vectors
 		st.done[i] = p.Ready
 	}
-	// Presence is bottom-up and cheap; computing it first lets the async
-	// scheduler skip dark subtrees entirely instead of blocking on them.
+	// IDs ascend bottom-up, so one pass settles each switch's presence (a
+	// subtree with no live leaf never fires and never blocks its siblings)
+	// and evaluates it after all of its children.
 	for id := t.leaves; id < len(t.nodes); id++ {
 		for _, c := range t.nodes[id].children {
 			if st.present[c] {
@@ -293,28 +274,10 @@ func (t *Tree) Reduce(op tensor.ReduceOp, numQueries int, leaves []*Partial) (*R
 				break
 			}
 		}
-	}
-
-	workers := t.cfg.Parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n := t.Interior(); workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for id := t.leaves; id < len(t.nodes); id++ {
-			if st.present[id] {
-				st.errs[id] = t.evalSwitch(op, int32(id), st)
-			}
+		if !st.present[id] {
+			continue
 		}
-	} else {
-		t.evalAsync(op, st, workers)
-	}
-	// Surface the minimal-ID error: IDs ascend bottom-up, so this is the
-	// error the serial order reports first at every Parallelism.
-	for id := t.leaves; id < len(t.nodes); id++ {
-		if err := st.errs[id]; err != nil {
+		if err := t.evalSwitch(op, int32(id), st); err != nil {
 			return nil, err
 		}
 	}
@@ -323,9 +286,7 @@ func (t *Tree) Reduce(op tensor.ReduceOp, numQueries int, leaves []*Partial) (*R
 
 // evalSwitch fires one interior switch: fold each query's child vectors in
 // ascending child order, charge link/latency/combine cycles, and record the
-// span. It touches only its own node's dense slots (and, for in-place
-// combines, child scratch no other node will read again), which is what
-// makes the dependency-driven schedule safe.
+// span. In-place combines reuse child scratch no other node reads again.
 func (t *Tree) evalSwitch(op tensor.ReduceOp, id int32, st *reduceState) error {
 	n := &t.nodes[id]
 	var (
@@ -387,11 +348,10 @@ func (t *Tree) evalSwitch(op tensor.ReduceOp, id int32, st *reduceState) error {
 	return nil
 }
 
-// assemble folds the per-node records into the Result in node-ID order —
-// the post-hoc construction-order fold that keeps stats and spans
-// bit-identical at every Parallelism — and clones any root output that
-// still aliases a leaf partial (single-contributor queries never combined,
-// so their vector is still the shard's own).
+// assemble folds the per-node records into the Result in node-ID order and
+// clones any root output that still aliases a leaf partial
+// (single-contributor queries never combined, so their vector is still the
+// shard's own).
 func (t *Tree) assemble(numQueries int, st *reduceState) *Result {
 	root := int32(len(t.nodes) - 1)
 	res := &Result{Outputs: make([]tensor.Vector, numQueries)}
@@ -421,114 +381,6 @@ func (t *Tree) assemble(numQueries int, st *reduceState) *Result {
 		res.Spans = append(res.Spans, sp)
 	}
 	return res
-}
-
-// deque is one worker's ready queue, the PR 7 pattern: the owner pushes and
-// pops at the tail (a freshly readied parent is the hottest work), thieves
-// take the oldest switch from the head.
-type deque struct {
-	mu   sync.Mutex
-	buf  []int32
-	head int
-}
-
-func (d *deque) push(id int32) {
-	d.mu.Lock()
-	d.buf = append(d.buf, id)
-	d.mu.Unlock()
-}
-
-func (d *deque) popTail() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.buf) <= d.head {
-		d.buf = d.buf[:0]
-		d.head = 0
-		return 0, false
-	}
-	id := d.buf[len(d.buf)-1]
-	d.buf = d.buf[:len(d.buf)-1]
-	return id, true
-}
-
-func (d *deque) stealHead() (int32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.buf) <= d.head {
-		return 0, false
-	}
-	id := d.buf[d.head]
-	d.head++
-	return id, true
-}
-
-// evalAsync runs the dependency-driven schedule: each switch's countdown is
-// initialized to its number of *present* children that are themselves
-// switches (a dark subtree never fires, so it is excluded up front — the
-// mechanism by which a missing partial propagates without blocking
-// siblings), switches whose live children are all leaves are dealt
-// round-robin onto the worker deques, and each finished switch counts down
-// its parent, pushing it when it hits zero. Every live switch is evaluated —
-// errors are recorded per node, never cancel the schedule — so completion is
-// a simple count.
-func (t *Tree) evalAsync(op tensor.ReduceOp, st *reduceState, workers int) {
-	if st.pending == nil {
-		st.pending = make([]atomic.Int32, len(t.nodes))
-	}
-	live := int64(0)
-	deques := make([]deque, workers)
-	w := 0
-	for id := t.leaves; id < len(t.nodes); id++ {
-		if !st.present[id] {
-			continue
-		}
-		live++
-		waits := int32(0)
-		for _, c := range t.nodes[id].children {
-			if int(c) >= t.leaves && st.present[c] {
-				waits++
-			}
-		}
-		st.pending[id].Store(waits)
-		if waits == 0 {
-			d := &deques[w%workers]
-			d.buf = append(d.buf, int32(id)) // pre-start: no lock needed
-			w++
-		}
-	}
-	var completed atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wi := 0; wi < workers; wi++ {
-		go func(wi int) {
-			defer wg.Done()
-			d := &deques[wi]
-			for {
-				id, ok := d.popTail()
-				for off := 1; off < workers && !ok; off++ {
-					id, ok = deques[(wi+off)%workers].stealHead()
-				}
-				if !ok {
-					if completed.Load() >= live {
-						return
-					}
-					runtime.Gosched()
-					continue
-				}
-				if err := t.evalSwitch(op, id, st); err != nil {
-					st.errs[id] = err
-				}
-				// The outs/done writes above happen before this decrement;
-				// whoever takes the countdown to zero owns the parent and
-				// sees every live child's pool.
-				if p := t.nodes[id].parent; p >= 0 && st.pending[p].Add(-1) == 0 {
-					d.push(p)
-				}
-				completed.Add(1)
-			}
-		}(wi)
-	}
-	wg.Wait()
 }
 
 // HostFoldCycles is the analytic critical path of a host-side serial combine

@@ -11,9 +11,9 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// testCfg is the base tree configuration: radix 2, default timing, serial.
+// testCfg is the base tree configuration: radix 2, default timing.
 func testCfg() Config {
-	return Config{Radix: 2, Parallelism: 1}
+	return Config{Radix: 2}
 }
 
 // intVector draws a dim-4 vector of small integers — the store's
@@ -76,7 +76,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"radix one", func(c *Config) { c.Radix = 1 }, "Radix"},
 		{"negative radix", func(c *Config) { c.Radix = -2 }, "Radix"},
-		{"negative parallelism", func(c *Config) { c.Parallelism = -1 }, "Parallelism"},
 		{"negative stall node", func(c *Config) { c.Stalls = map[int]sim.Cycle{-1: 5} }, "Stalls"},
 		{"zero stall", func(c *Config) { c.Radix = 2; c.Stalls = map[int]sim.Cycle{2: 0} }, "Stalls"},
 	}
@@ -135,14 +134,15 @@ func TestTreeShape(t *testing.T) {
 				t.Fatalf("shape = (%d leaves, %d interior, depth %d), want (%d, %d, %d)",
 					tr.Leaves(), tr.Interior(), tr.Depth(), tc.leaves, tc.interior, tc.depth)
 			}
-			// Every node except the root must have a parent with ascending
-			// children covering it exactly once.
+			// Every node except the root must be the child of exactly one
+			// switch, and that switch must come later in ID order (Reduce's
+			// single bottom-up pass depends on it).
 			seen := make(map[int32]int)
 			for id := tr.leaves; id < len(tr.nodes); id++ {
 				for _, c := range tr.nodes[id].children {
 					seen[c]++
-					if tr.nodes[c].parent != int32(id) {
-						t.Fatalf("node %d parent = %d, want %d", c, tr.nodes[c].parent, id)
+					if int(c) >= id {
+						t.Fatalf("switch %d has child %d at or above its own ID", id, c)
 					}
 				}
 			}
@@ -203,36 +203,9 @@ func TestReduceOutputsAreOwned(t *testing.T) {
 	}
 }
 
-func TestReduceParallelismIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, leaves := range []int{8, 17, 33} {
-		in := genLeaves(rng, leaves, 8, 0.15, 0.2)
-		var base *Result
-		for _, par := range []int{1, 2, 0} {
-			cfg := testCfg()
-			cfg.Parallelism = par
-			tr, err := NewTree(leaves, cfg)
-			if err != nil {
-				t.Fatalf("NewTree: %v", err)
-			}
-			res, err := tr.Reduce(tensor.OpSum, 8, in)
-			if err != nil {
-				t.Fatalf("Reduce: %v", err)
-			}
-			if base == nil {
-				base = res
-				continue
-			}
-			if !reflect.DeepEqual(res, base) {
-				t.Fatalf("leaves %d parallelism %d: result diverges from serial", leaves, par)
-			}
-		}
-	}
-}
-
 func TestReduceTiming(t *testing.T) {
 	// 4 leaves, radix 2: switches 4=(0,1), 5=(2,3), root 6=(4,5).
-	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2, Parallelism: 1}
+	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2}
 	tr, err := NewTree(4, cfg)
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
@@ -270,7 +243,7 @@ func TestReduceTiming(t *testing.T) {
 }
 
 func TestReduceMissingLeafDoesNotBlock(t *testing.T) {
-	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2, Parallelism: 1}
+	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2}
 	tr, err := NewTree(4, cfg)
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
@@ -299,8 +272,7 @@ func TestReduceMissingLeafDoesNotBlock(t *testing.T) {
 }
 
 func TestReduceDarkSubtreeSkipped(t *testing.T) {
-	cfg := testCfg()
-	tr, err := NewTree(4, cfg)
+	tr, err := NewTree(4, testCfg())
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
 	}
@@ -311,22 +283,15 @@ func TestReduceDarkSubtreeSkipped(t *testing.T) {
 		{Vectors: []tensor.Vector{{2}}, Ready: 10},
 		{Vectors: []tensor.Vector{{3}}, Ready: 10},
 	}
-	for _, par := range []int{1, 4} {
-		cfg.Parallelism = par
-		tr, err = NewTree(4, cfg)
-		if err != nil {
-			t.Fatalf("NewTree: %v", err)
-		}
-		res, err := tr.Reduce(tensor.OpSum, 1, in)
-		if err != nil {
-			t.Fatalf("Reduce: %v", err)
-		}
-		if got := res.Outputs[0][0]; got != 5 {
-			t.Fatalf("output = %v, want 5", got)
-		}
-		if res.Fires != 2 || res.MissingChildren != 1 {
-			t.Fatalf("par %d: Fires = %d MissingChildren = %d, want 2, 1", par, res.Fires, res.MissingChildren)
-		}
+	res, err := tr.Reduce(tensor.OpSum, 1, in)
+	if err != nil {
+		t.Fatalf("Reduce: %v", err)
+	}
+	if got := res.Outputs[0][0]; got != 5 {
+		t.Fatalf("output = %v, want 5", got)
+	}
+	if res.Fires != 2 || res.MissingChildren != 1 {
+		t.Fatalf("Fires = %d MissingChildren = %d, want 2, 1", res.Fires, res.MissingChildren)
 	}
 }
 
@@ -369,7 +334,7 @@ func TestReduceSingleLeaf(t *testing.T) {
 }
 
 func TestReduceStalls(t *testing.T) {
-	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2, Parallelism: 1}
+	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2}
 	base, err := NewTree(4, cfg)
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
@@ -416,22 +381,13 @@ func TestReduceErrors(t *testing.T) {
 	if _, err := tr.Reduce(tensor.OpSum, 1, bad); err == nil {
 		t.Fatal("wrong query-slot count accepted")
 	}
-	// Dimension mismatch surfaces the switch's combine error at every
-	// Parallelism.
+	// Dimension mismatch surfaces the switch's combine error.
 	mismatched := []*Partial{
 		{Vectors: []tensor.Vector{{1, 2}}},
 		{Vectors: []tensor.Vector{{1}}},
 	}
-	for _, par := range []int{1, 2} {
-		cfg := testCfg()
-		cfg.Parallelism = par
-		tr, err := NewTree(2, cfg)
-		if err != nil {
-			t.Fatalf("NewTree: %v", err)
-		}
-		if _, err := tr.Reduce(tensor.OpSum, 1, mismatched); err == nil || !strings.Contains(err.Error(), "switch") {
-			t.Fatalf("par %d: mismatched dims = %v, want switch error", par, err)
-		}
+	if _, err := tr.Reduce(tensor.OpSum, 1, mismatched); err == nil || !strings.Contains(err.Error(), "switch") {
+		t.Fatalf("mismatched dims = %v, want switch error", err)
 	}
 }
 
@@ -455,7 +411,7 @@ func TestHostFoldCycles(t *testing.T) {
 // tracks O(N), so doubling the fleet adds one level to the tree but doubles
 // the host's combine term.
 func TestCriticalPathLogGrowth(t *testing.T) {
-	cfg := Config{Radix: 2, LinkCycles: 64, SwitchLatency: 16, CombineCycles: 8, Parallelism: 1}
+	cfg := Config{Radix: 2, LinkCycles: 64, SwitchLatency: 16, CombineCycles: 8}
 	const queries = 32 // a full hardware batch: every query holds a partial on every shard
 	path := func(leaves int) (tree, host sim.Cycle) {
 		tr, err := NewTree(leaves, cfg)

@@ -109,11 +109,7 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 		}
 		fed.fleets = append(fed.fleets, fleet)
 	}
-	rcfg := cfg.Rnet
-	if rcfg.Parallelism == 0 {
-		rcfg.Parallelism = cfg.Fleet.Parallelism
-	}
-	tree, err := rnet.NewTree(cfg.Fleets, rcfg)
+	tree, err := rnet.NewTree(cfg.Fleets, cfg.Rnet)
 	if err != nil {
 		return nil, err
 	}

@@ -64,10 +64,10 @@ type Config struct {
 	Rows uint64
 	// Seed fixes table contents and the breaker's backoff jitter. Default 1.
 	Seed int64
-	// Parallelism bounds concurrent shard sub-lookups (and each shard
-	// engine's internal worker pool). It changes wall-clock speed only:
-	// outputs, cycles, health transitions, and degraded reports are
-	// bit-identical at every setting. 0 uses every core; 1 is fully serial.
+	// Parallelism is how many coarse units run at once: shard sub-lookups
+	// here, hardware batches inside each shard engine. It changes wall-clock
+	// speed only: outputs, cycles, health transitions, and degraded reports
+	// are bit-identical at every setting. 0 uses every core; 1 is fully serial.
 	Parallelism int
 	// Fleet attaches a fleet-level fault schedule: whole-shard losses,
 	// flapping shards, correlated rank storms, and a base per-shard plan.
@@ -225,9 +225,6 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	rcfg := cfg.Rnet
-	if rcfg.Parallelism == 0 {
-		rcfg.Parallelism = cfg.Parallelism
-	}
 	if len(cfg.Fleet.SwitchStalls) > 0 {
 		rcfg.Stalls = make(map[int]sim.Cycle, len(cfg.Fleet.SwitchStalls))
 		for _, st := range cfg.Fleet.SwitchStalls {
