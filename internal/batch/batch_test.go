@@ -203,3 +203,63 @@ func TestRandomBatchPlans(t *testing.T) {
 		}
 	}
 }
+
+// The engine runs on Compile's plan: rows numbered ascending with the global
+// index, one row bitset per query, per access its row and using queries — and
+// no sorted-slice header. Build is the same compile with Remaining derived
+// from it.
+func TestCompileBitForm(t *testing.T) {
+	b := fig6Batch()
+	for _, dedup := range []bool{true, false} {
+		p, full := Compile(b, dedup), Build(b, dedup)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("dedup=%v: %v", dedup, err)
+		}
+		if !header.IndexSet(p.Rows).Equal(b.UniqueIndices()) {
+			t.Fatalf("dedup=%v: rows %v, want the batch's unique indices ascending", dedup, p.Rows)
+		}
+		for qi, q := range b.Queries {
+			if got := p.Rows.AppendIndices(nil, p.QueryBits(qi)); !got.Equal(q.Indices) {
+				t.Fatalf("dedup=%v: query %d row set spells %v, want %v", dedup, qi, got, q.Indices)
+			}
+		}
+		if len(p.Accesses) != len(full.Accesses) {
+			t.Fatalf("dedup=%v: Compile cut %d accesses, Build %d", dedup, len(p.Accesses), len(full.Accesses))
+		}
+		for i, a := range p.Accesses {
+			if a.Remaining != nil {
+				t.Fatalf("dedup=%v: Compile materialized access %d's sorted-slice header", dedup, a.Index)
+			}
+			if p.Rows[a.Row] != a.Index {
+				t.Fatalf("dedup=%v: access %d carries row %d = index %d", dedup, a.Index, a.Row, p.Rows[a.Row])
+			}
+			f := full.Accesses[i]
+			if f.Index != a.Index || f.Row != a.Row || len(f.Users) != len(a.Users) || len(f.Remaining) != len(a.Users) {
+				t.Fatalf("dedup=%v: access %d: Build %+v diverges from Compile %+v", dedup, i, f, a)
+			}
+			for _, qi := range a.Users {
+				if !b.Queries[qi].Indices.Contains(a.Index) {
+					t.Fatalf("dedup=%v: access %d lists query %d, which does not hold it", dedup, a.Index, qi)
+				}
+			}
+		}
+	}
+}
+
+// Validate must notice a plan whose bit form disagrees with its batch.
+func TestValidateCatchesCorruptBitForm(t *testing.T) {
+	corrupt := map[string]func(*Plan){
+		"query row set":   func(p *Plan) { p.QueryBits(0)[0] ^= 1 },
+		"access row":      func(p *Plan) { p.Accesses[0].Row++ },
+		"missing user":    func(p *Plan) { a := &p.Accesses[0]; a.Users = a.Users[:len(a.Users)-1] },
+		"dropped access":  func(p *Plan) { p.Accesses = p.Accesses[1:] },
+		"repeated access": func(p *Plan) { p.Accesses = append(p.Accesses, p.Accesses[0]) },
+	}
+	for name, mutate := range corrupt {
+		p := Compile(fig6Batch(), true)
+		mutate(p)
+		if p.Validate() == nil {
+			t.Errorf("%s: corrupt plan validates", name)
+		}
+	}
+}

@@ -171,6 +171,9 @@ func (b Batch) UniqueFraction() float64 {
 	return float64(b.UniqueIndices().Len()) / float64(total)
 }
 
+// goldenChunkRows is how many unique rows Golden materializes per allocation.
+const goldenChunkRows = 64
+
 // Golden computes the reference result of the batch against the store: one
 // reduced vector per query, in query order. Every engine's functional output
 // is compared against this. It returns an error when a query references an
@@ -178,24 +181,30 @@ func (b Batch) UniqueFraction() float64 {
 func (b Batch) Golden(s *Store) ([]tensor.Vector, error) {
 	out := make([]tensor.Vector, len(b.Queries))
 	// Batches share indices heavily (that sharing is the whole premise of the
-	// paper), so each unique index is materialized once into a flat backing
-	// and reused; only the per-query accumulators escape. Values are
-	// deterministic, so memoization cannot change any result.
-	dim := s.Dim()
-	var backing []float32
-	memo := make(map[header.Index]int, b.TotalAccesses())
+	// paper), so each unique index is materialized once and reused; only the
+	// per-query accumulators escape. Rows are carved out of fixed-size chunks
+	// that are never regrown — one growing buffer would copy every row
+	// already materialized on each growth — and the memo holds the row's
+	// slice. Values are deterministic, so memoization cannot change any
+	// result.
+	dim, total := s.Dim(), b.TotalAccesses()
+	chunkLen := min(goldenChunkRows, total) * dim
+	var chunk []float32
+	memo := make(map[header.Index]tensor.Vector, total)
 	vecOf := func(idx header.Index) (tensor.Vector, error) {
 		if uint64(idx) >= s.totalRows {
 			return nil, fmt.Errorf("embedding: index %d out of range [0,%d)", idx, s.totalRows)
 		}
-		off, ok := memo[idx]
+		v, ok := memo[idx]
 		if !ok {
-			off = len(backing)
-			backing = append(backing, make([]float32, dim)...)
-			s.fill(idx, backing[off:off+dim])
-			memo[idx] = off
+			if len(chunk) < dim {
+				chunk = make([]float32, chunkLen)
+			}
+			v, chunk = chunk[:dim:dim], chunk[dim:]
+			s.fill(idx, v)
+			memo[idx] = v
 		}
-		return backing[off : off+dim], nil
+		return v, nil
 	}
 	for i, q := range b.Queries {
 		if q.Indices.Len() == 0 {

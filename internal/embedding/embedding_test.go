@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fafnir/internal/header"
@@ -285,5 +286,29 @@ func TestPerTableZipf(t *testing.T) {
 	}
 	if float64(low)/float64(total) < 0.3 {
 		t.Fatalf("zipf head share %.2f too small within tables", float64(low)/float64(total))
+	}
+}
+
+// The golden reference runs after the engine on every verified lookup, so what
+// it allocates is paid per request: one Golden may allocate the rows it
+// materializes and its outputs, plus slack for the memo — not a buffer regrown
+// geometrically, which allocates (and copies) every row a second time.
+func TestGoldenAllocatesEachRowOnce(t *testing.T) {
+	const dim = 128
+	gen, err := NewGenerator(GeneratorConfig{NumQueries: 256, QuerySize: 16, Rows: 1 << 20, Dist: Zipf, ZipfS: 1.2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := gen.Batch(tensor.OpSum)
+	store := MustStore(1<<20, dim, 5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := b.Golden(store); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	need := uint64(b.UniqueIndices().Len()+len(b.Queries)) * dim * 4
+	if got := after.TotalAlloc - before.TotalAlloc; got > need*3/2 {
+		t.Fatalf("Golden allocated %d bytes for %d bytes of unique rows and outputs (limit 1.5x)", got, need)
 	}
 }

@@ -1,21 +1,26 @@
 package fafnir
 
-// This file holds the arena layer of the hot path. One tree evaluation used
-// to perform tens of thousands of small heap allocations — a vector clone,
-// an index-set union, a one-element Queries slice per reduce action — and the
-// end-to-end sweeps were allocation-bound because of it. The arena replaces
-// all of that with typed bump allocators whose chunks are retained across
-// runs: a steady-state tree pass allocates nothing, and releasing the scratch
-// recycles every chunk at once instead of feeding the garbage collector.
+// This file holds the arena layer of the hot path: typed bump allocators whose
+// chunks are retained across runs, so a steady-state tree pass allocates
+// nothing — a reduce action's vector clone and its two header fields are
+// carved off the current chunk — and releasing the scratch recycles every
+// chunk at once instead of feeding the garbage collector. It also holds the
+// one sort the merge unit needs (canon): set algebra on header.Bitset words is
+// a handful of word operations, which leaves canonical ordering as the PE's
+// dominant host cost.
 //
 // Arena-backed slices are only valid while the owning scratch is leased
 // (getTreeScratch/putTreeScratch in scratch.go); the engine releases a
 // batch's scratch only after resolve and trace emission have consumed the
-// root outputs. The exported ProcessPE/SelfMerge wrappers use a fresh,
-// never-recycled scratch, so their results live as long as the caller keeps
-// them — exactly like the old heap-allocating implementation.
+// root outputs. The exported ProcessPE/SelfMerge adaptors convert their
+// results out of a private scratch, so those live as long as the caller keeps
+// them.
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+
 	"fafnir/internal/header"
 	"fafnir/internal/tensor"
 )
@@ -92,47 +97,45 @@ func (b *bump[T]) reset(clearMem bool) {
 	b.used = b.used[:0]
 }
 
-// selfPair is one membership record of SelfMerge's grouping pass: the full
-// query (the union of an entry's indices and one of its remaining-sets) and
-// the entry's position in the input stream.
-type selfPair struct {
-	full   header.IndexSet
-	member int
-}
-
-// workScratch is the working set of one tree evaluation: the typed arenas
-// every PE invocation allocates from, plus reusable transient slices for the
-// merge unit. A treeScratch embeds one and a single goroutine evaluates the
-// whole tree on it, so no synchronization is needed on the allocation path.
+// workScratch is the working set of one tree evaluation: the dense row space
+// of the hardware batch being evaluated, the typed arenas every PE invocation
+// allocates from, and reusable transient slices for the merge unit. A
+// treeScratch embeds one and a single goroutine evaluates the whole tree on
+// it, so no synchronization is needed on the allocation path.
 type workScratch struct {
-	ents bump[Entry]           // PE output slices and leaf-entry buffers
-	vals bump[float32]         // reduced vector values
-	idx  bump[header.Index]    // index sets (unions, minus results, leaf singletons)
-	qs   bump[header.IndexSet] // Queries field slices
+	// rows and k (rows.Words()) come from the leaf inputs being evaluated,
+	// not from whatever this scratch ran last: begin sets them.
+	rows header.Dense
+	k    int
 
-	raw     []Entry    // one PE call's pre-merge outputs
-	pairs   []selfPair // SelfMerge grouping records
-	members []int      // one SelfMerge group's member positions
-	order   []int32    // sort permutation (fold and selfMerge sort positions, not structs)
+	ents  bump[denseEntry] // PE output slices and leaf-entry buffers
+	vals  bump[float32]    // reduced vector values
+	words bump[uint64]     // header fields: unions, minus results, merged Queries, leaf sets
+
+	raw   []denseEntry    // one PE call's pre-merge outputs
+	sets  []header.Bitset // selfMerge: the full query of every (entry, remaining-set) pair
+	ord   []uint64        // canon's output
+	sigs  []uint64        // processPE: header.Bitset.Sig of every input entry's indices
+	owner []int32         // selfMerge: (entry, remaining-set) pair -> stream position
+	named []header.Index  // viaDense: every index an exported call's inputs mention
 }
 
-func newWorkScratch() *workScratch { return &workScratch{} }
+// begin points the scratch at the dense row space of the batch it is about
+// to evaluate.
+func (ws *workScratch) begin(rows header.Dense) { ws.rows, ws.k = rows, rows.Words() }
 
 // reset recycles the arenas and transient slices for the next batch. Entry
-// and Queries chunks hold pointers and are zeroed; the float and index chunks
-// are pointer-free, and everything they back is reachable only through the
-// cleared chunks, so they recycle without the memclr.
+// chunks hold pointers and are zeroed; the float and word chunks are
+// pointer-free, and everything they back is reachable only through the
+// cleared chunks (or through sets, which points nowhere else), so they
+// recycle without the memclr.
 func (ws *workScratch) reset() {
+	ws.rows = nil
 	ws.ents.reset(true)
-	ws.qs.reset(true)
 	ws.vals.reset(false)
-	ws.idx.reset(false)
+	ws.words.reset(false)
 	clear(ws.raw[:cap(ws.raw)])
 	ws.raw = ws.raw[:0]
-	clear(ws.pairs[:cap(ws.pairs)])
-	ws.pairs = ws.pairs[:0]
-	ws.members = ws.members[:0]
-	ws.order = ws.order[:0]
 }
 
 // cloneVec copies v into the value arena (the reduce action's working copy).
@@ -142,75 +145,53 @@ func (ws *workScratch) cloneVec(v tensor.Vector) tensor.Vector {
 	return out
 }
 
-// single builds the one-element index set of a leaf read.
-func (ws *workScratch) single(x header.Index) header.IndexSet {
-	s := ws.idx.alloc(1)
-	s[0] = x
-	return s
-}
-
-// union is IndexSet.Union into the arena. When one side is empty the other
-// is returned as-is — index sets are immutable in flight, so sharing is safe
-// and matches the content the allocating implementation produced.
-func (ws *workScratch) union(s, t header.IndexSet) header.IndexSet {
-	if len(s) == 0 {
-		return t
-	}
-	if len(t) == 0 {
-		return s
-	}
-	out := ws.idx.alloc(len(s) + len(t))
-	k, i, j := 0, 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			out[k] = s[i]
-			i++
-		case s[i] > t[j]:
-			out[k] = t[j]
-			j++
-		default:
-			out[k] = s[i]
-			i++
-			j++
-		}
-		k++
-	}
-	k += copy(out[k:], s[i:])
-	k += copy(out[k:], t[j:])
-	return out[:k]
-}
-
-// minus is IndexSet.Minus into the arena, preserving the nil-for-empty
-// convention of the allocating implementation.
-func (ws *workScratch) minus(s, t header.IndexSet) header.IndexSet {
-	if len(s) == 0 {
-		return nil
-	}
-	if len(t) == 0 {
-		return s
-	}
-	out := ws.idx.alloc(len(s))[:0]
-	j := 0
-	for _, x := range s {
-		for j < len(t) && t[j] < x {
-			j++
-		}
-		if j < len(t) && t[j] == x {
-			continue
-		}
-		out = append(out, x)
-	}
-	if len(out) == 0 {
-		return nil
-	}
+// or is the union of s and t in the arena.
+func (ws *workScratch) or(s, t header.Bitset) header.Bitset {
+	out := header.Bitset(ws.words.alloc(ws.k))
+	out.Or(s, t)
 	return out
 }
 
-// qset1 builds a one-element Queries slice. The set itself is shared, never
-// copied: headers are immutable in flight.
-func (ws *workScratch) qset1(q header.IndexSet) []header.IndexSet {
-	s := ws.qs.alloc(1)
-	s[0] = q
-	return s
+// andNot is s without t's members in the arena.
+func (ws *workScratch) andNot(s, t header.Bitset) header.Bitset {
+	out := header.Bitset(ws.words.alloc(ws.k))
+	out.AndNot(s, t)
+	return out
+}
+
+// canon returns the positions 0..n-1 in the canonical order of the sets found
+// there: header.IndexSet's Compare (Key) order over the global indices —
+// which decides merge-unit grouping, output order and, through selfMerge,
+// float summation order, so it is reproduced exactly — with equal sets in
+// position order. Each set is packed into one word, its position below as much
+// of its SortKey as fits, so a plain integer sort decides nearly every
+// comparison; only runs that tie on the key prefix (equal sets, mostly) take
+// the full comparator. The position tiebreak makes the order total, so the
+// unstable sorts have one possible outcome. The result is valid until the
+// next canon.
+func (ws *workScratch) canon(n int, set func(pos uint64) header.Bitset) []uint64 {
+	posBits := bits.Len(uint(n))
+	ord := ws.ord[:0]
+	for i := uint64(0); i < uint64(n); i++ {
+		ord = append(ord, ws.rows.SortKey(set(i))>>posBits<<posBits|i)
+	}
+	ws.ord = ord
+	slices.Sort(ord)
+	pos := uint64(1)<<posBits - 1
+	for i, j := 0, 0; i < n; i = j {
+		for j = i + 1; j < n && ord[j]&^pos == ord[i]&^pos; j++ {
+		}
+		if j > i+1 {
+			slices.SortFunc(ord[i:j], func(a, b uint64) int {
+				if c := ws.rows.Compare(set(a&pos), set(b&pos)); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+	}
+	for i := range ord {
+		ord[i] &= pos
+	}
+	return ord
 }

@@ -282,8 +282,12 @@ func (e *Engine) hwBatch(b embedding.Batch, start int) embedding.Batch {
 }
 
 // rankEntries groups the leaf entries of one hardware batch by the global
-// rank they were read from; the slice is indexed by rank.
-type rankEntries [][]Entry
+// rank they were read from (byRank is indexed by rank), together with the
+// dense row space their header fields are over.
+type rankEntries struct {
+	byRank [][]denseEntry
+	rows   header.Dense
+}
 
 // checkRank rejects a placement that maps idx outside the tree's ranks. Every
 // path that turns a placement rank into a leaf goes through it, so the same
@@ -298,18 +302,18 @@ func (e *Engine) checkRank(idx header.Index, r int) error {
 // leafInputs reads every planned access from the store and builds the leaf
 // entries, grouped by rank. The per-rank buffers are carved out of one arena
 // reservation and the staging slices live on the scratch, so the steady-state
-// hot path allocates nothing regardless of batch size. Leaf headers alias the
-// plan: the Queries field shares acc.Remaining directly (headers are
-// immutable in flight and the plan outlives the lease) and Indices is a
-// one-element arena set. remap overrides the placement rank for indices whose
-// reads the host redirected to a replica (nil when no faults are injected);
-// the entry must enter the tree at the leaf that actually served the read so
-// the functional and timing passes agree.
+// hot path allocates nothing regardless of batch size. This is the one place
+// global indices enter the tree: a leaf's Indices field is the access's dense
+// row bit, and its Queries field holds, canonically ordered, each using
+// query's row set minus that bit. remap overrides the placement rank for
+// indices whose reads the host redirected to a replica (nil when no faults
+// are injected); the entry must enter the tree at the leaf that actually
+// served the read so the functional and timing passes agree.
 func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Placement, plan *batch.Plan, remap map[header.Index]int) (rankEntries, error) {
 	ws := &sc.ws
-	in := sc.in
+	in := rankEntries{byRank: sc.in, rows: plan.Rows}
 	counts := sc.counts
-	clear(in)
+	clear(in.byRank)
 	clear(counts)
 	for _, acc := range plan.Accesses {
 		r := layout.Rank(acc.Index)
@@ -317,7 +321,7 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 			r = rr
 		}
 		if err := e.checkRank(acc.Index, r); err != nil {
-			return nil, err
+			return rankEntries{}, err
 		}
 		counts[r]++
 	}
@@ -327,10 +331,12 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		if c == 0 {
 			continue
 		}
-		in[r] = buf[off : off : off+c]
+		in.byRank[r] = buf[off : off : off+c]
 		off += c
 	}
 	dim := store.Dim()
+	k := plan.Rows.Words()
+	rem := header.Bitset(ws.words.alloc(k))
 	for _, acc := range plan.Accesses {
 		r := layout.Rank(acc.Index)
 		if rr, ok := remap[acc.Index]; ok {
@@ -338,12 +344,17 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		}
 		v := ws.vals.alloc(dim)
 		if err := store.VectorInto(acc.Index, v); err != nil {
-			return nil, err
+			return rankEntries{}, err
 		}
-		in[r] = append(in[r], Entry{Value: v, Header: header.Header{
-			Indices: ws.single(acc.Index),
-			Queries: acc.Remaining,
-		}})
+		own := header.Bitset(ws.words.alloc(k))
+		clear(own)
+		own.Set(int(acc.Row))
+		qs := header.Bitset(ws.words.alloc(k * len(acc.Users)))[:0]
+		for _, qi := range acc.Users {
+			rem.AndNot(plan.QueryBits(int(qi)), own)
+			qs = plan.Rows.Insert(qs, rem)
+		}
+		in.byRank[r] = append(in.byRank[r], denseEntry{value: v, indices: own, queries: qs})
 	}
 	return in, nil
 }
@@ -357,7 +368,7 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 // The tree evaluates serially on the calling goroutine (see evalTree) and all
 // accounting folds in construction order below, so a pass is a pure function
 // of its leaf inputs no matter which goroutine ran it.
-func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, totals *PEStats, maxOcc *int, perPE []PEStats) ([]Entry, error) {
+func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, totals *PEStats, maxOcc *int, perPE []PEStats) ([]denseEntry, error) {
 	if err := e.evalTree(op, in, sc); err != nil {
 		return nil, err
 	}
@@ -391,40 +402,56 @@ func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, to
 // mean the reduction tree corrupted header state and are reported as
 // structured fault.ErrInvariantViolated errors rather than silently dropping
 // queries.
-func checkRootConservation(plan *batch.Plan, outputs []Entry) error {
+func checkRootConservation(plan *batch.Plan, outputs []denseEntry) error {
+	n := len(plan.Batch().Queries)
 	for _, out := range outputs {
-		if len(out.Header.Queries) == 0 {
+		if len(out.queries) == 0 {
 			return fmt.Errorf("fafnir: root output %v carries no query sets: %w",
-				out.Header.Indices, fault.ErrInvariantViolated)
+				plan.Rows.AppendIndices(nil, out.indices), fault.ErrInvariantViolated)
 		}
-		if out.Header.Complete() && len(plan.QueriesFor(out.Header.Indices)) == 0 {
+		if !out.complete(plan.Rows.Words()) {
+			continue
+		}
+		qi := 0
+		for qi < n && !plan.QueryBits(qi).Equal(out.indices) {
+			qi++
+		}
+		if qi == n {
 			return fmt.Errorf("fafnir: root output %v matches no query: %w",
-				out.Header.Indices, fault.ErrInvariantViolated)
+				plan.Rows.AppendIndices(nil, out.indices), fault.ErrInvariantViolated)
 		}
 	}
 	return nil
 }
 
-// resolve maps complete root outputs back to query positions.
-func (e *Engine) resolve(plan *batch.Plan, outputs []Entry, qBase int, res *Result) error {
+// resolve maps complete root outputs back to query positions; global indices
+// are long gone, so an output is matched to the queries whose row set it
+// carries. It is the one place queries are resolved, so it also answers a
+// query with no indices — which reads nothing and owns no root output — with
+// the zero vector the reference implementations give it.
+func (e *Engine) resolve(plan *batch.Plan, outputs []denseEntry, qBase int, res *Result) error {
 	if err := checkRootConservation(plan, outputs); err != nil {
 		return err
 	}
 	sub := plan.Batch()
 	for _, out := range outputs {
-		if !out.Header.Complete() {
+		if !out.complete(plan.Rows.Words()) {
 			// Dead partial reduction (a query's chain that took a side
 			// branch); the root discards it.
 			continue
 		}
-		qids := plan.QueriesFor(out.Header.Indices)
-		for _, qi := range qids {
-			if res.Outputs[qBase+qi] != nil {
-				continue // duplicate completion via another path
+		for qi, q := range sub.Queries {
+			// An answered slot is a duplicate completion via another path.
+			if res.Outputs[qBase+qi] == nil && plan.QueryBits(qi).Equal(out.indices) {
+				v := out.value.Clone()
+				sub.Op.FinalizeMean(v, q.Indices.Len())
+				res.Outputs[qBase+qi] = v
 			}
-			v := out.Value.Clone()
-			sub.Op.FinalizeMean(v, sub.Queries[qi].Indices.Len())
-			res.Outputs[qBase+qi] = v
+		}
+	}
+	for qi, q := range sub.Queries {
+		if q.Indices.Empty() {
+			res.Outputs[qBase+qi] = tensor.New(e.cfg.VectorDim)
 		}
 	}
 	return nil
@@ -515,7 +542,7 @@ type funcPass struct {
 	k, start int // hardware-batch ordinal and its first query's batch offset
 	plan     *batch.Plan
 	sc       *treeScratch // leased by run; released when the source moves on
-	outputs  []Entry      // arena-backed; valid while sc is leased
+	outputs  []denseEntry // arena-backed; valid while sc is leased
 	perPE    []PEStats    // aliases sc.perPE
 	totals   PEStats
 	maxOcc   int
@@ -591,7 +618,7 @@ func (e *Engine) newPassSource(store *embedding.Store, layout Placement, b embed
 
 // compile builds the pass's access plan.
 func (s *passSource) compile(p *funcPass) {
-	p.plan = batch.Build(s.e.hwBatch(s.b, p.start), s.dedup)
+	p.plan = batch.Compile(s.e.hwBatch(s.b, p.start), s.dedup)
 }
 
 // next ends the previous pass's lease and returns the next pass in program
@@ -787,6 +814,9 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 		if err := e.resolve(plan, p.outputs, p.start, &res.Result); err != nil {
 			return nil, err
 		}
+		if plan.NumAccesses() == 0 {
+			continue // only empty queries: nothing occupied the memory or the tree
+		}
 
 		// Propagate readiness up the tree in the PE clock domain.
 		rootDone := e.treeTiming(leafReady, ready, p.perPE, inj, faulted)
@@ -827,10 +857,7 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 	// final host transfer. TransferCycles accumulates per hardware batch while
 	// TotalCycles is the absolute end time, so clamp defensively to keep the
 	// Sum() == TotalCycles invariant even in pathological many-batch shapes.
-	xferStage := res.TransferCycles
-	if xferStage > res.TotalCycles {
-		xferStage = res.TotalCycles
-	}
+	xferStage := min(res.TransferCycles, res.TotalCycles)
 	res.Stages = StageCycles{Backend: res.TotalCycles - xferStage, Transfer: xferStage}
 	return res, nil
 }

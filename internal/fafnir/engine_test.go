@@ -1,6 +1,7 @@
 package fafnir
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -451,6 +452,66 @@ func TestInteractiveEmptyQuery(t *testing.T) {
 	}
 	if !res.Outputs[0].Equal(tensor.New(128)) {
 		t.Fatal("empty query should produce zeros")
+	}
+}
+
+// A query with no indices is a legal host input: it reads nothing, owns no root
+// output, and every lookup mode answers it with the zero vector the golden
+// reference and the oracle give it — wherever it sits in the batch, including
+// a hardware batch made of nothing else.
+func TestEmptyQueryResolvesToZeroVector(t *testing.T) {
+	e, store, layout, _ := timedFixture(t, 4)
+	full := genBatch(t, 6, 8, layout.TotalRows(), 17)
+	hole := func(positions ...int) embedding.Batch {
+		b := embedding.Batch{Op: tensor.OpMean, Queries: append([]embedding.Query{}, full.Queries...)}
+		for _, p := range positions {
+			b.Queries[p] = embedding.Query{}
+		}
+		return b
+	}
+	batches := map[string]embedding.Batch{
+		"middle":               hole(1),
+		"first and last":       hole(0, 5),
+		"whole hardware batch": hole(0, 1, 2, 3),
+		"every query":          hole(0, 1, 2, 3, 4, 5),
+	}
+	modes := map[string]func(embedding.Batch) ([]tensor.Vector, error){
+		"Lookup": func(b embedding.Batch) ([]tensor.Vector, error) {
+			res, err := e.Lookup(store, layout, b)
+			if err != nil {
+				return nil, err
+			}
+			return res.Outputs, nil
+		},
+		"InteractiveLookup": func(b embedding.Batch) ([]tensor.Vector, error) {
+			res, err := e.InteractiveLookup(store, layout, dram.MustSystem(dram.DDR4()), b)
+			if err != nil {
+				return nil, err
+			}
+			return res.Outputs, nil
+		},
+	}
+	for _, dedup := range []bool{true, false} {
+		modes[fmt.Sprintf("TimedLookup dedup=%v", dedup)] = func(b embedding.Batch) ([]tensor.Vector, error) {
+			res, err := e.TimedLookup(store, layout, dram.MustSystem(dram.DDR4()), b, dedup)
+			if err != nil {
+				return nil, err
+			}
+			return res.Outputs, nil
+		}
+	}
+	for bname, b := range batches {
+		want := b.MustGolden(store)
+		for mname, run := range modes {
+			got, err := run(b)
+			if err != nil {
+				t.Errorf("%s, empty %s: %v", mname, bname, err)
+				continue
+			}
+			if i := VerifyAgainstGolden(got, want, 0); i >= 0 {
+				t.Errorf("%s, empty %s: query %d = %v, want %v", mname, bname, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -253,15 +253,23 @@ func TestRootConservationChecker(t *testing.T) {
 	f := newFaultFixture(t, tensor.OpSum)
 	plan := batch.Build(f.batch, true)
 
-	noQueries := []Entry{{Header: header.Header{Indices: header.NewIndexSet(1)}}}
+	// Root entries over the plan's dense rows: a set of the first n rows, and
+	// an emptied remaining-set.
+	k := plan.Rows.Words()
+	first := func(n int) header.Bitset {
+		b := make(header.Bitset, k)
+		for id := 0; id < n; id++ {
+			b.Set(id)
+		}
+		return b
+	}
+	noQueries := []denseEntry{{indices: first(1)}}
 	if err := checkRootConservation(plan, noQueries); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("query-less root output accepted: %v", err)
 	}
 
-	phantom := []Entry{{Header: header.Header{
-		Indices: header.NewIndexSet(1, 2, 3),
-		Queries: []header.IndexSet{{}},
-	}}}
+	// No query of the batch is exactly its three lowest rows.
+	phantom := []denseEntry{{indices: first(3), queries: make(header.Bitset, k)}}
 	if err := checkRootConservation(plan, phantom); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("phantom complete output accepted: %v", err)
 	}

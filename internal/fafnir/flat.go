@@ -47,6 +47,9 @@ func flatten(t *Tree) []flatPE {
 // slots. The hardware's PEs fire asynchronously; that lives in the cycle
 // model (treeTiming), not in the host's evaluation order.
 func (e *Engine) evalTree(op tensor.ReduceOp, in rankEntries, sc *treeScratch) error {
+	// The leaves may have been staged on another scratch; their row space
+	// travels with them.
+	sc.ws.begin(in.rows)
 	for i := range e.flat {
 		if err := e.evalFlatNode(op, int32(i), in, sc); err != nil {
 			return err
@@ -61,7 +64,7 @@ func (e *Engine) evalTree(op tensor.ReduceOp, in rankEntries, sc *treeScratch) e
 // scratch's arena.
 func (e *Engine) evalFlatNode(op tensor.ReduceOp, id int32, in rankEntries, sc *treeScratch) error {
 	n := &e.flat[id]
-	var inA, inB []Entry
+	var inA, inB []denseEntry
 	if n.leaf {
 		inA = gatherRanks(&sc.ws, in, n.ranksA)
 		inB = gatherRanks(&sc.ws, in, n.ranksB)
@@ -70,11 +73,11 @@ func (e *Engine) evalFlatNode(op tensor.ReduceOp, id int32, in rankEntries, sc *
 		// indices on one rank.
 		var stA, stB PEStats
 		var err error
-		inA, stA, err = selfMerge(&sc.ws, op, inA)
+		inA, stA, err = sc.ws.selfMerge(op, inA)
 		if err != nil {
 			return fmt.Errorf("fafnir: PE %d input A: %w", id, err)
 		}
-		inB, stB, err = selfMerge(&sc.ws, op, inB)
+		inB, stB, err = sc.ws.selfMerge(op, inB)
 		if err != nil {
 			return fmt.Errorf("fafnir: PE %d input B: %w", id, err)
 		}
@@ -88,7 +91,7 @@ func (e *Engine) evalFlatNode(op tensor.ReduceOp, id int32, in rankEntries, sc *
 			inB = sc.memo[n.right]
 		}
 	}
-	out, st, err := processPE(&sc.ws, op, inA, inB)
+	out, st, err := sc.ws.processPE(op, inA, inB)
 	if err != nil {
 		return fmt.Errorf("fafnir: PE %d: %w", id, err)
 	}
@@ -100,23 +103,23 @@ func (e *Engine) evalFlatNode(op tensor.ReduceOp, id int32, in rankEntries, sc *
 // gatherRanks collects the leaf entries of the given ranks. The single-rank
 // case (the paper's 1PE:2R geometry) aliases the per-rank slice directly —
 // entries are immutable in flight, so no copy is needed.
-func gatherRanks(ws *workScratch, in rankEntries, ranks []int) []Entry {
+func gatherRanks(ws *workScratch, in rankEntries, ranks []int) []denseEntry {
 	switch len(ranks) {
 	case 0:
 		return nil
 	case 1:
-		return in[ranks[0]]
+		return in.byRank[ranks[0]]
 	}
 	n := 0
 	for _, r := range ranks {
-		n += len(in[r])
+		n += len(in.byRank[r])
 	}
 	if n == 0 {
 		return nil
 	}
 	out := ws.ents.alloc(n)[:0]
 	for _, r := range ranks {
-		out = append(out, in[r]...)
+		out = append(out, in.byRank[r]...)
 	}
 	return out
 }

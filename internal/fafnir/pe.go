@@ -1,5 +1,16 @@
 package fafnir
 
+// This file holds the PE: the exported, sorted-slice form of an in-flight
+// value (Entry, with header.Header over global indices) and the one
+// implementation of the PE's units — processPE, selfMerge and the merge unit
+// fold — on the engine's working form, denseEntry, whose header fields are
+// header.Bitset words over the hardware batch's dense rows. A reduce test is
+// a few word operations there, so what is left of a PE's host cost is the
+// canonical order of its outputs (canon, in arena.go). The exported
+// ProcessPE/SelfMerge convert in, run the same code and convert out
+// (viaDense); docs/ARCHITECTURE.md section 3 says where dense rows come from
+// and why the canonical order is what it is.
+
 import (
 	"fmt"
 	"slices"
@@ -56,130 +67,126 @@ func (s *PEStats) Add(o PEStats) {
 	s.Outputs += o.Outputs
 }
 
+// denseEntry is an Entry in the engine's working form: both header fields are
+// header.Bitset words over the hardware batch's dense rows (workScratch.rows),
+// the Queries field as Words()-long sets back to back. Like an Entry it is
+// immutable once in flight, so entries share field storage freely.
+type denseEntry struct {
+	value   tensor.Vector
+	indices header.Bitset
+	queries header.Bitset
+}
+
+// complete is Header.Complete: no Queries field at all, or an emptied set.
+func (e *denseEntry) complete(k int) bool {
+	for q := 0; q < len(e.queries); q += k {
+		if e.queries[q : q+k].Empty() {
+			return true
+		}
+	}
+	return len(e.queries) == 0
+}
+
 // fold is the merge unit: raw PE outputs sharing an Indices set collapse into
 // one entry whose Queries fields are concatenated and canonicalized, and the
 // result is sorted by canonical indices key — the step that makes PE
 // evaluation deterministic regardless of input order.
 //
-// This is the sort-based equivalent of the old map-keyed merge: a stable sort
-// on Indices.Compare (byte-order-equal to the old map key) brings duplicates
-// adjacent while preserving arrival order within a group, so the group's
-// representative value is still the first-arriving one, and concatenating the
-// group's Queries then normalizing once yields the same sorted deduped set
-// union the old pairwise MergeQueries chain produced. Distinct groups carry
-// distinct Indices sets, so the sort gives the same unique total order the
-// old finalize sort did.
-func (ws *workScratch) fold(raw []Entry, stats *PEStats) []Entry {
-	if len(raw) == 0 {
-		stats.Outputs = 0
-		return nil
-	}
-	// Sort a position permutation instead of the entries themselves: moving
-	// int32s beats moving 72-byte structs, and breaking comparison ties by
-	// position makes the unstable sort reproduce the stable order exactly.
-	ord := ws.order[:0]
-	for i := range raw {
-		ord = append(ord, int32(i))
-	}
-	ws.order = ord
-	slices.SortFunc(ord, func(a, b int32) int {
-		if c := raw[a].Header.Indices.Compare(raw[b].Header.Indices); c != 0 {
-			return c
-		}
-		return int(a) - int(b)
-	})
-	groups := 1
-	for i := 1; i < len(ord); i++ {
-		if !raw[ord[i]].Header.Indices.Equal(raw[ord[i-1]].Header.Indices) {
-			groups++
-		}
-	}
-	out := ws.ents.alloc(groups)
-	k := 0
+// canon's order brings duplicates adjacent while preserving arrival order
+// within a group, so the group's representative value is the first-arriving
+// one, and inserting the group's Queries one by one into a canonical list
+// yields the sorted deduped set union. Distinct groups carry distinct Indices
+// sets, so the order of the outputs is unique.
+func (ws *workScratch) fold(raw []denseEntry, stats *PEStats) []denseEntry {
+	ord := ws.canon(len(raw), func(pos uint64) header.Bitset { return raw[pos].indices })
+	out := ws.ents.alloc(len(raw))[:0]
 	for i := 0; i < len(ord); {
 		first := &raw[ord[i]]
 		j := i + 1
-		nq := len(first.Header.Queries)
-		for j < len(ord) && raw[ord[j]].Header.Indices.Equal(first.Header.Indices) {
-			nq += len(raw[ord[j]].Header.Queries)
+		nq := len(first.queries)
+		for j < len(ord) && raw[ord[j]].indices.Equal(first.indices) {
+			nq += len(raw[ord[j]].queries)
 			j++
 		}
-		if j == i+1 {
-			out[k] = *first
-		} else {
-			buf := ws.qs.alloc(nq)[:0]
-			for m := i; m < j; m++ {
-				buf = append(buf, raw[ord[m]].Header.Queries...)
+		out = append(out, *first)
+		if j > i+1 {
+			list := ws.words.alloc(nq)[:0]
+			for _, pos := range ord[i:j] {
+				for qs := raw[pos].queries; len(qs) > 0; qs = qs[ws.k:] {
+					list = ws.rows.Insert(list, qs[:ws.k])
+				}
 			}
-			h := header.Header{Indices: first.Header.Indices, Queries: buf}
-			h.Normalize()
-			out[k] = Entry{Value: first.Value, Header: h}
+			out[len(out)-1].queries = list
 			stats.MergedDuplicates += j - i - 1
 		}
-		k++
 		i = j
 	}
 	stats.Outputs = len(out)
 	return out
 }
 
-// processPE is ProcessPE on a caller-provided scratch: every action allocates
-// from the scratch's arenas, so the returned entries are valid only while the
-// scratch is. See ProcessPE for the semantics.
-func processPE(ws *workScratch, op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error) {
+// processPE is the one implementation of the PE (see ProcessPE for the
+// semantics) on the scratch's dense rows: every action allocates from the
+// scratch's arenas, so the returned entries are valid only while the scratch
+// is.
+func (ws *workScratch) processPE(op tensor.ReduceOp, inA, inB []denseEntry) ([]denseEntry, PEStats, error) {
 	stats := PEStats{InA: len(inA), InB: len(inB)}
 	raw := ws.raw[:0]
 
-	process := func(side, opp []Entry) error {
+	// One Sig per input entry: the compare loop below runs len(side) x
+	// len(opp) times per remaining-set, and nearly every test fails.
+	sigs := ws.sigs[:0]
+	for _, in := range [2][]denseEntry{inA, inB} {
+		for i := range in {
+			sigs = append(sigs, in[i].indices.Sig())
+		}
+	}
+	ws.sigs = sigs
+	process := func(side, opp []denseEntry, oppSigs []uint64) error {
 		for i := range side {
 			e := &side[i]
-			if len(e.Header.Queries) == 0 {
+			if len(e.queries) == 0 {
 				// Nothing owed by any query: pass through untouched.
-				// Headers are immutable in flight, so the output may
-				// share the input's sets.
 				stats.Forwards++
-				raw = append(raw, Entry{Value: e.Value, Header: e.Header})
+				raw = append(raw, *e)
 				continue
 			}
-			for _, qs := range e.Header.Queries {
-				var best *Entry
-				for oi := range opp {
-					o := &opp[oi]
-					stats.Compares++
-					if o.Header.Indices.Empty() || !qs.ContainsAll(o.Header.Indices) {
-						continue
-					}
-					if best == nil || o.Header.Indices.Len() > best.Header.Indices.Len() {
-						best = o
+			for q := 0; q < len(e.queries); q += ws.k {
+				qs := e.queries[q : q+ws.k]
+				// One compare per opposite entry, charged whether or not the
+				// comparator can stop early (PE timing reads this count).
+				stats.Compares += len(opp)
+				var best *denseEntry
+				bestLen, sig := 0, qs.Sig()
+				for oi, s := range oppSigs {
+					if o := &opp[oi]; s&^sig == 0 && qs.Covers(o.indices) {
+						if n := o.indices.Len(); n > bestLen {
+							best, bestLen = o, n
+						}
 					}
 				}
 				if best == nil {
 					stats.Forwards++
-					raw = append(raw, Entry{
-						Value:  e.Value,
-						Header: header.Header{Indices: e.Header.Indices, Queries: ws.qset1(qs)},
-					})
+					raw = append(raw, denseEntry{value: e.value, indices: e.indices, queries: qs})
 					continue
 				}
-				v := ws.cloneVec(e.Value)
-				if err := op.Apply(v, best.Value); err != nil {
+				v := ws.cloneVec(e.value)
+				if err := op.Apply(v, best.value); err != nil {
 					return fmt.Errorf("fafnir: reduce value: %w", err)
 				}
 				stats.Reduces++
-				raw = append(raw, Entry{
-					Value: v,
-					Header: header.Header{
-						Indices: ws.union(e.Header.Indices, best.Header.Indices),
-						Queries: ws.qset1(ws.minus(qs, best.Header.Indices)),
-					},
+				raw = append(raw, denseEntry{
+					value:   v,
+					indices: ws.or(e.indices, best.indices),
+					queries: ws.andNot(qs, best.indices),
 				})
 			}
 		}
 		return nil
 	}
-	err := process(inA, inB)
+	err := process(inA, inB, sigs[len(inA):])
 	if err == nil {
-		err = process(inB, inA)
+		err = process(inB, inA, sigs[:len(inA)])
 	}
 	ws.raw = raw
 	if err != nil {
@@ -188,95 +195,60 @@ func processPE(ws *workScratch, op tensor.ReduceOp, inA, inB []Entry) ([]Entry, 
 	return ws.fold(raw, &stats), stats, nil
 }
 
-// selfMerge is SelfMerge on a caller-provided scratch; see SelfMerge for the
-// semantics and processPE for the arena lifetime rules.
+// selfMerge is the one implementation of SelfMerge (see there for the
+// semantics, processPE for the arena lifetime rules).
 //
-// Grouping is sort-based: every (entry, remaining-set) pair is tagged with
-// its full query, and a stable sort on (full-query key) brings each group's
-// members adjacent in ascending stream order — the same member order the old
-// map-of-groups built — before the usual canonical-order reduction.
-func selfMerge(ws *workScratch, op tensor.ReduceOp, entries []Entry) ([]Entry, PEStats, error) {
+// Grouping is sort-based. The stream is first put in canonical (indices-key)
+// order — the order a group's members combine in, hence the float summation
+// order — and every (entry, remaining-set) pair is tagged with its full
+// query in that order; canon on the full queries then brings each group's
+// members adjacent, still in combining order.
+func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]denseEntry, PEStats, error) {
 	var total PEStats
 
-	pairs := ws.pairs[:0]
-	for i := range entries {
-		e := &entries[i]
-		if len(e.Header.Queries) == 0 {
-			continue // passthrough, re-emitted after the groups
-		}
-		for _, qs := range e.Header.Queries {
-			pairs = append(pairs, selfPair{full: ws.union(e.Header.Indices, qs), member: i})
+	sets, owner := ws.sets[:0], ws.owner[:0]
+	for _, pos := range ws.canon(len(entries), func(pos uint64) header.Bitset { return entries[pos].indices }) {
+		e := &entries[pos]
+		for q := 0; q < len(e.queries); q += ws.k {
+			sets = append(sets, ws.or(e.indices, e.queries[q:q+ws.k]))
+			owner = append(owner, int32(pos))
 		}
 	}
-	ws.pairs = pairs
-	// Position-permutation sort with position tiebreak: identical order to a
-	// stable sort without moving the pair structs (see fold). fold reuses
-	// ws.order afterwards, by which point the group loop here is done.
-	ord := ws.order[:0]
-	for i := range pairs {
-		ord = append(ord, int32(i))
-	}
-	ws.order = ord
-	slices.SortFunc(ord, func(a, b int32) int {
-		if c := pairs[a].full.Compare(pairs[b].full); c != 0 {
-			return c
-		}
-		return int(a) - int(b)
-	})
+	ws.sets, ws.owner = sets, owner
 
 	raw := ws.raw[:0]
-	defer func() { ws.raw = raw }()
+	ord := ws.canon(len(sets), func(pos uint64) header.Bitset { return sets[pos] })
 	for i := 0; i < len(ord); {
-		full := pairs[ord[i]].full
+		full := sets[ord[i]]
+		first := &entries[owner[ord[i]]]
+		covered, value := first.indices, first.value
 		j := i + 1
-		for j < len(ord) && pairs[ord[j]].full.Equal(full) {
-			j++
-		}
-		// Collect the group's members: stream positions ascending, duplicate
-		// positions (one entry owing the same full query via two remaining
-		// sets) dropped.
-		members := ws.members[:0]
-		for m := i; m < j; m++ {
-			if pm := pairs[ord[m]].member; len(members) == 0 || members[len(members)-1] != pm {
-				members = append(members, pm)
+		for ; j < len(ord) && sets[ord[j]].Equal(full); j++ {
+			m := &entries[owner[ord[j]]]
+			if covered.Covers(m.indices) {
+				continue // the same entry again, or a duplicate read of the same data (non-dedup stream)
 			}
-		}
-		ws.members = members
-
-		// Reduce the group: members combine in canonical (indices-key) order.
-		slices.SortFunc(members, func(a, b int) int {
-			return entries[a].Header.Indices.Compare(entries[b].Header.Indices)
-		})
-		first := entries[members[0]]
-		covered := first.Header.Indices
-		value := first.Value
-		for _, mi := range members[1:] {
-			m := entries[mi]
-			if covered.ContainsAll(m.Header.Indices) {
-				continue // duplicate read of the same data (non-dedup stream)
-			}
-			if covered.Intersects(m.Header.Indices) {
-				return nil, total, fmt.Errorf("fafnir: SelfMerge stream entries overlap at %v", m.Header.Indices)
+			if covered.Intersects(m.indices) {
+				return nil, total, fmt.Errorf("fafnir: SelfMerge stream entries overlap at %v", ws.rows.AppendIndices(nil, m.indices))
 			}
 			v := ws.cloneVec(value)
-			if err := op.Apply(v, m.Value); err != nil {
+			if err := op.Apply(v, m.value); err != nil {
 				return nil, total, fmt.Errorf("fafnir: SelfMerge reduce: %w", err)
 			}
 			value = v
-			covered = ws.union(covered, m.Header.Indices)
+			covered = ws.or(covered, m.indices)
 			total.Reduces++
 		}
-		raw = append(raw, Entry{
-			Value:  value,
-			Header: header.Header{Indices: covered, Queries: ws.qset1(ws.minus(full, covered))},
-		})
+		raw = append(raw, denseEntry{value: value, indices: covered, queries: ws.andNot(full, covered)})
 		i = j
 	}
+	// Passthroughs are re-emitted after the groups.
 	for i := range entries {
-		if len(entries[i].Header.Queries) == 0 {
+		if len(entries[i].queries) == 0 {
 			raw = append(raw, entries[i])
 		}
 	}
+	ws.raw = raw
 	return ws.fold(raw, &total), total, nil
 }
 
@@ -305,11 +277,11 @@ func selfMerge(ws *workScratch, op tensor.ReduceOp, entries []Entry) ([]Entry, P
 // sub-chains. Outputs are sorted by canonical header key, making the engine
 // deterministic regardless of input order.
 //
-// This exported form allocates a private scratch whose memory is owned by the
-// returned entries, so results live as long as the caller keeps them. The
-// engine's hot path uses processPE on the pooled treeScratch instead.
+// This exported form is an adaptor over the engine's processPE; see viaDense.
 func ProcessPE(op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error) {
-	return processPE(newWorkScratch(), op, inA, inB)
+	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
+		return ws.processPE(op, in[0], in[1])
+	}, inA, inB)
 }
 
 // SelfMerge reduces co-query entries that sit in the *same* input stream.
@@ -329,8 +301,79 @@ func ProcessPE(op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error) {
 // distinct index — and SelfMerge returns an error otherwise.
 //
 // The returned stats count the reduce actions and merge-unit folds performed.
-// Like ProcessPE, this exported form allocates a private scratch owned by the
-// results.
+// Like ProcessPE, this exported form is an adaptor over the engine's
+// selfMerge.
 func SelfMerge(op tensor.ReduceOp, entries []Entry) ([]Entry, PEStats, error) {
-	return selfMerge(newWorkScratch(), op, entries)
+	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
+		return ws.selfMerge(op, in[0])
+	}, entries)
+}
+
+// viaDense runs one PE unit on exported, sorted-slice entries: the indices
+// the input streams mention anywhere in their headers are numbered as the
+// dense rows of a pooled scratch, the streams are converted to the working
+// form, and the outputs are copied back out — headers to global indices,
+// values off the arena — so they live as long as the caller keeps them.
+func viaDense(run func(*workScratch, [][]denseEntry) ([]denseEntry, PEStats, error), streams ...[]Entry) ([]Entry, PEStats, error) {
+	var none Engine // no tree to size for: the lease is just the pooled arena
+	sc := none.getTreeScratch()
+	defer none.putTreeScratch(sc)
+	ws := &sc.ws
+	all := ws.named[:0]
+	for _, in := range streams {
+		for _, e := range in {
+			all = append(all, e.Header.Indices...)
+			for _, q := range e.Header.Queries {
+				all = append(all, q...)
+			}
+		}
+	}
+	slices.Sort(all)
+	ws.named = all
+	ws.begin(header.Dense(slices.Compact(all)))
+
+	dense := make([][]denseEntry, len(streams))
+	for si, in := range streams {
+		dense[si] = ws.ents.alloc(len(in))
+		for i, e := range in {
+			ind := header.Bitset(ws.words.alloc(ws.k))
+			ws.rows.Bitset(ind, e.Header.Indices)
+			qs := header.Bitset(ws.words.alloc(ws.k * len(e.Header.Queries)))
+			for j, q := range e.Header.Queries {
+				ws.rows.Bitset(qs[j*ws.k:(j+1)*ws.k], q)
+			}
+			dense[si][i] = denseEntry{value: e.Value, indices: ind, queries: qs}
+		}
+	}
+	res, st, err := run(ws, dense)
+	if len(res) == 0 {
+		return nil, st, err
+	}
+
+	// Every set and value is carved out of one backing array per kind.
+	nidx, nsets, nval := 0, 0, 0
+	for i := range res {
+		nidx += res[i].indices.Len() + res[i].queries.Len()
+		nsets += len(res[i].queries) / ws.k
+		nval += len(res[i].value)
+	}
+	idx := make(header.IndexSet, 0, nidx)
+	sets := make([]header.IndexSet, 0, nsets)
+	vals := make(tensor.Vector, 0, nval)
+	global := func(b header.Bitset) header.IndexSet {
+		lo := len(idx)
+		idx = ws.rows.AppendIndices(idx, b)
+		return idx[lo:len(idx):len(idx)]
+	}
+	out := make([]Entry, len(res))
+	for i, e := range res {
+		lo, vlo := len(sets), len(vals)
+		for q := 0; q < len(e.queries); q += ws.k {
+			sets = append(sets, global(e.queries[q:q+ws.k]))
+		}
+		vals = append(vals, e.value...)
+		out[i] = Entry{Value: vals[vlo:len(vals):len(vals)], Header: header.Header{
+			Indices: global(e.indices), Queries: sets[lo:len(sets):len(sets)]}}
+	}
+	return out, st, nil
 }

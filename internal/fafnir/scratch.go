@@ -17,13 +17,13 @@ import "sync"
 // exp sweep iterations (even across freshly built engines) reuse one
 // steady-state working set.
 type treeScratch struct {
-	memo  [][]Entry // node ID -> post-merge outputs
-	proc  []PEStats // node ID -> ProcessPE stats
-	self  []PEStats // node ID -> leaf SelfMerge stats (both inputs combined)
-	perPE []PEStats // node ID -> folded per-PE stats (see runTree)
+	memo  [][]denseEntry // node ID -> post-merge outputs
+	proc  []PEStats      // node ID -> ProcessPE stats
+	self  []PEStats      // node ID -> leaf SelfMerge stats (both inputs combined)
+	perPE []PEStats      // node ID -> folded per-PE stats (see runTree)
 
-	in     rankEntries // rank -> staged leaf entries
-	counts []int       // rank -> planned access count
+	in     [][]denseEntry // rank -> staged leaf entries
+	counts []int          // rank -> planned access count
 
 	ws workScratch // the arenas and transient slices of every PE call
 }
@@ -48,7 +48,7 @@ func (e *Engine) getTreeScratch() *treeScratch {
 // growing within capacity is a reslice.
 func (sc *treeScratch) ensure(numPEs, numRanks int) {
 	if cap(sc.memo) < numPEs {
-		sc.memo = make([][]Entry, numPEs)
+		sc.memo = make([][]denseEntry, numPEs)
 		sc.proc = make([]PEStats, numPEs)
 		sc.self = make([]PEStats, numPEs)
 		sc.perPE = make([]PEStats, numPEs)
@@ -59,7 +59,7 @@ func (sc *treeScratch) ensure(numPEs, numRanks int) {
 		sc.perPE = sc.perPE[:numPEs]
 	}
 	if cap(sc.in) < numRanks {
-		sc.in = make(rankEntries, numRanks)
+		sc.in = make([][]denseEntry, numRanks)
 		sc.counts = make([]int, numRanks)
 	} else {
 		sc.in = sc.in[:numRanks]

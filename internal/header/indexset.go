@@ -17,9 +17,10 @@
 package header
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -37,17 +38,9 @@ func NewIndexSet(indices ...Index) IndexSet {
 	if len(indices) == 0 {
 		return nil
 	}
-	s := make(IndexSet, len(indices))
-	copy(s, indices)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Dedup in place.
-	out := s[:1]
-	for _, x := range s[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	s := slices.Clone(IndexSet(indices))
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Len reports the number of indices in s.
@@ -68,8 +61,8 @@ func (s IndexSet) Clone() IndexSet {
 
 // Contains reports whether x is a member of s.
 func (s IndexSet) Contains(x Index) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	return i < len(s) && s[i] == x
+	_, ok := slices.BinarySearch(s, x)
+	return ok
 }
 
 // ContainsAll reports whether every index of sub is a member of s. It is the
@@ -186,20 +179,11 @@ func (s IndexSet) Intersects(t IndexSet) bool {
 // Key returns a canonical string encoding of s, usable as a map key for the
 // merge unit's duplicate detection.
 func (s IndexSet) Key() string {
-	if len(s) == 0 {
-		return ""
-	}
-	return string(s.AppendKey(make([]byte, 0, len(s)*4)))
-}
-
-// AppendKey appends the Key encoding of s to dst and returns the extended
-// buffer. Hot paths reuse one scratch buffer across calls instead of
-// allocating a string per Key.
-func (s IndexSet) AppendKey(dst []byte) []byte {
+	key := make([]byte, 0, len(s)*4)
 	for _, x := range s {
-		dst = append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
+		key = binary.LittleEndian.AppendUint32(key, x)
 	}
-	return dst
+	return string(key)
 }
 
 // Compare orders two sets exactly as comparing their Key encodings would —

@@ -35,6 +35,10 @@ type Workload struct {
 	ZipfS float64
 	// Op is the pooling operation.
 	Op tensor.ReduceOp
+	// EmptyEvery, when positive, empties every EmptyEvery-th query of the
+	// drawn batch (starting with the first): a query with no indices is a
+	// legal host input that every engine answers with a zero vector.
+	EmptyEvery int
 }
 
 // totalRows is the index space every workload draws from: 4 tables x 1024
@@ -74,6 +78,11 @@ func GenWorkload(seed int64) Workload {
 	default:
 		w.Op = tensor.OpSum // weighted toward the paper's default pooling
 	}
+	// Drawn last, so every other field of a seed is what it was before the
+	// empty-query workloads existed.
+	if r.Intn(8) == 0 {
+		w.EmptyEvery = 2 + r.Intn(3)
+	}
 	return w
 }
 
@@ -83,6 +92,9 @@ func (w Workload) String() string {
 	dist := "uniform"
 	if w.ZipfS > 0 {
 		dist = fmt.Sprintf("zipf(%.2f)", w.ZipfS)
+	}
+	if w.EmptyEvery > 0 {
+		dist += fmt.Sprintf(" empty-every=%d", w.EmptyEvery)
 	}
 	return fmt.Sprintf("seed=%d [ranks=%d fanin=%d B=%d n=%d q=%d dim=%d %s %s]",
 		w.Seed, w.Ranks, w.LeafFanIn, w.BatchCapacity, w.NumQueries, w.QuerySize,
@@ -128,7 +140,11 @@ func (w Workload) Build() (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s: %w", w, err)
 	}
-	return &Env{W: w, Mem: mcfg, Layout: layout, Store: store, Batch: gen.Batch(w.Op)}, nil
+	b := gen.Batch(w.Op)
+	for i := 0; w.EmptyEvery > 0 && i < len(b.Queries); i += w.EmptyEvery {
+		b.Queries[i] = embedding.Query{}
+	}
+	return &Env{W: w, Mem: mcfg, Layout: layout, Store: store, Batch: b}, nil
 }
 
 // NewMem builds a fresh memory system for one engine run, so runs never share

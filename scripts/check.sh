@@ -19,14 +19,20 @@
 #   6b. serve -race  — the serving layer's suite twenty times over under the
 #                      race detector: its schedules run on a manual clock and
 #                      synchronous admission, so a flake here is a bug
-#   7. fuzz corpus   — FuzzCodec's, FuzzBatchBuild's, FuzzCacheOps',
-#                      FuzzFromCOO's, FuzzParseFleet's, FuzzLookupRequest's,
-#                      FuzzParseMix's and FuzzParseSLO's seed corpora
-#                      replayed in -run mode (no fuzzing; deterministic and
-#                      fast)
+#   7. fuzz corpus   — FuzzCodec's, FuzzBitsetOps', FuzzBatchBuild's,
+#                      FuzzCacheOps', FuzzFromCOO's, FuzzParseFleet's,
+#                      FuzzLookupRequest's, FuzzParseMix's and FuzzParseSLO's
+#                      seed corpora replayed in -run mode (no fuzzing;
+#                      deterministic and fast)
 #   7b. one grain    — runtime.Gosched, stealHead and evalAsync must appear in
 #                      no non-test Go file: host parallelism is whole hardware
 #                      batches, shards and fleets, never a per-PE scheduler
+#   7c. one PE       — no non-test file of internal/fafnir calls the
+#                      sorted-slice set algebra (.ContainsAll, .Union, .Minus)
+#                      or sorts by IndexSet.Compare: the engine carries
+#                      headers as header.Bitset words end to end, and the
+#                      exported ProcessPE/SelfMerge are adaptors over the
+#                      same implementation
 #   8. coverage      — every internal/ package must keep statement coverage
 #                      at or above the floor (80%)
 #   9. telemetry     — run fafnir-sim with -trace-out, validate the emitted
@@ -68,6 +74,7 @@
 # Long-running fuzzing is opt-in, not part of the gate:
 #
 #   go test -fuzz=FuzzCodec -fuzztime=30s ./internal/header
+#   go test -fuzz=FuzzBitsetOps -fuzztime=30s ./internal/header
 #   go test -fuzz=FuzzBatchBuild -fuzztime=30s ./internal/batch
 #   go test -fuzz=FuzzFromCOO -fuzztime=30s ./internal/sparse
 #   go test -fuzz=FuzzParseFleet -fuzztime=30s ./internal/fault
@@ -127,6 +134,10 @@ go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./int
 echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
 ! grep -rlE 'runtime\.Gosched|stealHead|evalAsync' --include='*.go' --exclude='*_test.go' . \
     || { echo "a tree scheduler is back: see docs/ARCHITECTURE.md section 9"; exit 1; }
+
+echo "==> one PE implementation (no sorted-slice set algebra in internal/fafnir)"
+! grep -rnE '\.(ContainsAll|Union|Minus)\(|SortFunc\(.*IndexSet\.Compare' --include='*.go' --exclude='*_test.go' internal/fafnir \
+    || { echo "internal/fafnir is back on sorted-slice headers: see docs/ARCHITECTURE.md section 3"; exit 1; }
 
 echo "==> coverage floor (internal packages >= ${COVER_FLOOR}%)"
 go test -cover ./internal/... | awk -v floor="$COVER_FLOOR" '
