@@ -222,17 +222,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	mcfg := dram.DDR4()
-	switch {
-	case cfg.Ranks == 32:
-		// paper default geometry
-	case cfg.Ranks%8 == 0:
-		mcfg.Channels = cfg.Ranks / 8
-	case cfg.Ranks%2 == 0:
-		mcfg.Channels = 1
-		mcfg.DIMMsPerChannel = cfg.Ranks / 2
-	default:
-		return nil, fmt.Errorf("fafnir: rank count %d not expressible as a DDR4 geometry", cfg.Ranks)
+	mcfg, err := dram.DDR4Ranks(cfg.Ranks) // even, validated above
+	if err != nil {
+		return nil, err
 	}
 
 	layout := memmap.Uniform(mcfg, 512, 32, cfg.RowsPerTable)
@@ -300,10 +292,12 @@ func (s *System) AttachTracer(t Tracer) {
 // events and never perturbs timing.
 func (s *System) SetSpanContext(parent uint64) { s.engine.SetSpanContext(parent) }
 
-// MemoryCounter reads one of the memory system's cumulative statistics
-// counters by name (e.g. "dram.row_hits", "dram.row_misses",
-// "dram.row_conflicts", "dram.reads"). Unknown names read zero. The serving
-// layer uses this hook to attribute row-buffer behaviour to flushed batches.
+// MemoryCounter reads one of the memory system's cumulative counters by
+// name: "dram.reads", "dram.bursts", "dram.bytes", "dram.bytes_to_host",
+// "dram.row_hits", "dram.row_misses", "dram.row_conflicts",
+// "dram.refresh_delays", "dram.failed_rank_reads", "dram.writes" or
+// "dram.bytes_written". Unknown names read zero. The serving layer uses this
+// hook to attribute row-buffer behaviour to flushed batches.
 func (s *System) MemoryCounter(name string) uint64 { return s.mem.Stats().Counter(name) }
 
 // NumPEs reports the size of the attached Fafnir tree.
@@ -312,7 +306,8 @@ func (s *System) NumPEs() int { return s.engine.Tree().NumPEs() }
 // ResetMemory clears DRAM timing state and statistics between experiments.
 func (s *System) ResetMemory() { s.mem.Reset() }
 
-// MemoryStats renders the DRAM access statistics collected so far.
+// MemoryStats renders the DRAM access counters collected so far, one
+// "name value" line per non-zero counter (the MemoryCounter names).
 func (s *System) MemoryStats() string { return s.mem.Stats().String() }
 
 // GenerateBatch draws n deterministic queries with the configured

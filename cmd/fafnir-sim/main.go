@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fafnir/internal/cpu"
@@ -37,50 +39,68 @@ import (
 )
 
 func main() {
-	var (
-		mode      = flag.String("mode", "lookup", "lookup, spmv, graph, or solver")
-		engine    = flag.String("engine", "fafnir", "lookup: fafnir|interactive|recnmp|tensordimm|cpu; spmv: fafnir|twostep")
-		algo      = flag.String("algo", "pagerank", "graph: bfs|pagerank|cc; solver: jacobi|cg")
-		batch     = flag.Int("batch", 32, "lookup: queries per batch")
-		q         = flag.Int("q", 16, "lookup: indices per query")
-		rows      = flag.Int("rows", 1<<17, "lookup: rows per table (32 tables)")
-		zipf      = flag.Float64("zipf", 1.3, "lookup: Zipf skew (<=1 for uniform)")
-		dedup     = flag.Bool("dedup", true, "lookup (fafnir): eliminate redundant accesses")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		matrix    = flag.String("matrix", "banded", "spmv: banded|graph|uniform")
-		size      = flag.Int("size", 8192, "spmv: matrix dimension")
-		faults    = flag.String("faults", "", `lookup (fafnir): fault plan, e.g. "rank=3@0;ecc=0.001;stall=5+200;seed=9"`)
-		traceOut  = flag.String("trace-out", "", "lookup: write a Chrome trace-event JSON file of the run (load at ui.perfetto.dev)")
-		logFormat = flag.String("log-format", "text", "summary output format: text or json")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "fafnir-sim:", err)
+	os.Exit(1)
+}
 
-	l, err := telemetry.NewLogger(os.Stdout, *logFormat)
+// run parses args, validates them before any simulator constructor sees
+// them, and runs the selected mode with its summary written to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("fafnir-sim", flag.ContinueOnError)
+	var (
+		mode      = fs.String("mode", "lookup", "lookup, spmv, graph, or solver")
+		engine    = fs.String("engine", "fafnir", "lookup: fafnir|interactive|recnmp|tensordimm|cpu; spmv: fafnir|twostep")
+		algo      = fs.String("algo", "pagerank", "graph: bfs|pagerank|cc; solver: jacobi|cg")
+		batch     = fs.Int("batch", 32, "lookup: queries per batch")
+		q         = fs.Int("q", 16, "lookup: indices per query")
+		rows      = fs.Int("rows", 1<<17, "lookup: rows per table (32 tables)")
+		zipf      = fs.Float64("zipf", 1.3, "lookup: Zipf skew (<=1 for uniform)")
+		dedup     = fs.Bool("dedup", true, "lookup (fafnir): eliminate redundant accesses")
+		seed      = fs.Int64("seed", 1, "workload seed")
+		matrix    = fs.String("matrix", "banded", "spmv: banded|graph|uniform")
+		size      = fs.Int("size", 8192, "spmv: matrix dimension")
+		faults    = fs.String("faults", "", `lookup (fafnir): fault plan, e.g. "rank=3@0;ecc=0.001;stall=5+200;seed=9"`)
+		traceOut  = fs.String("trace-out", "", "lookup: write a Chrome trace-event JSON file of the run (load at ui.perfetto.dev)")
+		logFormat = fs.String("log-format", "text", "summary output format: text or json")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"rows", *rows}, {"size", *size}, {"batch", *batch}, {"q", *q}} {
+		if f.value <= 0 {
+			return fmt.Errorf("-%s must be positive, got %d", f.name, f.value)
+		}
+	}
+	if *size < 2 && (*mode == "graph" || *mode == "spmv" && *matrix == "graph") {
+		return fmt.Errorf("-size must be at least 2 for a power-law graph, got %d", *size)
+	}
+
+	l, err := telemetry.NewLogger(out, *logFormat)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fafnir-sim:", err)
-		os.Exit(1)
+		return err
 	}
 	logger = l
 	if *traceOut != "" && *mode != "lookup" {
-		err = fmt.Errorf("-trace-out is only supported in lookup mode, not %q", *mode)
-		fmt.Fprintln(os.Stderr, "fafnir-sim:", err)
-		os.Exit(1)
+		return fmt.Errorf("-trace-out is only supported in lookup mode, not %q", *mode)
 	}
 	switch *mode {
 	case "lookup":
-		err = runLookup(*engine, *batch, *q, *rows, *zipf, *dedup, *seed, *faults, *traceOut)
+		return runLookup(*engine, *batch, *q, *rows, *zipf, *dedup, *seed, *faults, *traceOut)
 	case "spmv":
-		err = runSpMV(*engine, *matrix, *size, *seed)
+		return runSpMV(*engine, *matrix, *size, *seed)
 	case "graph":
-		err = runGraph(*algo, *size, *seed)
+		return runGraph(*algo, *size, *seed)
 	case "solver":
-		err = runSolver(*algo, *size, *seed)
+		return runSolver(*algo, *size, *seed)
 	default:
-		err = fmt.Errorf("unknown mode %q", *mode)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fafnir-sim:", err)
-		os.Exit(1)
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 }
 
@@ -129,6 +149,7 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 	golden := b.MustGolden(store)
 
 	logf("embedding lookup: engine=%s batch=%d q=%d dedup=%v", engine, batchN, q, dedup)
+	var outputs []tensor.Vector
 	switch engine {
 	case "interactive":
 		e, err := fafnir.NewEngine(fafnir.Default())
@@ -142,9 +163,7 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 		logf("  memory   %8.2f us  (%d reads, no dedup in interactive mode)", usSeconds(res.MemCycles), res.MemoryReads)
 		logf("  compute  %8.2f us  (comparison-free stage)", usSeconds(res.ComputeCycles))
 		logf("  total    %8.2f us  (%d queries served one at a time)", usSeconds(res.TotalCycles), res.HWBatches)
-		if i := fafnir.VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
-			return fmt.Errorf("query %d mismatches golden", i)
-		}
+		outputs = res.Outputs
 	case "fafnir":
 		fcfg := fafnir.Default()
 		fcfg.BatchCapacity = batchN
@@ -176,9 +195,7 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 			logf("  degraded: ranks dark %v, %d reads remapped (%d queries), %d retries costing %d mem cycles",
 				d.FailedRanks, d.RemappedReads, d.RemappedQueries, d.Retries, d.RetryCycles)
 		}
-		if i := fafnir.VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
-			return fmt.Errorf("query %d mismatches golden", i)
-		}
+		outputs = res.Outputs
 	case "recnmp":
 		e, err := recnmp.NewEngine(recnmp.Default())
 		if err != nil {
@@ -193,6 +210,7 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 			usSeconds(res.NDPComputeCycles), res.ReducedAtNDP, res.ForwardedRaw, 100*res.NDPFraction())
 		logf("  host      %8.2f us", usSeconds(res.HostComputeCycles))
 		logf("  total     %8.2f us", usSeconds(res.TotalCycles))
+		outputs = res.Outputs
 	case "tensordimm":
 		e, err := tensordimm.NewEngine(tensordimm.Default())
 		if err != nil {
@@ -205,6 +223,7 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 		logf("  memory   %8.2f us  (%d slice reads)", usSeconds(res.MemCycles), res.MemoryReads)
 		logf("  compute  %8.2f us", usSeconds(res.ComputeCycles))
 		logf("  total    %8.2f us", usSeconds(res.TotalCycles))
+		outputs = res.Outputs
 	case "cpu":
 		e, err := cpu.NewEngine(cpu.Default())
 		if err != nil {
@@ -217,13 +236,15 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 		logf("  memory   %8.2f us  (%d reads, %d bytes to host)", usSeconds(res.MemCycles), res.MemoryReads, res.BytesToHost)
 		logf("  compute  %8.2f us", usSeconds(res.ComputeCycles))
 		logf("  total    %8.2f us", usSeconds(res.TotalCycles))
+		outputs = res.Outputs
 	default:
 		return fmt.Errorf("unknown lookup engine %q", engine)
 	}
-	logf("  row buffer: %d hits, %d misses, %d conflicts",
-		mem.Stats().Counter("dram.row_hits"),
-		mem.Stats().Counter("dram.row_misses"),
-		mem.Stats().Counter("dram.row_conflicts"))
+	st := mem.Stats()
+	logf("  row buffer: %d hits, %d misses, %d conflicts", st.RowHits, st.RowMisses, st.RowConflicts)
+	if i := fafnir.VerifyAgainstGolden(outputs, golden, 1e-3); i >= 0 {
+		return fmt.Errorf("query %d mismatches golden", i)
+	}
 	logf("  functional result verified against golden reference")
 	if tr != nil {
 		if err := tr.WriteChromeFile(traceOut); err != nil {

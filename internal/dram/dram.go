@@ -114,6 +114,25 @@ func DDR4() Config {
 	}
 }
 
+// DDR4Ranks returns DDR4() resized to n ranks while keeping its per-channel
+// shape as far as n allows: n/8 full channels when n is a multiple of 8, one
+// channel of n/2 two-rank DIMMs for any other even n, and a single DIMM of
+// n ranks when n is odd. It returns an error for n <= 0.
+func DDR4Ranks(n int) (Config, error) {
+	cfg := DDR4()
+	switch {
+	case n <= 0:
+		return Config{}, fmt.Errorf("dram: rank count must be positive, got %d", n)
+	case n%8 == 0:
+		cfg.Channels = n / 8
+	case n%2 == 0:
+		cfg.Channels, cfg.DIMMsPerChannel = 1, n/2
+	default:
+		cfg.Channels, cfg.DIMMsPerChannel, cfg.RanksPerDIMM = 1, 1, n
+	}
+	return cfg, nil
+}
+
 // HBM2 returns an HBM2-like configuration for the paper's future-work
 // integration: the leaf PEs attach to 32 pseudo channels instead of DDR4
 // ranks. Each pseudo channel is modelled as one rank on its own channel
@@ -288,11 +307,6 @@ type rank struct {
 	lastActivate sim.Cycle    // previous activate issue time (tRRD)
 	activates    [4]sim.Cycle // issue times of the last four activates (tFAW)
 	activateIdx  int
-	reads        uint64
-	bursts       uint64
-	hits         uint64
-	misses       uint64
-	conflicts    uint64
 }
 
 // System is the simulated memory system. It is not safe for concurrent use.
@@ -300,7 +314,7 @@ type System struct {
 	cfg       Config
 	ranks     []rank
 	chanBusAt []sim.Cycle // per-channel host-bus availability
-	stats     *sim.Stats
+	stats     Counters
 	faults    *fault.Injector  // nil when no fault plan is attached
 	log       *AccessLog       // nil when no access log is attached
 	tracer    telemetry.Tracer // nil when no tracer is attached (see trace.go)
@@ -320,7 +334,6 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg:       cfg,
 		ranks:     make([]rank, cfg.TotalRanks()),
 		chanBusAt: make([]sim.Cycle, cfg.Channels),
-		stats:     sim.NewStats(),
 	}
 	for i := range s.ranks {
 		s.ranks[i].banks = make([]bank, cfg.BanksPerRank)
@@ -362,8 +375,8 @@ func (s *System) Log() *AccessLog { return s.log }
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Stats exposes the access counters collected so far.
-func (s *System) Stats() *sim.Stats { return s.stats }
+// Stats returns a snapshot of the access counters collected so far.
+func (s *System) Stats() Counters { return s.stats }
 
 // Reset clears all bank, bus, and statistics state, returning the system to
 // its initial (all rows closed, all resources free) condition.
@@ -377,7 +390,7 @@ func (s *System) Reset() {
 	for i := range s.chanBusAt {
 		s.chanBusAt[i] = 0
 	}
-	s.stats = sim.NewStats()
+	s.stats = Counters{}
 }
 
 // afterRefresh pushes a command start time out of any refresh window: the
@@ -389,7 +402,7 @@ func (s *System) afterRefresh(start sim.Cycle) sim.Cycle {
 	k := start / s.cfg.TREFI
 	windowStart := k * s.cfg.TREFI
 	if start < windowStart+s.cfg.TRFC {
-		s.stats.Inc("dram.refresh_delays", 1)
+		s.stats.RefreshDelays++
 		return windowStart + s.cfg.TRFC
 	}
 	return start
@@ -424,12 +437,17 @@ func (o RowOutcome) String() string {
 // than cycle now, delivering to dest. It returns the cycle at which the last
 // burst of data has arrived. Reads that span interleave-slot boundaries are
 // split and the pieces may land on different ranks; the completion is the
-// latest piece.
+// latest piece, and each piece counts as one read.
 func (s *System) Read(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
 	if size <= 0 {
 		return now
 	}
-	done := s.read(now, addr, size, dest)
+	done, pieces := s.access(now, addr, size, dest)
+	s.stats.Reads += pieces
+	s.stats.Bytes += uint64(size)
+	if dest == DestHost {
+		s.stats.BytesToHost += uint64(size)
+	}
 	if s.log != nil {
 		s.log.records = append(s.log.records, AccessRecord{
 			Issue: now, Done: done, Addr: addr, Size: size, Dest: dest,
@@ -439,22 +457,26 @@ func (s *System) Read(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
 	return done
 }
 
-// read is Read without the logging wrapper.
-func (s *System) read(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
-	done := now
-	// Split at interleave-slot boundaries so each piece maps to one rank/row.
+// access reserves the banks, pins, and (for DestHost) channel buses a
+// transfer of size bytes at addr occupies, split at interleave-slot
+// boundaries so each piece maps to one rank and row. It returns the latest
+// piece's completion and the piece count. Reads and writes share it: bank
+// events (bursts, row outcomes, refresh delays) count here for both, while
+// the request counters live in Read and Write.
+func (s *System) access(now sim.Cycle, addr Addr, size int, dest Dest) (done sim.Cycle, pieces uint64) {
+	done = now
 	for size > 0 {
 		slotOff := int(addr) % s.cfg.InterleaveBytes
 		chunk := s.cfg.InterleaveBytes - slotOff
 		if chunk > size {
 			chunk = size
 		}
-		end := s.readWithinSlot(now, addr, chunk, dest)
-		done = sim.Max(done, end)
+		done = sim.Max(done, s.accessWithinSlot(now, addr, chunk, dest))
+		pieces++
 		addr += Addr(chunk)
 		size -= chunk
 	}
-	return done
+	return done, pieces
 }
 
 // ReadChecked is Read with the attached fault injector consulted first: a
@@ -472,7 +494,7 @@ func (s *System) ReadChecked(now sim.Cycle, addr Addr, size int, dest Dest) (sim
 				chunk = left
 			}
 			if g := s.cfg.GlobalRank(s.cfg.Decode(a)); s.faults.RankFailed(g, now) {
-				s.stats.Inc("dram.failed_rank_reads", 1)
+				s.stats.FailedRankReads++
 				return 0, fmt.Errorf("%w: read of %d B at %#x targets dark rank %d at cycle %d",
 					fault.ErrRankFailed, size, uint64(addr), g, now)
 			}
@@ -483,9 +505,9 @@ func (s *System) ReadChecked(now sim.Cycle, addr Addr, size int, dest Dest) (sim
 	return s.Read(now, addr, size, dest), nil
 }
 
-// readWithinSlot serves a read that stays inside one interleave slot (hence
-// one rank and one row).
-func (s *System) readWithinSlot(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
+// accessWithinSlot serves a transfer that stays inside one interleave slot
+// (hence one rank and one row).
+func (s *System) accessWithinSlot(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
 	loc := s.cfg.Decode(addr)
 	g := s.cfg.GlobalRank(loc)
 	rk := &s.ranks[g]
@@ -507,17 +529,14 @@ func (s *System) readWithinSlot(now sim.Cycle, addr Addr, size int, dest Dest) s
 	var preAt, actAt sim.Cycle // command times for the trace emitter
 	switch outcome {
 	case RowHit:
-		rk.hits++
-		s.stats.Inc("dram.row_hits", 1)
+		s.stats.RowHits++
 	case RowMiss, RowConflict:
 		if outcome == RowConflict {
 			preAt = start
 			start += s.cfg.TRP
-			rk.conflicts++
-			s.stats.Inc("dram.row_conflicts", 1)
+			s.stats.RowConflicts++
 		} else {
-			rk.misses++
-			s.stats.Inc("dram.row_misses", 1)
+			s.stats.RowMisses++
 		}
 		// Activate throttling: honour tRRD against the previous activate
 		// and tFAW against the fourth-to-last one.
@@ -555,24 +574,11 @@ func (s *System) readWithinSlot(now sim.Cycle, addr Addr, size int, dest Dest) s
 		bk.openRow = -1 // auto-precharge
 	}
 
-	rk.reads++
-	rk.bursts += uint64(bursts)
-	s.stats.Inc("dram.reads", 1)
-	s.stats.Inc("dram.bursts", uint64(bursts))
-	s.stats.Inc("dram.bytes", uint64(size))
-	if dest == DestHost {
-		s.stats.Inc("dram.bytes_to_host", uint64(size))
-	}
+	s.stats.Bursts += uint64(bursts)
 	if s.tracer != nil {
 		s.traceAccess(g, loc, outcome, preAt, actAt, start, dataAt, size)
 	}
 	return dataAt
-}
-
-// RankStats reports per-rank access counters for global rank g.
-func (s *System) RankStats(g int) (reads, bursts, hits, misses, conflicts uint64) {
-	rk := &s.ranks[g]
-	return rk.reads, rk.bursts, rk.hits, rk.misses, rk.conflicts
 }
 
 // RankFreeAt reports the earliest cycle global rank g's data pins are free,
@@ -581,16 +587,6 @@ func (s *System) RankFreeAt(g int) sim.Cycle { return s.ranks[g].pinsAt }
 
 // ChannelFreeAt reports the earliest cycle channel ch's host bus is free.
 func (s *System) ChannelFreeAt(ch int) sim.Cycle { return s.chanBusAt[ch] }
-
-// ReserveChannel reserves the channel bus of channel ch for dur cycles
-// starting no earlier than now, returning the completion cycle. Engines use
-// this to model result vectors travelling from an NDP node to the host.
-func (s *System) ReserveChannel(now sim.Cycle, ch int, dur sim.Cycle) sim.Cycle {
-	start := sim.Max(now, s.chanBusAt[ch])
-	s.chanBusAt[ch] = start + dur
-	s.stats.Inc("dram.channel_reservations", 1)
-	return start + dur
-}
 
 // TransferCycles reports the channel-bus cycles needed to move size bytes.
 func (c Config) TransferCycles(size int) sim.Cycle {
@@ -601,28 +597,16 @@ func (c Config) TransferCycles(size int) sim.Cycle {
 // Write performs a write of size bytes at addr, issued no earlier than
 // cycle now. Writes traverse the same bank/row/pin resources as reads (the
 // model has no write-specific timing; tWR-class effects are folded into the
-// shared constants) and are counted separately in the statistics. Data
-// always originates at the NDP side in this repository's engines, so no
-// channel-bus reservation applies.
+// shared constants) and are counted separately in the statistics: one write
+// per call, never a read. Data always originates at the NDP side in this
+// repository's engines, so no channel-bus reservation applies.
 func (s *System) Write(now sim.Cycle, addr Addr, size int) sim.Cycle {
 	if size <= 0 {
 		return now
 	}
-	total := size
-	done := now
-	for size > 0 {
-		slotOff := int(addr) % s.cfg.InterleaveBytes
-		chunk := s.cfg.InterleaveBytes - slotOff
-		if chunk > size {
-			chunk = size
-		}
-		end := s.readWithinSlot(now, addr, chunk, DestLocal)
-		done = sim.Max(done, end)
-		addr += Addr(chunk)
-		size -= chunk
-	}
-	s.stats.Inc("dram.writes", 1)
-	s.stats.Inc("dram.bytes_written", uint64(total))
+	done, _ := s.access(now, addr, size, DestLocal)
+	s.stats.Writes++
+	s.stats.BytesWritten += uint64(size)
 	return done
 }
 

@@ -21,6 +21,37 @@ func TestDDR4Valid(t *testing.T) {
 	}
 }
 
+// TestDDR4Ranks pins the geometry of every rank count a caller passes today
+// (the System and router even counts, Fig. 12's 1..32 sweep, the oracle's
+// 8/16/32) to what each caller's own switch used to build, field for field.
+func TestDDR4Ranks(t *testing.T) {
+	for _, tc := range []struct{ ranks, channels, dimms, perDIMM int }{
+		{1, 1, 1, 1}, {2, 1, 1, 2}, {3, 1, 1, 3}, {4, 1, 2, 2}, {6, 1, 3, 2},
+		{8, 1, 4, 2}, {12, 1, 6, 2}, {16, 2, 4, 2}, {24, 3, 4, 2}, {32, 4, 4, 2}, {64, 8, 4, 2},
+	} {
+		got, err := DDR4Ranks(tc.ranks)
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", tc.ranks, err)
+		}
+		want := DDR4()
+		want.Channels, want.DIMMsPerChannel, want.RanksPerDIMM = tc.channels, tc.dimms, tc.perDIMM
+		if got != want {
+			t.Errorf("ranks=%d: geometry %+v, want %+v", tc.ranks, got, want)
+		}
+		if err := got.Validate(); err != nil || got.TotalRanks() != tc.ranks {
+			t.Errorf("ranks=%d: Validate = %v, TotalRanks = %d", tc.ranks, err, got.TotalRanks())
+		}
+	}
+	if got, _ := DDR4Ranks(32); got != DDR4() {
+		t.Errorf("32 ranks is not the paper default: %+v", got)
+	}
+	for _, n := range []int{0, -8} {
+		if _, err := DDR4Ranks(n); err == nil {
+			t.Errorf("DDR4Ranks(%d) did not error", n)
+		}
+	}
+}
+
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	base := DDR4()
 	mutations := []func(*Config){
@@ -194,30 +225,12 @@ func TestReadSpanningSlots(t *testing.T) {
 	s := MustSystem(cfg)
 	// A read of two interleave slots touches two ranks.
 	s.Read(0, 0, 2*cfg.InterleaveBytes, DestLocal)
-	r0, _, _, _, _ := s.RankStats(0)
-	r1, _, _, _, _ := s.RankStats(1)
-	if r0 != 1 || r1 != 1 {
-		t.Fatalf("rank reads = %d, %d; want 1, 1", r0, r1)
+	if s.RankFreeAt(0) == 0 || s.RankFreeAt(1) == 0 || s.RankFreeAt(2) != 0 {
+		t.Fatalf("rank pins free at %d, %d, %d; want ranks 0 and 1 busy, rank 2 idle",
+			s.RankFreeAt(0), s.RankFreeAt(1), s.RankFreeAt(2))
 	}
-}
-
-func TestReserveChannel(t *testing.T) {
-	cfg := DDR4()
-	s := MustSystem(cfg)
-	end := s.ReserveChannel(10, 0, 5)
-	if end != 15 {
-		t.Fatalf("reservation end %d", end)
-	}
-	end2 := s.ReserveChannel(10, 0, 5)
-	if end2 != 20 {
-		t.Fatalf("second reservation end %d, want 20 (serialized)", end2)
-	}
-	if s.ChannelFreeAt(0) != 20 {
-		t.Fatalf("ChannelFreeAt = %d", s.ChannelFreeAt(0))
-	}
-	// Different channel unaffected.
-	if s.ChannelFreeAt(1) != 0 {
-		t.Fatal("other channel was reserved")
+	if got := s.Stats().Reads; got != 2 {
+		t.Fatalf("reads = %d, want one per slot piece (2)", got)
 	}
 }
 
@@ -434,6 +447,11 @@ func TestWriteBasics(t *testing.T) {
 	if s.Stats().Counter("dram.bytes_written") != 512 {
 		t.Fatalf("bytes_written = %d", s.Stats().Counter("dram.bytes_written"))
 	}
+	// A write is never also a read; it still opens a row and bursts data.
+	want := Counters{Writes: 1, BytesWritten: 512, RowMisses: 1, Bursts: uint64(512 / cfg.BurstBytes)}
+	if got := s.Stats(); got != want {
+		t.Fatalf("counters after one write = %+v, want %+v", got, want)
+	}
 	if got := s.Write(5, 0, 0); got != 5 {
 		t.Fatalf("zero-size write advanced time to %d", got)
 	}
@@ -454,5 +472,12 @@ func TestStreamWriteOccupiesRank(t *testing.T) {
 	}
 	if s.RankFreeAt(0) != 0 {
 		t.Fatal("other rank affected")
+	}
+	st := s.Stats()
+	if st.Reads != 0 || st.Bytes != 0 || st.BytesToHost != 0 {
+		t.Fatalf("stream write counted as reads: %+v", st)
+	}
+	if st.Writes != 4 || st.BytesWritten != uint64(4*cfg.InterleaveBytes) {
+		t.Fatalf("writes = %d (%d B), want 4 (%d B)", st.Writes, st.BytesWritten, 4*cfg.InterleaveBytes)
 	}
 }

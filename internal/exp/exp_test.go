@@ -344,18 +344,6 @@ func TestMarkdownRendering(t *testing.T) {
 	}
 }
 
-func TestFig12Geometry(t *testing.T) {
-	for _, ranks := range []int{1, 2, 4, 8, 16, 32} {
-		cfg := fig12Geometry(ranks)
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		if cfg.TotalRanks() != ranks {
-			t.Fatalf("ranks=%d: geometry has %d", ranks, cfg.TotalRanks())
-		}
-	}
-}
-
 // TestAllExperimentsRun executes every registered experiment once end to
 // end (concurrently, via RunAll): no runner may fail or produce an empty
 // table, and the returned order must be ID order regardless of scheduling.

@@ -142,27 +142,6 @@ func Fig11() (*Report, error) {
 	return rep, nil
 }
 
-// fig12Geometry shrinks the DDR4 system to the requested rank count while
-// keeping 2 ranks per DIMM.
-func fig12Geometry(ranks int) dram.Config {
-	cfg := dram.DDR4()
-	switch {
-	case ranks >= 8:
-		cfg.Channels = ranks / 8
-		cfg.DIMMsPerChannel = 4
-		cfg.RanksPerDIMM = 2
-	case ranks >= 2:
-		cfg.Channels = 1
-		cfg.DIMMsPerChannel = ranks / 2
-		cfg.RanksPerDIMM = 2
-	default:
-		cfg.Channels = 1
-		cfg.DIMMsPerChannel = 1
-		cfg.RanksPerDIMM = 1
-	}
-	return cfg
-}
-
 // Fig12 reproduces the end-to-end inference speedup over the 1-rank
 // configuration as ranks grow from 2 to 32, for RecNMP and Fafnir, against
 // the ideal linear line. FC layers contribute a fixed 0.5 ms.
@@ -179,7 +158,11 @@ func Fig12() (*Report, error) {
 	rankSweep := []int{1, 2, 4, 8, 16, 32}
 	for _, ranks := range rankSweep {
 		w := PaperWorkload()
-		w.Mem = fig12Geometry(ranks)
+		mem, err := dram.DDR4Ranks(ranks)
+		if err != nil {
+			return nil, err
+		}
+		w.Mem = mem
 		layout := w.Layout()
 		store := w.Store(layout)
 		b, err := w.Batch(n, 12)

@@ -9,8 +9,8 @@ import (
 )
 
 // PipelineResult summarizes a streaming run of many batches through the
-// tree under an offered arrival rate (a discrete-event queueing simulation
-// on top of the timing model).
+// tree under an offered arrival rate (a single-server FIFO queue on top of
+// the timing model).
 type PipelineResult struct {
 	// Batches is the number of batches served.
 	Batches int
@@ -30,8 +30,8 @@ type PipelineResult struct {
 }
 
 // OfferedLoad streams the given batches into the engine at a fixed arrival
-// interval (PE cycles) and simulates the service queue with the event
-// engine: one batch is in service at a time (the tree's input FIFOs double-
+// interval (PE cycles) and solves the service queue in closed form (see
+// load): one batch is in service at a time (the tree's input FIFOs double-
 // buffer arrivals), later arrivals wait in the host's dispatch queue. Each
 // batch's service time comes from the timing model against an idle memory
 // system, so the run behaves like an M/D/1-style queue whose service
@@ -47,7 +47,6 @@ func (e *Engine) OfferedLoad(store *embedding.Store, layout Placement, mcfg dram
 	// Pre-compute each batch's service time from the timing model.
 	services := make([]sim.Cycle, len(batches))
 	queries := 0
-	var serviceSum sim.Cycle
 	for i, b := range batches {
 		mem, err := dram.NewSystem(mcfg)
 		if err != nil {
@@ -58,56 +57,44 @@ func (e *Engine) OfferedLoad(store *embedding.Store, layout Placement, mcfg dram
 			return nil, err
 		}
 		services[i] = sim.Max(tr.TotalCycles, 1)
-		serviceSum += services[i]
 		queries += len(b.Queries)
 	}
-	res.AvgService = float64(serviceSum) / float64(len(batches))
-
-	eng := sim.NewEngine()
-	type job struct {
-		arrivedAt sim.Cycle
-		service   sim.Cycle
-	}
-	var queue []job
-	busy := false
-
-	var startService func(now sim.Cycle)
-	startService = func(now sim.Cycle) {
-		if busy || len(queue) == 0 {
-			return
-		}
-		busy = true
-		j := queue[0]
-		queue = queue[1:]
-		eng.Schedule(now+j.service, func(at sim.Cycle) {
-			lat := float64(at - j.arrivedAt)
-			res.AvgLatency += lat
-			if lat > res.MaxLatency {
-				res.MaxLatency = lat
-			}
-			res.Makespan = at
-			busy = false
-			startService(at)
-		})
-	}
-
-	for i := range batches {
-		at := sim.Cycle(i) * interval
-		svc := services[i]
-		eng.Schedule(at, func(now sim.Cycle) {
-			queue = append(queue, job{arrivedAt: now, service: svc})
-			if len(queue) > res.MaxQueueDepth {
-				res.MaxQueueDepth = len(queue)
-			}
-			startService(now)
-		})
-	}
-	eng.Run()
-
-	res.AvgLatency /= float64(len(batches))
-	if res.Makespan > 0 {
-		res.Utilization = float64(serviceSum) / float64(res.Makespan)
-		res.QueriesPerMillisecond = float64(queries) / (sim.Seconds(res.Makespan, e.cfg.ClockMHz) * 1e3)
-	}
+	res.load(services, interval)
+	res.QueriesPerMillisecond = float64(queries) / (sim.Seconds(res.Makespan, e.cfg.ClockMHz) * 1e3)
 	return res, nil
+}
+
+// load fills in the queueing outcome of batch i arriving at i*interval with
+// service time services[i] (each at least one cycle). A single-server FIFO
+// with deterministic arrivals needs no event queue: start[i] =
+// max(arrival[i], done[i-1]) and done[i] = start[i] + services[i]. Queue depth is sampled at each arrival, counting
+// the arrival itself and every earlier batch still waiting; arrivals are
+// ordered before completions on the same cycle, so batch j (j > 0) has left
+// the queue only once done[j-1] is strictly before the arrival. done is
+// monotone, so the oldest waiting batch is a head that only moves forward.
+func (r *PipelineResult) load(services []sim.Cycle, interval sim.Cycle) {
+	done := make([]sim.Cycle, len(services))
+	head := 0
+	var latencySum float64
+	var serviceSum sim.Cycle
+	for i, svc := range services {
+		arrival := sim.Cycle(i) * interval
+		start := arrival
+		if i > 0 {
+			start = sim.Max(arrival, done[i-1])
+		}
+		done[i] = start + svc
+		serviceSum += svc
+		for head < i && (head == 0 || done[head-1] < arrival) {
+			head++
+		}
+		r.MaxQueueDepth = max(r.MaxQueueDepth, i-head+1)
+		lat := float64(done[i] - arrival)
+		latencySum += lat
+		r.MaxLatency = max(r.MaxLatency, lat)
+	}
+	r.Makespan = done[len(done)-1]
+	r.AvgLatency = latencySum / float64(len(services))
+	r.AvgService = float64(serviceSum) / float64(len(services))
+	r.Utilization = float64(serviceSum) / float64(r.Makespan)
 }

@@ -1,6 +1,7 @@
 package fafnir
 
 import (
+	"sort"
 	"testing"
 
 	"fafnir/internal/dram"
@@ -84,5 +85,89 @@ func TestOfferedLoadDeterministic(t *testing.T) {
 	}
 	if a.Makespan != b.Makespan || a.AvgLatency != b.AvgLatency {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// referenceLoad replays the queue the way the deleted event-queue version
+// did: a time-sorted event list where arrivals fire before completions on the
+// same cycle, one batch in service at a time.
+func referenceLoad(services []sim.Cycle, interval sim.Cycle) PipelineResult {
+	type event struct {
+		at         sim.Cycle
+		completion bool
+		job        int
+	}
+	var events []event
+	for i := range services {
+		events = append(events, event{at: sim.Cycle(i) * interval, job: i})
+	}
+	var ref PipelineResult
+	var queue []int
+	var latSum float64
+	var svcSum sim.Cycle
+	busy := false
+	for len(events) > 0 {
+		sort.SliceStable(events, func(a, b int) bool {
+			if events[a].at != events[b].at {
+				return events[a].at < events[b].at
+			}
+			return !events[a].completion && events[b].completion
+		})
+		ev := events[0]
+		events = events[1:]
+		if ev.completion {
+			busy = false
+			lat := float64(ev.at - sim.Cycle(ev.job)*interval)
+			latSum += lat
+			ref.MaxLatency = max(ref.MaxLatency, lat)
+			ref.Makespan = ev.at
+		} else {
+			queue = append(queue, ev.job)
+			ref.MaxQueueDepth = max(ref.MaxQueueDepth, len(queue))
+		}
+		if !busy && len(queue) > 0 {
+			busy = true
+			events = append(events, event{at: ev.at + services[queue[0]], completion: true, job: queue[0]})
+			svcSum += services[queue[0]]
+			queue = queue[1:]
+		}
+	}
+	ref.AvgLatency = latSum / float64(len(services))
+	ref.AvgService = float64(svcSum) / float64(len(services))
+	ref.Utilization = float64(svcSum) / float64(ref.Makespan)
+	return ref
+}
+
+// TestLoadMatchesEventReference checks the closed-form queue against the
+// event-list reference across the regimes that differ in tie handling:
+// everything at once (interval 0), saturated, arrivals landing exactly on a
+// completion (interval dividing the service time), and idle.
+func TestLoadMatchesEventReference(t *testing.T) {
+	const svc = 10
+	even := make([]sim.Cycle, 12)
+	for i := range even {
+		even[i] = svc
+	}
+	uneven := []sim.Cycle{7, 3, 12, 1, 10, 9, 11, 20, 10, 2, 8, 30, 1, 1}
+	for name, services := range map[string][]sim.Cycle{"even": even, "uneven": uneven, "single": {svc}} {
+		for _, interval := range []sim.Cycle{0, 1, svc / 2, svc - 1, svc, svc + 1, 4 * svc} {
+			var got PipelineResult
+			got.load(services, interval)
+			if want := referenceLoad(services, interval); got != want {
+				t.Errorf("%s services, interval %d:\n got %+v\nwant %+v", name, interval, got, want)
+			}
+		}
+	}
+	// Batch 2 arrives at cycle 10, the cycle batch 0 completes and batch 1
+	// starts service: the arrival is ordered first, so batch 1 still counts.
+	var tie PipelineResult
+	tie.load(even[:3], svc/2)
+	if tie.MaxQueueDepth != 2 {
+		t.Errorf("arrival on its predecessor's start cycle: depth %d, want 2 (predecessor still counted)", tie.MaxQueueDepth)
+	}
+	var burst PipelineResult
+	burst.load(even, 0)
+	if burst.MaxQueueDepth != len(even)-1 {
+		t.Errorf("interval 0: depth %d, want %d (everything queues behind batch 0)", burst.MaxQueueDepth, len(even)-1)
 	}
 }

@@ -113,8 +113,10 @@ type Env struct {
 
 // Build expands the workload into a runnable environment.
 func (w Workload) Build() (*Env, error) {
-	mcfg := dram.DDR4()
-	mcfg.Channels = w.Ranks / 8 // DDR4() keeps 8 ranks per channel
+	mcfg, err := dram.DDR4Ranks(w.Ranks)
+	if err != nil {
+		return nil, fmt.Errorf("oracle: %s: %w", w, err)
+	}
 	mcfg.InterleaveBytes = 4 * w.VectorDim
 	if err := mcfg.Validate(); err != nil {
 		return nil, fmt.Errorf("oracle: %s: %w", w, err)

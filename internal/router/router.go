@@ -211,13 +211,9 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 
-	mcfg := dram.DDR4()
-	switch {
-	case cfg.RanksPerShard%8 == 0:
-		mcfg.Channels = cfg.RanksPerShard / 8
-	default: // even, validated above
-		mcfg.Channels = 1
-		mcfg.DIMMsPerChannel = cfg.RanksPerShard / 2
+	mcfg, err := dram.DDR4Ranks(cfg.RanksPerShard) // even, validated above
+	if err != nil {
+		return nil, err
 	}
 
 	store, err := embedding.NewStore(cfg.Rows, 128, uint64(cfg.Seed))

@@ -1,23 +1,15 @@
-// Package sim provides the small discrete-event simulation kernel shared by
-// every timing engine in the repository: a cycle type, an event queue, and a
-// statistics registry.
+// Package sim is the clock every timing engine in the repository shares: a
+// cycle type and the two helpers resource-reservation models need.
 //
 // The engines in internal/fafnir, internal/recnmp, internal/tensordimm, and
 // internal/twostep are resource-reservation timing models: components expose
 // "earliest time this resource can next be used" state, and requests reserve
-// time slices on them. The event queue supports engines that need genuine
-// event interleaving; the stats registry gives all engines one way to report
-// counters and distributions that the experiment harness can render as the
-// paper's tables.
+// time slices on them by taking maxima of cycles. Nothing here schedules
+// events; counters live with the component that counts (dram.Counters,
+// telemetry.Registry).
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "math"
 
 // Cycle is a point in simulated time, measured in clock cycles of the
 // component's own clock domain (the Fafnir PEs run at 200 MHz; the DDR4
@@ -36,309 +28,8 @@ func Max(a, b Cycle) Cycle {
 	return b
 }
 
-// Min returns the earlier of a and b.
-func Min(a, b Cycle) Cycle {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// PicosPerCycle returns the picoseconds per cycle for a clock in MHz. It
-// returns an error for non-positive frequencies.
-func PicosPerCycle(mhz float64) (float64, error) {
-	if mhz <= 0 {
-		return 0, fmt.Errorf("sim: non-positive frequency %v", mhz)
-	}
-	return 1e6 / mhz, nil
-}
-
 // Seconds converts a cycle count in a clock domain of the given frequency to
 // seconds.
 func Seconds(c Cycle, mhz float64) float64 {
 	return float64(c) / (mhz * 1e6)
-}
-
-// Event is a scheduled callback. Events with equal time fire in the order of
-// their sequence numbers (insertion order), which keeps simulations
-// deterministic.
-type Event struct {
-	At  Cycle
-	Fn  func(now Cycle)
-	seq uint64
-}
-
-// eventHeap implements heap.Interface over events ordered by (At, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Engine is a deterministic discrete-event loop.
-type Engine struct {
-	now    Cycle
-	queue  eventHeap
-	nextID uint64
-	fired  uint64
-}
-
-// NewEngine returns an engine positioned at cycle zero.
-func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// Now reports the current simulated time.
-func (e *Engine) Now() Cycle { return e.now }
-
-// Fired reports how many events have run.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending reports how many events are waiting.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Schedule enqueues fn to run at cycle at.
-//
-// Scheduling in the past (before Now) panics deliberately, and this is the
-// one input-validation panic kept in the repository: it can only be reached
-// by an engine computing event times incorrectly — never by external input —
-// and silently clamping or returning an error would let a causality bug
-// corrupt every downstream timing number while tests stay green. Failing
-// loudly at the first out-of-order event is the correct behaviour.
-func (e *Engine) Schedule(at Cycle, fn func(now Cycle)) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
-	}
-	ev := &Event{At: at, Fn: fn, seq: e.nextID}
-	e.nextID++
-	heap.Push(&e.queue, ev)
-}
-
-// After enqueues fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn func(now Cycle)) {
-	e.Schedule(e.now+delay, fn)
-}
-
-// Run drains the event queue, advancing time, and returns the time of the
-// last event (or the starting time when no events were queued).
-func (e *Engine) Run() Cycle {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		e.now = ev.At
-		e.fired++
-		ev.Fn(e.now)
-	}
-	return e.now
-}
-
-// RunUntil drains events up to and including cycle limit; later events stay
-// queued. It returns the current time after the partial drain.
-func (e *Engine) RunUntil(limit Cycle) Cycle {
-	for len(e.queue) > 0 && e.queue[0].At <= limit {
-		ev := heap.Pop(&e.queue).(*Event)
-		e.now = ev.At
-		e.fired++
-		ev.Fn(e.now)
-	}
-	if e.now < limit {
-		e.now = limit
-	}
-	return e.now
-}
-
-// Counter is a monotonically named statistic.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Distribution accumulates samples and reports min/max/mean/percentiles.
-type Distribution struct {
-	Name    string
-	samples []float64
-	sorted  bool
-}
-
-// Add appends one sample.
-func (d *Distribution) Add(x float64) {
-	d.samples = append(d.samples, x)
-	d.sorted = false
-}
-
-// N reports the number of samples.
-func (d *Distribution) N() int { return len(d.samples) }
-
-// Sum reports the total of all samples.
-func (d *Distribution) Sum() float64 {
-	var s float64
-	for _, x := range d.samples {
-		s += x
-	}
-	return s
-}
-
-// Mean reports the arithmetic mean, or 0 for an empty distribution.
-func (d *Distribution) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.Sum() / float64(len(d.samples))
-}
-
-// Min reports the smallest sample, or 0 for an empty distribution.
-func (d *Distribution) Min() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[0]
-}
-
-// Max reports the largest sample, or 0 for an empty distribution.
-func (d *Distribution) Max() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[len(d.samples)-1]
-}
-
-// Percentile reports the p-th percentile (0..100) by nearest-rank, or 0 for
-// an empty distribution.
-func (d *Distribution) Percentile(p float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	if p <= 0 {
-		return d.samples[0]
-	}
-	if p >= 100 {
-		return d.samples[len(d.samples)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(d.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	return d.samples[rank-1]
-}
-
-func (d *Distribution) sort() {
-	if !d.sorted {
-		sort.Float64s(d.samples)
-		d.sorted = true
-	}
-}
-
-// Stats is a registry of named counters and distributions. The zero value is
-// ready to use. It is not safe for concurrent use; simulations are
-// single-goroutine by design for determinism.
-type Stats struct {
-	counters map[string]*Counter
-	dists    map[string]*Distribution
-	order    []string
-}
-
-// NewStats returns an empty registry.
-func NewStats() *Stats {
-	return &Stats{
-		counters: make(map[string]*Counter),
-		dists:    make(map[string]*Distribution),
-	}
-}
-
-func (s *Stats) init() {
-	if s.counters == nil {
-		s.counters = make(map[string]*Counter)
-		s.dists = make(map[string]*Distribution)
-	}
-}
-
-// Inc adds delta to the named counter, creating it on first use.
-func (s *Stats) Inc(name string, delta uint64) {
-	s.init()
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{Name: name}
-		s.counters[name] = c
-		s.order = append(s.order, "c:"+name)
-	}
-	c.Value += delta
-}
-
-// Counter returns the current value of the named counter (0 if never set).
-func (s *Stats) Counter(name string) uint64 {
-	s.init()
-	if c, ok := s.counters[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// Observe adds a sample to the named distribution, creating it on first use.
-func (s *Stats) Observe(name string, x float64) {
-	s.init()
-	d, ok := s.dists[name]
-	if !ok {
-		d = &Distribution{Name: name}
-		s.dists[name] = d
-		s.order = append(s.order, "d:"+name)
-	}
-	d.Add(x)
-}
-
-// Dist returns the named distribution, or nil when nothing was observed.
-func (s *Stats) Dist(name string) *Distribution {
-	s.init()
-	return s.dists[name]
-}
-
-// Merge folds every counter and distribution of o into s.
-func (s *Stats) Merge(o *Stats) {
-	if o == nil {
-		return
-	}
-	for _, key := range o.order {
-		name := key[2:]
-		switch key[0] {
-		case 'c':
-			s.Inc(name, o.counters[name].Value)
-		case 'd':
-			for _, x := range o.dists[name].samples {
-				s.Observe(name, x)
-			}
-		}
-	}
-}
-
-// String renders all statistics in insertion order, one per line.
-func (s *Stats) String() string {
-	s.init()
-	var b strings.Builder
-	for _, key := range s.order {
-		name := key[2:]
-		switch key[0] {
-		case 'c':
-			fmt.Fprintf(&b, "%-40s %d\n", name, s.counters[name].Value)
-		case 'd':
-			d := s.dists[name]
-			fmt.Fprintf(&b, "%-40s n=%d mean=%.2f min=%.2f max=%.2f\n",
-				name, d.N(), d.Mean(), d.Min(), d.Max())
-		}
-	}
-	return b.String()
 }

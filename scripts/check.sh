@@ -33,6 +33,11 @@
 #                      headers as header.Bitset words end to end, and the
 #                      exported ProcessPE/SelfMerge are adaptors over the
 #                      same implementation
+#   7d. one clock    — internal/sim is a cycle type, not a kernel: no non-test
+#                      Go file may import container/heap, call sim.NewEngine
+#                      or sim.NewStats, or bump a string-keyed "dram." counter,
+#                      and internal/scale (the host-combine fleet model
+#                      router.Fleet replaced) must not exist
 #   8. coverage      — every internal/ package must keep statement coverage
 #                      at or above the floor (80%)
 #   9. telemetry     — run fafnir-sim with -trace-out, validate the emitted
@@ -138,6 +143,12 @@ echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
 echo "==> one PE implementation (no sorted-slice set algebra in internal/fafnir)"
 ! grep -rnE '\.(ContainsAll|Union|Minus)\(|SortFunc\(.*IndexSet\.Compare' --include='*.go' --exclude='*_test.go' internal/fafnir \
     || { echo "internal/fafnir is back on sorted-slice headers: see docs/ARCHITECTURE.md section 3"; exit 1; }
+
+echo "==> one clock (no event queue, no string-keyed DRAM counters, no internal/scale)"
+! grep -rlE 'container/heap|sim\.NewEngine|sim\.NewStats|\.Inc\("dram\.' --include='*.go' --exclude='*_test.go' . \
+    || { echo "an event queue or string-keyed counter registry is back: dram.Counters and fafnir.OfferedLoad need neither"; exit 1; }
+[ ! -e internal/scale ] \
+    || { echo "internal/scale is back: abl-scaleout runs on router.Fleet"; exit 1; }
 
 echo "==> coverage floor (internal packages >= ${COVER_FLOOR}%)"
 go test -cover ./internal/... | awk -v floor="$COVER_FLOOR" '
