@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -37,6 +36,7 @@ import (
 	"time"
 
 	"fafnir/internal/telemetry"
+	"fafnir/internal/trace"
 )
 
 // logger carries the run's summary output; text mode renders byte-identically
@@ -217,7 +217,7 @@ func run() error {
 	// sorted JSONL after the run so -replay can re-offer it verbatim.
 	var (
 		recMu    sync.Mutex
-		captured []recordedRequest
+		captured trace.Workload
 	)
 	begin := time.Now()
 	fire := func(rng *rand.Rand, z *rand.Zipf) {
@@ -233,7 +233,7 @@ func run() error {
 		}
 		idx := drawIndices(rng, z, *q, *rows, off)
 		if *recPath != "" {
-			rr := recordedRequest{
+			rr := trace.Request{
 				TUS: time.Since(begin).Microseconds(), Op: *op,
 				Indices: idx, Lane: pri, TimeoutMS: *timeout,
 			}
@@ -288,7 +288,7 @@ func run() error {
 		// Replay: re-offer a captured workload verbatim — same arrival
 		// offsets, ops, indices, lanes, and deadlines; every workload flag
 		// is ignored.
-		reqs, err := loadRecorded(*rePath)
+		reqs, err := trace.LoadFile(*rePath)
 		if err != nil {
 			return err
 		}
@@ -348,81 +348,13 @@ func run() error {
 	elapsed := time.Since(begin)
 
 	if *recPath != "" {
-		if err := saveRecorded(*recPath, captured); err != nil {
+		if err := trace.SaveFile(*recPath, captured); err != nil {
 			return err
 		}
 		logf("recorded %d requests to %s", len(captured), *recPath)
 	}
 	report(outcomes, elapsed, *qps)
 	return scrape(client, *url, *dump)
-}
-
-// recordedRequest is one captured workload request, one JSONL line per
-// request: when it was offered (microseconds after the run began), what it
-// asked for, and which lane and deadline it carried.
-type recordedRequest struct {
-	TUS       int64    `json:"t_us"`
-	Op        string   `json:"op,omitempty"`
-	Indices   []uint64 `json:"indices"`
-	Lane      string   `json:"lane,omitempty"`
-	TimeoutMS int      `json:"timeout_ms,omitempty"`
-}
-
-// saveRecorded writes the capture as JSONL sorted by arrival offset.
-func saveRecorded(path string, reqs []recordedRequest) error {
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].TUS < reqs[j].TUS })
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for i := range reqs {
-		if err := enc.Encode(&reqs[i]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// loadRecorded reads a -record capture, sorted by arrival offset.
-func loadRecorded(path string) ([]recordedRequest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var reqs []recordedRequest
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var rr recordedRequest
-		if err := json.Unmarshal(sc.Bytes(), &rr); err != nil {
-			return nil, fmt.Errorf("%s:%d: bad record: %w", path, line, err)
-		}
-		if len(rr.Indices) == 0 {
-			return nil, fmt.Errorf("%s:%d: record carries no indices", path, line)
-		}
-		reqs = append(reqs, rr)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("%s: empty capture", path)
-	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].TUS < reqs[j].TUS })
-	return reqs, nil
 }
 
 // capStep is one measured rung of a -capacity sweep.

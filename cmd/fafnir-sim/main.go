@@ -261,13 +261,7 @@ func fafnirExecutor() (solver.SpMV, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(m *sparse.LIL, x tensor.Vector) (tensor.Vector, sim.Cycle, error) {
-		res, err := eng.Multiply(m, x, dram.MustSystem(dram.DDR4()))
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.Y, res.TotalCycles, nil
-	}, nil
+	return eng.Schedule().Executor(), nil
 }
 
 func runGraph(algo string, size int, seed int64) error {
@@ -360,40 +354,38 @@ func runSpMV(engine, matrix string, size int, seed int64) error {
 
 	logf("SpMV: engine=%s matrix=%s %dx%d nnz=%d density=%.2e",
 		engine, matrix, m.Rows, m.Cols, m.NNZ(), m.Density())
+	// Both accelerators run the one spmv.Schedule; only its constants, and
+	// what the first phase is called, differ.
+	var sched spmv.Schedule
+	first := "multiply"
 	switch engine {
 	case "fafnir":
 		e, err := spmv.NewEngine(spmv.Default())
 		if err != nil {
 			return err
 		}
-		res, err := e.Multiply(m, x, mem)
-		if err != nil {
-			return err
-		}
-		logf("  plan: %s", res.Plan)
-		logf("  multiply %8.2f us", usSeconds(res.MultiplyCycles))
-		logf("  merge    %8.2f us", usSeconds(res.MergeCycles))
-		logf("  total    %8.2f us  (%d elements streamed)", usSeconds(res.TotalCycles), res.ElementsStreamed)
-		if !res.Y.Equal(want) {
-			return fmt.Errorf("result mismatches reference SpMV")
-		}
+		sched = e.Schedule()
 	case "twostep":
 		e, err := twostep.NewEngine(twostep.Default())
 		if err != nil {
 			return err
 		}
-		res, err := e.Multiply(m, x, mem)
-		if err != nil {
-			return err
-		}
-		logf("  step 1   %8.2f us", usSeconds(res.Step1Cycles))
-		logf("  merge    %8.2f us", usSeconds(res.MergeCycles))
-		logf("  total    %8.2f us  (%d elements streamed)", usSeconds(res.TotalCycles), res.ElementsStreamed)
-		if !res.Y.Equal(want) {
-			return fmt.Errorf("result mismatches reference SpMV")
-		}
+		sched, first = e.Schedule(), "step 1  "
 	default:
 		return fmt.Errorf("unknown spmv engine %q", engine)
+	}
+	res, err := sched.Run(m, x, mem)
+	if err != nil {
+		return err
+	}
+	if engine == "fafnir" {
+		logf("  plan: %s", res.Plan)
+	}
+	logf("  %s %8.2f us", first, usSeconds(res.MultiplyCycles))
+	logf("  merge    %8.2f us", usSeconds(res.MergeCycles))
+	logf("  total    %8.2f us  (%d elements streamed)", usSeconds(res.TotalCycles), res.ElementsStreamed)
+	if !res.Y.Equal(want) {
+		return fmt.Errorf("result mismatches reference SpMV")
 	}
 	logf("  functional result verified against reference SpMV")
 	return nil

@@ -1,12 +1,14 @@
 // Command fafnir-trace generates, inspects, and replays embedding-lookup
-// workload traces in the JSON interchange format of internal/trace.
+// workloads in the JSONL request format of internal/trace — the file
+// fafnir-loadgen -record writes and -replay reads, so a capture can be fed
+// to stats and run, and a generated file to -replay.
 //
 // Examples:
 //
-//	fafnir-trace gen -n 64 -q 16 -zipf 1.3 -out workload.json
-//	fafnir-trace stats workload.json
-//	fafnir-trace run -engine fafnir workload.json
-//	fafnir-trace run -engine recnmp workload.json
+//	fafnir-trace gen -n 64 -q 16 -zipf 1.3 -out workload.jsonl
+//	fafnir-trace stats workload.jsonl
+//	fafnir-trace run -engine fafnir workload.jsonl
+//	fafnir-trace run -engine recnmp workload.jsonl
 //	fafnir-trace validate run-trace.json   # checks a fafnir-sim -trace-out file
 //	fafnir-trace report run-trace.json     # critical-path latency attribution
 package main
@@ -78,38 +80,22 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	tr := trace.FromBatch(gen.Batch(tensor.OpSum), *rows)
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	w := trace.FromBatch(gen.Batch(tensor.OpSum))
+	if *out == "" {
+		return trace.Save(os.Stdout, w)
 	}
-	return trace.Save(w, tr)
-}
-
-func loadTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Load(f)
+	return trace.SaveFile(*out, w)
 }
 
 func cmdStats(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: fafnir-trace stats <file>")
 	}
-	tr, err := loadTrace(args[0])
+	w, err := trace.LoadFile(args[0])
 	if err != nil {
 		return err
 	}
-	s, err := tr.Stats()
+	s, err := w.Stats()
 	if err != nil {
 		return err
 	}
@@ -117,7 +103,7 @@ func cmdStats(args []string) error {
 	fmt.Printf("total accesses:  %d\n", s.TotalAccesses)
 	fmt.Printf("unique indices:  %d (%.1f%%)\n", s.UniqueIndices, 100*s.UniqueFraction)
 	fmt.Printf("max query size:  %d\n", s.MaxQuerySize)
-	fmt.Printf("pooling op:      %s\n", tr.Op)
+	fmt.Printf("pooling op:      %s\n", s.Op)
 	return nil
 }
 
@@ -149,17 +135,17 @@ func cmdRun(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: fafnir-trace run [-engine X] <file>")
 	}
-	tr, err := loadTrace(fs.Arg(0))
+	w, err := trace.LoadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	b, err := tr.Batch()
+	b, rows, err := w.Batch()
 	if err != nil {
 		return err
 	}
 
 	mcfg := dram.DDR4()
-	rowsPer := int((tr.Rows + 31) / 32)
+	rowsPer := int((rows + 31) / 32)
 	layout := memmap.Uniform(mcfg, 512, 32, rowsPer)
 	store := embedding.MustStore(layout.TotalRows(), 128, 1)
 	mem := dram.MustSystem(mcfg)

@@ -12,7 +12,6 @@ import (
 	"log"
 	"os"
 
-	"fafnir/internal/dram"
 	"fafnir/internal/sim"
 	"fafnir/internal/solver"
 	"fafnir/internal/sparse"
@@ -43,13 +42,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	onFafnir := func(m *sparse.LIL, x tensor.Vector) (tensor.Vector, sim.Cycle, error) {
-		res, err := eng.Multiply(m, x, dram.MustSystem(dram.DDR4()))
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.Y, res.TotalCycles, nil
-	}
+	onFafnir := eng.Schedule().Executor()
 
 	opts := solver.Options{MaxIterations: 400, Tolerance: 1e-2}
 

@@ -79,8 +79,7 @@ func (c Config) Validate() error {
 // DRAMToHost converts memory-clock cycles to reporting-clock cycles,
 // rounding up.
 func (c Config) DRAMToHost(d sim.Cycle) sim.Cycle {
-	ratio := c.DRAMClockMHz / c.ClockMHz
-	return sim.Cycle((float64(d) + ratio - 1) / ratio)
+	return sim.Rescale(d, c.DRAMClockMHz, c.ClockMHz)
 }
 
 // Result is the outcome of a baseline batch lookup.

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fafnir/internal/dram"
 	"fafnir/internal/graph"
 	"fafnir/internal/sim"
 	"fafnir/internal/solver"
@@ -23,27 +22,11 @@ func executors() (faf, ts solver.SpMV, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Each product is timed against a fresh memory state: the executors
-	// report per-call service times, not positions on one absolute clock.
-	faf = func(m *sparse.LIL, x tensor.Vector) (tensor.Vector, sim.Cycle, error) {
-		res, err := fe.Multiply(m, x, dram.MustSystem(dram.DDR4()))
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.Y, res.TotalCycles, nil
-	}
 	te, err := twostep.NewEngine(twostep.Default())
 	if err != nil {
 		return nil, nil, err
 	}
-	ts = func(m *sparse.LIL, x tensor.Vector) (tensor.Vector, sim.Cycle, error) {
-		res, err := te.Multiply(m, x, dram.MustSystem(dram.DDR4()))
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.Y, res.TotalCycles, nil
-	}
-	return faf, ts, nil
+	return fe.Schedule().Executor(), te.Schedule().Executor(), nil
 }
 
 // AppGraph runs the graph-analytics suite (BFS, PageRank, connected

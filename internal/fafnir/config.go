@@ -128,8 +128,7 @@ func (c Config) NumLeaves() int { return c.NumRanks / c.LeafFanIn }
 // DRAMToPE converts a completion time in memory-clock cycles to PE-clock
 // cycles, rounding up.
 func (c Config) DRAMToPE(d sim.Cycle) sim.Cycle {
-	ratio := c.DRAMClockMHz / c.ClockMHz
-	return sim.Cycle((float64(d) + ratio - 1) / ratio)
+	return sim.Rescale(d, c.DRAMClockMHz, c.ClockMHz)
 }
 
 // VectorBytes reports the size of one embedding vector in bytes (float32

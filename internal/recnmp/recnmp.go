@@ -180,10 +180,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 	}
 	res := &Result{Outputs: outputs}
 
-	ratio := e.cfg.DRAMClockMHz / e.cfg.ClockMHz
-	toHost := func(d sim.Cycle) sim.Cycle {
-		return sim.Cycle((float64(d) + ratio - 1) / ratio)
-	}
+	toHost := func(d sim.Cycle) sim.Cycle { return sim.Rescale(d, e.cfg.DRAMClockMHz, e.cfg.ClockMHz) }
 	dimmOf := func(rank int) int { return rank / mcfg.RanksPerDIMM }
 
 	var memDone sim.Cycle

@@ -274,20 +274,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// ParseOp maps a wire-format pooling-operation name to a ReduceOp. The empty
-// string selects sum, the paper's default.
-func ParseOp(s string) (tensor.ReduceOp, error) {
-	switch s {
-	case "", "sum":
-		return tensor.OpSum, nil
-	case "min":
-		return tensor.OpMin, nil
-	case "max":
-		return tensor.OpMax, nil
-	case "mean":
-		return tensor.OpMean, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown pooling op %q (want sum, min, max, or mean)", s)
-	}
-}

@@ -11,7 +11,6 @@ import (
 
 	"fafnir/internal/fault"
 	"fafnir/internal/telemetry"
-	"fafnir/internal/tensor"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -52,22 +51,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.Linger != 0 {
 		t.Fatalf("Linger default should stay 0 (immediate flush), got %v", c.Linger)
-	}
-}
-
-func TestParseOp(t *testing.T) {
-	cases := map[string]tensor.ReduceOp{
-		"": tensor.OpSum, "sum": tensor.OpSum, "min": tensor.OpMin,
-		"max": tensor.OpMax, "mean": tensor.OpMean,
-	}
-	for s, want := range cases {
-		got, err := ParseOp(s)
-		if err != nil || got != want {
-			t.Errorf("ParseOp(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseOp("median"); err == nil {
-		t.Error("ParseOp(median) succeeded, want error")
 	}
 }
 

@@ -320,7 +320,7 @@ func (s *Server) decodeLookup(body io.Reader) (call Request, timeout time.Durati
 	if _, err = dec.Token(); err != io.EOF {
 		return call, 0, fmt.Errorf("serve: bad request body: trailing data after the request object")
 	}
-	if call.Op, err = ParseOp(req.Op); err != nil {
+	if call.Op, err = tensor.ParseOp(req.Op); err != nil {
 		return call, 0, err
 	}
 	if call.Priority, err = ParsePriority(req.Priority); err != nil {

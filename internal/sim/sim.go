@@ -1,5 +1,5 @@
 // Package sim is the clock every timing engine in the repository shares: a
-// cycle type and the two helpers resource-reservation models need.
+// cycle type and the three helpers resource-reservation models need.
 //
 // The engines in internal/fafnir, internal/recnmp, internal/tensordimm, and
 // internal/twostep are resource-reservation timing models: components expose
@@ -32,4 +32,14 @@ func Max(a, b Cycle) Cycle {
 // seconds.
 func Seconds(c Cycle, mhz float64) float64 {
 	return float64(c) / (mhz * 1e6)
+}
+
+// Rescale converts d cycles of a fromMHz clock to cycles of a toMHz clock,
+// rounding up (exactly when fromMHz is a whole multiple of toMHz, as every
+// configured pair is). It is the one clock-domain crossing: every engine
+// reads DRAM completions through it (fafnir.Config.DRAMToPE,
+// cpu.Config.DRAMToHost, spmv.Schedule, recnmp, tensordimm).
+func Rescale(d Cycle, fromMHz, toMHz float64) Cycle {
+	ratio := fromMHz / toMHz
+	return Cycle((float64(d) + ratio - 1) / ratio)
 }

@@ -130,28 +130,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is the outcome of one SpMV run.
-type Result struct {
-	// Y is the product vector.
-	Y tensor.Vector
-	// Plan is the executed schedule.
-	Plan *Plan
-	// MultiplyCycles and MergeCycles split the runtime by iteration type
-	// (Fafnir wins the multiply, Two-Step wins the merge — Fig. 14's
-	// discussion).
-	MultiplyCycles, MergeCycles sim.Cycle
-	// TotalCycles is the end-to-end runtime in PE cycles.
-	TotalCycles sim.Cycle
-	// ElementsStreamed counts matrix and partial elements read from memory.
-	ElementsStreamed int
-	// BytesStreamed is the corresponding traffic.
-	BytesStreamed uint64
-}
-
 // Engine runs SpMV on the Fafnir tree.
 type Engine struct {
-	cfg  Config
-	tree *fafnir.Tree
+	cfg   Config
+	sched Schedule
 }
 
 // NewEngine builds the engine.
@@ -163,150 +145,29 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, tree: tree}, nil
+	return &Engine{cfg: cfg, sched: Schedule{
+		Name:               "spmv",
+		Ranks:              cfg.Tree.NumRanks,
+		VectorSize:         cfg.VectorSize,
+		ClockMHz:           cfg.Tree.ClockMHz,
+		DRAMClockMHz:       cfg.Tree.DRAMClockMHz,
+		MultElemsPerCycle:  cfg.MultElemsPerCycle,
+		MergeElemsPerCycle: cfg.MergeElemsPerCycle,
+		// The tree's pipeline-fill latency: one stage per level.
+		Fill:     cfg.Tree.Latency.StageLatency() * sim.Cycle(tree.Depth()),
+		KeepZero: true,
+	}}, nil
 }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// roundTime charges one round: elems elements stream from memory spread
-// over the ranks (8 B each: value + row index) starting at memClock, and the
-// engine processes them at elemsPerCycle no earlier than peDone (rounds of
-// one iteration pipeline back to back; the slower of memory and compute sets
-// the sustained rate). It returns the updated clocks.
-func (e *Engine) roundTime(mem *dram.System, memClock, peDone sim.Cycle, elems int, elemsPerCycle float64) (sim.Cycle, sim.Cycle, error) {
-	if elems == 0 {
-		return memClock, peDone, nil
-	}
-	ranks := e.cfg.Tree.NumRanks
-	perRank := (elems + ranks - 1) / ranks
-	var memDone sim.Cycle
-	for r := 0; r < ranks; r++ {
-		done, err := mem.StreamRead(memClock, r, 0, perRank*8, dram.DestLocal)
-		if err != nil {
-			return 0, 0, err
-		}
-		memDone = sim.Max(memDone, done)
-	}
-	compute := sim.Cycle(float64(elems)/elemsPerCycle + 1)
-	end := sim.Max(e.cfg.Tree.DRAMToPE(memDone), peDone+compute)
-	return memDone, end, nil
-}
-
-// fill is the tree's pipeline-fill latency, paid once per iteration (the
-// partial results of one iteration must drain before the next re-streams
-// them).
-func (e *Engine) fill() sim.Cycle {
-	return e.cfg.Tree.Latency.StageLatency() * sim.Cycle(e.tree.Depth())
-}
-
-// writeBack spills a round's partial stream to memory when a later merge
-// iteration will re-read it, spreading the bytes over the ranks. Final
-// results go to the host instead and are not spilled.
-func (e *Engine) writeBack(mem *dram.System, clock sim.Cycle, s *PartialStream, needed bool) (sim.Cycle, error) {
-	if !needed || s.Len() == 0 {
-		return clock, nil
-	}
-	ranks := e.cfg.Tree.NumRanks
-	perRank := (s.Bytes() + ranks - 1) / ranks
-	done := clock
-	for r := 0; r < ranks; r++ {
-		end, err := mem.StreamWrite(clock, r, 0, perRank)
-		if err != nil {
-			return 0, err
-		}
-		done = sim.Max(done, end)
-	}
-	return done, nil
-}
+// Schedule returns the Fig. 8 schedule with the Fafnir tree's constants.
+func (e *Engine) Schedule() Schedule { return e.sched }
 
 // Multiply computes y = m*x with full timing against the DRAM model. The
 // functional result is exact (validated against sparse.LIL.MulVec); the
 // timing follows the Fig. 8 schedule.
 func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("spmv: operand of %d elements against %d columns", len(x), m.Cols)
-	}
-	plan, err := NewPlan(m.Cols, e.cfg.VectorSize)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Plan: plan}
-
-	// Iteration 0: multiply chunk by chunk.
-	var streams []*PartialStream
-	var clock sim.Cycle // DRAM-domain time
-	var peClock sim.Cycle
-	cur := m.Cursor()
-	for lo := 0; lo < m.Cols; lo += e.cfg.VectorSize {
-		partial, elems := MultiplyChunk(cur, min(lo+e.cfg.VectorSize, m.Cols), x, true)
-		streams = append(streams, partial)
-		res.ElementsStreamed += elems
-		res.BytesStreamed += uint64(elems) * 8
-		clock, peClock, err = e.roundTime(mem, clock, peClock, elems, e.cfg.MultElemsPerCycle)
-		if err != nil {
-			return nil, err
-		}
-		clock, err = e.writeBack(mem, clock, partial, plan.MergeIterations() > 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	peClock += e.fill()
-	res.MultiplyCycles = peClock
-	if len(streams) != plan.MultiplyRounds() {
-		return nil, fmt.Errorf("spmv: %d streams for %d planned rounds", len(streams), plan.MultiplyRounds())
-	}
-
-	// Merge iterations.
-	mergeStart := peClock
-	iter := 1
-	for len(streams) > 1 {
-		if iter >= plan.Iterations() {
-			return nil, fmt.Errorf("spmv: merge iteration %d beyond plan %v", iter, plan)
-		}
-		var next []*PartialStream
-		for lo := 0; lo < len(streams); lo += e.cfg.VectorSize {
-			hi := lo + e.cfg.VectorSize
-			if hi > len(streams) {
-				hi = len(streams)
-			}
-			group := streams[lo:hi]
-			elems := 0
-			for _, s := range group {
-				elems += s.Len()
-			}
-			res.ElementsStreamed += elems
-			res.BytesStreamed += uint64(elems) * 8
-			var err error
-			clock, peClock, err = e.roundTime(mem, clock, peClock, elems, e.cfg.MergeElemsPerCycle)
-			if err != nil {
-				return nil, err
-			}
-			merged := MergeStreams(group, m.Rows)
-			next = append(next, merged)
-			clock, err = e.writeBack(mem, clock, merged, iter+1 < plan.Iterations())
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(next) != plan.RoundsPerIteration[iter] {
-			return nil, fmt.Errorf("spmv: iteration %d produced %d streams, plan says %d",
-				iter, len(next), plan.RoundsPerIteration[iter])
-		}
-		streams = next
-		iter++
-		peClock += e.fill()
-	}
-	res.MergeCycles = peClock - mergeStart
-	res.TotalCycles = peClock
-
-	// Materialize the dense result.
-	res.Y = tensor.New(m.Rows)
-	if len(streams) == 1 {
-		for i, r := range streams[0].Rows {
-			res.Y[r] = streams[0].Vals[i]
-		}
-	}
-	return res, nil
+	return e.sched.Run(m, x, mem)
 }

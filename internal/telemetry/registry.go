@@ -30,6 +30,10 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
+func (c *Counter) write(w io.Writer, name, pair string) {
+	sample(w, name, pair, strconv.FormatUint(c.Value(), 10))
+}
+
 // Gauge is an atomic instantaneous integer value.
 type Gauge struct{ v atomic.Int64 }
 
@@ -38,6 +42,17 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v.Load() }
+
+func (g *Gauge) write(w io.Writer, name, pair string) {
+	sample(w, name, pair, strconv.FormatInt(g.Value(), 10))
+}
+
+// gaugeFunc is a computed gauge: a float evaluated at render time.
+type gaugeFunc func() float64
+
+func (f *gaugeFunc) write(w io.Writer, name, pair string) {
+	sample(w, name, pair, fmtFloat((*f)()))
+}
 
 // atomicFloat accumulates a float64 with compare-and-swap.
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -97,85 +112,86 @@ func (h *Histogram) BucketCounts() []uint64 {
 	return out
 }
 
-// CounterVec is a counter family with one label dimension whose values are
-// fixed at registration, keeping With lookups allocation-free and the
-// render order stable.
-type CounterVec struct {
-	name, help, label string
-	values            []string
-	counters          []*Counter
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// sample writes one exposition line: the series name, its label pairs in
+// braces when it has any, and the value.
+func sample(w io.Writer, name, pairs, value string) {
+	if pairs != "" {
+		pairs = "{" + pairs + "}"
+	}
+	fmt.Fprintf(w, "%s%s %s\n", name, pairs, value)
 }
 
-// With returns the counter for the given label value. Unknown values return
-// a detached counter (never rendered) rather than panicking, so a miscounted
-// label cannot take down a serving path.
-func (v *CounterVec) With(value string) *Counter {
+// write renders the histogram: cumulative buckets with an explicit +Inf
+// bound, then _sum and _count.
+func (h *Histogram) write(w io.Writer, name, pair string) {
+	le := pair
+	if le != "" {
+		le += ","
+	}
+	var cum uint64
+	for i, b := range h.bounds {
+		cum += h.counts[i].Load()
+		sample(w, name+"_bucket", fmt.Sprintf("%sle=%q", le, fmtFloat(b)), strconv.FormatUint(cum, 10))
+	}
+	cum += h.counts[len(h.bounds)].Load()
+	sample(w, name+"_bucket", le+`le="+Inf"`, strconv.FormatUint(cum, 10))
+	sample(w, name+"_sum", pair, fmtFloat(h.Sum()))
+	sample(w, name+"_count", pair, strconv.FormatUint(h.Count(), 10))
+}
+
+// Vec is a metric family: one metric of kind M per value of one label, the
+// values fixed at registration, which keeps With lookups allocation-free and
+// the render order stable. Every registered metric lives in one — a scalar is
+// a family with no label and a single member — so there is one registration
+// path and one renderer.
+type Vec[M any] struct {
+	name, help, kind, label string
+	values                  []string
+	metrics                 []*M
+	// mk builds the member for a label value; write renders one member's
+	// sample lines under the given `label="value"` pair ("" for a scalar).
+	mk    func(value string) *M
+	write func(m *M, w io.Writer, name, pair string)
+}
+
+// The labelled families engines and the serving layer publish into: the
+// fleet router's per-shard health is a GaugeVec, the serving layer's
+// per-stage latency a HistogramVec.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+// With returns the metric for the given label value. Unknown values return a
+// detached metric (usable, never rendered) rather than panicking, so a
+// miscounted label cannot take down a serving path.
+func (v *Vec[M]) With(value string) *M {
 	for i, val := range v.values {
 		if val == value {
-			return v.counters[i]
+			return v.metrics[i]
 		}
 	}
-	return &Counter{}
+	return v.mk(value)
 }
 
-// At returns the counter at the registration index of its label value;
+// At returns the metric at the registration index of its label value;
 // callers with dense label enums index directly instead of string-matching.
-func (v *CounterVec) At(i int) *Counter { return v.counters[i] }
+func (v *Vec[M]) At(i int) *M { return v.metrics[i] }
 
-// GaugeVec is a gauge family with one label dimension whose values are fixed
-// at registration — the gauge counterpart of CounterVec. The fleet router
-// publishes per-shard health through it.
-type GaugeVec struct {
-	name, help, label string
-	values            []string
-	gauges            []*Gauge
-}
+func (v *Vec[M]) famName() string { return v.name }
 
-// With returns the gauge for the given label value; unknown values return a
-// detached gauge (never rendered) rather than panicking.
-func (v *GaugeVec) With(value string) *Gauge {
-	for i, val := range v.values {
-		if val == value {
-			return v.gauges[i]
+func (v *Vec[M]) render(w io.Writer) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", v.name, v.help, v.name, v.kind)
+	for i, m := range v.metrics {
+		pair := ""
+		if v.label != "" {
+			pair = fmt.Sprintf("%s=%q", v.label, v.values[i])
 		}
+		v.write(m, w, v.name, pair)
 	}
-	return &Gauge{}
-}
-
-// At returns the gauge at the registration index of its label value.
-func (v *GaugeVec) At(i int) *Gauge { return v.gauges[i] }
-
-// HistogramVec is a histogram family with one label dimension whose values
-// are fixed at registration — the histogram counterpart of CounterVec. The
-// serving layer publishes per-stage latency distributions through it.
-type HistogramVec struct {
-	name, help, label string
-	values            []string
-	hists             []*Histogram
-}
-
-// With returns the histogram for the given label value; unknown values
-// return a detached histogram (never rendered) rather than panicking.
-func (v *HistogramVec) With(value string) *Histogram {
-	for i, val := range v.values {
-		if val == value {
-			return v.hists[i]
-		}
-	}
-	return NewHistogram(nil)
-}
-
-// At returns the histogram at the registration index of its label value.
-func (v *HistogramVec) At(i int) *Histogram { return v.hists[i] }
-
-// GaugeFuncVec is a computed gauge family with one label dimension: fn is
-// evaluated per label value at render time and must be safe to call
-// concurrently with the hot path. The SLO recorder publishes per-lane
-// burn rates through it.
-type GaugeFuncVec struct {
-	name, help, label string
-	values            []string
-	fn                func(value string) float64
 }
 
 // renderable is one registered family.
@@ -193,88 +209,72 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// register appends a family, rejecting duplicate names loudly: duplicate
-// registration is a wiring bug reachable only from static setup code, so it
-// panics like sim.Schedule's causality check rather than limping along with
-// an invalid exposition.
-func (r *Registry) register(f renderable) {
+// register builds the family's members and appends it, rejecting duplicate
+// names loudly: duplicate registration is a wiring bug reachable only from
+// static setup code, so it panics rather than limping along with an invalid
+// exposition.
+func register[M any](r *Registry, v *Vec[M]) *Vec[M] {
+	for _, val := range v.values {
+		v.metrics = append(v.metrics, v.mk(val))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, g := range r.fams {
-		if g.famName() == f.famName() {
-			panic(fmt.Sprintf("telemetry: metric %q registered twice", f.famName()))
+		if g.famName() == v.name {
+			panic(fmt.Sprintf("telemetry: metric %q registered twice", v.name))
 		}
 	}
-	r.fams = append(r.fams, f)
-}
-
-// Counter registers and returns a counter family.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&counterFam{name: name, help: help, c: c})
-	return c
+	r.fams = append(r.fams, v)
+	return v
 }
 
 // CounterVec registers a labelled counter family with the given fixed label
 // values, rendered one line per value in the given order.
 func (r *Registry) CounterVec(name, help, label string, values ...string) *CounterVec {
-	v := &CounterVec{name: name, help: help, label: label, values: values}
-	v.counters = make([]*Counter, len(values))
-	for i := range values {
-		v.counters[i] = &Counter{}
-	}
-	r.register(v)
-	return v
+	return register(r, &CounterVec{name: name, help: help, kind: "counter", label: label, values: values,
+		mk: func(string) *Counter { return new(Counter) }, write: (*Counter).write})
 }
 
-// GaugeVec registers a labelled gauge family with the given fixed label
-// values, rendered one line per value in the given order.
+// GaugeVec registers a labelled integer gauge family with the given fixed
+// label values, rendered one line per value in the given order.
 func (r *Registry) GaugeVec(name, help, label string, values ...string) *GaugeVec {
-	v := &GaugeVec{name: name, help: help, label: label, values: values}
-	v.gauges = make([]*Gauge, len(values))
-	for i := range values {
-		v.gauges[i] = &Gauge{}
-	}
-	r.register(v)
-	return v
+	return register(r, &GaugeVec{name: name, help: help, kind: "gauge", label: label, values: values,
+		mk: func(string) *Gauge { return new(Gauge) }, write: (*Gauge).write})
 }
 
-// Gauge registers and returns an integer gauge family.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&gaugeFam{name: name, help: help, g: g})
-	return g
-}
-
-// GaugeFunc registers a computed gauge: fn is evaluated at render time and
-// must be safe to call concurrently with the hot path.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(&gaugeFuncFam{name: name, help: help, fn: fn})
-}
-
-// Histogram registers and returns a histogram family over the bounds.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.register(&histogramFam{name: name, help: help, h: h})
-	return h
+// GaugeFuncVec registers a labelled computed gauge family: fn is evaluated
+// once per label value at render time and must be safe to call concurrently
+// with the hot path. The SLO recorder publishes per-lane burn rates so.
+func (r *Registry) GaugeFuncVec(name, help, label string, fn func(value string) float64, values ...string) {
+	register(r, &Vec[gaugeFunc]{name: name, help: help, kind: "gauge", label: label, values: values,
+		mk: func(value string) *gaugeFunc {
+			f := gaugeFunc(func() float64 { return fn(value) })
+			return &f
+		}, write: (*gaugeFunc).write})
 }
 
 // HistogramVec registers a labelled histogram family: one histogram over the
 // given bounds per fixed label value, rendered in the given order.
 func (r *Registry) HistogramVec(name, help, label string, bounds []float64, values ...string) *HistogramVec {
-	v := &HistogramVec{name: name, help: help, label: label, values: values}
-	v.hists = make([]*Histogram, len(values))
-	for i := range values {
-		v.hists[i] = NewHistogram(bounds)
-	}
-	r.register(v)
-	return v
+	return register(r, &HistogramVec{name: name, help: help, kind: "histogram", label: label, values: values,
+		mk: func(string) *Histogram { return NewHistogram(bounds) }, write: (*Histogram).write})
 }
 
-// GaugeFuncVec registers a labelled computed gauge family: fn is evaluated
-// once per label value at render time.
-func (r *Registry) GaugeFuncVec(name, help, label string, fn func(value string) float64, values ...string) {
-	r.register(&GaugeFuncVec{name: name, help: help, label: label, values: values, fn: fn})
+// Counter registers and returns a counter.
+func (r *Registry) Counter(name, help string) *Counter { return r.CounterVec(name, help, "", "").At(0) }
+
+// Gauge registers and returns an integer gauge.
+func (r *Registry) Gauge(name, help string) *Gauge { return r.GaugeVec(name, help, "", "").At(0) }
+
+// GaugeFunc registers a computed gauge: fn is evaluated at render time and
+// must be safe to call concurrently with the hot path.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	r.GaugeFuncVec(name, help, "", func(string) float64 { return fn() }, "")
+}
+
+// Histogram registers and returns a histogram over the bounds.
+func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+	return r.HistogramVec(name, help, "", bounds, "").At(0)
 }
 
 // Render writes every family in Prometheus text exposition format, in
@@ -287,98 +287,4 @@ func (r *Registry) Render(w io.Writer) {
 	for _, f := range fams {
 		f.render(w)
 	}
-}
-
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-type counterFam struct {
-	name, help string
-	c          *Counter
-}
-
-func (f *counterFam) famName() string { return f.name }
-func (f *counterFam) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", f.name, f.help, f.name, f.name, f.c.Value())
-}
-
-func (v *CounterVec) famName() string { return v.name }
-func (v *CounterVec) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", v.name, v.help, v.name)
-	for i, val := range v.values {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, val, v.counters[i].Value())
-	}
-}
-
-func (v *GaugeVec) famName() string { return v.name }
-func (v *GaugeVec) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", v.name, v.help, v.name)
-	for i, val := range v.values {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, val, v.gauges[i].Value())
-	}
-}
-
-func (v *HistogramVec) famName() string { return v.name }
-func (v *HistogramVec) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", v.name, v.help, v.name)
-	for i, val := range v.values {
-		h := v.hists[i]
-		var cum uint64
-		for j, b := range h.bounds {
-			cum += h.counts[j].Load()
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", v.name, v.label, val, fmtFloat(b), cum)
-		}
-		cum += h.counts[len(h.bounds)].Load()
-		fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", v.name, v.label, val, cum)
-		fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", v.name, v.label, val, fmtFloat(h.Sum()))
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", v.name, v.label, val, h.Count())
-	}
-}
-
-func (v *GaugeFuncVec) famName() string { return v.name }
-func (v *GaugeFuncVec) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", v.name, v.help, v.name)
-	for _, val := range v.values {
-		fmt.Fprintf(w, "%s{%s=%q} %s\n", v.name, v.label, val, fmtFloat(v.fn(val)))
-	}
-}
-
-type gaugeFam struct {
-	name, help string
-	g          *Gauge
-}
-
-func (f *gaugeFam) famName() string { return f.name }
-func (f *gaugeFam) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-		f.name, f.help, f.name, f.name, strconv.FormatInt(f.g.Value(), 10))
-}
-
-type gaugeFuncFam struct {
-	name, help string
-	fn         func() float64
-}
-
-func (f *gaugeFuncFam) famName() string { return f.name }
-func (f *gaugeFuncFam) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-		f.name, f.help, f.name, f.name, fmtFloat(f.fn()))
-}
-
-type histogramFam struct {
-	name, help string
-	h          *Histogram
-}
-
-func (f *histogramFam) famName() string { return f.name }
-func (f *histogramFam) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name)
-	var cum uint64
-	for i, b := range f.h.bounds {
-		cum += f.h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", f.name, fmtFloat(b), cum)
-	}
-	cum += f.h.counts[len(f.h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", f.name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", f.name, fmtFloat(f.h.Sum()))
-	fmt.Fprintf(w, "%s_count %d\n", f.name, f.h.Count())
 }

@@ -164,3 +164,30 @@ func TestRegistryConcurrentHotPath(t *testing.T) {
 		t.Fatalf("lost updates: counter %d, count %d, sum %v", c.Value(), h.Count(), h.Sum())
 	}
 }
+
+// Every kind of family is the one generic Vec: an unknown label value hands
+// back a detached metric that works and is never rendered, and the known
+// ones are reached without allocating, by value or by index.
+func TestVecDetachedUsableAndLookupsAllocFree(t *testing.T) {
+	r := NewRegistry()
+	g := r.GaugeVec("g_state", "h", "k", "a", "b")
+	h := r.HistogramVec("h_seconds", "h", "k", []float64{1, 2}, "a", "b")
+	g.With("nope").Set(77)
+	h.With("nope").Observe(1.5)
+	if got := h.With("nope").Bounds(); len(got) != 2 {
+		t.Fatalf("detached histogram has bounds %v, want the family's", got)
+	}
+	var sb strings.Builder
+	r.Render(&sb)
+	if strings.Contains(sb.String(), "77") || strings.Contains(sb.String(), `k="nope"`) {
+		t.Fatalf("detached metric rendered:\n%s", sb.String())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		g.At(1).Set(3)
+		g.With("b").Set(4)
+		h.At(0).Observe(0.5)
+		h.With("a").Observe(0.5)
+	}); n != 0 {
+		t.Fatalf("At/With on registered label values allocate %v times", n)
+	}
+}

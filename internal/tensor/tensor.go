@@ -150,6 +150,23 @@ func (op ReduceOp) String() string {
 	}
 }
 
+// ParseOp inverts String: it maps a wire-format pooling-operation name to its
+// ReduceOp. The empty string selects sum, the paper's default.
+func ParseOp(s string) (ReduceOp, error) {
+	switch s {
+	case "", "sum":
+		return OpSum, nil
+	case "min":
+		return OpMin, nil
+	case "max":
+		return OpMax, nil
+	case "mean":
+		return OpMean, nil
+	default:
+		return 0, fmt.Errorf("tensor: unknown pooling op %q (want sum, min, max, or mean)", s)
+	}
+}
+
 // Valid reports whether op is a defined reduction operation.
 func (op ReduceOp) Valid() bool { return op <= OpMean }
 

@@ -263,3 +263,19 @@ func TestQuickMinMaxIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseOp(t *testing.T) {
+	for _, op := range []ReduceOp{OpSum, OpMin, OpMax, OpMean} {
+		if got, err := ParseOp(op.String()); err != nil || got != op {
+			t.Errorf("ParseOp(%q) = %v, %v; want %v", op.String(), got, err, op)
+		}
+	}
+	if got, err := ParseOp(""); err != nil || got != OpSum {
+		t.Errorf(`ParseOp("") = %v, %v; want the default, sum`, got, err)
+	}
+	for _, s := range []string{"median", "Sum", " sum", ReduceOp(9).String()} {
+		if _, err := ParseOp(s); err == nil {
+			t.Errorf("ParseOp(%q) succeeded, want error", s)
+		}
+	}
+}

@@ -121,10 +121,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, mem *dram.System, b embeddi
 	}
 	res := &Result{Outputs: outputs}
 
-	ratio := e.cfg.DRAMClockMHz / e.cfg.ClockMHz
-	toHost := func(d sim.Cycle) sim.Cycle {
-		return sim.Cycle((float64(d) + ratio - 1) / ratio)
-	}
+	toHost := func(d sim.Cycle) sim.Cycle { return sim.Rescale(d, e.cfg.DRAMClockMHz, e.cfg.ClockMHz) }
 
 	// Each rank serves its slice reads in sequence; ranks run in parallel.
 	// Track the per-rank completion in the DRAM clock.

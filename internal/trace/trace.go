@@ -1,106 +1,115 @@
-// Package trace provides a JSON interchange format for embedding-lookup
-// workloads, so batches can be captured, shared, inspected, and replayed
-// across runs. The paper's experiments use production traces; this format is
-// the hook where real traces would plug into the simulators (any tool that
-// can emit the JSON schema can drive every engine in this repository).
+// Package trace is the repository's one replayable workload format: a JSONL
+// stream of embedding-lookup requests, one per line, each with its arrival
+// offset, pooling op, indices, QoS lane and deadline. fafnir-loadgen writes
+// it with -record and re-offers it with -replay; fafnir-trace gen writes the
+// same file and stats/run read it, treating the stream as one batch (a batch
+// is a stream whose requests all arrive at 0). The paper's experiments use
+// production traces; any tool that can emit these lines can drive every
+// engine and the serving tier.
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"os"
+	"sort"
 
 	"fafnir/internal/embedding"
 	"fafnir/internal/header"
 	"fafnir/internal/tensor"
 )
 
-// FormatVersion is the current schema version.
-const FormatVersion = 1
-
-// Trace is a serializable batch of embedding-lookup queries.
-type Trace struct {
-	// Version is the schema version (FormatVersion).
-	Version int `json:"version"`
-	// Op names the pooling operation: "sum", "min", "max", or "mean".
-	Op string `json:"op"`
-	// Rows is the index space the queries draw from, used for validation.
-	Rows uint64 `json:"rows"`
-	// Queries lists each query's indices.
-	Queries [][]header.Index `json:"queries"`
+// Request is one workload request: when it was offered (microseconds after
+// the run began), what it asked for, and which lane and deadline it carried.
+type Request struct {
+	TUS       int64    `json:"t_us"`
+	Op        string   `json:"op,omitempty"`
+	Indices   []uint64 `json:"indices"`
+	Lane      string   `json:"lane,omitempty"`
+	TimeoutMS int      `json:"timeout_ms,omitempty"`
 }
 
-// FromBatch captures a batch into the interchange form.
-func FromBatch(b embedding.Batch, rows uint64) *Trace {
-	t := &Trace{Version: FormatVersion, Op: b.Op.String(), Rows: rows}
-	for _, q := range b.Queries {
-		t.Queries = append(t.Queries, append([]header.Index(nil), q.Indices...))
+// validate reports what a server would answer with a 400, before any request
+// is sent.
+func (r *Request) validate() error {
+	if len(r.Indices) == 0 {
+		return fmt.Errorf("request carries no indices")
 	}
-	return t
-}
-
-// parseOp inverts tensor.ReduceOp.String.
-func parseOp(s string) (tensor.ReduceOp, error) {
-	switch s {
-	case "sum":
-		return tensor.OpSum, nil
-	case "min":
-		return tensor.OpMin, nil
-	case "max":
-		return tensor.OpMax, nil
-	case "mean":
-		return tensor.OpMean, nil
+	if r.TUS < 0 || r.TimeoutMS < 0 {
+		return fmt.Errorf("negative t_us %d or timeout_ms %d", r.TUS, r.TimeoutMS)
+	}
+	switch r.Lane {
+	case "", "high", "normal", "low":
 	default:
-		return 0, fmt.Errorf("trace: unknown op %q", s)
+		return fmt.Errorf("unknown lane %q (want high, normal, or low)", r.Lane)
 	}
+	_, err := tensor.ParseOp(r.Op)
+	return err
 }
 
-// Validate reports a descriptive error for malformed traces.
-func (t *Trace) Validate() error {
-	if t.Version != FormatVersion {
-		return fmt.Errorf("trace: unsupported version %d (want %d)", t.Version, FormatVersion)
+// Workload is a request stream ordered by arrival offset.
+type Workload []Request
+
+// validate refuses an empty stream and names the first bad request.
+func (w Workload) validate() error {
+	if len(w) == 0 {
+		return fmt.Errorf("trace: empty workload")
 	}
-	if _, err := parseOp(t.Op); err != nil {
-		return err
-	}
-	if t.Rows == 0 {
-		return fmt.Errorf("trace: zero row space")
-	}
-	if len(t.Queries) == 0 {
-		return fmt.Errorf("trace: no queries")
-	}
-	for qi, q := range t.Queries {
-		if len(q) == 0 {
-			return fmt.Errorf("trace: query %d is empty", qi)
-		}
-		for _, idx := range q {
-			if uint64(idx) >= t.Rows {
-				return fmt.Errorf("trace: query %d index %d outside row space %d", qi, idx, t.Rows)
-			}
+	for i := range w {
+		if err := w[i].validate(); err != nil {
+			return fmt.Errorf("trace: request %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// Batch reconstructs the runnable batch. Duplicate indices within one query
-// are coalesced (queries are sets, as in the paper's terminology).
-func (t *Trace) Batch() (embedding.Batch, error) {
-	if err := t.Validate(); err != nil {
-		return embedding.Batch{}, err
+// FromBatch captures a batch as a stream whose requests all arrive at 0.
+func FromBatch(b embedding.Batch) Workload {
+	w := make(Workload, len(b.Queries))
+	for i, q := range b.Queries {
+		w[i] = Request{Op: b.Op.String(), Indices: make([]uint64, len(q.Indices))}
+		for j, idx := range q.Indices {
+			w[i].Indices[j] = uint64(idx)
+		}
 	}
-	op, err := parseOp(t.Op)
-	if err != nil {
-		return embedding.Batch{}, err
-	}
-	b := embedding.Batch{Op: op}
-	for _, q := range t.Queries {
-		b.Queries = append(b.Queries, embedding.Query{Indices: header.NewIndexSet(q...)})
-	}
-	return b, nil
+	return w
 }
 
-// Stats summarizes a trace.
+// Batch gathers the stream into one runnable batch, one query per request,
+// and reports the row space it needs: a stream has no header, so that is
+// one past its largest index. Duplicate indices within a request coalesce
+// (queries are sets, as in the paper's terminology). A batch has one pooling
+// op, so a stream that mixes them is an error.
+func (w Workload) Batch() (b embedding.Batch, rows uint64, err error) {
+	if err := w.validate(); err != nil {
+		return b, 0, err
+	}
+	for i := range w {
+		op, _ := tensor.ParseOp(w[i].Op)
+		if i > 0 && op != b.Op {
+			return b, 0, fmt.Errorf("trace: request %d pools with %v, the ones before with %v: a batch has one op", i, op, b.Op)
+		}
+		b.Op = op
+		set := make([]header.Index, len(w[i].Indices))
+		for j, idx := range w[i].Indices {
+			if idx > math.MaxUint32 {
+				return b, 0, fmt.Errorf("trace: request %d index %d outside the 32-bit row space", i, idx)
+			}
+			set[j] = header.Index(idx)
+			rows = max(rows, idx+1)
+		}
+		b.Queries = append(b.Queries, embedding.Query{Indices: header.NewIndexSet(set...)})
+	}
+	return b, rows, nil
+}
+
+// Stats summarizes a workload.
 type Stats struct {
+	Op             tensor.ReduceOp
 	NumQueries     int
 	TotalAccesses  int
 	UniqueIndices  int
@@ -108,13 +117,14 @@ type Stats struct {
 	MaxQuerySize   int
 }
 
-// Stats computes the trace's access statistics (the Fig. 3 quantities).
-func (t *Trace) Stats() (Stats, error) {
-	b, err := t.Batch()
+// Stats computes the workload's access statistics (the Fig. 3 quantities).
+func (w Workload) Stats() (Stats, error) {
+	b, _, err := w.Batch()
 	if err != nil {
 		return Stats{}, err
 	}
 	return Stats{
+		Op:             b.Op,
 		NumQueries:     b.NumQueries(),
 		TotalAccesses:  b.TotalAccesses(),
 		UniqueIndices:  b.UniqueIndices().Len(),
@@ -123,24 +133,79 @@ func (t *Trace) Stats() (Stats, error) {
 	}, nil
 }
 
-// Save writes the trace as indented JSON.
-func Save(w io.Writer, t *Trace) error {
-	if err := t.Validate(); err != nil {
+// Save writes the workload as JSONL, sorted by arrival offset (stably: w is
+// reordered in place), after validating every request.
+func Save(out io.Writer, w Workload) error {
+	if err := w.validate(); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
+	sort.SliceStable(w, func(i, j int) bool { return w[i].TUS < w[j].TUS })
+	buf := bufio.NewWriter(out)
+	enc := json.NewEncoder(buf)
+	for i := range w {
+		if err := enc.Encode(&w[i]); err != nil {
+			return err
+		}
+	}
+	return buf.Flush()
 }
 
-// Load reads and validates a trace.
-func Load(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
+// SaveFile writes the workload to a new file at path.
+func SaveFile(path string, w Workload) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if err := t.Validate(); err != nil {
+	if err := Save(f, w); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// Load reads a workload, sorted by arrival offset. Every line is exactly one
+// JSON object with known fields and valid values; name prefixes the
+// name:line: of each error.
+func Load(name string, in io.Reader) (Workload, error) {
+	var w Workload
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for line := 1; sc.Scan(); line++ {
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+			continue
+		}
+		var r Request
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&r)
+		if err == nil {
+			if _, end := dec.Token(); end != io.EOF {
+				err = fmt.Errorf("trailing data after the request object")
+			} else {
+				err = r.validate()
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", name, line, err)
+		}
+		w = append(w, r)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	if len(w) == 0 {
+		return nil, fmt.Errorf("%s: empty workload", name)
+	}
+	sort.SliceStable(w, func(i, j int) bool { return w[i].TUS < w[j].TUS })
+	return w, nil
+}
+
+// LoadFile reads the workload at path.
+func LoadFile(path string) (Workload, error) {
+	f, err := os.Open(path)
+	if err != nil {
 		return nil, err
 	}
-	return &t, nil
+	defer f.Close()
+	return Load(path, f)
 }

@@ -9,9 +9,10 @@
 //   - its merge steps run on the dedicated parallel merge core and are
 //     faster than Fafnir's general reduction tree.
 //
-// The model shares the DRAM streaming substrate with the Fafnir SpMV engine
-// so the comparison isolates exactly these two compute-throughput
-// differences, which is the paper's own explanation of Fig. 14.
+// The model is a parameter set, not an engine of its own: it runs the one
+// spmv.Schedule — same chunk splitting, same streaming memory, same spill
+// policy — with these two throughputs, so the comparison isolates exactly
+// the differences the paper gives as its own explanation of Fig. 14.
 package twostep
 
 import (
@@ -40,7 +41,7 @@ type Config struct {
 	// binary-tree multi-way merge core — higher than Fafnir's general
 	// reduction tree, the reason Two-Step wins iterations > 0.
 	MergeElemsPerCycle float64
-	// PipelineFill is the fixed per-round pipeline latency.
+	// PipelineFill is the fixed per-iteration pipeline latency.
 	PipelineFill sim.Cycle
 	// ClockMHz is the accelerator clock.
 	ClockMHz float64
@@ -82,19 +83,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result is the outcome of one Two-Step SpMV run.
-type Result struct {
-	// Y is the product vector.
-	Y tensor.Vector
-	// Step1Cycles and MergeCycles split the runtime by phase.
-	Step1Cycles, MergeCycles sim.Cycle
-	// TotalCycles is the end-to-end runtime.
-	TotalCycles sim.Cycle
-	// ElementsStreamed counts streamed matrix/partial elements.
-	ElementsStreamed int
-	// BytesStreamed is the corresponding traffic.
-	BytesStreamed uint64
-}
+// Result is the outcome of one Two-Step SpMV run; MultiplyCycles is step 1.
+type Result = spmv.Result
 
 // Engine is the Two-Step timing model.
 type Engine struct {
@@ -109,131 +99,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-func (e *Engine) toPE(d sim.Cycle) sim.Cycle {
-	ratio := e.cfg.DRAMClockMHz / e.cfg.ClockMHz
-	return sim.Cycle((float64(d) + ratio - 1) / ratio)
+// Schedule returns the Fig. 8 schedule with Two-Step's constants. Step 1
+// emits non-zero partial sums only, so KeepZero stays off.
+func (e *Engine) Schedule() spmv.Schedule {
+	return spmv.Schedule{
+		Name:               "twostep",
+		Ranks:              e.cfg.Ranks,
+		VectorSize:         e.cfg.VectorSize,
+		ClockMHz:           e.cfg.ClockMHz,
+		DRAMClockMHz:       e.cfg.DRAMClockMHz,
+		MultElemsPerCycle:  e.cfg.Step1ElemsPerCycle,
+		MergeElemsPerCycle: e.cfg.MergeElemsPerCycle,
+		Fill:               e.cfg.PipelineFill,
+	}
 }
 
-// roundTime charges one round of elems streamed elements at elemsPerCycle,
-// chaining the accelerator's compute occupancy across rounds like the
-// Fafnir SpMV engine does.
-func (e *Engine) roundTime(mem *dram.System, memClock, peDone sim.Cycle, elems int, elemsPerCycle float64) (sim.Cycle, sim.Cycle, error) {
-	if elems == 0 {
-		return memClock, peDone, nil
-	}
-	perRank := (elems + e.cfg.Ranks - 1) / e.cfg.Ranks
-	var memDone sim.Cycle
-	for r := 0; r < e.cfg.Ranks; r++ {
-		done, err := mem.StreamRead(memClock, r, 0, perRank*8, dram.DestLocal)
-		if err != nil {
-			return 0, 0, err
-		}
-		memDone = sim.Max(memDone, done)
-	}
-	compute := sim.Cycle(float64(elems)/elemsPerCycle + 1)
-	end := sim.Max(e.toPE(memDone), peDone+compute)
-	return memDone, end, nil
-}
-
-// writeBack spills a round's partial stream when a later merge iteration
-// will re-read it (same policy as the Fafnir SpMV engine, so the comparison
-// stays fair).
-func (e *Engine) writeBack(mem *dram.System, clock sim.Cycle, s *spmv.PartialStream, needed bool) (sim.Cycle, error) {
-	if !needed || s.Len() == 0 {
-		return clock, nil
-	}
-	perRank := (s.Bytes() + e.cfg.Ranks - 1) / e.cfg.Ranks
-	done := clock
-	for r := 0; r < e.cfg.Ranks; r++ {
-		end, err := mem.StreamWrite(clock, r, 0, perRank)
-		if err != nil {
-			return 0, err
-		}
-		done = sim.Max(done, end)
-	}
-	return done, nil
-}
-
-// Multiply computes y = m*x with full timing. The schedule mirrors the
-// Fafnir plan (same chunk splitting), with Two-Step's own per-phase
-// throughputs.
+// Multiply computes y = m*x with full timing on the shared schedule.
 func (e *Engine) Multiply(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("twostep: operand of %d elements against %d columns", len(x), m.Cols)
-	}
-	plan, err := spmv.NewPlan(m.Cols, e.cfg.VectorSize)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-
-	var streams []*spmv.PartialStream
-	var clock, peClock sim.Cycle
-	cur := m.Cursor()
-	for lo := 0; lo < m.Cols; lo += e.cfg.VectorSize {
-		stream, elems := spmv.MultiplyChunk(cur, min(lo+e.cfg.VectorSize, m.Cols), x, false)
-		streams = append(streams, stream)
-		res.ElementsStreamed += elems
-		res.BytesStreamed += uint64(elems) * 8
-		clock, peClock, err = e.roundTime(mem, clock, peClock, elems, e.cfg.Step1ElemsPerCycle)
-		if err != nil {
-			return nil, err
-		}
-		clock, err = e.writeBack(mem, clock, stream, plan.MergeIterations() > 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	peClock += e.cfg.PipelineFill
-	res.Step1Cycles = peClock
-
-	mergeStart := peClock
-	iter := 1
-	for len(streams) > 1 {
-		if iter >= plan.Iterations() {
-			return nil, fmt.Errorf("twostep: merge iteration %d beyond plan %v", iter, plan)
-		}
-		var next []*spmv.PartialStream
-		for lo := 0; lo < len(streams); lo += e.cfg.VectorSize {
-			hi := lo + e.cfg.VectorSize
-			if hi > len(streams) {
-				hi = len(streams)
-			}
-			group := streams[lo:hi]
-			elems := 0
-			for _, s := range group {
-				elems += s.Len()
-			}
-			res.ElementsStreamed += elems
-			res.BytesStreamed += uint64(elems) * 8
-			var err error
-			clock, peClock, err = e.roundTime(mem, clock, peClock, elems, e.cfg.MergeElemsPerCycle)
-			if err != nil {
-				return nil, err
-			}
-			merged := spmv.MergeStreams(group, m.Rows)
-			next = append(next, merged)
-			clock, err = e.writeBack(mem, clock, merged, iter+1 < plan.Iterations())
-			if err != nil {
-				return nil, err
-			}
-		}
-		streams = next
-		iter++
-		peClock += e.cfg.PipelineFill
-	}
-	res.MergeCycles = peClock - mergeStart
-	res.TotalCycles = peClock
-
-	res.Y = tensor.New(m.Rows)
-	if len(streams) == 1 {
-		final := streams[0]
-		for i, r := range final.Rows {
-			res.Y[r] = final.Vals[i]
-		}
-	}
-	return res, nil
+	return e.Schedule().Run(m, x, mem)
 }

@@ -21,9 +21,9 @@
 #                      synchronous admission, so a flake here is a bug
 #   7. fuzz corpus   — FuzzCodec's, FuzzBitsetOps', FuzzBatchBuild's,
 #                      FuzzCacheOps', FuzzFromCOO's, FuzzParseFleet's,
-#                      FuzzLookupRequest's, FuzzParseMix's and FuzzParseSLO's
-#                      seed corpora replayed in -run mode (no fuzzing;
-#                      deterministic and fast)
+#                      FuzzLookupRequest's, FuzzLoadWorkload's, FuzzParseMix's
+#                      and FuzzParseSLO's seed corpora replayed in -run mode
+#                      (no fuzzing; deterministic and fast)
 #   7b. one grain    — runtime.Gosched, stealHead and evalAsync must appear in
 #                      no non-test Go file: host parallelism is whole hardware
 #                      batches, shards and fleets, never a per-PE scheduler
@@ -38,6 +38,21 @@
 #                      or sim.NewStats, or bump a string-keyed "dram." counter,
 #                      and internal/scale (the host-combine fleet model
 #                      router.Fleet replaced) must not exist
+#   7e. one schedule — the Fig. 8 stream-round loop lives in internal/spmv:
+#                      StreamRead( and StreamWrite( appear in non-test Go only
+#                      there and in internal/dram, internal/twostep (a
+#                      spmv.Schedule preset) has no for loop, and the
+#                      rounding-up clock-domain crossing is written out only
+#                      in internal/sim (sim.Rescale)
+#   7f. one workload — internal/trace's JSONL request stream is the only
+#       format         replayable workload: recordedRequest is gone, and
+#                      tensor.ParseOp is the only parser of a pooling-op name
+#   7g. exhibits     — opt-in, for a change that must not move a simulated
+#                      number: with EXHIBIT_BASE=<checkout of the parent
+#                      commit>, all fafnir-bench exhibits are regenerated there
+#                      and here, at -j 1 and at the default, and must be
+#                      byte-equal (results/ is not the reference: it carries
+#                      three known stale cells, ROADMAP item 3)
 #   8. coverage      — every internal/ package must keep statement coverage
 #                      at or above the floor (80%)
 #   9. telemetry     — run fafnir-sim with -trace-out, validate the emitted
@@ -84,6 +99,7 @@
 #   go test -fuzz=FuzzFromCOO -fuzztime=30s ./internal/sparse
 #   go test -fuzz=FuzzParseFleet -fuzztime=30s ./internal/fault
 #   go test -fuzz=FuzzLookupRequest -fuzztime=30s ./internal/serve
+#   go test -fuzz=FuzzLoadWorkload -fuzztime=30s ./internal/trace
 #   go test -fuzz=FuzzParseMix -fuzztime=30s ./cmd/fafnir-loadgen
 #   go test -fuzz=FuzzParseSLO -fuzztime=30s ./cmd/fafnir-serve
 #
@@ -134,7 +150,7 @@ echo "==> go test -race -count=20 ./internal/serve"
 go test -race -count=20 ./internal/serve
 
 echo "==> fuzz corpus (replay, -run mode)"
-go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
+go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/ ./internal/trace/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
 
 echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
 ! grep -rlE 'runtime\.Gosched|stealHead|evalAsync' --include='*.go' --exclude='*_test.go' . \
@@ -149,6 +165,33 @@ echo "==> one clock (no event queue, no string-keyed DRAM counters, no internal/
     || { echo "an event queue or string-keyed counter registry is back: dram.Counters and fafnir.OfferedLoad need neither"; exit 1; }
 [ ! -e internal/scale ] \
     || { echo "internal/scale is back: abl-scaleout runs on router.Fleet"; exit 1; }
+
+echo "==> one schedule, one clock-domain crossing (Two-Step is a spmv.Schedule preset)"
+! grep -rlE 'Stream(Read|Write)\(' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/(dram|spmv)/' \
+    || { echo "a second stream-round loop is back: spmv.Schedule.Run owns the only one"; exit 1; }
+! grep -nE '^[[:space:]]*for ' internal/twostep/twostep.go \
+    || { echo "internal/twostep loops again: it is a parameter set for spmv.Schedule, not an engine"; exit 1; }
+! grep -rlF 'ratio - 1) / ratio' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/sim/' \
+    || { echo "a hand-written clock-domain crossing is back: call sim.Rescale"; exit 1; }
+
+echo "==> one replayable workload format, one pooling-op parser"
+! grep -rlE 'recordedRequest|func [pP]arseOp\(' --include='*.go' . | grep -v '^\./internal/tensor/' \
+    || { echo "a second workload record or op parser is back: use internal/trace and tensor.ParseOp"; exit 1; }
+
+if [ -n "${EXHIBIT_BASE:-}" ]; then
+    echo "==> exhibits byte-equal to $EXHIBIT_BASE (-j 1 and default)"
+    EXH=$(mktemp -d)
+    for j in "-j 1" ""; do
+        rm -rf "$EXH/base" "$EXH/here"
+        # shellcheck disable=SC2086
+        (cd "$EXHIBIT_BASE" && go run ./cmd/fafnir-bench -out "$EXH/base" -format md $j > /dev/null)
+        # shellcheck disable=SC2086
+        go run ./cmd/fafnir-bench -out "$EXH/here" -format md $j > /dev/null
+        diff -r "$EXH/base" "$EXH/here" \
+            || { rm -rf "$EXH"; echo "exhibits differ from $EXHIBIT_BASE at '${j:-default -j}'"; exit 1; }
+    done
+    rm -rf "$EXH"
+fi
 
 echo "==> coverage floor (internal packages >= ${COVER_FLOOR}%)"
 go test -cover ./internal/... | awk -v floor="$COVER_FLOOR" '
