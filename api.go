@@ -21,6 +21,7 @@ package fafnir
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"fafnir/internal/dram"
 	"fafnir/internal/embedding"
@@ -337,6 +338,12 @@ func (s *System) GenerateBatch(n int, seed int64) (Batch, error) {
 // DegradedReport; outputs still verify against the golden reference.
 func (s *System) Lookup(b Batch) (*LookupResult, error) {
 	res, err := s.engine.TimedLookupFaulted(s.store, s.layout, s.mem, b, !s.cfg.DisableDedup, s.inj)
+	return s.verify(b, res, err)
+}
+
+// verify passes a lookup's result through only if it ran and its outputs
+// match the batch's golden reference.
+func (s *System) verify(b Batch, res *LookupResult, err error) (*LookupResult, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -372,15 +379,7 @@ func (s *System) SpMV(m *Matrix, x Vector) (*SpMVResult, error) {
 	// The tree reduces in a different association order than the row-major
 	// reference, so compare with a relative tolerance rather than exactly.
 	for i := range want {
-		diff := float64(res.Y[i] - want[i])
-		if diff < 0 {
-			diff = -diff
-		}
-		mag := float64(want[i])
-		if mag < 0 {
-			mag = -mag
-		}
-		if diff > 1e-4*(1+mag) {
+		if math.Abs(float64(res.Y[i]-want[i])) > 1e-4*(1+math.Abs(float64(want[i]))) {
 			return nil, fmt.Errorf("fafnir: SpMV row %d mismatches the reference (%v vs %v)", i, res.Y[i], want[i])
 		}
 	}
@@ -416,17 +415,7 @@ func CyclesToSeconds(c uint64) float64 { return float64(c) / 200e6 }
 // headers, no deduplication.
 func (s *System) LookupInteractive(b Batch) (*LookupResult, error) {
 	res, err := s.engine.InteractiveLookup(s.store, s.layout, s.mem, b)
-	if err != nil {
-		return nil, err
-	}
-	golden, err := b.Golden(s.store)
-	if err != nil {
-		return nil, err
-	}
-	if i := core.VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
-		return nil, fmt.Errorf("fafnir: query %d mismatches the golden reference", i)
-	}
-	return res, nil
+	return s.verify(b, res, err)
 }
 
 // LoadResult summarizes an offered-load (queueing) run.
@@ -438,6 +427,10 @@ type LoadResult = core.PipelineResult
 func (s *System) OfferedLoad(batches []Batch, intervalCycles uint64) (*LoadResult, error) {
 	return s.engine.OfferedLoad(s.store, s.layout, s.mcfg, batches, sim.Cycle(intervalCycles))
 }
+
+// Topology returns the one-line deployment description the serving CLI
+// prints at startup, in the form Fleet and Federation use.
+func (s *System) Topology() string { return fmt.Sprintf("system: %d ranks", s.cfg.Ranks) }
 
 // TreeDOT renders the attached reduction tree in Graphviz dot format.
 func (s *System) TreeDOT() string { return s.engine.Tree().DOT() }
@@ -504,15 +497,29 @@ var (
 	ErrServeDraining = serve.ErrDraining
 )
 
-// NewServer builds the online serving front-end over a system: POST
+// ServeBackend is what NewServer serves: a *System, a *Fleet, or a
+// *Federation. Optional capabilities (row access for the cache, shard
+// ownership, metric families, a topology line) are picked up by type
+// assertion, so every backend gets the same HTTP surface.
+type ServeBackend = serve.System
+
+// NewServer builds the online serving front-end over a backend: POST
 // /v1/lookup with dynamic micro-batching, GET /metrics in Prometheus text
-// format, GET /healthz. Run its Handler on an http.Server; on shutdown call
-// Drain after the listener stops.
-func NewServer(sys *System, cfg ServeConfig) (*Server, error) {
+// format, GET /healthz. A zero cfg.BatchCapacity takes the backend's own
+// hardware batch capacity. Run its Handler on an http.Server; on shutdown
+// call Drain after the listener stops.
+func NewServer(b ServeBackend, cfg ServeConfig) (*Server, error) {
 	if cfg.BatchCapacity == 0 {
-		cfg.BatchCapacity = sys.cfg.BatchCapacity
+		switch b := b.(type) {
+		case *System:
+			cfg.BatchCapacity = b.cfg.BatchCapacity
+		case *Fleet:
+			cfg.BatchCapacity = b.Config().BatchCapacity
+		case *Federation:
+			cfg.BatchCapacity = b.Config().Fleet.BatchCapacity
+		}
 	}
-	return serve.New(sys, cfg)
+	return serve.New(b, cfg)
 }
 
 // Fault-tolerant sharded serving (internal/router), re-exported: a fleet
@@ -529,7 +536,7 @@ type (
 	// placement, breaker thresholds, probe backoff, retry deadline).
 	FleetConfig = router.Config
 	// Fleet is the shard router; it implements the same Lookup surface as
-	// System, so NewFleetServer serves it over HTTP unchanged.
+	// System, so NewServer serves it over HTTP unchanged.
 	Fleet = router.Fleet
 	// ShardState is one shard's breaker health: healthy, suspect, or dark.
 	ShardState = router.State
@@ -563,20 +570,10 @@ var ErrShardDown = fault.ErrShardDown
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return router.New(cfg) }
 
 // ParseFleetFaultPlan builds a FleetFaultPlan from the compact spec format
-// of fafnir-serve's -fault-storm flag, e.g.
+// fafnir-serve's -faults flag takes on a fleet (a superset of
+// ParseFaultPlan's), e.g.
 // "shard=1@40000;flap=2@1-300000;storm=6@20000;ecc=0.001;seed=7".
 func ParseFleetFaultPlan(spec string) (FleetFaultPlan, error) { return fault.ParseFleet(spec) }
-
-// NewFleetServer builds the online serving front-end over a sharded fleet:
-// the same HTTP surface as NewServer, with degraded results surfaced in
-// lookup responses and the router's shard-health metric families registered
-// onto /metrics.
-func NewFleetServer(f *Fleet, cfg ServeConfig) (*Server, error) {
-	if cfg.BatchCapacity == 0 {
-		cfg.BatchCapacity = f.Config().BatchCapacity
-	}
-	return serve.New(f, cfg)
-}
 
 // Cross-shard reduction network and multi-fleet federation (internal/rnet,
 // internal/router), re-exported. Every fleet reduces its per-shard partial
@@ -595,8 +592,8 @@ type (
 	// the shared member-fleet template, and the cross-fleet tree shape.
 	FederationConfig = router.FederationConfig
 	// Federation is M fleets behind one Lookup front-end; it implements the
-	// same serving surface as Fleet, so NewFederationServer serves it over
-	// HTTP unchanged.
+	// same serving surface as Fleet, so NewServer serves it over HTTP
+	// unchanged.
 	Federation = router.Federation
 )
 
@@ -604,13 +601,3 @@ type (
 // two default fleets reduced through a radix-2 cross-fleet tree (the
 // cross-fleet radix inherits the member fleets').
 func NewFederation(cfg FederationConfig) (*Federation, error) { return router.NewFederation(cfg) }
-
-// NewFederationServer builds the online serving front-end over a
-// federation: the same HTTP surface as NewServer, with the federation's
-// per-fleet and cross-fleet rnet metric families registered onto /metrics.
-func NewFederationServer(fd *Federation, cfg ServeConfig) (*Server, error) {
-	if cfg.BatchCapacity == 0 {
-		cfg.BatchCapacity = fd.Config().Fleet.BatchCapacity
-	}
-	return serve.New(fd, cfg)
-}

@@ -1,6 +1,7 @@
 package fafnir
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -282,7 +283,7 @@ func TestFleetServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewFleetServer(f, ServeConfig{})
+	srv, err := NewServer(f, ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +291,47 @@ func TestFleetServerFacade(t *testing.T) {
 	srv.Metrics().Render(&sb)
 	if !strings.Contains(sb.String(), "fafnir_router_shard_state") {
 		t.Fatal("fleet server /metrics missing the router's shard-health family")
+	}
+}
+
+// TestNewServerTakesBackendCapacity: a zero ServeConfig.BatchCapacity means
+// the backend's own hardware batch capacity, whichever backend it is.
+func TestNewServerTakesBackendCapacity(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{RowsPerTable: 128, BatchCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := FleetConfig{Rows: 4096, BatchCapacity: 4, Parallelism: 1}
+	f, err := NewFleet(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := NewFederation(FederationConfig{Fleets: 2, Fleet: FleetConfig{Rows: 4096, BatchCapacity: 16, Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		backend ServeBackend
+		want    int
+		topo    string
+	}{
+		{sys, 8, "system: 32 ranks"},
+		{f, 4, "fleet: 4 shards x 8 ranks"},
+		{fd, 16, "federation: 2 fleets x 4 shards"},
+	} {
+		srv, err := NewServer(tc.backend, ServeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Coalescer().Config().BatchCapacity; got != tc.want {
+			t.Errorf("%T: serving batch capacity %d, want the backend's %d", tc.backend, got, tc.want)
+		}
+		if topo := srv.Topology(); !strings.HasPrefix(topo, tc.topo) {
+			t.Errorf("%T: Topology() = %q, want prefix %q", tc.backend, topo, tc.topo)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -316,7 +358,7 @@ func TestFederationFacade(t *testing.T) {
 	if !res.Degraded.Empty() {
 		t.Fatalf("healthy federation degraded: %+v", res.Degraded)
 	}
-	srv, err := NewFederationServer(fd, ServeConfig{})
+	srv, err := NewServer(fd, ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,14 +21,16 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,12 +72,10 @@ type outcome struct {
 // low lanes, the rest travelling normal.
 type priorityMix struct{ high, low int }
 
-func (m priorityMix) active() bool { return m.high > 0 || m.low > 0 }
-
 // pick draws one request's lane from the per-request rng, so the mix is
-// deterministic under a fixed -seed.
+// deterministic under a fixed -seed ("" when no -mix was given).
 func (m priorityMix) pick(rng *rand.Rand) string {
-	if !m.active() {
+	if m == (priorityMix{}) {
 		return ""
 	}
 	r := rng.Intn(100)
@@ -130,288 +130,316 @@ func parseMix(s string) (priorityMix, error) {
 }
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "fafnir-loadgen:", err)
-		os.Exit(1)
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
 	}
+	fmt.Fprintln(os.Stderr, "fafnir-loadgen:", err)
+	os.Exit(1)
 }
 
-func run() error {
-	var (
-		url      = flag.String("url", "http://127.0.0.1:8080", "fafnir-serve base URL")
-		clients  = flag.Int("clients", 4, "closed loop: concurrent users (ignored when -qps > 0)")
-		qps      = flag.Float64("qps", 0, "open loop: offered request rate (0 = closed loop)")
-		duration = flag.Duration("duration", 2*time.Second, "run length")
-		requests = flag.Int("requests", 0, "total request cap (0 = duration-bound only)")
-		q        = flag.Int("q", 16, "indices per query")
-		rows     = flag.Uint64("rows", 1<<17, "index space to draw from (must not exceed the server's row count)")
-		zipf     = flag.Float64("zipf", 1.3, "Zipf skew (<=1 draws uniformly)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		op       = flag.String("op", "sum", "pooling op: sum|min|max|mean")
-		timeout  = flag.Int("timeout-ms", 0, "per-request timeout_ms field (0 = server default)")
-		retries  = flag.Int("retries", 0, "max retries per request after a 503, honoring its Retry-After")
-		retryU   = flag.Duration("retry-unit", time.Second, "how long one Retry-After second sleeps (compress for tests)")
-		mixFlag  = flag.String("mix", "", `QoS priority mix, e.g. "high=20,low=80" (percent; the rest travels normal)`)
-		users    = flag.Int64("users", 0, "simulated user population: each request belongs to a seeded user whose Zipf hot set is rotated to a user-specific region of the row space (0 = one shared hot set)")
-		capSteps = flag.Int("capacity", 0, "capacity planning: sweep this many offered-QPS steps up to -qps, reporting p99 and shed per step and the saturation knee (requires -qps)")
-		dump     = flag.Bool("dump-metrics", false, "print the raw /metrics body after the run")
-		logFmt   = flag.String("log-format", "text", "summary output format: text or json")
-		recPath  = flag.String("record", "", "capture the offered workload to this JSONL file (arrival offset, op, indices, lane, deadline per request)")
-		rePath   = flag.String("replay", "", "replay a -record capture verbatim instead of generating load (workload flags are ignored)")
-	)
-	flag.Parse()
-
-	var err error
-	logger, err = telemetry.NewLogger(os.Stdout, *logFmt)
+// run parses and checks args, offers the load, and writes the summary to
+// out: a closed loop of -clients users, or the paced open-loop dispatcher
+// fed by -qps, a -capacity sweep, or a -replay capture.
+func run(args []string, out io.Writer) error {
+	g, err := newLoadgen(args, out)
 	if err != nil {
 		return err
 	}
-	mix, err := parseMix(*mixFlag)
-	if err != nil {
-		return err
-	}
-
-	client := &http.Client{Timeout: 30 * time.Second}
-	var sent atomic.Int64
-	cap64 := int64(*requests)
-	admit := func() bool {
-		if cap64 <= 0 {
-			return true
-		}
-		return sent.Add(1) <= cap64
-	}
-
-	var (
-		mu       sync.Mutex
-		outcomes []outcome
-	)
-	record := func(o outcome) {
-		mu.Lock()
-		outcomes = append(outcomes, o)
-		mu.Unlock()
-	}
-
-	// fireReq posts one ready payload, honoring the 503 retry budget, and
-	// records the outcome. Both generated and replayed requests funnel here.
-	fireReq := func(payload []byte, pri string) {
-		start := time.Now()
-		var retried int
-		for {
-			status, degraded, retryAfter, err := post(client, *url, payload)
-			if err != nil {
-				record(outcome{status: -1, latency: time.Since(start), pri: pri, retries: retried})
-				return
-			}
-			if status == http.StatusServiceUnavailable && retried < *retries {
-				retried++
-				time.Sleep(time.Duration(retryAfter) * *retryU)
-				continue
-			}
-			record(outcome{status: status, latency: time.Since(start), pri: pri, degraded: degraded, retries: retried})
-			return
-		}
-	}
-
-	// The workload capture: every generated request appends one record at
-	// fire time (arrival offset, op, indices, lane, deadline), written as
-	// sorted JSONL after the run so -replay can re-offer it verbatim.
-	var (
-		recMu    sync.Mutex
-		captured trace.Workload
-	)
-	begin := time.Now()
-	fire := func(rng *rand.Rand, z *rand.Zipf) {
-		pri := mix.pick(rng)
-		var off uint64
-		if *users > 0 {
-			// Each request belongs to one of -users simulated users; the
-			// user identity hashes (splitmix64) to an offset that rotates
-			// the Zipf hot set into a user-specific region of the row
-			// space, so the aggregate stream carries a long per-user tail
-			// instead of one shared global head.
-			off = splitmix64(uint64(*seed)^uint64(rng.Int63n(*users))) % *rows
-		}
-		idx := drawIndices(rng, z, *q, *rows, off)
-		if *recPath != "" {
-			rr := trace.Request{
-				TUS: time.Since(begin).Microseconds(), Op: *op,
-				Indices: idx, Lane: pri, TimeoutMS: *timeout,
-			}
-			recMu.Lock()
-			captured = append(captured, rr)
-			recMu.Unlock()
-		}
-		payload, _ := json.Marshal(lookupRequest{Indices: idx, Op: *op, Priority: pri, TimeoutMS: *timeout})
-		fireReq(payload, pri)
-	}
-
-	// openLoop offers requests at a fixed rate for dur, independent of
-	// completions, with bounded in-flight. The launch counter persists
-	// across calls so per-request seeds stay unique through a capacity
-	// sweep's steps.
-	var launched int64
-	openLoop := func(offered float64, dur time.Duration) {
-		begin := time.Now()
-		deadline := begin.Add(dur)
-		interval := time.Duration(float64(time.Second) / offered)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		sem := make(chan struct{}, 4096)
-		var wg sync.WaitGroup
-		var stepLaunched int64
-		for now := time.Now(); now.Before(deadline); now = time.Now() {
-			if !admit() {
-				break
-			}
-			launched++
-			stepLaunched++
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int64) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				rng := rand.New(rand.NewSource(*seed + i))
-				z := newZipf(rng, *zipf, *rows)
-				fire(rng, z)
-			}(launched)
-			next := begin.Add(time.Duration(stepLaunched) * interval)
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		wg.Wait()
-	}
-
+	g.begin = time.Now()
+	sweep := g.replayPath == "" && g.capSteps > 0
 	switch {
-	case *rePath != "":
-		// Replay: re-offer a captured workload verbatim — same arrival
-		// offsets, ops, indices, lanes, and deadlines; every workload flag
-		// is ignored.
-		reqs, err := trace.LoadFile(*rePath)
-		if err != nil {
+	case g.replayPath != "":
+		if err := g.replay(); err != nil {
 			return err
 		}
-		logf("replaying %d requests from %s", len(reqs), *rePath)
-		sem := make(chan struct{}, 4096)
-		var wg sync.WaitGroup
-		for i := range reqs {
-			rr := reqs[i]
-			if d := time.Until(begin.Add(time.Duration(rr.TUS) * time.Microsecond)); d > 0 {
-				time.Sleep(d)
-			}
-			payload, _ := json.Marshal(lookupRequest{Indices: rr.Indices, Op: rr.Op, Priority: rr.Lane, TimeoutMS: rr.TimeoutMS})
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p []byte, lane string) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fireReq(p, lane)
-			}(payload, rr.Lane)
-		}
-		wg.Wait()
-	case *capSteps > 0:
-		// Capacity sweep: step the offered rate up to -qps, measuring each
-		// step in isolation, then report the saturation knee.
-		if *qps <= 0 {
-			return fmt.Errorf("-capacity requires -qps (the sweep ceiling)")
-		}
-		stepDur := *duration / time.Duration(*capSteps)
-		var steps []capStep
-		for s := 1; s <= *capSteps; s++ {
-			offered := *qps * float64(s) / float64(*capSteps)
-			mark := len(outcomes)
-			stepBegin := time.Now()
-			openLoop(offered, stepDur)
-			steps = append(steps, summarizeStep(offered, outcomes[mark:], time.Since(stepBegin)))
-		}
-		reportCapacity(steps)
-		return scrape(client, *url, *dump)
-	case *qps > 0:
-		openLoop(*qps, *duration)
+	case sweep:
+		g.capacity()
+	case g.qps > 0:
+		g.openLoop(g.qps, g.duration)
 	default:
-		deadline := begin.Add(*duration)
-		var wg sync.WaitGroup
-		for c := 0; c < *clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(*seed + int64(c)*7919))
-				z := newZipf(rng, *zipf, *rows)
-				for time.Now().Before(deadline) && admit() {
-					fire(rng, z)
-				}
-			}(c)
-		}
-		wg.Wait()
+		g.closedLoop()
 	}
-	elapsed := time.Since(begin)
+	elapsed := time.Since(g.begin)
 
-	if *recPath != "" {
-		if err := trace.SaveFile(*recPath, captured); err != nil {
+	if g.recordPath != "" {
+		if err := trace.SaveFile(g.recordPath, g.captured); err != nil {
 			return err
 		}
-		logf("recorded %d requests to %s", len(captured), *recPath)
+		logf("recorded %d requests to %s", len(g.captured), g.recordPath)
 	}
-	report(outcomes, elapsed, *qps)
-	return scrape(client, *url, *dump)
+	if !sweep {
+		report(g.outcomes, elapsed, g.qps)
+	}
+	return g.scrape()
+}
+
+// loadgen is one run: its flags, the HTTP client, and what the run has
+// offered and observed so far.
+type loadgen struct {
+	url, op                string
+	clients, q, requests   int
+	timeoutMS, retries     int
+	capSteps               int
+	qps, zipf              float64
+	rows                   uint64
+	seed, users            int64
+	duration, retryUnit    time.Duration
+	mix                    priorityMix
+	dump                   bool
+	recordPath, replayPath string
+
+	out    io.Writer
+	client *http.Client
+	begin  time.Time
+	sent   atomic.Int64 // requests admitted against the -requests cap
+
+	mu       sync.Mutex
+	outcomes []outcome
+	captured trace.Workload // the -record capture, in fire order
+}
+
+// newLoadgen parses args and checks every flag, so a bad value is an error
+// naming the flag before any request or goroutine starts.
+func newLoadgen(args []string, out io.Writer) (*loadgen, error) {
+	g := &loadgen{out: out, client: &http.Client{Timeout: 30 * time.Second}}
+	fs := flag.NewFlagSet("fafnir-loadgen", flag.ContinueOnError)
+	fs.StringVar(&g.url, "url", "http://127.0.0.1:8080", "fafnir-serve base URL")
+	fs.IntVar(&g.clients, "clients", 4, "closed loop: concurrent users (ignored when -qps > 0)")
+	fs.Float64Var(&g.qps, "qps", 0, "open loop: offered request rate (0 = closed loop)")
+	fs.DurationVar(&g.duration, "duration", 2*time.Second, "run length")
+	fs.IntVar(&g.requests, "requests", 0, "total request cap (0 = duration-bound only)")
+	fs.IntVar(&g.q, "q", 16, "indices per query (distinct, so at most -rows)")
+	fs.Uint64Var(&g.rows, "rows", 1<<17, "index space to draw from (must not exceed the server's row count)")
+	fs.Float64Var(&g.zipf, "zipf", 1.3, "Zipf skew (<=1 draws uniformly)")
+	fs.Int64Var(&g.seed, "seed", 1, "workload seed")
+	fs.StringVar(&g.op, "op", "sum", "pooling op: sum|min|max|mean")
+	fs.IntVar(&g.timeoutMS, "timeout-ms", 0, "per-request timeout_ms field (0 = server default)")
+	fs.IntVar(&g.retries, "retries", 0, "max retries per request after a 503, honoring its Retry-After")
+	fs.DurationVar(&g.retryUnit, "retry-unit", time.Second, "how long one Retry-After second sleeps (compress for tests)")
+	mix := fs.String("mix", "", `QoS priority mix, e.g. "high=20,low=80" (percent; the rest travels normal)`)
+	fs.Int64Var(&g.users, "users", 0, "simulated user population: each request belongs to a seeded user whose Zipf hot set is rotated to a user-specific region of the row space (0 = one shared hot set)")
+	fs.IntVar(&g.capSteps, "capacity", 0, "capacity planning: sweep this many offered-QPS steps up to -qps, reporting p99 and shed per step and the saturation knee (requires -qps)")
+	fs.BoolVar(&g.dump, "dump-metrics", false, "print the raw /metrics body after the run")
+	logFmt := fs.String("log-format", "text", "summary output format: text or json")
+	fs.StringVar(&g.recordPath, "record", "", "capture the offered workload to this JSONL file (arrival offset, op, indices, lane, deadline per request)")
+	fs.StringVar(&g.replayPath, "replay", "", "replay a -record capture verbatim instead of generating load (workload flags are ignored)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := g.validate(); err != nil {
+		return nil, err
+	}
+	var err error
+	if g.mix, err = parseMix(*mix); err != nil {
+		return nil, err
+	}
+	if logger, err = telemetry.NewLogger(out, *logFmt); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// validate checks the numeric flags: the values that used to panic (a zero
+// row space) or hang (more distinct indices per query than rows) are errors.
+func (g *loadgen) validate() error {
+	for _, f := range []struct {
+		name       string
+		value, min int64
+	}{
+		{"clients", int64(g.clients), 1}, {"q", int64(g.q), 1}, {"requests", int64(g.requests), 0},
+		{"timeout-ms", int64(g.timeoutMS), 0}, {"retries", int64(g.retries), 0}, {"users", g.users, 0}, {"capacity", int64(g.capSteps), 0},
+	} {
+		if f.value < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.value)
+		}
+	}
+	switch {
+	case g.duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", g.duration)
+	case g.rows == 0 || g.rows > 1<<32:
+		return fmt.Errorf("-rows must be in [1, 2^32] (the server's 32-bit index space), got %d", g.rows)
+	case uint64(g.q) > g.rows:
+		return fmt.Errorf("-q %d exceeds -rows %d: a query's indices are distinct rows", g.q, g.rows)
+	case !(g.qps >= 0):
+		return fmt.Errorf("-qps must be non-negative, got %v", g.qps)
+	case g.capSteps > 0 && g.qps == 0:
+		return fmt.Errorf("-capacity requires -qps (the sweep ceiling)")
+	}
+	return nil
+}
+
+// admit counts one request against the -requests cap.
+func (g *loadgen) admit() bool {
+	return g.requests <= 0 || g.sent.Add(1) <= int64(g.requests)
+}
+
+// send posts one request, honoring the 503 retry budget, and records the
+// outcome. Generated and replayed requests both funnel here.
+func (g *loadgen) send(rr trace.Request) {
+	payload, _ := json.Marshal(lookupRequest{Indices: rr.Indices, Op: rr.Op, Priority: rr.Lane, TimeoutMS: rr.TimeoutMS})
+	start := time.Now()
+	o := outcome{pri: rr.Lane}
+	for {
+		var retryAfter int
+		o.status, o.degraded, retryAfter = post(g.client, g.url, payload)
+		if o.status != http.StatusServiceUnavailable || o.retries == g.retries {
+			break
+		}
+		o.retries++
+		time.Sleep(time.Duration(retryAfter) * g.retryUnit)
+	}
+	o.latency = time.Since(start)
+	g.mu.Lock()
+	g.outcomes = append(g.outcomes, o)
+	g.mu.Unlock()
+}
+
+// generate draws one request from rng (and z, when skewed), captures it for
+// -record at its fire time, and sends it.
+func (g *loadgen) generate(rng *rand.Rand, z *rand.Zipf) {
+	pri := g.mix.pick(rng)
+	var off uint64
+	if g.users > 0 {
+		// Each request belongs to one of -users simulated users; the user
+		// identity hashes (splitmix64) to an offset that rotates the Zipf
+		// hot set into a user-specific region of the row space, so the
+		// aggregate stream carries a long per-user tail instead of one
+		// shared global head.
+		off = splitmix64(uint64(g.seed)^uint64(rng.Int63n(g.users))) % g.rows
+	}
+	rr := trace.Request{
+		TUS: time.Since(g.begin).Microseconds(), Op: g.op,
+		Indices: drawIndices(rng, z, g.q, g.rows, off), Lane: pri, TimeoutMS: g.timeoutMS,
+	}
+	if g.recordPath != "" {
+		g.mu.Lock()
+		g.captured = append(g.captured, rr)
+		g.mu.Unlock()
+	}
+	g.send(rr)
+}
+
+// closedLoop runs -clients users, each issuing requests back to back until
+// -duration or the -requests cap.
+func (g *loadgen) closedLoop() {
+	deadline := g.begin.Add(g.duration)
+	var wg sync.WaitGroup
+	for c := 0; c < g.clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(g.seed + int64(c)*7919))
+			z := newZipf(rng, g.zipf, g.rows)
+			for time.Now().Before(deadline) && g.admit() {
+				g.generate(rng, z)
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// maxInFlight bounds the open-loop requests outstanding at once.
+const maxInFlight = 4096
+
+// pace is the one open-loop dispatcher: request i goes out at offset at(i)
+// from the call, independent of completions, with at most maxInFlight in
+// flight; at reports false when there is no request i. It returns once every
+// request has finished.
+func pace(at func(i int) (time.Duration, bool), send func(i int)) {
+	begin := time.Now()
+	sem := make(chan struct{}, maxInFlight)
+	var wg sync.WaitGroup
+	for i := 0; ; i++ {
+		off, ok := at(i)
+		if !ok {
+			break
+		}
+		if d := time.Until(begin.Add(off)); d > 0 {
+			time.Sleep(d)
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			send(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// openLoop offers generated requests at a fixed rate for dur: request i at
+// i/offered seconds, up to the -requests cap. Request seeds continue from
+// the requests already sent, so they stay unique through a capacity sweep.
+func (g *loadgen) openLoop(offered float64, dur time.Duration) {
+	interval := max(time.Duration(float64(time.Second)/offered), time.Microsecond)
+	base := g.seed + int64(len(g.outcomes))
+	pace(func(i int) (time.Duration, bool) {
+		off := time.Duration(i) * interval
+		return off, off < dur && g.admit()
+	}, func(i int) {
+		rng := rand.New(rand.NewSource(base + int64(i) + 1))
+		g.generate(rng, newZipf(rng, g.zipf, g.rows))
+	})
+}
+
+// capacity steps the offered rate up to -qps, measuring each step in
+// isolation, then reports the saturation knee.
+func (g *loadgen) capacity() {
+	stepDur := g.duration / time.Duration(g.capSteps)
+	var steps []capStep
+	for s := 1; s <= g.capSteps; s++ {
+		offered := g.qps * float64(s) / float64(g.capSteps)
+		mark := len(g.outcomes)
+		stepBegin := time.Now()
+		g.openLoop(offered, stepDur)
+		t := tallyOf(g.outcomes[mark:])
+		steps = append(steps, capStep{offered, float64(t.ok) / time.Since(stepBegin).Seconds(), t})
+	}
+	reportCapacity(steps)
+}
+
+// replay re-offers a -record capture verbatim: the same arrival offsets,
+// ops, indices, lanes and deadlines; every workload flag is ignored.
+func (g *loadgen) replay() error {
+	reqs, err := trace.LoadFile(g.replayPath)
+	if err != nil {
+		return err
+	}
+	logf("replaying %d requests from %s", len(reqs), g.replayPath)
+	pace(func(i int) (time.Duration, bool) {
+		if i == len(reqs) {
+			return 0, false
+		}
+		return time.Duration(reqs[i].TUS) * time.Microsecond, true
+	}, func(i int) { g.send(reqs[i]) })
+	return nil
 }
 
 // capStep is one measured rung of a -capacity sweep.
 type capStep struct {
-	offered  float64
-	achieved float64
-	ok       int
-	shed     int
-	other    int
-	p50, p99 time.Duration
+	offered, achieved float64
+	tally
 }
 
-func summarizeStep(offered float64, outcomes []outcome, elapsed time.Duration) capStep {
-	st := capStep{offered: offered}
-	var lat []time.Duration
-	for _, o := range outcomes {
-		switch o.status {
-		case http.StatusOK:
-			st.ok++
-			lat = append(lat, o.latency)
-		case http.StatusServiceUnavailable:
-			st.shed++
-		default:
-			st.other++
-		}
-	}
-	if elapsed > 0 {
-		st.achieved = float64(st.ok) / elapsed.Seconds()
-	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		pct := func(p float64) time.Duration { return lat[int(p*float64(len(lat)-1))] }
-		st.p50, st.p99 = pct(0.50), pct(0.99)
-	}
-	return st
-}
-
-// reportCapacity prints the sweep table and locates the capacity knee: the
-// first step that sheds load or whose p99 blows past 3x the first step's —
-// the offered rate a deployment should plan under.
+// reportCapacity prints the sweep table (at least one step) and locates the
+// capacity knee: the first step that sheds load or whose p99 blows past 3x
+// the first step's — the offered rate a deployment should plan under.
 func reportCapacity(steps []capStep) {
 	logf("capacity sweep:")
 	logf("  offered qps  achieved qps    ok   shed  other       p50       p99")
 	for _, st := range steps {
 		logf("  %11.0f  %12.0f  %4d  %5d  %5d  %8v  %8v",
-			st.offered, st.achieved, st.ok, st.shed, st.other,
-			st.p50.Round(time.Microsecond), st.p99.Round(time.Microsecond))
+			st.offered, st.achieved, st.ok, st.shed, st.deadline+st.other,
+			st.pct(0.50).Round(time.Microsecond), st.pct(0.99).Round(time.Microsecond))
 	}
-	if len(steps) == 0 {
-		return
-	}
-	base := steps[0].p99
+	base := steps[0].pct(0.99)
 	for _, st := range steps {
-		if st.shed > 0 || (base > 0 && st.p99 > 3*base) {
+		if st.shed > 0 || (base > 0 && st.pct(0.99) > 3*base) {
 			why := "sheds load"
 			if st.shed == 0 {
-				why = fmt.Sprintf("p99 %v > 3x baseline %v", st.p99.Round(time.Microsecond), base.Round(time.Microsecond))
+				why = fmt.Sprintf("p99 %v > 3x baseline %v", st.pct(0.99).Round(time.Microsecond), base.Round(time.Microsecond))
 			}
 			logf("capacity knee: ~%.0f offered qps (%s); plan below this rate", st.offered, why)
 			return
@@ -457,13 +485,14 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// post issues one lookup and reports (status, degraded, retryAfterSeconds).
-// A 200 body is scanned for the degraded report; a 503's Retry-After header
-// is parsed for the backoff hint (1 when absent or unparsable).
-func post(client *http.Client, base string, payload []byte) (int, bool, int, error) {
+// post issues one lookup and reports (status, degraded, retryAfterSeconds);
+// status is -1 when the request never got a response. A 200 body is scanned
+// for the degraded report; a 503's Retry-After header is parsed for the
+// backoff hint (1 when absent or unparsable).
+func post(client *http.Client, base string, payload []byte) (int, bool, int) {
 	resp, err := client.Post(base+"/v1/lookup", "application/json", bytes.NewReader(payload))
 	if err != nil {
-		return 0, false, 0, err
+		return -1, false, 0
 	}
 	defer resp.Body.Close()
 	retryAfter := 1
@@ -474,56 +503,75 @@ func post(client *http.Client, base string, payload []byte) (int, bool, int, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, false, retryAfter, nil
+		return resp.StatusCode, false, retryAfter
 	}
 	var wire struct {
 		Degraded json.RawMessage `json:"degraded"`
 	}
 	degraded := json.NewDecoder(resp.Body).Decode(&wire) == nil && len(wire.Degraded) > 0
 	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, degraded, retryAfter, nil
+	return resp.StatusCode, degraded, retryAfter
+}
+
+// tally counts outcomes by status and keeps the successes' latencies in
+// ascending order.
+type tally struct {
+	ok, degraded, shed, deadline, other int
+	retried, retries                    int // requests that retried, and their 503s
+	lat                                 []time.Duration
+}
+
+func tallyOf(outcomes []outcome) tally {
+	var t tally
+	for _, o := range outcomes {
+		switch o.status {
+		case http.StatusOK:
+			t.ok++
+			if o.degraded {
+				t.degraded++
+			}
+			t.lat = append(t.lat, o.latency)
+		case http.StatusServiceUnavailable:
+			t.shed++
+		case http.StatusGatewayTimeout:
+			t.deadline++
+		default:
+			t.other++
+		}
+		if o.retries > 0 {
+			t.retried++
+			t.retries += o.retries
+		}
+	}
+	slices.Sort(t.lat)
+	return t
+}
+
+// pct is the p-th latency percentile of the successes (0 without any).
+func (t tally) pct(p float64) time.Duration {
+	if len(t.lat) == 0 {
+		return 0
+	}
+	return t.lat[int(p*float64(len(t.lat)-1))]
 }
 
 func report(outcomes []outcome, elapsed time.Duration, qps float64) {
-	var ok, degraded, overload, deadline, errs, retried, retries int
-	lat := make([]time.Duration, 0, len(outcomes))
-	for _, o := range outcomes {
-		switch {
-		case o.status == http.StatusOK:
-			ok++
-			if o.degraded {
-				degraded++
-			}
-			lat = append(lat, o.latency)
-		case o.status == http.StatusServiceUnavailable:
-			overload++
-		case o.status == http.StatusGatewayTimeout:
-			deadline++
-		default:
-			errs++
-		}
-		if o.retries > 0 {
-			retried++
-			retries += o.retries
-		}
-	}
+	t := tallyOf(outcomes)
 	logf("sent %d in %v: %d ok, %d overload (503), %d deadline (504), %d other",
-		len(outcomes), elapsed.Round(time.Millisecond), ok, overload, deadline, errs)
-	if degraded > 0 || retried > 0 {
+		len(outcomes), elapsed.Round(time.Millisecond), t.ok, t.shed, t.deadline, t.other)
+	if t.degraded > 0 || t.retried > 0 {
 		logf("robustness: %d degraded (200 with partial or failed-over results), %d requests retried %d 503s",
-			degraded, retried, retries)
+			t.degraded, t.retried, t.retries)
 	}
 	if qps > 0 {
-		logf("offered %.0f qps, achieved %.0f qps", qps, float64(ok)/elapsed.Seconds())
+		logf("offered %.0f qps, achieved %.0f qps", qps, float64(t.ok)/elapsed.Seconds())
 	} else {
-		logf("achieved %.0f requests/sec", float64(ok)/elapsed.Seconds())
+		logf("achieved %.0f requests/sec", float64(t.ok)/elapsed.Seconds())
 	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		pct := func(p float64) time.Duration { return lat[int(p*float64(len(lat)-1))] }
+	if len(t.lat) > 0 {
 		logf("latency p50 %v  p95 %v  p99 %v  max %v",
-			pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
-			pct(0.99).Round(time.Microsecond), lat[len(lat)-1].Round(time.Microsecond))
+			t.pct(0.50).Round(time.Microsecond), t.pct(0.95).Round(time.Microsecond),
+			t.pct(0.99).Round(time.Microsecond), t.lat[len(t.lat)-1].Round(time.Microsecond))
 	}
 	reportLanes(outcomes)
 }
@@ -531,51 +579,29 @@ func report(outcomes []outcome, elapsed time.Duration, qps float64) {
 // reportLanes breaks the run down per QoS lane when a -mix was active: how
 // much of each lane succeeded, how much was shed (503), and the lane's
 // latency percentiles — the p99-under-overload view the QoS gate checks.
+// Without -mix every request's lane is "" and nothing is printed.
 func reportLanes(outcomes []outcome) {
-	mixed := false
+	byLane := make(map[string][]outcome)
 	for _, o := range outcomes {
-		if o.pri != "" {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		return
+		byLane[o.pri] = append(byLane[o.pri], o)
 	}
 	for _, lane := range []string{"high", "normal", "low"} {
-		var ok, shed, other int
-		var lat []time.Duration
-		for _, o := range outcomes {
-			if o.pri != lane {
-				continue
-			}
-			switch o.status {
-			case http.StatusOK:
-				ok++
-				lat = append(lat, o.latency)
-			case http.StatusServiceUnavailable:
-				shed++
-			default:
-				other++
-			}
-		}
-		if ok+shed+other == 0 {
+		if len(byLane[lane]) == 0 {
 			continue
 		}
-		line := fmt.Sprintf("lane %s: %d ok, %d shed (503), %d other", lane, ok, shed, other)
-		if len(lat) > 0 {
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			pct := func(p float64) time.Duration { return lat[int(p*float64(len(lat)-1))] }
+		t := tallyOf(byLane[lane])
+		line := fmt.Sprintf("lane %s: %d ok, %d shed (503), %d other", lane, t.ok, t.shed, t.deadline+t.other)
+		if len(t.lat) > 0 {
 			line += fmt.Sprintf("  p50 %v  p99 %v",
-				pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
+				t.pct(0.50).Round(time.Microsecond), t.pct(0.99).Round(time.Microsecond))
 		}
 		logf("%s", line)
 	}
 }
 
 // scrape pulls /metrics and prints the server-side coalescing summary.
-func scrape(client *http.Client, base string, dump bool) error {
-	resp, err := client.Get(base + "/metrics")
+func (g *loadgen) scrape() error {
+	resp, err := g.client.Get(g.url + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -619,8 +645,8 @@ func scrape(client *http.Client, base string, dump bool) error {
 			c, vals["fafnir_rnet_switch_fires_total"], vals["fafnir_rnet_link_transfers_total"],
 			vals["fafnir_rnet_critical_path_cycles"])
 	}
-	if dump {
-		os.Stdout.Write(raw)
+	if g.dump {
+		g.out.Write(raw)
 	}
 	return nil
 }
@@ -651,17 +677,12 @@ func rollup(vals map[string]float64, family, label, what string) {
 	if len(members) == 0 || total == 0 {
 		return
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
-	minM, maxM := members[0], members[0]
+	slices.SortFunc(members, func(a, b member) int { return a.id - b.id })
+	byTraffic := func(a, b member) int { return cmp.Compare(a.v, b.v) }
+	minM, maxM := slices.MinFunc(members, byTraffic), slices.MaxFunc(members, byTraffic)
 	var parts []string
 	for _, m := range members {
 		parts = append(parts, fmt.Sprintf("%d=%.0f", m.id, m.v))
-		if m.v < minM.v {
-			minM = m
-		}
-		if m.v > maxM.v {
-			maxM = m
-		}
 	}
 	line := fmt.Sprintf("server: %s %.0f total (%s)", what, total, strings.Join(parts, " "))
 	if minM.v > 0 {

@@ -2,9 +2,96 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
+
+// TestBadFlagsAreErrors: each value comes back from run as an error naming
+// its flag before any request is sent. "-rows 8 -q 16" used to hang (no 16
+// distinct rows among 8) and "-rows 0" to panic with a division by zero.
+func TestBadFlagsAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		flag string
+	}{
+		{"-rows 8 -q 16", "-q"},
+		{"-rows 0", "-rows"},
+		{"-rows 4294967297", "-rows"},
+		{"-q 0", "-q"},
+		{"-clients 0", "-clients"},
+		{"-duration 0s", "-duration"},
+		{"-requests -1", "-requests"},
+		{"-timeout-ms -5", "-timeout-ms"},
+		{"-retries -1", "-retries"},
+		{"-users -3", "-users"},
+		{"-qps -10", "-qps"},
+		{"-qps NaN", "-qps"},
+		{"-capacity 4", "-capacity"},
+		{"-capacity -1 -qps 10", "-capacity"},
+		{"-mix high=200", "-mix"},
+		{"-log-format yaml", "format"},
+	} {
+		var out strings.Builder
+		err := run(append(strings.Fields(tc.args), "-url", "http://127.0.0.1:1"), &out)
+		if err == nil {
+			t.Errorf("%q: accepted", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%q: error %q does not name %s", tc.args, err, tc.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%q: printed %q before rejecting its flags", tc.args, out.String())
+		}
+	}
+}
+
+// TestPacedDispatcher drives the open loop, a capacity sweep, the -requests
+// cap and a replay against a stub server. Request i leaves at offset
+// i/rate, so each run offers an exact count: 2000 qps for 20 ms is 40
+// requests, a two-step sweep to 2000 qps over 20 ms is 10 + 20.
+func TestPacedDispatcher(t *testing.T) {
+	var served atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/lookup", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		served.Add(1)
+		io.WriteString(w, `{"outputs":[[0]]}`)
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "fafnir_serve_queries_total 1\nfafnir_serve_batches_total 1\n")
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	capture := filepath.Join(t.TempDir(), "w.jsonl")
+	for _, tc := range []struct {
+		args string
+		want int64
+		line string
+	}{
+		{"-qps 2000 -duration 20ms -record " + capture, 40, "sent 40 in "},
+		{"-replay " + capture, 40, "sent 40 in "},
+		{"-qps 2000 -duration 20ms -requests 7", 7, "sent 7 in "},
+		{"-qps 2000 -capacity 2 -duration 20ms", 30, "capacity sweep:"},
+	} {
+		served.Store(0)
+		var out strings.Builder
+		if err := run(append(strings.Fields(tc.args), "-url", ts.URL, "-rows", "64", "-q", "4"), &out); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if got := served.Load(); got != tc.want {
+			t.Errorf("%q: server saw %d requests, want %d", tc.args, got, tc.want)
+		}
+		if !strings.Contains(out.String(), tc.line) {
+			t.Errorf("%q: output lacks %q:\n%s", tc.args, tc.line, out.String())
+		}
+	}
+}
 
 func TestParseMix(t *testing.T) {
 	for _, tc := range []struct {

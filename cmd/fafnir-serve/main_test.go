@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +15,164 @@ import (
 
 	"fafnir"
 )
+
+// TestShapeFlagsAreErrors: every unusable shape comes back from run as an
+// error naming the flag, before anything is built or printed. The first
+// three rows panicked, served a single system, or silently changed the index
+// space before topology.validate existed.
+func TestShapeFlagsAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		flag string
+	}{
+		{"-shards 0 -radix 2", "-shards"},
+		{"-fleets -2", "-fleets"},
+		{"-rows 0", "-rows"},
+		{"-rows 0 -shards 4", "-rows"},
+		{"-rows 134217729", "-rows"},
+		{"-ranks 0", "-ranks"},
+		{"-ranks 7", "-ranks"},
+		{"-ranks 32 -shards 3", "-ranks"},
+		{"-ranks 4 -shards 4", "-ranks"},
+		{"-batch 0", "-batch"},
+		{"-j -1", "-j"},
+		{"-radix 2", "-radix"},
+		{"-radix 1 -shards 4", "-radix"},
+		{"-radix -3 -fleets 2", "-radix"},
+		{"-verify", "-verify"},
+		{"-verify -shards 4", "-verify"},
+		{"-rows 1 -ranks 64 -shards 8 -fleets 8", "-rows"},
+		{"-faults shard=1@1", "-faults"},
+		{"-shards 4 -faults bogus", "-faults"},
+		{"-shards 4 -fault-storm shard=1@1", "-fault-storm"},
+	} {
+		var out strings.Builder
+		err := run(context.Background(), strings.Fields(tc.args+" -addr 127.0.0.1:0"), &out)
+		if err == nil {
+			t.Errorf("%q: accepted", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%q: error %q does not name %s", tc.args, err, tc.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%q: printed %q before rejecting its flags", tc.args, out.String())
+		}
+	}
+}
+
+// TestBootDrainTopologies boots the three deployments check.sh serves, sends
+// two serial requests and drains. The startup and drain lines are pinned as
+// the serving CLI printed them before the shape flags chose the topology.
+func TestBootDrainTopologies(t *testing.T) {
+	const drained = "drained cleanly: 3 queries in 2 batches (coalesce factor 1.50, 4.33 reads/query)"
+	for _, tc := range []struct{ args, startup string }{
+		{"-rows 4096",
+			"system: 32 ranks, 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
+		{"-shards 4 -rows 4096 -faults shard=1@1;seed=7",
+			"fleet: 4 shards x 8 ranks, rnet radix 2 (3 switches, depth 2), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
+		{"-fleets 2 -shards 4 -radix 2 -rows 4096 -verify",
+			"federation: 2 fleets x 4 shards x 8 ranks, fleet combine rnet radix 2, cross-fleet rnet radix 2 (1 switches, depth 1), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
+	} {
+		lines := bootDrain(t, tc.args, `{"indices":[1,2,3,4,5,6,7,8]}`, `{"queries":[[9,10],[11,12,13]],"op":"mean"}`)
+		want := []string{"listening on 127.0.0.1:", tc.startup, "draining...", drained}
+		if len(lines) != len(want) {
+			t.Errorf("%q: printed %q, want %d lines", tc.args, lines, len(want))
+			continue
+		}
+		for i := range want {
+			if lines[i] != want[i] && (i > 0 || !strings.HasPrefix(lines[i], want[i])) {
+				t.Errorf("%q: line %d = %q, want %q", tc.args, i, lines[i], want[i])
+			}
+		}
+	}
+}
+
+// bootDrain runs the server in process on a free port, POSTs each body to
+// /v1/lookup in turn (each must answer 200), cancels, and returns every line
+// run printed.
+func bootDrain(t *testing.T, args string, bodies ...string) []string {
+	t.Helper()
+	pr, pw := io.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		err := run(ctx, strings.Fields(args+" -addr 127.0.0.1:0 -linger 500us"), pw)
+		pw.Close()
+		done <- err
+	}()
+	sc := bufio.NewScanner(pr)
+	var lines []string
+	for len(lines) < 2 && sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if len(lines) == 2 {
+		addr := strings.TrimPrefix(lines[0], "listening on ")
+		for _, body := range bodies {
+			resp, err := http.Post("http://"+addr+"/v1/lookup", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%q: POST %s answered %d", args, body, resp.StatusCode)
+			}
+		}
+	}
+	cancel()
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("%q: run: %v", args, err)
+	}
+	return lines
+}
+
+// namesFlag matches an error that starts by naming a topology flag.
+var namesFlag = regexp.MustCompile(`^-(ranks|rows|batch|shards|fleets|radix|verify|j) `)
+
+// FuzzTopology: the shape flags never panic; a rejected shape is an error
+// naming a flag, and an accepted one small enough to build builds the
+// backend its shard and fleet counts select, over -rows x 32 vectors.
+func FuzzTopology(f *testing.F) {
+	f.Add(32, 4096, 32, 1, 1, 0, 0, false)
+	f.Add(32, 4096, 32, 4, 1, 0, 0, false)
+	f.Add(32, 4096, 32, 4, 2, 2, 0, true)
+	f.Add(32, 4096, 32, 0, 1, 2, 0, false)
+	f.Add(32, 4096, 32, 1, -2, 0, 0, false)
+	f.Fuzz(func(t *testing.T, ranks, rows, batch, shards, fleets, radix, par int, verify bool) {
+		top := topology{ranks: ranks, rows: rows, batch: batch, shards: shards, fleets: fleets, radix: radix, par: par, seed: 1, verify: verify}
+		if err := top.validate(); err != nil {
+			if !namesFlag.MatchString(err.Error()) {
+				t.Fatalf("%+v rejected by an error naming no flag: %v", top, err)
+			}
+			return
+		}
+		if ranks > 64 || rows > 4096 || batch > 64 || fleets > 8 {
+			return // accepted, but too large to build in a fuzz iteration
+		}
+		b, err := top.build()
+		if err != nil {
+			t.Fatalf("%+v accepted but does not build: %v", top, err)
+		}
+		if got, want := b.TotalRows(), uint64(rows)*tables; got != want {
+			t.Fatalf("%+v serves %d vectors, want %d", top, got, want)
+		}
+		want := "system:"
+		switch {
+		case fleets > 1:
+			want = "federation:"
+		case shards > 1:
+			want = "fleet:"
+		}
+		if topo := b.(interface{ Topology() string }).Topology(); !strings.HasPrefix(topo, want) {
+			t.Fatalf("%+v built %q, want a %s", top, topo, want)
+		}
+	})
+}
 
 func TestParseSLO(t *testing.T) {
 	for _, tc := range []struct {

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"fafnir/internal/cpu"
 	"fafnir/internal/dram"
 	"fafnir/internal/energy"
 	"fafnir/internal/fafnir"
@@ -196,14 +197,13 @@ func Fig12() (*Report, error) {
 		points[ranks] = point{rec: seconds(rres.TotalCycles), faf: seconds(fres.TotalCycles)}
 	}
 
-	fc := 0.5e-3
-	other := 0.1e-3
-	inferRec := func(r int) float64 { return points[r].rec + fc + other }
-	inferFaf := func(r int) float64 { return points[r].faf + fc + other }
+	host := cpu.Default() // the fixed FC and other stages of one inference
+	inferRec := func(r int) float64 { return host.InferenceSeconds(points[r].rec) }
+	inferFaf := func(r int) float64 { return host.InferenceSeconds(points[r].faf) }
 	// The ideal line scales the 1-rank Fafnir lookup linearly with ranks
 	// and keeps the fixed stages — the red line of the paper's figure.
 	ideal := func(r int) float64 {
-		return inferFaf(1) / (points[1].faf/float64(r) + fc + other)
+		return inferFaf(1) / host.InferenceSeconds(points[1].faf/float64(r))
 	}
 	for _, ranks := range rankSweep[1:] {
 		rep.AddRow(itoa(ranks),

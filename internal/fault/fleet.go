@@ -210,7 +210,8 @@ func (p FleetPlan) String() string {
 }
 
 // ParseFleet builds a fleet plan from a compact spec, the format of
-// fafnir-serve's -fault-storm flag: semicolon-separated clauses of
+// fafnir-serve's -faults flag on a fleet: Parse's grammar plus fleet-level
+// clauses, semicolon-separated, of
 //
 //	seed=N         storm/ECC seed
 //	shard=S@C      shard S goes down at fleet cycle C and stays down

@@ -81,7 +81,7 @@ type ShardOwner interface {
 // TopologyDescriber is the optional capability a backend exposes so the
 // serving CLI's startup line can report the full deployment shape — fleets,
 // shards, combine radix — without the CLI reconstructing it from flags.
-// *router.Fleet and *router.Federation implement it.
+// *fafnir.System, *router.Fleet and *router.Federation implement it.
 type TopologyDescriber interface {
 	// Topology returns a one-line human-readable deployment description.
 	Topology() string

@@ -230,7 +230,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *Metrics { return s.m }
 
 // Topology returns the backend's one-line deployment description, or ""
-// when the backend does not describe itself (plain single systems).
+// when the backend does not describe itself.
 func (s *Server) Topology() string {
 	if td, ok := s.sys.(TopologyDescriber); ok {
 		return td.Topology()

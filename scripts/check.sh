@@ -21,9 +21,9 @@
 #                      synchronous admission, so a flake here is a bug
 #   7. fuzz corpus   — FuzzCodec's, FuzzBitsetOps', FuzzBatchBuild's,
 #                      FuzzCacheOps', FuzzFromCOO's, FuzzParseFleet's,
-#                      FuzzLookupRequest's, FuzzLoadWorkload's, FuzzParseMix's
-#                      and FuzzParseSLO's seed corpora replayed in -run mode
-#                      (no fuzzing; deterministic and fast)
+#                      FuzzLookupRequest's, FuzzLoadWorkload's, FuzzParseMix's,
+#                      FuzzParseSLO's and FuzzTopology's seed corpora replayed
+#                      in -run mode (no fuzzing; deterministic and fast)
 #   7b. one grain    — runtime.Gosched, stealHead and evalAsync must appear in
 #                      no non-test Go file: host parallelism is whole hardware
 #                      batches, shards and fleets, never a per-PE scheduler
@@ -47,6 +47,11 @@
 #   7f. one workload — internal/trace's JSONL request stream is the only
 #       format         replayable workload: recordedRequest is gone, and
 #                      tensor.ParseOp is the only parser of a pooling-op name
+#   7h. one way to   — fafnir-serve's shape flags pick the backend and
+#       serve          fafnir.NewServer serves all three: NewFleetServer,
+#                      NewFederationServer, the fault-storm flag and
+#                      internal/mlp appear in no non-test Go file and not in
+#                      this script
 #   7g. exhibits     — opt-in, for a change that must not move a simulated
 #                      number: with EXHIBIT_BASE=<checkout of the parent
 #                      commit>, all fafnir-bench exhibits are regenerated there
@@ -69,8 +74,8 @@
 #                      with -replay requiring identical request counts, then
 #                      SIGTERM and require a clean drain (exit 0 with
 #                      in-flight work finished)
-#  11. chaos gate    — boot a 4-shard fleet with shard 1 killed by
-#                      -fault-storm, fire a burst through the router, and
+#  11. chaos gate    — boot a 4-shard fleet with shard 1 killed by -faults
+#                      (the fleet grammar), fire a burst through the router, and
 #                      require zero 5xx (every request rides replica
 #                      failover), degraded responses surfaced to clients,
 #                      the shard_dark metric tripped and rnet combines
@@ -102,6 +107,7 @@
 #   go test -fuzz=FuzzLoadWorkload -fuzztime=30s ./internal/trace
 #   go test -fuzz=FuzzParseMix -fuzztime=30s ./cmd/fafnir-loadgen
 #   go test -fuzz=FuzzParseSLO -fuzztime=30s ./cmd/fafnir-serve
+#   go test -fuzz=FuzzTopology -fuzztime=30s ./cmd/fafnir-serve
 #
 # Perf regressions are gated separately by scripts/bench_diff.sh (benchmarks
 # are too slow for every pre-land run).
@@ -177,6 +183,13 @@ echo "==> one schedule, one clock-domain crossing (Two-Step is a spmv.Schedule p
 echo "==> one replayable workload format, one pooling-op parser"
 ! grep -rlE 'recordedRequest|func [pP]arseOp\(' --include='*.go' . | grep -v '^\./internal/tensor/' \
     || { echo "a second workload record or op parser is back: use internal/trace and tensor.ParseOp"; exit 1; }
+
+echo "==> one way to build a served deployment"
+OLD_SERVE='NewFleetServer|NewFederationServer|fault-storm|internal/mlp'
+! grep -rlE "$OLD_SERVE" --include='*.go' --exclude='*_test.go' . \
+    || { echo "a deleted serving constructor, flag or package is back: serve through fafnir.NewServer and -faults"; exit 1; }
+! grep -vE '^[[:space:]]*#|OLD_SERVE' scripts/check.sh | grep -E "$OLD_SERVE" \
+    || { echo "check.sh drives a deleted serving constructor, flag or package"; exit 1; }
 
 if [ -n "${EXHIBIT_BASE:-}" ]; then
     echo "==> exhibits byte-equal to $EXHIBIT_BASE (-j 1 and default)"
@@ -311,7 +324,7 @@ SERVE_PID=
 
 echo "==> chaos gate: 4-shard fleet survives losing shard 1 mid-burst"
 "$SMOKE/fafnir-serve" -addr 127.0.0.1:0 -shards 4 -rows 4096 -linger 500us \
-    -fault-storm "shard=1@1;seed=7" > "$SMOKE/fleet.log" 2>&1 &
+    -faults "shard=1@1;seed=7" > "$SMOKE/fleet.log" 2>&1 &
 FLEET_PID=$!
 
 FADDR=
