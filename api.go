@@ -331,18 +331,20 @@ func (s *System) GenerateBatch(n int, seed int64) (Batch, error) {
 	return gen.Batch(OpSum), nil
 }
 
-// Lookup runs a batch through the Fafnir tree with full timing and verifies
-// the outputs against the golden reference before returning. When a fault
-// plan is attached the run degrades gracefully — dark-rank reads remap to
-// replicas, corrupt reads retry with backoff — and the result carries a
-// DegradedReport; outputs still verify against the golden reference.
+// Lookup runs a batch through the Fafnir tree with full timing. The engine
+// checks every hardware batch as it goes: each query is folded from the rows
+// its leaf reads staged, before the tree runs, and its output must match that
+// golden reference bit for bit or the lookup fails. When a fault plan is
+// attached the run degrades gracefully — dark-rank reads remap to replicas,
+// corrupt reads retry with backoff — and the result carries a
+// DegradedReport; the outputs are checked the same way.
 func (s *System) Lookup(b Batch) (*LookupResult, error) {
-	res, err := s.engine.TimedLookupFaulted(s.store, s.layout, s.mem, b, !s.cfg.DisableDedup, s.inj)
-	return s.verify(b, res, err)
+	return s.engine.TimedLookupFaulted(s.store, s.layout, s.mem, b, !s.cfg.DisableDedup, s.inj)
 }
 
-// verify passes a lookup's result through only if it ran and its outputs
-// match the batch's golden reference.
+// verify passes an interactive lookup's result through only if it ran and
+// its outputs match the batch's golden reference: interactive mode has no
+// hardware batches for the engine to check as it goes.
 func (s *System) verify(b Batch, res *LookupResult, err error) (*LookupResult, error) {
 	if err != nil {
 		return nil, err

@@ -2,8 +2,11 @@ package fafnir
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	core "fafnir/internal/fafnir"
 )
 
 func TestNewSystemDefaults(t *testing.T) {
@@ -212,6 +215,41 @@ func TestLookupWithFaultPlan(t *testing.T) {
 	}
 	if d.RemappedReads < 1 {
 		t.Fatalf("expected remapped reads, got %+v", d)
+	}
+}
+
+// TestLookupCatchesCorruptOutput: System.Lookup re-checks nothing after the
+// engine, so the engine's per-pass golden check must catch one corrupted
+// element of one resolved output, with and without a fault plan.
+func TestLookupCatchesCorruptOutput(t *testing.T) {
+	for _, spec := range []string{"", "rank=0@0;ecc=0.02;seed=5"} {
+		var plan FaultPlan
+		if spec != "" {
+			var err error
+			if plan, err = ParseFaultPlan(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys, err := NewSystem(SystemConfig{RowsPerTable: 1024, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.GenerateBatch(80, 5) // three hardware batches
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupted := false
+		core.GoldenCheckHook = func(_ int, got, _ []Vector) {
+			if !corrupted {
+				got[0][0]++
+				corrupted = true
+			}
+		}
+		_, err = sys.Lookup(b)
+		core.GoldenCheckHook = nil
+		if !errors.Is(err, ErrInvariantViolated) || !strings.Contains(err.Error(), "mismatches the golden reference") {
+			t.Fatalf("faults=%q: a corrupted output got past System.Lookup: err = %v", spec, err)
+		}
 	}
 }
 

@@ -207,29 +207,35 @@ func (b Batch) Golden(s *Store) ([]tensor.Vector, error) {
 		return v, nil
 	}
 	for i, q := range b.Queries {
-		if q.Indices.Len() == 0 {
-			out[i] = tensor.New(dim)
-			continue
-		}
-		v, err := vecOf(q.Indices[0])
-		if err != nil {
+		out[i] = tensor.New(dim)
+		if err := q.Fold(b.Op, out[i], vecOf); err != nil {
 			return nil, fmt.Errorf("embedding: golden of query %d: %w", i, err)
 		}
-		acc := tensor.New(dim)
-		copy(acc, v)
-		for _, idx := range q.Indices[1:] {
-			v, err := vecOf(idx)
-			if err != nil {
-				return nil, fmt.Errorf("embedding: golden of query %d: %w", i, err)
-			}
-			if err := b.Op.Apply(acc, v); err != nil {
-				return nil, fmt.Errorf("embedding: golden of query %d: %w", i, err)
-			}
-		}
-		b.Op.FinalizeMean(acc, q.Indices.Len())
-		out[i] = acc
 	}
 	return out, nil
+}
+
+// Fold reduces the query's rows into acc with op, reading each row by its
+// global index through row, and finalizes a mean by the query's size: the
+// reference reduction every engine output is checked against. Golden feeds it
+// rows from the store; the Fafnir engine, the rows its leaf reads staged. acc
+// must have the rows' dimension; its prior contents are ignored, and an empty
+// query leaves it zero.
+func (q Query) Fold(op tensor.ReduceOp, acc tensor.Vector, row func(header.Index) (tensor.Vector, error)) error {
+	clear(acc)
+	for i, idx := range q.Indices {
+		v, err := row(idx)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			copy(acc, v)
+		} else if err := op.Apply(acc, v); err != nil {
+			return err
+		}
+	}
+	op.FinalizeMean(acc, q.Indices.Len())
+	return nil
 }
 
 // MustGolden is Golden for callers with statically valid batches (tests,

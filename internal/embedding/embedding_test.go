@@ -289,8 +289,8 @@ func TestPerTableZipf(t *testing.T) {
 	}
 }
 
-// The golden reference runs after the engine on every verified lookup, so what
-// it allocates is paid per request: one Golden may allocate the rows it
+// The baseline engines compute their outputs with the golden reference, so
+// what it allocates is paid per request: one Golden may allocate the rows it
 // materializes and its outputs, plus slack for the memo — not a buffer regrown
 // geometrically, which allocates (and copies) every row a second time.
 func TestGoldenAllocatesEachRowOnce(t *testing.T) {

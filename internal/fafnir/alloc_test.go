@@ -90,9 +90,10 @@ func TestLeafInputsAllocBudget(t *testing.T) {
 // TestLookupAllocBudget pins the whole functional batch-32 Lookup: plan
 // compilation, leaf staging, tree reduction, and result resolution. The
 // outputs and the plan escape by design, so this budget is necessarily
-// nonzero; measured steady state is 44 allocs/op: 32 outputs, the plan's six
-// buffers and the lookup's own bookkeeping (~336 while plans carried a
-// sorted-slice header per access, ~11.6k before the arena work).
+// nonzero; measured steady state is 13 allocs/op with the golden check
+// inside: the plan's six buffers, one array holding the 32 outputs and the
+// lookup's own bookkeeping (44 with an allocation per output, ~336 while plans
+// carried a sorted-slice header per access, ~11.6k before the arena work).
 func TestLookupAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budgets are not short-mode material")
@@ -113,7 +114,8 @@ func TestLookupAllocBudget(t *testing.T) {
 // TestTimedLookupAllocBudget pins the timed batch-32 lookup at Parallelism 1
 // and at the default: one hardware batch runs inline on the caller's
 // goroutine at every setting, so both pay the same allocations (plan, leaf
-// and ready slices, outputs; 46 measured) and neither a goroutine nor a
+// and ready slices, one output array; 15 measured with the golden check
+// inside, 46 with an allocation per output) and neither a goroutine nor a
 // channel.
 func TestTimedLookupAllocBudget(t *testing.T) {
 	if testing.Short() {

@@ -3,6 +3,7 @@ package fafnir
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"fafnir/internal/batch"
@@ -229,7 +230,7 @@ func (r TimedResult) Seconds(cfg Config) float64 {
 // Lookup runs a batch functionally (no timing): the batch is compiled with
 // deduplication, split into hardware batches of at most BatchCapacity
 // queries, and pushed through the tree. The outputs are validated to cover
-// every query.
+// every query, and each against its pass's golden fold (checkGolden).
 func (e *Engine) Lookup(store *embedding.Store, layout Placement, b embedding.Batch) (*Result, error) {
 	res := &Result{Outputs: make([]tensor.Vector, len(b.Queries))}
 	src := e.newPassSource(store, layout, b, true, false)
@@ -242,7 +243,7 @@ func (e *Engine) Lookup(store *embedding.Store, layout Placement, b embedding.Ba
 		res.MemoryReads += p.plan.NumAccesses()
 		res.PETotals.Add(p.totals)
 		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
-		if err := e.resolve(p.plan, p.outputs, p.start, res); err != nil {
+		if err := e.resolve(p, res); err != nil {
 			return nil, err
 		}
 	}
@@ -308,7 +309,9 @@ func (e *Engine) checkRank(idx header.Index, r int) error {
 // query's row set minus that bit. remap overrides the placement rank for
 // indices whose reads the host redirected to a replica (nil when no faults
 // are injected); the entry must enter the tree at the leaf that actually
-// served the read so the functional and timing passes agree.
+// served the read so the functional and timing passes agree. Every buffer
+// VectorInto fills is also recorded, with the index it was filled for, under
+// the access's dense row (sc.staged), for the pass's golden fold.
 func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Placement, plan *batch.Plan, remap map[header.Index]int) (rankEntries, error) {
 	ws := &sc.ws
 	in := rankEntries{byRank: sc.in, rows: plan.Rows}
@@ -334,6 +337,8 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		in.byRank[r] = buf[off : off : off+c]
 		off += c
 	}
+	sc.staged = slices.Grow(sc.staged[:0], len(plan.Rows))[:len(plan.Rows)]
+	clear(sc.staged)
 	dim := store.Dim()
 	k := plan.Rows.Words()
 	rem := header.Bitset(ws.words.alloc(k))
@@ -346,6 +351,7 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		if err := store.VectorInto(acc.Index, v); err != nil {
 			return rankEntries{}, err
 		}
+		sc.staged[acc.Row] = stagedRow{idx: acc.Index, v: v}
 		own := header.Bitset(ws.words.alloc(k))
 		clear(own)
 		own.Set(int(acc.Row))
@@ -428,13 +434,18 @@ func checkRootConservation(plan *batch.Plan, outputs []denseEntry) error {
 // are long gone, so an output is matched to the queries whose row set it
 // carries. It is the one place queries are resolved, so it also answers a
 // query with no indices — which reads nothing and owns no root output — with
-// the zero vector the reference implementations give it.
-func (e *Engine) resolve(plan *batch.Plan, outputs []denseEntry, qBase int, res *Result) error {
-	if err := checkRootConservation(plan, outputs); err != nil {
+// the zero vector the reference implementations give it, and it ends with the
+// golden check of the batch's outputs (checkGolden).
+func (e *Engine) resolve(p *funcPass, res *Result) error {
+	plan, qBase := p.plan, p.start
+	if err := checkRootConservation(plan, p.outputs); err != nil {
 		return err
 	}
 	sub := plan.Batch()
-	for _, out := range outputs {
+	// The outputs escape to the caller, so they cannot stay in the arena; one
+	// backing array per hardware batch holds them all.
+	var slab []float32
+	for _, out := range p.outputs {
 		if !out.complete(plan.Rows.Words()) {
 			// Dead partial reduction (a query's chain that took a side
 			// branch); the root discards it.
@@ -443,7 +454,13 @@ func (e *Engine) resolve(plan *batch.Plan, outputs []denseEntry, qBase int, res 
 		for qi, q := range sub.Queries {
 			// An answered slot is a duplicate completion via another path.
 			if res.Outputs[qBase+qi] == nil && plan.QueryBits(qi).Equal(out.indices) {
-				v := out.value.Clone()
+				n := len(out.value)
+				if len(slab) < n {
+					slab = make([]float32, len(sub.Queries)*n)
+				}
+				v := tensor.Vector(slab[:n:n])
+				slab = slab[n:]
+				copy(v, out.value)
 				sub.Op.FinalizeMean(v, q.Indices.Len())
 				res.Outputs[qBase+qi] = v
 			}
@@ -454,7 +471,7 @@ func (e *Engine) resolve(plan *batch.Plan, outputs []denseEntry, qBase int, res 
 			res.Outputs[qBase+qi] = tensor.New(e.cfg.VectorDim)
 		}
 	}
-	return nil
+	return checkGolden(res.Outputs[qBase:qBase+len(sub.Queries)], p.want, qBase)
 }
 
 // TimedLookup runs the batch with full timing against the shared DRAM model.
@@ -537,13 +554,15 @@ func (e *Engine) readFaulted(layout Placement, mem *dram.System, inj *fault.Inje
 }
 
 // funcPass is the timing-independent work of one hardware batch: the
-// compiled plan, the functional tree reduction, and its accounting.
+// compiled plan, the golden fold of its queries, the functional tree
+// reduction, and its accounting.
 type funcPass struct {
 	k, start int // hardware-batch ordinal and its first query's batch offset
 	plan     *batch.Plan
-	sc       *treeScratch // leased by run; released when the source moves on
-	outputs  []denseEntry // arena-backed; valid while sc is leased
-	perPE    []PEStats    // aliases sc.perPE
+	sc       *treeScratch    // leased by run; released when the source moves on
+	want     []tensor.Vector // golden fold per query, taken before the tree ran; aliases sc.want
+	outputs  []denseEntry    // arena-backed; valid while sc is leased
+	perPE    []PEStats       // aliases sc.perPE
 	totals   PEStats
 	maxOcc   int
 	err      error
@@ -677,17 +696,23 @@ func (p *funcPass) release(e *Engine) {
 	if p.sc != nil {
 		e.putTreeScratch(p.sc)
 		p.sc = nil
+		p.want = nil
 		p.outputs = nil
 		p.perPE = nil
 	}
 }
 
-// run performs the functional tree reduction of a compiled pass, filling it
-// in place. The pass holds its scratch lease so the arena-backed outputs
-// survive until the consumer has resolved and traced the batch.
+// run performs the functional work of a compiled pass, filling it in place:
+// the leaf reads, the golden fold of every query from the rows they staged,
+// and the tree reduction. The pass holds its scratch lease so the
+// arena-backed fold and outputs survive until the consumer has resolved,
+// checked and traced the batch.
 func (s *passSource) run(p *funcPass, remap map[header.Index]int) {
 	p.sc = s.e.getTreeScratch()
 	leafIn, err := s.e.leafInputs(p.sc, s.store, s.layout, p.plan, remap)
+	if err == nil {
+		p.want, err = foldGolden(p.sc, s.store, p.plan)
+	}
 	if err != nil {
 		p.err = err
 		return
@@ -811,7 +836,7 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 		}
 		res.PETotals.Add(p.totals)
 		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
-		if err := e.resolve(plan, p.outputs, p.start, &res.Result); err != nil {
+		if err := e.resolve(p, &res.Result); err != nil {
 			return nil, err
 		}
 		if plan.NumAccesses() == 0 {
@@ -884,12 +909,16 @@ func (e *Engine) LowerBoundCycles(mcfg dram.Config, b embedding.Batch) sim.Cycle
 }
 
 // VerifyAgainstGolden compares the engine outputs with the reference
-// implementation, returning the first mismatching query (or -1).
+// implementation, returning the first mismatching query (or -1). A missing
+// output, and an output past the reference's last query, are mismatches.
 func VerifyAgainstGolden(got []tensor.Vector, want []tensor.Vector, tol float64) int {
 	for i := range want {
 		if i >= len(got) || got[i] == nil || !got[i].ApproxEqual(want[i], tol) {
 			return i
 		}
+	}
+	if len(got) > len(want) {
+		return len(want)
 	}
 	return -1
 }

@@ -2,6 +2,7 @@ package fafnir
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -349,17 +350,28 @@ func TestCheckOccupancyBound(t *testing.T) {
 	}
 }
 
+// TestVerifyAgainstGolden: the first query whose output is missing, extra,
+// outside the tolerance or NaN is reported.
 func TestVerifyAgainstGolden(t *testing.T) {
-	a := []tensor.Vector{{1, 2}, {3, 4}}
-	if i := VerifyAgainstGolden(a, a, 0); i != -1 {
-		t.Fatalf("self-compare failed at %d", i)
-	}
-	b := []tensor.Vector{{1, 2}, {3, 5}}
-	if i := VerifyAgainstGolden(a, b, 0); i != 1 {
-		t.Fatalf("mismatch index = %d, want 1", i)
-	}
-	if i := VerifyAgainstGolden(nil, b, 0); i != 0 {
-		t.Fatalf("missing outputs index = %d, want 0", i)
+	nan := float32(math.NaN())
+	want := []tensor.Vector{{1, 2}, {3, 4}}
+	for _, tc := range []struct {
+		name string
+		got  []tensor.Vector
+		tol  float64
+		idx  int
+	}{
+		{"identical", want, 0, -1},
+		{"second differs", []tensor.Vector{{1, 2}, {3, 5}}, 0, 1},
+		{"within tolerance", []tensor.Vector{{1, 2}, {3, 4.0005}}, 1e-3, -1},
+		{"no outputs", nil, 0, 0},
+		{"missing output", []tensor.Vector{{1, 2}, nil}, 0, 1},
+		{"NaN output", []tensor.Vector{{nan, 2}, {3, 4}}, 1e-3, 0},
+		{"extra output", []tensor.Vector{{1, 2}, {3, 4}, {5, 6}}, 0, 2},
+	} {
+		if i := VerifyAgainstGolden(tc.got, want, tc.tol); i != tc.idx {
+			t.Errorf("%s: VerifyAgainstGolden = %d, want %d", tc.name, i, tc.idx)
+		}
 	}
 }
 

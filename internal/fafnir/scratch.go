@@ -1,6 +1,10 @@
 package fafnir
 
-import "sync"
+import (
+	"sync"
+
+	"fafnir/internal/tensor"
+)
 
 // This file holds the pooled working state of tree evaluation. Host
 // concurrency lives one level up (engine.go's passSource runs whole hardware
@@ -9,8 +13,9 @@ import "sync"
 // single-owner and need no synchronization.
 
 // treeScratch is the dense working state of one tree evaluation, indexed by
-// PE ID (IDs are dense in [0, NumPEs)), plus the leaf-input staging buffers
-// and the arena every PE allocates from. It is leased for the whole span of a
+// PE ID (IDs are dense in [0, NumPEs)), plus the leaf-input staging buffers,
+// the golden fold of the batch's queries and the arena every PE allocates
+// from. It is leased for the whole span of a
 // batch — leafInputs through runTree to resolve and trace emission — so
 // arena-backed entries stay valid until the batch's results have been
 // consumed, and it is pooled process-wide so concurrent hardware batches and
@@ -22,8 +27,10 @@ type treeScratch struct {
 	self  []PEStats      // node ID -> leaf SelfMerge stats (both inputs combined)
 	perPE []PEStats      // node ID -> folded per-PE stats (see runTree)
 
-	in     [][]denseEntry // rank -> staged leaf entries
-	counts []int          // rank -> planned access count
+	in     [][]denseEntry  // rank -> staged leaf entries
+	counts []int           // rank -> planned access count
+	staged []stagedRow     // dense row -> the leaf read that filled it (see leafInputs)
+	want   []tensor.Vector // batch query -> golden fold (see foldGolden)
 
 	ws workScratch // the arenas and transient slices of every PE call
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -110,6 +111,26 @@ func TestLookupMatchesOracle(t *testing.T) {
 		if res.TotalCycles <= 0 {
 			t.Fatalf("op %v: TotalCycles = %d", op, res.TotalCycles)
 		}
+	}
+}
+
+// TestShardGoldenCheckFires: every shard's engine checks its passes against
+// their golden folds, so a corrupted output inside a shard fails the fleet
+// lookup as a programming error instead of reaching the combine.
+func TestShardGoldenCheckFires(t *testing.T) {
+	f := testFleet(t, nil)
+	b := testBatch(t, f, 16, 3, tensor.OpSum)
+	corrupted := false
+	core.GoldenCheckHook = func(_ int, got, _ []tensor.Vector) {
+		if !corrupted {
+			got[0][0]++
+			corrupted = true
+		}
+	}
+	defer func() { core.GoldenCheckHook = nil }()
+	_, err := f.Lookup(b)
+	if !errors.Is(err, fault.ErrInvariantViolated) || !strings.Contains(err.Error(), "mismatches the golden reference") {
+		t.Fatalf("a corrupted shard output got past Fleet.Lookup: err = %v", err)
 	}
 }
 

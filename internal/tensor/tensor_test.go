@@ -104,14 +104,24 @@ func TestEqualAndApprox(t *testing.T) {
 	if a.Equal(Vector{1}) {
 		t.Fatal("Equal true for different dims")
 	}
-	if !a.ApproxEqual(Vector{1.0000001, 2}, 1e-3) {
-		t.Fatal("ApproxEqual false within tolerance")
-	}
-	if a.ApproxEqual(Vector{1.1, 2}, 1e-3) {
-		t.Fatal("ApproxEqual true outside tolerance")
-	}
-	if a.ApproxEqual(Vector{1}, 1) {
-		t.Fatal("ApproxEqual true for different dims")
+	// A difference that is not within tol fails, a NaN's included.
+	nan := float32(math.NaN())
+	for _, tc := range []struct {
+		name string
+		v, w Vector
+		tol  float64
+		want bool
+	}{
+		{"within tolerance", a, Vector{1.0000001, 2}, 1e-3, true},
+		{"outside tolerance", a, Vector{1.1, 2}, 1e-3, false},
+		{"different dims", a, Vector{1}, 1, false},
+		{"NaN in v", Vector{nan}, Vector{3}, 1e-3, false},
+		{"NaN in w", Vector{3}, Vector{nan}, 1e-3, false},
+		{"NaN in both", Vector{nan}, Vector{nan}, 1e-3, false},
+	} {
+		if got := tc.v.ApproxEqual(tc.w, tc.tol); got != tc.want {
+			t.Errorf("%s: %v.ApproxEqual(%v, %g) = %v, want %v", tc.name, tc.v, tc.w, tc.tol, got, tc.want)
+		}
 	}
 }
 

@@ -52,6 +52,10 @@
 #                      NewFederationServer, the fault-storm flag and
 #                      internal/mlp appear in no non-test Go file and not in
 #                      this script
+#   7i. one golden   — System.Lookup re-checks nothing: the engine checks
+#       check          every hardware batch against a fold of the rows its
+#                      leaf read staged, so in api.go s.verify( appears once,
+#                      in LookupInteractive, and Lookup's body calls no Golden
 #   7g. exhibits     — opt-in, for a change that must not move a simulated
 #                      number: with EXHIBIT_BASE=<checkout of the parent
 #                      commit>, all fafnir-bench exhibits are regenerated there
@@ -190,6 +194,14 @@ OLD_SERVE='NewFleetServer|NewFederationServer|fault-storm|internal/mlp'
     || { echo "a deleted serving constructor, flag or package is back: serve through fafnir.NewServer and -faults"; exit 1; }
 ! grep -vE '^[[:space:]]*#|OLD_SERVE' scripts/check.sh | grep -E "$OLD_SERVE" \
     || { echo "check.sh drives a deleted serving constructor, flag or package"; exit 1; }
+
+echo "==> one golden check per lookup (the engine checks each hardware batch)"
+# api_body SIGNATURE: the lines of the api.go function that starts with SIGNATURE.
+api_body() { awk -v sig="$1" 'index($0, sig) == 1 { on = 1 } on { print } on && /^}/ { exit }' api.go; }
+[ "$(grep -c 's\.verify(' api.go)" -eq 1 ] && api_body 'func (s *System) LookupInteractive(' | grep -q 's\.verify(' \
+    || { echo "api.go: s.verify( must appear exactly once, in LookupInteractive"; exit 1; }
+! api_body 'func (s *System) Lookup(' | grep -qE 'Golden|verify\(' \
+    || { echo "api.go: System.Lookup re-checks outputs the engine already checked per hardware batch"; exit 1; }
 
 if [ -n "${EXHIBIT_BASE:-}" ]; then
     echo "==> exhibits byte-equal to $EXHIBIT_BASE (-j 1 and default)"
