@@ -106,6 +106,11 @@ type (
 	// DegradedReport quantifies the graceful-degradation work of a
 	// fault-injected lookup (LookupResult.Degraded).
 	DegradedReport = core.DegradedReport
+	// StagedRow is one row a lookup read, under the index it was read for.
+	StagedRow = core.StagedRow
+	// RowSink receives the rows each hardware batch of a lookup read; attach
+	// one with System.AttachRowSink (or the Fleet and Federation methods).
+	RowSink = core.RowSink
 )
 
 // Structured failure modes of fault-injected runs; match with errors.Is.
@@ -268,10 +273,13 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 // TotalRows reports the number of embedding vectors in the system.
 func (s *System) TotalRows() uint64 { return s.layout.TotalRows() }
 
-// Row returns the raw embedding row at idx — the exact vector every DRAM
-// read of idx yields, since the store is read-only. The serving layer's
-// hot-embedding cache uses this hook to admit rows a flushed batch read.
-func (s *System) Row(idx header.Index) (tensor.Vector, error) { return s.store.Vector(idx) }
+// AttachRowSink hands the rows every subsequent Lookup reads to sink, once
+// per hardware batch, each under the index it was read for (nil detaches).
+// The rows are valid only during the call. The serving layer's hot-embedding
+// cache uses this hook to admit exactly the rows a flushed batch read,
+// copying them instead of synthesizing them again; outputs and cycle counts
+// are bit-identical with or without it.
+func (s *System) AttachRowSink(sink RowSink) { s.engine.AttachRowSink(sink) }
 
 // Dim reports the embedding dimensionality of every row.
 func (s *System) Dim() int { return s.store.Dim() }
@@ -500,7 +508,7 @@ var (
 )
 
 // ServeBackend is what NewServer serves: a *System, a *Fleet, or a
-// *Federation. Optional capabilities (row access for the cache, shard
+// *Federation. Optional capabilities (the row hand-off for the cache, shard
 // ownership, metric families, a topology line) are picked up by type
 // assertion, so every backend gets the same HTTP surface.
 type ServeBackend = serve.System

@@ -15,9 +15,9 @@
 // hold bit-identical contents — the serving layer's determinism contract
 // extends across batches.
 //
-// Keys carry (table, op, index): rows cached for one pooling operation are
-// never served to another, and a sharded deployment passes the owning shard
-// as the table so fleet mode caches per shard. All methods are single-caller
+// A cached row is the raw row, whatever pooling operation later reduces it,
+// so the serving layer keys entries by index alone; a sharded deployment
+// keeps one cache per owning shard. All methods are single-caller
 // by design (the coalescer's flusher goroutine); the cache performs no
 // locking.
 package cache
@@ -29,9 +29,11 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// Key identifies one cached row: the owning table partition (the shard in
-// fleet mode, 0 for a single system), the pooling operation the row was
-// fetched under, and the global row index.
+// Key identifies one cached row by its global row index. Table and Op do
+// not change a raw row: the serving layer leaves both zero (the per-shard
+// cache already says which shard owns the row, and one row serves every
+// pooling operation). They remain only because the benchmark's cache drill
+// still builds a Key with them; ROADMAP item 7 retires them.
 type Key struct {
 	Table uint32
 	Op    uint8
@@ -63,13 +65,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: Config.Dim = %d: must be positive", c.Dim)
 	case c.Bytes <= 0:
 		return fmt.Errorf("cache: Config.Bytes = %d: must be positive", c.Bytes)
-	case c.Bytes < c.slotSize():
-		return fmt.Errorf("cache: Config.Bytes = %d: below one %d-byte entry at Dim %d", c.Bytes, c.slotSize(), c.Dim)
+	case c.Bytes < c.SlotBytes():
+		return fmt.Errorf("cache: Config.Bytes = %d: below one %d-byte entry at Dim %d", c.Bytes, c.SlotBytes(), c.Dim)
 	}
 	return nil
 }
 
-func (c Config) slotSize() int64 { return int64(c.Dim)*4 + slotOverhead }
+// SlotBytes is what one entry charges against the budget: the vector payload
+// plus slotOverhead. Stats.InsertedBytes grows by it per admission.
+func (c Config) SlotBytes() int64 { return int64(c.Dim)*4 + slotOverhead }
 
 // Stats are the cache's cumulative counters. Hits and Misses count Get
 // calls; Evictions counts entries displaced by CLOCK; InsertedBytes counts
@@ -95,10 +99,12 @@ type Cache struct {
 	cfg      Config
 	slotSize int64
 	slots    []slot
-	index    map[Key]int
-	hand     int
-	used     int
-	stats    Stats
+	// index finds an entry by its row index: the cache holds at most one
+	// entry per index, so the map hashes a uint32, not the whole Key.
+	index map[header.Index]int
+	hand  int
+	used  int
+	stats Stats
 }
 
 // New builds an empty cache over the budget.
@@ -109,13 +115,13 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	size := cfg.slotSize()
+	size := cfg.SlotBytes()
 	capacity := int(cfg.Bytes / size)
 	return &Cache{
 		cfg:      cfg,
 		slotSize: size,
 		slots:    make([]slot, capacity),
-		index:    make(map[Key]int, capacity),
+		index:    make(map[header.Index]int, capacity),
 		hand:     int(cfg.Seed % uint64(capacity)),
 	}, nil
 }
@@ -123,8 +129,8 @@ func New(cfg Config) (*Cache, error) {
 // Get returns the cached row for k, marking it recently used. The returned
 // vector is the cache's own storage: callers must treat it as read-only.
 func (c *Cache) Get(k Key) (tensor.Vector, bool) {
-	pos, ok := c.index[k]
-	if !ok {
+	pos, ok := c.index[k.Index]
+	if !ok || c.slots[pos].key != k {
 		c.stats.Misses++
 		return nil, false
 	}
@@ -136,28 +142,30 @@ func (c *Cache) Get(k Key) (tensor.Vector, bool) {
 // Contains reports whether k is cached without touching the reference bit or
 // the hit/miss counters (introspection only).
 func (c *Cache) Contains(k Key) bool {
-	_, ok := c.index[k]
-	return ok
+	pos, ok := c.index[k.Index]
+	return ok && c.slots[pos].key == k
 }
 
 // Put admits row v under k, evicting via CLOCK when the ring is full. A key
-// already present is refreshed (reference bit set) without a second copy; a
-// vector of the wrong dimension is rejected.
+// already present is refreshed (reference bit set) without a second copy,
+// and an entry under the same index but another Table or Op is replaced in
+// its slot; a vector of the wrong dimension is rejected.
 func (c *Cache) Put(k Key, v tensor.Vector) error {
 	if len(v) != c.cfg.Dim {
 		return fmt.Errorf("cache: row dim %d, cache dim %d", len(v), c.cfg.Dim)
 	}
-	if pos, ok := c.index[k]; ok {
+	pos, ok := c.index[k.Index]
+	switch {
+	case ok && c.slots[pos].key == k:
 		c.slots[pos].ref = true
 		return nil
-	}
-	var pos int
-	if c.used < len(c.slots) {
+	case ok:
+	case c.used < len(c.slots):
 		// Fill phase: slots are occupied in ring order from the seeded hand,
 		// so the first eviction sweep starts behind the oldest entry.
 		pos = (c.hand + c.used) % len(c.slots)
 		c.used++
-	} else {
+	default:
 		// CLOCK sweep: clear reference bits until an unreferenced slot turns
 		// up; every entry gets at most one second chance per sweep, so the
 		// loop terminates within two revolutions.
@@ -167,7 +175,7 @@ func (c *Cache) Put(k Key, v tensor.Vector) error {
 		}
 		pos = c.hand
 		c.hand = (c.hand + 1) % len(c.slots)
-		delete(c.index, c.slots[pos].key)
+		delete(c.index, c.slots[pos].key.Index)
 		c.stats.Evictions++
 	}
 	s := &c.slots[pos]
@@ -179,7 +187,7 @@ func (c *Cache) Put(k Key, v tensor.Vector) error {
 	// A fresh entry starts referenced: it survives the hand's next pass, the
 	// one revolution of grace that separates CLOCK from FIFO.
 	s.ref = true
-	c.index[k] = pos
+	c.index[k.Index] = pos
 	c.stats.InsertedBytes += uint64(c.slotSize)
 	return nil
 }

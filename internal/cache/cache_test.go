@@ -117,6 +117,34 @@ func TestPutRefreshNoDuplicate(t *testing.T) {
 	}
 }
 
+// TestOneEntryPerIndex: entries are found by row index, and Table and Op
+// still tell keys apart — a key differing only in them misses, and a Put
+// under it replaces the index's entry in its slot instead of taking a second.
+func TestOneEntryPerIndex(t *testing.T) {
+	const dim = 4
+	c, err := New(Config{Bytes: 640, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := Key{Op: 1, Index: 5}, Key{Index: 5}
+	if err := c.Put(a, valFor(a, dim)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(b); ok || c.Contains(b) {
+		t.Fatal("a key differing only in Op hit")
+	}
+	if err := c.Put(b, valFor(b, dim)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 || c.Contains(a) || !c.Contains(b) {
+		t.Fatalf("after a Put under the same index: Len %d, old key resident %v, new key resident %v; want 1, false, true",
+			c.Len(), c.Contains(a), c.Contains(b))
+	}
+	if v, ok := c.Get(b); !ok || !v.Equal(valFor(b, dim)) {
+		t.Fatal("the replacing Put did not store its row")
+	}
+}
+
 func TestBudgetNeverExceeded(t *testing.T) {
 	const dim = 4
 	cfg := Config{Bytes: 640, Dim: dim, Seed: 9}

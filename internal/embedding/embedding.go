@@ -69,9 +69,18 @@ func (s *Store) Element(idx header.Index, e int) float32 {
 	return float32(int64(h%17)) - 8
 }
 
+// FillHook, when non-nil, is called with the index of every row a store
+// synthesizes (Vector, VectorInto), on the goroutine that asked for it. It
+// lets tests in other packages count how often a path reads each row;
+// nothing in the program sets it.
+var FillHook func(idx header.Index)
+
 // fill materializes the vector at idx into dst, hoisting the per-row hash
 // base out of the element loop (bit-identical to Element per element).
 func (s *Store) fill(idx header.Index, dst tensor.Vector) {
+	if FillHook != nil {
+		FillHook(idx)
+	}
 	base := s.seed ^ uint64(idx)*0x100000001b3
 	for e := range dst {
 		h := splitmix64(base ^ uint64(e))

@@ -55,6 +55,9 @@ type Engine struct {
 	// serving layer sets it (see SetSpanContext), every hw_batch span derives
 	// its own ID from it and carries the parentage as span/parent args.
 	spanCtx uint64
+	// rowSink receives each timed hardware batch's staged rows when attached
+	// (see AttachRowSink); nil — the default — costs one check per batch.
+	rowSink RowSink
 }
 
 // NewEngine builds an engine; it returns an error for invalid configurations.
@@ -351,7 +354,7 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		if err := store.VectorInto(acc.Index, v); err != nil {
 			return rankEntries{}, err
 		}
-		sc.staged[acc.Row] = stagedRow{idx: acc.Index, v: v}
+		sc.staged[acc.Row] = StagedRow{Index: acc.Index, Row: v}
 		own := header.Bitset(ws.words.alloc(k))
 		clear(own)
 		own.Set(int(acc.Row))
@@ -838,6 +841,9 @@ func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram
 		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
 		if err := e.resolve(p, &res.Result); err != nil {
 			return nil, err
+		}
+		if e.rowSink != nil {
+			e.handRows(p)
 		}
 		if plan.NumAccesses() == 0 {
 			continue // only empty queries: nothing occupied the memory or the tree

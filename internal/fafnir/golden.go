@@ -26,13 +26,6 @@ import (
 // the program sets it.
 var GoldenCheckHook func(start int, got, want []tensor.Vector)
 
-// stagedRow is one row leafInputs read: the buffer store.VectorInto filled and
-// the global index it filled it for.
-type stagedRow struct {
-	idx header.Index
-	v   tensor.Vector
-}
-
 // foldGolden folds every query of the pass's hardware batch with
 // embedding.Query.Fold, the reference's one reduction, into accumulators
 // carved from the scratch's value arena. A row comes from a staged buffer
@@ -41,8 +34,8 @@ type stagedRow struct {
 func foldGolden(sc *treeScratch, store *embedding.Store, plan *batch.Plan) ([]tensor.Vector, error) {
 	dim := store.Dim()
 	row := func(idx header.Index) (tensor.Vector, error) {
-		if r, ok := slices.BinarySearch(plan.Rows, idx); ok && sc.staged[r].v != nil && sc.staged[r].idx == idx {
-			return sc.staged[r].v, nil
+		if r, ok := slices.BinarySearch(plan.Rows, idx); ok && sc.staged[r].Row != nil && sc.staged[r].Index == idx {
+			return sc.staged[r].Row, nil
 		}
 		v := tensor.Vector(sc.ws.vals.alloc(dim))
 		return v, store.VectorInto(idx, v)

@@ -94,8 +94,8 @@ func TestFoldUsesOnlyMatchingStagedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range sc.staged {
-		for i := range s.v {
-			s.v[i] = 1000
+		for i := range s.Row {
+			s.Row[i] = 1000
 		}
 	}
 	golden := plan.Batch().MustGolden(store)
@@ -107,7 +107,7 @@ func TestFoldUsesOnlyMatchingStagedRows(t *testing.T) {
 		t.Fatal("the fold ignored the staged rows")
 	}
 	for r := range sc.staged {
-		sc.staged[r].idx = plan.Rows[(r+1)%len(plan.Rows)]
+		sc.staged[r].Index = plan.Rows[(r+1)%len(plan.Rows)]
 	}
 	if got, err = foldGolden(sc, store, plan); err != nil {
 		t.Fatal(err)

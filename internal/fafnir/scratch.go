@@ -29,7 +29,7 @@ type treeScratch struct {
 
 	in     [][]denseEntry  // rank -> staged leaf entries
 	counts []int           // rank -> planned access count
-	staged []stagedRow     // dense row -> the leaf read that filled it (see leafInputs)
+	staged []StagedRow     // dense row -> the leaf read that filled it (see leafInputs)
 	want   []tensor.Vector // batch query -> golden fold (see foldGolden)
 
 	ws workScratch // the arenas and transient slices of every PE call

@@ -148,10 +148,15 @@ func (fd *Federation) Topology() string {
 // TotalRows reports the global embedding-vector count.
 func (fd *Federation) TotalRows() uint64 { return fd.cfg.Fleet.Rows }
 
-// Row returns the raw embedding row idx; every member holds an identical
-// full copy of the global store, so member 0 answers for all.
-func (fd *Federation) Row(idx header.Index) (tensor.Vector, error) {
-	return fd.fleets[0].Row(idx)
+// AttachRowSink hands the rows every subsequent Lookup reads to sink (nil
+// detaches). Member fleets collect their shards' rows while they run; after
+// the settle the federation forwards them serially, member by member in
+// fleet order and shard order within each, on the caller's goroutine.
+func (fd *Federation) AttachRowSink(sink core.RowSink) {
+	fd.sink = sink
+	for _, m := range fd.fleets {
+		m.collect(sink != nil)
+	}
 }
 
 // Dim reports the embedding dimensionality of the global store.
@@ -242,6 +247,11 @@ func (fd *Federation) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 
 	if _, err := fd.reduce(sc, leaves, res, stages); err != nil {
 		return nil, err
+	}
+	if fd.sink != nil {
+		for _, fm := range run {
+			fd.fleets[fm].forwardRows(fd.sink)
+		}
 	}
 	fd.countBatch()
 	if !deg.Empty() {

@@ -168,7 +168,7 @@ func TestFederationOfOneMatchesFleet(t *testing.T) {
 }
 
 // TestFederationCapabilities pins the front-end surface the serving layer
-// keys on: global shard count, owner addressing, row access, clock advance.
+// keys on: global shard count, owner addressing, one store, clock advance.
 func TestFederationCapabilities(t *testing.T) {
 	fd := testFederation(t, nil)
 	if fd.Fleets() != 2 {
@@ -194,16 +194,10 @@ func TestFederationCapabilities(t *testing.T) {
 			t.Fatalf("OwnerOf(%d) = %d, member says %d", idx, owner, fm*4+got)
 		}
 	}
-	// Every member holds the full store: Row answers for any index and
-	// matches each member bit-for-bit.
-	v, err := fd.Row(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := fd.Fleet(1).Row(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every member holds the full store: any index reads the same row from
+	// each member bit-for-bit.
+	v := fd.Fleet(0).Store().MustVector(7)
+	w := fd.Fleet(1).Store().MustVector(7)
 	if !reflect.DeepEqual(v, w) {
 		t.Fatal("member stores diverge: federation addressing is broken")
 	}

@@ -176,6 +176,9 @@ type pipeline struct {
 	// under the request that paid for them.
 	spanCtx uint64
 	rm      *rnetMetrics
+	// sink receives the rows a Lookup read, forwarded in leaf order after
+	// the settle (see Fleet.AttachRowSink); nil when detached.
+	sink core.RowSink
 }
 
 // Clock reports the simulated cycle clock, advanced by every batch.

@@ -186,6 +186,14 @@ type shardNode struct {
 	// peerView places the rows of the peer shard this node holds replicas
 	// for (peer = the shard whose replicaHolder is this node).
 	peerView replicaView
+	// rows holds copies of what the engine hands out while the fleet's
+	// row hand-off is on: the engine's buffers are released with each
+	// hardware batch, and the shard runs on a dispatch goroutine, so its
+	// rows wait here — touched only by its own sub-lookups — until the
+	// settle is over. collect is rows.Add, bound once so attaching
+	// allocates nothing.
+	rows    core.RowCopies
+	collect core.RowSink
 }
 
 // Fleet is a sharded deployment behind one Lookup front-end. Like the
@@ -198,6 +206,8 @@ type Fleet struct {
 	shards   []*shardNode
 	breakers []*breaker
 	m        *Metrics
+	// forwarded is forwardRows' reusable list of the shards' rows.
+	forwarded []core.StagedRow
 }
 
 // New builds the fleet: Shards independent systems over one content-seeded
@@ -254,6 +264,7 @@ func New(cfg Config) (*Fleet, error) {
 			mem:     mem,
 			primary: f.viewOf(s),
 		}
+		node.collect = node.rows.Add
 		peer := f.replicaPeer(s)
 		node.peerView = replicaView{host: node.primary, peer: f.viewOf(peer)}
 		plan := cfg.Fleet.ShardPlan(s, cfg.Shards, cfg.RanksPerShard)
@@ -308,11 +319,45 @@ func (f *Fleet) canaryRow(s int) header.Index {
 // shard, so fleet mode caches per shard.
 func (f *Fleet) OwnerOf(idx header.Index) int { return f.ownerOf(idx) }
 
-// Row returns the raw embedding row idx from the global store. The serving
-// layer's hot-embedding cache fills from it after a flushed batch: the store
-// is the ground truth every DRAM read (remapped or not) returns, so host-side
-// copies are bit-identical to what the shards would serve.
-func (f *Fleet) Row(idx header.Index) (tensor.Vector, error) { return f.store.Vector(idx) }
+// AttachRowSink hands the rows every subsequent Lookup reads to sink (nil
+// detaches). Each shard's engine hands its rows to a buffer of that shard's
+// own while the sub-lookups run; after the ordered settle, Lookup forwards
+// them to sink serially, in shard order, on the caller's goroutine — so the
+// sink never runs concurrently. Replica reads arrive under the index they
+// were read for, and a sub-lookup that failed forwards nothing. The serving
+// layer's hot-embedding cache fills from this hand-off.
+func (f *Fleet) AttachRowSink(sink core.RowSink) {
+	f.sink = sink
+	f.collect(sink != nil)
+}
+
+// collect turns the shards' row hand-off into their buffers on or off. A
+// federation turns it on for its members without attaching a sink of their
+// own: it forwards their rows itself, in fleet order.
+func (f *Fleet) collect(on bool) {
+	for _, sh := range f.shards {
+		if on {
+			sh.engine.AttachRowSink(sh.collect)
+		} else {
+			sh.engine.AttachRowSink(nil)
+		}
+	}
+}
+
+// forwardRows hands every shard's collected rows to sink in one call, in
+// shard order and read order within a shard.
+func (f *Fleet) forwardRows(sink core.RowSink) {
+	out := f.forwarded[:0]
+	for _, sh := range f.shards {
+		for i := 0; i < sh.rows.Len(); i++ {
+			out = append(out, sh.rows.At(i))
+		}
+	}
+	f.forwarded = out
+	if len(out) > 0 {
+		sink(out)
+	}
+}
 
 // Dim reports the embedding dimensionality of the fleet's store.
 func (f *Fleet) Dim() int { return f.store.Dim() }
@@ -404,7 +449,14 @@ func (f *Fleet) lookupShard(s int, view core.Placement, b embedding.Batch, at si
 		return nil, fmt.Errorf("router: shard %d is down at fleet cycle %d: %w", s, at, fault.ErrShardDown)
 	}
 	sh := f.shards[s]
-	return sh.engine.TimedLookupFaulted(f.store, view, sh.mem, b, true, sh.inj)
+	mark := sh.rows.Len()
+	r, err := sh.engine.TimedLookupFaulted(f.store, view, sh.mem, b, true, sh.inj)
+	if err != nil {
+		// A failed sub-lookup delivers nothing, so none of its reads are
+		// handed on.
+		sh.rows.Truncate(mark)
+	}
+	return r, err
 }
 
 // GenerateBatch draws n deterministic Zipf-skewed queries over the global
@@ -464,6 +516,9 @@ func (f *Fleet) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, sh := range f.shards {
+		sh.rows.Truncate(0)
+	}
 	fl := &flight{
 		sc:      sc,
 		start:   f.clock,
@@ -502,6 +557,9 @@ func (f *Fleet) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	if !fl.deg.Empty() {
 		fl.res.Degraded = fl.deg
 		f.countDegraded(len(fl.deg.LostQueries))
+	}
+	if f.sink != nil {
+		f.forwardRows(f.sink)
 	}
 	return fl.res, nil
 }

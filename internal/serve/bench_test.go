@@ -132,6 +132,53 @@ func BenchmarkCoalescerCached(b *testing.B) {
 	}
 }
 
+// coldServe builds what BenchmarkCoalescerCold and TestColdSubmitAllocs
+// drive — benchmark/'s serve_cold without the HTTP layer: the default system
+// under an 8 MiB cache and a pool of 8-query x 16-index requests drawn
+// uniformly over all 4 Mi rows, so nearly every consult misses and every
+// fill, once the cache is full, evicts.
+func coldServe(tb testing.TB) (*serve.Coalescer, []serve.Request) {
+	tb.Helper()
+	sys, err := fafnir.NewSystem(fafnir.SystemConfig{ZipfS: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool, err := sys.GenerateBatch(8*512, 31)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	co, err := serve.NewCoalescer(serve.Config{MaxQueued: 4096, CacheBytes: 8 << 20}, sys, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reqs := make([]serve.Request, 0, 512)
+	for q := 0; q < len(pool.Queries); q += 8 {
+		reqs = append(reqs, serve.Request{Op: pool.Op, Queries: pool.Queries[q : q+8]})
+	}
+	return co, reqs
+}
+
+// BenchmarkCoalescerCold is one client submitting serve_cold-shaped requests
+// (see coldServe): every flush reads a full 128-row batch and the cache fill
+// copies each of those rows into a CLOCK slot.
+func BenchmarkCoalescerCold(b *testing.B) {
+	co, reqs := coldServe(b)
+	defer co.Close(context.Background())
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := co.Submit(ctx, reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	m := co.Metrics()
+	if total := m.CacheHits.Value() + m.CacheMisses.Value(); total > 0 {
+		b.ReportMetric(float64(m.CacheHits.Value())/float64(total), "hit-ratio")
+	}
+}
+
 // clientCounts returns 1, 4, and GOMAXPROCS without duplicates.
 func clientCounts() []int {
 	counts := []int{1, 4}

@@ -17,10 +17,11 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// Row and Dim make fakeBackend a serve.RowSource, so cache tests can run
-// over the oracle-computing fake.
-func (f *fakeBackend) Row(idx header.Index) (tensor.Vector, error) { return f.store.Vector(idx) }
-func (f *fakeBackend) Dim() int                                    { return f.store.Dim() }
+// AttachRowSink and Dim make fakeBackend a serve.RowSource, so cache tests
+// can run over the oracle-computing fake; its Lookup hands the sink every
+// unique row of the batch, as one hardware batch would.
+func (f *fakeBackend) AttachRowSink(sink fafnir.RowSink) { f.sink = sink }
+func (f *fakeBackend) Dim() int                          { return f.store.Dim() }
 
 // cacheOps are the pooling operations the conformance suite sweeps.
 var cacheOps = []tensor.ReduceOp{tensor.OpSum, tensor.OpMin, tensor.OpMax, tensor.OpMean}

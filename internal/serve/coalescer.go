@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -194,9 +195,10 @@ func nameServeLanes(t telemetry.Tracer, cached bool) {
 // Every flushed batch is one flight through the stage list in flight.go.
 // With Config.CacheBytes > 0 and a backend exposing RowSource, the flight
 // consults a hot-embedding cache: cached indices are stripped from the
-// hardware batch, the backend reads only the misses, and cached rows merge
-// back into the pooled outputs bit-exactly (see docs/ARCHITECTURE.md §14
-// for the determinism argument).
+// hardware batch, the backend reads only the misses, cached rows merge back
+// into the pooled outputs bit-exactly, and the rows the backend read — and
+// only those — are copied into the cache (see docs/ARCHITECTURE.md §14 for
+// the determinism argument).
 type Coalescer struct {
 	cfg Config
 	be  Backend
@@ -225,13 +227,19 @@ type Coalescer struct {
 
 	// caches is the hot-embedding cache, one CLOCK ring per owner shard
 	// (one ring total for an unsharded backend); nil when the cache is off.
-	// rows/owner are the backend capabilities behind it. All cache state is
-	// touched only by the flusher goroutine. lastCache* hold the previously
-	// folded cumulative cache counters.
+	// rows/owner are the backend capabilities behind it. read holds copies
+	// of the rows the current flight's backend call read (readSink is
+	// read.Add, bound once) and readOrd orders them for the fill; both are
+	// reused across flights. All cache state is touched only by the flusher
+	// goroutine. lastCache* hold the previously folded cumulative cache
+	// counters.
 	caches         []*cache.Cache
 	rows           RowSource
 	owner          ShardOwner
 	dim            int
+	read           core.RowCopies
+	readSink       core.RowSink
+	readOrd        []int32
 	lastCacheEvict uint64
 	lastCacheIns   uint64
 
@@ -283,6 +291,7 @@ func newCoalescer(cfg Config, be Backend, m *Metrics, clk clock) (*Coalescer, er
 			return nil, fmt.Errorf("serve: Config.CacheBytes = %d but backend %T does not expose embedding rows (RowSource)", cfg.CacheBytes, be)
 		}
 		c.rows = rows
+		c.readSink = c.read.Add
 		c.dim = rows.Dim()
 		nShards := 1
 		if so, ok := be.(ShardOwner); ok {
@@ -622,8 +631,7 @@ func (c *Coalescer) consult(f *flight) bool {
 		p.backPos[qi] = -1
 		var missed header.IndexSet
 		for _, idx := range q.Indices {
-			shard := c.shardOf(idx)
-			v, ok := c.caches[shard].Get(cache.Key{Table: uint32(shard), Op: uint8(b.Op), Index: idx})
+			v, ok := c.caches[c.shardOf(idx)].Get(cache.Key{Index: idx})
 			if !ok {
 				// Appending in iteration order preserves the sorted,
 				// duplicate-free IndexSet invariant.
@@ -710,18 +718,33 @@ func (c *Coalescer) mergeCached(b embedding.Batch, p *cachePlan, res *core.Timed
 	return outs
 }
 
-// fill admits the flush's missed rows into the cache, deduplicated, after
-// the batch completed — the rows just left DRAM, so the next batch that
-// wants them strips them instead.
-func (c *Coalescer) fill(op tensor.ReduceOp, missed []header.Index) {
+// fill admits the rows the flush's backend call read, after the batch
+// completed — the rows just left DRAM, so the next batch that wants them
+// strips them instead. It walks the flush's unique misses in ascending
+// order, the admission order the CLOCK rings' state follows, copying each
+// from the rows the backend handed over. A miss the backend never read (its
+// shard and the replica holder were both dark) is not admitted, so the next
+// request for it reaches the backend and reports the loss again.
+func (c *Coalescer) fill(missed []header.Index) {
+	rd := &c.read
+	ord := c.readOrd[:0]
+	for i := 0; i < rd.Len(); i++ {
+		ord = append(ord, int32(i))
+	}
+	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(rd.Index(int(a)), rd.Index(int(b))) })
+	c.readOrd = ord
+	j := 0
 	for _, idx := range header.NewIndexSet(missed...) {
-		shard := c.shardOf(idx)
-		v, err := c.rows.Row(idx)
-		if err != nil {
-			continue
+		for j < len(ord) && rd.Index(int(ord[j])) < idx {
+			j++
 		}
-		// Dim is construction-checked; Put cannot fail here.
-		_ = c.caches[shard].Put(cache.Key{Table: uint32(shard), Op: uint8(op), Index: idx}, v)
+		if j == len(ord) {
+			return
+		}
+		if rd.Index(int(ord[j])) == idx {
+			// Dim is construction-checked; Put cannot fail here.
+			_ = c.caches[c.shardOf(idx)].Put(cache.Key{Index: idx}, rd.At(int(ord[j])).Row)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ type fakeBackend struct {
 	gate  chan struct{} // when non-nil, every Lookup receives once before working
 	enter chan struct{} // when non-nil, signals Lookup entry
 	fail  func(b embedding.Batch) error
+	sink  core.RowSink // attached by the coalescer around cached lookups
 }
 
 func (f *fakeBackend) Lookup(b embedding.Batch) (*core.TimedResult, error) {
@@ -65,6 +66,13 @@ func (f *fakeBackend) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	res.Outputs = outs
 	res.MemoryReads = b.UniqueIndices().Len()
 	res.HWBatches = 1
+	if f.sink != nil {
+		var rows []core.StagedRow
+		for _, idx := range b.UniqueIndices() {
+			rows = append(rows, core.StagedRow{Index: idx, Row: f.store.MustVector(idx)})
+		}
+		f.sink(rows)
+	}
 	return res, nil
 }
 

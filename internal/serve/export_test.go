@@ -4,6 +4,9 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"fafnir/internal/cache"
+	"fafnir/internal/header"
 )
 
 // ManualClock is the test clock: time moves only when a test advances it,
@@ -99,6 +102,12 @@ func (c *Coalescer) CacheRingStats() (hits, misses uint64) {
 		misses += st.Misses
 	}
 	return hits, misses
+}
+
+// CacheResident reports whether row idx is in the cache, without touching
+// the CLOCK state. Call it only while the flusher is idle.
+func (c *Coalescer) CacheResident(idx header.Index) bool {
+	return c.caches[c.shardOf(idx)].Contains(cache.Key{Index: idx})
 }
 
 // DecodeLookup runs the POST /v1/lookup body path without the HTTP layer.

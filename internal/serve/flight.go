@@ -168,13 +168,15 @@ func (c *Coalescer) build(f *flight) bool {
 
 // backend runs the hardware batch — the cache misses when a plan stripped
 // it, nothing at all when the whole batch was served from cache. The echo
-// collector is attached around the lookup only (flusher-only access,
+// collector, and on a cached flight the row hand-off the merge stage fills
+// the cache from, are attached around the lookup only (flusher-only access,
 // honouring the backend's single-goroutine contract), and the flush span ID
 // is handed down so the backend's whole span tree parents under it.
 func (c *Coalescer) backend(f *flight) bool {
 	hw := f.batch
 	if f.plan != nil {
 		hw = f.plan.stripped
+		c.read.Truncate(0)
 	}
 	if f.plan != nil && len(hw.Queries) == 0 {
 		f.res = &core.TimedResult{}
@@ -182,10 +184,16 @@ func (c *Coalescer) backend(f *flight) bool {
 		if f.sink.echo != nil {
 			c.attacher.AttachTracer(f.sink.echo)
 		}
+		if f.plan != nil {
+			c.rows.AttachRowSink(c.readSink)
+		}
 		if c.spanner != nil {
 			c.spanner.SetSpanContext(f.flushID)
 		}
 		f.res, f.err = c.be.Lookup(hw)
+		if f.plan != nil {
+			c.rows.AttachRowSink(nil)
+		}
 		if f.sink.echo != nil {
 			c.attacher.AttachTracer(nil)
 		}
@@ -205,7 +213,7 @@ func (c *Coalescer) backend(f *flight) bool {
 // partials in, then admits the rows the backend just read to the cache.
 func (c *Coalescer) merge(f *flight) bool {
 	f.res.Outputs = c.mergeCached(f.batch, f.plan, f.res)
-	c.fill(f.batch.Op, f.plan.missed)
+	c.fill(f.plan.missed)
 	c.foldCacheStats()
 	if f.sink.live() {
 		f.spanArgs = []telemetry.Arg{

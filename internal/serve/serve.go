@@ -23,7 +23,6 @@ import (
 	core "fafnir/internal/fafnir"
 	"fafnir/internal/header"
 	"fafnir/internal/telemetry"
-	"fafnir/internal/tensor"
 )
 
 // Structured failure modes of the serving layer; match with errors.Is.
@@ -56,13 +55,17 @@ type MetricsRegistrar interface {
 	RegisterMetrics(*telemetry.Registry)
 }
 
-// RowSource is the backend capability behind the hot-embedding cache: raw
-// access to embedding rows, so the coalescer can admit the rows a flushed
-// batch just read. *fafnir.System and *router.Fleet implement it; a backend
-// without it cannot host the cache (Config.CacheBytes is rejected).
+// RowSource is the backend capability behind the hot-embedding cache: a
+// hand-off of the rows each Lookup read, so the coalescer admits exactly the
+// rows a flushed batch brought out of DRAM, copied rather than synthesized
+// again. *fafnir.System, *router.Fleet and *router.Federation implement it;
+// a backend without it cannot host the cache (Config.CacheBytes is
+// rejected). Lookup stays the one lookup entry point: the hand-off rides it.
 type RowSource interface {
-	// Row returns the raw embedding row at idx.
-	Row(idx header.Index) (tensor.Vector, error)
+	// AttachRowSink hands the rows every subsequent Lookup reads to the
+	// sink, each under the index it was read for, on the goroutine that
+	// called Lookup and before Lookup returns (nil detaches).
+	AttachRowSink(core.RowSink)
 	// Dim reports the embedding dimensionality of every row.
 	Dim() int
 }
@@ -163,8 +166,9 @@ type Config struct {
 	RetryJitterSeed uint64
 	// CacheBytes is the host-side hot-embedding cache budget in bytes.
 	// Zero — the default — disables the cache entirely; when positive the
-	// backend must implement RowSource or NewCoalescer fails. With a
-	// sharded backend (ShardOwner) the budget is split evenly per shard.
+	// backend must implement RowSource or NewCoalescer fails, and the cache
+	// admits the rows each flush's backend call read. With a sharded
+	// backend (ShardOwner) the budget is split evenly per shard.
 	CacheBytes int64
 	// CacheSeed seeds the cache's deterministic CLOCK eviction (the hand's
 	// starting slot). Equal seeds and equal traffic give bit-identical

@@ -56,6 +56,10 @@
 #       check          every hardware batch against a fold of the rows its
 #                      leaf read staged, so in api.go s.verify( appears once,
 #                      in LookupInteractive, and Lookup's body calls no Golden
+#   7j. read once    — the cache fill copies the rows the backend's leaf
+#                      reads staged: System, Fleet and Federation have no
+#                      Row method, and internal/serve calls no .Row( and no
+#                      store.Vector( in non-test Go
 #   7g. exhibits     — opt-in, for a change that must not move a simulated
 #                      number: with EXHIBIT_BASE=<checkout of the parent
 #                      commit>, all fafnir-bench exhibits are regenerated there
@@ -202,6 +206,12 @@ api_body() { awk -v sig="$1" 'index($0, sig) == 1 { on = 1 } on { print } on && 
     || { echo "api.go: s.verify( must appear exactly once, in LookupInteractive"; exit 1; }
 ! api_body 'func (s *System) Lookup(' | grep -qE 'Golden|verify\(' \
     || { echo "api.go: System.Lookup re-checks outputs the engine already checked per hardware batch"; exit 1; }
+
+echo "==> read once (the cache fill copies the rows the backend read)"
+! grep -rnE 'func \([a-z]+ \*(System|Fleet|Federation)\) Row\(' --include='*.go' --exclude='*_test.go' . \
+    || { echo "a backend synthesizes rows for the cache again: hand out the rows Lookup read (AttachRowSink)"; exit 1; }
+! grep -rnE '\.Row\(|store\.Vector\(' --include='*.go' --exclude='*_test.go' internal/serve \
+    || { echo "internal/serve reads rows outside the backend's Lookup: fill the cache from the row hand-off"; exit 1; }
 
 if [ -n "${EXHIBIT_BASE:-}" ]; then
     echo "==> exhibits byte-equal to $EXHIBIT_BASE (-j 1 and default)"
