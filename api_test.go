@@ -54,7 +54,7 @@ func TestLookupEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range golden {
-		if !res.Outputs[i].ApproxEqual(golden[i], 1e-3) {
+		if !res.Outputs[i].Equal(golden[i]) {
 			t.Fatalf("query %d mismatch", i)
 		}
 	}
@@ -152,6 +152,17 @@ func TestLookupInteractiveFacade(t *testing.T) {
 	}
 	if res.HWBatches != 4 {
 		t.Fatalf("HWBatches = %d (one per query expected)", res.HWBatches)
+	}
+	// Interactive outputs are the reference fold itself, so they match the
+	// golden reference bit for bit.
+	golden, err := sys.Golden(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range golden {
+		if !res.Outputs[i].Equal(golden[i]) {
+			t.Fatalf("query %d mismatch", i)
+		}
 	}
 }
 

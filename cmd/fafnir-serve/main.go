@@ -11,7 +11,7 @@
 //	fafnir-serve -shards 4                                    # fault-tolerant fleet router
 //	fafnir-serve -shards 4 -faults "shard=1@40000;seed=7"     # fleets also take shard/flap/storm/swstall clauses
 //	fafnir-serve -shards 8 -radix 4                           # wider rnet combine switches
-//	fafnir-serve -fleets 2 -shards 4 -verify                  # multi-fleet federation, oracle-checked
+//	fafnir-serve -fleets 2 -shards 4                          # multi-fleet federation
 //	fafnir-serve -debug-addr 127.0.0.1:6060   # adds /debug/pprof and /debug/vars
 //
 // Endpoints:

@@ -39,12 +39,12 @@ func TestShapeFlagsAreErrors(t *testing.T) {
 		{"-radix 2", "-radix"},
 		{"-radix 1 -shards 4", "-radix"},
 		{"-radix -3 -fleets 2", "-radix"},
-		{"-verify", "-verify"},
-		{"-verify -shards 4", "-verify"},
 		{"-rows 1 -ranks 64 -shards 8 -fleets 8", "-rows"},
 		{"-faults shard=1@1", "-faults"},
 		{"-shards 4 -faults bogus", "-faults"},
+		// Deleted flags fail in flag parsing, before anything is built.
 		{"-shards 4 -fault-storm shard=1@1", "-fault-storm"},
+		{"-fleets 2 -shards 4 -verify", "-verify"},
 	} {
 		var out strings.Builder
 		err := run(context.Background(), strings.Fields(tc.args+" -addr 127.0.0.1:0"), &out)
@@ -71,7 +71,7 @@ func TestBootDrainTopologies(t *testing.T) {
 			"system: 32 ranks, 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
 		{"-shards 4 -rows 4096 -faults shard=1@1;seed=7",
 			"fleet: 4 shards x 8 ranks, rnet radix 2 (3 switches, depth 2), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
-		{"-fleets 2 -shards 4 -radix 2 -rows 4096 -verify",
+		{"-fleets 2 -shards 4 -radix 2 -rows 4096",
 			"federation: 2 fleets x 4 shards x 8 ranks, fleet combine rnet radix 2, cross-fleet rnet radix 2 (1 switches, depth 1), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
 	} {
 		lines := bootDrain(t, tc.args, `{"indices":[1,2,3,4,5,6,7,8]}`, `{"queries":[[9,10],[11,12,13]],"op":"mean"}`)
@@ -132,19 +132,19 @@ func bootDrain(t *testing.T, args string, bodies ...string) []string {
 }
 
 // namesFlag matches an error that starts by naming a topology flag.
-var namesFlag = regexp.MustCompile(`^-(ranks|rows|batch|shards|fleets|radix|verify|j) `)
+var namesFlag = regexp.MustCompile(`^-(ranks|rows|batch|shards|fleets|radix|j) `)
 
 // FuzzTopology: the shape flags never panic; a rejected shape is an error
 // naming a flag, and an accepted one small enough to build builds the
 // backend its shard and fleet counts select, over -rows x 32 vectors.
 func FuzzTopology(f *testing.F) {
-	f.Add(32, 4096, 32, 1, 1, 0, 0, false)
-	f.Add(32, 4096, 32, 4, 1, 0, 0, false)
-	f.Add(32, 4096, 32, 4, 2, 2, 0, true)
-	f.Add(32, 4096, 32, 0, 1, 2, 0, false)
-	f.Add(32, 4096, 32, 1, -2, 0, 0, false)
-	f.Fuzz(func(t *testing.T, ranks, rows, batch, shards, fleets, radix, par int, verify bool) {
-		top := topology{ranks: ranks, rows: rows, batch: batch, shards: shards, fleets: fleets, radix: radix, par: par, seed: 1, verify: verify}
+	f.Add(32, 4096, 32, 1, 1, 0, 0)
+	f.Add(32, 4096, 32, 4, 1, 0, 0)
+	f.Add(32, 4096, 32, 4, 2, 2, 0)
+	f.Add(32, 4096, 32, 0, 1, 2, 0)
+	f.Add(32, 4096, 32, 1, -2, 0, 0)
+	f.Fuzz(func(t *testing.T, ranks, rows, batch, shards, fleets, radix, par int) {
+		top := topology{ranks: ranks, rows: rows, batch: batch, shards: shards, fleets: fleets, radix: radix, par: par, seed: 1}
 		if err := top.validate(); err != nil {
 			if !namesFlag.MatchString(err.Error()) {
 				t.Fatalf("%+v rejected by an error naming no flag: %v", top, err)

@@ -22,7 +22,6 @@ type topology struct {
 	shards, fleets, radix   int
 	seed                    int64
 	faults                  string
-	verify                  bool
 }
 
 // register binds the shape flags (and the simulator knobs every shape
@@ -34,7 +33,6 @@ func (t *topology) register(fs *flag.FlagSet) {
 	fs.IntVar(&t.shards, "shards", 1, "shard count; >1 serves through the fault-tolerant fleet router")
 	fs.IntVar(&t.fleets, "fleets", 1, "fleet count; >1 serves a multi-fleet federation of -shards-wide fleets")
 	fs.IntVar(&t.radix, "radix", 0, "fleet router only: fan-in of the rnet switch trees that combine shard (and fleet) partials (0 = default 2)")
-	fs.BoolVar(&t.verify, "verify", false, "federation only: re-check every healthy batch bit-for-bit against the reference oracle")
 	fs.StringVar(&t.faults, "faults", "", `fault plan, e.g. "rank=3@0;ecc=0.001;seed=9"; the fleet router also takes shard/flap/storm/swstall clauses, e.g. "shard=1@40000;seed=7"`)
 	fs.Int64Var(&t.seed, "seed", 1, "table-content seed")
 	fs.IntVar(&t.par, "j", 0, "simulator parallelism (0 = all cores)")
@@ -64,8 +62,6 @@ func (t topology) validate() error {
 		return fmt.Errorf("-radix %d: want 0 (the default of 2) or >= 2", t.radix)
 	case t.radix != 0 && !t.fleet():
 		return fmt.Errorf("-radix shapes the fleet router's combine trees: it needs -shards > 1 or -fleets > 1")
-	case t.verify && t.fleets == 1:
-		return fmt.Errorf("-verify checks a federation: it needs -fleets > 1")
 	case uint64(t.fleets) > tables*uint64(t.rows)/uint64(t.shards):
 		return fmt.Errorf("-rows %d: too few vectors for each of -fleets %d x -shards %d to own one", t.rows, t.fleets, t.shards)
 	}
@@ -107,5 +103,5 @@ func (t topology) build() (fafnir.ServeBackend, error) {
 	if t.fleets == 1 {
 		return fafnir.NewFleet(fleet)
 	}
-	return fafnir.NewFederation(fafnir.FederationConfig{Fleets: t.fleets, Fleet: fleet, Verify: t.verify})
+	return fafnir.NewFederation(fafnir.FederationConfig{Fleets: t.fleets, Fleet: fleet})
 }

@@ -242,7 +242,7 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 	}
 	st := mem.Stats()
 	logf("  row buffer: %d hits, %d misses, %d conflicts", st.RowHits, st.RowMisses, st.RowConflicts)
-	if i := fafnir.VerifyAgainstGolden(outputs, golden, 1e-3); i >= 0 {
+	if i := fafnir.VerifyAgainstGolden(outputs, golden); i >= 0 {
 		return fmt.Errorf("query %d mismatches golden", i)
 	}
 	logf("  functional result verified against golden reference")

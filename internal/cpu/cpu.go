@@ -84,7 +84,8 @@ func (c Config) DRAMToHost(d sim.Cycle) sim.Cycle {
 
 // Result is the outcome of a baseline batch lookup.
 type Result struct {
-	// Outputs holds the reduced vector per query.
+	// Outputs is the batch's reference, Batch.Golden: the host baseline is
+	// a timing model and reduces no values of its own.
 	Outputs []tensor.Vector
 	// MemCycles is when the last host-bound read completed (reporting clock).
 	MemCycles sim.Cycle

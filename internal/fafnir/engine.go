@@ -915,11 +915,12 @@ func (e *Engine) LowerBoundCycles(mcfg dram.Config, b embedding.Batch) sim.Cycle
 }
 
 // VerifyAgainstGolden compares the engine outputs with the reference
-// implementation, returning the first mismatching query (or -1). A missing
-// output, and an output past the reference's last query, are mismatches.
-func VerifyAgainstGolden(got []tensor.Vector, want []tensor.Vector, tol float64) int {
+// implementation bit for bit, returning the first mismatching query (or -1).
+// A missing output, and an output past the reference's last query, are
+// mismatches. The store is integer-valued, so every pooling op is exact.
+func VerifyAgainstGolden(got []tensor.Vector, want []tensor.Vector) int {
 	for i := range want {
-		if i >= len(got) || got[i] == nil || !got[i].ApproxEqual(want[i], tol) {
+		if i >= len(got) || got[i] == nil || !got[i].Equal(want[i]) {
 			return i
 		}
 	}
@@ -967,6 +968,7 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 	depth := sim.Cycle(e.tree.Depth())
 	var clock sim.Cycle // DRAM-domain time
 
+	row := tensor.New(store.Dim())
 	for qi, q := range b.Queries {
 		if q.Indices.Len() == 0 {
 			res.Outputs[qi] = tensor.New(e.cfg.VectorDim)
@@ -974,32 +976,22 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 		}
 		// Gather the query's vectors (rank-parallel) and reduce while
 		// gathering: the tree output is ready one pipeline depth after the
-		// last vector lands.
+		// last vector lands. The output is the query's reference fold.
 		var memDone sim.Cycle
-		var acc tensor.Vector
-		for _, idx := range q.Indices {
+		res.Outputs[qi] = tensor.New(store.Dim())
+		err := q.Fold(b.Op, res.Outputs[qi], func(idx header.Index) (tensor.Vector, error) {
 			if err := e.checkRank(idx, layout.Rank(idx)); err != nil {
 				return nil, err
 			}
-			done := mem.Read(clock, layout.Addr(idx), layout.VectorBytes(), dram.DestLocal)
-			memDone = sim.Max(memDone, done)
+			memDone = sim.Max(memDone, mem.Read(clock, layout.Addr(idx), layout.VectorBytes(), dram.DestLocal))
 			res.BytesRead += uint64(layout.VectorBytes())
 			res.MemoryReads++
-			v, err := store.Vector(idx)
-			if err != nil {
-				return nil, err
-			}
-			if acc == nil {
-				acc = v.Clone()
-				continue
-			}
-			if err := b.Op.Apply(acc, v); err != nil {
-				return nil, fmt.Errorf("fafnir: interactive reduce: %w", err)
-			}
-			res.PETotals.Reduces++
+			return row, store.VectorInto(idx, row)
+		})
+		if err != nil {
+			return nil, err
 		}
-		b.Op.FinalizeMean(acc, q.Indices.Len())
-		res.Outputs[qi] = acc
+		res.PETotals.Reduces += q.Indices.Len() - 1
 
 		memPE := e.cfg.DRAMToPE(memDone)
 		done := memPE + depth*stage + e.cfg.DRAMToPE(mem.Config().TransferCycles(layout.VectorBytes()))

@@ -74,7 +74,7 @@ func TestLookupFig6(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := b.MustGolden(store)
-	if i := VerifyAgainstGolden(res.Outputs, golden, 1e-4); i >= 0 {
+	if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 		t.Fatalf("query %d mismatches golden: got %v want %v", i, res.Outputs[i], golden[i])
 	}
 	// Dedup: 8 unique indices for 16 raw accesses.
@@ -119,7 +119,7 @@ func TestLookupMatchesGoldenRandom(t *testing.T) {
 					t.Fatalf("dist=%v ranks=%d seed=%d: %v", dist, ranks, seed, err)
 				}
 				golden := b.MustGolden(store)
-				if i := VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
+				if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 					t.Fatalf("dist=%v ranks=%d seed=%d query %d mismatch", dist, ranks, seed, i)
 				}
 				if err := CheckOccupancyBound(res, 16); err != nil {
@@ -146,7 +146,7 @@ func TestLookupAllOps(t *testing.T) {
 			t.Fatalf("op %v: %v", op, err)
 		}
 		golden := b.MustGolden(store)
-		if i := VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
+		if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 			t.Fatalf("op %v query %d mismatch: got %v want %v", op, i, res.Outputs[i], golden[i])
 		}
 	}
@@ -168,7 +168,7 @@ func TestLookupSingleIndexQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := b.MustGolden(store)
-	if i := VerifyAgainstGolden(res.Outputs, golden, 0); i >= 0 {
+	if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 		t.Fatalf("query %d mismatch", i)
 	}
 	if res.MemoryReads != 2 {
@@ -194,7 +194,7 @@ func TestLookupSplitsSoftwareBatches(t *testing.T) {
 		t.Fatalf("HWBatches = %d, want 3 (10 queries / capacity 4)", res.HWBatches)
 	}
 	golden := b.MustGolden(store)
-	if i := VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
+	if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 		t.Fatalf("query %d mismatch", i)
 	}
 }
@@ -258,7 +258,7 @@ func TestTimedLookupBasics(t *testing.T) {
 		t.Fatalf("BytesRead %d for %d reads", res.BytesRead, res.MemoryReads)
 	}
 	golden := b.MustGolden(store)
-	if i := VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
+	if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 		t.Fatalf("query %d mismatch", i)
 	}
 	if res.Seconds(e.Config()) <= 0 {
@@ -285,7 +285,7 @@ func TestTimedLookupDedupReducesTraffic(t *testing.T) {
 		t.Fatalf("dedup latency %d not below raw %d", withDedup.TotalCycles, without.TotalCycles)
 	}
 	// Functional results identical either way.
-	if i := VerifyAgainstGolden(without.Outputs, b.MustGolden(store), 1e-3); i >= 0 {
+	if i := VerifyAgainstGolden(without.Outputs, b.MustGolden(store)); i >= 0 {
 		t.Fatalf("no-dedup query %d mismatch", i)
 	}
 }
@@ -335,7 +335,7 @@ func TestTimedLookupMultipleHWBatches(t *testing.T) {
 	if res.HWBatches != 3 {
 		t.Fatalf("HWBatches = %d, want 3", res.HWBatches)
 	}
-	if i := VerifyAgainstGolden(res.Outputs, b.MustGolden(store), 1e-3); i >= 0 {
+	if i := VerifyAgainstGolden(res.Outputs, b.MustGolden(store)); i >= 0 {
 		t.Fatalf("query %d mismatch", i)
 	}
 }
@@ -351,25 +351,24 @@ func TestCheckOccupancyBound(t *testing.T) {
 }
 
 // TestVerifyAgainstGolden: the first query whose output is missing, extra,
-// outside the tolerance or NaN is reported.
+// NaN or off by any amount is reported.
 func TestVerifyAgainstGolden(t *testing.T) {
 	nan := float32(math.NaN())
 	want := []tensor.Vector{{1, 2}, {3, 4}}
 	for _, tc := range []struct {
 		name string
 		got  []tensor.Vector
-		tol  float64
 		idx  int
 	}{
-		{"identical", want, 0, -1},
-		{"second differs", []tensor.Vector{{1, 2}, {3, 5}}, 0, 1},
-		{"within tolerance", []tensor.Vector{{1, 2}, {3, 4.0005}}, 1e-3, -1},
-		{"no outputs", nil, 0, 0},
-		{"missing output", []tensor.Vector{{1, 2}, nil}, 0, 1},
-		{"NaN output", []tensor.Vector{{nan, 2}, {3, 4}}, 1e-3, 0},
-		{"extra output", []tensor.Vector{{1, 2}, {3, 4}, {5, 6}}, 0, 2},
+		{"identical", want, -1},
+		{"second differs", []tensor.Vector{{1, 2}, {3, 5}}, 1},
+		{"second differs slightly", []tensor.Vector{{1, 2}, {3, 4.0005}}, 1},
+		{"no outputs", nil, 0},
+		{"missing output", []tensor.Vector{{1, 2}, nil}, 1},
+		{"NaN output", []tensor.Vector{{nan, 2}, {3, 4}}, 0},
+		{"extra output", []tensor.Vector{{1, 2}, {3, 4}, {5, 6}}, 2},
 	} {
-		if i := VerifyAgainstGolden(tc.got, want, tc.tol); i != tc.idx {
+		if i := VerifyAgainstGolden(tc.got, want); i != tc.idx {
 			t.Errorf("%s: VerifyAgainstGolden = %d, want %d", tc.name, i, tc.idx)
 		}
 	}
@@ -404,7 +403,7 @@ func TestLookupStress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (ranks=%d fan=%d n=%d q=%d): %v", trial, ranks, fan, n, q, err)
 		}
-		if i := VerifyAgainstGolden(res.Outputs, b.MustGolden(store), 1e-3); i >= 0 {
+		if i := VerifyAgainstGolden(res.Outputs, b.MustGolden(store)); i >= 0 {
 			t.Fatalf("trial %d query %d mismatch", trial, i)
 		}
 	}
@@ -418,7 +417,7 @@ func TestInteractiveLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := b.MustGolden(store)
-	if i := VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
+	if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 		t.Fatalf("query %d mismatch", i)
 	}
 	// No dedup in interactive mode: every access reads memory.
@@ -520,7 +519,7 @@ func TestEmptyQueryResolvesToZeroVector(t *testing.T) {
 				t.Errorf("%s, empty %s: %v", mname, bname, err)
 				continue
 			}
-			if i := VerifyAgainstGolden(got, want, 0); i >= 0 {
+			if i := VerifyAgainstGolden(got, want); i >= 0 {
 				t.Errorf("%s, empty %s: query %d = %v, want %v", mname, bname, i, got[i], want[i])
 			}
 		}

@@ -103,7 +103,7 @@ func TestFoldUsesOnlyMatchingStagedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if VerifyAgainstGolden(got, golden, 0) < 0 {
+	if VerifyAgainstGolden(got, golden) < 0 {
 		t.Fatal("the fold ignored the staged rows")
 	}
 	for r := range sc.staged {
@@ -112,7 +112,7 @@ func TestFoldUsesOnlyMatchingStagedRows(t *testing.T) {
 	if got, err = foldGolden(sc, store, plan); err != nil {
 		t.Fatal(err)
 	}
-	if i := VerifyAgainstGolden(got, golden, 0); i >= 0 {
+	if i := VerifyAgainstGolden(got, golden); i >= 0 {
 		t.Fatalf("query %d folded a buffer staged for another index", i)
 	}
 }

@@ -206,7 +206,7 @@ func TestParallelLookupMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := b.MustGolden(store)
-	if i := VerifyAgainstGolden(res.Outputs, golden, 1e-3); i >= 0 {
+	if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 		t.Fatalf("query %d mismatches golden", i)
 	}
 }

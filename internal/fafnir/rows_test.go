@@ -69,7 +69,7 @@ func TestRowSinkHandsEachRowRead(t *testing.T) {
 		if calls != nil {
 			t.Fatalf("Parallelism %d: a detached engine handed out rows", par)
 		}
-		if plain.TotalCycles != got.TotalCycles || VerifyAgainstGolden(got.Outputs, plain.Outputs, 0) >= 0 {
+		if plain.TotalCycles != got.TotalCycles || VerifyAgainstGolden(got.Outputs, plain.Outputs) >= 0 {
 			t.Fatalf("Parallelism %d: the attached sink perturbed the lookup", par)
 		}
 	}

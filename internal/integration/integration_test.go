@@ -106,7 +106,7 @@ func TestAllEnginesAgreeFunctionally(t *testing.T) {
 			"recnmp": rres.Outputs, "tensordimm": tres.Outputs, "baseline": bres.Outputs,
 		} {
 			for qi := range golden {
-				if !outs[qi].ApproxEqual(golden[qi], 1e-3) {
+				if !outs[qi].Equal(golden[qi]) {
 					t.Fatalf("trial %d: %s query %d disagrees with golden", trial, name, qi)
 				}
 			}
@@ -180,7 +180,7 @@ func TestSharedMemoryStateComposes(t *testing.T) {
 			second.TotalCycles, first.TotalCycles)
 	}
 	for qi := range golden {
-		if !second.Outputs[qi].ApproxEqual(golden[qi], 1e-3) {
+		if !second.Outputs[qi].Equal(golden[qi]) {
 			t.Fatalf("query %d wrong under shared memory state", qi)
 		}
 	}
@@ -225,10 +225,10 @@ func TestAllOpsAcrossEngines(t *testing.T) {
 			t.Fatalf("op %v recnmp: %v", op, err)
 		}
 		for qi := range golden {
-			if !fres.Outputs[qi].ApproxEqual(golden[qi], 1e-3) {
+			if !fres.Outputs[qi].Equal(golden[qi]) {
 				t.Fatalf("op %v: fafnir query %d mismatch", op, qi)
 			}
-			if !rres.Outputs[qi].ApproxEqual(golden[qi], 1e-3) {
+			if !rres.Outputs[qi].Equal(golden[qi]) {
 				t.Fatalf("op %v: recnmp query %d mismatch", op, qi)
 			}
 		}
@@ -252,7 +252,7 @@ func TestSoakLargeBatch(t *testing.T) {
 		t.Fatalf("HWBatches = %d, want 32", res.HWBatches)
 	}
 	for qi := range golden {
-		if !res.Outputs[qi].ApproxEqual(golden[qi], 1e-3) {
+		if !res.Outputs[qi].Equal(golden[qi]) {
 			t.Fatalf("query %d mismatch in soak run", qi)
 		}
 	}

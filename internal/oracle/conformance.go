@@ -46,10 +46,11 @@ func (e *Env) engine(parallelism int) (*core.Engine, error) {
 	return core.NewEngine(e.FafnirConfig(parallelism))
 }
 
-// CheckEngines replays the batch through Fafnir (functional and timed paths),
-// RecNMP, TensorDIMM, and the host-only baseline and asserts every output set
-// is bit-identical to the oracle's. Baselines must also report a plausible
-// latency: positive total cycles covering their memory time.
+// CheckEngines replays the batch through Fafnir (functional, timed and
+// interactive paths), RecNMP, TensorDIMM, and the host-only baseline and
+// asserts every output set is bit-identical to the oracle's. Baselines must
+// also report a plausible latency: positive total cycles covering their
+// memory time.
 func (e *Env) CheckEngines() error {
 	want, err := Lookup(e.Store, e.Batch)
 	if err != nil {
@@ -78,6 +79,13 @@ func (e *Env) CheckEngines() error {
 		if d := Diff(tres.Outputs, want); d != "" {
 			return fmt.Errorf("fafnir timed dedup=%v: %s", dedup, d)
 		}
+	}
+	ires, err := eng.InteractiveLookup(e.Store, e.Layout, e.NewMem(), e.Batch)
+	if err != nil {
+		return fmt.Errorf("fafnir interactive: %w", err)
+	}
+	if d := Diff(ires.Outputs, want); d != "" {
+		return fmt.Errorf("fafnir interactive: %s", d)
 	}
 
 	rcfg := recnmp.Default()

@@ -73,7 +73,8 @@ func (c Config) Validate() error {
 
 // Result is the outcome of one RecNMP batch.
 type Result struct {
-	// Outputs holds the reduced vector per query.
+	// Outputs is the batch's reference, Batch.Golden: RecNMP is a timing
+	// model and reduces no values of its own.
 	Outputs []tensor.Vector
 	// MemCycles is when the last DRAM read completed (reporting clock).
 	MemCycles sim.Cycle

@@ -15,16 +15,18 @@
 // HostFoldCycles) — and it is the number the router charges as its combine
 // phase.
 //
-// Determinism. A switch's output is a pure function of its children's
-// outputs, and each switch folds its children in ascending child order —
-// exactly the left-to-right shard order of a serial fold, just
-// re-associated. The embedding store holds integer-valued float32 rows
-// (docs/ARCHITECTURE.md §13), so re-association is exact and tree outputs
-// are bit-identical to the serial fold. Switches evaluate serially in
-// node-ID order on the caller's goroutine — the asynchrony is simulated (each
-// switch's Fire/Done cycles), not re-enacted by the host: a reduction is a few
-// microseconds of host work, and the coarse units above it (shards, fleets)
-// already run concurrently (docs/ARCHITECTURE.md §9).
+// Determinism. The root's values are the serial fold: Reduce folds each
+// query's vectors in leaf order, exactly as a host-side fold over the shards
+// would, and the switch walk only charges time. A switch combines a query
+// once for every live child holding it beyond the first, so the switches'
+// combines add up to the serial fold's. The embedding store holds
+// integer-valued float32 rows (docs/ARCHITECTURE.md §13), so re-association
+// is exact and a switch-by-switch evaluation would produce the same bits.
+// Switches are walked serially in node-ID order on the caller's goroutine —
+// the asynchrony is simulated (each switch's Fire/Done cycles), not
+// re-enacted by the host: a reduction is a few microseconds of host work,
+// and the coarse units above it (shards, fleets) already run concurrently
+// (docs/ARCHITECTURE.md §9).
 //
 // Degradation. A missing leaf (a shard lost mid-combine) simply never
 // arrives: presence is computed bottom-up, a switch waits only for children
@@ -205,8 +207,8 @@ type SwitchSpan struct {
 // Result is one reduction's outcome.
 type Result struct {
 	// Outputs is dense over the batch's queries: the fully reduced vector,
-	// owned by the caller (never aliasing a leaf partial), or nil when no
-	// live leaf contributed to the query.
+	// the caller's to mutate (it never aliases a leaf partial), or nil when
+	// no live leaf contributed to the query.
 	Outputs []tensor.Vector
 	// CriticalPath is the root switch's completion time: the cycle at which
 	// the reduced pool is ready to transfer to the host. Zero when every
@@ -226,15 +228,6 @@ type Result struct {
 	Spans []SwitchSpan
 }
 
-// reduceState is the dense per-node working state of one Reduce call.
-type reduceState struct {
-	outs    [][]tensor.Vector // node ID -> per-query vectors (leaves alias input)
-	owned   [][]bool          // node ID -> per-query "vector is tree scratch"
-	done    []sim.Cycle       // node ID -> completion cycle
-	present []bool            // node ID -> subtree holds >= 1 live leaf
-	spans   []SwitchSpan      // interior spans, indexed by id - leaves
-}
-
 // Reduce runs one reduction: leaves[i] is leaf i's partial (nil for a leaf
 // that was lost and never produced one), numQueries sizes the dense output.
 // Every leaf partial present must have len(Vectors) == numQueries. The
@@ -249,138 +242,80 @@ func (t *Tree) Reduce(op tensor.ReduceOp, numQueries int, leaves []*Partial) (*R
 			return nil, fmt.Errorf("rnet: leaf %d has %d query slots, want %d", i, len(p.Vectors), numQueries)
 		}
 	}
-	st := &reduceState{
-		outs:    make([][]tensor.Vector, len(t.nodes)),
-		owned:   make([][]bool, len(t.nodes)),
-		done:    make([]sim.Cycle, len(t.nodes)),
-		present: make([]bool, len(t.nodes)),
-		spans:   make([]SwitchSpan, t.Interior()),
-	}
+	// The values are the serial fold: each query's vectors in leaf order.
+	res := &Result{Outputs: make([]tensor.Vector, numQueries)}
 	for i, p := range leaves {
 		if p == nil {
 			continue
 		}
-		st.present[i] = true
-		st.outs[i] = p.Vectors
-		st.done[i] = p.Ready
-	}
-	// IDs ascend bottom-up, so one pass settles each switch's presence (a
-	// subtree with no live leaf never fires and never blocks its siblings)
-	// and evaluates it after all of its children.
-	for id := t.leaves; id < len(t.nodes); id++ {
-		for _, c := range t.nodes[id].children {
-			if st.present[c] {
-				st.present[id] = true
-				break
+		for qi, v := range p.Vectors {
+			switch {
+			case v == nil:
+			case res.Outputs[qi] == nil:
+				res.Outputs[qi] = v.Clone()
+			default:
+				if err := op.Apply(res.Outputs[qi], v); err != nil {
+					return nil, fmt.Errorf("rnet: query %d, leaf %d: %w", qi, i, err)
+				}
 			}
 		}
-		if !st.present[id] {
-			continue
-		}
-		if err := t.evalSwitch(op, int32(id), st); err != nil {
-			return nil, err
-		}
 	}
-	return t.assemble(numQueries, st), nil
+	t.charge(numQueries, leaves, res)
+	return res, nil
 }
 
-// evalSwitch fires one interior switch: fold each query's child vectors in
-// ascending child order, charge link/latency/combine cycles, and record the
-// span. In-place combines reuse child scratch no other node reads again.
-func (t *Tree) evalSwitch(op tensor.ReduceOp, id int32, st *reduceState) error {
-	n := &t.nodes[id]
-	var (
-		fire     sim.Cycle
-		combines int
-		missing  int
-		outs     []tensor.Vector
-		owned    []bool
-	)
-	for _, c := range n.children {
-		if !st.present[c] {
-			missing++
+// charge walks the switches bottom-up and records the reduction's time in
+// res: each switch's fire and done cycles, the combines it performs, the
+// children it misses, and the root's critical path. IDs ascend bottom-up, so
+// one pass settles each switch after all of its children; a subtree with no
+// live leaf never fires and never blocks its siblings. A switch combines a
+// query once for every live child holding it beyond the first, which is
+// where a serial fold's combines happen in the tree.
+func (t *Tree) charge(numQueries int, leaves []*Partial, res *Result) {
+	done := make([]sim.Cycle, len(t.nodes))
+	present := make([]bool, len(t.nodes))
+	holds := make([]bool, len(t.nodes)*numQueries) // node ID x query: subtree has a vector for it
+	for i, p := range leaves {
+		if p == nil {
 			continue
 		}
-		fire = sim.Max(fire, st.done[c]+t.cfg.LinkCycles)
-		if outs == nil {
-			// First live child: adopt its pool. Leaf pools are borrowed
-			// (owned stays false); interior pools transfer ownership.
-			outs = append(outs[:0], st.outs[c]...)
-			owned = make([]bool, len(outs))
-			copy(owned, st.owned[c])
-			continue
+		present[i], done[i] = true, p.Ready
+		for qi, v := range p.Vectors {
+			holds[i*numQueries+qi] = v != nil
 		}
-		for qi, w := range st.outs[c] {
-			if w == nil {
+	}
+	for id := t.leaves; id < len(t.nodes); id++ {
+		n := &t.nodes[id]
+		sp := SwitchSpan{Node: int32(id), Level: n.level}
+		row := holds[id*numQueries : (id+1)*numQueries]
+		for _, c := range n.children {
+			if !present[c] {
+				sp.Missing++
 				continue
 			}
-			switch {
-			case outs[qi] == nil:
-				outs[qi] = w
-				owned[qi] = len(st.owned[c]) > 0 && st.owned[c][qi]
-			default:
-				if !owned[qi] {
-					outs[qi] = outs[qi].Clone()
-					owned[qi] = true
+			present[id] = true
+			sp.Fire = sim.Max(sp.Fire, done[c]+t.cfg.LinkCycles)
+			for qi, h := range holds[int(c)*numQueries : (int(c)+1)*numQueries] {
+				if h && row[qi] {
+					sp.Combines++
 				}
-				if err := op.Apply(outs[qi], w); err != nil {
-					return fmt.Errorf("rnet: switch %d query %d: %w", id, qi, err)
-				}
-				combines++
+				row[qi] = row[qi] || h
 			}
 		}
-	}
-	done := fire + t.cfg.SwitchLatency + sim.Cycle(combines)*t.cfg.CombineCycles
-	if stall, ok := t.cfg.Stalls[int(id)]; ok {
-		done += stall
-	}
-	st.outs[id] = outs
-	st.owned[id] = owned
-	st.done[id] = done
-	st.spans[int(id)-t.leaves] = SwitchSpan{
-		Node:     id,
-		Level:    n.level,
-		Fire:     fire,
-		Done:     done,
-		Combines: combines,
-		Missing:  missing,
-	}
-	return nil
-}
-
-// assemble folds the per-node records into the Result in node-ID order and
-// clones any root output that still aliases a leaf partial
-// (single-contributor queries never combined, so their vector is still the
-// shard's own).
-func (t *Tree) assemble(numQueries int, st *reduceState) *Result {
-	root := int32(len(t.nodes) - 1)
-	res := &Result{Outputs: make([]tensor.Vector, numQueries)}
-	for qi, v := range st.outs[root] {
-		if v == nil {
+		if !present[id] {
 			continue
 		}
-		if len(st.owned[root]) > 0 && st.owned[root][qi] {
-			res.Outputs[qi] = v
-		} else {
-			res.Outputs[qi] = v.Clone()
-		}
-	}
-	if st.present[root] {
-		res.CriticalPath = st.done[root]
-	}
-	for i := range st.spans {
-		id := int32(t.leaves + i)
-		if !st.present[id] {
-			continue
-		}
-		sp := st.spans[i]
+		sp.Done = sp.Fire + t.cfg.SwitchLatency + sim.Cycle(sp.Combines)*t.cfg.CombineCycles + t.cfg.Stalls[id]
+		done[id] = sp.Done
 		res.Fires++
 		res.Combines += sp.Combines
 		res.MissingChildren += sp.Missing
-		res.LinkTransfers += len(t.nodes[id].children) - sp.Missing
+		res.LinkTransfers += len(n.children) - sp.Missing
 		res.Spans = append(res.Spans, sp)
 	}
-	return res
+	if root := len(t.nodes) - 1; present[root] {
+		res.CriticalPath = done[root]
+	}
 }
 
 // HostFoldCycles is the analytic critical path of a host-side serial combine

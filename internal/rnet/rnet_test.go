@@ -203,6 +203,106 @@ func TestReduceOutputsAreOwned(t *testing.T) {
 	}
 }
 
+// TestReduceProperties pins the fold and the switch walk against each other
+// over random trees, holes and ops: (a) no output aliases a leaf vector, a
+// single-contributor query's included; (b) each switch combines a query once
+// per live child holding it beyond the first; (c) the switches' combines add
+// up to the serial fold's, one per contributing leaf beyond the first.
+func TestReduceProperties(t *testing.T) {
+	const queries = 5
+	rng := rand.New(rand.NewSource(11))
+	ops := []tensor.ReduceOp{tensor.OpSum, tensor.OpMin, tensor.OpMax, tensor.OpMean}
+	for radix := 2; radix <= 4; radix++ {
+		for leaves := 1; leaves <= 17; leaves++ {
+			tr, err := NewTree(leaves, Config{Radix: radix})
+			if err != nil {
+				t.Fatalf("NewTree: %v", err)
+			}
+			for _, op := range ops {
+				in := genLeaves(rng, leaves, queries, 0.25, 0.4)
+				before := make([][]tensor.Vector, leaves)
+				for l, p := range in {
+					if p != nil {
+						before[l] = cloneAll(p.Vectors)
+					}
+				}
+				res, err := tr.Reduce(op, queries, in)
+				if err != nil {
+					t.Fatalf("Reduce: %v", err)
+				}
+				name := fmt.Sprintf("radix %d leaves %d %v", radix, leaves, op)
+
+				// (b) per switch, from the subtree contents alone.
+				var holds func(id int32, q int) bool
+				holds = func(id int32, q int) bool {
+					if int(id) < leaves {
+						return in[id] != nil && in[id].Vectors[q] != nil
+					}
+					for _, c := range tr.nodes[id].children {
+						if holds(c, q) {
+							return true
+						}
+					}
+					return false
+				}
+				for _, sp := range res.Spans {
+					want := 0
+					for q := 0; q < queries; q++ {
+						n := 0
+						for _, c := range tr.nodes[sp.Node].children {
+							if holds(c, q) {
+								n++
+							}
+						}
+						want += max(n-1, 0)
+					}
+					if sp.Combines != want {
+						t.Fatalf("%s: switch %d combines %d, want %d", name, sp.Node, sp.Combines, want)
+					}
+				}
+
+				// (c) in total, from the leaves alone.
+				want := 0
+				for q := 0; q < queries; q++ {
+					n := 0
+					for l := 0; l < leaves; l++ {
+						if holds(int32(l), q) {
+							n++
+						}
+					}
+					want += max(n-1, 0)
+				}
+				if res.Combines != want {
+					t.Fatalf("%s: %d combines, want %d", name, res.Combines, want)
+				}
+
+				// (a) scribble over every output; the leaves must not move.
+				for _, v := range res.Outputs {
+					for i := range v {
+						v[i] = 1e9
+					}
+				}
+				for l, p := range in {
+					if p != nil && !reflect.DeepEqual(p.Vectors, before[l]) {
+						t.Fatalf("%s: writing the outputs changed leaf %d", name, l)
+					}
+				}
+			}
+		}
+	}
+}
+
+// cloneAll deep-copies a dense per-query vector slice, keeping nil holes.
+func cloneAll(vs []tensor.Vector) []tensor.Vector {
+	out := make([]tensor.Vector, len(vs))
+	for i, v := range vs {
+		if v != nil {
+			out[i] = v.Clone()
+		}
+	}
+	return out
+}
+
 func TestReduceTiming(t *testing.T) {
 	// 4 leaves, radix 2: switches 4=(0,1), 5=(2,3), root 6=(4,5).
 	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2}
@@ -381,13 +481,13 @@ func TestReduceErrors(t *testing.T) {
 	if _, err := tr.Reduce(tensor.OpSum, 1, bad); err == nil {
 		t.Fatal("wrong query-slot count accepted")
 	}
-	// Dimension mismatch surfaces the switch's combine error.
+	// Dimension mismatch fails the fold, naming the query and the leaf.
 	mismatched := []*Partial{
 		{Vectors: []tensor.Vector{{1, 2}}},
 		{Vectors: []tensor.Vector{{1}}},
 	}
-	if _, err := tr.Reduce(tensor.OpSum, 1, mismatched); err == nil || !strings.Contains(err.Error(), "switch") {
-		t.Fatalf("mismatched dims = %v, want switch error", err)
+	if _, err := tr.Reduce(tensor.OpSum, 1, mismatched); err == nil || !strings.Contains(err.Error(), "query 0, leaf 1") {
+		t.Fatalf("mismatched dims = %v, want an error naming query 0, leaf 1", err)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
 	"fafnir/internal/header"
-	"fafnir/internal/oracle"
 	"fafnir/internal/rnet"
 	"fafnir/internal/sim"
 	"fafnir/internal/telemetry"
@@ -44,11 +43,6 @@ type FederationConfig struct {
 	// Rnet shapes the cross-fleet reduction tree. Radix 0 inherits the
 	// member radix.
 	Rnet rnet.Config
-	// Verify re-checks every non-degraded batch bit-for-bit against the
-	// reference oracle before returning it, turning any combine-path
-	// divergence into a hard error. Meant for CI smoke gates; it costs a
-	// full naive gather per batch.
-	Verify bool
 }
 
 func (c *FederationConfig) fillDefaults() {
@@ -256,16 +250,6 @@ func (fd *Federation) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	fd.countBatch()
 	if !deg.Empty() {
 		res.Degraded = deg
-	}
-	if fd.cfg.Verify && deg.Empty() {
-		want, err := oracle.Lookup(fd.fleets[0].Store(), b)
-		if err != nil {
-			return nil, fmt.Errorf("router: federation verify: %w", err)
-		}
-		if diff := oracle.Diff(res.Outputs, want); diff != "" {
-			return nil, fmt.Errorf("router: federation output diverges from oracle: %s", diff)
-		}
-		fd.countVerified()
 	}
 	return res, nil
 }

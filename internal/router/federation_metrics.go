@@ -8,7 +8,7 @@ import (
 
 // fedMetrics is the federation's family set: per-fleet traffic and
 // degradation counters (the "fleet" label is loadgen's per-fleet roll-up
-// key) and batch/verify totals, followed by the shared rnet switch families.
+// key) and the batch total, followed by the shared rnet switch families.
 // The member fleets' own families are deliberately NOT registered — their
 // names would collide across members — so in federation mode the
 // fafnir_rnet_* families describe the cross-fleet tree.
@@ -16,7 +16,6 @@ type fedMetrics struct {
 	fleetLookups  *telemetry.CounterVec
 	fleetDegraded *telemetry.CounterVec
 	batches       *telemetry.Counter
-	verified      *telemetry.Counter
 }
 
 // RegisterMetrics publishes the federation's metric families into reg. Call
@@ -33,8 +32,6 @@ func (fd *Federation) RegisterMetrics(reg *telemetry.Registry) {
 			"Member-fleet sub-lookups returning a degraded report, per fleet.", "fleet", labels...),
 		batches: reg.Counter("fafnir_federation_batches_total",
 			"Batches combined across the federation."),
-		verified: reg.Counter("fafnir_federation_verified_total",
-			"Batches re-checked bit-for-bit against the reference oracle."),
 	}
 	fd.rm = registerRnetMetrics(reg)
 }
@@ -54,11 +51,5 @@ func (fd *Federation) countFleetDegraded(fm int) {
 func (fd *Federation) countBatch() {
 	if fd.m != nil {
 		fd.m.batches.Add(1)
-	}
-}
-
-func (fd *Federation) countVerified() {
-	if fd.m != nil {
-		fd.m.verified.Add(1)
 	}
 }

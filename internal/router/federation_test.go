@@ -336,29 +336,6 @@ func TestFederationDeterminism(t *testing.T) {
 	}
 }
 
-// TestFederationVerify checks the CI verify mode: every healthy batch is
-// re-checked against the oracle and counted, and the run stays clean.
-func TestFederationVerify(t *testing.T) {
-	fd := testFederation(t, func(c *FederationConfig) { c.Verify = true })
-	reg := telemetry.NewRegistry()
-	fd.RegisterMetrics(reg)
-	for round := 0; round < 2; round++ {
-		b, err := fd.GenerateBatch(8, int64(round))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Op = tensor.OpMean
-		if _, err := fd.Lookup(b); err != nil {
-			t.Fatalf("verify round %d: %v", round, err)
-		}
-	}
-	var sb strings.Builder
-	reg.Render(&sb)
-	if !strings.Contains(sb.String(), "fafnir_federation_verified_total 2") {
-		t.Fatalf("verified counter wrong:\n%s", sb.String())
-	}
-}
-
 // TestFederationMetricsRender checks the federation families land on a
 // registry with per-fleet labels and the cross-fleet rnet families count.
 func TestFederationMetricsRender(t *testing.T) {

@@ -52,20 +52,6 @@ func (v Vector) Equal(w Vector) bool {
 	return true
 }
 
-// ApproxEqual reports whether v and w have the same dimension and every pair
-// of elements differs by at most tol. A NaN is never within tolerance.
-func (v Vector) ApproxEqual(w Vector, tol float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if !(math.Abs(float64(v[i])-float64(w[i])) <= tol) {
-			return false
-		}
-	}
-	return true
-}
-
 // AddInPlace accumulates w into v. It is the hot path of every reduction
 // engine and performs no allocation.
 func (v Vector) AddInPlace(w Vector) error {

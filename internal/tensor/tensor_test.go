@@ -96,31 +96,25 @@ func TestL2(t *testing.T) {
 	}
 }
 
-func TestEqualAndApprox(t *testing.T) {
+// TestEqual: lookups are compared bit for bit, so any difference, a
+// different dimension or a NaN on either side is unequal.
+func TestEqual(t *testing.T) {
 	a := Vector{1, 2}
-	if !a.Equal(Vector{1, 2}) {
-		t.Fatal("Equal false for identical vectors")
-	}
-	if a.Equal(Vector{1}) {
-		t.Fatal("Equal true for different dims")
-	}
-	// A difference that is not within tol fails, a NaN's included.
 	nan := float32(math.NaN())
 	for _, tc := range []struct {
 		name string
 		v, w Vector
-		tol  float64
 		want bool
 	}{
-		{"within tolerance", a, Vector{1.0000001, 2}, 1e-3, true},
-		{"outside tolerance", a, Vector{1.1, 2}, 1e-3, false},
-		{"different dims", a, Vector{1}, 1, false},
-		{"NaN in v", Vector{nan}, Vector{3}, 1e-3, false},
-		{"NaN in w", Vector{3}, Vector{nan}, 1e-3, false},
-		{"NaN in both", Vector{nan}, Vector{nan}, 1e-3, false},
+		{"identical", a, Vector{1, 2}, true},
+		{"one ulp apart", a, Vector{1.0000001, 2}, false},
+		{"different dims", a, Vector{1}, false},
+		{"NaN in v", Vector{nan}, Vector{3}, false},
+		{"NaN in w", Vector{3}, Vector{nan}, false},
+		{"NaN in both", Vector{nan}, Vector{nan}, false},
 	} {
-		if got := tc.v.ApproxEqual(tc.w, tc.tol); got != tc.want {
-			t.Errorf("%s: %v.ApproxEqual(%v, %g) = %v, want %v", tc.name, tc.v, tc.w, tc.tol, got, tc.want)
+		if got := tc.v.Equal(tc.w); got != tc.want {
+			t.Errorf("%s: %v.Equal(%v) = %v, want %v", tc.name, tc.v, tc.w, got, tc.want)
 		}
 	}
 }

@@ -66,7 +66,8 @@ func (c Config) Validate() error {
 
 // Result is the outcome of one TensorDIMM batch.
 type Result struct {
-	// Outputs holds the reduced vector per query.
+	// Outputs is the batch's reference, Batch.Golden: TensorDIMM is a timing
+	// model and reduces no values of its own.
 	Outputs []tensor.Vector
 	// MemCycles is when the last slice read completed (reporting clock).
 	MemCycles sim.Cycle
@@ -163,17 +164,4 @@ func (e *Engine) TimedLookup(store *embedding.Store, mem *dram.System, b embeddi
 
 	res.TotalCycles = res.MemCycles + res.ComputeCycles + xfer
 	return res, nil
-}
-
-// Verify checks the model's functional outputs against the golden reference.
-func Verify(res *Result, golden []tensor.Vector, tol float64) error {
-	if len(res.Outputs) != len(golden) {
-		return fmt.Errorf("tensordimm: %d outputs for %d queries", len(res.Outputs), len(golden))
-	}
-	for i := range golden {
-		if !res.Outputs[i].ApproxEqual(golden[i], tol) {
-			return fmt.Errorf("tensordimm: query %d mismatches golden", i)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package tensordimm
 
 import (
+	"reflect"
 	"testing"
 
 	"fafnir/internal/dram"
@@ -55,8 +56,8 @@ func TestTimedLookupBasics(t *testing.T) {
 	if res.BytesToHost != 4*512 {
 		t.Fatalf("BytesToHost = %d, want %d", res.BytesToHost, 4*512)
 	}
-	if err := Verify(res, b.MustGolden(store), 0); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(res.Outputs, b.MustGolden(store)) {
+		t.Fatal("outputs are not the batch's golden reference")
 	}
 	if res.TotalCycles <= res.MemCycles {
 		t.Fatal("compute missing from total")
@@ -120,18 +121,5 @@ func TestTooManyRanksForVector(t *testing.T) {
 	store := embedding.MustStore(1024, 4, 1)
 	if _, err := e.TimedLookup(store, dram.MustSystem(dram.DDR4()), testBatch(t, 1, 2, 1024, 1)); err == nil {
 		t.Fatal("degenerate slice size accepted")
-	}
-}
-
-func TestVerifyDetectsMismatch(t *testing.T) {
-	res := &Result{Outputs: []tensor.Vector{{1, 2}}}
-	if err := Verify(res, []tensor.Vector{{1, 3}}, 0); err == nil {
-		t.Fatal("mismatch not detected")
-	}
-	if err := Verify(res, []tensor.Vector{{1, 2}, {3}}, 0); err == nil {
-		t.Fatal("length mismatch not detected")
-	}
-	if err := Verify(res, []tensor.Vector{{1, 2}}, 0); err != nil {
-		t.Fatal(err)
 	}
 }
