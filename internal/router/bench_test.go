@@ -3,8 +3,10 @@ package router
 import (
 	"testing"
 
+	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
 	"fafnir/internal/fault"
+	"fafnir/internal/rnet"
 	"fafnir/internal/tensor"
 )
 
@@ -93,6 +95,33 @@ func BenchmarkFleetFailover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := f.Lookup(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = res
+	}
+}
+
+// BenchmarkFederationLookup is the serve_federation backend without the
+// serving layer: 2 fleets x 4 shards, radix-2 switch trees at both levels,
+// cycling through 8-query Zipf batches at the default Parallelism.
+func BenchmarkFederationLookup(b *testing.B) {
+	fd, err := NewFederation(FederationConfig{Fleets: 2, Fleet: Config{Shards: 4, Rnet: rnet.Config{Radix: 2}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := fd.GenerateBatch(8*32, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := make([]embedding.Batch, 0, 32)
+	for q := 0; q < len(pool.Queries); q += 8 {
+		batches = append(batches, embedding.Batch{Op: pool.Op, Queries: pool.Queries[q : q+8]})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := fd.Lookup(batches[i%len(batches)])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,9 @@ package router
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fafnir/internal/cpu"
 	"fafnir/internal/dram"
@@ -47,7 +49,9 @@ type scatter struct {
 }
 
 // partition validates the batch and splits every query's indices by owning
-// leaf, preserving index order within each sub-query.
+// leaf, preserving index order within each sub-query. Every sub-query's
+// index set is a run of one arena that holds the batch's indices, each
+// query's grouped by leaf, so the split allocates no map and no set clone.
 func partition(b embedding.Batch, n int, owner func(header.Index) int) (*scatter, error) {
 	if len(b.Queries) == 0 {
 		return nil, fmt.Errorf("router: empty batch")
@@ -68,21 +72,41 @@ func partition(b embedding.Batch, n int, owner func(header.Index) int) (*scatter
 		refs:      make([][]subref, n),
 		survivors: make([]int, len(b.Queries)),
 	}
+	total := 0
+	for _, q := range b.Queries {
+		total += q.Indices.Len()
+	}
+	arena := make([]header.Index, total)
+	count, end := make([]int, n), make([]int, n)
+	at := 0
 	for qi, q := range b.Queries {
 		sc.survivors[qi] = q.Indices.Len()
-		per := make(map[int][]header.Index)
+		// Counting sort by leaf: end[leaf] advances through the leaf's run
+		// of the query's span of the arena, stopping at the run's end.
+		clear(count)
+		for _, idx := range q.Indices {
+			count[owner(idx)]++
+		}
+		for leaf, c := range count {
+			end[leaf] = at
+			at += c
+		}
 		for _, idx := range q.Indices {
 			leaf := owner(idx)
-			per[leaf] = append(per[leaf], idx)
+			arena[end[leaf]] = idx
+			end[leaf]++
 		}
-		for leaf := 0; leaf < n; leaf++ {
-			indices, ok := per[leaf]
-			if !ok {
+		for leaf, c := range count {
+			if c == 0 {
 				continue
 			}
+			// header.NewIndexSet's sort and dedup, in place.
+			run := arena[end[leaf]-c : end[leaf]]
+			slices.Sort(run)
+			set := slices.Compact(run)
 			sc.subs[leaf].Op = subOp
-			sc.subs[leaf].Queries = append(sc.subs[leaf].Queries, embedding.Query{Indices: header.NewIndexSet(indices...)})
-			sc.refs[leaf] = append(sc.refs[leaf], subref{query: qi, indices: len(indices)})
+			sc.subs[leaf].Queries = append(sc.subs[leaf].Queries, embedding.Query{Indices: header.IndexSet(set[:len(set):len(set)])})
+			sc.refs[leaf] = append(sc.refs[leaf], subref{query: qi, indices: c})
 		}
 	}
 	return sc, nil
@@ -104,35 +128,33 @@ type attempt struct {
 	err error
 }
 
-// dispatch runs lookup for every leaf in run, at most par at a time (0 uses
-// every core), storing each outcome at attempts[leaf]. Leaves are fully
-// independent (own engines, memories, injectors, clocks), so concurrent
-// sub-lookups share no mutable state; callers settle the attempts in leaf
-// order afterwards, so execution order never leaks into outputs, cycles, or
-// health transitions.
+// dispatch runs lookup for every leaf in run on min(par, len(run)) workers
+// (par 0 uses every core) that pull leaves in run order from a shared
+// counter, the caller's goroutine among them, storing each outcome at
+// attempts[leaf]. Leaves are fully independent (own engines, memories,
+// injectors, clocks), so concurrent sub-lookups share no mutable state;
+// callers settle the attempts in leaf order afterwards, so execution order
+// never leaks into outputs, cycles, or health transitions.
 func dispatch(attempts []attempt, run []int, par int, lookup func(leaf int) (*core.TimedResult, error)) {
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par <= 1 || len(run) <= 1 {
-		for _, leaf := range run {
-			r, err := lookup(leaf)
-			attempts[leaf] = attempt{res: r, err: err}
+	var next atomic.Int32
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(run); i = int(next.Add(1)) - 1 {
+			r, err := lookup(run[i])
+			attempts[run[i]] = attempt{res: r, err: err}
 		}
-		return
 	}
-	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	for _, leaf := range run {
+	for range min(par, len(run)) - 1 {
 		wg.Add(1)
-		go func(leaf int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r, err := lookup(leaf)
-			attempts[leaf] = attempt{res: r, err: err}
-		}(leaf)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
 }
 

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"fafnir/internal/serve"
 )
 
 // TestColdSubmitAllocs pins what one serve_cold-shaped Submit (see
@@ -48,5 +50,22 @@ func TestColdSubmitAllocs(t *testing.T) {
 	t.Logf("cold Submit: %.0f allocs, %.1f KB", allocs, kb)
 	if allocs > maxAllocs || kb > maxKB {
 		t.Errorf("cold Submit: %.0f allocs and %.1f KB, budget %d allocs and %d KB", allocs, kb, maxAllocs, maxKB)
+	}
+}
+
+// TestLookupReplyAllocs pins the lookup handler's reply encoding at zero
+// allocations once its buffer has grown: one 8x128 reply, the serve_hot
+// shape, allocated per request while it went through json.NewEncoder.
+func TestLookupReplyAllocs(t *testing.T) {
+	resp := lookupReply(8, 128)
+	enc := serve.NewReplyEncoder()
+	encode := func() {
+		if _, err := enc.Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+		t.Errorf("reply encode: %.1f allocs, want 0", allocs)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fafnir"
 	"fafnir/internal/embedding"
 	"fafnir/internal/serve"
+	"fafnir/internal/tensor"
 )
 
 // BenchmarkCoalescer measures Submit throughput end to end (queueing, batch
@@ -176,6 +177,36 @@ func BenchmarkCoalescerCold(b *testing.B) {
 	m := co.Metrics()
 	if total := m.CacheHits.Value() + m.CacheMisses.Value(); total > 0 {
 		b.ReportMetric(float64(m.CacheHits.Value())/float64(total), "hit-ratio")
+	}
+}
+
+// lookupReply is a clean reply of q outputs of dim integer-valued floats,
+// the shape a sum over the integer-valued store produces.
+func lookupReply(q, dim int) *serve.LookupResponse {
+	resp := &serve.LookupResponse{
+		Outputs: make([]tensor.Vector, q),
+		Batch:   serve.BatchInfo{Queries: 128, CoalescedRequests: 16, DRAMReads: 97, NaiveReads: 1024, TotalCycles: 3456},
+	}
+	for qi := range resp.Outputs {
+		resp.Outputs[qi] = make(tensor.Vector, dim)
+		for i := range resp.Outputs[qi] {
+			resp.Outputs[qi][i] = float32((qi*131+i*37)%129 - 64)
+		}
+	}
+	return resp
+}
+
+// BenchmarkLookupReply renders one 8x128 lookup reply, the serve_hot shape,
+// as the HTTP handler's 200 body.
+func BenchmarkLookupReply(b *testing.B) {
+	resp := lookupReply(8, 128)
+	enc := serve.NewReplyEncoder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.Encode(resp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

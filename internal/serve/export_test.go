@@ -114,3 +114,16 @@ func (c *Coalescer) CacheResident(idx header.Index) bool {
 func (s *Server) DecodeLookup(body io.Reader) (Request, time.Duration, error) {
 	return s.decodeLookup(body)
 }
+
+// ReplyEncoder is the lookup handler's 200-body encoder.
+type ReplyEncoder = replyEncoder
+
+// NewReplyEncoder returns an encoder outside the handler's pool.
+func NewReplyEncoder() *ReplyEncoder { return newReplyEncoder() }
+
+// Encode renders resp as the lookup handler's 200 body. The bytes are the
+// encoder's own buffer, valid until its next Encode.
+func (e *replyEncoder) Encode(resp *LookupResponse) ([]byte, error) {
+	err := e.encode(resp)
+	return e.buf, err
+}

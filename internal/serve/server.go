@@ -402,12 +402,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := degradedInfo(stats, len(call.Queries))
-	outcome := OutcomeOK
-	if degraded != nil {
-		outcome = OutcomeDegraded
-		s.m.DegradedResponses.Add(1)
-	}
-	finish(outcome, stats.RequestID, degraded != nil, stats.Breakdown)
 	resp := LookupResponse{
 		Outputs: res.Outputs,
 		Batch: BatchInfo{
@@ -424,7 +418,24 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	if call.Trace {
 		resp.Breakdown = stats.Breakdown
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// Render the reply before answering: an output JSON cannot carry (NaN,
+	// ±Inf) is a 500, never a 200 with an empty body.
+	enc := replyPool.Get().(*replyEncoder)
+	defer putReplyEncoder(enc)
+	if err := enc.encode(&resp); err != nil {
+		finish(OutcomeError, stats.RequestID, true, "internal")
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error(), Kind: "internal"})
+		return
+	}
+	outcome := OutcomeOK
+	if degraded != nil {
+		outcome = OutcomeDegraded
+		s.m.DegradedResponses.Add(1)
+	}
+	finish(outcome, stats.RequestID, degraded != nil, stats.Breakdown)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(enc.buf)
 }
 
 // splitmix64 is the jitter hash (Vigna's SplitMix64 finalizer), shared with

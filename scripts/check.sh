@@ -21,9 +21,10 @@
 #                      synchronous admission, so a flake here is a bug
 #   7. fuzz corpus   — FuzzCodec's, FuzzBitsetOps', FuzzBatchBuild's,
 #                      FuzzCacheOps', FuzzFromCOO's, FuzzParseFleet's,
-#                      FuzzLookupRequest's, FuzzLoadWorkload's, FuzzParseMix's,
-#                      FuzzParseSLO's and FuzzTopology's seed corpora replayed
-#                      in -run mode (no fuzzing; deterministic and fast)
+#                      FuzzLookupRequest's, FuzzReplyEncoding's,
+#                      FuzzLoadWorkload's, FuzzParseMix's, FuzzParseSLO's and
+#                      FuzzTopology's seed corpora replayed in -run mode (no
+#                      fuzzing; deterministic and fast)
 #   7b. one grain    — runtime.Gosched, stealHead and evalAsync must appear in
 #                      no non-test Go file: host parallelism is whole hardware
 #                      batches, shards and fleets, never a per-PE scheduler
@@ -68,6 +69,11 @@
 #                      no non-test Go file, and internal/rnet/rnet.go keeps no
 #                      owned-vector bookkeeping (the root's values are the
 #                      serial fold)
+#   7l. one reply    — handleLookup appends its 200 reply with the reply
+#       encoder        encoder (internal/serve/reply.go), byte-identical to
+#                      encoding/json and held there by FuzzReplyEncoding: it
+#                      calls no json.NewEncoder or json.Marshal and no
+#                      writeJSON with a 200 status
 #   7g. exhibits     — opt-in, for a change that must not move a simulated
 #                      number: with EXHIBIT_BASE=<checkout of the parent
 #                      commit>, all fafnir-bench exhibits are regenerated there
@@ -120,6 +126,7 @@
 #   go test -fuzz=FuzzFromCOO -fuzztime=30s ./internal/sparse
 #   go test -fuzz=FuzzParseFleet -fuzztime=30s ./internal/fault
 #   go test -fuzz=FuzzLookupRequest -fuzztime=30s ./internal/serve
+#   go test -fuzz=FuzzReplyEncoding -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzLoadWorkload -fuzztime=30s ./internal/trace
 #   go test -fuzz=FuzzParseMix -fuzztime=30s ./cmd/fafnir-loadgen
 #   go test -fuzz=FuzzParseSLO -fuzztime=30s ./cmd/fafnir-serve
@@ -172,6 +179,7 @@ echo "==> go test -race -count=20 ./internal/serve"
 go test -race -count=20 ./internal/serve
 
 echo "==> fuzz corpus (replay, -run mode)"
+# ./internal/serve/ replays FuzzLookupRequest and FuzzReplyEncoding.
 go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/ ./internal/trace/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
 
 echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
@@ -229,6 +237,13 @@ echo "==> one golden reference per lookup path, compared exactly"
     || { echo "a tolerance or an opt-in re-check is back: lookups compare exactly, once"; exit 1; }
 ! grep -n 'owned' internal/rnet/rnet.go \
     || { echo "internal/rnet tracks vector ownership again: the root's values are the serial fold"; exit 1; }
+
+echo "==> one reply encoder (lookup replies are appended, not reflected)"
+! awk 'index($0, "func (s *Server) handleLookup(") == 1 { on = 1 }
+       on && /json\.(NewEncoder|Marshal)|writeJSON\(w, (http\.StatusOK|200)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+       on && /^}/ { on = 0 }
+       END { exit !bad }' internal/serve/server.go \
+    || { echo "handleLookup renders its reply through encoding/json again: append it with the reply encoder"; exit 1; }
 
 if [ -n "${EXHIBIT_BASE:-}" ]; then
     echo "==> exhibits byte-equal to $EXHIBIT_BASE (-j 1 and default)"
