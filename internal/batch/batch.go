@@ -108,23 +108,14 @@ func Build(b embedding.Batch, dedup bool) *Plan {
 			backing = append(append(backing, q[:at]...), q[at+1:]...)
 			sets = append(sets, backing[start:len(backing):len(backing)])
 		}
-		a.Remaining = dedupSets(sets[lo:len(sets):len(sets)])
+		// Two identical queries need the value the same way: one remaining-set
+		// serves both, and QueriesFor maps the completed output back to every
+		// matching query position.
+		own := sets[lo:len(sets):len(sets)]
+		slices.SortFunc(own, slices.Compare)
+		a.Remaining = slices.CompactFunc(own, header.IndexSet.Equal)
 	}
 	return p
-}
-
-// dedupSets removes duplicate remaining-sets (two identical queries need the
-// value the same way; one header entry serves both — QueriesFor maps the
-// completed output back to every matching query position).
-func dedupSets(sets []header.IndexSet) []header.IndexSet {
-	slices.SortFunc(sets, header.IndexSet.Compare)
-	out := sets[:0]
-	for i, s := range sets {
-		if i == 0 || !s.Equal(out[len(out)-1]) {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Batch returns the batch the plan was compiled from.

@@ -239,7 +239,7 @@ func AblOccupancy() (*Report, error) {
 			return nil, err
 		}
 		ok := "yes"
-		if err := fafnir.CheckOccupancyBound(&res.Result, capacity); err != nil {
+		if res.MaxOccupancy > capacity {
 			ok = "NO"
 		}
 		rep.AddRow(itoa(capacity), itoa(res.MaxOccupancy), itoa(capacity), ok)

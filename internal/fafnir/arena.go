@@ -12,9 +12,7 @@ package fafnir
 // Arena-backed slices are only valid while the owning scratch is leased
 // (getTreeScratch/putTreeScratch in scratch.go); the engine releases a
 // batch's scratch only after resolve and trace emission have consumed the
-// root outputs. The exported ProcessPE/SelfMerge adaptors convert their
-// results out of a private scratch, so those live as long as the caller keeps
-// them.
+// root outputs.
 
 import (
 	"cmp"
@@ -117,7 +115,6 @@ type workScratch struct {
 	ord   []uint64        // canon's output
 	sigs  []uint64        // processPE: header.Bitset.Sig of every input entry's indices
 	owner []int32         // selfMerge: (entry, remaining-set) pair -> stream position
-	named []header.Index  // viaDense: every index an exported call's inputs mention
 }
 
 // begin points the scratch at the dense row space of the batch it is about
@@ -160,20 +157,20 @@ func (ws *workScratch) andNot(s, t header.Bitset) header.Bitset {
 }
 
 // canon returns the positions 0..n-1 in the canonical order of the sets found
-// there: header.IndexSet's Compare (Key) order over the global indices —
-// which decides merge-unit grouping, output order and, through selfMerge,
-// float summation order, so it is reproduced exactly — with equal sets in
-// position order. Each set is packed into one word, its position below as much
-// of its SortKey as fits, so a plain integer sort decides nearly every
-// comparison; only runs that tie on the key prefix (equal sets, mostly) take
-// the full comparator. The position tiebreak makes the order total, so the
-// unstable sorts have one possible outcome. The result is valid until the
-// next canon.
+// there (header.Bitset.Compare), with equal sets in position order. The merge
+// unit needs only that equal sets end up adjacent; any total order of the bits
+// does that, and the store's integer-valued rows make every fold exact in any
+// order, so the order is chosen for speed alone. Each set is packed into one
+// word, its position below as much of its SortKey as fits, so a plain integer
+// sort decides nearly every comparison; only runs that tie on the key prefix
+// (equal sets, mostly) take the full comparator. The position tiebreak makes
+// the order total, so the unstable sorts have one possible outcome. The result
+// is valid until the next canon.
 func (ws *workScratch) canon(n int, set func(pos uint64) header.Bitset) []uint64 {
 	posBits := bits.Len(uint(n))
 	ord := ws.ord[:0]
 	for i := uint64(0); i < uint64(n); i++ {
-		ord = append(ord, ws.rows.SortKey(set(i))>>posBits<<posBits|i)
+		ord = append(ord, set(i).SortKey()>>posBits<<posBits|i)
 	}
 	ws.ord = ord
 	slices.Sort(ord)
@@ -183,7 +180,7 @@ func (ws *workScratch) canon(n int, set func(pos uint64) header.Bitset) []uint64
 		}
 		if j > i+1 {
 			slices.SortFunc(ord[i:j], func(a, b uint64) int {
-				if c := ws.rows.Compare(set(a&pos), set(b&pos)); c != 0 {
+				if c := set(a & pos).Compare(set(b & pos)); c != 0 {
 					return c
 				}
 				return cmp.Compare(a, b)

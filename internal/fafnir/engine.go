@@ -82,7 +82,7 @@ type Result struct {
 	// PETotals accumulates the per-PE action counts across the whole tree.
 	PETotals PEStats
 	// MaxOccupancy is the largest post-merge output count any PE produced,
-	// which must respect the min(nm+n+m, B) buffer bound of Section IV-B.
+	// which merging keeps within the batch size (Section IV-B).
 	MaxOccupancy int
 	// MemoryReads is the number of DRAM vector reads the plan issued.
 	MemoryReads int
@@ -361,7 +361,7 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		qs := header.Bitset(ws.words.alloc(k * len(acc.Users)))[:0]
 		for _, qi := range acc.Users {
 			rem.AndNot(plan.QueryBits(int(qi)), own)
-			qs = plan.Rows.Insert(qs, rem)
+			qs = qs.Insert(rem)
 		}
 		in.byRank[r] = append(in.byRank[r], denseEntry{value: v, indices: own, queries: qs})
 	}
@@ -928,19 +928,6 @@ func VerifyAgainstGolden(got []tensor.Vector, want []tensor.Vector) int {
 		return len(want)
 	}
 	return -1
-}
-
-// CheckOccupancyBound validates the paper's buffer bound for a run: no PE
-// may hold more than min(n*m+n+m, B) outputs, with n=m=B entries per input.
-func CheckOccupancyBound(res *Result, capacity int) error {
-	bound := capacity*capacity + 2*capacity
-	if capacity < bound {
-		bound = capacity
-	}
-	if res.MaxOccupancy > bound {
-		return fmt.Errorf("fafnir: PE occupancy %d exceeds bound %d", res.MaxOccupancy, bound)
-	}
-	return nil
 }
 
 // InteractiveStage is the pipeline-stage latency of interactive mode: with a

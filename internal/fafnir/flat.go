@@ -69,7 +69,7 @@ func (e *Engine) evalFlatNode(op tensor.ReduceOp, id int32, in rankEntries, sc *
 		inA = gatherRanks(&sc.ws, in, n.ranksA)
 		inB = gatherRanks(&sc.ws, in, n.ranksB)
 		// Serially merge co-query entries arriving on the same input
-		// stream (see SelfMerge); required whenever a query holds two
+		// stream (see selfMerge); required whenever a query holds two
 		// indices on one rank.
 		var stA, stB PEStats
 		var err error

@@ -1,41 +1,19 @@
 package fafnir
 
-// This file holds the PE: the exported, sorted-slice form of an in-flight
-// value (Entry, with header.Header over global indices) and the one
-// implementation of the PE's units — processPE, selfMerge and the merge unit
-// fold — on the engine's working form, denseEntry, whose header fields are
-// header.Bitset words over the hardware batch's dense rows. A reduce test is
-// a few word operations there, so what is left of a PE's host cost is the
-// canonical order of its outputs (canon, in arena.go). The exported
-// ProcessPE/SelfMerge convert in, run the same code and convert out
-// (viaDense); docs/ARCHITECTURE.md section 3 says where dense rows come from
-// and why the canonical order is what it is.
+// This file holds the PE: processPE, selfMerge and the merge unit's fold, on
+// the engine's working form of an in-flight value, denseEntry, whose header
+// fields are header.Bitset words over the hardware batch's dense rows. A
+// reduce test is a few word operations there, so what is left of a PE's host
+// cost is the canonical order of its outputs (canon, in arena.go).
+// docs/ARCHITECTURE.md section 3 says where dense rows come from and why any
+// order that groups equal sets will do.
 
 import (
 	"fmt"
-	"slices"
 
 	"fafnir/internal/header"
 	"fafnir/internal/tensor"
 )
-
-// Entry is one value in flight through the tree: the (partially reduced)
-// embedding data and its header. Values are treated as immutable once inside
-// an entry; reduce actions clone before combining.
-type Entry struct {
-	Value  tensor.Vector
-	Header header.Header
-}
-
-// Clone deep-copies the entry.
-func (e Entry) Clone() Entry {
-	return Entry{Value: e.Value.Clone(), Header: e.Header.Clone()}
-}
-
-// String renders the entry's header (values are elided).
-func (e Entry) String() string {
-	return fmt.Sprintf("Entry%s", e.Header.String())
-}
 
 // PEStats counts what one PE invocation did, for the timing model and for
 // validating the paper's min(nm+n+m, B) output bound.
@@ -67,10 +45,11 @@ func (s *PEStats) Add(o PEStats) {
 	s.Outputs += o.Outputs
 }
 
-// denseEntry is an Entry in the engine's working form: both header fields are
-// header.Bitset words over the hardware batch's dense rows (workScratch.rows),
-// the Queries field as Words()-long sets back to back. Like an Entry it is
-// immutable once in flight, so entries share field storage freely.
+// denseEntry is one value in flight through the tree: the (partially reduced)
+// embedding data and its header, both header fields as header.Bitset words
+// over the hardware batch's dense rows (workScratch.rows), the Queries field
+// as Words()-long sets back to back. It is immutable once in flight — a reduce
+// action clones the value before combining — so entries share storage freely.
 type denseEntry struct {
 	value   tensor.Vector
 	indices header.Bitset
@@ -89,14 +68,15 @@ func (e *denseEntry) complete(k int) bool {
 
 // fold is the merge unit: raw PE outputs sharing an Indices set collapse into
 // one entry whose Queries fields are concatenated and canonicalized, and the
-// result is sorted by canonical indices key — the step that makes PE
-// evaluation deterministic regardless of input order.
+// result is in canonical Indices order — the step that makes PE evaluation
+// deterministic regardless of input order.
 //
 // canon's order brings duplicates adjacent while preserving arrival order
 // within a group, so the group's representative value is the first-arriving
-// one, and inserting the group's Queries one by one into a canonical list
-// yields the sorted deduped set union. Distinct groups carry distinct Indices
-// sets, so the order of the outputs is unique.
+// one (every member carries the same reduction), and inserting the group's
+// Queries one by one into a canonical list yields the deduped set union.
+// Distinct groups carry distinct Indices sets, so the order of the outputs is
+// unique.
 func (ws *workScratch) fold(raw []denseEntry, stats *PEStats) []denseEntry {
 	ord := ws.canon(len(raw), func(pos uint64) header.Bitset { return raw[pos].indices })
 	out := ws.ents.alloc(len(raw))[:0]
@@ -110,10 +90,10 @@ func (ws *workScratch) fold(raw []denseEntry, stats *PEStats) []denseEntry {
 		}
 		out = append(out, *first)
 		if j > i+1 {
-			list := ws.words.alloc(nq)[:0]
+			list := header.Bitset(ws.words.alloc(nq)[:0])
 			for _, pos := range ord[i:j] {
 				for qs := raw[pos].queries; len(qs) > 0; qs = qs[ws.k:] {
-					list = ws.rows.Insert(list, qs[:ws.k])
+					list = list.Insert(qs[:ws.k])
 				}
 			}
 			out[len(out)-1].queries = list
@@ -125,10 +105,32 @@ func (ws *workScratch) fold(raw []denseEntry, stats *PEStats) []denseEntry {
 	return out
 }
 
-// processPE is the one implementation of the PE (see ProcessPE for the
-// semantics) on the scratch's dense rows: every action allocates from the
-// scratch's arenas, so the returned entries are valid only while the scratch
-// is.
+// processPE runs the functional semantics of one PE over its two input
+// buffers (Section IV-B/IV-C). For every entry and every remaining-index set
+// in its Queries field, the compute units compare the set against the
+// indices field of every entry of the opposite input:
+//
+//   - when opposite entries are covered by the set, the value is reduced
+//     with the *maximal* covered entry — the opposite subtree's complete
+//     partial reduction for that query — producing the unioned indices and
+//     the remaining set minus the partner's indices;
+//   - when no opposite entry is covered, the set is forwarded unchanged;
+//   - entries whose remaining set is already empty (fully reduced queries
+//     travelling to the root) always forward.
+//
+// The merge unit (fold) then removes duplicate outputs (the same reduction
+// reached from both input directions) and folds outputs sharing an Indices set
+// into one entry with concatenated Queries fields.
+//
+// Reducing with the maximal covered entry rather than every covered entry is
+// what keeps each query's reduction a single chain through the tree: an
+// inductive invariant of the tree is that each subtree emits exactly one
+// entry covering all of a query's indices within that subtree, so the
+// maximal match is that entry and smaller matches are its superseded
+// sub-chains.
+//
+// Every action allocates from the scratch's arenas, so the returned entries
+// are valid only while the scratch is.
 func (ws *workScratch) processPE(op tensor.ReduceOp, inA, inB []denseEntry) ([]denseEntry, PEStats, error) {
 	stats := PEStats{InA: len(inA), InB: len(inB)}
 	raw := ws.raw[:0]
@@ -195,14 +197,28 @@ func (ws *workScratch) processPE(op tensor.ReduceOp, inA, inB []denseEntry) ([]d
 	return ws.fold(raw, &stats), stats, nil
 }
 
-// selfMerge is the one implementation of SelfMerge (see there for the
-// semantics, processPE for the arena lifetime rules).
+// selfMerge reduces co-query entries that sit in the *same* input stream.
 //
-// Grouping is sort-based. The stream is first put in canonical (indices-key)
-// order — the order a group's members combine in, hence the float summation
-// order — and every (entry, remaining-set) pair is tagged with its full
-// query in that order; canon on the full queries then brings each group's
-// members adjacent, still in combining order.
+// Cross-input comparison alone cannot combine two indices of one query that
+// live on the same rank (the paper's own Fig. 6 example needs this: indices
+// 44 and 94 both reside in table 4). Physically the leaf PE receives a
+// rank's entries serially and can compare each arriving entry against the
+// ones already buffered; selfMerge models the result of that serial pass.
+//
+// Every (entry, remaining-set) pair is grouped by the full query it belongs to
+// (the union of the entry's indices and the remaining set), each group's
+// members are reduced together, and one entry per group is re-emitted with the
+// group's indices united and the remaining set shrunk accordingly. Entries
+// within one group must have pairwise disjoint indices — true for leaf
+// streams, where each planned access contributes one distinct index — and
+// selfMerge returns an error otherwise. The returned stats count the reduce
+// actions and merge-unit folds performed; the arena rules are processPE's.
+//
+// Grouping is sort-based. The stream is first put in canonical Indices order,
+// which fixes the order a group's members combine in, and every (entry,
+// remaining-set) pair is tagged with its full query in that order; canon on
+// the full queries then brings each group's members adjacent, still in that
+// order.
 func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]denseEntry, PEStats, error) {
 	var total PEStats
 
@@ -229,11 +245,11 @@ func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]de
 				continue // the same entry again, or a duplicate read of the same data (non-dedup stream)
 			}
 			if covered.Intersects(m.indices) {
-				return nil, total, fmt.Errorf("fafnir: SelfMerge stream entries overlap at %v", ws.rows.AppendIndices(nil, m.indices))
+				return nil, total, fmt.Errorf("fafnir: self-merge stream entries overlap at %v", ws.rows.AppendIndices(nil, m.indices))
 			}
 			v := ws.cloneVec(value)
 			if err := op.Apply(v, m.value); err != nil {
-				return nil, total, fmt.Errorf("fafnir: SelfMerge reduce: %w", err)
+				return nil, total, fmt.Errorf("fafnir: self-merge reduce: %w", err)
 			}
 			value = v
 			covered = ws.or(covered, m.indices)
@@ -250,130 +266,4 @@ func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]de
 	}
 	ws.raw = raw
 	return ws.fold(raw, &total), total, nil
-}
-
-// ProcessPE runs the functional semantics of one PE over its two input
-// buffers (Section IV-B/IV-C). For every entry and every remaining-index set
-// in its Queries field, the compute units compare the set against the
-// indices field of every entry of the opposite input:
-//
-//   - when opposite entries are covered by the set, the value is reduced
-//     with the *maximal* covered entry — the opposite subtree's complete
-//     partial reduction for that query — producing the unioned indices and
-//     the remaining set minus the partner's indices;
-//   - when no opposite entry is covered, the set is forwarded unchanged;
-//   - entries whose remaining set is already empty (fully reduced queries
-//     travelling to the root) always forward.
-//
-// The merge unit then removes duplicate outputs (the same reduction reached
-// from both input directions) and folds outputs sharing an Indices set into
-// one entry with concatenated Queries fields.
-//
-// Reducing with the maximal covered entry rather than every covered entry is
-// what keeps each query's reduction a single chain through the tree: an
-// inductive invariant of the tree is that each subtree emits exactly one
-// entry covering all of a query's indices within that subtree, so the
-// maximal match is that entry and smaller matches are its superseded
-// sub-chains. Outputs are sorted by canonical header key, making the engine
-// deterministic regardless of input order.
-//
-// This exported form is an adaptor over the engine's processPE; see viaDense.
-func ProcessPE(op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error) {
-	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
-		return ws.processPE(op, in[0], in[1])
-	}, inA, inB)
-}
-
-// SelfMerge reduces co-query entries that sit in the *same* input stream.
-//
-// Cross-input comparison alone cannot combine two indices of one query that
-// live on the same rank (the paper's own Fig. 6 example needs this: indices
-// 44 and 94 both reside in table 4). Physically the leaf PE receives a
-// rank's entries serially and can compare each arriving entry against the
-// ones already buffered; SelfMerge models the result of that serial pass.
-//
-// The implementation groups every (entry, remaining-set) pair by the full
-// query it belongs to (the union of the entry's indices and the remaining
-// set), reduces each group's members in canonical order, and re-emits one
-// entry per group with the group's indices united and the remaining set
-// shrunk accordingly. Entries within one group must have pairwise disjoint
-// indices — true for leaf streams, where each planned access contributes one
-// distinct index — and SelfMerge returns an error otherwise.
-//
-// The returned stats count the reduce actions and merge-unit folds performed.
-// Like ProcessPE, this exported form is an adaptor over the engine's
-// selfMerge.
-func SelfMerge(op tensor.ReduceOp, entries []Entry) ([]Entry, PEStats, error) {
-	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
-		return ws.selfMerge(op, in[0])
-	}, entries)
-}
-
-// viaDense runs one PE unit on exported, sorted-slice entries: the indices
-// the input streams mention anywhere in their headers are numbered as the
-// dense rows of a pooled scratch, the streams are converted to the working
-// form, and the outputs are copied back out — headers to global indices,
-// values off the arena — so they live as long as the caller keeps them.
-func viaDense(run func(*workScratch, [][]denseEntry) ([]denseEntry, PEStats, error), streams ...[]Entry) ([]Entry, PEStats, error) {
-	var none Engine // no tree to size for: the lease is just the pooled arena
-	sc := none.getTreeScratch()
-	defer none.putTreeScratch(sc)
-	ws := &sc.ws
-	all := ws.named[:0]
-	for _, in := range streams {
-		for _, e := range in {
-			all = append(all, e.Header.Indices...)
-			for _, q := range e.Header.Queries {
-				all = append(all, q...)
-			}
-		}
-	}
-	slices.Sort(all)
-	ws.named = all
-	ws.begin(header.Dense(slices.Compact(all)))
-
-	dense := make([][]denseEntry, len(streams))
-	for si, in := range streams {
-		dense[si] = ws.ents.alloc(len(in))
-		for i, e := range in {
-			ind := header.Bitset(ws.words.alloc(ws.k))
-			ws.rows.Bitset(ind, e.Header.Indices)
-			qs := header.Bitset(ws.words.alloc(ws.k * len(e.Header.Queries)))
-			for j, q := range e.Header.Queries {
-				ws.rows.Bitset(qs[j*ws.k:(j+1)*ws.k], q)
-			}
-			dense[si][i] = denseEntry{value: e.Value, indices: ind, queries: qs}
-		}
-	}
-	res, st, err := run(ws, dense)
-	if len(res) == 0 {
-		return nil, st, err
-	}
-
-	// Every set and value is carved out of one backing array per kind.
-	nidx, nsets, nval := 0, 0, 0
-	for i := range res {
-		nidx += res[i].indices.Len() + res[i].queries.Len()
-		nsets += len(res[i].queries) / ws.k
-		nval += len(res[i].value)
-	}
-	idx := make(header.IndexSet, 0, nidx)
-	sets := make([]header.IndexSet, 0, nsets)
-	vals := make(tensor.Vector, 0, nval)
-	global := func(b header.Bitset) header.IndexSet {
-		lo := len(idx)
-		idx = ws.rows.AppendIndices(idx, b)
-		return idx[lo:len(idx):len(idx)]
-	}
-	out := make([]Entry, len(res))
-	for i, e := range res {
-		lo, vlo := len(sets), len(vals)
-		for q := 0; q < len(e.queries); q += ws.k {
-			sets = append(sets, global(e.queries[q:q+ws.k]))
-		}
-		vals = append(vals, e.value...)
-		out[i] = Entry{Value: vals[vlo:len(vals):len(vals)], Header: header.Header{
-			Indices: global(e.indices), Queries: sets[lo:len(sets):len(sets)]}}
-	}
-	return out, st, nil
 }

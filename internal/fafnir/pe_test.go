@@ -133,7 +133,7 @@ func TestProcessPEMergePaperExample(t *testing.T) {
 	if len(e.Header.Queries) != 2 {
 		t.Fatalf("queries %v", e.Header.Queries)
 	}
-	if !e.Header.HasQuery(header.NewIndexSet(11, 77)) || !e.Header.HasQuery(header.NewIndexSet(26)) {
+	if !hasQuery(e.Header, header.NewIndexSet(11, 77)) || !hasQuery(e.Header, header.NewIndexSet(26)) {
 		t.Fatalf("merged queries wrong: %v", e.Header.Queries)
 	}
 	if e.Value[0] != 7 {
@@ -175,7 +175,7 @@ func TestProcessPEMaximalMatch(t *testing.T) {
 	// b1 must forward for its own query.
 	var b1Out bool
 	for _, e := range out {
-		if e.Header.Indices.Equal(header.NewIndexSet(2)) && e.Header.HasQuery(header.NewIndexSet(9)) {
+		if e.Header.Indices.Equal(header.NewIndexSet(2)) && hasQuery(e.Header, header.NewIndexSet(9)) {
 			b1Out = true
 		}
 	}
@@ -256,11 +256,11 @@ func TestSelfMergeFig6Table4(t *testing.T) {
 			if e.Value[0] != 13 {
 				t.Fatalf("combined value %v", e.Value[0])
 			}
-			if !e.Header.HasQuery(header.NewIndexSet(50, 11, 26)) {
+			if !hasQuery(e.Header, header.NewIndexSet(50, 11, 26)) {
 				t.Fatalf("combined queries %v", e.Header.Queries)
 			}
 		}
-		if e.Header.Indices.Equal(header.NewIndexSet(44)) && e.Header.HasQuery(header.NewIndexSet(11, 32, 83, 77)) {
+		if e.Header.Indices.Equal(header.NewIndexSet(44)) && hasQuery(e.Header, header.NewIndexSet(11, 32, 83, 77)) {
 			alone = true
 		}
 	}
@@ -359,7 +359,7 @@ func TestQuickProcessPEInvariants(t *testing.T) {
 		}
 		seen := map[string]bool{}
 		for _, e := range out {
-			key := e.Header.Indices.Key()
+			key := e.Header.Indices.String()
 			if seen[key] {
 				t.Fatalf("trial %d: duplicate indices key in outputs", trial)
 			}

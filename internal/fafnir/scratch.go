@@ -23,8 +23,8 @@ import (
 // steady-state working set.
 type treeScratch struct {
 	memo  [][]denseEntry // node ID -> post-merge outputs
-	proc  []PEStats      // node ID -> ProcessPE stats
-	self  []PEStats      // node ID -> leaf SelfMerge stats (both inputs combined)
+	proc  []PEStats      // node ID -> processPE stats
+	self  []PEStats      // node ID -> leaf selfMerge stats (both inputs combined)
 	perPE []PEStats      // node ID -> folded per-PE stats (see runTree)
 
 	in     [][]denseEntry  // rank -> staged leaf entries

@@ -1,6 +1,7 @@
 package header
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -82,6 +83,60 @@ func (b Bitset) AndNot(s, t Bitset) {
 	}
 }
 
+// SortKey packs b's two lowest members, the lower one in the high half, with
+// math.MaxUint32 standing in where b has none. Compare orders two sets whose
+// keys differ the way the keys order; sorts cache it so most comparisons are
+// one integer compare.
+func (b Bitset) SortKey() uint64 {
+	first := uint64(math.MaxUint32)
+	for i, w := range b {
+		for ; w != 0; w &= w - 1 {
+			id := uint64(i<<6 + bits.TrailingZeros64(w))
+			if first != math.MaxUint32 {
+				return first<<32 | id
+			}
+			first = id
+		}
+	}
+	return first<<32 | math.MaxUint32
+}
+
+// Compare is the merge unit's canonical order: the set holding the lowest row
+// the two do not share comes first. All it has to do is bring equal sets
+// together, so it reads only the bits, never the global indices behind them.
+func (b Bitset) Compare(c Bitset) int {
+	for i, w := range b {
+		if diff := w ^ c[i]; diff != 0 {
+			if w&diff&-diff != 0 {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// Insert adds set to b — a Queries field: len(set)-long sets back to back, in
+// Compare order, duplicate-free — and returns the extended list. Sets mostly
+// arrive in order, so the scan starts at the end.
+func (b Bitset) Insert(set Bitset) Bitset {
+	k := len(set)
+	at := len(b)
+	for ; at > 0; at -= k {
+		c := b[at-k : at].Compare(set)
+		if c == 0 {
+			return b
+		}
+		if c < 0 {
+			break
+		}
+	}
+	b = append(b, set...)
+	copy(b[at+k:], b[at:])
+	copy(b[at:], set)
+	return b
+}
+
 // Dense is the ID space of one batch: Dense[id] is the global index of dense
 // row id, strictly ascending.
 type Dense []Index
@@ -111,80 +166,4 @@ func (d Dense) AppendIndices(dst IndexSet, b Bitset) IndexSet {
 		}
 	}
 	return dst
-}
-
-// image is the position of dense row id in Key order: Key lays the global
-// index out in little-endian bytes, so comparing keys compares these.
-func (d Dense) image(id int) uint32 { return bits.ReverseBytes32(d[id]) }
-
-// SortKey packs the images of b's two lowest members (zero where b has
-// none). Compare orders two sets whose keys differ the way the keys order;
-// sorts cache it so most comparisons are one integer compare.
-func (d Dense) SortKey(b Bitset) uint64 {
-	var key uint64
-	shift := 32
-	for i, w := range b {
-		for ; w != 0; w &= w - 1 {
-			key |= uint64(d.image(i<<6+bits.TrailingZeros64(w))) << shift
-			if shift == 0 {
-				return key
-			}
-			shift = 0
-		}
-	}
-	return key
-}
-
-// Compare orders a and b exactly as IndexSet.Compare orders their global
-// forms: Key order, which is neither numeric nor word order. The sets agree
-// below their lowest differing row x, so the side holding x has it where the
-// other side has its next member y > x — or has ended, and is the smaller
-// prefix; otherwise the images of x and y decide.
-func (d Dense) Compare(a, b Bitset) int {
-	for i := range a {
-		diff := a[i] ^ b[i]
-		if diff == 0 {
-			continue
-		}
-		low := diff & -diff
-		sign, rest := 1, b // a holds x
-		if b[i]&low != 0 {
-			sign, rest = -1, a
-		}
-		x := d.image(i<<6 + bits.TrailingZeros64(low))
-		for w := rest[i] &^ (low | (low - 1)); ; w = rest[i] {
-			if w != 0 {
-				if x < d.image(i<<6+bits.TrailingZeros64(w)) {
-					return -sign
-				}
-				return sign
-			}
-			if i++; i == len(rest) {
-				return sign
-			}
-		}
-	}
-	return 0
-}
-
-// Insert adds set to list — a Queries field: Words()-long sets back to back,
-// in Compare order, duplicate-free (Header.Normalize's canonical form) — and
-// returns the extended list. Sets mostly arrive in order, so the scan starts
-// at the end.
-func (d Dense) Insert(list, set Bitset) Bitset {
-	k := len(set)
-	at := len(list)
-	for ; at > 0; at -= k {
-		c := d.Compare(list[at-k:at], set)
-		if c == 0 {
-			return list
-		}
-		if c < 0 {
-			break
-		}
-	}
-	list = append(list, set...)
-	copy(list[at+k:], list[at:])
-	copy(list[at:], set)
-	return list
 }

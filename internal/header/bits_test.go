@@ -2,6 +2,7 @@ package header
 
 import (
 	"cmp"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ type bitsetCase struct {
 
 // decodeBitsetCase reads: two bytes of row count (mod 521), three bytes of
 // base and one of step (row r is global index base + r*(step+1), so a table
-// may straddle any byte boundary of the Key encoding), then up to six sets,
+// may straddle any byte boundary of the global index), then up to six sets,
 // each a length byte (mod 32) followed by that many two-byte dense IDs (mod
 // the row count). Truncated input yields fewer or shorter sets.
 func decodeBitsetCase(data []byte) bitsetCase {
@@ -46,18 +47,32 @@ func decodeBitsetCase(data []byte) bitsetCase {
 
 func sign(x int) int { return cmp.Compare(x, 0) }
 
+// lowestApart is the reference for Bitset.Compare: the set holding the lowest
+// member of the symmetric difference of s and u comes first.
+func lowestApart(s, u IndexSet) int {
+	diff := s.Minus(u).Union(u.Minus(s))
+	switch {
+	case diff.Empty():
+		return 0
+	case s.Contains(diff[0]):
+		return -1
+	}
+	return 1
+}
+
 // FuzzBitsetOps is the differential test of the fixed-width header form
 // against IndexSet, which stays the reference model: on random sets over up to
 // 520 dense rows with an arbitrary ascending global table, conversion both
-// ways, subset, intersection, equality, union, minus, the canonical (Key
-// order) comparator, its SortKey and Sig shortcuts, and Queries normalization
-// must agree. Run with
+// ways, subset, intersection, equality, union, minus, the canonical comparator
+// (the lowest member of the symmetric difference decides), its SortKey and Sig
+// shortcuts, and Queries normalization must agree. Run with
 //
 //	go test -fuzz=FuzzBitsetOps ./internal/header
 //
 // The checked-in corpus covers sets straddling word boundaries (63/64/65,
-// 127/128 and 511/512/513 rows), global indices whose Key order disagrees
-// with numeric order (255 vs 256, 65535 vs 65536), prefixes and empty sets.
+// 127/128 and 511/512/513 rows), global indices whose little-endian bytes
+// order them against numeric order (255 vs 256, 65535 vs 65536), prefixes and
+// empty sets.
 func FuzzBitsetOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{65, 0, 250, 0, 0, 0, 3, 63, 0, 64, 0, 5, 0, 2, 63, 0, 64, 0, 0})
@@ -106,31 +121,35 @@ func FuzzBitsetOps(f *testing.F) {
 				if !or.Equal(toBits(s.Union(u))) || !andNot.Equal(toBits(s.Minus(u))) {
 					t.Fatalf("%v, %v: union %v minus %v", s, u, d.AppendIndices(nil, or), d.AppendIndices(nil, andNot))
 				}
-				want := sign(s.Compare(u))
-				if got := sign(d.Compare(a, b)); got != want {
-					t.Fatalf("Compare(%v, %v) = %d, IndexSet.Compare %d", s, u, got, want)
+				want := lowestApart(s, u)
+				if got := sign(a.Compare(b)); got != want {
+					t.Fatalf("Compare(%v, %v) = %d, want %d", s, u, got, want)
 				}
-				if ka, kb := d.SortKey(a), d.SortKey(b); ka != kb && (ka < kb) != (want < 0) {
+				if ka, kb := a.SortKey(), b.SortKey(); ka != kb && (ka < kb) != (want < 0) {
 					t.Fatalf("SortKey orders %v (%x) and %v (%x) against Compare %d", s, ka, u, kb, want)
 				}
 			}
 		}
 
-		// Queries normalization: inserting the sets one by one must build
-		// Header.Normalize's canonical list.
+		// Queries normalization: inserting the sets one by one must keep
+		// them in Compare order and hold the same sets as Header.Normalize's
+		// canonical list.
 		h := Header{Queries: append([]IndexSet{}, c.sets...)}
 		h.Normalize()
 		var list Bitset
 		for _, b := range c.bits {
-			list = d.Insert(list, b)
+			list = list.Insert(b)
 		}
-		if len(list) != len(h.Queries)*k {
-			t.Fatalf("Insert kept %d sets, Normalize %d", len(list)/k, len(h.Queries))
-		}
-		for i, q := range h.Queries {
-			if got := d.AppendIndices(nil, list[i*k:(i+1)*k]); !got.Equal(q) {
-				t.Fatalf("canonical Queries[%d] = %v, Normalize gives %v", i, got, q)
+		var got []IndexSet
+		for i := 0; i < len(list); i += k {
+			if i > 0 && list[i-k:i].Compare(list[i:i+k]) >= 0 {
+				t.Fatalf("Insert list out of Compare order at set %d", i/k)
 			}
+			got = append(got, d.AppendIndices(nil, list[i:i+k]))
+		}
+		slices.SortFunc(got, slices.Compare)
+		if !slices.EqualFunc(got, h.Queries, IndexSet.Equal) {
+			t.Fatalf("Insert kept %v, Normalize %v", got, h.Queries)
 		}
 	})
 }

@@ -44,7 +44,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Equal(h) {
+	if !sameHeader(back, h) {
 		t.Fatalf("round trip: %v -> %v", h, back)
 	}
 }
@@ -73,7 +73,7 @@ func TestPackFig6HeaderFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Equal(h) {
+	if !sameHeader(back, h) {
 		t.Fatal("fig6 header round trip failed")
 	}
 }
@@ -148,7 +148,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !back.Equal(h) {
+		if !sameHeader(back, h) {
 			t.Fatalf("trial %d: %v -> %v", trial, h, back)
 		}
 	}

@@ -1,7 +1,6 @@
 package header
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 )
@@ -58,60 +57,17 @@ func (h Header) Complete() bool {
 	return false
 }
 
-// HasQuery reports whether any remaining-set equals q.
-func (h Header) HasQuery(q IndexSet) bool {
-	for _, r := range h.Queries {
-		if r.Equal(q) {
-			return true
-		}
-	}
-	return false
-}
-
-// canonicalQueries sorts qs in place by Key order and deduplicates, so two
-// headers that differ only in ordering compare equal. Key-order sorting via
-// IndexSet.Compare keeps this allocation-free on the PE hot path.
-func canonicalQueries(qs []IndexSet) []IndexSet {
-	if len(qs) == 0 {
-		return nil
-	}
-	slices.SortFunc(qs, IndexSet.Compare)
-	out := qs[:1]
-	for _, q := range qs[1:] {
-		if !q.Equal(out[len(out)-1]) {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// Normalize sorts and deduplicates the Queries field in place and returns h.
-// The merge unit relies on the canonical form for equality checks.
+// Normalize sorts and deduplicates the Queries field in place and returns h,
+// so two headers that differ only in the order of their Queries fields
+// normalize alike.
 func (h *Header) Normalize() *Header {
-	h.Queries = canonicalQueries(h.Queries)
-	return h
-}
-
-// Key returns a canonical encoding of the whole header (indices + normalized
-// queries). Two headers with equal Key are redundant outputs in the merge
-// unit's first case ("the redundant outputs must be removed").
-func (h Header) Key() string {
-	qs := make([]IndexSet, len(h.Queries))
-	copy(qs, h.Queries) // Key must not reorder the caller's header
-	var b strings.Builder
-	b.WriteString(h.Indices.Key())
-	b.WriteByte('|')
-	for _, q := range canonicalQueries(qs) {
-		b.WriteString(q.Key())
-		b.WriteByte(';')
+	if len(h.Queries) == 0 {
+		h.Queries = nil
+		return h
 	}
-	return b.String()
-}
-
-// Equal reports whether h and o carry the same indices and the same
-// (order-insensitive) queries.
-func (h Header) Equal(o Header) bool {
-	return h.Key() == o.Key()
+	slices.SortFunc(h.Queries, slices.Compare)
+	h.Queries = slices.CompactFunc(h.Queries, IndexSet.Equal)
+	return h
 }
 
 // String renders the header like the paper's notation:
@@ -129,20 +85,6 @@ func (h Header) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// CanReduceInto reports whether the value carrying h may be reduced into a
-// value whose indices are other: some remaining-set of h must contain every
-// index of other. It returns the position of the first such remaining-set,
-// or -1. This is the PE's compare step: "If B[x].queries[j] contains all
-// elements of A[i].indices, the compute unit performs a reduction."
-func (h Header) CanReduceInto(other IndexSet) int {
-	for j, q := range h.Queries {
-		if q.ContainsAll(other) {
-			return j
-		}
-	}
-	return -1
 }
 
 // Reduce computes the header of the reduction of the two values carrying a
@@ -175,25 +117,8 @@ func Reduce(a, b Header) (Header, bool) {
 	return h, true
 }
 
-// MergeQueries combines the headers of two outputs that carry the same
-// Indices set (and therefore the same value): their Queries fields are
-// concatenated and canonicalized. It is the merge unit's second case
-// ("the outputs with the same data must be merged and the queries field in
-// their headers must be merged").
-func MergeQueries(a, b Header) (Header, error) {
-	if !a.Indices.Equal(b.Indices) {
-		return Header{}, fmt.Errorf("header: MergeQueries on distinct indices %v vs %v", a.Indices, b.Indices)
-	}
-	qs := make([]IndexSet, 0, len(a.Queries)+len(b.Queries))
-	qs = append(qs, a.Queries...)
-	qs = append(qs, b.Queries...)
-	h := Header{Indices: a.Indices, Queries: qs}
-	h.Normalize()
-	return h, nil
-}
-
 // Bits returns the number of header bits for a configuration with idxBits-bit
-// indices, q indices per query, and batch size b. It backs the Table I buffer
+// indices and q indices per query. It backs the Table I buffer
 // sizing: the paper's 10-byte header corresponds to q=16, 5-bit indices
 // (16 x 5 / 8 = 10 bytes).
 func Bits(idxBits, q int) int {

@@ -17,9 +17,7 @@
 package header
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 )
@@ -174,43 +172,6 @@ func (s IndexSet) Intersects(t IndexSet) bool {
 		}
 	}
 	return false
-}
-
-// Key returns a canonical string encoding of s, usable as a map key for the
-// merge unit's duplicate detection.
-func (s IndexSet) Key() string {
-	key := make([]byte, 0, len(s)*4)
-	for _, x := range s {
-		key = binary.LittleEndian.AppendUint32(key, x)
-	}
-	return string(key)
-}
-
-// Compare orders two sets exactly as comparing their Key encodings would —
-// element by element in little-endian byte order, shorter prefix first —
-// without allocating. The merge unit sorts by this order, so it must stay
-// byte-for-byte equivalent to Key for results to be reproducible across
-// engine versions.
-func (s IndexSet) Compare(t IndexSet) int {
-	n := len(s)
-	if len(t) < n {
-		n = len(t)
-	}
-	for i := 0; i < n; i++ {
-		if s[i] != t[i] {
-			if bits.ReverseBytes32(s[i]) < bits.ReverseBytes32(t[i]) {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(s) < len(t):
-		return -1
-	case len(s) > len(t):
-		return 1
-	}
-	return 0
 }
 
 // String renders the set like "{1, 2, 5}".

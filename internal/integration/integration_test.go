@@ -256,7 +256,7 @@ func TestSoakLargeBatch(t *testing.T) {
 			t.Fatalf("query %d mismatch in soak run", qi)
 		}
 	}
-	if err := core.CheckOccupancyBound(&res.Result, 32); err != nil {
-		t.Fatal(err)
+	if res.MaxOccupancy > 32 {
+		t.Fatalf("PE occupancy %d exceeds the batch size 32", res.MaxOccupancy)
 	}
 }

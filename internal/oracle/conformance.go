@@ -68,8 +68,8 @@ func (e *Env) CheckEngines() error {
 	if d := Diff(fres.Outputs, want); d != "" {
 		return fmt.Errorf("fafnir lookup: %s", d)
 	}
-	if err := core.CheckOccupancyBound(fres, e.W.BatchCapacity); err != nil {
-		return err
+	if fres.MaxOccupancy > e.W.BatchCapacity {
+		return fmt.Errorf("fafnir: PE occupancy %d exceeds bound %d", fres.MaxOccupancy, e.W.BatchCapacity)
 	}
 	for _, dedup := range []bool{true, false} {
 		tres, err := eng.TimedLookup(e.Store, e.Layout, e.NewMem(), e.Batch, dedup)

@@ -30,10 +30,14 @@
 #                      batches, shards and fleets, never a per-PE scheduler
 #   7c. one PE       — no non-test file of internal/fafnir calls the
 #                      sorted-slice set algebra (.ContainsAll, .Union, .Minus)
-#                      or sorts by IndexSet.Compare: the engine carries
-#                      headers as header.Bitset words end to end, and the
-#                      exported ProcessPE/SelfMerge are adaptors over the
-#                      same implementation
+#                      or sorts sorted-slice sets: the engine carries headers
+#                      as header.Bitset words end to end, and its PE is
+#                      reached only through the engine (no exported Entry,
+#                      ProcessPE or SelfMerge; examples/dedup, a second
+#                      hand-rolled tree walk, is gone). The merge unit's order
+#                      is a property of the bits alone: non-test
+#                      internal/header has no ReverseBytes32 and no
+#                      IndexSet.Key
 #   7d. one clock    — internal/sim is a cycle type, not a kernel: no non-test
 #                      Go file may import container/heap, call sim.NewEngine
 #                      or sim.NewStats, or bump a string-keyed "dram." counter,
@@ -186,9 +190,15 @@ echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
 ! grep -rlE 'runtime\.Gosched|stealHead|evalAsync' --include='*.go' --exclude='*_test.go' . \
     || { echo "a tree scheduler is back: see docs/ARCHITECTURE.md section 9"; exit 1; }
 
-echo "==> one PE implementation (no sorted-slice set algebra in internal/fafnir)"
-! grep -rnE '\.(ContainsAll|Union|Minus)\(|SortFunc\(.*IndexSet\.Compare' --include='*.go' --exclude='*_test.go' internal/fafnir \
+echo "==> one PE implementation (no sorted-slice set algebra in internal/fafnir, reached only through the engine)"
+! grep -rnE '\.(ContainsAll|Union|Minus)\(|SortFunc\(.*IndexSet' --include='*.go' --exclude='*_test.go' internal/fafnir \
     || { echo "internal/fafnir is back on sorted-slice headers: see docs/ARCHITECTURE.md section 3"; exit 1; }
+! grep -rnE 'func ProcessPE|func SelfMerge|type Entry struct' --include='*.go' --exclude='*_test.go' internal/fafnir \
+    || { echo "internal/fafnir exports a PE outside the engine again: run it through Engine.Lookup/TimedLookup"; exit 1; }
+[ ! -e examples/dedup ] \
+    || { echo "examples/dedup is back: the fig6 exhibit prints the worked example through the engine"; exit 1; }
+! grep -rnE 'ReverseBytes32|func \(s IndexSet\) Key' --include='*.go' --exclude='*_test.go' internal/header \
+    || { echo "internal/header reproduces a global-index key order again: the canonical order reads only the bits"; exit 1; }
 
 echo "==> one clock (no event queue, no string-keyed DRAM counters, no internal/scale)"
 ! grep -rlE 'container/heap|sim\.NewEngine|sim\.NewStats|\.Inc\("dram\.' --include='*.go' --exclude='*_test.go' . \
