@@ -57,10 +57,6 @@ type (
 	// (text mode is byte-compatible with fmt.Printf; json mode wraps each
 	// line in a {"ts","level","msg"} object).
 	Logger = telemetry.Logger
-	// SLOConfig parameterizes the serving layer's SLO flight recorder:
-	// rolling window, per-lane latency objectives, error-budget fraction,
-	// and the slowest/degraded-request ring bound K.
-	SLOConfig = telemetry.SLOConfig
 	// SLOSnapshot is the flight-recorder state served on /debug/slo.
 	SLOSnapshot = telemetry.SLOSnapshot
 	// StageCycles is the exact per-stage latency attribution every timed
@@ -146,16 +142,8 @@ type SystemConfig struct {
 	RowsPerTable int
 	// BatchCapacity is the hardware batch size B (default 32).
 	BatchCapacity int
-	// ZipfS is the index-popularity skew for GenerateBatch (default 1.3;
-	// values <= 1 draw uniformly).
-	ZipfS float64
-	// QuerySize is the indices per generated query (default 16).
-	QuerySize int
 	// Seed makes table contents and workloads deterministic (default 1).
 	Seed int64
-	// Dedup controls whether Lookup eliminates redundant accesses
-	// (default true; set DisableDedup to turn off).
-	DisableDedup bool
 	// Faults attaches a deterministic fault-injection schedule. The zero
 	// plan injects nothing and leaves every run bit-identical to a system
 	// built without it.
@@ -181,8 +169,6 @@ func (c SystemConfig) Validate() error {
 		return fmt.Errorf("fafnir: SystemConfig.RowsPerTable = %d: must be positive (or 0 for the paper default of 128 Ki)", c.RowsPerTable)
 	case c.BatchCapacity < 0:
 		return fmt.Errorf("fafnir: SystemConfig.BatchCapacity = %d: must be positive (or 0 for the paper default of 32)", c.BatchCapacity)
-	case c.QuerySize < 0:
-		return fmt.Errorf("fafnir: SystemConfig.QuerySize = %d: must be positive (or 0 for the paper default of 16)", c.QuerySize)
 	case c.Parallelism < 0:
 		return fmt.Errorf("fafnir: SystemConfig.Parallelism = %d: must be non-negative (0 uses every core)", c.Parallelism)
 	}
@@ -199,12 +185,6 @@ func (c *SystemConfig) fillDefaults() {
 	if c.BatchCapacity == 0 {
 		c.BatchCapacity = 32
 	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.3
-	}
-	if c.QuerySize == 0 {
-		c.QuerySize = 16
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -219,7 +199,6 @@ type System struct {
 	store  *embedding.Store
 	engine *core.Engine
 	mem    *dram.System
-	inj    *fault.Injector
 }
 
 // NewSystem builds a system; zero-value config selects the paper's setup.
@@ -264,7 +243,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.inj = inj
 		mem.AttachFaults(inj)
 	}
 	return sys, nil
@@ -319,35 +297,33 @@ func (s *System) ResetMemory() { s.mem.Reset() }
 // "name value" line per non-zero counter (the MemoryCounter names).
 func (s *System) MemoryStats() string { return s.mem.Stats().String() }
 
-// GenerateBatch draws n deterministic queries with the configured
-// popularity skew and sum pooling.
+// GenerateBatch draws n deterministic queries of 16 indices each, Zipf-skewed
+// with s = 1.3, with sum pooling.
 func (s *System) GenerateBatch(n int, seed int64) (Batch, error) {
-	gcfg := embedding.GeneratorConfig{
+	gen, err := embedding.NewGenerator(embedding.GeneratorConfig{
 		NumQueries: n,
-		QuerySize:  s.cfg.QuerySize,
+		QuerySize:  16,
 		Rows:       s.layout.TotalRows(),
 		Seed:       s.cfg.Seed*1_000_003 + seed,
-	}
-	if s.cfg.ZipfS > 1 {
-		gcfg.Dist = embedding.Zipf
-		gcfg.ZipfS = s.cfg.ZipfS
-	}
-	gen, err := embedding.NewGenerator(gcfg)
+		Dist:       embedding.Zipf,
+		ZipfS:      1.3,
+	})
 	if err != nil {
 		return Batch{}, err
 	}
 	return gen.Batch(OpSum), nil
 }
 
-// Lookup runs a batch through the Fafnir tree with full timing. The engine
-// checks every hardware batch as it goes: each query is folded from the rows
+// Lookup runs a batch through the Fafnir tree with full timing, compiling
+// each hardware batch's unique accesses (deduplication). The engine checks
+// every hardware batch as it goes: each query is folded from the rows
 // its leaf reads staged, before the tree runs, and its output must match that
 // golden reference bit for bit or the lookup fails. When a fault plan is
 // attached the run degrades gracefully — dark-rank reads remap to replicas,
 // corrupt reads retry with backoff — and the result carries a
 // DegradedReport; the outputs are checked the same way.
 func (s *System) Lookup(b Batch) (*LookupResult, error) {
-	return s.engine.TimedLookupFaulted(s.store, s.layout, s.mem, b, !s.cfg.DisableDedup, s.inj)
+	return s.engine.TimedLookup(s.store, s.layout, s.mem, b, true)
 }
 
 // Golden computes the reference result of a batch (no simulation). It
@@ -525,8 +501,8 @@ func NewServer(b ServeBackend, cfg ServeConfig) (*Server, error) {
 // degrades gracefully — partial outputs plus a DegradedReport — instead of
 // failing.
 type (
-	// FleetConfig parameterizes a sharded fleet (shard count, replica
-	// placement, breaker thresholds, probe backoff, retry deadline).
+	// FleetConfig parameterizes a sharded fleet (shard count, rows, seed,
+	// fault plan, probe backoff, reduction-tree radix).
 	FleetConfig = router.Config
 	// Fleet is the shard router; it implements the same Lookup surface as
 	// System, so NewServer serves it over HTTP unchanged.
@@ -579,7 +555,7 @@ func ParseFleetFaultPlan(spec string) (FleetFaultPlan, error) { return fault.Par
 // pipeline and switch-tree machinery.
 type (
 	// RnetConfig shapes a reduction tree: fan-in radix (0 = the default of
-	// 2), per-hop link cycles, switch latency, and per-combine cost.
+	// 2) and injected switch stalls.
 	RnetConfig = rnet.Config
 	// FederationConfig parameterizes a multi-fleet federation: fleet count,
 	// the shared member-fleet template, and the cross-fleet tree shape.

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"fafnir/internal/dram"
 	core "fafnir/internal/fafnir"
+	"fafnir/internal/header"
 )
 
 func TestNewSystemDefaults(t *testing.T) {
@@ -60,29 +62,37 @@ func TestLookupEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLookupDedupToggle pins that Lookup always deduplicates: a 32-query
+// batch (one hardware batch) of 16-index queries reads each distinct row
+// once, below the engine's raw run of the same batch with dedup off.
 func TestLookupDedupToggle(t *testing.T) {
-	withDedup, err := NewSystem(SystemConfig{RowsPerTable: 1024, Seed: 3})
+	sys, err := NewSystem(SystemConfig{RowsPerTable: 1024, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := NewSystem(SystemConfig{RowsPerTable: 1024, Seed: 3, DisableDedup: true})
+	b, err := sys.GenerateBatch(32, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := withDedup.GenerateBatch(32, 9)
+	distinct := map[header.Index]bool{}
+	for qi, q := range b.Queries {
+		if q.Indices.Len() != 16 {
+			t.Fatalf("query %d has %d indices, want 16", qi, q.Indices.Len())
+		}
+		for _, idx := range q.Indices {
+			distinct[idx] = true
+		}
+	}
+	res, err := sys.Lookup(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := withDedup.Lookup(b)
+	raw, err := sys.engine.TimedLookup(sys.store, sys.layout, dram.MustSystem(sys.mcfg), b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := without.Lookup(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.MemoryReads >= r2.MemoryReads {
-		t.Fatalf("dedup reads %d not below raw %d", r1.MemoryReads, r2.MemoryReads)
+	if res.MemoryReads != len(distinct) || res.MemoryReads >= raw.MemoryReads {
+		t.Fatalf("Lookup read %d rows, want the %d distinct ones, below the raw run's %d", res.MemoryReads, len(distinct), raw.MemoryReads)
 	}
 }
 
@@ -431,12 +441,11 @@ func TestSystemConfigValidation(t *testing.T) {
 		want string // substring naming the offending field and value
 	}{
 		{"zero config is valid", SystemConfig{}, ""},
-		{"paper config is valid", SystemConfig{Ranks: 32, RowsPerTable: 1 << 17, BatchCapacity: 32, QuerySize: 16}, ""},
+		{"paper config is valid", SystemConfig{Ranks: 32, RowsPerTable: 1 << 17, BatchCapacity: 32}, ""},
 		{"negative ranks", SystemConfig{Ranks: -4}, "SystemConfig.Ranks = -4"},
 		{"odd ranks", SystemConfig{Ranks: 7}, "SystemConfig.Ranks = 7"},
 		{"negative rows", SystemConfig{RowsPerTable: -1024}, "SystemConfig.RowsPerTable = -1024"},
 		{"negative capacity", SystemConfig{BatchCapacity: -1}, "SystemConfig.BatchCapacity = -1"},
-		{"negative query size", SystemConfig{QuerySize: -16}, "SystemConfig.QuerySize = -16"},
 		{"negative parallelism", SystemConfig{Parallelism: -2}, "SystemConfig.Parallelism = -2"},
 	}
 	for _, tc := range cases {

@@ -71,7 +71,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		queue     = fs.Int("queue", 0, "admission queue bound in queries (0 = 16 x batch)")
 		timeout   = fs.Duration("timeout", 2*time.Second, "default per-request deadline")
 		cacheMB   = fs.Int("cache-mb", 0, "hot-embedding cache budget in MiB (0 disables; split per shard in fleet mode)")
-		cacheSeed = fs.Uint64("cache-seed", 1, "cache CLOCK-eviction seed")
 		drainWait = fs.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")
 		debugAddr = fs.String("debug-addr", "", "optional debug listener serving /debug/pprof and /debug/vars (off when empty)")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
@@ -115,7 +114,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxQueued:      *queue,
 		DefaultTimeout: *timeout,
 		CacheBytes:     int64(*cacheMB) << 20,
-		CacheSeed:      *cacheSeed,
 		SLOObjectives:  objectives,
 	})
 	if err != nil {

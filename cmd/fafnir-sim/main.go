@@ -174,13 +174,14 @@ func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, 
 		if tr != nil {
 			e.AttachTracer(tr)
 		}
-		var inj *fault.Injector
 		if !plan.Empty() {
-			if inj, err = fault.NewInjector(plan, mcfg.TotalRanks()); err != nil {
+			inj, err := fault.NewInjector(plan, mcfg.TotalRanks())
+			if err != nil {
 				return err
 			}
+			mem.AttachFaults(inj)
 		}
-		res, err := e.TimedLookupFaulted(store, layout, mem, b, dedup, inj)
+		res, err := e.TimedLookup(store, layout, mem, b, dedup)
 		if err != nil {
 			return err
 		}

@@ -477,31 +477,6 @@ func (e *Engine) resolve(p *funcPass, res *Result) error {
 	return checkGolden(res.Outputs[qBase:qBase+len(sub.Queries)], p.want, qBase)
 }
 
-// TimedLookup runs the batch with full timing against the shared DRAM model.
-// dedup selects whether the host compiles unique accesses (the paper's
-// default) or issues every access (the Fig. 13 ablation).
-//
-// The timing model is a wave model: all planned reads are issued to the DRAM
-// system at cycle zero (per-rank queues serialize them), each leaf PE starts
-// when the last of its ranks' reads lands, and every PE finishes one stage
-// latency after its inputs are ready plus one cycle per additional output
-// (the pipelined initiation interval). Successive hardware batches begin
-// after the previous batch's reads complete, modelling the double-buffered
-// input FIFOs.
-func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram.System, b embedding.Batch, dedup bool) (*TimedResult, error) {
-	return e.timedLookup(store, layout, mem, b, dedup, nil)
-}
-
-// TimedLookupFaulted is TimedLookup under an attached fault injector: reads
-// bound for a dark rank are remapped to the replica placement, ECC-flagged
-// reads are retried with capped exponential backoff (the cost lands in
-// TotalCycles), and stalled PEs charge their extra latency in the tree walk.
-// The returned result carries a DegradedReport. With a nil or inactive
-// injector the run is bit-identical to TimedLookup.
-func (e *Engine) TimedLookupFaulted(store *embedding.Store, layout Placement, mem *dram.System, b embedding.Batch, dedup bool, inj *fault.Injector) (*TimedResult, error) {
-	return e.timedLookup(store, layout, mem, b, dedup, inj)
-}
-
 // readFaulted performs one vector read under fault injection: a dark primary
 // rank redirects to the replica placement, and ECC-flagged returns are
 // retried with capped exponential backoff in the memory clock. It returns
@@ -755,15 +730,33 @@ func (e *Engine) treeTiming(leafReady, ready []sim.Cycle, perPE []PEStats, inj *
 	return ready[e.rootID]
 }
 
-func (e *Engine) timedLookup(store *embedding.Store, layout Placement, mem *dram.System, b embedding.Batch, dedup bool, inj *fault.Injector) (*TimedResult, error) {
+// TimedLookup runs the batch with full timing against the shared DRAM model.
+// dedup selects whether the host compiles unique accesses (the paper's
+// default) or issues every access (the Fig. 13 ablation).
+//
+// The timing model is a wave model: all planned reads are issued to the DRAM
+// system at cycle zero (per-rank queues serialize them), each leaf PE starts
+// when the last of its ranks' reads lands, and every PE finishes one stage
+// latency after its inputs are ready plus one cycle per additional output
+// (the pipelined initiation interval). Successive hardware batches begin
+// after the previous batch's reads complete, modelling the double-buffered
+// input FIFOs.
+//
+// When mem carries a fault injector (dram.System.AttachFaults), reads bound
+// for a dark rank are remapped to the replica placement, ECC-flagged reads
+// are retried with capped exponential backoff (the cost lands in
+// TotalCycles), stalled PEs charge their extra latency in the tree walk, and
+// the result carries a DegradedReport. With no injector or an inactive one
+// the run is bit-identical to a memory without one.
+func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram.System, b embedding.Batch, dedup bool) (*TimedResult, error) {
 	res := &TimedResult{}
 	res.Outputs = make([]tensor.Vector, len(b.Queries))
+	inj := mem.Faults()
 	faulted := inj.Active()
 	var deg *DegradedReport
 	if faulted {
 		deg = &DegradedReport{}
 		res.Degraded = deg
-		mem.AttachFaults(inj)
 	}
 	// Later hardware batches may compute their functional pass while this
 	// loop is still timing an earlier one. Timing itself is charged strictly

@@ -53,7 +53,13 @@ func (f *faultFixture) run(t *testing.T, plan fault.Plan) (*TimedResult, error) 
 			t.Fatal(err)
 		}
 	}
-	return f.eng.TimedLookupFaulted(f.store, f.layout, dram.MustSystem(f.mcfg), f.batch, true, inj)
+	return f.eng.TimedLookup(f.store, f.layout, withFaults(dram.MustSystem(f.mcfg), inj), f.batch, true)
+}
+
+// withFaults attaches inj (nil for none) to mem, where TimedLookup reads it.
+func withFaults(mem *dram.System, inj *fault.Injector) *dram.System {
+	mem.AttachFaults(inj)
+	return mem
 }
 
 // Degraded-mode correctness (the PR's acceptance scenario): one failed rank,
@@ -210,7 +216,7 @@ func TestRankFailureWithoutReplicasErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := barePlacement{l: f.layout}
-	_, err = f.eng.TimedLookupFaulted(f.store, bare, dram.MustSystem(f.mcfg), f.batch, true, inj)
+	_, err = f.eng.TimedLookup(f.store, bare, withFaults(dram.MustSystem(f.mcfg), inj), f.batch, true)
 	if !errors.Is(err, fault.ErrRankFailed) {
 		t.Fatalf("want ErrRankFailed, got %v", err)
 	}

@@ -48,7 +48,7 @@ func TestGoldenCheckCatchesCorruptOutput(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = e.TimedLookupFaulted(f.store, f.layout, dram.MustSystem(f.mcfg), f.batch, true, inj)
+		_, err = e.TimedLookup(f.store, f.layout, withFaults(dram.MustSystem(f.mcfg), inj), f.batch, true)
 		return err
 	}
 	for _, tc := range []struct {

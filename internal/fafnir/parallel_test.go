@@ -166,7 +166,7 @@ func TestTimedLookupDeterministicAcrossParallelism(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res, err := ranksEngine(t, in.ranks, par).TimedLookupFaulted(in.store, in.pl, dram.MustSystem(mcfg), in.b, in.dedup, inj)
+			res, err := ranksEngine(t, in.ranks, par).TimedLookup(in.store, in.pl, withFaults(dram.MustSystem(mcfg), inj), in.b, in.dedup)
 			if err != nil {
 				t.Fatalf("%s Parallelism=%d: %v", in.name, par, err)
 			}

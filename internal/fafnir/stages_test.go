@@ -36,7 +36,7 @@ func TestStagesSumToTotalEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res, err := e.TimedLookupFaulted(store, pl, dram.MustSystem(dram.DDR4()), b, tc.dedup, inj)
+			res, err := e.TimedLookup(store, pl, withFaults(dram.MustSystem(dram.DDR4()), inj), b, tc.dedup)
 			if err != nil {
 				t.Fatal(err)
 			}

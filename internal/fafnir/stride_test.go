@@ -124,7 +124,9 @@ func TestStrideFaultedRemapMovesLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.TimedLookupFaulted(store, layout, dram.MustSystem(mcfg), b, true, inj)
+	mem := dram.MustSystem(mcfg)
+	mem.AttachFaults(inj)
+	res, err := e.TimedLookup(store, layout, mem, b, true)
 	if err != nil {
 		t.Fatal(err)
 	}

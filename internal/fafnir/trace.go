@@ -9,7 +9,7 @@ import (
 
 // This file threads the telemetry tracer through the timing engine. Like
 // dram.AttachLog, attachment is observational: the engine emits events from
-// the serial timed loop of timedLookup, after treeTiming has produced the
+// the serial timed loop of TimedLookup, after treeTiming has produced the
 // batch's readiness schedule, so a traced run is cycle-identical to an
 // untraced one and the event stream is bit-identical at every Parallelism
 // setting (the concurrent functional pass never emits).

@@ -32,7 +32,7 @@ func tracedRun(t *testing.T, par int, faults string) ([]byte, *TimedResult) {
 			t.Fatal(err)
 		}
 	}
-	res, err := e.TimedLookupFaulted(store, pl, mem, b, true, inj)
+	res, err := e.TimedLookup(store, pl, withFaults(mem, inj), b, true)
 	if err != nil {
 		t.Fatalf("Parallelism=%d faults=%q: %v", par, faults, err)
 	}
@@ -127,7 +127,7 @@ func TestTracedMatchesUntraced(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, err := plain.TimedLookupFaulted(store, pl, dram.MustSystem(dram.DDR4()), b, true, inj)
+			want, err := plain.TimedLookup(store, pl, withFaults(dram.MustSystem(dram.DDR4()), inj), b, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,7 +54,9 @@ func TestPassFoldMatchesGolden(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				_, err = eng.TimedLookupFaulted(env.Store, env.Layout, env.NewMem(), env.Batch, true, inj)
+				mem := env.NewMem()
+				mem.AttachFaults(inj)
+				_, err = eng.TimedLookup(env.Store, env.Layout, mem, env.Batch, true)
 				return err
 			})
 		}

@@ -8,8 +8,9 @@
 // in-network allreduce and Tascade's asynchronous reduction trees).
 //
 // Timing is charged in simulated cycles: every child→parent hop costs
-// LinkCycles, every switch adds SwitchLatency when it fires, and every
-// vector combine performed at a switch costs CombineCycles. The root's
+// DefaultLinkCycles, every switch adds DefaultSwitchLatency when it fires,
+// and every vector combine performed at a switch costs DefaultCombineCycles
+// (fixed model constants, after Flare's tree-latency model). The root's
 // completion time is therefore the tree's *critical path* — O(log_radix N)
 // switch hops instead of a host-side fold's O(N) serial combine (see
 // HostFoldCycles) — and it is the number the router charges as its combine
@@ -43,7 +44,9 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// Default switch fan-in and timing, in simulated cycles of the fleet clock.
+// The default switch fan-in and the fixed switch timing, in simulated cycles
+// of the fleet clock: the child→parent partial-pool transfer per hop, the
+// per-switch firing cost, and the cost of one vector combine at a switch.
 // The link hop dominates (a serialized partial-pool transfer between nodes);
 // the per-combine cost matches the host CPU's per-vector handle cost so the
 // rnet-vs-host comparison isolates topology, not ALU speed.
@@ -54,19 +57,13 @@ const (
 	DefaultCombineCycles = 8
 )
 
-// Config parameterizes one reduction tree. The zero value of Radix and of
-// every cycle field selects its default.
+// Config parameterizes one reduction tree. The zero Radix selects its
+// default.
 type Config struct {
 	// Radix is the switch fan-in: every interior node reduces up to Radix
 	// children. 0 selects DefaultRadix; 1 is invalid (a chain reduces
 	// nothing).
 	Radix int
-	// LinkCycles is the child→parent partial-pool transfer cost per hop.
-	LinkCycles sim.Cycle
-	// SwitchLatency is the fixed per-switch firing cost.
-	SwitchLatency sim.Cycle
-	// CombineCycles is the cost of one vector combine at a switch.
-	CombineCycles sim.Cycle
 	// Stalls maps interior node IDs (see Tree.Interior) to extra cycles
 	// added to that switch's firing, modelling a slow or degraded switch
 	// (the fault plan's swstall clause). Nil injects nothing.
@@ -76,15 +73,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Radix == 0 {
 		c.Radix = DefaultRadix
-	}
-	if c.LinkCycles == 0 {
-		c.LinkCycles = DefaultLinkCycles
-	}
-	if c.SwitchLatency == 0 {
-		c.SwitchLatency = DefaultSwitchLatency
-	}
-	if c.CombineCycles == 0 {
-		c.CombineCycles = DefaultCombineCycles
 	}
 }
 
@@ -294,7 +282,7 @@ func (t *Tree) charge(numQueries int, leaves []*Partial, res *Result) {
 				continue
 			}
 			present[id] = true
-			sp.Fire = sim.Max(sp.Fire, done[c]+t.cfg.LinkCycles)
+			sp.Fire = sim.Max(sp.Fire, done[c]+DefaultLinkCycles)
 			for qi, h := range holds[int(c)*numQueries : (int(c)+1)*numQueries] {
 				if h && row[qi] {
 					sp.Combines++
@@ -305,7 +293,7 @@ func (t *Tree) charge(numQueries int, leaves []*Partial, res *Result) {
 		if !present[id] {
 			continue
 		}
-		sp.Done = sp.Fire + t.cfg.SwitchLatency + sim.Cycle(sp.Combines)*t.cfg.CombineCycles + t.cfg.Stalls[id]
+		sp.Done = sp.Fire + DefaultSwitchLatency + sim.Cycle(sp.Combines)*DefaultCombineCycles + t.cfg.Stalls[id]
 		done[id] = sp.Done
 		res.Fires++
 		res.Combines += sp.Combines
@@ -329,5 +317,5 @@ func (t *Tree) HostFoldCycles(leaves []*Partial, combines int) sim.Cycle {
 			ready = sim.Max(ready, p.Ready)
 		}
 	}
-	return ready + t.cfg.LinkCycles + sim.Cycle(combines)*t.cfg.CombineCycles
+	return ready + DefaultLinkCycles + sim.Cycle(combines)*DefaultCombineCycles
 }

@@ -304,9 +304,9 @@ func cloneAll(vs []tensor.Vector) []tensor.Vector {
 }
 
 func TestReduceTiming(t *testing.T) {
-	// 4 leaves, radix 2: switches 4=(0,1), 5=(2,3), root 6=(4,5).
-	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2}
-	tr, err := NewTree(4, cfg)
+	// 4 leaves, radix 2: switches 4=(0,1), 5=(2,3), root 6=(4,5); a hop
+	// costs 64 cycles, a firing 16, a combine 8.
+	tr, err := NewTree(4, testCfg())
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
 	}
@@ -318,33 +318,32 @@ func TestReduceTiming(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
-	// Switch 4 fires at max(100,40)+10 = 110, done 110+5+2 = 117.
-	// Switch 5 fires at max(60,80)+10 = 90, done 97.
-	// Root fires at max(117,97)+10 = 127, done 127+5+2 = 134.
-	if got := res.CriticalPath; got != 134 {
-		t.Fatalf("CriticalPath = %d, want 134", got)
+	// Switch 4 fires at max(100,40)+64 = 164, done 164+16+8 = 188.
+	// Switch 5 fires at max(60,80)+64 = 144, done 168.
+	// Root fires at max(188,168)+64 = 252, done 252+16+8 = 276.
+	if got := res.CriticalPath; got != 276 {
+		t.Fatalf("CriticalPath = %d, want 276", got)
 	}
 	if res.Combines != 3 || res.Fires != 3 || res.LinkTransfers != 6 || res.MissingChildren != 0 {
 		t.Fatalf("stats = %+v", res)
 	}
 	wantSpans := []SwitchSpan{
-		{Node: 4, Level: 1, Fire: 110, Done: 117, Combines: 1},
-		{Node: 5, Level: 1, Fire: 90, Done: 97, Combines: 1},
-		{Node: 6, Level: 2, Fire: 127, Done: 134, Combines: 1},
+		{Node: 4, Level: 1, Fire: 164, Done: 188, Combines: 1},
+		{Node: 5, Level: 1, Fire: 144, Done: 168, Combines: 1},
+		{Node: 6, Level: 2, Fire: 252, Done: 276, Combines: 1},
 	}
 	if !reflect.DeepEqual(res.Spans, wantSpans) {
 		t.Fatalf("Spans = %+v, want %+v", res.Spans, wantSpans)
 	}
 	// A slow sibling subtree must not delay the fast one's switch: span for
-	// switch 5 fired at 90 even though leaf 0 was not ready until 100.
-	if res.Spans[1].Fire != 90 {
+	// switch 5 fired at 144 even though leaf 0 was not ready until 100.
+	if res.Spans[1].Fire != 144 {
 		t.Fatalf("sibling switch stalled: fired %d", res.Spans[1].Fire)
 	}
 }
 
 func TestReduceMissingLeafDoesNotBlock(t *testing.T) {
-	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2}
-	tr, err := NewTree(4, cfg)
+	tr, err := NewTree(4, testCfg())
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
 	}
@@ -364,9 +363,9 @@ func TestReduceMissingLeafDoesNotBlock(t *testing.T) {
 	if res.MissingChildren != 1 {
 		t.Fatalf("MissingChildren = %d, want 1", res.MissingChildren)
 	}
-	// Switch 4 fires on leaf 0 alone at 50+10=60, done 60+5 (no combine).
-	// It must not wait for the dead leaf 1.
-	if res.Spans[0].Fire != 60 || res.Spans[0].Done != 65 || res.Spans[0].Combines != 0 {
+	// Switch 4 fires on leaf 0 alone at 50+64=114, done 114+16 (no
+	// combine). It must not wait for the dead leaf 1.
+	if res.Spans[0].Fire != 114 || res.Spans[0].Done != 130 || res.Spans[0].Combines != 0 {
 		t.Fatalf("switch 4 span = %+v", res.Spans[0])
 	}
 }
@@ -434,7 +433,7 @@ func TestReduceSingleLeaf(t *testing.T) {
 }
 
 func TestReduceStalls(t *testing.T) {
-	cfg := Config{Radix: 2, LinkCycles: 10, SwitchLatency: 5, CombineCycles: 2}
+	cfg := testCfg()
 	base, err := NewTree(4, cfg)
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
@@ -492,16 +491,16 @@ func TestReduceErrors(t *testing.T) {
 }
 
 func TestHostFoldCycles(t *testing.T) {
-	cfg := Config{Radix: 2, LinkCycles: 10, CombineCycles: 2, SwitchLatency: 5}
-	tr, err := NewTree(4, cfg)
+	tr, err := NewTree(4, testCfg())
 	if err != nil {
 		t.Fatalf("NewTree: %v", err)
 	}
 	in := []*Partial{
 		{Ready: 100}, nil, {Ready: 40}, {Ready: 80},
 	}
-	if got := tr.HostFoldCycles(in, 6); got != 100+10+12 {
-		t.Fatalf("HostFoldCycles = %d, want 122", got)
+	// The slowest partial, one 64-cycle hop, then six 8-cycle combines.
+	if got := tr.HostFoldCycles(in, 6); got != 100+64+48 {
+		t.Fatalf("HostFoldCycles = %d, want 212", got)
 	}
 }
 
@@ -511,7 +510,7 @@ func TestHostFoldCycles(t *testing.T) {
 // tracks O(N), so doubling the fleet adds one level to the tree but doubles
 // the host's combine term.
 func TestCriticalPathLogGrowth(t *testing.T) {
-	cfg := Config{Radix: 2, LinkCycles: 64, SwitchLatency: 16, CombineCycles: 8}
+	cfg := testCfg()
 	const queries = 32 // a full hardware batch: every query holds a partial on every shard
 	path := func(leaves int) (tree, host sim.Cycle) {
 		tr, err := NewTree(leaves, cfg)

@@ -33,7 +33,7 @@ func BenchmarkDirectSystem(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sh.engine.TimedLookupFaulted(f.store, sh.primary, sh.mem, batch, true, nil); err != nil {
+		if _, err := sh.engine.TimedLookup(f.store, sh.primary, sh.mem, batch, true); err != nil {
 			b.Fatal(err)
 		}
 	}

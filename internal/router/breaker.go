@@ -8,14 +8,14 @@ import (
 type State int
 
 // The breaker's three states. A shard moves healthy → suspect on its first
-// structured failure, suspect → dark when failures reach the threshold, and
+// structured failure, suspect → dark when failures reach failureThreshold, and
 // dark → healthy only through a successful probe lookup after its reopen
 // backoff elapses on the fleet clock.
 const (
 	// Healthy shards receive their sub-lookups directly.
 	Healthy State = iota
 	// Suspect shards have failed recently but are still dispatched; one more
-	// failure within the threshold trips them dark, one success clears them.
+	// failure within failureThreshold trips them dark, one success clears them.
 	Suspect
 	// Dark shards are skipped entirely — their traffic goes straight to the
 	// replica shard — until a probe succeeds.
@@ -47,11 +47,14 @@ type breaker struct {
 	reopenAt sim.Cycle // fleet cycle at which the next probe may run
 	darkAt   sim.Cycle // fleet cycle of the last healthy→dark trip
 
-	threshold int       // failures that trip suspect → dark
-	base      sim.Cycle // first reopen backoff
-	cap       sim.Cycle // backoff ceiling
-	seed      uint64    // jitter seed (mixed per shard by the router)
+	base sim.Cycle // first reopen backoff
+	cap  sim.Cycle // backoff ceiling
+	seed uint64    // jitter seed (mixed per shard by the router)
 }
+
+// failureThreshold is how many consecutive structured failures trip a shard
+// dark (the first failure always marks it suspect).
+const failureThreshold = 2
 
 // splitmix64 is the deterministic jitter hash, the same finalizer the fault
 // injector and embedding store use.
@@ -93,7 +96,7 @@ func (b *breaker) onFailure(now sim.Cycle) (tripped bool) {
 		return false
 	}
 	b.failures++
-	if b.failures >= b.threshold {
+	if b.failures >= failureThreshold {
 		b.state = Dark
 		b.darkAt = now
 		b.attempts = 0

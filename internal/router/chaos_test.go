@@ -192,29 +192,6 @@ func TestFlapRecovery(t *testing.T) {
 	}
 }
 
-// TestRetryDeadlineAbandonsFailover checks deadline-aware retries: with a
-// deadline the shard phase always exceeds, failover is skipped and the data
-// degrades even though the replica is alive.
-func TestRetryDeadlineAbandonsFailover(t *testing.T) {
-	f := testFleet(t, func(c *Config) {
-		c.Fleet.ShardFailures = []fault.ShardFailure{{Shard: 0, At: 0}}
-		c.RetryDeadline = 1
-	})
-	b := testBatch(t, f, 16, 17, tensor.OpSum)
-	res, err := f.Lookup(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Degraded.LostQueries) == 0 {
-		t.Fatal("deadline-bound batch lost nothing; failover should have been abandoned")
-	}
-	for _, sd := range res.Degraded.Shards {
-		if sd.Shard == 0 && sd.FailedOver {
-			t.Fatalf("failover ran despite exhausted deadline: %+v", sd)
-		}
-	}
-}
-
 // chaosRun replays a fixed multi-batch workload under a seeded fleet storm
 // and returns everything determinism must preserve: outputs, cycle counts,
 // degraded reports, failover decisions, and final health states.

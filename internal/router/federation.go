@@ -37,8 +37,8 @@ type FederationConfig struct {
 	Fleets int
 	// Fleet is the member template: shard count, rows (the GLOBAL row
 	// space — every member holds a full copy of the store), seed, fault
-	// plan, breaker knobs, and the intra-fleet reduction tree. OwnerStride
-	// and OwnerPhase must be left zero; the federation assigns them.
+	// plan, probe backoff, and the intra-fleet reduction tree. The
+	// federation assigns each member its owner stride and phase.
 	Fleet Config
 	// Rnet shapes the cross-fleet reduction tree. Radix 0 inherits the
 	// member radix.
@@ -50,10 +50,8 @@ func (c *FederationConfig) fillDefaults() {
 		c.Fleets = 2
 	}
 	// Resolve the member template's defaults here too, so capability
-	// accessors (Shards, OwnerOf) read real values; stride and phase stay
-	// zero — the federation assigns them per member in NewFederation.
+	// accessors (Shards, OwnerOf) read real values.
 	c.Fleet.fillDefaults()
-	c.Fleet.OwnerStride, c.Fleet.OwnerPhase = 0, 0
 	if c.Rnet.Radix == 0 {
 		c.Rnet.Radix = c.Fleet.Rnet.Radix
 	}
@@ -65,8 +63,6 @@ func (c FederationConfig) Validate() error {
 	switch {
 	case c.Fleets < 0:
 		return fmt.Errorf("router: FederationConfig.Fleets = %d: must be positive (or 0 for the default of 2)", c.Fleets)
-	case c.Fleet.OwnerStride != 0 || c.Fleet.OwnerPhase != 0:
-		return fmt.Errorf("router: FederationConfig.Fleet sets OwnerStride/OwnerPhase; the federation assigns member addressing")
 	}
 	if err := c.Rnet.Validate(); err != nil {
 		return err
@@ -94,10 +90,7 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	cfg.fillDefaults()
 	fed := &Federation{cfg: cfg}
 	for fm := 0; fm < cfg.Fleets; fm++ {
-		mcfg := cfg.Fleet
-		mcfg.OwnerStride = cfg.Fleets
-		mcfg.OwnerPhase = fm
-		fleet, err := New(mcfg)
+		fleet, err := newFleet(cfg.Fleet, uint64(cfg.Fleets), uint64(fm))
 		if err != nil {
 			return nil, fmt.Errorf("router: federation member %d: %w", fm, err)
 		}

@@ -47,8 +47,6 @@ func TestFederationConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"negative fleets", func(c *FederationConfig) { c.Fleets = -1 }, "Fleets"},
-		{"preset stride", func(c *FederationConfig) { c.Fleet.OwnerStride = 2 }, "OwnerStride"},
-		{"preset phase", func(c *FederationConfig) { c.Fleet.OwnerPhase = 1 }, "OwnerStride"},
 		{"bad member", func(c *FederationConfig) { c.Fleet.Shards = -1 }, "Shards"},
 		{"bad rnet", func(c *FederationConfig) { c.Rnet.Radix = 1 }, "Radix"},
 	}

@@ -79,8 +79,7 @@ func goldenScenarios() []goldenScenario {
 		{
 			// What the storm above never reaches: a flap that ends (probe
 			// success reopens the shard), a pair loss (lost sub-batches,
-			// missing switch children), a retry deadline tight enough to
-			// abandon the second failover of a batch, and a stalled switch.
+			// missing switch children) and a stalled switch.
 			name: "fleet-4x-radix2-recovery", rounds: 40, queries: 16,
 			build: func(t *testing.T, par int) (goldenFront, []*Fleet) {
 				plan, err := fault.ParseFleet("flap=2@1-12000;shard=1@1;shard=3@20000;swstall=2+300;seed=3")
@@ -91,7 +90,6 @@ func goldenScenarios() []goldenScenario {
 					c.Parallelism = par
 					c.Fleet = plan
 					c.ProbeBackoff = 1_000
-					c.RetryDeadline = 700
 				})
 				return f, []*Fleet{f}
 			},

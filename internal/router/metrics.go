@@ -10,7 +10,7 @@ import (
 // Metrics is the router's family set over the unified telemetry registry:
 // per-shard health as a labelled gauge, plus counters for every robustness
 // decision the envelope makes (failures, dark trips, probes, reopens,
-// failover retries, abandoned retries, lost queries, degraded batches).
+// failover retries, lost queries, degraded batches).
 // All families carry the shard label so a dashboard can tell which member
 // of the fleet is misbehaving.
 type Metrics struct {
@@ -34,9 +34,6 @@ type Metrics struct {
 	// failovers counts failover sub-lookups that succeeded, labelled by the
 	// failed primary shard.
 	failovers *telemetry.CounterVec
-	// abandoned counts failover retries skipped because the batch's retry
-	// deadline was already spent.
-	abandoned *telemetry.CounterVec
 	// lost counts sub-batches dropped because shard and replica were both
 	// unreachable, labelled by the owning shard.
 	lost *telemetry.CounterVec
@@ -121,8 +118,6 @@ func (f *Fleet) RegisterMetrics(reg *telemetry.Registry) {
 			"Failover sub-lookups dispatched to replica shards, by failed primary.", "shard", labels...),
 		failovers: reg.CounterVec("fafnir_router_failovers_total",
 			"Failover sub-lookups answered by replica shards, by failed primary.", "shard", labels...),
-		abandoned: reg.CounterVec("fafnir_router_retries_abandoned_total",
-			"Failover retries abandoned at the retry deadline, by failed primary.", "shard", labels...),
 		lost: reg.CounterVec("fafnir_router_lost_subbatches_total",
 			"Sub-batches dropped with shard and replica both unreachable.", "shard", labels...),
 		degradedBatches: reg.Counter("fafnir_router_degraded_batches_total",
@@ -179,12 +174,6 @@ func (f *Fleet) countRetry(s int) {
 func (f *Fleet) countFailover(s int) {
 	if f.m != nil {
 		f.m.failovers.At(s).Add(1)
-	}
-}
-
-func (f *Fleet) countAbandoned(s int) {
-	if f.m != nil {
-		f.m.abandoned.At(s).Add(1)
 	}
 }
 

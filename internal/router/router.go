@@ -16,10 +16,9 @@
 //   - probe lookups: a dark shard whose reopen backoff has elapsed receives
 //     a one-query canary lookup before the batch scatters; success reopens
 //     the shard, failure doubles the backoff;
-//   - deadline-aware failover: a failed sub-lookup retries against the
-//     shard's replica peer (each shard stores a full copy of one peer's
-//     rows, extending memmap's diagonal rank replicas to shard
-//     granularity), unless the configured retry deadline is already spent;
+//   - failover: a failed sub-lookup retries against the shard's replica
+//     peer (each shard stores a full copy of one peer's rows, extending
+//     memmap's diagonal rank replicas to shard granularity);
 //   - graceful degradation: when a shard and its replica are both
 //     unreachable, the batch returns the partial reduction of the surviving
 //     shards with a per-shard DegradedReport instead of an error — the
@@ -73,34 +72,15 @@ type Config struct {
 	// flapping shards, correlated rank storms, and a base per-shard plan.
 	// The zero plan injects nothing.
 	Fleet fault.FleetPlan
-	// FailureThreshold is how many consecutive structured failures trip a
-	// shard dark (the first failure always marks it suspect). Default 2.
-	FailureThreshold int
 	// ProbeBackoff is the fleet-clock delay before a freshly dark shard is
 	// probed; successive failed probes double it. Default 50 000 cycles.
 	ProbeBackoff sim.Cycle
 	// MaxProbeBackoff caps the doubling. Default 8 x ProbeBackoff.
 	MaxProbeBackoff sim.Cycle
-	// RetryDeadline bounds the simulated cycles one batch may spend on
-	// failover retries: once the batch's shard phase has consumed the
-	// budget, remaining failed sub-lookups degrade instead of retrying.
-	// 0 never abandons a retry.
-	RetryDeadline sim.Cycle
-	// Host models the host link the reduced root pool crosses (zero value:
-	// cpu.Default()).
-	Host cpu.Config
 	// Rnet shapes the in-network reduction tree (internal/rnet) whose
 	// leaves are the shards and whose root hands the host one fully reduced
 	// pool. Zero fields select the rnet defaults (radix 2).
 	Rnet rnet.Config
-	// OwnerStride and OwnerPhase generalize index ownership so a federation
-	// can stack fleets without skewing shards: this fleet serves the global
-	// indices congruent to OwnerPhase modulo OwnerStride, and the owning
-	// shard of index i is (i / OwnerStride) mod Shards. The defaults
-	// (stride 1, phase 0) are the standalone fleet: every index is served
-	// and the owner is i mod Shards, unchanged.
-	OwnerStride int
-	OwnerPhase  int
 }
 
 func (c *Config) fillDefaults() {
@@ -119,23 +99,14 @@ func (c *Config) fillDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.FailureThreshold == 0 {
-		c.FailureThreshold = 2
-	}
 	if c.ProbeBackoff == 0 {
 		c.ProbeBackoff = 50_000
 	}
 	if c.MaxProbeBackoff == 0 {
 		c.MaxProbeBackoff = 8 * c.ProbeBackoff
 	}
-	if c.Host == (cpu.Config{}) {
-		c.Host = cpu.Default()
-	}
 	if c.Rnet.Radix == 0 {
 		c.Rnet.Radix = rnet.DefaultRadix
-	}
-	if c.OwnerStride == 0 {
-		c.OwnerStride = 1
 	}
 }
 
@@ -149,39 +120,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("router: Config.RanksPerShard = %d: must be an even positive count (or 0 for the default of 8)", c.RanksPerShard)
 	case c.BatchCapacity < 0:
 		return fmt.Errorf("router: Config.BatchCapacity = %d: must be positive (or 0 for the default of 32)", c.BatchCapacity)
-	case c.FailureThreshold < 0:
-		return fmt.Errorf("router: Config.FailureThreshold = %d: must be positive (or 0 for the default of 2)", c.FailureThreshold)
 	case c.Parallelism < 0:
 		return fmt.Errorf("router: Config.Parallelism = %d: must be non-negative (0 uses every core)", c.Parallelism)
-	case c.OwnerStride < 0:
-		return fmt.Errorf("router: Config.OwnerStride = %d: must be positive (or 0 for the default of 1)", c.OwnerStride)
-	case c.OwnerPhase < 0 || c.OwnerStride > 0 && c.OwnerPhase >= c.OwnerStride:
-		return fmt.Errorf("router: Config.OwnerPhase = %d: must be in [0, OwnerStride %d)", c.OwnerPhase, max(c.OwnerStride, 1))
-	}
-	if c.Rows != 0 && c.Shards != 0 {
-		stride := uint64(max(c.OwnerStride, 1))
-		if need := uint64(c.Shards-1)*stride + uint64(c.OwnerPhase) + 1; c.Rows < need {
-			return fmt.Errorf("router: Config.Rows = %d: must be at least %d so every shard owns a canary row", c.Rows, need)
-		}
 	}
 	if err := c.Rnet.Validate(); err != nil {
 		return err
 	}
-	if err := c.Fleet.Validate(); err != nil {
-		return err
-	}
-	if c.Host != (cpu.Config{}) {
-		return c.Host.Validate()
-	}
-	return nil
+	return c.Fleet.Validate()
 }
 
-// shardNode is one member of the fleet: a tree, its memory, its fault
-// injector, and the placement views of its three address regions.
+// shardNode is one member of the fleet: a tree, its memory (carrying the
+// shard's fault injector, if any), and the placement views of its three
+// address regions.
 type shardNode struct {
 	engine  *core.Engine
 	mem     *dram.System
-	inj     *fault.Injector
 	primary primaryView
 	// peerView places the rows of the peer shard this node holds replicas
 	// for (peer = the shard whose replicaHolder is this node).
@@ -201,24 +154,37 @@ type shardNode struct {
 // single flusher goroutine is its intended caller.
 type Fleet struct {
 	pipeline
-	cfg      Config
-	store    *embedding.Store
-	shards   []*shardNode
-	breakers []*breaker
-	m        *Metrics
+	cfg Config
+	// stride and phase generalize index ownership so a federation can stack
+	// fleets without skewing shards: this fleet serves the global indices
+	// congruent to phase modulo stride, and the owning shard of index i is
+	// (i / stride) mod Shards. A standalone fleet has stride 1, phase 0:
+	// every index is served and the owner is i mod Shards.
+	stride, phase uint64
+	store         *embedding.Store
+	shards        []*shardNode
+	breakers      []*breaker
+	m             *Metrics
 	// forwarded is forwardRows' reusable list of the shards' rows.
 	forwarded []core.StagedRow
 }
 
 // New builds the fleet: Shards independent systems over one content-seeded
 // global store, with per-shard fault plans compiled from the fleet plan.
-func New(cfg Config) (*Fleet, error) {
+func New(cfg Config) (*Fleet, error) { return newFleet(cfg, 1, 0) }
+
+// newFleet builds a fleet serving the global indices congruent to phase
+// modulo stride: a federation's member fm of M is newFleet(cfg, M, fm).
+func newFleet(cfg Config, stride, phase uint64) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.fillDefaults()
 	if err := cfg.Fleet.ValidateFor(cfg.Shards); err != nil {
 		return nil, err
+	}
+	if need := uint64(cfg.Shards-1)*stride + phase + 1; cfg.Rows < need {
+		return nil, fmt.Errorf("router: Config.Rows = %d: must be at least %d so every shard owns a canary row", cfg.Rows, need)
 	}
 
 	mcfg, err := dram.DDR4Ranks(cfg.RanksPerShard) // even, validated above
@@ -243,8 +209,8 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, store: store, pipeline: pipeline{
-		rtree: tree, dim: store.Dim(), host: cfg.Host, mcfg: mcfg, switchEvent: "switch",
+	f := &Fleet{cfg: cfg, stride: stride, phase: phase, store: store, pipeline: pipeline{
+		rtree: tree, dim: store.Dim(), host: cpu.Default(), mcfg: mcfg, switchEvent: "switch",
 	}}
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := core.Default()
@@ -273,15 +239,13 @@ func New(cfg Config) (*Fleet, error) {
 			if err != nil {
 				return nil, err
 			}
-			node.inj = inj
 			mem.AttachFaults(inj)
 		}
 		f.shards = append(f.shards, node)
 		f.breakers = append(f.breakers, &breaker{
-			threshold: cfg.FailureThreshold,
-			base:      cfg.ProbeBackoff,
-			cap:       cfg.MaxProbeBackoff,
-			seed:      splitmix64(uint64(cfg.Seed) ^ uint64(s)<<20),
+			base: cfg.ProbeBackoff,
+			cap:  cfg.MaxProbeBackoff,
+			seed: splitmix64(uint64(cfg.Seed) ^ uint64(s)<<20),
 		})
 	}
 	return f, nil
@@ -292,26 +256,25 @@ func New(cfg Config) (*Fleet, error) {
 // first row is s*stride + phase and consecutive owned rows are stride*Shards
 // apart.
 func (f *Fleet) viewOf(s int) primaryView {
-	stride := uint64(f.cfg.OwnerStride)
 	n := uint64(f.cfg.Shards)
-	first := uint64(s)*stride + uint64(f.cfg.OwnerPhase)
+	first := uint64(s)*f.stride + f.phase
 	var owned uint64
 	if f.cfg.Rows > first {
-		owned = (f.cfg.Rows - first + stride*n - 1) / (stride * n)
+		owned = (f.cfg.Rows - first + f.stride*n - 1) / (f.stride * n)
 	}
-	return primaryView{shards: f.cfg.Shards, stride: f.cfg.OwnerStride, ranks: f.cfg.RanksPerShard, bytes: 512, slots: owned}
+	return primaryView{shards: f.cfg.Shards, stride: int(f.stride), ranks: f.cfg.RanksPerShard, bytes: 512, slots: owned}
 }
 
 // ownerOf returns the shard storing the primary copy of idx.
 func (f *Fleet) ownerOf(idx header.Index) int {
-	return int(uint64(idx) / uint64(f.cfg.OwnerStride) % uint64(f.cfg.Shards))
+	return int(uint64(idx) / f.stride % uint64(f.cfg.Shards))
 }
 
 // canaryRow is the first row shard s owns under the fleet's stride/phase
-// addressing; the probe path reads it as the one-query canary. Validate
+// addressing; the probe path reads it as the one-query canary. newFleet
 // guarantees it exists.
 func (f *Fleet) canaryRow(s int) header.Index {
-	return header.Index(uint64(s)*uint64(f.cfg.OwnerStride) + uint64(f.cfg.OwnerPhase))
+	return header.Index(uint64(s)*f.stride + f.phase)
 }
 
 // OwnerOf reports the shard storing the primary copy of idx. The serving
@@ -450,7 +413,7 @@ func (f *Fleet) lookupShard(s int, view core.Placement, b embedding.Batch, at si
 	}
 	sh := f.shards[s]
 	mark := sh.rows.Len()
-	r, err := sh.engine.TimedLookupFaulted(f.store, view, sh.mem, b, true, sh.inj)
+	r, err := sh.engine.TimedLookup(f.store, view, sh.mem, b, true)
 	if err != nil {
 		// A failed sub-lookup delivers nothing, so none of its reads are
 		// handed on.
@@ -504,13 +467,12 @@ func (fl *flight) entry(s int) *core.ShardDegraded {
 // Lookup scatters the batch across the fleet and runs it through the five
 // phases StageCycles names: probe dark shards whose backoff elapsed, run
 // every owning shard's sub-batch (backend), retry failed sub-batches on
-// replica shards within the retry deadline (failover), then reduce the
-// delivered partial pools through the switch tree and move the root pool to
-// the host (combine, transfer). A batch that lost data to unreachable shard
-// pairs still succeeds: the outputs are the partial reduction of every
-// surviving shard and res.Degraded itemizes the loss per shard and per
-// query. Only programming errors (invariant violations, bad ops) return a
-// non-nil error.
+// replica shards (failover), then reduce the delivered partial pools through
+// the switch tree and move the root pool to the host (combine, transfer).
+// A batch that lost data to unreachable shard pairs still succeeds: the
+// outputs are the partial reduction of every surviving shard and
+// res.Degraded itemizes the loss per shard and per query. Only programming
+// errors (invariant violations, bad ops) return a non-nil error.
 func (f *Fleet) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	sc, err := partition(b, f.cfg.Shards, f.ownerOf)
 	if err != nil {
@@ -645,20 +607,13 @@ func (f *Fleet) backend(fl *flight) (failed []int, err error) {
 }
 
 // failover retries each failed sub-batch once against its replica holder,
-// serially in shard order, unless the retry deadline is spent or the replica
-// is itself unreachable — then the sub-batch's contribution is dropped and
-// the loss recorded.
+// serially in shard order, unless the replica is itself unreachable — then
+// the sub-batch's contribution is dropped and the loss recorded.
 func (f *Fleet) failover(fl *flight, failed []int) error {
 	retryAt := fl.start + fl.stages.Probe + fl.stages.Backend
 	for _, s := range failed {
 		target := f.replicaHolder(s)
-		spent := fl.stages.Probe + fl.stages.Backend + fl.stages.Failover
-		switch {
-		case f.cfg.RetryDeadline > 0 && spent >= f.cfg.RetryDeadline:
-			f.countAbandoned(s)
-			f.lose(fl, s)
-			continue
-		case target == s || f.breakers[target].state == Dark || f.cfg.Fleet.Down(target, fl.start):
+		if target == s || f.breakers[target].state == Dark || f.cfg.Fleet.Down(target, fl.start) {
 			f.lose(fl, s)
 			continue
 		}

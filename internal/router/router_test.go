@@ -57,7 +57,6 @@ func TestConfigValidate(t *testing.T) {
 		{"odd ranks", func(c *Config) { c.RanksPerShard = 3 }, "RanksPerShard"},
 		{"one rank", func(c *Config) { c.RanksPerShard = 1 }, "RanksPerShard"},
 		{"negative batch", func(c *Config) { c.BatchCapacity = -1 }, "BatchCapacity"},
-		{"negative threshold", func(c *Config) { c.FailureThreshold = -1 }, "FailureThreshold"},
 		{"negative parallelism", func(c *Config) { c.Parallelism = -1 }, "Parallelism"},
 		{"rows below shards", func(c *Config) { c.Rows = 3; c.Shards = 4 }, "canary"},
 		{"bad flap", func(c *Config) {
@@ -245,7 +244,7 @@ func TestPlacementRegions(t *testing.T) {
 
 // TestBreakerStateMachine unit-tests the three-state breaker.
 func TestBreakerStateMachine(t *testing.T) {
-	b := &breaker{threshold: 2, base: 1000, cap: 8000, seed: 42}
+	b := &breaker{base: 1000, cap: 8000, seed: 42}
 	if b.state != Healthy {
 		t.Fatalf("initial state %v", b.state)
 	}

@@ -140,14 +140,18 @@ func BenchmarkCoalescerCached(b *testing.B) {
 // fill, once the cache is full, evicts.
 func coldServe(tb testing.TB) (*serve.Coalescer, []serve.Request) {
 	tb.Helper()
-	sys, err := fafnir.NewSystem(fafnir.SystemConfig{ZipfS: 1})
+	sys, err := fafnir.NewSystem(fafnir.SystemConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pool, err := sys.GenerateBatch(8*512, 31)
+	// Seeded as the default system's GenerateBatch(n, 31), but uniform.
+	gen, err := embedding.NewGenerator(embedding.GeneratorConfig{
+		NumQueries: 8 * 512, QuerySize: 16, Rows: sys.TotalRows(), Seed: 1_000_003 + 31,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	pool := gen.Batch(tensor.OpSum)
 	co, err := serve.NewCoalescer(serve.Config{MaxQueued: 4096, CacheBytes: 8 << 20}, sys, nil)
 	if err != nil {
 		tb.Fatal(err)

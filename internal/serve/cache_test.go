@@ -84,7 +84,7 @@ func TestCacheConformance(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d/%s", par, op), func(t *testing.T) {
 				run := func(cacheBytes int64) []tensor.Vector {
 					sys := testSystem(t, fafnir.SystemConfig{Parallelism: par})
-					co, err := serve.NewCoalescer(serve.Config{CacheBytes: cacheBytes, CacheSeed: 5}, sys, nil)
+					co, err := serve.NewCoalescer(serve.Config{CacheBytes: cacheBytes}, sys, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -142,7 +142,7 @@ func TestCacheConformanceFaulted(t *testing.T) {
 						t.Fatal(err)
 					}
 					sys := testSystem(t, fafnir.SystemConfig{Parallelism: par, Faults: plan})
-					co, err := serve.NewCoalescer(serve.Config{CacheBytes: cacheBytes, CacheSeed: 11}, sys, nil)
+					co, err := serve.NewCoalescer(serve.Config{CacheBytes: cacheBytes}, sys, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -194,7 +194,7 @@ func TestCacheConformanceFleet(t *testing.T) {
 					t.Fatal(err)
 				}
 				goldenStore = fleet.Store()
-				co, err := serve.NewCoalescer(serve.Config{CacheBytes: cacheBytes, CacheSeed: 7}, fleet, nil)
+				co, err := serve.NewCoalescer(serve.Config{CacheBytes: cacheBytes}, fleet, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -178,14 +178,13 @@ func nameServeLanes(t telemetry.Tracer, cached bool) {
 // Backend need not be concurrency-safe (fafnir.System is not).
 //
 // Admission queues each request on its priority lane and sheds low-priority
-// work first (above ShedLowWater x MaxQueued); a request with no priority
-// rides the normal lane, and traffic that all rides one lane sees a plain
-// bounded FIFO.
+// work first (above half of MaxQueued); a request with no priority rides the
+// normal lane, and traffic that all rides one lane sees a plain bounded FIFO.
 //
 // Flush policy: a batch is cut from the highest non-empty lane — unless a
 // lower lane's head request is about to miss its deadline (slack below
-// Config.DeadlineSlack), which preempts and bounds starvation — as the
-// longest lane prefix that shares one pooling op, capped at BatchCapacity
+// deadlineSlack), which preempts and bounds starvation — as the longest
+// lane prefix that shares one pooling op, capped at BatchCapacity
 // queries and topped up with same-op work from the other lanes, so priority
 // scheduling never reduces coalescing. It flushes immediately when it is
 // full or when work it could not absorb waits behind it; otherwise the
@@ -305,7 +304,7 @@ func newCoalescer(cfg Config, be Backend, m *Metrics, clk clock) (*Coalescer, er
 			cc, err := cache.New(cache.Config{
 				Bytes: cfg.CacheBytes / int64(nShards),
 				Dim:   c.dim,
-				Seed:  cfg.CacheSeed + uint64(i)*0x9e3779b97f4a7c15,
+				Seed:  1 + uint64(i)*0x9e3779b97f4a7c15,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("serve: cache shard %d: %w", i, err)
@@ -382,11 +381,11 @@ func (c *Coalescer) Admit(ctx context.Context, r Request) (Ticket, error) {
 	// Admission control: bounded queue. A request the queue could never
 	// hold is still admitted when the queue is empty, so oversized requests
 	// make progress instead of starving forever. Low-priority work sheds
-	// early — at the low-water fraction of the bound — so overload consumes
-	// best-effort traffic before it touches anything latency-critical.
+	// early — at half the bound — so overload consumes best-effort traffic
+	// before it touches anything latency-critical.
 	limit := c.cfg.MaxQueued
 	if r.Priority == PriorityLow {
-		limit = int(c.cfg.ShedLowWater * float64(c.cfg.MaxQueued))
+		limit = c.cfg.MaxQueued / 2
 	}
 	if c.queued > 0 && c.queued+len(r.Queries) > limit {
 		c.mu.Unlock()
@@ -526,9 +525,14 @@ func (c *Coalescer) next() (riders []*request, wait time.Duration, done bool) {
 	return cut, 0, false
 }
 
+// deadlineSlack is the lane-escape threshold: a lower-priority head request
+// whose deadline is closer than this is scheduled ahead of healthier
+// higher-priority work, bounding starvation.
+const deadlineSlack = time.Millisecond
+
 // pickLane chooses the lane the next batch is cut from: the highest-priority
 // non-empty lane, unless a lower lane's head request is about to miss its
-// deadline (slack below Config.DeadlineSlack and tighter than the chosen
+// deadline (slack below deadlineSlack and tighter than the chosen
 // head's), in which case the urgent lane preempts. Callers hold c.mu and
 // have checked that some lane is non-empty.
 func (c *Coalescer) pickLane(now time.Time) int {
@@ -541,7 +545,7 @@ func (c *Coalescer) pickLane(now time.Time) int {
 		if len(c.lanes[l]) == 0 {
 			continue
 		}
-		if s := c.lanes[l][0].deadlineSlack(now); s < c.cfg.DeadlineSlack && s < bestSlack {
+		if s := c.lanes[l][0].deadlineSlack(now); s < deadlineSlack && s < bestSlack {
 			chosen, bestSlack = l, s
 		}
 	}

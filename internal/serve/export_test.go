@@ -83,6 +83,12 @@ func (m *ManualClock) AwaitTimer() time.Time {
 	return m.timers[0].at
 }
 
+// The serving layer's fixed settings, for tests that drive them.
+const (
+	DeadlineSlack     = deadlineSlack
+	MaxRequestBatches = maxRequestBatches
+)
+
 // NewCoalescerAt is NewCoalescer on a manual clock.
 func NewCoalescerAt(cfg Config, be Backend, m *Metrics, clk *ManualClock) (*Coalescer, error) {
 	return newCoalescer(cfg, be, m, clk)

@@ -19,8 +19,9 @@ import (
 // decode round trip; a rejected body is answered 400 bad_request. The seed
 // corpus lives in testdata/fuzz/FuzzLookupRequest.
 func FuzzLookupRequest(f *testing.F) {
-	const rows, maxQueries = 1 << 16, 4
-	srv, err := serve.New(&fakeSystem{fakeBackend: newFake(), rows: rows}, serve.Config{MaxQueriesPerRequest: maxQueries})
+	// One-query hardware batches hold a request to MaxRequestBatches queries.
+	const rows, maxQueries = 1 << 16, serve.MaxRequestBatches
+	srv, err := serve.New(&fakeSystem{fakeBackend: newFake(), rows: rows}, serve.Config{BatchCapacity: 1})
 	if err != nil {
 		f.Fatal(err)
 	}

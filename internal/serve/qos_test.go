@@ -78,9 +78,9 @@ func wait(t *testing.T, tk serve.Ticket) serve.Response {
 	return res
 }
 
-// TestQoSShedLowFirst pins the admission thresholds: past the low-water
-// fraction of MaxQueued, low-priority submissions shed while normal and
-// high traffic is still admitted up to the full bound.
+// TestQoSShedLowFirst pins the admission thresholds: past half of
+// MaxQueued, low-priority submissions shed while normal and high traffic is
+// still admitted up to the full bound.
 func TestQoSShedLowFirst(t *testing.T) {
 	f := newFake()
 	f.gate = make(chan struct{})
@@ -88,7 +88,6 @@ func TestQoSShedLowFirst(t *testing.T) {
 	co, err := serve.NewCoalescer(serve.Config{
 		BatchCapacity: 1, // full batches flush without lingering
 		MaxQueued:     10,
-		ShedLowWater:  0.5,
 	}, f, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestQoSShedLowFirst(t *testing.T) {
 		}
 	}
 
-	// Low admits up to the low-water mark (0.5 x 10 = 5 queries)...
+	// Low admits up to half the bound (10 / 2 = 5 queries)...
 	for i := 0; i < 5; i++ {
 		queued = append(queued, admit(t, co, context.Background(), tensor.OpSum, serve.PriorityLow, 2))
 	}
@@ -148,7 +147,6 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 	co, err := serve.NewCoalescer(serve.Config{
 		BatchCapacity: 8,
 		MaxQueued:     maxQueued,
-		ShedLowWater:  0.25,
 	}, f, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +185,8 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 		}
 	}
 
-	// Low requests shed once the queue as a whole holds the low-water mark
-	// (0.25 x 64 = 16 queries: the burst's first 12 low and 4 high); every
+	// Low requests shed once the queue as a whole holds half the bound
+	// (64 / 2 = 32 queries: the burst's first 25 low and 7 high); every
 	// high request fits the full bound.
 	if highShed != 0 {
 		t.Errorf("%d high-priority requests shed; overload must consume the low lane first", highShed)
@@ -196,8 +194,8 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 	if wantHigh := (burst + 4) / 5; highOK != wantHigh {
 		t.Errorf("%d high-priority requests admitted, want all %d", highOK, wantHigh)
 	}
-	if lowOK != 12 || lowShed != burst-highOK-12 {
-		t.Errorf("low lane admitted %d and shed %d, want 12 and %d", lowOK, lowShed, burst-highOK-12)
+	if lowOK != 25 || lowShed != burst-highOK-25 {
+		t.Errorf("low lane admitted %d and shed %d, want 25 and %d", lowOK, lowShed, burst-highOK-25)
 	}
 	m := co.Metrics()
 	if got := m.Shed.At(int(serve.PriorityHigh)).Value(); got != 0 {
@@ -229,9 +227,9 @@ func (d deadlineCtx) Deadline() (time.Time, bool) { return d.at, true }
 
 // TestQoSDeadlineEscape pins the starvation bound on manual time: a
 // low-priority request is scheduled ahead of healthier high-priority work
-// exactly when its deadline slack has shrunk below Config.DeadlineSlack.
+// exactly when its deadline slack has shrunk below DeadlineSlack.
 func TestQoSDeadlineEscape(t *testing.T) {
-	const slack, budget = 5 * time.Millisecond, 100 * time.Millisecond
+	const slack, budget = serve.DeadlineSlack, 100 * time.Millisecond
 	for _, tc := range []struct {
 		name    string
 		elapsed time.Duration
@@ -252,7 +250,7 @@ func TestQoSDeadlineEscape(t *testing.T) {
 				return nil
 			}
 			clk := serve.NewManualClock()
-			co, err := serve.NewCoalescerAt(serve.Config{BatchCapacity: 1, MaxQueued: 64, DeadlineSlack: slack}, f, nil, clk)
+			co, err := serve.NewCoalescerAt(serve.Config{BatchCapacity: 1, MaxQueued: 64}, f, nil, clk)
 			if err != nil {
 				t.Fatal(err)
 			}

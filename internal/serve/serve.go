@@ -152,51 +152,21 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline applied to HTTP requests
 	// that do not carry their own. Default 2s.
 	DefaultTimeout time.Duration
-	// MaxQueriesPerRequest bounds one HTTP request's query count (413-style
-	// rejection as a 400). Default 4 x BatchCapacity.
-	MaxQueriesPerRequest int
 	// Tracer, when set, receives request-lifecycle events (enqueue, flush,
 	// respond) on the serving timeline. Nil — the default — disables
 	// lifecycle tracing at the cost of one pointer check.
 	Tracer telemetry.Tracer
-	// RetryJitterSeed seeds the deterministic jitter applied to the 503
-	// Retry-After header under overload, spreading client retries over a
-	// small window instead of synchronizing them into a thundering herd.
-	// Equal seeds give equal jitter sequences; zero selects seed 1.
-	RetryJitterSeed uint64
 	// CacheBytes is the host-side hot-embedding cache budget in bytes.
 	// Zero — the default — disables the cache entirely; when positive the
 	// backend must implement RowSource or NewCoalescer fails, and the cache
 	// admits the rows each flush's backend call read. With a sharded
 	// backend (ShardOwner) the budget is split evenly per shard.
 	CacheBytes int64
-	// CacheSeed seeds the cache's deterministic CLOCK eviction (the hand's
-	// starting slot). Equal seeds and equal traffic give bit-identical
-	// cache contents; zero selects seed 1.
-	CacheSeed uint64
-	// ShedLowWater is the fraction of MaxQueued above which PriorityLow
-	// submissions are shed. High and normal traffic is only rejected at the
-	// full MaxQueued bound. Default 0.5.
-	ShedLowWater float64
-	// DeadlineSlack is the lane-escape threshold: a lower-priority request
-	// whose deadline slack has shrunk below this is scheduled ahead of
-	// healthier higher-priority work, bounding starvation. Default 1ms.
-	DeadlineSlack time.Duration
-	// SLOWindow is the flight recorder's rolling accounting window for
-	// good/bad request counts and burn rates. Default 60s.
-	SLOWindow time.Duration
 	// SLOObjectives maps each QoS lane to its wall-clock latency objective;
 	// a request is good when it succeeds undegraded within its lane's
 	// objective. Lanes absent from the map get the defaults: high 50ms,
 	// normal 250ms, low 1s.
 	SLOObjectives map[Priority]time.Duration
-	// SLOBudget is the error-budget fraction the burn-rate gauge normalizes
-	// by: burn rate 1.0 means bad requests arrive at exactly the budgeted
-	// fraction. Default 0.01 (99% of requests good).
-	SLOBudget float64
-	// SLOK bounds the flight recorder's slowest/degraded request rings.
-	// Default 16.
-	SLOK int
 }
 
 func (c *Config) fillDefaults() {
@@ -208,30 +178,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 2 * time.Second
-	}
-	if c.MaxQueriesPerRequest == 0 {
-		c.MaxQueriesPerRequest = 4 * c.BatchCapacity
-	}
-	if c.RetryJitterSeed == 0 {
-		c.RetryJitterSeed = 1
-	}
-	if c.CacheSeed == 0 {
-		c.CacheSeed = 1
-	}
-	if c.ShedLowWater == 0 {
-		c.ShedLowWater = 0.5
-	}
-	if c.DeadlineSlack == 0 {
-		c.DeadlineSlack = time.Millisecond
-	}
-	if c.SLOWindow == 0 {
-		c.SLOWindow = time.Minute
-	}
-	if c.SLOBudget == 0 {
-		c.SLOBudget = 0.01
-	}
-	if c.SLOK == 0 {
-		c.SLOK = 16
 	}
 	defaults := map[Priority]time.Duration{
 		PriorityHigh:   50 * time.Millisecond,
@@ -261,20 +207,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: Config.MaxQueued = %d: must be positive (or 0 for the default of 16 x BatchCapacity)", c.MaxQueued)
 	case c.DefaultTimeout < 0:
 		return fmt.Errorf("serve: Config.DefaultTimeout = %v: must be non-negative", c.DefaultTimeout)
-	case c.MaxQueriesPerRequest < 0:
-		return fmt.Errorf("serve: Config.MaxQueriesPerRequest = %d: must be positive (or 0 for the default of 4 x BatchCapacity)", c.MaxQueriesPerRequest)
 	case c.CacheBytes < 0:
 		return fmt.Errorf("serve: Config.CacheBytes = %d: must be non-negative (0 disables the cache)", c.CacheBytes)
-	case c.ShedLowWater < 0 || c.ShedLowWater > 1:
-		return fmt.Errorf("serve: Config.ShedLowWater = %v: must be in [0, 1] (or 0 for the default of 0.5)", c.ShedLowWater)
-	case c.DeadlineSlack < 0:
-		return fmt.Errorf("serve: Config.DeadlineSlack = %v: must be non-negative", c.DeadlineSlack)
-	case c.SLOWindow < 0:
-		return fmt.Errorf("serve: Config.SLOWindow = %v: must be non-negative (0 selects the 60s default)", c.SLOWindow)
-	case c.SLOBudget < 0 || c.SLOBudget > 1:
-		return fmt.Errorf("serve: Config.SLOBudget = %v: must be in [0, 1] (0 selects the 0.01 default)", c.SLOBudget)
-	case c.SLOK < 0:
-		return fmt.Errorf("serve: Config.SLOK = %d: must be non-negative (0 selects the default of 16)", c.SLOK)
 	}
 	return nil
 }

@@ -20,12 +20,11 @@ func TestConfigValidate(t *testing.T) {
 		want string // substring of the error; empty means valid
 	}{
 		{"zero is valid", Config{}, ""},
-		{"full is valid", Config{BatchCapacity: 8, Linger: time.Millisecond, MaxQueued: 64, DefaultTimeout: time.Second, MaxQueriesPerRequest: 4}, ""},
+		{"full is valid", Config{BatchCapacity: 8, Linger: time.Millisecond, MaxQueued: 64, DefaultTimeout: time.Second}, ""},
 		{"negative capacity", Config{BatchCapacity: -3}, "Config.BatchCapacity = -3"},
 		{"negative linger", Config{Linger: -time.Second}, "Config.Linger = -1s"},
 		{"negative queue", Config{MaxQueued: -1}, "Config.MaxQueued = -1"},
 		{"negative timeout", Config{DefaultTimeout: -time.Millisecond}, "Config.DefaultTimeout = -1ms"},
-		{"negative request bound", Config{MaxQueriesPerRequest: -9}, "Config.MaxQueriesPerRequest = -9"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,7 +45,7 @@ func TestConfigValidate(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fillDefaults()
-	if c.BatchCapacity != 32 || c.MaxQueued != 512 || c.DefaultTimeout != 2*time.Second || c.MaxQueriesPerRequest != 128 {
+	if c.BatchCapacity != 32 || c.MaxQueued != 512 || c.DefaultTimeout != 2*time.Second {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if c.Linger != 0 {

@@ -21,8 +21,12 @@ import (
 )
 
 // maxBodyBytes bounds one request body; 1 MiB holds far more queries than
-// MaxQueriesPerRequest admits.
+// maxRequestBatches admits.
 const maxBodyBytes = 1 << 20
+
+// maxRequestBatches bounds one HTTP request to this many hardware batches'
+// worth of queries (x Config.BatchCapacity); a larger request is a 400.
+const maxRequestBatches = 4
 
 // LookupRequest is the wire format of POST /v1/lookup. Exactly one of
 // Indices (single-query shorthand) or Queries must be set.
@@ -205,13 +209,7 @@ func newServer(sys System, cfg Config, clk clock) (*Server, error) {
 	for p, name := range laneNames {
 		objectives[name] = cfg.SLOObjectives[Priority(p)]
 	}
-	s.slo = telemetry.NewSLO(telemetry.SLOConfig{
-		Window:         cfg.SLOWindow,
-		Objectives:     objectives,
-		BudgetFraction: cfg.SLOBudget,
-		K:              cfg.SLOK,
-		Now:            clk.Now,
-	})
+	s.slo = telemetry.NewSLO(telemetry.SLOConfig{Objectives: objectives, Now: clk.Now})
 	m.Registry().GaugeFuncVec("fafnir_slo_burn_rate",
 		"SLO error-budget burn rate by lane over the rolling window (1.0 = bad requests arriving at exactly the budgeted fraction).",
 		"lane", s.slo.BurnRate, laneNames[:]...)
@@ -284,8 +282,8 @@ func (s *Server) parseQueries(req *LookupRequest) ([]embedding.Query, error) {
 	default:
 		return nil, fmt.Errorf("serve: request carries no queries")
 	}
-	if len(raw) > s.cfg.MaxQueriesPerRequest {
-		return nil, fmt.Errorf("serve: request carries %d queries, limit is %d", len(raw), s.cfg.MaxQueriesPerRequest)
+	if limit := maxRequestBatches * s.cfg.BatchCapacity; len(raw) > limit {
+		return nil, fmt.Errorf("serve: request carries %d queries, limit is %d", len(raw), limit)
 	}
 	queries := make([]embedding.Query, len(raw))
 	for qi, idxs := range raw {
@@ -448,7 +446,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // retryAfter renders the 503 backoff hint: overload rejections jitter
-// deterministically over {1, 2, 3} seconds from (RetryJitterSeed, sequence),
+// deterministically over {1, 2, 3} seconds from (seed 1, sequence),
 // so a burst of synchronized clients spreads its retry wave; drain keeps the
 // fixed minimum — the listener is going away, the hint only needs to exist.
 func (s *Server) retryAfter(o Outcome) string {
@@ -456,5 +454,5 @@ func (s *Server) retryAfter(o Outcome) string {
 		return "1"
 	}
 	seq := s.retrySeq.Add(1)
-	return strconv.FormatUint(1+splitmix64(s.cfg.RetryJitterSeed^seq)%3, 10)
+	return strconv.FormatUint(1+splitmix64(1^seq)%3, 10)
 }

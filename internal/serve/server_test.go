@@ -201,7 +201,8 @@ func TestServerCoalescingWin(t *testing.T) {
 // TestServerBadRequests exercises every request-validation rejection.
 func TestServerBadRequests(t *testing.T) {
 	sys := testSystem(t, fafnir.SystemConfig{})
-	_, ts := newTestServer(t, sys, serve.Config{MaxQueriesPerRequest: 2})
+	// One-query batches put the request bound at MaxRequestBatches = 4.
+	_, ts := newTestServer(t, sys, serve.Config{BatchCapacity: 1})
 
 	cases := []struct {
 		name, body, wantErr string
@@ -212,7 +213,7 @@ func TestServerBadRequests(t *testing.T) {
 		{"bad op", `{"indices": [1], "op": "median"}`, "median"},
 		{"out of range", fmt.Sprintf(`{"indices": [%d]}`, testRowsPerTable*512), "out of range"},
 		{"empty query", `{"queries": [[1], []]}`, "query 1 is empty"},
-		{"too many queries", `{"queries": [[1],[2],[3]]}`, "limit is 2"},
+		{"too many queries", `{"queries": [[1],[2],[3],[4],[5]]}`, "limit is 4"},
 		{"not json", `hello`, "bad request body"},
 		{"trailing garbage", `{"queries":[[1,2,3]]} garbage`, "trailing data"},
 		{"second object", `{"queries":[[1,2,3]]}{"queries":[[9]]}`, "trailing data"},
@@ -519,13 +520,13 @@ func testSplitmix64(x uint64) uint64 {
 
 // TestServerRetryAfterJitter saturates the queue and checks overload 503s
 // carry deterministic seeded Retry-After jitter in {1, 2, 3} seconds: the
-// exact sequence (seed, rejection number) predicts.
+// exact sequence (seed 1, rejection number) predicts.
 func TestServerRetryAfterJitter(t *testing.T) {
-	const seed = 7
+	const seed = 1
 	fake := &fakeSystem{fakeBackend: newFake(), rows: 1 << 16}
 	fake.gate = make(chan struct{})
 	fake.enter = make(chan struct{}, 16)
-	srv, ts := newTestServer(t, fake, serve.Config{BatchCapacity: 1, MaxQueued: 1, RetryJitterSeed: seed})
+	srv, ts := newTestServer(t, fake, serve.Config{BatchCapacity: 1, MaxQueued: 1})
 
 	release := sync.OnceFunc(func() { close(fake.gate) })
 	defer release()

@@ -78,6 +78,14 @@
 #                      encoding/json and held there by FuzzReplyEncoding: it
 #                      calls no json.NewEncoder or json.Marshal and no
 #                      writeJSON with a 200 status
+#   7m. one value    — a setting with one value is a constant: the nineteen
+#       per setting    fields SystemConfig, serve.Config, router.Config and
+#                      rnet.Config lost (ZipfS, QuerySize, DisableDedup,
+#                      MaxQueriesPerRequest, RetryDeadline, LinkCycles, ...)
+#                      are declared in none of them, and TimedLookupFaulted
+#                      (the fault injector rides dram.System), countAbandoned,
+#                      fafnir_router_retries_abandoned_total and the
+#                      -cache-seed flag appear in no non-test Go file
 #   7g. exhibits     — opt-in, for a change that must not move a simulated
 #                      number: with EXHIBIT_BASE=<checkout of the parent
 #                      commit>, all fafnir-bench exhibits are regenerated there
@@ -254,6 +262,16 @@ echo "==> one reply encoder (lookup replies are appended, not reflected)"
        on && /^}/ { on = 0 }
        END { exit !bad }' internal/serve/server.go \
     || { echo "handleLookup renders its reply through encoding/json again: append it with the reply encoder"; exit 1; }
+
+echo "==> one value per setting (fixed settings stay constants, not config fields)"
+! awk '/^type (SystemConfig|Config) struct/ { on = 1; next }
+       on && /^}/ { on = 0 }
+       on && $1 ~ /^(ZipfS|QuerySize|DisableDedup|MaxQueriesPerRequest|RetryJitterSeed|CacheSeed|ShedLowWater|DeadlineSlack|SLOWindow|SLOBudget|SLOK|FailureThreshold|RetryDeadline|Host|OwnerStride|OwnerPhase|LinkCycles|SwitchLatency|CombineCycles),?$/ {
+           print FILENAME ":" FNR ": " $0; bad = 1 }
+       END { exit !bad }' api.go internal/serve/serve.go internal/router/router.go internal/rnet/rnet.go \
+    || { echo "a deleted config field is back: a setting no program sets is the constant it defaults to"; exit 1; }
+! grep -rnE 'TimedLookupFaulted|countAbandoned|fafnir_router_retries_abandoned_total|"cache-seed"' --include='*.go' --exclude='*_test.go' . \
+    || { echo "a deleted fault-injector path, retry-deadline path or -cache-seed flag is back"; exit 1; }
 
 if [ -n "${EXHIBIT_BASE:-}" ]; then
     echo "==> exhibits byte-equal to $EXHIBIT_BASE (-j 1 and default)"
