@@ -5,9 +5,9 @@ package fafnir
 // nothing — a reduce action's vector clone and its two header fields are
 // carved off the current chunk — and releasing the scratch recycles every
 // chunk at once instead of feeding the garbage collector. It also holds the
-// one sort the merge unit needs (canon): set algebra on header.Bitset words is
-// a handful of word operations, which leaves canonical ordering as the PE's
-// dominant host cost.
+// merge unit's ordering: setTable, one hash table that finds the positions
+// holding an equal set, serves both the PE's partner probe and group, which
+// brings equal sets together so that canon sorts only one member per group.
 //
 // Arena-backed slices are only valid while the owning scratch is leased
 // (getTreeScratch/putTreeScratch in scratch.go); the engine releases a
@@ -16,6 +16,7 @@ package fafnir
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -111,10 +112,16 @@ type workScratch struct {
 	words bump[uint64]     // header fields: unions, minus results, merged Queries, leaf sets
 
 	raw   []denseEntry    // one PE call's pre-merge outputs
+	pend  []tensor.Vector // processPE: raw position -> the partner value its reduce still owes (see fold)
 	sets  []header.Bitset // selfMerge: the full query of every (entry, remaining-set) pair
+	keys  []header.Bitset // indicesOf: the Indices of the entries being grouped or indexed
 	ord   []uint64        // canon's output
-	sigs  []uint64        // processPE: header.Bitset.Sig of every input entry's indices
+	heads []uint64        // group: the first position of every distinct set
+	first []header.Bitset // group: the set at every heads position
+	next  []int32         // group: position -> the next position holding its set
 	owner []int32         // selfMerge: (entry, remaining-set) pair -> stream position
+	probe []uint64        // processPE: the opposite input's union, then the probe key
+	table setTable        // processPE's partner index and group's hash pass
 }
 
 // begin points the scratch at the dense row space of the batch it is about
@@ -124,15 +131,16 @@ func (ws *workScratch) begin(rows header.Dense) { ws.rows, ws.k = rows, rows.Wor
 // reset recycles the arenas and transient slices for the next batch. Entry
 // chunks hold pointers and are zeroed; the float and word chunks are
 // pointer-free, and everything they back is reachable only through the
-// cleared chunks (or through sets, which points nowhere else), so they
-// recycle without the memclr.
+// cleared chunks (or through sets, keys and first, which point nowhere else),
+// so they recycle without the memclr.
 func (ws *workScratch) reset() {
 	ws.rows = nil
 	ws.ents.reset(true)
 	ws.vals.reset(false)
 	ws.words.reset(false)
 	clear(ws.raw[:cap(ws.raw)])
-	ws.raw = ws.raw[:0]
+	clear(ws.pend[:cap(ws.pend)])
+	ws.raw, ws.pend = ws.raw[:0], ws.pend[:0]
 }
 
 // cloneVec copies v into the value arena (the reduce action's working copy).
@@ -156,21 +164,105 @@ func (ws *workScratch) andNot(s, t header.Bitset) header.Bitset {
 	return out
 }
 
-// canon returns the positions 0..n-1 in the canonical order of the sets found
-// there (header.Bitset.Compare), with equal sets in position order. The merge
-// unit needs only that equal sets end up adjacent; any total order of the bits
-// does that, and the store's integer-valued rows make every fold exact in any
+// setTable indexes positions by equal set: an open-addressing hash table over
+// a set's words whose slots hold a position (plus one; 0 is a free slot) of
+// each distinct set it has seen. The caller decides which position a slot
+// keeps; any holder will do for finding the set again, since they are equal.
+type setTable struct {
+	slots []int32
+	shift uint // 64 - log2(len(slots)): a hash's top bits are its home slot
+}
+
+// reset empties the table and sizes it for n distinct sets at most half full,
+// reusing the slots of earlier runs.
+func (t *setTable) reset(n int) {
+	size := 2 << bits.Len(uint(max(n, 1)-1))
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.shift = uint(65 - bits.Len(uint(size)))
+}
+
+// find returns the slot of s: the one holding a position whose set in sets
+// equals s, or the free slot where s belongs.
+func (t *setTable) find(s header.Bitset, sets []header.Bitset) *int32 {
+	mask := uint64(len(t.slots) - 1)
+	for i := hashSet(s) >> t.shift; ; i = (i + 1) & mask {
+		if p := t.slots[i]; p == 0 || sets[p-1].Equal(s) {
+			return &t.slots[i]
+		}
+	}
+}
+
+// hashSet mixes every word of s into the top bits of one word (Fibonacci
+// hashing), where setTable takes its home slot from.
+func hashSet(s header.Bitset) uint64 {
+	var h uint64
+	for _, w := range s {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
+// group is canon over sets with its groups delimited: heads holds each
+// distinct set's first position, in canonical order, and next chains a
+// group's members in position order from its head, -1 ending the chain.
+// Flattened, it is exactly canon's order (the same groups in the same order,
+// members in the same order), but a hash pass finds the groups and canon
+// sorts only their heads. The result is valid until the next group or canon.
+func (ws *workScratch) group(sets []header.Bitset) (heads []uint64, next []int32) {
+	ws.table.reset(len(sets))
+	pos, first := ws.heads[:0], ws.first[:0]
+	next = slices.Grow(ws.next[:0], len(sets))[:len(sets)]
+	for i, s := range sets {
+		next[i] = -1
+		// The slot keeps the set's latest position: the chain's tail.
+		slot := ws.table.find(s, sets)
+		if *slot == 0 {
+			pos, first = append(pos, uint64(i)), append(first, s)
+		} else {
+			next[*slot-1] = int32(i)
+		}
+		*slot = int32(i) + 1
+	}
+	ws.heads, ws.first, ws.next = pos, first, next
+	heads = ws.canon(first)
+	for i, h := range heads {
+		heads[i] = pos[h]
+	}
+	return heads, next
+}
+
+// canon returns the positions of sets in the canonical order of the sets
+// (header.Bitset.Compare), with equal sets in position order. The merge unit
+// needs only that equal sets end up adjacent; any total order of the bits does
+// that, and the store's integer-valued rows make every fold exact in any
 // order, so the order is chosen for speed alone. Each set is packed into one
 // word, its position below as much of its SortKey as fits, so a plain integer
-// sort decides nearly every comparison; only runs that tie on the key prefix
-// (equal sets, mostly) take the full comparator. The position tiebreak makes
-// the order total, so the unstable sorts have one possible outcome. The result
-// is valid until the next canon.
-func (ws *workScratch) canon(n int, set func(pos uint64) header.Bitset) []uint64 {
+// sort decides most comparisons; only runs that tie on the key prefix take the
+// full comparator. The position tiebreak makes the order total, so the
+// unstable sorts have one possible outcome. The result is valid until the next
+// canon or group.
+func (ws *workScratch) canon(sets []header.Bitset) []uint64 {
+	n := len(sets)
 	posBits := bits.Len(uint(n))
+	// Both members of a SortKey are row IDs below len(rows), or MaxUint32 for
+	// none; repacked in rowBits each, with none as the largest, they keep
+	// every bit when the rows are few enough.
+	rowBits := bits.Len(uint(len(ws.rows)))
+	none := uint64(1)<<rowBits - 1
 	ord := ws.ord[:0]
-	for i := uint64(0); i < uint64(n); i++ {
-		ord = append(ord, set(i).SortKey()>>posBits<<posBits|i)
+	for i, s := range sets {
+		key := s.SortKey()
+		if 2*rowBits+posBits <= 64 {
+			key = min(key>>32, none)<<rowBits | min(key&math.MaxUint32, none)
+		} else {
+			key >>= posBits
+		}
+		ord = append(ord, key<<posBits|uint64(i))
 	}
 	ws.ord = ord
 	slices.Sort(ord)
@@ -180,7 +272,7 @@ func (ws *workScratch) canon(n int, set func(pos uint64) header.Bitset) []uint64
 		}
 		if j > i+1 {
 			slices.SortFunc(ord[i:j], func(a, b uint64) int {
-				if c := set(a & pos).Compare(set(b & pos)); c != 0 {
+				if c := sets[a&pos].Compare(sets[b&pos]); c != 0 {
 					return c
 				}
 				return cmp.Compare(a, b)

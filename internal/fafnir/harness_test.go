@@ -125,3 +125,20 @@ func viaDense(run func(*workScratch, [][]denseEntry) ([]denseEntry, PEStats, err
 	}
 	return out, st, nil
 }
+
+// scanPartner is the partner rule as the hardware's comparators state it,
+// kept as the reference for the probe (workScratch.partner): of the opposite
+// entries qs covers, the one with the most Indices, the first such in input
+// order, or nil when qs covers none.
+func scanPartner(qs header.Bitset, opp []denseEntry) *denseEntry {
+	var best *denseEntry
+	bestLen := 0
+	for i := range opp {
+		if o := &opp[i]; qs.Covers(o.indices) {
+			if n := o.indices.Len(); n > bestLen {
+				best, bestLen = o, n
+			}
+		}
+	}
+	return best
+}

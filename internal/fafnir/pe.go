@@ -2,14 +2,17 @@ package fafnir
 
 // This file holds the PE: processPE, selfMerge and the merge unit's fold, on
 // the engine's working form of an in-flight value, denseEntry, whose header
-// fields are header.Bitset words over the hardware batch's dense rows. A
-// reduce test is a few word operations there, so what is left of a PE's host
-// cost is the canonical order of its outputs (canon, in arena.go).
-// docs/ARCHITECTURE.md section 3 says where dense rows come from and why any
-// order that groups equal sets will do.
+// fields are header.Bitset words over the hardware batch's dense rows. A PE
+// finds each remaining set's partner with one hash probe, the merge unit
+// groups equal sets with one hash pass (setTable and group, in arena.go), and
+// a reduce combines values only for the outputs that survive the merge, so a
+// PE's host cost follows the entries it outputs. docs/ARCHITECTURE.md section
+// 3 says where dense rows come from and why any order that groups equal sets
+// will do.
 
 import (
 	"fmt"
+	"slices"
 
 	"fafnir/internal/header"
 	"fafnir/internal/tensor"
@@ -71,44 +74,54 @@ func (e *denseEntry) complete(k int) bool {
 // result is in canonical Indices order — the step that makes PE evaluation
 // deterministic regardless of input order.
 //
-// canon's order brings duplicates adjacent while preserving arrival order
-// within a group, so the group's representative value is the first-arriving
-// one (every member carries the same reduction), and inserting the group's
-// Queries one by one into a canonical list yields the deduped set union.
-// Distinct groups carry distinct Indices sets, so the order of the outputs is
-// unique.
-func (ws *workScratch) fold(raw []denseEntry, stats *PEStats) []denseEntry {
-	ord := ws.canon(len(raw), func(pos uint64) header.Bitset { return raw[pos].indices })
-	out := ws.ents.alloc(len(raw))[:0]
-	for i := 0; i < len(ord); {
-		first := &raw[ord[i]]
-		j := i + 1
-		nq := len(first.queries)
-		for j < len(ord) && raw[ord[j]].indices.Equal(first.indices) {
-			nq += len(raw[ord[j]].queries)
-			j++
-		}
-		out = append(out, *first)
-		if j > i+1 {
-			list := header.Bitset(ws.words.alloc(nq)[:0])
-			for _, pos := range ord[i:j] {
-				for qs := raw[pos].queries; len(qs) > 0; qs = qs[ws.k:] {
-					list = list.Insert(qs[:ws.k])
-				}
+// group's order keeps arrival order within a group, so the group's
+// representative value is the first-arriving one (every member carries the
+// same reduction), and inserting the group's Queries one by one into a
+// canonical list yields the deduped set union. Distinct groups carry distinct
+// Indices sets, so the order of the outputs is unique.
+//
+// A raw output whose reduce action is still pending (pend, aligned with raw
+// and nil for a stream with none pending) carries its own value and, in pend,
+// the partner's: only a representative's is combined, since the other members'
+// values are dropped anyway.
+func (ws *workScratch) fold(op tensor.ReduceOp, raw []denseEntry, pend []tensor.Vector, stats *PEStats) ([]denseEntry, error) {
+	heads, next := ws.group(ws.indicesOf(raw))
+	out := ws.ents.alloc(len(heads))[:0]
+	for _, h := range heads {
+		out = append(out, raw[h])
+		if pend != nil && pend[h] != nil {
+			v := ws.cloneVec(raw[h].value)
+			if err := op.Apply(v, pend[h]); err != nil {
+				return nil, fmt.Errorf("fafnir: reduce value: %w", err)
 			}
-			out[len(out)-1].queries = list
-			stats.MergedDuplicates += j - i - 1
+			out[len(out)-1].value = v
 		}
-		i = j
+		if next[h] < 0 {
+			continue
+		}
+		nq, members := 0, 0
+		for p := int32(h); p >= 0; p = next[p] {
+			nq += len(raw[p].queries)
+			members++
+		}
+		stats.MergedDuplicates += members - 1
+		list := header.Bitset(ws.words.alloc(nq)[:0])
+		for p := int32(h); p >= 0; p = next[p] {
+			for qs := raw[p].queries; len(qs) > 0; qs = qs[ws.k:] {
+				list = list.Insert(qs[:ws.k])
+			}
+		}
+		out[len(out)-1].queries = list
 	}
 	stats.Outputs = len(out)
-	return out
+	return out, nil
 }
 
 // processPE runs the functional semantics of one PE over its two input
 // buffers (Section IV-B/IV-C). For every entry and every remaining-index set
-// in its Queries field, the compute units compare the set against the
-// indices field of every entry of the opposite input:
+// in its Queries field, the hardware's compute units compare the set against
+// the indices field of every entry of the opposite input, and PEStats charges
+// those compares:
 //
 //   - when opposite entries are covered by the set, the value is reduced
 //     with the *maximal* covered entry — the opposite subtree's complete
@@ -120,37 +133,33 @@ func (ws *workScratch) fold(raw []denseEntry, stats *PEStats) []denseEntry {
 //
 // The merge unit (fold) then removes duplicate outputs (the same reduction
 // reached from both input directions) and folds outputs sharing an Indices set
-// into one entry with concatenated Queries fields.
+// into one entry with concatenated Queries fields. A reduce action's values
+// are combined there, for the surviving output only.
 //
 // Reducing with the maximal covered entry rather than every covered entry is
-// what keeps each query's reduction a single chain through the tree: an
-// inductive invariant of the tree is that each subtree emits exactly one
-// entry covering all of a query's indices within that subtree, so the
-// maximal match is that entry and smaller matches are its superseded
-// sub-chains.
+// what keeps each query's reduction a single chain through the tree. The host
+// finds that entry without the compares, by an exact-partner rule that rests
+// on an inductive invariant of the tree: each subtree emits exactly one entry
+// covering all of a query's indices within that subtree, and fold makes every
+// input's Indices sets distinct. The partner of a remaining set is therefore
+// the one opposite entry whose Indices equal the set's intersection with the
+// union of the opposite input's Indices; an empty intersection, or no entry
+// holding it, means the set forwards. One probe of a setTable indexing the
+// opposite input finds it.
 //
 // Every action allocates from the scratch's arenas, so the returned entries
 // are valid only while the scratch is.
 func (ws *workScratch) processPE(op tensor.ReduceOp, inA, inB []denseEntry) ([]denseEntry, PEStats, error) {
 	stats := PEStats{InA: len(inA), InB: len(inB)}
-	raw := ws.raw[:0]
-
-	// One Sig per input entry: the compare loop below runs len(side) x
-	// len(opp) times per remaining-set, and nearly every test fails.
-	sigs := ws.sigs[:0]
-	for _, in := range [2][]denseEntry{inA, inB} {
-		for i := range in {
-			sigs = append(sigs, in[i].indices.Sig())
-		}
-	}
-	ws.sigs = sigs
-	process := func(side, opp []denseEntry, oppSigs []uint64) error {
+	raw, pend := ws.raw[:0], ws.pend[:0]
+	process := func(side, opp []denseEntry) {
+		ws.index(opp)
 		for i := range side {
 			e := &side[i]
 			if len(e.queries) == 0 {
 				// Nothing owed by any query: pass through untouched.
 				stats.Forwards++
-				raw = append(raw, *e)
+				raw, pend = append(raw, *e), append(pend, nil)
 				continue
 			}
 			for q := 0; q < len(e.queries); q += ws.k {
@@ -158,43 +167,73 @@ func (ws *workScratch) processPE(op tensor.ReduceOp, inA, inB []denseEntry) ([]d
 				// One compare per opposite entry, charged whether or not the
 				// comparator can stop early (PE timing reads this count).
 				stats.Compares += len(opp)
-				var best *denseEntry
-				bestLen, sig := 0, qs.Sig()
-				for oi, s := range oppSigs {
-					if o := &opp[oi]; s&^sig == 0 && qs.Covers(o.indices) {
-						if n := o.indices.Len(); n > bestLen {
-							best, bestLen = o, n
-						}
-					}
-				}
+				best := ws.partner(qs, opp)
 				if best == nil {
 					stats.Forwards++
 					raw = append(raw, denseEntry{value: e.value, indices: e.indices, queries: qs})
+					pend = append(pend, nil)
 					continue
 				}
-				v := ws.cloneVec(e.value)
-				if err := op.Apply(v, best.value); err != nil {
-					return fmt.Errorf("fafnir: reduce value: %w", err)
-				}
+				// The value is combined in fold, once per distinct output.
 				stats.Reduces++
 				raw = append(raw, denseEntry{
-					value:   v,
+					value:   e.value,
 					indices: ws.or(e.indices, best.indices),
 					queries: ws.andNot(qs, best.indices),
 				})
+				pend = append(pend, best.value)
 			}
 		}
+	}
+	process(inA, inB)
+	process(inB, inA)
+	ws.raw, ws.pend = raw, pend
+	out, err := ws.fold(op, raw, pend, &stats)
+	return out, stats, err
+}
+
+// index builds processPE's partner index over one input: a setTable from
+// each entry's Indices to its position, and the union of all of them. Input
+// Indices are distinct (see processPE); a duplicate would keep its first
+// position.
+func (ws *workScratch) index(in []denseEntry) {
+	keys := ws.indicesOf(in)
+	ws.table.reset(len(keys))
+	ws.probe = slices.Grow(ws.probe[:0], 2*ws.k)[:2*ws.k]
+	union := header.Bitset(ws.probe[:ws.k])
+	clear(union)
+	for i, s := range keys {
+		if slot := ws.table.find(s, keys); *slot == 0 {
+			*slot = int32(i) + 1
+		}
+		union.Or(union, s)
+	}
+}
+
+// indicesOf lists the Indices sets of in (in ws.keys, valid until the next
+// call).
+func (ws *workScratch) indicesOf(in []denseEntry) []header.Bitset {
+	keys := ws.keys[:0]
+	for i := range in {
+		keys = append(keys, in[i].indices)
+	}
+	ws.keys = keys
+	return keys
+}
+
+// partner is the exact-partner rule of processPE: the entry of in, which
+// index last indexed, whose Indices equal qs's intersection with their union,
+// or nil.
+func (ws *workScratch) partner(qs header.Bitset, in []denseEntry) *denseEntry {
+	key := header.Bitset(ws.probe[ws.k:])
+	key.And(qs, ws.probe[:ws.k])
+	if key.Empty() {
 		return nil
 	}
-	err := process(inA, inB, sigs[len(inA):])
-	if err == nil {
-		err = process(inB, inA, sigs[:len(inA)])
+	if p := *ws.table.find(key, ws.keys); p != 0 {
+		return &in[p-1]
 	}
-	ws.raw = raw
-	if err != nil {
-		return nil, stats, err
-	}
-	return ws.fold(raw, &stats), stats, nil
+	return nil
 }
 
 // selfMerge reduces co-query entries that sit in the *same* input stream.
@@ -214,16 +253,15 @@ func (ws *workScratch) processPE(op tensor.ReduceOp, inA, inB []denseEntry) ([]d
 // selfMerge returns an error otherwise. The returned stats count the reduce
 // actions and merge-unit folds performed; the arena rules are processPE's.
 //
-// Grouping is sort-based. The stream is first put in canonical Indices order,
-// which fixes the order a group's members combine in, and every (entry,
-// remaining-set) pair is tagged with its full query in that order; canon on
-// the full queries then brings each group's members adjacent, still in that
-// order.
+// The stream is first put in canonical Indices order (canon), which fixes the
+// order a group's members combine in, and every (entry, remaining-set) pair
+// is tagged with its full query in that order; group on the full queries then
+// chains each group's members, still in that order.
 func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]denseEntry, PEStats, error) {
 	var total PEStats
 
 	sets, owner := ws.sets[:0], ws.owner[:0]
-	for _, pos := range ws.canon(len(entries), func(pos uint64) header.Bitset { return entries[pos].indices }) {
+	for _, pos := range ws.canon(ws.indicesOf(entries)) {
 		e := &entries[pos]
 		for q := 0; q < len(e.queries); q += ws.k {
 			sets = append(sets, ws.or(e.indices, e.queries[q:q+ws.k]))
@@ -233,14 +271,13 @@ func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]de
 	ws.sets, ws.owner = sets, owner
 
 	raw := ws.raw[:0]
-	ord := ws.canon(len(sets), func(pos uint64) header.Bitset { return sets[pos] })
-	for i := 0; i < len(ord); {
-		full := sets[ord[i]]
-		first := &entries[owner[ord[i]]]
+	heads, next := ws.group(sets)
+	for _, h := range heads {
+		full := sets[h]
+		first := &entries[owner[h]]
 		covered, value := first.indices, first.value
-		j := i + 1
-		for ; j < len(ord) && sets[ord[j]].Equal(full); j++ {
-			m := &entries[owner[ord[j]]]
+		for p := next[h]; p >= 0; p = next[p] {
+			m := &entries[owner[p]]
 			if covered.Covers(m.indices) {
 				continue // the same entry again, or a duplicate read of the same data (non-dedup stream)
 			}
@@ -256,7 +293,6 @@ func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]de
 			total.Reduces++
 		}
 		raw = append(raw, denseEntry{value: value, indices: covered, queries: ws.andNot(full, covered)})
-		i = j
 	}
 	// Passthroughs are re-emitted after the groups.
 	for i := range entries {
@@ -265,5 +301,6 @@ func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]de
 		}
 	}
 	ws.raw = raw
-	return ws.fold(raw, &total), total, nil
+	out, err := ws.fold(op, raw, nil, &total)
+	return out, total, err
 }

@@ -49,16 +49,6 @@ func (b Bitset) Covers(sub Bitset) bool {
 	return true
 }
 
-// Sig folds b into one word, the OR of its words. A subset's Sig is a subset
-// of its superset's, so one word operation on two Sigs rejects most failing
-// Covers tests without touching either set.
-func (b Bitset) Sig() (sig uint64) {
-	for _, w := range b {
-		sig |= w
-	}
-	return sig
-}
-
 // Intersects reports whether b and c share a member.
 func (b Bitset) Intersects(c Bitset) bool {
 	for i, w := range c {
@@ -73,6 +63,13 @@ func (b Bitset) Intersects(c Bitset) bool {
 func (b Bitset) Or(s, t Bitset) {
 	for i := range b {
 		b[i] = s[i] | t[i]
+	}
+}
+
+// And stores the members s and t share in b.
+func (b Bitset) And(s, t Bitset) {
+	for i := range b {
+		b[i] = s[i] & t[i]
 	}
 }
 

@@ -203,6 +203,10 @@ type pipeline struct {
 	sink core.RowSink
 }
 
+// vectorBytes is the stored and transferred size of one vector: the store's
+// dimension in float32 elements.
+func (p *pipeline) vectorBytes() int { return 4 * p.dim }
+
 // Clock reports the simulated cycle clock, advanced by every batch.
 func (p *pipeline) Clock() sim.Cycle { return p.clock }
 
@@ -319,7 +323,7 @@ func (p *pipeline) reduce(sc *scatter, leaves []*rnet.Partial, res *core.TimedRe
 	} else {
 		st.Backend, st.Failover = rres.CriticalPath, 0
 	}
-	st.Transfer = p.host.DRAMToHost(p.mcfg.TransferCycles(rootQueries * 512))
+	st.Transfer = p.host.DRAMToHost(p.mcfg.TransferCycles(rootQueries * p.vectorBytes()))
 	res.Stages = st
 	res.TotalCycles = st.Probe + rres.CriticalPath + st.Transfer
 	res.TransferCycles = st.Transfer

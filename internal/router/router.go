@@ -262,7 +262,7 @@ func (f *Fleet) viewOf(s int) primaryView {
 	if f.cfg.Rows > first {
 		owned = (f.cfg.Rows - first + f.stride*n - 1) / (f.stride * n)
 	}
-	return primaryView{shards: f.cfg.Shards, stride: int(f.stride), ranks: f.cfg.RanksPerShard, bytes: 512, slots: owned}
+	return primaryView{shards: f.cfg.Shards, stride: int(f.stride), ranks: f.cfg.RanksPerShard, bytes: f.vectorBytes(), slots: owned}
 }
 
 // ownerOf returns the shard storing the primary copy of idx.
