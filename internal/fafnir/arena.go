@@ -103,38 +103,54 @@ func (b *bump[T]) reset(clearMem bool) {
 // it, so no synchronization is needed on the allocation path.
 type workScratch struct {
 	// rows and k (rows.Words()) come from the leaf inputs being evaluated,
-	// not from whatever this scratch ran last: begin sets them.
+	// not from whatever this scratch ran last, and so does cls: begin sets
+	// them.
 	rows header.Dense
 	k    int
+	cls  queryClasses
 
 	ents  bump[denseEntry] // PE output slices and leaf-entry buffers
 	vals  bump[float32]    // reduced vector values
-	words bump[uint64]     // header fields: unions, minus results, merged Queries, leaf sets
+	words bump[uint64]     // header fields: unions, merged Queries, leaf sets, singleton classes
 
-	raw   []denseEntry    // one PE call's pre-merge outputs
-	pend  []tensor.Vector // processPE: raw position -> the partner value its reduce still owes (see fold)
-	sets  []header.Bitset // selfMerge: the full query of every (entry, remaining-set) pair
-	keys  []header.Bitset // indicesOf: the Indices of the entries being grouped or indexed
-	ord   []uint64        // canon's output
-	heads []uint64        // group: the first position of every distinct set
-	first []header.Bitset // group: the set at every heads position
-	next  []int32         // group: position -> the next position holding its set
-	owner []int32         // selfMerge: (entry, remaining-set) pair -> stream position
-	probe []uint64        // processPE: the opposite input's union, then the probe key
-	table setTable        // processPE's partner index and group's hash pass
+	raw       []denseEntry    // one PE call's pre-merge outputs
+	pend      []tensor.Vector // processPE: raw position -> the partner value its reduce still owes (see fold)
+	keys      []header.Bitset // indicesOf: the Indices of the entries being grouped or indexed; leafInputs: the query rows
+	ord       []uint64        // canon's output
+	heads     []uint64        // group: the first position of every distinct set
+	first     []header.Bitset // group: the set at every heads position
+	next      []int32         // group, byClass: position -> the next position holding its set
+	owner     []int32         // byClass: (entry, class) pair -> stream position
+	class     []int32         // byClass: (entry, class) pair -> class
+	chains    []int32         // byClass: the first pair of every class present
+	head      []int32         // byClass: class -> its first pair
+	tail      []int32         // byClass: class -> its last pair, -1 between calls
+	fwd       header.Bitset   // processPE: the classes an entry forwards
+	probe     []uint64        // processPE: the opposite input's union, the probe key, the first pass's opposite union
+	classRows []header.Bitset // classify: class -> its rows
+	table     setTable        // processPE's partner index and group's hash pass
 }
 
-// begin points the scratch at the dense row space of the batch it is about
-// to evaluate.
-func (ws *workScratch) begin(rows header.Dense) { ws.rows, ws.k = rows, rows.Words() }
+// begin points the scratch at the dense row space and the query classes of
+// the batch it is about to evaluate.
+func (ws *workScratch) begin(rows header.Dense, cls queryClasses) {
+	ws.rows, ws.k, ws.cls = rows, rows.Words(), cls
+	n := len(cls.rows)
+	ws.head = slices.Grow(ws.head[:0], n)[:n]
+	ws.tail = slices.Grow(ws.tail[:0], n)[:n]
+	for c := range ws.tail {
+		ws.tail[c] = -1
+	}
+	ws.fwd = slices.Grow(ws.fwd[:0], cls.k)[:cls.k]
+}
 
 // reset recycles the arenas and transient slices for the next batch. Entry
 // chunks hold pointers and are zeroed; the float and word chunks are
 // pointer-free, and everything they back is reachable only through the
-// cleared chunks (or through sets, keys and first, which point nowhere else),
-// so they recycle without the memclr.
+// cleared chunks (or through keys, first and classRows, which point nowhere
+// else), so they recycle without the memclr.
 func (ws *workScratch) reset() {
-	ws.rows = nil
+	ws.rows, ws.cls = nil, queryClasses{}
 	ws.ents.reset(true)
 	ws.vals.reset(false)
 	ws.words.reset(false)
@@ -154,13 +170,6 @@ func (ws *workScratch) cloneVec(v tensor.Vector) tensor.Vector {
 func (ws *workScratch) or(s, t header.Bitset) header.Bitset {
 	out := header.Bitset(ws.words.alloc(ws.k))
 	out.Or(s, t)
-	return out
-}
-
-// andNot is s without t's members in the arena.
-func (ws *workScratch) andNot(s, t header.Bitset) header.Bitset {
-	out := header.Bitset(ws.words.alloc(ws.k))
-	out.AndNot(s, t)
 	return out
 }
 

@@ -287,10 +287,11 @@ func (e *Engine) hwBatch(b embedding.Batch, start int) embedding.Batch {
 
 // rankEntries groups the leaf entries of one hardware batch by the global
 // rank they were read from (byRank is indexed by rank), together with the
-// dense row space their header fields are over.
+// dense row space and the query classes their header fields are over.
 type rankEntries struct {
-	byRank [][]denseEntry
-	rows   header.Dense
+	byRank  [][]denseEntry
+	rows    header.Dense
+	classes queryClasses
 }
 
 // checkRank rejects a placement that maps idx outside the tree's ranks. Every
@@ -308,11 +309,12 @@ func (e *Engine) checkRank(idx header.Index, r int) error {
 // reservation and the staging slices live on the scratch, so the steady-state
 // hot path allocates nothing regardless of batch size. This is the one place
 // global indices enter the tree: a leaf's Indices field is the access's dense
-// row bit, and its Queries field holds, canonically ordered, each using
-// query's row set minus that bit. remap overrides the placement rank for
-// indices whose reads the host redirected to a replica (nil when no faults
-// are injected); the entry must enter the tree at the leaf that actually
-// served the read so the functional and timing passes agree. Every buffer
+// row bit, and its Queries field names the class of each using query (the
+// batch's queries are classified here, once per pass). remap overrides the
+// placement rank for indices whose reads the host redirected to a replica
+// (nil when no faults are injected); the entry must enter the tree at the
+// leaf that actually served the read so the functional and timing passes
+// agree. Every buffer
 // VectorInto fills is also recorded, with the index it was filled for, under
 // the access's dense row (sc.staged), for the pass's golden fold.
 func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Placement, plan *batch.Plan, remap map[header.Index]int) (rankEntries, error) {
@@ -344,7 +346,18 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 	clear(sc.staged)
 	dim := store.Dim()
 	k := plan.Rows.Words()
-	rem := header.Bitset(ws.words.alloc(k))
+	// The query rows are copied into the arena, so the class table points
+	// nowhere else (see workScratch.reset).
+	nq := len(plan.Batch().Queries)
+	qrows := ws.keys[:0]
+	for qi := range nq {
+		b := header.Bitset(ws.words.alloc(k))
+		copy(b, plan.QueryBits(qi))
+		qrows = append(qrows, b)
+	}
+	ws.keys = qrows
+	sc.classOf = slices.Grow(sc.classOf[:0], nq)[:nq]
+	in.classes = ws.classify(qrows, sc.classOf)
 	for _, acc := range plan.Accesses {
 		r := layout.Rank(acc.Index)
 		if rr, ok := remap[acc.Index]; ok {
@@ -358,10 +371,10 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 		own := header.Bitset(ws.words.alloc(k))
 		clear(own)
 		own.Set(int(acc.Row))
-		qs := header.Bitset(ws.words.alloc(k * len(acc.Users)))[:0]
+		qs := header.Bitset(ws.words.alloc(in.classes.k))
+		clear(qs)
 		for _, qi := range acc.Users {
-			rem.AndNot(plan.QueryBits(int(qi)), own)
-			qs = qs.Insert(rem)
+			qs.Set(int(sc.classOf[qi]))
 		}
 		in.byRank[r] = append(in.byRank[r], denseEntry{value: v, indices: own, queries: qs})
 	}
@@ -411,14 +424,14 @@ func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, to
 // mean the reduction tree corrupted header state and are reported as
 // structured fault.ErrInvariantViolated errors rather than silently dropping
 // queries.
-func checkRootConservation(plan *batch.Plan, outputs []denseEntry) error {
+func checkRootConservation(plan *batch.Plan, classes *queryClasses, outputs []denseEntry) error {
 	n := len(plan.Batch().Queries)
 	for _, out := range outputs {
-		if len(out.queries) == 0 {
+		if out.queries.Empty() {
 			return fmt.Errorf("fafnir: root output %v carries no query sets: %w",
 				plan.Rows.AppendIndices(nil, out.indices), fault.ErrInvariantViolated)
 		}
-		if !out.complete(plan.Rows.Words()) {
+		if !classes.complete(&out) {
 			continue
 		}
 		qi := 0
@@ -440,8 +453,8 @@ func checkRootConservation(plan *batch.Plan, outputs []denseEntry) error {
 // the zero vector the reference implementations give it, and it ends with the
 // golden check of the batch's outputs (checkGolden).
 func (e *Engine) resolve(p *funcPass, res *Result) error {
-	plan, qBase := p.plan, p.start
-	if err := checkRootConservation(plan, p.outputs); err != nil {
+	plan, qBase, classes := p.plan, p.start, &p.sc.ws.cls
+	if err := checkRootConservation(plan, classes, p.outputs); err != nil {
 		return err
 	}
 	sub := plan.Batch()
@@ -449,7 +462,7 @@ func (e *Engine) resolve(p *funcPass, res *Result) error {
 	// backing array per hardware batch holds them all.
 	var slab []float32
 	for _, out := range p.outputs {
-		if !out.complete(plan.Rows.Words()) {
+		if !classes.complete(&out) {
 			// Dead partial reduction (a query's chain that took a side
 			// branch); the root discards it.
 			continue

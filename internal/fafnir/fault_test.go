@@ -260,7 +260,7 @@ func TestRootConservationChecker(t *testing.T) {
 	plan := batch.Build(f.batch, true)
 
 	// Root entries over the plan's dense rows: a set of the first n rows, and
-	// an emptied remaining-set.
+	// a class it owes nothing more.
 	k := plan.Rows.Words()
 	first := func(n int) header.Bitset {
 		b := make(header.Bitset, k)
@@ -269,14 +269,16 @@ func TestRootConservationChecker(t *testing.T) {
 		}
 		return b
 	}
+	// One query class, of the three lowest rows.
+	classes := queryClasses{rows: []header.Bitset{first(3)}, one: []uint64{1}, k: 1}
 	noQueries := []denseEntry{{indices: first(1)}}
-	if err := checkRootConservation(plan, noQueries); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := checkRootConservation(plan, &classes, noQueries); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("query-less root output accepted: %v", err)
 	}
 
 	// No query of the batch is exactly its three lowest rows.
-	phantom := []denseEntry{{indices: first(3), queries: make(header.Bitset, k)}}
-	if err := checkRootConservation(plan, phantom); !errors.Is(err, fault.ErrInvariantViolated) {
+	phantom := []denseEntry{{indices: first(3), queries: classes.single(0)}}
+	if err := checkRootConservation(plan, &classes, phantom); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("phantom complete output accepted: %v", err)
 	}
 }

@@ -48,8 +48,8 @@ func flatten(t *Tree) []flatPE {
 // model (treeTiming), not in the host's evaluation order.
 func (e *Engine) evalTree(op tensor.ReduceOp, in rankEntries, sc *treeScratch) error {
 	// The leaves may have been staged on another scratch; their row space
-	// travels with them.
-	sc.ws.begin(in.rows)
+	// and query classes travel with them.
+	sc.ws.begin(in.rows, in.classes)
 	for i := range e.flat {
 		if err := e.evalFlatNode(op, int32(i), in, sc); err != nil {
 			return err

@@ -2,7 +2,7 @@ package fafnir
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"fafnir/internal/batch"
 	"fafnir/internal/embedding"
@@ -28,14 +28,29 @@ var GoldenCheckHook func(start int, got, want []tensor.Vector)
 
 // foldGolden folds every query of the pass's hardware batch with
 // embedding.Query.Fold, the reference's one reduction, into accumulators
-// carved from the scratch's value arena. A row comes from a staged buffer
-// only when VectorInto filled that buffer for exactly the row's global index;
-// any other row is read from the store.
+// carved from the scratch's value arena. A query's indices ascend and so do
+// the dense rows of its QueryBits, so the fold's row reads walk the two in
+// step. A row comes from a staged buffer only when VectorInto filled that
+// buffer for exactly the row's global index; any other row is read from the
+// store.
 func foldGolden(sc *treeScratch, store *embedding.Store, plan *batch.Plan) ([]tensor.Vector, error) {
 	dim := store.Dim()
+	// The rows of the query being folded: word at of qbits, without the rows
+	// already read, is w.
+	var qbits header.Bitset
+	var at int
+	var w uint64
 	row := func(idx header.Index) (tensor.Vector, error) {
-		if r, ok := slices.BinarySearch(plan.Rows, idx); ok && sc.staged[r].Row != nil && sc.staged[r].Index == idx {
-			return sc.staged[r].Row, nil
+		for w == 0 && at+1 < len(qbits) {
+			at++
+			w = qbits[at]
+		}
+		if w != 0 {
+			s := &sc.staged[at<<6|bits.TrailingZeros64(w)]
+			w &= w - 1
+			if s.Row != nil && s.Index == idx {
+				return s.Row, nil
+			}
 		}
 		v := tensor.Vector(sc.ws.vals.alloc(dim))
 		return v, store.VectorInto(idx, v)
@@ -43,6 +58,8 @@ func foldGolden(sc *treeScratch, store *embedding.Store, plan *batch.Plan) ([]te
 	sub := plan.Batch()
 	want := sc.want[:0]
 	for qi, q := range sub.Queries {
+		qbits = plan.QueryBits(qi)
+		at, w = 0, qbits[0]
 		acc := tensor.Vector(sc.ws.vals.alloc(dim))
 		if err := q.Fold(sub.Op, acc, row); err != nil {
 			return nil, fmt.Errorf("fafnir: golden of query %d: %w", qi, err)

@@ -57,9 +57,11 @@ var namedPool = sync.Pool{New: func() any { return new([]header.Index) }}
 
 // viaDense runs one PE unit on sorted-slice entries: the indices the input
 // streams mention anywhere in their headers are numbered as the dense rows of
-// a pooled scratch, the streams are converted to the working form, and the
-// outputs are copied back out — headers to global indices, values off the
-// arena — so they live as long as the caller keeps them.
+// a pooled scratch, every remaining set united with its entry's Indices is
+// numbered as a query class, the streams are converted to the working form,
+// and the outputs are copied back out — headers to global indices, each owed
+// class as its remaining set, values off the arena — so they live as long as
+// the caller keeps them.
 func viaDense(run func(*workScratch, [][]denseEntry) ([]denseEntry, PEStats, error), streams ...[]Entry) ([]Entry, PEStats, error) {
 	var none Engine // no tree to size for: the lease is just the pooled arena
 	sc := none.getTreeScratch()
@@ -78,19 +80,41 @@ func viaDense(run func(*workScratch, [][]denseEntry) ([]denseEntry, PEStats, err
 	}
 	slices.Sort(all)
 	*named = all
-	ws.begin(header.Dense(slices.Compact(all)))
+	ws.begin(header.Dense(slices.Compact(all)), queryClasses{})
 
 	dense := make([][]denseEntry, len(streams))
+	full := ws.keys[:0]
 	for si, in := range streams {
 		dense[si] = ws.ents.alloc(len(in))
 		for i, e := range in {
 			ind := header.Bitset(ws.words.alloc(ws.k))
 			ws.rows.Bitset(ind, e.Header.Indices)
-			qs := header.Bitset(ws.words.alloc(ws.k * len(e.Header.Queries)))
-			for j, q := range e.Header.Queries {
-				ws.rows.Bitset(qs[j*ws.k:(j+1)*ws.k], q)
+			for _, q := range e.Header.Queries {
+				f := header.Bitset(ws.words.alloc(ws.k))
+				ws.rows.Bitset(f, q)
+				f.Or(f, ind)
+				full = append(full, f)
 			}
-			dense[si][i] = denseEntry{value: e.Value, indices: ind, queries: qs}
+			dense[si][i] = denseEntry{value: e.Value, indices: ind}
+		}
+	}
+	ws.keys = full
+	sc.classOf = slices.Grow(sc.classOf[:0], len(full))[:len(full)]
+	cls := ws.classify(full, sc.classOf)
+	ws.begin(ws.rows, cls)
+	pair := 0
+	for si, in := range streams {
+		for i, e := range in {
+			if len(e.Header.Queries) == 0 {
+				continue
+			}
+			qs := header.Bitset(ws.words.alloc(cls.k))
+			clear(qs)
+			for range e.Header.Queries {
+				qs.Set(int(sc.classOf[pair]))
+				pair++
+			}
+			dense[si][i].queries = qs
 		}
 	}
 	res, st, err := run(ws, dense)
@@ -101,8 +125,13 @@ func viaDense(run func(*workScratch, [][]denseEntry) ([]denseEntry, PEStats, err
 	// Every set and value is carved out of one backing array per kind.
 	nidx, nsets, nval := 0, 0, 0
 	for i := range res {
-		nidx += res[i].indices.Len() + res[i].queries.Len()
-		nsets += len(res[i].queries) / ws.k
+		nidx += res[i].indices.Len()
+		for c := range cls.rows {
+			if res[i].owes(c) {
+				nidx += cls.rows[c].Len()
+				nsets++
+			}
+		}
 		nval += len(res[i].value)
 	}
 	idx := make(header.IndexSet, 0, nidx)
@@ -113,11 +142,15 @@ func viaDense(run func(*workScratch, [][]denseEntry) ([]denseEntry, PEStats, err
 		idx = ws.rows.AppendIndices(idx, b)
 		return idx[lo:len(idx):len(idx)]
 	}
+	rem := header.Bitset(ws.words.alloc(ws.k))
 	out := make([]Entry, len(res))
 	for i, e := range res {
 		lo, vlo := len(sets), len(vals)
-		for q := 0; q < len(e.queries); q += ws.k {
-			sets = append(sets, global(e.queries[q:q+ws.k]))
+		for c := range cls.rows {
+			if e.owes(c) {
+				rem.AndNot(cls.rows[c], e.indices)
+				sets = append(sets, global(rem))
+			}
 		}
 		vals = append(vals, e.value...)
 		out[i] = Entry{Value: vals[vlo:len(vals):len(vals)], Header: header.Header{

@@ -14,12 +14,13 @@ import (
 
 // TestPartnerProbeMatchesScan is the differential test of processPE's
 // exact-partner rule: every PE of every batch below is rerun on the inputs the
-// tree gave it, and for every remaining set of every entry, in both
-// directions, the probe must pick the very entry the comparator scan
-// (scanPartner) picks. The batches are TestPEOrderFree's (the Fig. 6 example
-// and uniform and Zipf batches on an 8-rank tree) and a seeded sweep over a
-// wider tree and a 4-rank leaf fan-in, each with and without deduplication
-// and with and without a dark rank's reads remapped to its replica rank.
+// tree gave it, and for every class every entry owes, in both directions, the
+// probe must pick the very entry the comparator scan (scanPartner) picks on
+// the remaining set, the class's rows minus the entry's Indices. The batches
+// are TestPEOrderFree's (the Fig. 6 example and uniform and Zipf batches on an
+// 8-rank tree) and a seeded sweep over a wider tree and a 4-rank leaf fan-in,
+// each with and without deduplication and with and without a dark rank's
+// reads remapped to its replica rank.
 func TestPartnerProbeMatchesScan(t *testing.T) {
 	type shape struct {
 		e        *Engine
@@ -68,11 +69,17 @@ func TestPartnerProbeMatchesScan(t *testing.T) {
 				side, opp := sides[0], sides[1]
 				ws.index(opp)
 				for i := range side {
-					for qs := side[i].queries; len(qs) > 0; qs = qs[ws.k:] {
-						got, want := ws.partner(qs[:ws.k], opp), scanPartner(qs[:ws.k], opp)
+					e := &side[i]
+					for c := range ws.cls.rows {
+						if !e.owes(c) {
+							continue
+						}
+						qs := make(header.Bitset, ws.k)
+						qs.AndNot(ws.cls.rows[c], e.indices)
+						got, want := ws.partner(e, c, opp), scanPartner(qs, opp)
 						if got != want {
 							t.Fatalf("PE %d: remaining set %v of %v: probe %v, scan %v", id,
-								ws.rows.AppendIndices(nil, qs[:ws.k]), ws.rows.AppendIndices(nil, side[i].indices),
+								ws.rows.AppendIndices(nil, qs), ws.rows.AppendIndices(nil, e.indices),
 								partnerString(ws, got), partnerString(ws, want))
 						}
 						if got == nil {
@@ -145,7 +152,7 @@ func TestGroupMatchesCanon(t *testing.T) {
 	for trial := range 60 {
 		rows := 64 + rng.Intn(2*64)
 		ws := &workScratch{}
-		ws.begin(make(header.Dense, rows))
+		ws.begin(make(header.Dense, rows), queryClasses{})
 		n := 1 << (1 + rng.Intn(6))
 		distinct := n
 		if trial%2 == 0 {
@@ -197,5 +204,101 @@ func TestGroupMatchesCanon(t *testing.T) {
 	}
 	if halfFull == 0 {
 		t.Fatal("no trial filled a table at least half")
+	}
+}
+
+// TestByClassMatchesGroup pins selfMerge's class grouping to the grouping it
+// replaced: group over every (entry, class) pair's full query, the class's
+// rows, with the pairs listed in canon order. On every leaf stream of seeded
+// random batches, shuffled, byClass must list the same pairs and give the
+// same heads in the same order and the same member chains. The batches repeat
+// some queries verbatim (several queries in one class), run with and without
+// deduplication (a non-dedup stream holds duplicate reads of one row), and
+// run at B = 96 as well as B = 16, so that class fields span two words.
+func TestByClassMatchesGroup(t *testing.T) {
+	store := embedding.MustStore(512, 4, 3)
+	layout := modPlacement{ranks: 8, bytes: 16}
+	var chained, wide int
+	for _, capacity := range []int{16, 96} {
+		e := smallEngine(t, 8, 2, capacity, 4)
+		for _, dist := range []embedding.Distribution{embedding.Uniform, embedding.Zipf} {
+			for seed := int64(0); seed < 3; seed++ {
+				gen, err := embedding.NewGenerator(embedding.GeneratorConfig{
+					NumQueries: capacity, QuerySize: 8, Rows: 512, Dist: dist, ZipfS: 1.3, Seed: seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := gen.Batch(tensor.OpSum)
+				rng := rand.New(rand.NewSource(seed))
+				for range capacity / 8 {
+					b.Queries[rng.Intn(capacity)] = b.Queries[rng.Intn(capacity)]
+				}
+				for _, dedup := range []bool{true, false} {
+					sc := e.getTreeScratch()
+					in, err := e.leafInputs(sc, store, layout, batch.Compile(b, dedup), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ws := &sc.ws
+					ws.begin(in.rows, in.classes)
+					if in.classes.k > 1 {
+						wide++
+					}
+					for id := range e.flat {
+						n := &e.flat[id]
+						if !n.leaf {
+							continue
+						}
+						for _, ranks := range [][]int{n.ranksA, n.ranksB} {
+							// Leaf streams arrive in canonical order; shuffled,
+							// they are the random streams selfMerge must take.
+							stream := slices.Clone(gatherRanks(ws, in, ranks))
+							rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+							heads, next := ws.byClass(stream)
+							heads, next = slices.Clone(heads), slices.Clone(next)
+							// The pairs as selfMerge listed them before: the
+							// stream in canon order, each entry's remaining sets
+							// in canonical order, tagged with their full query.
+							var owner []int32
+							var sets []header.Bitset
+							for _, pos := range ws.canon(ws.indicesOf(stream)) {
+								for c := range ws.cls.rows {
+									if stream[pos].owes(c) {
+										owner = append(owner, int32(pos))
+										sets = append(sets, ws.cls.rows[c])
+									}
+								}
+							}
+							if !slices.Equal(ws.owner, owner) {
+								t.Fatalf("B=%d %v/%d dedup=%v PE %d: pairs from %v, want %v", capacity, dist, seed, dedup, id, ws.owner, owner)
+							}
+							for p, c := range ws.class {
+								if !ws.cls.rows[c].Equal(sets[p]) {
+									t.Fatalf("B=%d %v/%d dedup=%v PE %d: pair %d owes another class", capacity, dist, seed, dedup, id, p)
+								}
+							}
+							wantHeads, wantNext := ws.group(sets)
+							if len(heads) != len(wantHeads) {
+								t.Fatalf("B=%d %v/%d dedup=%v PE %d: %d classes, group has %d", capacity, dist, seed, dedup, id, len(heads), len(wantHeads))
+							}
+							for i, h := range heads {
+								if uint64(h) != wantHeads[i] {
+									t.Fatalf("B=%d %v/%d dedup=%v PE %d: head %d is pair %d, group's is %d", capacity, dist, seed, dedup, id, i, h, wantHeads[i])
+								}
+							}
+							if !slices.Equal(next, wantNext) {
+								t.Fatalf("B=%d %v/%d dedup=%v PE %d: chains %v, group's %v", capacity, dist, seed, dedup, id, next, wantNext)
+							}
+							chained += len(next) - len(heads)
+						}
+					}
+					e.putTreeScratch(sc)
+				}
+			}
+		}
+	}
+	if chained == 0 || wide == 0 {
+		t.Fatalf("%d chained pairs, %d two-word class tables: the sweep must have both", chained, wide)
 	}
 }

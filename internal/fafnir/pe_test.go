@@ -2,6 +2,7 @@ package fafnir
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fafnir/internal/header"
@@ -204,6 +205,51 @@ func TestProcessPEPartialReduce(t *testing.T) {
 	}
 	if e.Header.Complete() {
 		t.Fatal("partial reduction marked complete")
+	}
+}
+
+// TestProcessPEUnmirroredReduce: a reduce of input B is left out only when
+// input A's pass already emitted it. Here neither A-side entry made that
+// output — one does not owe the query, the other's partner for it does not
+// exist — so B's reduces must all come out.
+func TestProcessPEUnmirroredReduce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b []Entry
+		want []Entry // outputs B's reduces make, by Indices and value
+	}{
+		{
+			name: "partner does not owe the query",
+			a:    []Entry{entry(1, []header.Index{1}, header.NewIndexSet(5))},
+			b:    []Entry{entry(2, []header.Index{2}, header.NewIndexSet(1))},
+			want: []Entry{entry(3, []header.Index{1, 2})},
+		},
+		{
+			name: "partner's own partner is missing",
+			a:    []Entry{entry(1, []header.Index{1}, header.NewIndexSet(2, 3))},
+			b: []Entry{
+				entry(2, []header.Index{2}, header.NewIndexSet(1, 3)),
+				entry(3, []header.Index{3}, header.NewIndexSet(1, 2)),
+			},
+			want: []Entry{entry(3, []header.Index{1, 2}), entry(4, []header.Index{1, 3})},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, st, err := ProcessPE(tensor.OpSum, tc.a, tc.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Reduces != len(tc.want) {
+				t.Fatalf("stats %+v, want %d reduces", st, len(tc.want))
+			}
+			for _, w := range tc.want {
+				if !slices.ContainsFunc(out, func(e Entry) bool {
+					return e.Header.Indices.Equal(w.Header.Indices) && e.Value[0] == w.Value[0]
+				}) {
+					t.Fatalf("no output %v of value %v: %v", w.Header.Indices, w.Value[0], out)
+				}
+			}
+		})
 	}
 }
 

@@ -27,10 +27,11 @@ type treeScratch struct {
 	self  []PEStats      // node ID -> leaf selfMerge stats (both inputs combined)
 	perPE []PEStats      // node ID -> folded per-PE stats (see runTree)
 
-	in     [][]denseEntry  // rank -> staged leaf entries
-	counts []int           // rank -> planned access count
-	staged []StagedRow     // dense row -> the leaf read that filled it (see leafInputs)
-	want   []tensor.Vector // batch query -> golden fold (see foldGolden)
+	in      [][]denseEntry  // rank -> staged leaf entries
+	counts  []int           // rank -> planned access count
+	staged  []StagedRow     // dense row -> the leaf read that filled it (see leafInputs)
+	classOf []int32         // batch query -> its query class (see leafInputs)
+	want    []tensor.Vector // batch query -> golden fold (see foldGolden)
 
 	ws workScratch // the arenas and transient slices of every PE call
 }

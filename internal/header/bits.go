@@ -113,27 +113,6 @@ func (b Bitset) Compare(c Bitset) int {
 	return 0
 }
 
-// Insert adds set to b — a Queries field: len(set)-long sets back to back, in
-// Compare order, duplicate-free — and returns the extended list. Sets mostly
-// arrive in order, so the scan starts at the end.
-func (b Bitset) Insert(set Bitset) Bitset {
-	k := len(set)
-	at := len(b)
-	for ; at > 0; at -= k {
-		c := b[at-k : at].Compare(set)
-		if c == 0 {
-			return b
-		}
-		if c < 0 {
-			break
-		}
-	}
-	b = append(b, set...)
-	copy(b[at+k:], b[at:])
-	copy(b[at:], set)
-	return b
-}
-
 // Dense is the ID space of one batch: Dense[id] is the global index of dense
 // row id, strictly ascending.
 type Dense []Index

@@ -2,7 +2,6 @@ package header
 
 import (
 	"cmp"
-	"slices"
 	"testing"
 )
 
@@ -65,7 +64,7 @@ func lowestApart(s, u IndexSet) int {
 // 520 dense rows with an arbitrary ascending global table, conversion both
 // ways, subset, overlap, equality, union, intersection, minus, the
 // canonical comparator (the lowest member of the symmetric difference
-// decides), its SortKey shortcut, and Queries normalization must agree. Run with
+// decides) and its SortKey shortcut must agree. Run with
 //
 //	go test -fuzz=FuzzBitsetOps ./internal/header
 //
@@ -128,27 +127,6 @@ func FuzzBitsetOps(f *testing.F) {
 					t.Fatalf("SortKey orders %v (%x) and %v (%x) against Compare %d", s, ka, u, kb, want)
 				}
 			}
-		}
-
-		// Queries normalization: inserting the sets one by one must keep
-		// them in Compare order and hold the same sets as Header.Normalize's
-		// canonical list.
-		h := Header{Queries: append([]IndexSet{}, c.sets...)}
-		h.Normalize()
-		var list Bitset
-		for _, b := range c.bits {
-			list = list.Insert(b)
-		}
-		var got []IndexSet
-		for i := 0; i < len(list); i += k {
-			if i > 0 && list[i-k:i].Compare(list[i:i+k]) >= 0 {
-				t.Fatalf("Insert list out of Compare order at set %d", i/k)
-			}
-			got = append(got, d.AppendIndices(nil, list[i:i+k]))
-		}
-		slices.SortFunc(got, slices.Compare)
-		if !slices.EqualFunc(got, h.Queries, IndexSet.Equal) {
-			t.Fatalf("Insert kept %v, Normalize %v", got, h.Queries)
 		}
 	})
 }
