@@ -24,6 +24,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fafnir/internal/header"
 	"fafnir/internal/tensor"
@@ -54,8 +55,8 @@ type Config struct {
 }
 
 // slotOverhead is the per-entry bookkeeping charge beyond the vector payload:
-// the key, the ref bit, and the index-map entry, rounded up so the byte
-// budget stays honest.
+// the key, the ref bit, and the entry's two index cells, rounded up so the
+// byte budget stays honest.
 const slotOverhead = 64
 
 // Validate reports a descriptive error for an unusable configuration.
@@ -92,6 +93,13 @@ type slot struct {
 	ref bool
 }
 
+// cell is one entry of the index: a row index and the slot holding it, plus
+// one (zero marks an empty cell).
+type cell struct {
+	idx  header.Index
+	slot int32
+}
+
 // Cache is a fixed-budget CLOCK cache of embedding rows. Not safe for
 // concurrent use; the serving layer drives it from its single flusher
 // goroutine only.
@@ -100,8 +108,12 @@ type Cache struct {
 	slotSize int64
 	slots    []slot
 	// index finds an entry by its row index: the cache holds at most one
-	// entry per index, so the map hashes a uint32, not the whole Key.
-	index map[header.Index]int
+	// entry per index, so an open-addressing table of cells, probed linearly
+	// from the index's home cell, maps an index to its slot. The table has
+	// at least twice as many cells as there are slots, and a deletion shifts
+	// the cells of its probe run back (unindex), so no tombstones build up.
+	index []cell
+	shift uint // 32 - log2(len(index)): a hash's top bits are its home cell
 	hand  int
 	used  int
 	stats Stats
@@ -117,20 +129,56 @@ func New(cfg Config) (*Cache, error) {
 	}
 	size := cfg.SlotBytes()
 	capacity := int(cfg.Bytes / size)
+	logCells := bits.Len(uint(2*capacity - 1)) // 2*capacity rounded up to a power of two
 	return &Cache{
 		cfg:      cfg,
 		slotSize: size,
 		slots:    make([]slot, capacity),
-		index:    make(map[header.Index]int, capacity),
+		index:    make([]cell, 1<<logCells),
+		shift:    uint(32 - logCells),
 		hand:     int(cfg.Seed % uint64(capacity)),
 	}, nil
+}
+
+// home is idx's first probe cell (Fibonacci hashing).
+func (c *Cache) home(idx header.Index) int {
+	return int(uint32(idx) * 0x9e3779b9 >> c.shift)
+}
+
+// find probes for idx: it returns the cell that holds idx and its slot, or
+// the empty cell that ends the probe run and -1.
+func (c *Cache) find(idx header.Index) (at, pos int) {
+	mask := len(c.index) - 1
+	for at = c.home(idx); ; at = (at + 1) & mask {
+		switch e := c.index[at]; {
+		case e.slot == 0:
+			return at, -1
+		case e.idx == idx:
+			return at, int(e.slot) - 1
+		}
+	}
+}
+
+// unindex empties cell at by backward shift: each later cell of the probe
+// run moves into the hole when the hole lies between its home and itself,
+// counted around the table's end, so every remaining index stays reachable
+// from its home without a gap.
+func (c *Cache) unindex(at int) {
+	mask := len(c.index) - 1
+	for next := (at + 1) & mask; c.index[next].slot != 0; next = (next + 1) & mask {
+		if (next-c.home(c.index[next].idx))&mask >= (next-at)&mask {
+			c.index[at] = c.index[next]
+			at = next
+		}
+	}
+	c.index[at] = cell{}
 }
 
 // Get returns the cached row for k, marking it recently used. The returned
 // vector is the cache's own storage: callers must treat it as read-only.
 func (c *Cache) Get(k Key) (tensor.Vector, bool) {
-	pos, ok := c.index[k.Index]
-	if !ok || c.slots[pos].key != k {
+	_, pos := c.find(k.Index)
+	if pos < 0 || c.slots[pos].key != k {
 		c.stats.Misses++
 		return nil, false
 	}
@@ -142,8 +190,8 @@ func (c *Cache) Get(k Key) (tensor.Vector, bool) {
 // Contains reports whether k is cached without touching the reference bit or
 // the hit/miss counters (introspection only).
 func (c *Cache) Contains(k Key) bool {
-	pos, ok := c.index[k.Index]
-	return ok && c.slots[pos].key == k
+	_, pos := c.find(k.Index)
+	return pos >= 0 && c.slots[pos].key == k
 }
 
 // Put admits row v under k, evicting via CLOCK when the ring is full. A key
@@ -154,12 +202,12 @@ func (c *Cache) Put(k Key, v tensor.Vector) error {
 	if len(v) != c.cfg.Dim {
 		return fmt.Errorf("cache: row dim %d, cache dim %d", len(v), c.cfg.Dim)
 	}
-	pos, ok := c.index[k.Index]
+	at, pos := c.find(k.Index)
 	switch {
-	case ok && c.slots[pos].key == k:
+	case pos >= 0 && c.slots[pos].key == k:
 		c.slots[pos].ref = true
 		return nil
-	case ok:
+	case pos >= 0:
 	case c.used < len(c.slots):
 		// Fill phase: slots are occupied in ring order from the seeded hand,
 		// so the first eviction sweep starts behind the oldest entry.
@@ -175,7 +223,10 @@ func (c *Cache) Put(k Key, v tensor.Vector) error {
 		}
 		pos = c.hand
 		c.hand = (c.hand + 1) % len(c.slots)
-		delete(c.index, c.slots[pos].key.Index)
+		victim, _ := c.find(c.slots[pos].key.Index)
+		c.unindex(victim)
+		// The shift may have moved the cell k's probe ended at.
+		at, _ = c.find(k.Index)
 		c.stats.Evictions++
 	}
 	s := &c.slots[pos]
@@ -187,7 +238,7 @@ func (c *Cache) Put(k Key, v tensor.Vector) error {
 	// A fresh entry starts referenced: it survives the hand's next pass, the
 	// one revolution of grace that separates CLOCK from FIFO.
 	s.ref = true
-	c.index[k.Index] = pos
+	c.index[at] = cell{idx: k.Index, slot: int32(pos) + 1}
 	c.stats.InsertedBytes += uint64(c.slotSize)
 	return nil
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"fafnir/internal/header"
@@ -274,13 +275,134 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// checkIndex holds the index to the slots: every resident slot's key is found
+// at its own slot, the table holds exactly one cell per resident entry, and
+// every key in gone (admitted once, resident no longer) is absent.
+func checkIndex(t *testing.T, c *Cache, gone map[Key]bool) {
+	t.Helper()
+	for pos, s := range c.slots {
+		if s.val == nil {
+			continue
+		}
+		if _, got := c.find(s.key.Index); got != pos {
+			t.Fatalf("slot %d holds index %d, the index finds it at %d", pos, s.key.Index, got)
+		}
+	}
+	cells := 0
+	for _, e := range c.index {
+		if e.slot != 0 {
+			cells++
+		}
+	}
+	if cells != c.Len() {
+		t.Fatalf("%d index cells for %d resident entries", cells, c.Len())
+	}
+	for k := range gone {
+		if _, pos := c.find(k.Index); pos >= 0 || c.Contains(k) {
+			t.Fatalf("evicted key %+v is still found (slot %d)", k, pos)
+		}
+	}
+}
+
+// resident lists the keys the cache's slots hold.
+func resident(c *Cache) map[Key]bool {
+	in := map[Key]bool{}
+	for _, s := range c.slots {
+		if s.val != nil {
+			in[s.key] = true
+		}
+	}
+	return in
+}
+
+// homed returns the first count keys whose index has the given home cell.
+func homed(c *Cache, home, count int) []Key {
+	var ks []Key
+	for i := 0; len(ks) < count; i++ {
+		if c.home(header.Index(i)) == home {
+			ks = append(ks, Key{Index: header.Index(i)})
+		}
+	}
+	return ks
+}
+
+// TestIndexWrapShift deletes from a probe run that wraps past the table's
+// end. First every key shares the home cell two before the end, the cache is
+// filled with them, and they leave the index one at a time in seeded orders,
+// straight through unindex, so no insertion refills a hole before the check.
+// Then a seeded Put/Get sequence adds keys homed at the table's first cells,
+// behind the wrapped ones, and evicts through the full cache: a shift that
+// forgets the wrap strands a wrapped key or moves one in front of its home.
+func TestIndexWrapShift(t *testing.T) {
+	const dim = 4
+	cfg := Config{Bytes: 8 * 80, Dim: dim, Seed: 3}
+	for seed := int64(0); seed < 20; seed++ {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := homed(c, len(c.index)-2, c.Capacity())
+		for _, k := range keys {
+			if err := c.Put(k, valFor(k, dim)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gone := map[Key]bool{}
+		for _, i := range rand.New(rand.NewSource(seed)).Perm(len(keys)) {
+			at, pos := c.find(keys[i].Index)
+			if pos < 0 {
+				t.Fatalf("order %d: key %+v lost before its deletion", seed, keys[i])
+			}
+			c.unindex(at)
+			gone[keys[i]] = true
+			for _, k := range keys {
+				if _, pos := c.find(k.Index); gone[k] != (pos < 0) || pos >= 0 && c.slots[pos].key != k {
+					t.Fatalf("order %d, after deleting %+v: key %+v (deleted %v) found at slot %d", seed, keys[i], k, gone[k], pos)
+				}
+			}
+		}
+	}
+
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := append(homed(c, len(c.index)-2, 12), homed(c, 0, 2)...)
+	keys = append(keys, homed(c, 1, 2)...)
+	rng := rand.New(rand.NewSource(38))
+	gone := map[Key]bool{}
+	for step := 0; step < 400; step++ {
+		k := keys[rng.Intn(len(keys))]
+		before := resident(c)
+		if rng.Intn(3) == 0 {
+			c.Get(k)
+		} else if err := c.Put(k, valFor(k, dim)); err != nil {
+			t.Fatal(err)
+		}
+		after := resident(c)
+		for k := range before {
+			if !after[k] {
+				gone[k] = true
+			}
+		}
+		for k := range after {
+			delete(gone, k)
+		}
+		checkIndex(t, c, gone)
+	}
+	if c.Stats().Evictions == 0 {
+		t.Fatal("the sequence evicted nothing")
+	}
+}
+
 // FuzzCacheOps drives seeded op sequences against the cache and a naive
 // map+counter reference model. Two bytes per op: the opcode (get / put /
 // contains-check) and the key selector. The reference model does not mimic
 // CLOCK eviction — it checks the properties eviction cannot break: a hit
 // returns exactly the row last admitted under that key, the byte budget
 // holds, and the counters reconcile (gets = hits+misses, evictions =
-// fresh inserts − resident).
+// fresh inserts − resident), and after every op checkIndex holds the index
+// to the slots.
 func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x03, 0x00, 0x03, 0x01, 0x05, 0x00, 0x05})
 	f.Add([]byte{0x01, 0x00, 0x01, 0x01, 0x01, 0x02, 0x01, 0x03, 0x01, 0x04,
@@ -293,6 +415,7 @@ func FuzzCacheOps(f *testing.F) {
 			t.Fatal(err)
 		}
 		var gets, freshPuts int
+		gone := map[Key]bool{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			k := key(int(ops[i+1]) % 24)
 			switch ops[i] % 3 {
@@ -307,9 +430,17 @@ func FuzzCacheOps(f *testing.F) {
 				if !c.Contains(k) {
 					freshPuts++
 				}
+				before := resident(c)
 				if err := c.Put(k, valFor(k, dim)); err != nil {
 					t.Fatalf("op %d: Put(%+v): %v", i/2, k, err)
 				}
+				after := resident(c)
+				for k := range before {
+					if !after[k] {
+						gone[k] = true
+					}
+				}
+				delete(gone, k)
 				if !c.Contains(k) {
 					t.Fatalf("op %d: key absent immediately after Put", i/2)
 				}
@@ -327,6 +458,7 @@ func FuzzCacheOps(f *testing.F) {
 			if c.Bytes() > 640 {
 				t.Fatalf("op %d: Bytes %d exceeds budget", i/2, c.Bytes())
 			}
+			checkIndex(t, c, gone)
 		}
 		st := c.Stats()
 		if st.Hits+st.Misses != uint64(gets) {

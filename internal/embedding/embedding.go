@@ -75,16 +75,27 @@ func (s *Store) Element(idx header.Index, e int) float32 {
 // nothing in the program sets it.
 var FillHook func(idx header.Index)
 
+// elementValue maps a hash's residue mod 17 to the element it makes:
+// elementValue[h%17] == float32(int64(h%17)) - 8.
+var elementValue = [17]float32{-8, -7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+
 // fill materializes the vector at idx into dst, hoisting the per-row hash
-// base out of the element loop (bit-identical to Element per element).
+// base out of the element loop and looking each value up in elementValue,
+// four elements per iteration (bit-identical to Element per element).
 func (s *Store) fill(idx header.Index, dst tensor.Vector) {
 	if FillHook != nil {
 		FillHook(idx)
 	}
 	base := s.seed ^ uint64(idx)*0x100000001b3
-	for e := range dst {
-		h := splitmix64(base ^ uint64(e))
-		dst[e] = float32(int64(h%17)) - 8
+	e := uint64(0)
+	for ; len(dst) >= 4; dst, e = dst[4:], e+4 {
+		dst[0] = elementValue[splitmix64(base^e)%17]
+		dst[1] = elementValue[splitmix64(base^(e+1))%17]
+		dst[2] = elementValue[splitmix64(base^(e+2))%17]
+		dst[3] = elementValue[splitmix64(base^(e+3))%17]
+	}
+	for i := range dst {
+		dst[i] = elementValue[splitmix64(base^(e+uint64(i)))%17]
 	}
 }
 

@@ -159,13 +159,6 @@ func (ws *workScratch) reset() {
 	ws.raw, ws.pend = ws.raw[:0], ws.pend[:0]
 }
 
-// cloneVec copies v into the value arena (the reduce action's working copy).
-func (ws *workScratch) cloneVec(v tensor.Vector) tensor.Vector {
-	out := ws.vals.alloc(len(v))
-	copy(out, v)
-	return out
-}
-
 // or is the union of s and t in the arena.
 func (ws *workScratch) or(s, t header.Bitset) header.Bitset {
 	out := header.Bitset(ws.words.alloc(ws.k))

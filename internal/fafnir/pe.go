@@ -140,8 +140,8 @@ func (ws *workScratch) fold(op tensor.ReduceOp, raw []denseEntry, pend []tensor.
 	for _, h := range heads {
 		out = append(out, raw[h])
 		if pend != nil && pend[h] != nil {
-			v := ws.cloneVec(raw[h].value)
-			if err := op.Apply(v, pend[h]); err != nil {
+			v := tensor.Vector(ws.vals.alloc(len(raw[h].value)))
+			if err := op.ApplyTo(v, raw[h].value, pend[h]); err != nil {
 				return nil, fmt.Errorf("fafnir: reduce value: %w", err)
 			}
 			out[len(out)-1].value = v
@@ -371,13 +371,19 @@ func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]de
 			if covered.Intersects(m.indices) {
 				return nil, total, fmt.Errorf("fafnir: self-merge stream entries overlap at %v", ws.rows.AppendIndices(nil, m.indices))
 			}
-			v := ws.cloneVec(value)
-			if err := op.Apply(v, m.value); err != nil {
+			// The group's first reduce takes its one working copy (value and
+			// indices) in the arena; the rest accumulate into it.
+			dst := value
+			if !reduced {
+				dst = ws.vals.alloc(len(value))
+				covered = ws.or(covered, m.indices)
+			} else {
+				covered.Or(covered, m.indices)
+			}
+			if err := op.ApplyTo(dst, value, m.value); err != nil {
 				return nil, total, fmt.Errorf("fafnir: self-merge reduce: %w", err)
 			}
-			value = v
-			covered = ws.or(covered, m.indices)
-			reduced = true
+			value, reduced = dst, true
 			total.Reduces++
 		}
 		if c := int(ws.class[h]); !reduced {

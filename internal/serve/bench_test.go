@@ -1,12 +1,16 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fafnir"
 	"fafnir/internal/embedding"
@@ -211,6 +215,49 @@ func BenchmarkLookupReply(b *testing.B) {
 		if _, err := enc.Encode(resp); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeLookup decodes one 8x16 lookup body, the serve_hot shape
+// (indices spread over 4 Mi rows), as the HTTP handler does; "reference" is
+// the json.Decoder path the hand-written decoder replaced.
+func BenchmarkDecodeLookup(b *testing.B) {
+	const rows = 4 << 20
+	srv, err := serve.New(&fakeSystem{fakeBackend: newFake(), rows: rows}, serve.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	req := serve.LookupRequest{Op: "sum"}
+	for qi := 0; qi < 8; qi++ {
+		q := make([]uint64, 16)
+		for i := range q {
+			q[i] = uint64((qi*16+i)*2654435761) % rows
+		}
+		req.Queries = append(req.Queries, q)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func(io.Reader) (serve.Request, time.Duration, error)
+	}{
+		{"hand", srv.DecodeLookup},
+		{"reference", srv.DecodeLookupReference},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			r := bytes.NewReader(body)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Reset(body)
+				if _, _, err := tc.decode(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -586,8 +586,13 @@ func (c *Coalescer) cut(lane int) (riders []*request, counts [numLanes]int, nq i
 type cachePlan struct {
 	// partial holds, per original query, the cached rows pooled under the
 	// batch op (nil when the query had no cache hits). Mean accumulates as
-	// a sum; merge finalizes with the true operand count.
+	// a sum; merge finalizes with the true operand count. After one hit it
+	// is the cache's own read-only row; from the second on, the query's
+	// slice of vals.
 	partial []tensor.Vector
+	// vals backs every owned partial, dim floats per original query; it is
+	// allocated on first use.
+	vals []float32
 	// cachedN is the per-original-query count of indices served from cache.
 	cachedN []int
 	// backPos maps each original query to its position in the stripped
@@ -601,7 +606,9 @@ type cachePlan struct {
 	// rewritten to sum — the engine would otherwise finalize by the
 	// stripped query's length, not the true operand count.
 	stripped embedding.Batch
-	// missed collects every miss across the batch for post-flush admission.
+	// missed collects every miss across the batch, query by query, for
+	// post-flush admission; the stripped queries' index sets are its
+	// segments.
 	missed []header.Index
 	// hits/misses are the flush's consultation totals.
 	hits, misses int
@@ -622,10 +629,14 @@ func (c *Coalescer) shardOf(idx header.Index) int {
 func (c *Coalescer) consult(f *flight) bool {
 	b := f.batch
 	nq := len(b.Queries)
+	counts := make([]int, 2*nq)
 	p := &cachePlan{
 		partial: make([]tensor.Vector, nq),
-		cachedN: make([]int, nq),
-		backPos: make([]int, nq),
+		cachedN: counts[:nq:nq],
+		backPos: counts[nq:],
+		// Every miss fits, so the queries' missed sets are carved from it
+		// without regrowth.
+		missed: make([]header.Index, 0, b.TotalAccesses()),
 	}
 	p.stripped.Op = b.Op
 	if b.Op == tensor.OpMean {
@@ -633,37 +644,64 @@ func (c *Coalescer) consult(f *flight) bool {
 	}
 	for qi, q := range b.Queries {
 		p.backPos[qi] = -1
-		var missed header.IndexSet
+		from := len(p.missed)
 		for _, idx := range q.Indices {
 			v, ok := c.caches[c.shardOf(idx)].Get(cache.Key{Index: idx})
 			if !ok {
 				// Appending in iteration order preserves the sorted,
 				// duplicate-free IndexSet invariant.
-				missed = append(missed, idx)
+				p.missed = append(p.missed, idx)
 				continue
 			}
-			if p.partial[qi] == nil {
-				p.partial[qi] = v.Clone()
-			} else {
-				// Dimensions always agree (one store, one dim); Apply cannot
-				// fail here.
-				_ = b.Op.Apply(p.partial[qi], v)
+			// Dimensions always agree (one store, one dim); ApplyTo cannot
+			// fail here.
+			switch acc := p.partial[qi]; p.cachedN[qi] {
+			case 0:
+				p.partial[qi] = v
+			case 1:
+				p.partial[qi] = p.own(qi, len(v))
+				_ = b.Op.ApplyTo(p.partial[qi], acc, v)
+			default:
+				_ = b.Op.ApplyTo(acc, acc, v)
 			}
 			p.cachedN[qi]++
 		}
+		missed := header.IndexSet(p.missed[from:len(p.missed):len(p.missed)])
 		p.hits += p.cachedN[qi]
 		p.misses += len(missed)
 		if len(missed) > 0 {
+			if p.origOf == nil {
+				p.origOf = make([]int, 0, nq-qi)
+				p.stripped.Queries = make([]embedding.Query, 0, nq-qi)
+			}
 			p.backPos[qi] = len(p.stripped.Queries)
 			p.origOf = append(p.origOf, qi)
 			p.stripped.Queries = append(p.stripped.Queries, embedding.Query{Indices: missed})
-			p.missed = append(p.missed, missed...)
 		}
 	}
 	c.m.CacheHits.Add(uint64(p.hits))
 	c.m.CacheMisses.Add(uint64(p.misses))
 	f.plan = p
 	return true
+}
+
+// own returns query qi's dim floats of the plan's vals.
+func (p *cachePlan) own(qi, dim int) tensor.Vector {
+	if p.vals == nil {
+		p.vals = make([]float32, len(p.partial)*dim)
+	}
+	return p.vals[qi*dim : (qi+1)*dim : (qi+1)*dim]
+}
+
+// result returns query qi's partial as a vector the caller may keep and
+// finalize: a single hit is still the cache's row, so it is copied out.
+func (p *cachePlan) result(qi int) tensor.Vector {
+	if p.cachedN[qi] == 1 {
+		v := p.partial[qi]
+		p.partial[qi] = p.own(qi, len(v))
+		copy(p.partial[qi], v)
+	}
+	return p.partial[qi]
 }
 
 // mergeCached folds the cached partials back into the stripped batch's outputs,
@@ -700,7 +738,7 @@ func (c *Coalescer) mergeCached(b embedding.Batch, p *cachePlan, res *core.Timed
 			outs[qi] = tensor.New(c.dim)
 		case p.backPos[qi] < 0:
 			// Fully cached: the hardware batch never saw this query.
-			out := p.partial[qi]
+			out := p.result(qi)
 			b.Op.FinalizeMean(out, total)
 			outs[qi] = out
 		default:
@@ -711,7 +749,7 @@ func (c *Coalescer) mergeCached(b embedding.Batch, p *cachePlan, res *core.Timed
 				// downstream; its placeholder output is a zero vector, which
 				// is not op-neutral for min/max. Serve the cached partial
 				// alone.
-				out = p.partial[qi]
+				out = p.result(qi)
 			} else if p.partial[qi] != nil {
 				_ = b.Op.Apply(out, p.partial[qi])
 			}

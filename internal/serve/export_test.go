@@ -87,6 +87,7 @@ func (m *ManualClock) AwaitTimer() time.Time {
 const (
 	DeadlineSlack     = deadlineSlack
 	MaxRequestBatches = maxRequestBatches
+	MaxBodyBytes      = maxBodyBytes
 )
 
 // NewCoalescerAt is NewCoalescer on a manual clock.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -73,6 +75,47 @@ func FuzzLookupRequest(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, got) || backTimeout != timeout {
 			t.Fatalf("body %q round trip through %s:\ngot  %+v\nwant %+v", body, encoded, back, got)
+		}
+	})
+}
+
+// FuzzLookupDecode holds the hand-written request decoder to the json.Decoder
+// path it replaced (DecodeLookupReference), body by body: both must accept
+// or both refuse, and on accept they must build identical requests and
+// timeouts. Each reads through the handler's http.MaxBytesReader, so a body
+// past maxBodyBytes is refused by both. The seed corpus lives in
+// testdata/fuzz/FuzzLookupDecode; the two bodies at the size bound, one
+// accepted and one a byte over, are added here.
+func FuzzLookupDecode(f *testing.F) {
+	const rows = 1 << 16
+	srv, err := serve.New(&fakeSystem{fakeBackend: newFake(), rows: rows}, serve.Config{BatchCapacity: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Drain(context.Background()) })
+	// The two bodies at the size bound replay with the corpus; a -fuzz run
+	// leaves them out, since the engine mutates a megabyte input at a
+	// handful of executions a second.
+	if fuzz := flag.Lookup("test.fuzz"); fuzz == nil || fuzz.Value.String() == "" {
+		atBound := bytes.Repeat([]byte{' '}, serve.MaxBodyBytes)
+		copy(atBound, `{"indices":[1]}`)
+		f.Add(atBound)
+		f.Add(append(atBound, ' '))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		limited := func() io.Reader {
+			return http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), serve.MaxBodyBytes)
+		}
+		got, timeout, err := srv.DecodeLookup(limited())
+		want, wantTimeout, wantErr := srv.DecodeLookupReference(limited())
+		switch {
+		case err != nil && wantErr == nil:
+			t.Fatalf("body %q: refused (%v), the reference accepts it as %+v", body, err, want)
+		case err == nil && wantErr != nil:
+			t.Fatalf("body %q: accepted as %+v, the reference refuses it (%v)", body, got, wantErr)
+		case err == nil && (!reflect.DeepEqual(got, want) || timeout != wantTimeout):
+			t.Fatalf("body %q:\ngot  %+v, timeout %v\nwant %+v, timeout %v", body, got, timeout, want, wantTimeout)
 		}
 	})
 }

@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fafnir/internal/embedding"
 	"fafnir/internal/fault"
-	"fafnir/internal/header"
 	"fafnir/internal/sim"
 	"fafnir/internal/telemetry"
 	"fafnir/internal/tensor"
@@ -29,7 +27,9 @@ const maxBodyBytes = 1 << 20
 const maxRequestBatches = 4
 
 // LookupRequest is the wire format of POST /v1/lookup. Exactly one of
-// Indices (single-query shorthand) or Queries must be set.
+// Indices (single-query shorthand) or Queries must be set. The server parses
+// a body by hand (lookupDecoder) to what json.Decoder would decode into this
+// type, with unknown fields refused.
 type LookupRequest struct {
 	// Indices is the single-query shorthand: one set of embedding rows to
 	// gather and reduce.
@@ -269,71 +269,39 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// parseQueries validates the wire request and builds the engine queries.
-func (s *Server) parseQueries(req *LookupRequest) ([]embedding.Query, error) {
-	var raw [][]uint64
-	switch {
-	case len(req.Indices) > 0 && len(req.Queries) > 0:
-		return nil, fmt.Errorf("serve: set either indices or queries, not both")
-	case len(req.Indices) > 0:
-		raw = [][]uint64{req.Indices}
-	case len(req.Queries) > 0:
-		raw = req.Queries
-	default:
-		return nil, fmt.Errorf("serve: request carries no queries")
-	}
-	if limit := maxRequestBatches * s.cfg.BatchCapacity; len(raw) > limit {
-		return nil, fmt.Errorf("serve: request carries %d queries, limit is %d", len(raw), limit)
-	}
-	queries := make([]embedding.Query, len(raw))
-	for qi, idxs := range raw {
-		if len(idxs) == 0 {
-			return nil, fmt.Errorf("serve: query %d is empty", qi)
-		}
-		set := make([]header.Index, len(idxs))
-		for i, idx := range idxs {
-			if idx >= s.totalRows {
-				return nil, fmt.Errorf("serve: query %d index %d out of range [0,%d)", qi, idx, s.totalRows)
-			}
-			set[i] = header.Index(idx)
-		}
-		queries[qi] = embedding.Query{Indices: header.NewIndexSet(set...)}
-	}
-	return queries, nil
-}
-
 // maxTimeoutMS is the largest timeout_ms that still fits a time.Duration.
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // decodeLookup reads exactly one JSON request from body and validates it
 // into the coalescer request and its deadline budget; every error it returns
-// is the caller's fault (400 bad_request).
+// is the caller's fault (400 bad_request). The body is parsed by hand
+// (lookupDecoder), to the contract json.Decoder gives LookupRequest.
 func (s *Server) decodeLookup(body io.Reader) (call Request, timeout time.Duration, err error) {
-	var req LookupRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err = dec.Decode(&req); err != nil {
-		return call, 0, fmt.Errorf("serve: bad request body: %w", err)
-	}
-	if _, err = dec.Token(); err != io.EOF {
-		return call, 0, fmt.Errorf("serve: bad request body: trailing data after the request object")
-	}
-	if call.Op, err = tensor.ParseOp(req.Op); err != nil {
+	d := decoderPool.Get().(*lookupDecoder)
+	defer putDecoder(d)
+	d.reset()
+	if err = d.read(body); err != nil {
 		return call, 0, err
 	}
-	if call.Priority, err = ParsePriority(req.Priority); err != nil {
+	if err = d.parse(); err != nil {
 		return call, 0, err
 	}
-	if call.Queries, err = s.parseQueries(&req); err != nil {
+	if call.Op, err = tensor.ParseOp(string(d.op)); err != nil {
 		return call, 0, err
 	}
-	if req.TimeoutMS < 0 || int64(req.TimeoutMS) > maxTimeoutMS {
-		return call, 0, fmt.Errorf("serve: timeout_ms %d out of range [0,%d]", req.TimeoutMS, maxTimeoutMS)
+	if call.Priority, err = ParsePriority(string(d.priority)); err != nil {
+		return call, 0, err
 	}
-	if req.TimeoutMS == 0 {
+	if call.Queries, err = d.request(maxRequestBatches*s.cfg.BatchCapacity, s.totalRows); err != nil {
+		return call, 0, err
+	}
+	if d.timeout < 0 || d.timeout > maxTimeoutMS {
+		return call, 0, fmt.Errorf("serve: timeout_ms %d out of range [0,%d]", d.timeout, maxTimeoutMS)
+	}
+	if d.timeout == 0 {
 		return call, s.cfg.DefaultTimeout, nil
 	}
-	return call, time.Duration(req.TimeoutMS) * time.Millisecond, nil
+	return call, time.Duration(d.timeout) * time.Millisecond, nil
 }
 
 // classify maps a Submit error to its outcome, HTTP status, and wire kind.

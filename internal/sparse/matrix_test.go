@@ -296,7 +296,7 @@ func TestQuickChunkedSpMV(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := got.AddInPlace(part); err != nil {
+			if err := tensor.OpSum.Apply(got, part); err != nil {
 				return false
 			}
 		}

@@ -52,35 +52,6 @@ func (v Vector) Equal(w Vector) bool {
 	return true
 }
 
-// AddInPlace accumulates w into v. It is the hot path of every reduction
-// engine and performs no allocation.
-func (v Vector) AddInPlace(w Vector) error {
-	if len(v) != len(w) {
-		return fmt.Errorf("%w: %d vs %d", ErrDimMismatch, len(v), len(w))
-	}
-	for i := range v {
-		v[i] += w[i]
-	}
-	return nil
-}
-
-// Add returns v+w as a fresh vector.
-func Add(v, w Vector) (Vector, error) {
-	out := v.Clone()
-	if err := out.AddInPlace(w); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Scale multiplies every element of v by s in place and returns v.
-func (v Vector) Scale(s float32) Vector {
-	for i := range v {
-		v[i] *= s
-	}
-	return v
-}
-
 // Dot returns the inner product of v and w.
 func Dot(v, w Vector) (float64, error) {
 	if len(v) != len(w) {
@@ -91,15 +62,6 @@ func Dot(v, w Vector) (float64, error) {
 		acc += float64(v[i]) * float64(w[i])
 	}
 	return acc, nil
-}
-
-// L2 returns the Euclidean norm of v.
-func (v Vector) L2() float64 {
-	var acc float64
-	for _, x := range v {
-		acc += float64(x) * float64(x)
-	}
-	return math.Sqrt(acc)
 }
 
 // ReduceOp identifies an element-wise reduction operation supported by a
@@ -157,34 +119,95 @@ func ParseOp(s string) (ReduceOp, error) {
 // Valid reports whether op is a defined reduction operation.
 func (op ReduceOp) Valid() bool { return op <= OpMean }
 
-// Apply combines w into v in place according to op. OpMean accumulates like
-// OpSum; call FinalizeMean with the operand count once the reduction tree has
-// fully combined a query.
-func (op ReduceOp) Apply(v, w Vector) error {
-	if len(v) != len(w) {
-		return fmt.Errorf("%w: %d vs %d", ErrDimMismatch, len(v), len(w))
+// Apply combines w into v in place according to op: ApplyTo(v, v, w).
+// OpMean accumulates like OpSum; call FinalizeMean with the operand count once
+// the reduction tree has fully combined a query.
+func (op ReduceOp) Apply(v, w Vector) error { return op.ApplyTo(v, v, w) }
+
+// ApplyTo writes the element-wise reduction of v and w under op into dst:
+// dst[i] = v[i] + w[i] for sum and mean, and for min (max) w[i] where it is
+// below (above) v[i], else v[i] — so a NaN in w never wins and a NaN in v
+// stays. dst may be v or w itself (the three must not overlap otherwise),
+// and all three must have one dimension.
+//
+// It is the one element kernel of every reducer: eight elements per
+// iteration over re-sliced operands, so the loop body carries no bounds
+// checks, then a scalar tail.
+func (op ReduceOp) ApplyTo(dst, v, w Vector) error {
+	n := len(dst)
+	if len(v) != n || len(w) != n {
+		return fmt.Errorf("%w: %d, %d and %d", ErrDimMismatch, n, len(v), len(w))
 	}
 	switch op {
 	case OpSum, OpMean:
-		for i := range v {
-			v[i] += w[i]
+		for len(dst) >= 8 && len(v) >= 8 && len(w) >= 8 {
+			dst[0] = v[0] + w[0]
+			dst[1] = v[1] + w[1]
+			dst[2] = v[2] + w[2]
+			dst[3] = v[3] + w[3]
+			dst[4] = v[4] + w[4]
+			dst[5] = v[5] + w[5]
+			dst[6] = v[6] + w[6]
+			dst[7] = v[7] + w[7]
+			dst, v, w = dst[8:], v[8:], w[8:]
+		}
+		v, w = v[:len(dst)], w[:len(dst)]
+		for i := range dst {
+			dst[i] = v[i] + w[i]
 		}
 	case OpMin:
-		for i := range v {
-			if w[i] < v[i] {
-				v[i] = w[i]
-			}
+		for len(dst) >= 8 && len(v) >= 8 && len(w) >= 8 {
+			dst[0] = lower(v[0], w[0])
+			dst[1] = lower(v[1], w[1])
+			dst[2] = lower(v[2], w[2])
+			dst[3] = lower(v[3], w[3])
+			dst[4] = lower(v[4], w[4])
+			dst[5] = lower(v[5], w[5])
+			dst[6] = lower(v[6], w[6])
+			dst[7] = lower(v[7], w[7])
+			dst, v, w = dst[8:], v[8:], w[8:]
+		}
+		v, w = v[:len(dst)], w[:len(dst)]
+		for i := range dst {
+			dst[i] = lower(v[i], w[i])
 		}
 	case OpMax:
-		for i := range v {
-			if w[i] > v[i] {
-				v[i] = w[i]
-			}
+		for len(dst) >= 8 && len(v) >= 8 && len(w) >= 8 {
+			dst[0] = higher(v[0], w[0])
+			dst[1] = higher(v[1], w[1])
+			dst[2] = higher(v[2], w[2])
+			dst[3] = higher(v[3], w[3])
+			dst[4] = higher(v[4], w[4])
+			dst[5] = higher(v[5], w[5])
+			dst[6] = higher(v[6], w[6])
+			dst[7] = higher(v[7], w[7])
+			dst, v, w = dst[8:], v[8:], w[8:]
+		}
+		v, w = v[:len(dst)], w[:len(dst)]
+		for i := range dst {
+			dst[i] = higher(v[i], w[i])
 		}
 	default:
 		return fmt.Errorf("tensor: unknown reduce op %d", op)
 	}
 	return nil
+}
+
+// lower is min's element rule: w only where it compares below v. Unlike the
+// builtin min it keeps v for a NaN w and for -0 against +0.
+func lower(v, w float32) float32 {
+	if w < v {
+		return w
+	}
+	return v
+}
+
+// higher is max's element rule, lower's mirror.
+func higher(v, w float32) float32 {
+	if w > v {
+		return w
+	}
+	return v
 }
 
 // FinalizeMean divides v by n when op is OpMean; it is a no-op for other

@@ -37,9 +37,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestAddInPlace: sum's kernel accumulates in place when dst is v.
 func TestAddInPlace(t *testing.T) {
 	v := Vector{1, 2, 3}
-	if err := v.AddInPlace(Vector{10, 20, 30}); err != nil {
+	if err := OpSum.ApplyTo(v, v, Vector{10, 20, 30}); err != nil {
 		t.Fatal(err)
 	}
 	if !v.Equal(Vector{11, 22, 33}) {
@@ -48,35 +49,102 @@ func TestAddInPlace(t *testing.T) {
 }
 
 func TestAddDimMismatch(t *testing.T) {
-	v := Vector{1, 2}
-	if err := v.AddInPlace(Vector{1}); err == nil {
-		t.Fatal("expected dimension error")
-	}
-	if _, err := Add(Vector{1}, Vector{1, 2}); err == nil {
-		t.Fatal("expected dimension error from Add")
+	for _, tc := range [][3]Vector{
+		{{1, 2}, {1}, {1, 2}},
+		{{1, 2}, {1, 2}, {1}},
+		{{1}, {1, 2}, {1, 2}},
+	} {
+		if err := OpSum.ApplyTo(tc[0], tc[1], tc[2]); err == nil {
+			t.Errorf("ApplyTo(%v, %v, %v): expected dimension error", tc[0], tc[1], tc[2])
+		}
 	}
 	if _, err := Dot(Vector{1}, Vector{1, 2}); err == nil {
 		t.Fatal("expected dimension error from Dot")
 	}
 }
 
+// TestAddAllocatesFresh: sum written into a fresh vector leaves both
+// operands as they were.
 func TestAddAllocatesFresh(t *testing.T) {
 	a := Vector{1, 2}
 	b := Vector{3, 4}
-	out, err := Add(a, b)
-	if err != nil {
+	out := New(2)
+	if err := OpSum.ApplyTo(out, a, b); err != nil {
 		t.Fatal(err)
 	}
-	out[0] = 100
-	if a[0] != 1 || b[0] != 3 {
-		t.Fatal("Add mutated an input")
+	if !out.Equal(Vector{4, 6}) || a[0] != 1 || b[0] != 3 {
+		t.Fatalf("ApplyTo into a fresh vector: out %v, operands %v %v", out, a, b)
 	}
 }
 
-func TestScale(t *testing.T) {
-	v := Vector{2, 4}.Scale(0.5)
-	if !v.Equal(Vector{1, 2}) {
-		t.Fatalf("got %v", v)
+// scalarApply is the reference every ApplyTo result is held to: the
+// element rules written one element at a time.
+func scalarApply(op ReduceOp, v, w Vector) Vector {
+	out := make(Vector, len(v))
+	for i := range v {
+		out[i] = v[i]
+		switch op {
+		case OpSum, OpMean:
+			out[i] = v[i] + w[i]
+		case OpMin:
+			if w[i] < v[i] {
+				out[i] = w[i]
+			}
+		case OpMax:
+			if w[i] > v[i] {
+				out[i] = w[i]
+			}
+		}
+	}
+	return out
+}
+
+// TestApplyToMatchesScalar holds the unrolled kernel to scalarApply bit for
+// bit, for every op, on dimensions around the eight-element stride (so both
+// the unrolled body and the tail run), with dst fresh and aliasing either
+// operand. Operands mix NaN, ±Inf and ±0 with ordinary values, so min and max
+// must keep v on a NaN w and on -0 against +0 exactly as the scalar rule does.
+func TestApplyToMatchesScalar(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	palette := []float32{nan, inf, -inf, negZero, 0, 1, -1, 2.5, -3, 7, math.MaxFloat32, math.SmallestNonzeroFloat32}
+	rng := rand.New(rand.NewSource(38))
+	draw := func(n int) Vector {
+		v := make(Vector, n)
+		for i := range v {
+			v[i] = palette[rng.Intn(len(palette))]
+		}
+		return v
+	}
+	for _, dim := range []int{0, 1, 7, 8, 9, 127, 128, 129} {
+		for _, op := range []ReduceOp{OpSum, OpMin, OpMax, OpMean} {
+			for _, alias := range []string{"fresh", "dst=v", "dst=w"} {
+				v, w := draw(dim), draw(dim)
+				want := scalarApply(op, v, w)
+				var dst Vector
+				var err error
+				switch alias {
+				case "fresh":
+					dst = New(dim)
+					err = op.ApplyTo(dst, v, w)
+				case "dst=v":
+					dst = v.Clone()
+					err = op.ApplyTo(dst, dst, w)
+				case "dst=w":
+					dst = w.Clone()
+					err = op.ApplyTo(dst, v, dst)
+				}
+				if err != nil {
+					t.Fatalf("%v dim %d %s: %v", op, dim, alias, err)
+				}
+				for i := range want {
+					if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%v dim %d %s: element %d of %v op %v = %v, want %v",
+							op, dim, alias, i, v[i], w[i], dst[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -87,12 +155,6 @@ func TestDot(t *testing.T) {
 	}
 	if got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
-	}
-}
-
-func TestL2(t *testing.T) {
-	if got := (Vector{3, 4}).L2(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("L2 = %v, want 5", got)
 	}
 }
 

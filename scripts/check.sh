@@ -21,10 +21,10 @@
 #                      synchronous admission, so a flake here is a bug
 #   7. fuzz corpus   — FuzzCodec's, FuzzBitsetOps', FuzzBatchBuild's,
 #                      FuzzCacheOps', FuzzFromCOO's, FuzzParseFleet's,
-#                      FuzzLookupRequest's, FuzzReplyEncoding's,
-#                      FuzzLoadWorkload's, FuzzParseMix's, FuzzParseSLO's and
-#                      FuzzTopology's seed corpora replayed in -run mode (no
-#                      fuzzing; deterministic and fast)
+#                      FuzzLookupRequest's, FuzzLookupDecode's,
+#                      FuzzReplyEncoding's, FuzzLoadWorkload's, FuzzParseMix's,
+#                      FuzzParseSLO's and FuzzTopology's seed corpora replayed
+#                      in -run mode (no fuzzing; deterministic and fast)
 #   7b. one grain    — runtime.Gosched, stealHead and evalAsync must appear in
 #                      no non-test Go file: host parallelism is whole hardware
 #                      batches, shards and fleets, never a per-PE scheduler
@@ -74,10 +74,15 @@
 #                      owned-vector bookkeeping (the root's values are the
 #                      serial fold)
 #   7l. one reply    — handleLookup appends its 200 reply with the reply
-#       encoder        encoder (internal/serve/reply.go), byte-identical to
-#                      encoding/json and held there by FuzzReplyEncoding: it
-#                      calls no json.NewEncoder or json.Marshal and no
-#                      writeJSON with a 200 status
+#       encoder and    encoder (internal/serve/reply.go), byte-identical to
+#       one request    encoding/json and held there by FuzzReplyEncoding: it
+#       decoder        calls no json.NewEncoder or json.Marshal and no
+#                      writeJSON with a 200 status. decodeLookup parses the
+#                      body with the hand-written decoder
+#                      (internal/serve/decode.go), held to the json.Decoder
+#                      path by FuzzLookupDecode: neither it nor handleLookup
+#                      calls json.NewDecoder or json.Unmarshal, and decode.go
+#                      uses no encoding/json at all
 #   7m. one value    — a setting with one value is a constant: the nineteen
 #       per setting    fields SystemConfig, serve.Config, router.Config and
 #                      rnet.Config lost (ZipfS, QuerySize, DisableDedup,
@@ -138,6 +143,7 @@
 #   go test -fuzz=FuzzFromCOO -fuzztime=30s ./internal/sparse
 #   go test -fuzz=FuzzParseFleet -fuzztime=30s ./internal/fault
 #   go test -fuzz=FuzzLookupRequest -fuzztime=30s ./internal/serve
+#   go test -fuzz=FuzzLookupDecode -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzReplyEncoding -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzLoadWorkload -fuzztime=30s ./internal/trace
 #   go test -fuzz=FuzzParseMix -fuzztime=30s ./cmd/fafnir-loadgen
@@ -191,7 +197,8 @@ echo "==> go test -race -count=20 ./internal/serve"
 go test -race -count=20 ./internal/serve
 
 echo "==> fuzz corpus (replay, -run mode)"
-# ./internal/serve/ replays FuzzLookupRequest and FuzzReplyEncoding.
+# ./internal/serve/ replays FuzzLookupRequest, FuzzLookupDecode and
+# FuzzReplyEncoding.
 go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/ ./internal/trace/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
 
 echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
@@ -256,12 +263,15 @@ echo "==> one golden reference per lookup path, compared exactly"
 ! grep -n 'owned' internal/rnet/rnet.go \
     || { echo "internal/rnet tracks vector ownership again: the root's values are the serial fold"; exit 1; }
 
-echo "==> one reply encoder (lookup replies are appended, not reflected)"
-! awk 'index($0, "func (s *Server) handleLookup(") == 1 { on = 1 }
-       on && /json\.(NewEncoder|Marshal)|writeJSON\(w, (http\.StatusOK|200)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
-       on && /^}/ { on = 0 }
-       END { exit !bad }' internal/serve/server.go \
-    || { echo "handleLookup renders its reply through encoding/json again: append it with the reply encoder"; exit 1; }
+echo "==> one request decoder and one reply encoder (lookups are parsed and appended, not reflected)"
+! awk 'FNR == 1 { on = FILENAME ~ /decode\.go$/ ? "decode" : "" }
+       index($0, "func (s *Server) handleLookup(") == 1 { on = "handle" }
+       index($0, "func (s *Server) decodeLookup(") == 1 { on = "decode" }
+       on && /json\.(NewDecoder|Unmarshal)|"encoding\/json"/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+       on == "handle" && /json\.(NewEncoder|Marshal)|writeJSON\(w, (http\.StatusOK|200)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+       on && FILENAME !~ /decode\.go$/ && /^}/ { on = "" }
+       END { exit !bad }' internal/serve/server.go internal/serve/decode.go \
+    || { echo "a lookup is decoded or its reply rendered through encoding/json again: parse the body with lookupDecoder, append the reply with the reply encoder"; exit 1; }
 
 echo "==> one value per setting (fixed settings stay constants, not config fields)"
 ! awk '/^type (SystemConfig|Config) struct/ { on = 1; next }
