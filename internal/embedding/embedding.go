@@ -62,10 +62,16 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// rowBase is the hash input every element of row idx shares: element e of
+// the row hashes rowBase(idx) ^ e.
+func (s *Store) rowBase(idx header.Index) uint64 {
+	return s.seed ^ uint64(idx)*0x100000001b3
+}
+
 // Element returns element e of the vector at global row idx. Values lie in
 // [-8, 8); sums of thousands of them remain exactly representable in float32.
 func (s *Store) Element(idx header.Index, e int) float32 {
-	h := splitmix64(s.seed ^ uint64(idx)*0x100000001b3 ^ uint64(e))
+	h := splitmix64(s.rowBase(idx) ^ uint64(e))
 	return float32(int64(h%17)) - 8
 }
 
@@ -75,19 +81,36 @@ func (s *Store) Element(idx header.Index, e int) float32 {
 // nothing in the program sets it.
 var FillHook func(idx header.Index)
 
-// elementValue maps a hash's residue mod 17 to the element it makes:
-// elementValue[h%17] == float32(int64(h%17)) - 8.
-var elementValue = [17]float32{-8, -7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8}
-
-// fill materializes the vector at idx into dst, hoisting the per-row hash
-// base out of the element loop and looking each value up in elementValue,
-// four elements per iteration (bit-identical to Element per element).
+// fill materializes the vector at idx into dst, bit-identical to Element per
+// element, with the kernel chosen once at package init: fillAsm where the
+// CPU runs AVX-512 (haveAVX512), fillGo everywhere else.
 func (s *Store) fill(idx header.Index, dst tensor.Vector) {
 	if FillHook != nil {
 		FillHook(idx)
 	}
-	base := s.seed ^ uint64(idx)*0x100000001b3
-	e := uint64(0)
+	if haveAVX512 {
+		fillAsm(dst, s.rowBase(idx))
+		return
+	}
+	fillGo(dst, s.rowBase(idx), 0)
+}
+
+// fillAsm fills the leading multiple of 8 elements with fillAVX512, eight
+// hashes per iteration, and the rest with fillGo.
+func fillAsm(dst []float32, base uint64) {
+	n := len(dst) &^ 7
+	fillAVX512(dst[:n], base)
+	fillGo(dst[n:], base, uint64(n))
+}
+
+// elementValue maps a hash's residue mod 17 to the element it makes:
+// elementValue[h%17] == float32(int64(h%17)) - 8.
+var elementValue = [17]float32{-8, -7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+
+// fillGo is the portable fill kernel and fillAsm's referee: it writes
+// elements e, e+1, ... of the row whose rowBase is base into dst, looking
+// each value up in elementValue, four elements per iteration.
+func fillGo(dst []float32, base, e uint64) {
 	for ; len(dst) >= 4; dst, e = dst[4:], e+4 {
 		dst[0] = elementValue[splitmix64(base^e)%17]
 		dst[1] = elementValue[splitmix64(base^(e+1))%17]

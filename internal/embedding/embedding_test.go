@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -37,11 +38,15 @@ func TestStoreValuesBounded(t *testing.T) {
 	}
 }
 
-// TestFillMatchesElement holds the four-wide fill to Element, the per-element
-// definition of the store's contents, bit for bit: dimensions 1 to 17 run the
-// unrolled body and every tail length, 128 is the benchmarks' dimension.
+// TestFillMatchesElement holds each fill kernel this CPU runs, called
+// directly, and the store's own Vector, to Element, the per-element
+// definition of the store's contents, bit for bit. Dimensions 1 to 17 run
+// every tail length of the four-wide Go loop; 23 to 33 and 255 to 257 sit on
+// both sides of the eight-element vector blocks; 128 is the benchmarks'
+// dimension. Every kernel also fills a dst one element past an allocation's
+// start, so its stores are unaligned.
 func TestFillMatchesElement(t *testing.T) {
-	dims := []int{128}
+	dims := []int{23, 24, 25, 31, 32, 33, 128, 255, 256, 257}
 	for d := 1; d <= 17; d++ {
 		dims = append(dims, d)
 	}
@@ -49,14 +54,63 @@ func TestFillMatchesElement(t *testing.T) {
 		for _, dim := range dims {
 			s := MustStore(1<<32, dim, seed)
 			for _, idx := range []header.Index{0, 1, 7, 12345, 1<<32 - 1} {
-				v := s.MustVector(idx)
-				for e := range v {
-					if want := s.Element(idx, e); math.Float32bits(v[e]) != math.Float32bits(want) {
-						t.Fatalf("seed %#x dim %d row %d: element %d = %v, Element says %v", seed, dim, idx, e, v[e], want)
+				check := func(how string, v []float32) {
+					t.Helper()
+					for e := range v {
+						if want := s.Element(idx, e); math.Float32bits(v[e]) != math.Float32bits(want) {
+							t.Fatalf("%s: seed %#x dim %d row %d: element %d = %v, Element says %v", how, seed, dim, idx, e, v[e], want)
+						}
+					}
+				}
+				check("Vector", s.MustVector(idx))
+				for _, k := range fillKernels() {
+					for _, off := range []int{0, 1} {
+						dst := make([]float32, off+dim)[off:]
+						k.fill(dst, s.rowBase(idx))
+						check(fmt.Sprintf("%s kernel, offset %d", k.name, off), dst)
 					}
 				}
 			}
 		}
+	}
+}
+
+// FuzzFillKernel holds the AVX-512 fill kernel to the Go one bit for bit on
+// any seed, row and dimension up to 300.
+func FuzzFillKernel(f *testing.F) {
+	f.Add(uint64(0), uint32(0), uint16(128))
+	f.Add(uint64(42), uint32(1<<32-1), uint16(257))
+	f.Add(uint64(0x9e3779b97f4a7c15), uint32(12345), uint16(7))
+	f.Add(uint64(1<<64-1), uint32(1<<32-1), uint16(300))
+	f.Fuzz(func(t *testing.T, seed uint64, idx header.Index, dim uint16) {
+		if !haveAVX512 {
+			t.Skip("no AVX-512 on this CPU: the Go kernel is the only one")
+		}
+		s := &Store{totalRows: 1 << 32, dim: int(dim % 301), seed: seed}
+		base := s.rowBase(idx)
+		got, want := make([]float32, s.dim), make([]float32, s.dim)
+		fillAsm(got, base)
+		fillGo(want, base, 0)
+		for e := range want {
+			if math.Float32bits(got[e]) != math.Float32bits(want[e]) {
+				t.Fatalf("seed %#x row %d dim %d: element %d = %v by fillAsm, %v by fillGo", seed, idx, s.dim, e, got[e], want[e])
+			}
+		}
+	})
+}
+
+// BenchmarkFill times filling one 128-float row, the benchmarks' width, by
+// each fill kernel this CPU runs.
+func BenchmarkFill(b *testing.B) {
+	s := MustStore(1<<22, 128, 1)
+	dst := make([]float32, 128)
+	for _, k := range fillKernels() {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.fill(dst, s.rowBase(header.Index(i)))
+			}
+		})
 	}
 }
 

@@ -34,10 +34,11 @@ import (
 
 // Lookup computes the reference outputs of a batch: one pooled vector per
 // query, in query order. Each distinct index is fetched from the store exactly
-// once into a map (the functional mirror of the paper's read-once claim), then
-// every query pools its vectors with a plain loop. Empty queries produce zero
-// vectors, matching the engines. It returns an error when the batch references
-// an index outside the store or carries an unknown pooling operation.
+// once into a map (the functional mirror of the paper's read-once claim), one
+// Store.Element per element, then every query pools its vectors with a plain
+// loop. Empty queries produce zero vectors, matching the engines. It returns
+// an error when the batch references an index outside the store or carries
+// an unknown pooling operation.
 func Lookup(store *embedding.Store, b embedding.Batch) ([]tensor.Vector, error) {
 	gathered := make(map[header.Index]tensor.Vector)
 	for _, q := range b.Queries {
@@ -45,9 +46,15 @@ func Lookup(store *embedding.Store, b embedding.Batch) ([]tensor.Vector, error) 
 			if _, ok := gathered[idx]; ok {
 				continue
 			}
-			v, err := store.Vector(idx)
-			if err != nil {
-				return nil, fmt.Errorf("oracle: %w", err)
+			if uint64(idx) >= store.TotalRows() {
+				return nil, fmt.Errorf("oracle: index %d out of range [0,%d)", idx, store.TotalRows())
+			}
+			// Element by element, not Store.Vector: the engines' rows come
+			// from the store's fill kernel, and a bug there must not reach
+			// the referee too.
+			v := make(tensor.Vector, store.Dim())
+			for e := range v {
+				v[e] = store.Element(idx, e)
 			}
 			gathered[idx] = v
 		}

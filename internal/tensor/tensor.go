@@ -130,9 +130,9 @@ func (op ReduceOp) Apply(v, w Vector) error { return op.ApplyTo(v, v, w) }
 // stays. dst may be v or w itself (the three must not overlap otherwise),
 // and all three must have one dimension.
 //
-// It is the one element kernel of every reducer: eight elements per
-// iteration over re-sliced operands, so the loop body carries no bounds
-// checks, then a scalar tail.
+// It is the one element kernel of every reducer. Sum and mean run add;
+// min and max run eight elements per iteration over re-sliced operands, so
+// the loop body carries no bounds checks, then a scalar tail.
 func (op ReduceOp) ApplyTo(dst, v, w Vector) error {
 	n := len(dst)
 	if len(v) != n || len(w) != n {
@@ -140,21 +140,7 @@ func (op ReduceOp) ApplyTo(dst, v, w Vector) error {
 	}
 	switch op {
 	case OpSum, OpMean:
-		for len(dst) >= 8 && len(v) >= 8 && len(w) >= 8 {
-			dst[0] = v[0] + w[0]
-			dst[1] = v[1] + w[1]
-			dst[2] = v[2] + w[2]
-			dst[3] = v[3] + w[3]
-			dst[4] = v[4] + w[4]
-			dst[5] = v[5] + w[5]
-			dst[6] = v[6] + w[6]
-			dst[7] = v[7] + w[7]
-			dst, v, w = dst[8:], v[8:], w[8:]
-		}
-		v, w = v[:len(dst)], w[:len(dst)]
-		for i := range dst {
-			dst[i] = v[i] + w[i]
-		}
+		add(dst, v, w)
 	case OpMin:
 		for len(dst) >= 8 && len(v) >= 8 && len(w) >= 8 {
 			dst[0] = lower(v[0], w[0])
@@ -191,6 +177,44 @@ func (op ReduceOp) ApplyTo(dst, v, w Vector) error {
 		return fmt.Errorf("tensor: unknown reduce op %d", op)
 	}
 	return nil
+}
+
+// add is the sum kernel, chosen once at package init: addAsm where the CPU
+// runs AVX-512 (haveAVX512), addGo everywhere else.
+func add(dst, v, w Vector) {
+	if haveAVX512 {
+		addAsm(dst, v, w)
+		return
+	}
+	addGo(dst, v, w)
+}
+
+// addAsm adds the leading multiple of 16 elements with addAVX512, one
+// 16-float VADDPS per block, and the rest with addGo.
+func addAsm(dst, v, w Vector) {
+	n := len(dst) &^ 15
+	addAVX512(dst[:n], v[:n], w[:n])
+	addGo(dst[n:], v[n:], w[n:])
+}
+
+// addGo is the portable sum kernel and addAsm's referee: eight elements per
+// iteration, then a scalar tail. v and w have dst's length.
+func addGo(dst, v, w Vector) {
+	for len(dst) >= 8 && len(v) >= 8 && len(w) >= 8 {
+		dst[0] = v[0] + w[0]
+		dst[1] = v[1] + w[1]
+		dst[2] = v[2] + w[2]
+		dst[3] = v[3] + w[3]
+		dst[4] = v[4] + w[4]
+		dst[5] = v[5] + w[5]
+		dst[6] = v[6] + w[6]
+		dst[7] = v[7] + w[7]
+		dst, v, w = dst[8:], v[8:], w[8:]
+	}
+	v, w = v[:len(dst)], w[:len(dst)]
+	for i := range dst {
+		dst[i] = v[i] + w[i]
+	}
 }
 
 // lower is min's element rule: w only where it compares below v. Unlike the

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,11 +100,14 @@ func scalarApply(op ReduceOp, v, w Vector) Vector {
 	return out
 }
 
-// TestApplyToMatchesScalar holds the unrolled kernel to scalarApply bit for
-// bit, for every op, on dimensions around the eight-element stride (so both
-// the unrolled body and the tail run), with dst fresh and aliasing either
-// operand. Operands mix NaN, ±Inf and ±0 with ordinary values, so min and max
-// must keep v on a NaN w and on -0 against +0 exactly as the scalar rule does.
+// TestApplyToMatchesScalar holds ApplyTo, for every op, and each sum kernel
+// this CPU runs, called directly, to scalarApply bit for bit. Dimensions sit
+// on both sides of the eight- and sixteen-element strides, so every unrolled
+// body, vector block and tail length runs; dst is fresh or aliases either
+// operand, and every operand is also tried one element past an allocation's
+// start, so the vector loads are unaligned. Operands mix NaN, ±Inf and ±0
+// with ordinary values, so min and max must keep v on a NaN w and on -0
+// against +0 exactly as the scalar rule does.
 func TestApplyToMatchesScalar(t *testing.T) {
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
@@ -116,31 +120,52 @@ func TestApplyToMatchesScalar(t *testing.T) {
 		}
 		return v
 	}
-	for _, dim := range []int{0, 1, 7, 8, 9, 127, 128, 129} {
-		for _, op := range []ReduceOp{OpSum, OpMin, OpMax, OpMean} {
-			for _, alias := range []string{"fresh", "dst=v", "dst=w"} {
-				v, w := draw(dim), draw(dim)
-				want := scalarApply(op, v, w)
-				var dst Vector
-				var err error
-				switch alias {
-				case "fresh":
-					dst = New(dim)
-					err = op.ApplyTo(dst, v, w)
-				case "dst=v":
-					dst = v.Clone()
-					err = op.ApplyTo(dst, dst, w)
-				case "dst=w":
-					dst = w.Clone()
-					err = op.ApplyTo(dst, v, dst)
+	type impl struct {
+		name  string
+		op    ReduceOp
+		apply func(dst, v, w Vector) error
+	}
+	var impls []impl
+	for _, op := range []ReduceOp{OpSum, OpMin, OpMax, OpMean} {
+		impls = append(impls, impl{"ApplyTo", op, op.ApplyTo})
+	}
+	for _, k := range sumKernels() {
+		impls = append(impls, impl{k.name, OpSum, func(dst, v, w Vector) error { k.add(dst, v, w); return nil }})
+	}
+	dims := []int{0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 127, 128, 129, 255, 256, 257}
+	for _, dim := range dims {
+		for _, im := range impls {
+			for _, off := range []int{0, 1} {
+				// at copies x to off elements past the start of a fresh buffer.
+				at := func(x Vector) Vector {
+					buf := make(Vector, off+len(x))
+					copy(buf[off:], x)
+					return buf[off:]
 				}
-				if err != nil {
-					t.Fatalf("%v dim %d %s: %v", op, dim, alias, err)
-				}
-				for i := range want {
-					if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%v dim %d %s: element %d of %v op %v = %v, want %v",
-							op, dim, alias, i, v[i], w[i], dst[i], want[i])
+				for _, alias := range []string{"fresh", "dst=v", "dst=w"} {
+					v, w := at(draw(dim)), at(draw(dim))
+					want := scalarApply(im.op, v, w)
+					var dst Vector
+					var err error
+					switch alias {
+					case "fresh":
+						dst = at(New(dim))
+						err = im.apply(dst, v, w)
+					case "dst=v":
+						dst = at(v)
+						err = im.apply(dst, dst, w)
+					case "dst=w":
+						dst = at(w)
+						err = im.apply(dst, v, dst)
+					}
+					if err != nil {
+						t.Fatalf("%s %v dim %d offset %d %s: %v", im.name, im.op, dim, off, alias, err)
+					}
+					for i := range want {
+						if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s %v dim %d offset %d %s: element %d of %v op %v = %v, want %v",
+								im.name, im.op, dim, off, alias, i, v[i], w[i], dst[i], want[i])
+						}
 					}
 				}
 			}
@@ -343,5 +368,98 @@ func TestParseOp(t *testing.T) {
 		if _, err := ParseOp(s); err == nil {
 			t.Errorf("ParseOp(%q) succeeded, want error", s)
 		}
+	}
+}
+
+// quietBit is the float32 quiet-NaN bit, which an x86 add sets on the NaN it
+// returns.
+const quietBit = 1 << 22
+
+// FuzzSumKernel holds the AVX-512 sum kernel to the Go one bit for bit. data
+// is read as raw float32 bit patterns, v's then w's, up to 300 each, so NaN
+// payloads, ±Inf, -0 and subnormals all appear; alias%3 picks dst fresh,
+// aliasing v or aliasing w.
+//
+// Where both operands are NaN, IEEE 754 and the Go spec leave open which
+// payload the sum carries, and addGo's own choice varies with the element:
+// the compiler folds w's load into the add on the first element of each
+// eight, so that element returns w's payload and the rest v's. There the
+// kernels must agree only that the sum is one of the two quieted operands.
+func FuzzSumKernel(f *testing.F) {
+	bits := func(xs ...float32) []byte {
+		b := make([]byte, 0, 4*len(xs))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+		}
+		return b
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero, tiny := float32(math.Copysign(0, -1)), float32(math.SmallestNonzeroFloat32)
+	quiet, signalling := math.Float32frombits(0xffc00002), math.Float32frombits(0x7fa00001)
+	// Sixteen of each, one full vector block: NaN meets NaN of another
+	// payload, a signalling NaN, infinities of both signs, -0 and subnormals.
+	v := []float32{nan, -inf, inf, negZero, tiny, math.MaxFloat32, signalling, 3, quiet, inf, negZero, -tiny, 1, nan, 2.5, -8}
+	w := []float32{quiet, inf, inf, 0, -tiny, math.MaxFloat32, nan, -3, signalling, -inf, negZero, tiny, nan, 1, -2.5, 8}
+	f.Add([]byte{}, uint8(0))
+	f.Add(bits(1, 2), uint8(1))
+	for alias := uint8(0); alias < 3; alias++ {
+		f.Add(bits(append(v, w...)...), alias)
+	}
+	f.Add(make([]byte, 8*257), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, alias uint8) {
+		if !haveAVX512 {
+			t.Skip("no AVX-512 on this CPU: the Go kernel is the only one")
+		}
+		n := min(len(data)/8, 300)
+		v, w := make(Vector, n), make(Vector, n)
+		for i := range v {
+			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+			w[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*(n+i):]))
+		}
+		run := func(add func(dst, v, w Vector)) Vector {
+			v, w := v.Clone(), w.Clone()
+			switch alias % 3 {
+			case 1:
+				add(v, v, w)
+				return v
+			case 2:
+				add(w, v, w)
+				return w
+			}
+			dst := New(n)
+			add(dst, v, w)
+			return dst
+		}
+		got, want := run(addAsm), run(addGo)
+		for i := range want {
+			g, vb, wb := math.Float32bits(got[i]), math.Float32bits(v[i])|quietBit, math.Float32bits(w[i])|quietBit
+			if math.IsNaN(float64(v[i])) && math.IsNaN(float64(w[i])) && (g == vb || g == wb) {
+				// Both operands NaN: the payload is the one choice left open.
+				continue
+			}
+			if g != math.Float32bits(want[i]) {
+				t.Fatalf("n %d alias %d: element %d: %#08x + %#08x = %#08x by addAsm, %#08x by addGo",
+					n, alias%3, i, math.Float32bits(v[i]), math.Float32bits(w[i]),
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	})
+}
+
+// BenchmarkApplyTo times one sum of two 128-float vectors, the benchmarks'
+// row width, by each sum kernel this CPU runs.
+func BenchmarkApplyTo(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	v, w, dst := New(128), New(128), New(128)
+	for i := range v {
+		v[i], w[i] = float32(rng.Intn(17)-8), float32(rng.Intn(17)-8)
+	}
+	for _, k := range sumKernels() {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.add(dst, v, w)
+			}
+		})
 	}
 }

@@ -3,7 +3,7 @@
 # machine-readable perf snapshot, so each PR leaves a trajectory point future
 # changes can be compared against.
 #
-#   ./scripts/bench.sh                 # writes BENCH_38.json at the repo root
+#   ./scripts/bench.sh                 # writes BENCH_39.json at the repo root
 #   BENCH_OUT=perf.json ./scripts/bench.sh
 #   BENCH_TIME=1s BENCH_COUNT=5 ./scripts/bench.sh   # slower, tighter numbers
 #
@@ -22,7 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT=${BENCH_OUT:-BENCH_38.json}
+OUT=${BENCH_OUT:-BENCH_39.json}
 COUNT=${BENCH_COUNT:-5}
 TIME=${BENCH_TIME:-1x}
 

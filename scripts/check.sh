@@ -4,6 +4,9 @@
 #
 #   0. gofmt         — gofmt -l . must list no file
 #   1. go vet        — static checks
+#   1b. arm64 vet    — go vet again with GOARCH=arm64: the Go fallbacks of
+#                      the AVX-512 kernels (internal/embedding, internal/tensor)
+#                      must keep every non-amd64 build compiling
 #   2. staticcheck   — soft gate: runs when installed, skipped otherwise
 #   3. go build      — every package compiles
 #   4. go test -race — full suite under the race detector (includes the
@@ -23,8 +26,9 @@
 #                      FuzzCacheOps', FuzzFromCOO's, FuzzParseFleet's,
 #                      FuzzLookupRequest's, FuzzLookupDecode's,
 #                      FuzzReplyEncoding's, FuzzLoadWorkload's, FuzzParseMix's,
-#                      FuzzParseSLO's and FuzzTopology's seed corpora replayed
-#                      in -run mode (no fuzzing; deterministic and fast)
+#                      FuzzParseSLO's, FuzzTopology's, FuzzFillKernel's and
+#                      FuzzSumKernel's seed corpora replayed in -run mode (no
+#                      fuzzing; deterministic and fast)
 #   7b. one grain    — runtime.Gosched, stealHead and evalAsync must appear in
 #                      no non-test Go file: host parallelism is whole hardware
 #                      batches, shards and fleets, never a per-PE scheduler
@@ -149,6 +153,8 @@
 #   go test -fuzz=FuzzParseMix -fuzztime=30s ./cmd/fafnir-loadgen
 #   go test -fuzz=FuzzParseSLO -fuzztime=30s ./cmd/fafnir-serve
 #   go test -fuzz=FuzzTopology -fuzztime=30s ./cmd/fafnir-serve
+#   go test -fuzz=FuzzFillKernel -fuzztime=30s ./internal/embedding
+#   go test -fuzz=FuzzSumKernel -fuzztime=30s ./internal/tensor
 #
 # Perf regressions are gated separately by scripts/bench_diff.sh (benchmarks
 # are too slow for every pre-land run).
@@ -170,6 +176,9 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
 
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck ./..."
@@ -199,7 +208,7 @@ go test -race -count=20 ./internal/serve
 echo "==> fuzz corpus (replay, -run mode)"
 # ./internal/serve/ replays FuzzLookupRequest, FuzzLookupDecode and
 # FuzzReplyEncoding.
-go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/ ./internal/trace/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
+go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/ ./internal/trace/ ./internal/embedding/ ./internal/tensor/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
 
 echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
 ! grep -rlE 'runtime\.Gosched|stealHead|evalAsync' --include='*.go' --exclude='*_test.go' . \
