@@ -279,13 +279,11 @@ func (s *System) AttachTracer(t Tracer) {
 // events and never perturbs timing.
 func (s *System) SetSpanContext(parent uint64) { s.engine.SetSpanContext(parent) }
 
-// MemoryCounter reads one of the memory system's cumulative counters by
-// name: "dram.reads", "dram.bursts", "dram.bytes", "dram.bytes_to_host",
-// "dram.row_hits", "dram.row_misses", "dram.row_conflicts",
-// "dram.refresh_delays", "dram.failed_rank_reads", "dram.writes" or
-// "dram.bytes_written". Unknown names read zero. The serving layer uses this
-// hook to attribute row-buffer behaviour to flushed batches.
-func (s *System) MemoryCounter(name string) uint64 { return s.mem.Stats().Counter(name) }
+// MemoryCounters reads the memory system's cumulative access counters: reads,
+// bursts, bytes, row hits, misses and conflicts, refresh delays, failed-rank
+// reads and writes. The serving layer uses this hook to attribute
+// row-buffer behaviour to flushed batches.
+func (s *System) MemoryCounters() dram.Counters { return s.mem.Stats() }
 
 // NumPEs reports the size of the attached Fafnir tree.
 func (s *System) NumPEs() int { return s.engine.Tree().NumPEs() }
@@ -294,7 +292,7 @@ func (s *System) NumPEs() int { return s.engine.Tree().NumPEs() }
 func (s *System) ResetMemory() { s.mem.Reset() }
 
 // MemoryStats renders the DRAM access counters collected so far, one
-// "name value" line per non-zero counter (the MemoryCounter names).
+// "name value" line per non-zero counter ("dram.reads", "dram.row_hits", ...).
 func (s *System) MemoryStats() string { return s.mem.Stats().String() }
 
 // GenerateBatch draws n deterministic queries of 16 indices each, Zipf-skewed

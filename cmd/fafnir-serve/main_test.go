@@ -5,11 +5,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,7 +77,10 @@ func TestBootDrainTopologies(t *testing.T) {
 		{"-fleets 2 -shards 4 -radix 2 -rows 4096",
 			"federation: 2 fleets x 4 shards x 8 ranks, fleet combine rnet radix 2, cross-fleet rnet radix 2 (1 switches, depth 1), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
 	} {
-		lines := bootDrain(t, tc.args, `{"indices":[1,2,3,4,5,6,7,8]}`, `{"queries":[[9,10],[11,12,13]],"op":"mean"}`)
+		lines := bootDrain(t, tc.args, func(addr string) {
+			post(t, addr, `{"indices":[1,2,3,4,5,6,7,8]}`)
+			post(t, addr, `{"queries":[[9,10],[11,12,13]],"op":"mean"}`)
+		})
 		want := []string{"listening on 127.0.0.1:", tc.startup, "draining...", drained}
 		if len(lines) != len(want) {
 			t.Errorf("%q: printed %q, want %d lines", tc.args, lines, len(want))
@@ -88,10 +94,9 @@ func TestBootDrainTopologies(t *testing.T) {
 	}
 }
 
-// bootDrain runs the server in process on a free port, POSTs each body to
-// /v1/lookup in turn (each must answer 200), cancels, and returns every line
-// run printed.
-func bootDrain(t *testing.T, args string, bodies ...string) []string {
+// bootDrain runs the server in process on a free port, hands its address
+// to drive, cancels, and returns every line run printed.
+func bootDrain(t *testing.T, args string, drive func(addr string)) []string {
 	t.Helper()
 	pr, pw := io.Pipe()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -108,18 +113,7 @@ func bootDrain(t *testing.T, args string, bodies ...string) []string {
 		lines = append(lines, sc.Text())
 	}
 	if len(lines) == 2 {
-		addr := strings.TrimPrefix(lines[0], "listening on ")
-		for _, body := range bodies {
-			resp, err := http.Post("http://"+addr+"/v1/lookup", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("%q: POST %s answered %d", args, body, resp.StatusCode)
-			}
-		}
+		drive(strings.TrimPrefix(lines[0], "listening on "))
 	}
 	cancel()
 	for sc.Scan() {
@@ -129,6 +123,103 @@ func bootDrain(t *testing.T, args string, bodies ...string) []string {
 		t.Fatalf("%q: run: %v", args, err)
 	}
 	return lines
+}
+
+// post sends body to /v1/lookup and requires a 200. It reports with
+// t.Errorf, so client goroutines may call it.
+func post(t *testing.T, addr, body string) {
+	resp, err := http.Post("http://"+addr+"/v1/lookup", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("POST %s answered %d", body, resp.StatusCode)
+	}
+}
+
+// TestFederationGate boots a 2-fleet x 4-shard federation and fires 64 mean
+// lookups of 16 distinct Zipf-drawn indices from 4 concurrent clients over
+// the federation's whole index space (4096 rows x 32 tables). Every one
+// must answer 200: each shard pass checks its outputs bit for bit against
+// the fold of the rows its leaf read, so a divergence inside any member is
+// a 5xx. Oracle exactness across the shard and fleet combine trees is the
+// router tests' and the benchmark reply check's job. Before the drain,
+// /metrics must show the federation's batch and per-fleet lookup counters,
+// the cross-fleet rnet combines and the shards' row-buffer outcomes all
+// counting; the drain must be clean and account for every query.
+func TestFederationGate(t *testing.T) {
+	const clients, perClient, indices = 4, 16, 16
+	var page string
+	lines := bootDrain(t, "-fleets 2 -shards 4 -radix 2 -rows 4096", func(addr string) {
+		var wg sync.WaitGroup
+		for c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				zipf := rand.NewZipf(rand.New(rand.NewSource(int64(5+c))), 1.3, 1, 4096*32-1)
+				for range perClient {
+					seen := map[uint64]bool{}
+					var idx []string
+					for len(idx) < indices {
+						if i := zipf.Uint64(); !seen[i] {
+							seen[i] = true
+							idx = append(idx, strconv.FormatUint(i, 10))
+						}
+					}
+					post(t, addr, `{"indices":[`+strings.Join(idx, ",")+`],"op":"mean"}`)
+				}
+			}()
+		}
+		wg.Wait()
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		page = string(body)
+	})
+	if len(lines) < 4 {
+		t.Fatalf("printed %q", lines)
+	}
+	if !strings.HasPrefix(lines[1], "federation: 2 fleets x 4 shards") {
+		t.Errorf("startup line %q does not name the topology", lines[1])
+	}
+	value := func(series string) float64 {
+		for _, line := range strings.Split(page, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Errorf("%s: %v", series, err)
+				}
+				return f
+			}
+		}
+		return 0
+	}
+	for _, series := range []string{
+		"fafnir_federation_batches_total",
+		`fafnir_federation_fleet_lookups_total{fleet="0"}`,
+		`fafnir_federation_fleet_lookups_total{fleet="1"}`,
+		"fafnir_rnet_combines_total",
+	} {
+		if value(series) < 1 {
+			t.Errorf("/metrics: %s below 1", series)
+		}
+	}
+	if value("fafnir_serve_row_hits_total")+value("fafnir_serve_row_misses_total")+value("fafnir_serve_row_conflicts_total") < 1 {
+		t.Error("/metrics: no row-buffer outcomes attributed through the federation")
+	}
+	want := fmt.Sprintf("drained cleanly: %d queries in ", clients*perClient)
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, want) {
+		t.Errorf("last line %q, want a clean drain starting %q", last, want)
+	}
 }
 
 // namesFlag matches an error that starts by naming a topology flag.

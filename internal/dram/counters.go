@@ -16,8 +16,8 @@ type Counters struct {
 	Writes, BytesWritten              uint64
 }
 
-// counterFields names every counter once, in render order; Counter, Sub and
-// String all walk it.
+// counterFields names every counter once, in render order; Counter, Sub,
+// Add and String all walk it.
 var counterFields = [...]struct {
 	name string
 	at   func(*Counters) *uint64
@@ -51,6 +51,14 @@ func (c Counters) Counter(name string) uint64 {
 func (c Counters) Sub(o Counters) Counters {
 	for _, f := range counterFields {
 		*f.at(&c) -= *f.at(&o)
+	}
+	return c
+}
+
+// Add returns c + o field by field: the counters of two systems together.
+func (c Counters) Add(o Counters) Counters {
+	for _, f := range counterFields {
+		*f.at(&c) += *f.at(&o)
 	}
 	return c
 }

@@ -55,6 +55,25 @@ func TestCountersSubIsOneReadsFootprint(t *testing.T) {
 	}
 }
 
+// TestCountersAddInvertsSub: Add sums every field, and Sub takes the
+// addend back off.
+func TestCountersAddInvertsSub(t *testing.T) {
+	var a, b Counters
+	for i, f := range counterFields {
+		*f.at(&a) = uint64(i + 1)
+		*f.at(&b) = uint64(100 * (i + 1))
+	}
+	sum := a.Add(b)
+	for i, f := range counterFields {
+		if got := *f.at(&sum); got != uint64(101*(i+1)) {
+			t.Errorf("%s = %d, want %d", f.name, got, 101*(i+1))
+		}
+	}
+	if sum.Sub(b) != a {
+		t.Fatalf("(a + b) - b = %+v, want %+v", sum.Sub(b), a)
+	}
+}
+
 func TestCountersStringOmitsZeros(t *testing.T) {
 	if got := (Counters{}).String(); got != "" {
 		t.Fatalf("zero counters render %q", got)

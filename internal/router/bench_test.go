@@ -29,7 +29,7 @@ func BenchmarkDirectSystem(b *testing.B) {
 		b.Fatal(err)
 	}
 	batch.Op = tensor.OpSum
-	sh := f.shards[0]
+	sh := f.leaves[0].(*shardNode)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -102,7 +102,7 @@ func TestPairLossDegradesGracefully(t *testing.T) {
 	// shard, then compare bit-exact. Fully-live queries are covered too —
 	// their restriction is the identity.
 	live := func(idx header.Index) bool {
-		s := f.ownerOf(idx)
+		s := f.OwnerOf(idx)
 		return s != 1 && s != 3
 	}
 	restricted := embedding.Batch{Op: b.Op}
@@ -297,10 +297,10 @@ func TestShardDownErrorIsStructured(t *testing.T) {
 	f := testFleet(t, func(c *Config) {
 		c.Fleet.ShardFailures = []fault.ShardFailure{{Shard: 0, At: 0}}
 	})
-	_, err := f.lookupShard(0, f.shards[0].primary, embedding.Batch{
+	_, err := f.run(0, embedding.Batch{
 		Op:      tensor.OpSum,
 		Queries: []embedding.Query{{Indices: header.NewIndexSet(0)}},
-	}, 0)
+	}, 0, false)
 	if !errors.Is(err, fault.ErrShardDown) {
 		t.Fatalf("err = %v, want ErrShardDown", err)
 	}

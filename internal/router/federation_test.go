@@ -120,7 +120,7 @@ func TestFederationMatchesSingleFleet(t *testing.T) {
 }
 
 // TestFederationOfOneMatchesFleet drives the shared scatter → dispatch →
-// reduce pipeline from both front-ends with one assertion: a one-member
+// reduce pipeline from both tiers with one assertion: a one-member
 // federation adds a pass-through tree level over a fleet addressed exactly
 // like the standalone one, so the same batches — healthy, then with a shard
 // pair lost — must yield identical outputs, memory reads, and degraded
@@ -213,7 +213,7 @@ func TestFederationCapabilities(t *testing.T) {
 	if fd.Clock() == 0 {
 		t.Fatal("clock did not advance")
 	}
-	if fd.MemoryCounter("dram.reads") == 0 {
+	if fd.MemoryCounters().Reads == 0 {
 		t.Fatal("dram.reads stayed zero across the federation")
 	}
 }
@@ -229,55 +229,74 @@ func TestFederationLookupErrors(t *testing.T) {
 	}
 }
 
-// TestFederationDegradedMember kills a shard pair inside every member (the
-// template fault plan is shared) and checks losses merge onto global shard
-// IDs with outputs exact against the live-restricted oracle — including the
-// min/max zero-vector exclusion for queries a member lost entirely.
+// TestFederationDegradedMember kills shards inside every member (the
+// template fault plan is shared) and checks the one loss path: losses merge
+// onto global shard IDs, the report counts exactly the indices the dark
+// shards own, and outputs are exact against the live-restricted oracle —
+// including the min/max zero-vector exclusion for queries a member lost
+// entirely and mean's division by the surviving operand count. With all
+// four shards down every member loses everything, and every query comes
+// back as a zero vector.
 func TestFederationDegradedMember(t *testing.T) {
-	for _, op := range []tensor.ReduceOp{tensor.OpSum, tensor.OpMax} {
-		t.Run(op.String(), func(t *testing.T) {
-			fd := testFederation(t, func(c *FederationConfig) {
-				// N=4: replicaHolder(1) = 3; the pair orphans shard 1's rows
-				// in each member. Globally that is shards {1, 3, 5, 7}.
-				c.Fleet.Fleet.ShardFailures = []fault.ShardFailure{
-					{Shard: 1, At: 0},
-					{Shard: 3, At: 0},
+	// N=4: replicaHolder(1) = 3; the pair orphans shard 1's rows in each
+	// member. Globally that is shards {1, 3, 5, 7}.
+	pair := []fault.ShardFailure{{Shard: 1, At: 0}, {Shard: 3, At: 0}}
+	all := []fault.ShardFailure{{Shard: 0, At: 0}, {Shard: 1, At: 0}, {Shard: 2, At: 0}, {Shard: 3, At: 0}}
+	for _, tc := range []struct {
+		name string
+		op   tensor.ReduceOp
+		down []fault.ShardFailure
+	}{
+		{"sum", tensor.OpSum, pair},
+		{"max", tensor.OpMax, pair},
+		{"mean", tensor.OpMean, pair},
+		{"all-down", tensor.OpMean, all},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fd := testFederation(t, func(c *FederationConfig) { c.Fleet.Fleet.ShardFailures = tc.down })
+			dark := map[int]bool{}
+			for fm := 0; fm < fd.Fleets(); fm++ {
+				for _, d := range tc.down {
+					dark[fm*fd.Fleet(fm).Shards()+d.Shard] = true
 				}
-			})
+			}
 			b, err := fd.GenerateBatch(24, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.Op = op
+			b.Op = tc.op
 			res, err := fd.Lookup(b)
 			if err != nil {
 				t.Fatalf("degraded federation returned hard error: %v", err)
 			}
 			if res.Degraded.Empty() || len(res.Degraded.LostQueries) == 0 {
-				t.Fatalf("pair loss in every member produced no loss report: %+v", res.Degraded)
+				t.Fatalf("shard losses in every member produced no loss report: %+v", res.Degraded)
 			}
 			for _, sd := range res.Degraded.Shards {
-				if sd.Shard < 0 || sd.Shard >= fd.Shards() {
-					t.Fatalf("degraded entry carries non-global shard ID %d", sd.Shard)
-				}
-				if sd.Shard != 1 && sd.Shard != 3 && sd.Shard != 5 && sd.Shard != 7 {
-					t.Fatalf("unexpected degraded shard %d", sd.Shard)
+				if !dark[sd.Shard] {
+					t.Fatalf("degraded entry for shard %d, not a dark global shard", sd.Shard)
 				}
 			}
 
-			live := func(idx header.Index) bool {
-				s := fd.OwnerOf(idx)
-				return s != 1 && s != 3 && s != 5 && s != 7
-			}
 			restricted := embedding.Batch{Op: b.Op}
+			wantLost := 0
 			for _, q := range b.Queries {
 				var keep []header.Index
 				for _, idx := range q.Indices {
-					if live(idx) {
+					if dark[fd.OwnerOf(idx)] {
+						wantLost++
+					} else {
 						keep = append(keep, idx)
 					}
 				}
 				restricted.Queries = append(restricted.Queries, embedding.Query{Indices: header.NewIndexSet(keep...)})
+			}
+			lost := 0
+			for _, n := range res.Degraded.LostIndexCounts {
+				lost += n
+			}
+			if lost != wantLost {
+				t.Fatalf("report loses %d indices, the dark shards own %d", lost, wantLost)
 			}
 			want, err := oracle.Lookup(fd.Fleet(0).Store(), restricted)
 			if err != nil {
@@ -286,6 +305,18 @@ func TestFederationDegradedMember(t *testing.T) {
 			if d := oracle.Diff(res.Outputs, want); d != "" {
 				t.Fatalf("degraded federation diverges from live-restricted oracle: %s", d)
 			}
+			if len(tc.down) == 4 {
+				zero := tensor.New(fd.Dim())
+				for qi, v := range res.Outputs {
+					if !v.Equal(zero) {
+						t.Fatalf("query %d survived a total loss: %v", qi, v)
+					}
+				}
+				if len(res.Degraded.LostQueries) != len(b.Queries) {
+					t.Fatalf("%d of %d queries reported lost", len(res.Degraded.LostQueries), len(b.Queries))
+				}
+			}
+			t.Logf("%d lost indices", lost)
 		})
 	}
 }

@@ -7,15 +7,15 @@ import (
 	"fafnir/internal/telemetry"
 )
 
-// Metrics is the router's family set over the unified telemetry registry:
-// per-shard health as a labelled gauge, plus counters for every robustness
-// decision the envelope makes (failures, dark trips, probes, reopens,
-// failover retries, lost queries, degraded batches).
-// All families carry the shard label so a dashboard can tell which member
-// of the fleet is misbehaving.
+// Metrics is a router tier's family set over the unified telemetry registry.
+// A fleet publishes per-shard health as a labelled gauge, plus counters for
+// every robustness decision the envelope makes (failures, dark trips,
+// probes, reopens, failover retries, lost queries, degraded batches), all
+// carrying the shard label so a dashboard can tell which member of the
+// fleet is misbehaving. A federation publishes per-fleet traffic and
+// degradation counters and its batch total. A family the tier does not
+// publish is nil and counts nothing.
 type Metrics struct {
-	reg *telemetry.Registry
-
 	// shardState publishes each shard's breaker state as an integer gauge:
 	// 0 healthy, 1 suspect, 2 dark.
 	shardState *telemetry.GaugeVec
@@ -43,14 +43,19 @@ type Metrics struct {
 	// lostQueries counts queries whose pooled output is missing at least one
 	// shard's contribution.
 	lostQueries *telemetry.Counter
-	// lookups counts sub-lookups each shard served (primary and failover),
-	// the per-shard traffic family loadgen's roll-up reads.
+	// lookups counts sub-lookups each leaf served (primary and failover),
+	// the per-shard or per-fleet traffic family loadgen's roll-up reads.
 	lookups *telemetry.CounterVec
+	// degraded counts sub-lookups each leaf returned with a degraded
+	// report.
+	degraded *telemetry.CounterVec
+	// batches counts the batches the tier combined.
+	batches *telemetry.Counter
 }
 
-// rnetMetrics is the switch-tree family set both front-ends register after
-// their own families: it describes the fleet's tree on a fleet's page and
-// the cross-fleet tree on a federation's.
+// rnetMetrics is the switch-tree family set every tier registers after its
+// own families: it describes the fleet's tree on a fleet's page and the
+// cross-fleet tree on a federation's.
 type rnetMetrics struct {
 	// combines counts vector combines performed at rnet switches.
 	combines *telemetry.Counter
@@ -93,17 +98,23 @@ func (m *rnetMetrics) count(r *rnet.Result) {
 	m.critical.Set(int64(r.CriticalPath))
 }
 
-// RegisterMetrics publishes the router's metric families into reg (the
-// serving layer passes its own registry through, so router families render
-// on the same /metrics page). Call at most once per registry; the registry
-// panics on duplicate names, same as every other family.
-func (f *Fleet) RegisterMetrics(reg *telemetry.Registry) {
-	labels := make([]string, f.cfg.Shards)
-	for s := range labels {
-		labels[s] = strconv.Itoa(s)
+// RegisterMetrics publishes the tier's metric families into reg, labelled
+// by leaf, followed by the switch-tree families (the serving layer passes
+// its own registry through, so router families render on the same /metrics
+// page). Call at most once per registry; the registry panics on duplicate
+// names, same as every other family.
+func (t *tier) RegisterMetrics(reg *telemetry.Registry) {
+	labels := make([]string, len(t.leaves))
+	for i := range labels {
+		labels[i] = strconv.Itoa(i)
 	}
-	m := &Metrics{
-		reg: reg,
+	t.m = t.lv.families(reg, labels)
+	t.rm = registerRnetMetrics(reg)
+}
+
+// registerShardMetrics is a fleet's family set.
+func registerShardMetrics(reg *telemetry.Registry, labels []string) Metrics {
+	return Metrics{
 		shardState: reg.GaugeVec("fafnir_router_shard_state",
 			"Breaker state per shard: 0 healthy, 1 suspect, 2 dark.", "shard", labels...),
 		failures: reg.CounterVec("fafnir_router_shard_failures_total",
@@ -127,73 +138,29 @@ func (f *Fleet) RegisterMetrics(reg *telemetry.Registry) {
 		lookups: reg.CounterVec("fafnir_router_shard_lookups_total",
 			"Sub-lookups served per shard (primary and failover).", "shard", labels...),
 	}
-	f.m = m
-	f.rm = registerRnetMetrics(reg)
 }
 
-// The count helpers keep the Lookup path free of nil checks at every site;
-// an unregistered fleet (no serving layer, e.g. unit benchmarks) skips all
-// metric work.
+// The count helpers keep the Lookup path free of nil checks at every site:
+// an unregistered tier (no serving layer, e.g. unit benchmarks, or a
+// federation's member fleets) and a family the tier does not publish skip
+// all metric work.
 
-func (f *Fleet) setShardState(s int, st State) {
-	if f.m != nil {
-		f.m.shardState.At(s).Set(int64(st))
+// add counts n on leaf i of family v.
+func add(v *telemetry.CounterVec, i int, n uint64) {
+	if v != nil {
+		v.At(i).Add(n)
 	}
 }
 
-func (f *Fleet) countFailure(s int) {
-	if f.m != nil {
-		f.m.failures.At(s).Add(1)
+// count counts n on counter c.
+func count(c *telemetry.Counter, n uint64) {
+	if c != nil {
+		c.Add(n)
 	}
 }
 
-func (f *Fleet) countDark(s int) {
-	if f.m != nil {
-		f.m.dark.At(s).Add(1)
-	}
-}
-
-func (f *Fleet) countProbe(s int) {
-	if f.m != nil {
-		f.m.probes.At(s).Add(1)
-	}
-}
-
-func (f *Fleet) countReopen(s int) {
-	if f.m != nil {
-		f.m.reopens.At(s).Add(1)
-	}
-}
-
-func (f *Fleet) countRetry(s int) {
-	if f.m != nil {
-		f.m.retries.At(s).Add(1)
-	}
-}
-
-func (f *Fleet) countFailover(s int) {
-	if f.m != nil {
-		f.m.failovers.At(s).Add(1)
-	}
-}
-
-// countLostShard records a dropped sub-batch for shard s.
-func (f *Fleet) countLostShard(s int) {
-	if f.m != nil {
-		f.m.lost.At(s).Add(1)
-	}
-}
-
-func (f *Fleet) countDegraded(lostQueries int) {
-	if f.m != nil {
-		f.m.degradedBatches.Add(1)
-		f.m.lostQueries.Add(uint64(lostQueries))
-	}
-}
-
-// countShardLookup records one served sub-lookup on shard s.
-func (f *Fleet) countShardLookup(s int) {
-	if f.m != nil {
-		f.m.lookups.At(s).Add(1)
+func (t *tier) setState(s int, st State) {
+	if t.m.shardState != nil {
+		t.m.shardState.At(s).Set(int64(st))
 	}
 }

@@ -1,14 +1,12 @@
 package router
 
-// The scatter → dispatch → reduce pipeline Fleet.Lookup and Federation.Lookup
-// share. Both front-ends do the same job one level apart — partition a
-// batch's indices by owning leaf (shard or member fleet), run the leaves'
+// The scatter → dispatch → reduce steps of a tier's Lookup (tier.go). Every
+// tier does the same job, whatever its leaves are — partition a batch's
+// indices by owning leaf (shard or member fleet), run the leaves'
 // sub-lookups concurrently, reduce the partial pools through an rnet switch
 // tree, finalise mean pooling over the surviving operand count, and move the
-// root pool to the host — so each of those steps is defined once here. What
-// stays in the front-ends is only what differs: the fleet's probe → breaker →
-// replica-failover envelope, and the federation's mapping of member losses
-// onto absent pool slots and global shard IDs.
+// root pool to the host — so each of those steps is defined once here,
+// beside the tracing every step reports through.
 
 import (
 	"fmt"
@@ -17,8 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fafnir/internal/cpu"
-	"fafnir/internal/dram"
 	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
 	"fafnir/internal/header"
@@ -178,67 +174,46 @@ func absorb(res *core.TimedResult, deg *core.DegradedReport, r *core.TimedResult
 	}
 }
 
-// pipeline is the reduce half both front-ends embed: the switch tree over
-// their leaves, the host link the root pool crosses, the simulated clock
-// every batch advances, and the tracing and rnet-metric plumbing.
-type pipeline struct {
-	rtree *rnet.Tree
-	dim   int
-	host  cpu.Config
-	mcfg  dram.Config
-	// switchEvent names this tier's switch spans ("switch" inside a fleet,
-	// "fleet-switch" across a federation) so the two tree levels stay
-	// distinguishable on the shared PIDRnet timeline.
-	switchEvent string
-	clock       sim.Cycle
-	tracer      telemetry.Tracer
-	// spanCtx is the parent span ID for request-linked tracing: the serving
-	// layer sets it to the flush span's ID before each Lookup (see
-	// SetSpanContext) so leaf, failover, combine, and switch spans chain
-	// under the request that paid for them.
-	spanCtx uint64
-	rm      *rnetMetrics
-	// sink receives the rows a Lookup read, forwarded in leaf order after
-	// the settle (see Fleet.AttachRowSink); nil when detached.
-	sink core.RowSink
-}
-
 // vectorBytes is the stored and transferred size of one vector: the store's
 // dimension in float32 elements.
-func (p *pipeline) vectorBytes() int { return 4 * p.dim }
+func (t *tier) vectorBytes() int { return 4 * t.dim }
 
 // Clock reports the simulated cycle clock, advanced by every batch.
-func (p *pipeline) Clock() sim.Cycle { return p.clock }
+func (t *tier) Clock() sim.Cycle { return t.clock }
 
 // SetSpanContext installs the parent span ID that subsequent batch spans
 // link under (0 detaches). Annotation only — timing is never perturbed.
-func (p *pipeline) SetSpanContext(parent uint64) { p.spanCtx = parent }
+func (t *tier) SetSpanContext(parent uint64) { t.spanCtx = parent }
 
-// attachTracer installs t (nil detaches) and names the timelines: one
-// PIDRouter lane per leaf plus any extra lanes, and one PIDRnet lane per
-// switch level.
-func (p *pipeline) attachTracer(t telemetry.Tracer, process, leaf string, leaves int, switchLane string, extra ...string) {
-	p.tracer = t
-	if t == nil {
+// AttachTracer threads a telemetry tracer through the tier (nil detaches):
+// subsequent batches emit the leaves' sub-lookup windows, probes, failover
+// retries and — in a fleet — the combine as spans on the PIDRouter timeline
+// (one lane per leaf, in tier-clock cycles) and the switch firings on the
+// PIDRnet timeline (one lane per switch level). Leaves stay detached — a
+// shard's rank-keyed lanes, or a member fleet's shard lanes, would collide
+// across leaves. Tracing is observational only.
+func (t *tier) AttachTracer(tr telemetry.Tracer) {
+	t.tracer = tr
+	if tr == nil {
 		return
 	}
-	t.NameProcess(telemetry.PIDRouter, process)
-	for i := 0; i < leaves; i++ {
-		t.NameLane(telemetry.PIDRouter, i, fmt.Sprintf("%s %d", leaf, i))
+	tr.NameProcess(telemetry.PIDRouter, t.lv.process)
+	for i := range t.leaves {
+		tr.NameLane(telemetry.PIDRouter, i, fmt.Sprintf("%s %d", t.lv.leaf, i))
 	}
-	for i, name := range extra {
-		t.NameLane(telemetry.PIDRouter, leaves+i, name)
+	if t.lv.combine {
+		tr.NameLane(telemetry.PIDRouter, len(t.leaves), "combine")
 	}
-	t.NameProcess(telemetry.PIDRnet, "rnet")
-	for lvl := 1; lvl <= p.rtree.Depth(); lvl++ {
-		t.NameLane(telemetry.PIDRnet, lvl, fmt.Sprintf("%s level %d", switchLane, lvl))
+	tr.NameProcess(telemetry.PIDRnet, "rnet")
+	for lvl := 1; lvl <= t.rtree.Depth(); lvl++ {
+		tr.NameLane(telemetry.PIDRnet, lvl, fmt.Sprintf("%s level %d", t.lv.switchLane, lvl))
 	}
 }
 
 // emitOn records one event on the simulated timeline (200 MHz PE clock),
 // span-linked under parent; args precede the span identity.
-func (p *pipeline) emitOn(cat string, pid int, name string, lane int, phase byte, ts, dur sim.Cycle, span, parent uint64, args ...telemetry.Arg) {
-	if p.tracer == nil {
+func (t *tier) emitOn(cat string, pid int, name string, lane int, phase byte, ts, dur sim.Cycle, span, parent uint64, args ...telemetry.Arg) {
+	if t.tracer == nil {
 		return
 	}
 	ev := telemetry.Event{
@@ -254,22 +229,22 @@ func (p *pipeline) emitOn(cat string, pid int, name string, lane int, phase byte
 	}
 	ev.AddArg(telemetry.Arg{Key: telemetry.ArgSpan, Int: int64(span)})
 	ev.AddArg(telemetry.Arg{Key: telemetry.ArgParent, Int: int64(parent)})
-	p.tracer.Emit(ev)
+	t.tracer.Emit(ev)
 }
 
 // emit records one router event under the batch's request context; k keys
 // the span identity among same-named siblings (the owning leaf).
-func (p *pipeline) emit(name string, lane int, phase byte, ts, dur sim.Cycle, spanName string, k int, args ...telemetry.Arg) {
-	p.emitOn("router", telemetry.PIDRouter, name, lane, phase, ts, dur,
-		telemetry.SpanID(p.spanCtx, spanName, uint64(k)), p.spanCtx, args...)
+func (t *tier) emit(name string, lane int, phase byte, ts, dur sim.Cycle, spanName string, k int, args ...telemetry.Arg) {
+	t.emitOn("router", telemetry.PIDRouter, name, lane, phase, ts, dur,
+		telemetry.SpanID(t.spanCtx, spanName, uint64(k)), t.spanCtx, args...)
 }
 
 // emitSwitchSpans records every switch firing on the rnet timeline, one lane
 // per switch level, each span-linked under the batch's combine span. Spans
 // arrive in node-ID order from the reduction (the deterministic post-hoc
 // fold), so traced streams are bit-identical at every Parallelism.
-func (p *pipeline) emitSwitchSpans(base sim.Cycle, r *rnet.Result, parent uint64) {
-	if p.tracer == nil {
+func (t *tier) emitSwitchSpans(base sim.Cycle, r *rnet.Result, parent uint64) {
+	if t.tracer == nil {
 		return
 	}
 	for _, sp := range r.Spans {
@@ -280,9 +255,9 @@ func (p *pipeline) emitSwitchSpans(base sim.Cycle, r *rnet.Result, parent uint64
 		if sp.Missing > 0 {
 			args = append(args, telemetry.Arg{Key: "missing_children", Int: int64(sp.Missing)})
 		}
-		p.emitOn("rnet", telemetry.PIDRnet, p.switchEvent, sp.Level, telemetry.PhaseSpan,
+		t.emitOn("rnet", telemetry.PIDRnet, t.lv.switchEvent, sp.Level, telemetry.PhaseSpan,
 			base+sp.Fire, sp.Done-sp.Fire,
-			telemetry.SpanID(parent, p.switchEvent, uint64(sp.Node)), parent, args...)
+			telemetry.SpanID(parent, t.lv.switchEvent, uint64(sp.Node)), parent, args...)
 	}
 }
 
@@ -294,8 +269,8 @@ func (p *pipeline) emitSwitchSpans(base sim.Cycle, r *rnet.Result, parent uint64
 // and failover windows the leaves' Ready times contain); reduce fills in the
 // rest of res: outputs, cycle totals and the stage split. It advances the
 // clock past the batch.
-func (p *pipeline) reduce(sc *scatter, leaves []*rnet.Partial, res *core.TimedResult, st core.StageCycles) (*rnet.Result, error) {
-	rres, err := p.rtree.Reduce(sc.op, sc.queries, leaves)
+func (t *tier) reduce(sc *scatter, leaves []*rnet.Partial, res *core.TimedResult, st core.StageCycles) (*rnet.Result, error) {
+	rres, err := t.rtree.Reduce(sc.op, sc.queries, leaves)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +281,7 @@ func (p *pipeline) reduce(sc *scatter, leaves []*rnet.Partial, res *core.TimedRe
 	rootQueries := 0
 	for qi, v := range res.Outputs {
 		if v == nil {
-			res.Outputs[qi] = tensor.New(p.dim)
+			res.Outputs[qi] = tensor.New(t.dim)
 			continue
 		}
 		rootQueries++
@@ -323,14 +298,14 @@ func (p *pipeline) reduce(sc *scatter, leaves []*rnet.Partial, res *core.TimedRe
 	} else {
 		st.Backend, st.Failover = rres.CriticalPath, 0
 	}
-	st.Transfer = p.host.DRAMToHost(p.mcfg.TransferCycles(rootQueries * p.vectorBytes()))
+	st.Transfer = t.host.DRAMToHost(t.mcfg.TransferCycles(rootQueries * t.vectorBytes()))
 	res.Stages = st
 	res.TotalCycles = st.Probe + rres.CriticalPath + st.Transfer
 	res.TransferCycles = st.Transfer
 	res.ComputeCycles = res.TotalCycles - res.MemCycles - st.Transfer
 
-	p.rm.count(rres)
-	p.emitSwitchSpans(p.clock+st.Probe, rres, telemetry.SpanID(p.spanCtx, "combine", 0))
-	p.clock += res.TotalCycles
+	t.rm.count(rres)
+	t.emitSwitchSpans(t.clock+st.Probe, rres, telemetry.SpanID(t.spanCtx, "combine", 0))
+	t.clock += res.TotalCycles
 	return rres, nil
 }

@@ -152,7 +152,7 @@ func TestRnetMidCombineMissingChild(t *testing.T) {
 			// The degraded outputs match the oracle restricted to live-owned
 			// indices — the lost leaves degraded the data, not the combine.
 			live := func(idx header.Index) bool {
-				s := f.ownerOf(idx)
+				s := f.OwnerOf(idx)
 				return s != 1 && s != 3
 			}
 			restricted := embedding.Batch{Op: b.Op}

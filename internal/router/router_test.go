@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fafnir/internal/dram"
 	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
 	"fafnir/internal/fault"
@@ -215,7 +216,7 @@ func TestReplicaTopology(t *testing.T) {
 // occupy disjoint slot ranges.
 func TestPlacementRegions(t *testing.T) {
 	f := testFleet(t, nil)
-	node := f.shards[0]
+	node := f.leaves[0].(*shardNode)
 	pv := node.primary
 	regionBytes := pv.regionSlots() * uint64(pv.bytes)
 	for idx := header.Index(0); uint64(idx) < f.TotalRows(); idx += 4 { // shard 0 owns idx % 4 == 0
@@ -395,15 +396,19 @@ func TestRouterTrace(t *testing.T) {
 	}
 }
 
-// TestMemoryCounterSums checks fleet-level memory counters accumulate
-// across shards.
+// TestMemoryCounterSums checks fleet-level memory counters are the sum of
+// the shards' own.
 func TestMemoryCounterSums(t *testing.T) {
 	f := testFleet(t, nil)
 	b := testBatch(t, f, 16, 5, tensor.OpSum)
 	if _, err := f.Lookup(b); err != nil {
 		t.Fatal(err)
 	}
-	if f.MemoryCounter("dram.reads") == 0 {
-		t.Fatal("dram.reads counter stayed zero across the fleet")
+	var want dram.Counters
+	for _, l := range f.leaves {
+		want = want.Add(l.(*shardNode).mem.Stats())
+	}
+	if got := f.MemoryCounters(); got.Reads == 0 || got != want {
+		t.Fatalf("fleet counters %+v, want the shards' sum %+v", got, want)
 	}
 }

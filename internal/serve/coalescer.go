@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fafnir/internal/cache"
+	"fafnir/internal/dram"
 	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
 	"fafnir/internal/header"
@@ -39,12 +40,13 @@ type SpanContexter interface {
 }
 
 // MemoryStatsSource is the optional backend capability for row-buffer
-// attribution: a backend exposing its memory system's cumulative counters by
-// name ("dram.row_hits", "dram.row_misses", "dram.row_conflicts").
-// *fafnir.System implements it. The coalescer delta-folds the counters into
-// the registry after each flush, again only from the flusher goroutine.
+// attribution: a backend exposing its memory system's cumulative counters.
+// *fafnir.System, *router.Fleet and *router.Federation implement it (a
+// fleet or federation sums its shards). The coalescer delta-folds the row
+// hit, miss and conflict counters into the registry after each flush, again
+// only from the flusher goroutine.
 type MemoryStatsSource interface {
-	MemoryCounter(name string) uint64
+	MemoryCounters() dram.Counters
 }
 
 // BatchStats describes the hardware batch that served a request. Requests
@@ -822,7 +824,8 @@ func (c *Coalescer) foldMemoryStats() {
 	if c.memStats == nil {
 		return
 	}
-	foldDelta(c.m.RowHits, c.memStats.MemoryCounter("dram.row_hits"), &c.lastRowHits)
-	foldDelta(c.m.RowMisses, c.memStats.MemoryCounter("dram.row_misses"), &c.lastRowMisses)
-	foldDelta(c.m.RowConflicts, c.memStats.MemoryCounter("dram.row_conflicts"), &c.lastRowConfl)
+	mc := c.memStats.MemoryCounters()
+	foldDelta(c.m.RowHits, mc.RowHits, &c.lastRowHits)
+	foldDelta(c.m.RowMisses, mc.RowMisses, &c.lastRowMisses)
+	foldDelta(c.m.RowConflicts, mc.RowConflicts, &c.lastRowConfl)
 }

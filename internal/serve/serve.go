@@ -73,7 +73,9 @@ type RowSource interface {
 // ShardOwner is the optional capability a sharded backend exposes so the
 // cache partitions its byte budget per shard: each owner shard gets an
 // independent CLOCK ring, and cached rows are keyed by their owning shard.
-// *router.Fleet implements it; a single System caches in one partition.
+// *router.Fleet and *router.Federation implement it (a federation numbers
+// its shards across its member fleets); a single System caches in one
+// partition.
 type ShardOwner interface {
 	// Shards reports the fleet width.
 	Shards() int

@@ -12,7 +12,12 @@
 #   4. go test -race — full suite under the race detector (includes the
 #                      internal/oracle conformance sweep: 50+ seeded random
 #                      workloads replayed through every engine against the
-#                      independent reference model)
+#                      independent reference model, and cmd/fafnir-serve's
+#                      TestFederationGate: a 2-fleet x 4-shard federation
+#                      booted in process must answer 64 concurrent mean
+#                      lookups with 200s, count its federation_* and
+#                      rnet_combines_total families on /metrics, and drain
+#                      cleanly)
 #   5. fafnir -race  — the engine package again at GOMAXPROCS=1 and at the
 #                      host default, so hardware-batch pipelining (the pass
 #                      workers of Lookup/TimedLookup) is exercised both fully
@@ -132,12 +137,6 @@
 #  13. cache gate    — run the same seeded Zipf workload against a cache-off
 #                      and a cache-on server; the cache must cut backend
 #                      reads per query by >= 25% at a >= 50% hit ratio
-#  14. federation    — boot a 2-fleet x 4-shard federation, fire a seeded
-#      gate            burst, and require zero non-200s (every shard pass
-#                      checks its outputs against its golden fold, so a
-#                      divergence is a 5xx), the federation_* and
-#                      rnet_combines_total families live on /metrics, and a
-#                      clean SIGTERM drain
 #
 # Long-running fuzzing is opt-in, not part of the gate:
 #
@@ -329,11 +328,10 @@ SERVE_PID=
 FLEET_PID=
 QOS_PID=
 CACHE_PID=
-FED_PID=
 # The kill must not decide the script's exit status: with every PID already
 # empty (the normal clean path) it fails, and a failing EXIT trap overrides
 # the exit code under set -e.
-trap 'kill "$SERVE_PID" "$FLEET_PID" "$QOS_PID" "$CACHE_PID" "$FED_PID" 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
+trap 'kill "$SERVE_PID" "$FLEET_PID" "$QOS_PID" "$CACHE_PID" 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE/fafnir-sim" ./cmd/fafnir-sim
 go build -o "$SMOKE/fafnir-trace" ./cmd/fafnir-trace
 "$SMOKE/fafnir-sim" -mode lookup -engine fafnir -batch 8 -q 8 -rows 4096 \
@@ -545,43 +543,5 @@ END {
     if (ratio < 0.5)     { print "cache gate: hit ratio below 0.5"; exit 1 }
 }' "$SMOKE/cache-off.log" "$SMOKE/cache-on.log" \
     || { echo "cache gate failed"; exit 1; }
-
-echo "==> federation gate: 2-fleet x 4-shard federation"
-# Every shard pass checks its outputs bit for bit against the fold of the
-# rows its leaf read staged (the engine's always-on golden check), so a
-# divergence inside any member turns into a 5xx and the "0 other" assertion
-# below rests on it. Oracle exactness across the shard and fleet combine
-# trees is the job of the Go tests and the benchmark's reply check.
-"$SMOKE/fafnir-serve" -addr 127.0.0.1:0 -fleets 2 -shards 4 -radix 2 \
-    -rows 4096 -linger 500us > "$SMOKE/fed-serve.log" 2>&1 &
-FED_PID=$!
-FEDADDR=$(wait_addr "$SMOKE/fed-serve.log" "$FED_PID" "federation") || exit 1
-grep -q '^federation: 2 fleets x 4 shards' "$SMOKE/fed-serve.log" \
-    || { cat "$SMOKE/fed-serve.log"; echo "federation: startup line missing the topology"; exit 1; }
-
-# -rows matches the federation's index space (4096 rows x 32 tables).
-"$SMOKE/fafnir-loadgen" -url "http://$FEDADDR" -clients 4 -requests 64 \
-    -duration 10s -rows 131072 -seed 5 -op mean -dump-metrics \
-    > "$SMOKE/fed.log" 2>&1 \
-    || { cat "$SMOKE/fed.log"; echo "federation: loadgen failed"; exit 1; }
-grep -q ' 64 ok, 0 overload (503), 0 deadline (504), 0 other$' "$SMOKE/fed.log" \
-    || { cat "$SMOKE/fed.log"; echo "federation: requests failed (a shard pass rejects a golden mismatch)"; exit 1; }
-grep -q '^fafnir_federation_batches_total [1-9]' "$SMOKE/fed.log" \
-    || { cat "$SMOKE/fed.log"; echo "federation: no batches counted on /metrics"; exit 1; }
-grep -Eq '^fafnir_federation_fleet_lookups_total\{fleet="0"\} [1-9]' "$SMOKE/fed.log" \
-    || { cat "$SMOKE/fed.log"; echo "federation: fleet 0 served no sub-lookups"; exit 1; }
-grep -Eq '^fafnir_federation_fleet_lookups_total\{fleet="1"\} [1-9]' "$SMOKE/fed.log" \
-    || { cat "$SMOKE/fed.log"; echo "federation: fleet 1 served no sub-lookups"; exit 1; }
-grep -q '^fafnir_rnet_combines_total [1-9]' "$SMOKE/fed.log" \
-    || { cat "$SMOKE/fed.log"; echo "federation: cross-fleet rnet tree performed no combines"; exit 1; }
-
-kill -TERM "$FED_PID"
-FED_RC=0
-wait "$FED_PID" || FED_RC=$?
-[ "$FED_RC" -eq 0 ] || { cat "$SMOKE/fed-serve.log"; echo "federation: server exited $FED_RC on SIGTERM"; exit 1; }
-grep -q 'drained cleanly' "$SMOKE/fed-serve.log" \
-    || { cat "$SMOKE/fed-serve.log"; echo "federation: no clean drain line"; exit 1; }
-grep 'drained cleanly' "$SMOKE/fed-serve.log"
-FED_PID=
 
 echo "OK: all checks passed"
