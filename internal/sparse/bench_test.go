@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -35,5 +36,21 @@ func BenchmarkColumnChunk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ColumnChunk(2048, 4096)
+	}
+}
+
+// BenchmarkRandomUniform generates the uniform matrices of the benchmark's
+// spmv workloads and of Fig. 14, the pair set's only users.
+func BenchmarkRandomUniform(b *testing.B) {
+	for _, s := range []struct {
+		n       int
+		density float64
+	}{{9000, 3e-4}, {32000, 2e-4}} {
+		b.Run(fmt.Sprint(s.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RandomUniform(s.n, s.n, s.density, 1)
+			}
+		})
 	}
 }

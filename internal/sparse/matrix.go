@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"fafnir/internal/tensor"
 )
@@ -19,8 +20,9 @@ type Coord struct {
 	Val      float32
 }
 
-// COO is an unordered coordinate-format matrix, the interchange format the
-// generators produce.
+// COO is an unordered coordinate-format matrix, the interchange format.
+// Of the generators only RandomUniform, whose entries arrive in random
+// order, builds one and converts it with FromCOO; the others write rows.
 type COO struct {
 	Rows, Cols int
 	Entries    []Coord
@@ -234,44 +236,59 @@ func (l *LIL) ColumnChunk(lo, hi int) *LIL {
 // ChunkCursor walks a matrix's column chunks from left to right without
 // copying them. Rows are sorted by column and the chunks arrive in ascending
 // column order, so each row's window in the next chunk begins where its
-// previous one ended: a whole walk costs O(nnz + rows x chunks) and no
-// search.
+// previous one ended, so MulChunk multiplies a chunk in one pass over the
+// rows that still hold entries, with no search.
 type ChunkCursor struct {
 	m *LIL
-	// Row r's window in the current chunk is entries [start[r], end[r]).
-	start, end []int32
+	// Row r's entries before end[r] belong to chunks already walked.
+	end []int32
+	// live lists, ascending, the rows with entries past their end.
+	live []int32
 }
 
 // Cursor returns a cursor positioned before column 0.
 func (l *LIL) Cursor() *ChunkCursor {
 	pos := make([]int32, 2*l.Rows)
-	return &ChunkCursor{m: l, start: pos[:l.Rows], end: pos[l.Rows:]}
-}
-
-// Advance moves the cursor to the chunk that ends before column hi (it
-// starts where the previous one ended) and reports how many rows have
-// entries in it and how many entries that is.
-func (c *ChunkCursor) Advance(hi int) (rows, elems int) {
-	for r, cols := range c.m.ColIdx {
-		s := int(c.end[r])
-		e := s
-		for e < len(cols) && int(cols[e]) < hi {
-			e++
-		}
-		c.start[r], c.end[r] = int32(s), int32(e)
-		if e > s {
-			rows++
-			elems += e - s
+	c := &ChunkCursor{m: l, end: pos[:l.Rows], live: pos[l.Rows:l.Rows]}
+	for r, cols := range l.ColIdx {
+		if len(cols) > 0 {
+			c.live = append(c.live, int32(r))
 		}
 	}
-	return rows, elems
+	return c
 }
 
-// Row returns row r's window in the current chunk as views of the matrix;
-// the column indices are the matrix's own, not rebased to the chunk.
-func (c *ChunkCursor) Row(r int) ([]int32, []float32) {
-	s, e := c.start[r], c.end[r]
-	return c.m.ColIdx[r][s:e], c.m.Vals[r][s:e]
+// MulChunk moves the cursor over the chunk that ends before column hi (it
+// starts where the previous one ended) and multiplies it by x, which is
+// indexed by the matrix's own columns. For every row with entries in the
+// chunk, in row order, it returns the row and the sum of val*x[col] over
+// them in column order; a sum that cancelled to exactly zero is left out
+// unless keepZero is set. elems is the number of entries the chunk held.
+func (c *ChunkCursor) MulChunk(hi int, x tensor.Vector, keepZero bool) (rows []int32, sums []float32, elems int) {
+	rows, sums = make([]int32, 0, len(c.live)), make([]float32, 0, len(c.live))
+	n := 0
+	for _, r := range c.live {
+		cols, vals := c.m.ColIdx[r], c.m.Vals[r]
+		s := int(c.end[r])
+		e := s
+		var acc float32
+		for ; e < len(cols) && int(cols[e]) < hi; e++ {
+			acc += vals[e] * x[cols[e]]
+		}
+		if e > s {
+			elems += e - s
+			if acc != 0 || keepZero {
+				rows, sums = append(rows, r), append(sums, acc)
+			}
+		}
+		c.end[r] = int32(e)
+		if e < len(cols) {
+			c.live[n] = r
+			n++
+		}
+	}
+	c.live = c.live[:n]
+	return rows, sums, elems
 }
 
 // MulVec computes y = A*x, the reference SpMV all engines are validated
@@ -330,6 +347,17 @@ func RandomUniform(rows, cols int, density float64, seed int64) *LIL {
 // preferential attachment (each new vertex attaches to edgesPerNode earlier
 // vertices with probability proportional to their degree), a stand-in for
 // the paper's graph workloads.
+//
+// Vertex v's step attaches it to vertices u < v only: endpoints holds the
+// vertices of edges placed so far, which are earlier vertices and, once v
+// has its first edge, v itself, and a draw of v is replaced by
+// rng.Intn(v) < v. So the pair {u, v} is placed in v's step or never, and
+// a repeat pick can only be one of v's own picks, which picked[u] == v
+// catches without a set of all pairs. The endpoints list is then the edge
+// list, two entries per edge, and the rows are filled from it in edge
+// order: row r's columns below the diagonal arrive in r's step in pick
+// order (at most edgesPerNode of them), those above it in later steps in
+// ascending order, so only that short prefix needs a sort.
 func PowerLawGraph(nodes, edgesPerNode int, seed int64) *LIL {
 	if nodes < 2 || edgesPerNode < 1 {
 		panic(fmt.Sprintf("sparse: bad graph shape nodes=%d edges=%d", nodes, edgesPerNode))
@@ -337,37 +365,49 @@ func PowerLawGraph(nodes, edgesPerNode int, seed int64) *LIL {
 	rng := rand.New(rand.NewSource(seed))
 	// Two seed edges, then at most two per attachment.
 	maxEdges := 2 + 2*(nodes-2)*edgesPerNode
-	coo := &COO{Rows: nodes, Cols: nodes, Entries: make([]Coord, 0, maxEdges)}
-	seen := newPairSet(maxEdges)
-	// Degree-proportional sampling via a repeated-endpoints list.
-	endpoints := make([]int, 0, 2*maxEdges)
-	add := func(u, v int) {
-		if u == v || !seen.add(u, v) {
-			return
-		}
-		coo.Entries = append(coo.Entries, Coord{Row: u, Col: v, Val: 1})
-		endpoints = append(endpoints, u, v)
-	}
-	add(0, 1)
-	add(1, 0)
+	// Degree-proportional sampling via a repeated-endpoints list; entry k
+	// of the matrix is (endpoints[2k], endpoints[2k+1]).
+	endpoints := make([]int32, 0, 2*maxEdges)
+	endpoints = append(endpoints, 0, 1, 1, 0)
+	picked := make([]int32, nodes) // picked[u] == v: u is a pick of v's step
 	for v := 2; v < nodes; v++ {
 		for e := 0; e < edgesPerNode; e++ {
 			var u int
-			if len(endpoints) > 0 && rng.Float64() < 0.9 {
-				u = endpoints[rng.Intn(len(endpoints))]
+			if rng.Float64() < 0.9 {
+				u = int(endpoints[rng.Intn(len(endpoints))])
 			} else {
 				u = rng.Intn(v)
 			}
 			if u == v {
 				u = rng.Intn(v)
 			}
-			add(v, u)
-			add(u, v)
+			if picked[u] == int32(v) {
+				continue
+			}
+			picked[u] = int32(v)
+			endpoints = append(endpoints, int32(v), int32(u), int32(u), int32(v))
 		}
 	}
-	l, err := FromCOO(coo)
-	if err != nil {
-		panic(err)
+	sizes := make([]int, nodes)
+	for i := 0; i < len(endpoints); i += 2 {
+		sizes[endpoints[i]]++
+	}
+	l := NewLILSized(nodes, nodes, sizes)
+	for i := 0; i < len(endpoints); i += 2 {
+		r := endpoints[i]
+		l.ColIdx[r] = append(l.ColIdx[r], endpoints[i+1])
+	}
+	for r, cols := range l.ColIdx {
+		below := 0
+		for below < len(cols) && int(cols[below]) < r {
+			below++
+		}
+		slices.Sort(cols[:below])
+		vals := l.Vals[r][:len(cols)]
+		for i := range vals {
+			vals[i] = 1
+		}
+		l.Vals[r] = vals
 	}
 	return l
 }
@@ -378,35 +418,49 @@ func bandedNNZ(n, band int) int {
 	return n*(2*b+1) - b*(b+1)
 }
 
+// bandLo is the first column of row r in a band of half-width b.
+func bandLo(r, b int) int { return max(r-b, 0) }
+
+// newBand returns an n x n matrix holding every position of the band of
+// half-width band, row r spanning columns [r-band, r+band] clipped to the
+// matrix, with all values zero; the caller writes them. Rows are windows
+// of one backing per field, like FromCOO's.
+func newBand(n, band int) *LIL {
+	b := min(band, n-1)
+	l := NewLIL(n, n)
+	nnz := bandedNNZ(n, b)
+	cols, vals := make([]int32, nnz), make([]float32, nnz)
+	off := 0
+	for r := 0; r < n; r++ {
+		lo := bandLo(r, b)
+		end := off + min(r+b, n-1) - lo + 1
+		row := cols[off:end:end]
+		for i := range row {
+			row[i] = int32(lo + i)
+		}
+		l.ColIdx[r], l.Vals[r] = row, vals[off:end:end]
+		off = end
+	}
+	return l
+}
+
 // Banded generates a banded matrix (half-bandwidth band on each side of the
 // diagonal), the stand-in for the paper's scientific stencil and matrix-
-// inversion workloads.
+// inversion workloads. Values are drawn in row-major order.
 func Banded(n, band int, seed int64) *LIL {
 	if n <= 0 || band < 0 {
 		panic(fmt.Sprintf("sparse: bad banded shape n=%d band=%d", n, band))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	coo := &COO{Rows: n, Cols: n, Entries: make([]Coord, 0, bandedNNZ(n, band))}
-	for r := 0; r < n; r++ {
-		lo := r - band
-		if lo < 0 {
-			lo = 0
-		}
-		hi := r + band
-		if hi >= n {
-			hi = n - 1
-		}
-		for c := lo; c <= hi; c++ {
+	l := newBand(n, band)
+	for _, vals := range l.Vals {
+		for i := range vals {
 			v := smallVal(rng)
 			if v == 0 {
 				v = 1
 			}
-			coo.Entries = append(coo.Entries, Coord{Row: r, Col: c, Val: v})
+			vals[i] = v
 		}
-	}
-	l, err := FromCOO(coo)
-	if err != nil {
-		panic(err)
 	}
 	return l
 }
@@ -425,26 +479,24 @@ func DenseVector(n int, seed int64) tensor.Vector {
 // SymmetricDiagDominant generates a symmetric, strictly diagonally dominant
 // banded matrix — positive definite by Gershgorin's theorem — the canonical
 // operator of discretized differential equations and the input the iterative
-// solvers in internal/solver expect.
+// solvers in internal/solver expect. The value of (r, c), c > r, is drawn in
+// row r's step and written to both mirrored slots; the diagonal follows.
 func SymmetricDiagDominant(n, band int, seed int64) *LIL {
 	if n <= 0 || band < 0 {
 		panic(fmt.Sprintf("sparse: bad SPD shape n=%d band=%d", n, band))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	coo := &COO{Rows: n, Cols: n, Entries: make([]Coord, 0, bandedNNZ(n, band))}
+	l := newBand(n, band)
+	b := min(band, n-1)
 	offSum := make([]float32, n)
 	for r := 0; r < n; r++ {
-		hi := r + band
-		if hi >= n {
-			hi = n - 1
-		}
-		for c := r + 1; c <= hi; c++ {
+		for c := r + 1; c <= min(r+b, n-1); c++ {
 			v := smallVal(rng)
 			if v == 0 {
 				v = 1
 			}
-			coo.Entries = append(coo.Entries, Coord{Row: r, Col: c, Val: v})
-			coo.Entries = append(coo.Entries, Coord{Row: c, Col: r, Val: v})
+			l.Vals[r][c-bandLo(r, b)] = v
+			l.Vals[c][r-bandLo(c, b)] = v
 			av := v
 			if av < 0 {
 				av = -av
@@ -454,11 +506,7 @@ func SymmetricDiagDominant(n, band int, seed int64) *LIL {
 		}
 	}
 	for r := 0; r < n; r++ {
-		coo.Entries = append(coo.Entries, Coord{Row: r, Col: r, Val: offSum[r] + 2})
-	}
-	l, err := FromCOO(coo)
-	if err != nil {
-		panic(err)
+		l.Vals[r][r-bandLo(r, b)] = offSum[r] + 2
 	}
 	return l
 }

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -392,45 +394,64 @@ func TestQuickSPDSymmetry(t *testing.T) {
 	}
 }
 
-// The cursor's windows are ColumnChunk's rows without the copy and the
-// rebase, for flat-backed and hand-assembled matrices alike.
+// The fused walk multiplies each chunk as ColumnChunk's copy, rebased and
+// multiplied by the operand's slice, does: the same rows, each sum the same
+// float32 sequence, for flat-backed and hand-assembled matrices alike.
 func TestCursorMatchesColumnChunk(t *testing.T) {
 	hand := NewLIL(3, 9)
 	hand.ColIdx[0], hand.Vals[0] = []int32{0, 4, 8}, []float32{1, 2, 3}
 	hand.ColIdx[2], hand.Vals[2] = []int32{3, 4}, []float32{4, 5}
+	zeros := 0
 	for name, l := range map[string]*LIL{
 		"uniform": RandomUniform(30, 97, 0.1, 3),
 		"graph":   PowerLawGraph(60, 2, 4),
+		"banded":  Banded(40, 3, 5),
 		"hand":    hand,
 	} {
-		for _, width := range []int{1, 7, 20, l.Cols, l.Cols + 5} {
-			cur := l.Cursor()
-			for lo := 0; lo < l.Cols; lo += width {
-				hi := min(lo+width, l.Cols)
-				chunk := l.ColumnChunk(lo, hi)
-				hit, elems := cur.Advance(hi)
-				if elems != chunk.NNZ() {
-					t.Fatalf("%s width %d chunk [%d,%d): cursor saw %d entries, chunk holds %d", name, width, lo, hi, elems, chunk.NNZ())
-				}
-				for r := 0; r < l.Rows; r++ {
-					cols, vals := cur.Row(r)
-					if len(cols) != len(chunk.ColIdx[r]) || len(vals) != len(chunk.Vals[r]) {
-						t.Fatalf("%s width %d chunk [%d,%d) row %d: window of %d, chunk row of %d", name, width, lo, hi, r, len(cols), len(chunk.ColIdx[r]))
+		x := DenseVector(l.Cols, 6)
+		for _, keepZero := range []bool{false, true} {
+			for _, width := range []int{1, 7, 20, l.Cols, l.Cols + 5} {
+				cur := l.Cursor()
+				for lo := 0; lo < l.Cols; lo += width {
+					hi := min(lo+width, l.Cols)
+					chunk := l.ColumnChunk(lo, hi)
+					want, err := chunk.MulVec(x[lo:hi])
+					if err != nil {
+						t.Fatal(err)
 					}
-					if len(cols) > 0 {
-						hit--
+					at := fmt.Sprintf("%s keepZero=%v width %d chunk [%d,%d)", name, keepZero, width, lo, hi)
+					rows, sums, elems := cur.MulChunk(hi, x, keepZero)
+					if elems != chunk.NNZ() {
+						t.Fatalf("%s: cursor saw %d entries, chunk holds %d", at, elems, chunk.NNZ())
 					}
-					for i := range cols {
-						if int(cols[i])-lo != int(chunk.ColIdx[r][i]) || vals[i] != chunk.Vals[r][i] {
-							t.Fatalf("%s width %d chunk [%d,%d) row %d entry %d differs", name, width, lo, hi, r, i)
+					if len(sums) != len(rows) {
+						t.Fatalf("%s: %d rows, %d sums", at, len(rows), len(sums))
+					}
+					k := 0
+					for r := range chunk.ColIdx {
+						if len(chunk.ColIdx[r]) == 0 {
+							continue
 						}
+						if want[r] == 0 {
+							zeros++
+							if !keepZero {
+								continue
+							}
+						}
+						if k >= len(rows) || int(rows[k]) != r || math.Float32bits(sums[k]) != math.Float32bits(want[r]) {
+							t.Fatalf("%s: output %d is not row %d with sum %v: rows %v sums %v", at, k, r, want[r], rows, sums)
+						}
+						k++
 					}
-				}
-				if hit != 0 {
-					t.Fatalf("%s width %d chunk [%d,%d): non-empty row count off by %d", name, width, lo, hi, hit)
+					if k != len(rows) {
+						t.Fatalf("%s: %d rows out, want %d", at, len(rows), k)
+					}
 				}
 			}
 		}
+	}
+	if zeros == 0 {
+		t.Fatal("no chunk row summed to zero, so keepZero went untested")
 	}
 }
 

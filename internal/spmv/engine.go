@@ -26,34 +26,6 @@ func (s *PartialStream) Len() int { return len(s.Rows) }
 // Bytes reports the streamed size: a row index and a value per element.
 func (s *PartialStream) Bytes() int { return s.Len() * 8 }
 
-// MultiplyChunk advances the cursor to the chunk ending before column hi
-// and returns its partial stream — per row with entries in the chunk, the
-// sum of val*x[col] in column order — and the number of matrix elements
-// the chunk streamed. A row whose products cancel to exactly zero stays in
-// the stream when keepZero is set (the Fafnir leaves forward whatever they
-// reduce) and leaves it otherwise (Two-Step's first step emits non-zeros
-// only).
-func MultiplyChunk(cur *sparse.ChunkCursor, hi int, x tensor.Vector, keepZero bool) (*PartialStream, int) {
-	hit, elems := cur.Advance(hi)
-	out := &PartialStream{Rows: make([]int32, 0, hit), Vals: make([]float32, 0, hit)}
-	for r := 0; hit > 0; r++ {
-		cols, vals := cur.Row(r)
-		if len(cols) == 0 {
-			continue
-		}
-		hit--
-		var acc float32
-		for i, c := range cols {
-			acc += vals[i] * x[c]
-		}
-		if acc != 0 || keepZero {
-			out.Rows = append(out.Rows, int32(r))
-			out.Vals = append(out.Vals, acc)
-		}
-	}
-	return out, elems
-}
-
 // MergeStreams sums any number of partial streams of a matrix with the
 // given row count into one stream ordered by row. It accumulates on a
 // dense per-row array, adding each row's values in stream order — the order

@@ -32,8 +32,9 @@ type Schedule struct {
 	// partial results of one iteration must drain before the next
 	// re-streams them.
 	Fill sim.Cycle
-	// KeepZero keeps a partial sum that cancelled to exactly zero in its
-	// stream (see MultiplyChunk).
+	// KeepZero keeps a chunk's partial sum that cancelled to exactly zero
+	// in its stream: the Fafnir leaves forward whatever they reduce, while
+	// Two-Step's first step emits non-zeros only.
 	KeepZero bool
 }
 
@@ -126,7 +127,8 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 			var out *PartialStream
 			elems := 0
 			if iter == 0 {
-				out, elems = MultiplyChunk(cur, hi, x, s.KeepZero)
+				rows, sums, n := cur.MulChunk(hi, x, s.KeepZero)
+				out, elems = &PartialStream{Rows: rows, Vals: sums}, n
 			} else {
 				for _, p := range streams[lo:hi] {
 					elems += p.Len()
