@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"io"
 	"sync"
 	"time"
@@ -120,6 +121,30 @@ func (c *Coalescer) CacheResident(idx header.Index) bool {
 // DecodeLookup runs the POST /v1/lookup body path without the HTTP layer.
 func (s *Server) DecodeLookup(body io.Reader) (Request, time.Duration, error) {
 	return s.decodeLookup(body)
+}
+
+// DecodeLookupReference is DecodeLookup with every body sent to the
+// json.Decoder fallback, the referee the fast path is held to. It reads the
+// body as DecodeLookup does, and an error there, a read error or the
+// fallback's own, is the reference's.
+func (s *Server) DecodeLookupReference(body io.Reader) (Request, time.Duration, error) {
+	d := new(lookupDecoder)
+	if _, err := d.decode(body); err != nil {
+		return Request{}, 0, err
+	}
+	req, err := decodeReference(d.buf)
+	if err != nil {
+		return Request{}, 0, err
+	}
+	return s.validate(req)
+}
+
+// FastPath reports whether the lookup decoder takes body by hand, without
+// the json.Decoder fallback.
+func FastPath(body []byte) bool {
+	d := new(lookupDecoder)
+	req, err := d.decode(bytes.NewReader(body))
+	return err == nil && req == &d.req
 }
 
 // ReplyEncoder is the lookup handler's 200-body encoder.

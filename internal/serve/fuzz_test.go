@@ -16,7 +16,7 @@ import (
 )
 
 // FuzzLookupRequest fuzzes the POST /v1/lookup body path (decode -> ParseOp
-// -> ParsePriority -> parseQueries -> timeout). It must never panic; an
+// -> ParsePriority -> query sets -> timeout). It must never panic; an
 // accepted body yields in-range, in-bound queries and survives a re-encode /
 // decode round trip; a rejected body is answered 400 bad_request. The seed
 // corpus lives in testdata/fuzz/FuzzLookupRequest.
@@ -79,13 +79,16 @@ func FuzzLookupRequest(f *testing.F) {
 	})
 }
 
-// FuzzLookupDecode holds the hand-written request decoder to the json.Decoder
-// path it replaced (DecodeLookupReference), body by body: both must accept
-// or both refuse, and on accept they must build identical requests and
-// timeouts. Each reads through the handler's http.MaxBytesReader, so a body
-// past maxBodyBytes is refused by both. The seed corpus lives in
-// testdata/fuzz/FuzzLookupDecode; the two bodies at the size bound, one
-// accepted and one a byte over, are added here.
+// FuzzLookupDecode holds the lookup decoder to its json.Decoder fallback
+// (DecodeLookupReference), body by body: both must accept or both refuse,
+// with the same error text, and on accept they must build identical requests
+// and timeouts. A body the fast path takes is so checked against the
+// reference; one it hands over is the reference's by construction. Each
+// reads through the handler's http.MaxBytesReader, so a body past
+// maxBodyBytes is refused by both. The seed corpus lives in
+// testdata/fuzz/FuzzLookupDecode and reaches both paths
+// (TestLookupDecodeCorpusReachesBothPaths); the two bodies at the size bound,
+// one accepted and one a byte over, are added here.
 func FuzzLookupDecode(f *testing.F) {
 	const rows = 1 << 16
 	srv, err := serve.New(&fakeSystem{fakeBackend: newFake(), rows: rows}, serve.Config{BatchCapacity: 2})
@@ -114,6 +117,8 @@ func FuzzLookupDecode(f *testing.F) {
 			t.Fatalf("body %q: refused (%v), the reference accepts it as %+v", body, err, want)
 		case err == nil && wantErr != nil:
 			t.Fatalf("body %q: accepted as %+v, the reference refuses it (%v)", body, got, wantErr)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("body %q: refused with\n%v\nthe reference refuses it with\n%v", body, err, wantErr)
 		case err == nil && (!reflect.DeepEqual(got, want) || timeout != wantTimeout):
 			t.Fatalf("body %q:\ngot  %+v, timeout %v\nwant %+v, timeout %v", body, got, timeout, want, wantTimeout)
 		}

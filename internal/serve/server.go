@@ -27,9 +27,11 @@ const maxBodyBytes = 1 << 20
 const maxRequestBatches = 4
 
 // LookupRequest is the wire format of POST /v1/lookup. Exactly one of
-// Indices (single-query shorthand) or Queries must be set. The server parses
-// a body by hand (lookupDecoder) to what json.Decoder would decode into this
-// type, with unknown fields refused.
+// Indices (single-query shorthand) or Queries must be set. Every body is
+// accepted, refused and decoded as a json.Decoder with unknown fields refused
+// decodes it into this type. A canonical body (exact field names, each once,
+// no null, no escape, plain unsigned integers) is parsed by hand; any other
+// goes to that json.Decoder itself (lookupDecoder).
 type LookupRequest struct {
 	// Indices is the single-query shorthand: one set of embedding rows to
 	// gather and reduce.
@@ -274,34 +276,17 @@ const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // decodeLookup reads exactly one JSON request from body and validates it
 // into the coalescer request and its deadline budget; every error it returns
-// is the caller's fault (400 bad_request). The body is parsed by hand
-// (lookupDecoder), to the contract json.Decoder gives LookupRequest.
-func (s *Server) decodeLookup(body io.Reader) (call Request, timeout time.Duration, err error) {
+// is the caller's fault (400 bad_request). A canonical body takes the
+// hand-written fast path, any other the json.Decoder fallback; see
+// lookupDecoder.
+func (s *Server) decodeLookup(body io.Reader) (Request, time.Duration, error) {
 	d := decoderPool.Get().(*lookupDecoder)
 	defer putDecoder(d)
-	d.reset()
-	if err = d.read(body); err != nil {
-		return call, 0, err
+	req, err := d.decode(body)
+	if err != nil {
+		return Request{}, 0, err
 	}
-	if err = d.parse(); err != nil {
-		return call, 0, err
-	}
-	if call.Op, err = tensor.ParseOp(string(d.op)); err != nil {
-		return call, 0, err
-	}
-	if call.Priority, err = ParsePriority(string(d.priority)); err != nil {
-		return call, 0, err
-	}
-	if call.Queries, err = d.request(maxRequestBatches*s.cfg.BatchCapacity, s.totalRows); err != nil {
-		return call, 0, err
-	}
-	if d.timeout < 0 || d.timeout > maxTimeoutMS {
-		return call, 0, fmt.Errorf("serve: timeout_ms %d out of range [0,%d]", d.timeout, maxTimeoutMS)
-	}
-	if d.timeout == 0 {
-		return call, s.cfg.DefaultTimeout, nil
-	}
-	return call, time.Duration(d.timeout) * time.Millisecond, nil
+	return s.validate(req)
 }
 
 // classify maps a Submit error to its outcome, HTTP status, and wire kind.
