@@ -335,12 +335,14 @@ func NewSystem(cfg Config) (*System, error) {
 		ranks:     make([]rank, cfg.TotalRanks()),
 		chanBusAt: make([]sim.Cycle, cfg.Channels),
 	}
+	// Every rank's banks are a window of one array, which Reset clears in
+	// place.
+	n := cfg.BanksPerRank
+	banks := make([]bank, len(s.ranks)*n)
 	for i := range s.ranks {
-		s.ranks[i].banks = make([]bank, cfg.BanksPerRank)
-		for b := range s.ranks[i].banks {
-			s.ranks[i].banks[b].openRow = -1
-		}
+		s.ranks[i].banks = banks[i*n : (i+1)*n : (i+1)*n]
 	}
+	s.Reset()
 	return s, nil
 }
 
@@ -382,14 +384,13 @@ func (s *System) Stats() Counters { return s.stats }
 // its initial (all rows closed, all resources free) condition.
 func (s *System) Reset() {
 	for i := range s.ranks {
-		s.ranks[i] = rank{banks: make([]bank, s.cfg.BanksPerRank)}
-		for b := range s.ranks[i].banks {
-			s.ranks[i].banks[b].openRow = -1
+		rk := &s.ranks[i]
+		*rk = rank{banks: rk.banks}
+		for b := range rk.banks {
+			rk.banks[b] = bank{openRow: -1}
 		}
 	}
-	for i := range s.chanBusAt {
-		s.chanBusAt[i] = 0
-	}
+	clear(s.chanBusAt)
 	s.stats = Counters{}
 }
 
@@ -443,6 +444,13 @@ func (s *System) Read(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
 		return now
 	}
 	done, pieces := s.access(now, addr, size, dest)
+	s.countRead(now, done, addr, size, dest, pieces)
+	return done
+}
+
+// countRead charges one top-level read of size bytes at addr, split into
+// pieces, to the request counters and the access log.
+func (s *System) countRead(issue, done sim.Cycle, addr Addr, size int, dest Dest, pieces uint64) {
 	s.stats.Reads += pieces
 	s.stats.Bytes += uint64(size)
 	if dest == DestHost {
@@ -450,11 +458,10 @@ func (s *System) Read(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
 	}
 	if s.log != nil {
 		s.log.records = append(s.log.records, AccessRecord{
-			Issue: now, Done: done, Addr: addr, Size: size, Dest: dest,
+			Issue: issue, Done: done, Addr: addr, Size: size, Dest: dest,
 			Rank: s.cfg.GlobalRank(s.cfg.Decode(addr)),
 		})
 	}
-	return done
 }
 
 // access reserves the banks, pins, and (for DestHost) channel buses a
@@ -471,7 +478,8 @@ func (s *System) access(now sim.Cycle, addr Addr, size int, dest Dest) (done sim
 		if chunk > size {
 			chunk = size
 		}
-		done = sim.Max(done, s.accessWithinSlot(now, addr, chunk, dest))
+		loc := s.cfg.Decode(addr)
+		done = sim.Max(done, s.accessWithinSlot(now, s.cfg.GlobalRank(loc), loc, chunk, dest))
 		pieces++
 		addr += Addr(chunk)
 		size -= chunk
@@ -506,10 +514,8 @@ func (s *System) ReadChecked(now sim.Cycle, addr Addr, size int, dest Dest) (sim
 }
 
 // accessWithinSlot serves a transfer that stays inside one interleave slot
-// (hence one rank and one row).
-func (s *System) accessWithinSlot(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
-	loc := s.cfg.Decode(addr)
-	g := s.cfg.GlobalRank(loc)
+// (hence one rank and one row), decoded to loc on global rank g.
+func (s *System) accessWithinSlot(now sim.Cycle, g int, loc Location, size int, dest Dest) sim.Cycle {
 	rk := &s.ranks[g]
 	bk := &rk.banks[loc.Bank]
 
@@ -612,46 +618,54 @@ func (s *System) Write(now sim.Cycle, addr Addr, size int) sim.Cycle {
 
 // StreamWrite models a sequential write-back stream of size bytes to global
 // rank g starting at slot startSlot (the partial-result spill of an SpMV
-// merge round). It returns an error for a rank outside the geometry.
+// merge round): one Write per slot, each issued when the previous one
+// completes. It returns an error for a rank outside the geometry.
 func (s *System) StreamWrite(now sim.Cycle, g int, startSlot uint64, size int) (sim.Cycle, error) {
-	done := now
-	slot := startSlot
-	for size > 0 {
-		chunk := s.cfg.InterleaveBytes
-		if chunk > size {
-			chunk = size
-		}
-		addr, err := s.cfg.Encode(g, slot)
-		if err != nil {
-			return 0, err
-		}
-		done = s.Write(done, addr, chunk)
-		slot++
-		size -= chunk
-	}
-	return done, nil
+	return s.stream(now, g, startSlot, size, DestLocal, true)
 }
 
 // StreamRead models a sequential stream of size bytes from global rank g
-// starting at that rank's slot startSlot, as used by SpMV streaming. It is
+// starting at that rank's slot startSlot, as used by SpMV streaming: one
+// Read per slot, each issued when the previous one completes. It is
 // row-buffer friendly by construction: consecutive slots of a rank share
 // rows. Returns the completion cycle of the final burst, or an error for a
 // rank outside the geometry.
 func (s *System) StreamRead(now sim.Cycle, g int, startSlot uint64, size int, dest Dest) (sim.Cycle, error) {
+	return s.stream(now, g, startSlot, size, dest, false)
+}
+
+// stream serves StreamRead and StreamWrite with the timing, counters and
+// log records of a Read or Write per slot at Encode(g, slot), but decodes
+// only the first slot: each next slot of a rank is the next column of its
+// row, then the next bank, then the next row, as Decode numbers them.
+func (s *System) stream(now sim.Cycle, g int, startSlot uint64, size int, dest Dest, write bool) (sim.Cycle, error) {
+	if size <= 0 {
+		return now, nil
+	}
+	addr, err := s.cfg.Encode(g, startSlot)
+	if err != nil {
+		return 0, err
+	}
+	loc := s.cfg.Decode(addr)
+	stride := Addr(s.cfg.TotalRanks() * s.cfg.InterleaveBytes)
 	done := now
-	slot := startSlot
-	for size > 0 {
-		chunk := s.cfg.InterleaveBytes
-		if chunk > size {
-			chunk = size
+	for ; size > 0; addr += stride {
+		chunk := min(size, s.cfg.InterleaveBytes)
+		issue := done
+		done = s.accessWithinSlot(issue, g, loc, chunk, dest)
+		if write {
+			s.stats.Writes++
+			s.stats.BytesWritten += uint64(chunk)
+		} else {
+			s.countRead(issue, done, addr, chunk, dest, 1)
 		}
-		addr, err := s.cfg.Encode(g, slot)
-		if err != nil {
-			return 0, err
-		}
-		done = s.Read(done, addr, chunk, dest)
-		slot++
 		size -= chunk
+		if loc.Col += s.cfg.InterleaveBytes; loc.Col == s.cfg.RowBytes {
+			loc.Col = 0
+			if loc.Bank++; loc.Bank == s.cfg.BanksPerRank {
+				loc.Bank, loc.Row = 0, loc.Row+1
+			}
+		}
 	}
 	return done, nil
 }

@@ -202,8 +202,7 @@ func lowerBound(cols []int32, v int32) int {
 // ColumnChunk extracts the sub-matrix of columns [lo, hi) as a new LIL with
 // original row numbering and column indices rebased to lo. It implements the
 // splitting "through their non-compressed dimension" used to fit large
-// matrices into the Fafnir tree (Fig. 8). A product that visits every chunk
-// in turn walks them with a ChunkCursor instead and copies nothing.
+// matrices into the Fafnir tree (Fig. 8).
 func (l *LIL) ColumnChunk(lo, hi int) *LIL {
 	if lo < 0 || hi > l.Cols || lo >= hi {
 		panic(fmt.Sprintf("sparse: bad chunk [%d,%d) of %d cols", lo, hi, l.Cols))
@@ -231,64 +230,6 @@ func (l *LIL) ColumnChunk(lo, hi int) *LIL {
 		off = end
 	}
 	return c
-}
-
-// ChunkCursor walks a matrix's column chunks from left to right without
-// copying them. Rows are sorted by column and the chunks arrive in ascending
-// column order, so each row's window in the next chunk begins where its
-// previous one ended, so MulChunk multiplies a chunk in one pass over the
-// rows that still hold entries, with no search.
-type ChunkCursor struct {
-	m *LIL
-	// Row r's entries before end[r] belong to chunks already walked.
-	end []int32
-	// live lists, ascending, the rows with entries past their end.
-	live []int32
-}
-
-// Cursor returns a cursor positioned before column 0.
-func (l *LIL) Cursor() *ChunkCursor {
-	pos := make([]int32, 2*l.Rows)
-	c := &ChunkCursor{m: l, end: pos[:l.Rows], live: pos[l.Rows:l.Rows]}
-	for r, cols := range l.ColIdx {
-		if len(cols) > 0 {
-			c.live = append(c.live, int32(r))
-		}
-	}
-	return c
-}
-
-// MulChunk moves the cursor over the chunk that ends before column hi (it
-// starts where the previous one ended) and multiplies it by x, which is
-// indexed by the matrix's own columns. For every row with entries in the
-// chunk, in row order, it returns the row and the sum of val*x[col] over
-// them in column order; a sum that cancelled to exactly zero is left out
-// unless keepZero is set. elems is the number of entries the chunk held.
-func (c *ChunkCursor) MulChunk(hi int, x tensor.Vector, keepZero bool) (rows []int32, sums []float32, elems int) {
-	rows, sums = make([]int32, 0, len(c.live)), make([]float32, 0, len(c.live))
-	n := 0
-	for _, r := range c.live {
-		cols, vals := c.m.ColIdx[r], c.m.Vals[r]
-		s := int(c.end[r])
-		e := s
-		var acc float32
-		for ; e < len(cols) && int(cols[e]) < hi; e++ {
-			acc += vals[e] * x[cols[e]]
-		}
-		if e > s {
-			elems += e - s
-			if acc != 0 || keepZero {
-				rows, sums = append(rows, r), append(sums, acc)
-			}
-		}
-		c.end[r] = int32(e)
-		if e < len(cols) {
-			c.live[n] = r
-			n++
-		}
-	}
-	c.live = c.live[:n]
-	return rows, sums, elems
 }
 
 // MulVec computes y = A*x, the reference SpMV all engines are validated

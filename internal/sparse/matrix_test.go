@@ -1,8 +1,6 @@
 package sparse
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -391,67 +389,6 @@ func TestQuickSPDSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The fused walk multiplies each chunk as ColumnChunk's copy, rebased and
-// multiplied by the operand's slice, does: the same rows, each sum the same
-// float32 sequence, for flat-backed and hand-assembled matrices alike.
-func TestCursorMatchesColumnChunk(t *testing.T) {
-	hand := NewLIL(3, 9)
-	hand.ColIdx[0], hand.Vals[0] = []int32{0, 4, 8}, []float32{1, 2, 3}
-	hand.ColIdx[2], hand.Vals[2] = []int32{3, 4}, []float32{4, 5}
-	zeros := 0
-	for name, l := range map[string]*LIL{
-		"uniform": RandomUniform(30, 97, 0.1, 3),
-		"graph":   PowerLawGraph(60, 2, 4),
-		"banded":  Banded(40, 3, 5),
-		"hand":    hand,
-	} {
-		x := DenseVector(l.Cols, 6)
-		for _, keepZero := range []bool{false, true} {
-			for _, width := range []int{1, 7, 20, l.Cols, l.Cols + 5} {
-				cur := l.Cursor()
-				for lo := 0; lo < l.Cols; lo += width {
-					hi := min(lo+width, l.Cols)
-					chunk := l.ColumnChunk(lo, hi)
-					want, err := chunk.MulVec(x[lo:hi])
-					if err != nil {
-						t.Fatal(err)
-					}
-					at := fmt.Sprintf("%s keepZero=%v width %d chunk [%d,%d)", name, keepZero, width, lo, hi)
-					rows, sums, elems := cur.MulChunk(hi, x, keepZero)
-					if elems != chunk.NNZ() {
-						t.Fatalf("%s: cursor saw %d entries, chunk holds %d", at, elems, chunk.NNZ())
-					}
-					if len(sums) != len(rows) {
-						t.Fatalf("%s: %d rows, %d sums", at, len(rows), len(sums))
-					}
-					k := 0
-					for r := range chunk.ColIdx {
-						if len(chunk.ColIdx[r]) == 0 {
-							continue
-						}
-						if want[r] == 0 {
-							zeros++
-							if !keepZero {
-								continue
-							}
-						}
-						if k >= len(rows) || int(rows[k]) != r || math.Float32bits(sums[k]) != math.Float32bits(want[r]) {
-							t.Fatalf("%s: output %d is not row %d with sum %v: rows %v sums %v", at, k, r, want[r], rows, sums)
-						}
-						k++
-					}
-					if k != len(rows) {
-						t.Fatalf("%s: %d rows out, want %d", at, len(rows), k)
-					}
-				}
-			}
-		}
-	}
-	if zeros == 0 {
-		t.Fatal("no chunk row summed to zero, so keepZero went untested")
 	}
 }
 

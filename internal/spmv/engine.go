@@ -10,50 +10,6 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// PartialStream is one partial-result stream: per-row partial sums produced
-// by one round, ordered by row index. Merge iterations read these streams
-// back and combine equal rows ("the row indices are no longer sorted, but
-// this does not impact the functionality" — we keep them sorted for
-// determinism).
-type PartialStream struct {
-	Rows []int32
-	Vals []float32
-}
-
-// Len reports the stream's element count.
-func (s *PartialStream) Len() int { return len(s.Rows) }
-
-// Bytes reports the streamed size: a row index and a value per element.
-func (s *PartialStream) Bytes() int { return s.Len() * 8 }
-
-// MergeStreams sums any number of partial streams of a matrix with the
-// given row count into one stream ordered by row. It accumulates on a
-// dense per-row array, adding each row's values in stream order — the order
-// a hardware merge of these streams meets them, and the order that fixes the
-// float32 result.
-func MergeStreams(streams []*PartialStream, rows int) *PartialStream {
-	acc := make([]float32, rows)
-	hit := make([]bool, rows)
-	n := 0
-	for _, s := range streams {
-		for i, r := range s.Rows {
-			if !hit[r] {
-				hit[r] = true
-				n++
-			}
-			acc[r] += s.Vals[i]
-		}
-	}
-	out := &PartialStream{Rows: make([]int32, 0, n), Vals: make([]float32, 0, n)}
-	for r := 0; len(out.Rows) < n; r++ {
-		if hit[r] {
-			out.Rows = append(out.Rows, int32(r))
-			out.Vals = append(out.Vals, acc[r])
-		}
-	}
-	return out
-}
-
 // Config parameterizes the Fafnir SpMV engine.
 type Config struct {
 	// Tree is the underlying Fafnir hardware configuration (ranks, clocks,

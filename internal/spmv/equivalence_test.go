@@ -2,6 +2,7 @@ package spmv_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -13,14 +14,23 @@ import (
 	"fafnir/internal/twostep"
 )
 
-// refRun is the schedule as it stood before the cursor walk, the dense merge
-// and the shared round loop: every chunk is copied out with ColumnChunk and
-// multiplied by LIL.MulVec against the rebased slice of the operand, the
-// dense partial is thinned to the rows the chunk touches (to its non-zero
-// rows without KeepZero), streams merge through a hash map and a sort, and
-// the two iteration kinds are written out apart. It reads the Schedule's
-// constants and nothing else of the engine: the memory streams and the
-// clock arithmetic are its own.
+// stream is one partial-result stream: per-row partial sums ordered by row.
+type stream struct {
+	Rows []int32
+	Vals []float32
+}
+
+func (s *stream) Len() int   { return len(s.Rows) }
+func (s *stream) Bytes() int { return s.Len() * 8 }
+
+// refRun is the schedule as it stood before the row pass, the cursor walk,
+// the dense merge and the shared round loop: every chunk is copied out with
+// ColumnChunk and multiplied by LIL.MulVec against the rebased slice of the
+// operand, the dense partial is thinned to the rows the chunk touches (to
+// its non-zero rows without KeepZero), streams merge through a hash map and
+// a sort, and the two iteration kinds are written out apart. It reads the
+// Schedule's constants and nothing else of the engine: the memory streams
+// and the clock arithmetic are its own.
 func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (*spmv.Result, error) {
 	plan, err := spmv.NewPlan(m.Cols, s.VectorSize)
 	if err != nil {
@@ -28,7 +38,7 @@ func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (
 	}
 	res := &spmv.Result{Plan: plan}
 	var clock, peClock sim.Cycle
-	round := func(out *spmv.PartialStream, elems int, rate float64, spill bool) error {
+	round := func(out *stream, elems int, rate float64, spill bool) error {
 		res.ElementsStreamed += elems
 		res.BytesStreamed += uint64(elems) * 8
 		if elems > 0 {
@@ -59,7 +69,7 @@ func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (
 		return nil
 	}
 
-	var streams []*spmv.PartialStream
+	var streams []*stream
 	for lo := 0; lo < m.Cols; lo += s.VectorSize {
 		hi := min(lo+s.VectorSize, m.Cols)
 		chunk := m.ColumnChunk(lo, hi)
@@ -67,7 +77,7 @@ func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (
 		if err != nil {
 			return nil, err
 		}
-		partial := &spmv.PartialStream{}
+		partial := &stream{}
 		for r, v := range dense {
 			if len(chunk.ColIdx[r]) > 0 && (v != 0 || s.KeepZero) {
 				partial.Rows = append(partial.Rows, int32(r))
@@ -83,7 +93,7 @@ func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (
 	res.MultiplyCycles = peClock
 
 	for iter := 1; len(streams) > 1; iter++ {
-		var next []*spmv.PartialStream
+		var next []*stream
 		for lo := 0; lo < len(streams); lo += s.VectorSize {
 			group := streams[lo:min(lo+s.VectorSize, len(streams))]
 			elems := 0
@@ -108,7 +118,7 @@ func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (
 	return res, nil
 }
 
-func refMerge(streams []*spmv.PartialStream) *spmv.PartialStream {
+func refMerge(streams []*stream) *stream {
 	acc := make(map[int32]float32)
 	for _, s := range streams {
 		for i, r := range s.Rows {
@@ -120,7 +130,7 @@ func refMerge(streams []*spmv.PartialStream) *spmv.PartialStream {
 		rows = append(rows, r)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	out := &spmv.PartialStream{Rows: rows, Vals: make([]float32, len(rows))}
+	out := &stream{Rows: rows, Vals: make([]float32, len(rows))}
 	for i, r := range rows {
 		out.Vals[i] = acc[r]
 	}
@@ -174,8 +184,8 @@ func schedules(t *testing.T, width int) map[string]accelerator {
 	}
 }
 
-// The cursor walk, the dense merge and the one round loop changed how the
-// product is computed, not what it is: on both accelerators every field of
+// The row pass and the one round loop changed how the product is computed,
+// not what it is: on both accelerators every field of
 // the result matches the reference on each matrix class, with none, one and
 // two merge iterations.
 func TestMultiplyMatchesChunkCopyReference(t *testing.T) {
@@ -216,6 +226,33 @@ func TestMultiplyMatchesChunkCopyReference(t *testing.T) {
 	}
 }
 
+// With a fractional operand float32 addition is not associative, so y
+// matches the reference bit for bit only if the row pass adds each chunk's
+// entries, each group's partials and each level's group sums in the order
+// the chunk copies and the merges do.
+func TestMultiplyKeepsMergeAssociation(t *testing.T) {
+	for _, m := range []*sparse.LIL{sparse.PowerLawGraph(300, 4, 2), sparse.RandomUniform(90, 300, 0.1, 3)} {
+		rng := rand.New(rand.NewSource(5))
+		x := tensor.New(m.Cols)
+		for i := range x {
+			x[i] = rng.Float32()*2 - 1
+		}
+		for name, e := range schedules(t, 4) {
+			got, err := e.multiply(m, x, dram.MustSystem(dram.DDR4()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refRun(e.s, m, x, dram.MustSystem(dram.DDR4()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameResult(got, want); err != nil {
+				t.Errorf("%s (%d merge iterations): %v", name, got.Plan.MergeIterations(), err)
+			}
+		}
+	}
+}
+
 func sameResult(got, want *spmv.Result) error {
 	switch {
 	case !got.Y.Equal(want.Y):
@@ -247,6 +284,41 @@ func TestMultiplyKeepsZeroPartials(t *testing.T) {
 	}
 	if !res.Y.Equal(tensor.Vector{2, 5, 0, 0}) {
 		t.Fatalf("y = %v", res.Y)
+	}
+}
+
+// A row whose partials cancel in a merge is still a row of the merged
+// stream, so every later merge iteration streams it again. At width 2 the
+// 16 columns take three merge iterations: row 0's partials of chunks 0 and
+// 1 (1 and -1) cancel in the first; row 1 has one entry, in chunk 7.
+func TestMergedZeroStillStreams(t *testing.T) {
+	m, err := sparse.FromCOO(&sparse.COO{Rows: 2, Cols: 16, Entries: []sparse.Coord{
+		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 2, Val: -1}, {Row: 1, Col: 15, Val: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(16)
+	for i := range x {
+		x[i] = 1
+	}
+	for name, e := range schedules(t, 2) {
+		got, err := e.multiply(m, x, dram.MustSystem(dram.DDR4()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 3 matrix elements, then 2+1, 1+1 and 2 partials.
+		if got.Plan.MergeIterations() != 3 || got.ElementsStreamed != 3+3+2+2 || !got.Y.Equal(tensor.Vector{0, 2}) {
+			t.Errorf("%s: %d merge iterations, %d elements streamed, y = %v; want 3, 10 and [0 2]",
+				name, got.Plan.MergeIterations(), got.ElementsStreamed, got.Y)
+		}
+		want, err := refRun(e.s, m, x, dram.MustSystem(dram.DDR4()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(got, want); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

@@ -79,13 +79,14 @@ func (s Schedule) round(mem *dram.System, memClock, peDone sim.Cycle, elems int,
 	return memDone, end, nil
 }
 
-// spill writes a round's partial stream to memory for the merge iteration
-// that re-reads it, spreading the bytes over the ranks.
-func (s Schedule) spill(mem *dram.System, clock sim.Cycle, p *PartialStream) (sim.Cycle, error) {
-	if p.Len() == 0 {
+// spill writes a round's output stream of elems partial sums (8 B each)
+// to memory for the merge iteration that re-reads it, spreading the bytes
+// over the ranks.
+func (s Schedule) spill(mem *dram.System, clock sim.Cycle, elems int) (sim.Cycle, error) {
+	if elems == 0 {
 		return clock, nil
 	}
-	perRank := (p.Bytes() + s.Ranks - 1) / s.Ranks
+	perRank := (elems*8 + s.Ranks - 1) / s.Ranks
 	done := clock
 	for r := 0; r < s.Ranks; r++ {
 		end, err := mem.StreamWrite(clock, r, 0, perRank)
@@ -97,10 +98,25 @@ func (s Schedule) spill(mem *dram.System, clock sim.Cycle, p *PartialStream) (si
 	return done, nil
 }
 
+// partial is a row's sum over one stream of an iteration: k numbers the
+// stream (the chunk in iteration 0, the merge group after it).
+type partial struct {
+	k uint32
+	v float32
+}
+
 // Run computes y = m*x with full timing against the DRAM model. Iteration 0
 // multiplies chunk by chunk; every later iteration merges the previous
-// one's streams; a round's output spills to memory unless it is the final
-// result, which goes to the host.
+// one's streams VectorSize at a time; a round's output spills to memory
+// unless it is the final result, which goes to the host.
+//
+// The streams themselves are never built. One pass over the rows sums each
+// row's entries per chunk in column order, drops a partial that cancelled
+// to zero unless KeepZero is set, and folds the kept partials up the
+// iterations as the merges would: each group's partials added into zero in
+// stream order, a merged row counted whatever its sum. It counts every
+// round's input elements and output stream length on the way, and the
+// rounds then replay those counts against the memory.
 func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result, error) {
 	if len(x) != m.Cols {
 		return nil, fmt.Errorf("%s: operand of %d elements against %d columns", s.Name, len(x), m.Cols)
@@ -109,61 +125,92 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Plan: plan}
-	var streams []*PartialStream
-	var clock, peClock sim.Cycle // DRAM-domain and accelerator-domain time
-	cur := m.Cursor()
-	for iter, n := 0, m.Cols; iter == 0 || n > 1; iter++ {
-		if iter >= plan.Iterations() {
-			return nil, fmt.Errorf("%s: merge iteration %d beyond plan %v", s.Name, iter, plan)
+	rounds := plan.RoundsPerIteration
+	// lens lists the output stream lengths of every round, iteration by
+	// iteration, and entries[k] the matrix elements of chunk k.
+	total := 0
+	for _, n := range rounds {
+		total += n
+	}
+	lens := make([]int, total+rounds[0])
+	entries := lens[total:]
+	res := &Result{Plan: plan, Y: tensor.New(m.Rows)}
+	v := uint32(s.VectorSize)
+	kept := make([]partial, rounds[0])
+	for r, cols := range m.ColIdx {
+		vals := m.Vals[r][:len(cols)]
+		n := 0
+		for i := 0; i < len(cols); {
+			k := uint32(cols[i]) / v
+			var acc float32
+			e := i
+			for hi := int32((k + 1) * v); e < len(cols) && cols[e] < hi; e++ {
+				acc += vals[e] * x[cols[e]]
+			}
+			entries[k] += e - i
+			if acc != 0 || s.KeepZero {
+				kept[n] = partial{k, acc}
+				n++
+				lens[k]++
+			}
+			i = e
 		}
+		// Fold in place: a group's sum goes where its first partial was.
+		for it, base := 1, 0; it < len(rounds); it++ {
+			base += rounds[it-1]
+			w := 0
+			for i := 0; i < n; w++ {
+				g := kept[i].k / v
+				var sum float32
+				for end := (g + 1) * v; i < n && kept[i].k < end; i++ {
+					sum += kept[i].v
+				}
+				kept[w] = partial{g, sum}
+				lens[base+int(g)]++
+			}
+			n = w
+		}
+		if n == 1 { // the last iteration has one stream
+			res.Y[r] = kept[0].v
+		}
+	}
+
+	var clock, peClock sim.Cycle // DRAM-domain and accelerator-domain time
+	// A round of iteration 0 reads its chunk's entries, a later one the
+	// streams of its group; out lists the lengths of the streams written.
+	in, out := entries, lens
+	for it, n := range rounds {
 		rate := s.MergeElemsPerCycle
-		if iter == 0 {
+		if it == 0 {
 			rate = s.MultElemsPerCycle
 		}
-		var next []*PartialStream
-		for lo := 0; lo < n; lo += s.VectorSize {
-			hi := min(lo+s.VectorSize, n)
-			var out *PartialStream
-			elems := 0
-			if iter == 0 {
-				rows, sums, n := cur.MulChunk(hi, x, s.KeepZero)
-				out, elems = &PartialStream{Rows: rows, Vals: sums}, n
-			} else {
-				for _, p := range streams[lo:hi] {
-					elems += p.Len()
+		for k := 0; k < n; k++ {
+			elems := in[k]
+			if it > 0 {
+				elems = 0
+				for _, l := range in[k*s.VectorSize : min((k+1)*s.VectorSize, len(in))] {
+					elems += l
 				}
-				out = MergeStreams(streams[lo:hi], m.Rows)
 			}
-			next = append(next, out)
 			res.ElementsStreamed += elems
 			res.BytesStreamed += uint64(elems) * 8
 			if clock, peClock, err = s.round(mem, clock, peClock, elems, rate); err != nil {
 				return nil, err
 			}
-			if iter+1 < plan.Iterations() {
-				if clock, err = s.spill(mem, clock, out); err != nil {
+			if it+1 < len(rounds) {
+				if clock, err = s.spill(mem, clock, out[k]); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if len(next) != plan.RoundsPerIteration[iter] {
-			return nil, fmt.Errorf("%s: iteration %d produced %d streams, plan says %d",
-				s.Name, iter, len(next), plan.RoundsPerIteration[iter])
-		}
-		streams, n = next, len(next)
+		in, out = out[:n], out[n:]
 		peClock += s.Fill
-		if iter == 0 {
+		if it == 0 {
 			res.MultiplyCycles = peClock
 		}
 	}
 	res.MergeCycles = peClock - res.MultiplyCycles
 	res.TotalCycles = peClock
-
-	res.Y = tensor.New(m.Rows)
-	for i, r := range streams[0].Rows {
-		res.Y[r] = streams[0].Vals[i]
-	}
 	return res, nil
 }
 

@@ -225,34 +225,6 @@ func TestValidateConfig(t *testing.T) {
 	}
 }
 
-func TestPartialStreamBytes(t *testing.T) {
-	s := &PartialStream{Rows: []int32{1, 2}, Vals: []float32{3, 4}}
-	if s.Len() != 2 || s.Bytes() != 16 {
-		t.Fatalf("len=%d bytes=%d", s.Len(), s.Bytes())
-	}
-}
-
-func TestMergeStreams(t *testing.T) {
-	// Rows need not arrive sorted (the paper: "the row indices are no longer
-	// sorted, but this does not impact the functionality"); the merge emits
-	// them ascending. Row 4 cancels to zero and stays in the stream.
-	a := &PartialStream{Rows: []int32{3, 0, 2, 4}, Vals: []float32{3, 1, 2, 8}}
-	b := &PartialStream{Rows: []int32{2, 5, 4}, Vals: []float32{10, 20, -8}}
-	m := MergeStreams([]*PartialStream{a, b}, 7)
-	wantRows, wantVals := []int32{0, 2, 3, 4, 5}, []float32{1, 12, 3, 0, 20}
-	if m.Len() != len(wantRows) {
-		t.Fatalf("merged %v", m)
-	}
-	for i := range wantRows {
-		if m.Rows[i] != wantRows[i] || m.Vals[i] != wantVals[i] {
-			t.Fatalf("merged rows %v vals %v, want %v %v", m.Rows, m.Vals, wantRows, wantVals)
-		}
-	}
-	if empty := MergeStreams(nil, 7); empty.Len() != 0 {
-		t.Fatalf("merge of nothing: %v", empty)
-	}
-}
-
 func TestDefaultUsesPaperTree(t *testing.T) {
 	cfg := Default()
 	if cfg.VectorSize != 2048 {
