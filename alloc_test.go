@@ -26,7 +26,6 @@ func TestLookupAllocs256(t *testing.T) {
 		t.Fatal(err)
 	}
 	lookup := func() {
-		sys.ResetMemory()
 		if _, err := sys.Lookup(b); err != nil {
 			t.Fatal(err)
 		}

@@ -288,7 +288,13 @@ func (s *System) MemoryCounters() dram.Counters { return s.mem.Stats() }
 // NumPEs reports the size of the attached Fafnir tree.
 func (s *System) NumPEs() int { return s.engine.Tree().NumPEs() }
 
-// ResetMemory clears DRAM timing state and statistics between experiments.
+// ResetMemory clears DRAM timing state and statistics and returns the
+// memory's clock to cycle 0: a fresh timeline, so that runs meant to be
+// compared start from the same closed rows and idle refresh schedule. It is
+// not needed for correct per-lookup costs — every lookup issues at the
+// memory's own clock and reports the span from there, so lookup 1,001 of a
+// batch costs what lookup 1 did, up to the rows and refresh windows the
+// lookups before it left.
 func (s *System) ResetMemory() { s.mem.Reset() }
 
 // MemoryStats renders the DRAM access counters collected so far, one

@@ -110,7 +110,6 @@ func TestSpMVEndToEnd(t *testing.T) {
 	if res.TotalCycles == 0 {
 		t.Fatal("zero SpMV runtime")
 	}
-	sys.ResetMemory()
 	ts, err := sys.SpMVTwoStep(m, x)
 	if err != nil {
 		t.Fatal(err)

@@ -67,19 +67,25 @@ func TestShapeFlagsAreErrors(t *testing.T) {
 // TestBootDrainTopologies boots the three deployments check.sh serves, sends
 // two serial requests and drains. The startup and drain lines are pinned as
 // the serving CLI printed them before the shape flags chose the topology.
+// The fleet's fault plan loses shard 1 from fleet cycle 1, so the second
+// request must find it down: its failure counter names the loss as fired.
 func TestBootDrainTopologies(t *testing.T) {
 	const drained = "drained cleanly: 3 queries in 2 batches (coalesce factor 1.50, 4.33 reads/query)"
-	for _, tc := range []struct{ args, startup string }{
+	for _, tc := range []struct{ args, startup, fired string }{
 		{"-rows 4096",
-			"system: 32 ranks, 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
+			"system: 32 ranks, 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off", ""},
 		{"-shards 4 -rows 4096 -faults shard=1@1;seed=7",
-			"fleet: 4 shards x 8 ranks, rnet radix 2 (3 switches, depth 2), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
+			"fleet: 4 shards x 8 ranks, rnet radix 2 (3 switches, depth 2), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off",
+			`fafnir_router_shard_failures_total{shard="1"}`},
 		{"-fleets 2 -shards 4 -radix 2 -rows 4096",
-			"federation: 2 fleets x 4 shards x 8 ranks, fleet combine rnet radix 2, cross-fleet rnet radix 2 (1 switches, depth 1), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off"},
+			"federation: 2 fleets x 4 shards x 8 ranks, fleet combine rnet radix 2, cross-fleet rnet radix 2 (1 switches, depth 1), 131072 vectors, batch capacity 32, linger 500µs, queue bound 512, cache off", ""},
 	} {
 		lines := bootDrain(t, tc.args, func(addr string) {
 			post(t, addr, `{"indices":[1,2,3,4,5,6,7,8]}`)
 			post(t, addr, `{"queries":[[9,10],[11,12,13]],"op":"mean"}`)
+			if tc.fired != "" && seriesValue(t, scrape(t, addr), tc.fired) < 1 {
+				t.Errorf("%q: the shard loss never fired: %s below 1", tc.args, tc.fired)
+			}
 		})
 		want := []string{"listening on 127.0.0.1:", tc.startup, "draining...", drained}
 		if len(lines) != len(want) {
@@ -174,16 +180,7 @@ func TestFederationGate(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		resp, err := http.Get("http://" + addr + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		page = string(body)
+		page = scrape(t, addr)
 	})
 	if len(lines) < 4 {
 		t.Fatalf("printed %q", lines)
@@ -191,18 +188,7 @@ func TestFederationGate(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "federation: 2 fleets x 4 shards") {
 		t.Errorf("startup line %q does not name the topology", lines[1])
 	}
-	value := func(series string) float64 {
-		for _, line := range strings.Split(page, "\n") {
-			if v, ok := strings.CutPrefix(line, series+" "); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Errorf("%s: %v", series, err)
-				}
-				return f
-			}
-		}
-		return 0
-	}
+	value := func(series string) float64 { return seriesValue(t, page, series) }
 	for _, series := range []string{
 		"fafnir_federation_batches_total",
 		`fafnir_federation_fleet_lookups_total{fleet="0"}`,
@@ -220,6 +206,34 @@ func TestFederationGate(t *testing.T) {
 	if last := lines[len(lines)-1]; !strings.HasPrefix(last, want) {
 		t.Errorf("last line %q, want a clean drain starting %q", last, want)
 	}
+}
+
+// scrape returns the server's /metrics page.
+func scrape(t *testing.T, addr string) string {
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// seriesValue reads one series from a /metrics page, 0 when absent.
+func seriesValue(t *testing.T, page, series string) float64 {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Errorf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return 0
 }
 
 // namesFlag matches an error that starts by naming a topology flag.

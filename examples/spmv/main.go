@@ -47,14 +47,12 @@ func run(w io.Writer) error {
 
 	var fafCycles, tsCycles uint64
 	for it := 0; it < iterations; it++ {
-		sys.ResetMemory()
 		fres, err := sys.SpMV(graph, rank)
 		if err != nil {
 			return err
 		}
 		fafCycles += uint64(fres.TotalCycles)
 
-		sys.ResetMemory()
 		tres, err := sys.SpMVTwoStep(graph, rank)
 		if err != nil {
 			return err

@@ -118,7 +118,8 @@ func (e *Engine) Config() Config { return e.cfg }
 // TimedLookup gathers every query's vectors across the channels to the host
 // and reduces them there. All n*q vectors are read (no dedup, no NDP), every
 // read reserves the channel bus, and the host handles each arriving vector
-// at VectorHandleCycles on one of Cores cores.
+// at VectorHandleCycles on one of Cores cores. The reads issue at the
+// memory's current cycle and MemCycles is the span from there.
 func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, mem *dram.System, b embedding.Batch) (*Result, error) {
 	outputs, err := b.Golden(store)
 	if err != nil {
@@ -126,18 +127,19 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 	}
 	res := &Result{Outputs: outputs}
 
-	var memDone sim.Cycle
+	issue := mem.Now()
+	memDone := issue
 	vectors := 0
 	for _, q := range b.Queries {
 		for _, idx := range q.Indices {
-			done := mem.Read(0, layout.Addr(idx), layout.VectorBytes(), dram.DestHost)
+			done := mem.Read(issue, layout.Addr(idx), layout.VectorBytes(), dram.DestHost)
 			memDone = sim.Max(memDone, done)
 			vectors++
 		}
 	}
 	res.MemoryReads = vectors
 	res.BytesToHost = uint64(vectors) * uint64(layout.VectorBytes())
-	res.MemCycles = e.cfg.DRAMToHost(memDone)
+	res.MemCycles = e.cfg.DRAMToHost(memDone) - e.cfg.DRAMToHost(issue)
 
 	res.ComputeCycles = e.HandleVectors(vectors)
 	res.TotalCycles = res.MemCycles + res.ComputeCycles

@@ -8,6 +8,12 @@
 // its shared bus to the host is free. A read request reserves those resources
 // in order and returns the cycle at which its last burst of data arrives.
 //
+// A System is the one owner of simulated time: Now is the cycle by which
+// every resource it has reserved is free again. Engines issue each lookup at
+// Now and report cycles as the span from there, so a lookup costs the same
+// whether it is the first on a memory or the thousandth; Reset returns the
+// timeline to cycle 0.
+//
 // This is intentionally not a full DRAM protocol simulator (no refresh, no
 // command-bus contention, no write path): the three effects the paper's
 // evaluation hinges on are captured —
@@ -188,11 +194,6 @@ func (c Config) TotalRanks() int {
 	return c.Channels * c.DIMMsPerChannel * c.RanksPerDIMM
 }
 
-// RanksPerChannel reports the ranks attached to one channel.
-func (c Config) RanksPerChannel() int {
-	return c.DIMMsPerChannel * c.RanksPerDIMM
-}
-
 // Location is a fully decoded physical address.
 type Location struct {
 	Channel int
@@ -205,12 +206,12 @@ type Location struct {
 
 // GlobalRank flattens a location's (channel, dimm, rank) into a system-wide
 // rank identifier in [0, TotalRanks).
-func (c Config) GlobalRank(l Location) int {
+func (c *Config) GlobalRank(l Location) int {
 	return (l.Channel*c.DIMMsPerChannel+l.DIMM)*c.RanksPerDIMM + l.Rank
 }
 
 // RankLocation inverts GlobalRank.
-func (c Config) RankLocation(global int) Location {
+func (c *Config) RankLocation(global int) Location {
 	r := global % c.RanksPerDIMM
 	d := (global / c.RanksPerDIMM) % c.DIMMsPerChannel
 	ch := global / (c.RanksPerDIMM * c.DIMMsPerChannel)
@@ -221,11 +222,16 @@ func (c Config) RankLocation(global int) Location {
 // the low bits address bytes within one interleave slot (one embedding
 // vector), the next bits pick the rank, and the remaining bits walk rows
 // within the rank with rows striped across banks.
-func (c Config) Decode(addr Addr) Location {
+//
+// Decode and Encode run once per simulated access, so they take the Config
+// by pointer and read its fields directly: a value receiver would copy the
+// whole Config on every call.
+func (c *Config) Decode(addr Addr) Location {
+	ranks := uint64(c.Channels * c.DIMMsPerChannel * c.RanksPerDIMM)
 	slotOff := int(addr) % c.InterleaveBytes
 	slotIdx := uint64(addr) / uint64(c.InterleaveBytes)
-	global := int(slotIdx % uint64(c.TotalRanks()))
-	within := slotIdx / uint64(c.TotalRanks())
+	global := int(slotIdx % ranks)
+	within := slotIdx / ranks
 
 	slotsPerRow := uint64(c.RowBytes / c.InterleaveBytes)
 	rowSeq := within / slotsPerRow
@@ -242,22 +248,13 @@ func (c Config) Decode(addr Addr) Location {
 // address of interleave slot slot within global rank rank. Slot s of rank r
 // is the s-th InterleaveBytes-sized block stored in that rank. It returns an
 // error for a rank outside the geometry.
-func (c Config) Encode(globalRank int, slot uint64) (Addr, error) {
-	if globalRank < 0 || globalRank >= c.TotalRanks() {
-		return 0, fmt.Errorf("dram: rank %d out of range [0,%d)", globalRank, c.TotalRanks())
+func (c *Config) Encode(globalRank int, slot uint64) (Addr, error) {
+	ranks := c.Channels * c.DIMMsPerChannel * c.RanksPerDIMM
+	if globalRank < 0 || globalRank >= ranks {
+		return 0, fmt.Errorf("dram: rank %d out of range [0,%d)", globalRank, ranks)
 	}
-	idx := slot*uint64(c.TotalRanks()) + uint64(globalRank)
+	idx := slot*uint64(ranks) + uint64(globalRank)
 	return Addr(idx * uint64(c.InterleaveBytes)), nil
-}
-
-// MustEncode is Encode for callers with statically valid ranks (tests,
-// examples); it panics on error.
-func (c Config) MustEncode(globalRank int, slot uint64) Addr {
-	a, err := c.Encode(globalRank, slot)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // AccessRecord describes one top-level read request served by the system, as
@@ -314,6 +311,7 @@ type System struct {
 	cfg       Config
 	ranks     []rank
 	chanBusAt []sim.Cycle // per-channel host-bus availability
+	now       sim.Cycle   // every reserved bank, pin and bus is free by now
 	stats     Counters
 	faults    *fault.Injector  // nil when no fault plan is attached
 	log       *AccessLog       // nil when no access log is attached
@@ -380,8 +378,18 @@ func (s *System) Config() Config { return s.cfg }
 // Stats returns a snapshot of the access counters collected so far.
 func (s *System) Stats() Counters { return s.stats }
 
+// Now reports the memory's current cycle: the first at which every bank,
+// rank pin and channel bus it has reserved is free. Engines issue a lookup
+// here and report its cycles as the span from it.
+func (s *System) Now() sim.Cycle { return s.now }
+
+// WaitUntil moves Now forward to cycle t, if it is not there yet: the
+// memory's owner issues its next request no earlier than t. A router shard
+// calls it with its tier's clock.
+func (s *System) WaitUntil(t sim.Cycle) { s.now = sim.Max(s.now, t) }
+
 // Reset clears all bank, bus, and statistics state, returning the system to
-// its initial (all rows closed, all resources free) condition.
+// its initial (all rows closed, all resources free, Now at 0) condition.
 func (s *System) Reset() {
 	for i := range s.ranks {
 		rk := &s.ranks[i]
@@ -392,6 +400,7 @@ func (s *System) Reset() {
 	}
 	clear(s.chanBusAt)
 	s.stats = Counters{}
+	s.now = 0
 }
 
 // afterRefresh pushes a command start time out of any refresh window: the
@@ -581,18 +590,13 @@ func (s *System) accessWithinSlot(now sim.Cycle, g int, loc Location, size int, 
 	}
 
 	s.stats.Bursts += uint64(bursts)
+	// dataAt is the latest of this access's bank, pin and bus reservations.
+	s.now = sim.Max(s.now, dataAt)
 	if s.tracer != nil {
 		s.traceAccess(g, loc, outcome, preAt, actAt, start, dataAt, size)
 	}
 	return dataAt
 }
-
-// RankFreeAt reports the earliest cycle global rank g's data pins are free,
-// which engines use to model streaming back-pressure.
-func (s *System) RankFreeAt(g int) sim.Cycle { return s.ranks[g].pinsAt }
-
-// ChannelFreeAt reports the earliest cycle channel ch's host bus is free.
-func (s *System) ChannelFreeAt(ch int) sim.Cycle { return s.chanBusAt[ch] }
 
 // TransferCycles reports the channel-bus cycles needed to move size bytes.
 func (c Config) TransferCycles(size int) sim.Cycle {

@@ -225,9 +225,9 @@ func TestReadSpanningSlots(t *testing.T) {
 	s := MustSystem(cfg)
 	// A read of two interleave slots touches two ranks.
 	s.Read(0, 0, 2*cfg.InterleaveBytes, DestLocal)
-	if s.RankFreeAt(0) == 0 || s.RankFreeAt(1) == 0 || s.RankFreeAt(2) != 0 {
+	if s.ranks[0].pinsAt == 0 || s.ranks[1].pinsAt == 0 || s.ranks[2].pinsAt != 0 {
 		t.Fatalf("rank pins free at %d, %d, %d; want ranks 0 and 1 busy, rank 2 idle",
-			s.RankFreeAt(0), s.RankFreeAt(1), s.RankFreeAt(2))
+			s.ranks[0].pinsAt, s.ranks[1].pinsAt, s.ranks[2].pinsAt)
 	}
 	if got := s.Stats().Reads; got != 2 {
 		t.Fatalf("reads = %d, want one per slot piece (2)", got)
@@ -268,7 +268,7 @@ func TestReset(t *testing.T) {
 	if s.Stats().Counter("dram.reads") != 0 {
 		t.Fatal("stats survived reset")
 	}
-	if s.ChannelFreeAt(0) != 0 || s.RankFreeAt(0) != 0 {
+	if s.chanBusAt[0] != 0 || s.ranks[0].pinsAt != 0 || s.Now() != 0 {
 		t.Fatal("resources survived reset")
 	}
 	// First read after reset is a fresh row miss again.
@@ -467,10 +467,10 @@ func TestStreamWriteOccupiesRank(t *testing.T) {
 	if end == 0 {
 		t.Fatal("stream write took no time")
 	}
-	if s.RankFreeAt(3) == 0 {
+	if s.ranks[3].pinsAt == 0 {
 		t.Fatal("rank pins not reserved by writes")
 	}
-	if s.RankFreeAt(0) != 0 {
+	if s.ranks[0].pinsAt != 0 {
 		t.Fatal("other rank affected")
 	}
 	st := s.Stats()
@@ -479,5 +479,39 @@ func TestStreamWriteOccupiesRank(t *testing.T) {
 	}
 	if st.Writes != 4 || st.BytesWritten != uint64(4*cfg.InterleaveBytes) {
 		t.Fatalf("writes = %d (%d B), want 4 (%d B)", st.Writes, st.BytesWritten, 4*cfg.InterleaveBytes)
+	}
+}
+
+// TestNowTracksReservations: Now is the latest cycle any access has reserved
+// a bank, rank pin or channel bus until, WaitUntil only moves it forward,
+// and Reset returns it to 0.
+func TestNowTracksReservations(t *testing.T) {
+	cfg := DDR4()
+	s := MustSystem(cfg)
+	if s.Now() != 0 {
+		t.Fatalf("fresh memory at cycle %d", s.Now())
+	}
+	host := s.Read(0, cfg.MustEncode(0, 0), 512, DestHost)
+	local := s.Read(0, cfg.MustEncode(1, 0), 512, DestLocal)
+	if want := sim.Max(host, local); s.Now() != want {
+		t.Fatalf("Now = %d after reads done at %d and %d", s.Now(), host, local)
+	}
+	for g := range s.ranks {
+		for _, bk := range s.ranks[g].banks {
+			if bk.readyAt > s.Now() || s.ranks[g].pinsAt > s.Now() {
+				t.Fatalf("rank %d reserved past Now = %d", g, s.Now())
+			}
+		}
+	}
+	now := s.Now()
+	if s.WaitUntil(now - 1); s.Now() != now {
+		t.Fatalf("WaitUntil moved Now back to %d", s.Now())
+	}
+	if s.WaitUntil(now + 100); s.Now() != now+100 {
+		t.Fatalf("WaitUntil(%d) left Now at %d", now+100, s.Now())
+	}
+	s.Reset()
+	if s.Now() != 0 {
+		t.Fatalf("Reset left Now at %d", s.Now())
 	}
 }

@@ -87,30 +87,6 @@ func TestLeafInputsAllocBudget(t *testing.T) {
 	}
 }
 
-// TestLookupAllocBudget pins the whole functional batch-32 Lookup: plan
-// compilation, leaf staging, tree reduction, and result resolution. The
-// outputs and the plan escape by design, so this budget is necessarily
-// nonzero; measured steady state is 13 allocs/op with the golden check
-// inside: the plan's six buffers, one array holding the 32 outputs and the
-// lookup's own bookkeeping (44 with an allocation per output, ~336 while plans
-// carried a sorted-slice header per access, ~11.6k before the arena work).
-func TestLookupAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc budgets are not short-mode material")
-	}
-	e, plan, store, pl := allocTreeSetup(t, 1)
-	bt := plan.Batch()
-	got := allocsPerRun(t, func() {
-		if _, err := e.Lookup(store, pl, bt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const budget = 100
-	if got > budget {
-		t.Errorf("Lookup(batch=32): %.0f allocs/op, budget %d", got, budget)
-	}
-}
-
 // TestTimedLookupAllocBudget pins the timed batch-32 lookup at Parallelism 1
 // and at the default: one hardware batch runs inline on the caller's
 // goroutine at every setting, so both pay the same allocations (plan, leaf

@@ -7,15 +7,18 @@
 // embedding vectors — no matter which ranks they live on — is fully reduced
 // before leaving the memory system.
 //
-// The package provides two engines over one functional core:
+// The package provides two timed modes over one functional core:
 //
-//   - Engine.Lookup runs a batch functionally and returns the reduced output
-//     vector of every query, validated in tests against the golden reference
-//     in package embedding.
-//   - Engine.TimedLookup additionally charges every DRAM access to the
-//     shared dram.System and every PE action to the Table IV pipeline
-//     latencies, returning the latency/throughput breakdown the paper's
-//     Figs. 11-13 report.
+//   - Engine.TimedLookup runs a batch through the tree in hardware batches,
+//     returning the reduced output vector of every query, checked against
+//     each pass's golden fold, and charges every DRAM access to the shared
+//     dram.System and every PE action to the Table IV pipeline latencies:
+//     the latency/throughput breakdown the paper's Figs. 11-13 report.
+//   - Engine.InteractiveLookup serves one query at a time in the paper's
+//     comparison-free interactive mode.
+//
+// Both issue at the memory's own clock, dram.System.Now, and report cycles
+// as the span from there.
 package fafnir
 
 import (
@@ -129,6 +132,12 @@ func (c Config) NumLeaves() int { return c.NumRanks / c.LeafFanIn }
 // cycles, rounding up.
 func (c Config) DRAMToPE(d sim.Cycle) sim.Cycle {
 	return sim.Rescale(d, c.DRAMClockMHz, c.ClockMHz)
+}
+
+// PEToDRAM converts a PE-clock cycle to the memory clock: the first memory
+// cycle of that PE cycle.
+func (c Config) PEToDRAM(t sim.Cycle) sim.Cycle {
+	return sim.Cycle(float64(t) * c.DRAMClockMHz / c.ClockMHz)
 }
 
 // VectorBytes reports the size of one embedding vector in bytes (float32

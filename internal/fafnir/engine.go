@@ -75,8 +75,10 @@ func (e *Engine) Config() Config { return e.cfg }
 // Tree returns the engine's topology.
 func (e *Engine) Tree() *Tree { return e.tree }
 
-// Result is the functional outcome of one batch.
-type Result struct {
+// TimedResult is the outcome of one lookup: the reduced outputs, the
+// tree's action counts, and the timing breakdown of Figs. 11-13. All cycle
+// counts are in the PE clock domain.
+type TimedResult struct {
 	// Outputs holds the reduced vector of every query, in batch order.
 	Outputs []tensor.Vector
 	// PETotals accumulates the per-PE action counts across the whole tree.
@@ -88,12 +90,6 @@ type Result struct {
 	MemoryReads int
 	// HWBatches is how many hardware batches served the software batch.
 	HWBatches int
-}
-
-// TimedResult extends Result with the timing breakdown of Figs. 11-13.
-// All cycle counts are in the PE clock domain.
-type TimedResult struct {
-	Result
 	// MemCycles is when the last DRAM read completed.
 	MemCycles sim.Cycle
 	// ComputeCycles is the tree traversal time after the last read.
@@ -223,47 +219,6 @@ type ShardDegraded struct {
 func (d *DegradedReport) Empty() bool {
 	return d == nil || (len(d.FailedRanks) == 0 && d.RemappedReads == 0 &&
 		d.Retries == 0 && len(d.Shards) == 0 && len(d.LostQueries) == 0)
-}
-
-// Seconds converts the total latency to seconds at the PE clock.
-func (r TimedResult) Seconds(cfg Config) float64 {
-	return sim.Seconds(r.TotalCycles, cfg.ClockMHz)
-}
-
-// Lookup runs a batch functionally (no timing): the batch is compiled with
-// deduplication, split into hardware batches of at most BatchCapacity
-// queries, and pushed through the tree. The outputs are validated to cover
-// every query, and each against its pass's golden fold (checkGolden).
-func (e *Engine) Lookup(store *embedding.Store, layout Placement, b embedding.Batch) (*Result, error) {
-	res := &Result{Outputs: make([]tensor.Vector, len(b.Queries))}
-	src := e.newPassSource(store, layout, b, true, false)
-	defer src.close()
-	res.HWBatches = len(src.starts)
-	for p := src.next(); p != nil; p = src.next() {
-		if err := src.reduce(p, nil); err != nil {
-			return nil, err
-		}
-		res.MemoryReads += p.plan.NumAccesses()
-		res.PETotals.Add(p.totals)
-		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
-		if err := e.resolve(p, res); err != nil {
-			return nil, err
-		}
-	}
-	if err := checkCovered(res.Outputs); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// checkCovered reports a query the hardware batches left without an output.
-func checkCovered(outputs []tensor.Vector) error {
-	for qi, out := range outputs {
-		if out == nil {
-			return fmt.Errorf("fafnir: query %d produced no output: %w", qi, fault.ErrInvariantViolated)
-		}
-	}
-	return nil
 }
 
 // hwBatchStarts lists the query offsets at which hardware batches begin.
@@ -452,7 +407,7 @@ func checkRootConservation(plan *batch.Plan, classes *queryClasses, outputs []de
 // query with no indices — which reads nothing and owns no root output — with
 // the zero vector the reference implementations give it, and it ends with the
 // golden check of the batch's outputs (checkGolden).
-func (e *Engine) resolve(p *funcPass, res *Result) error {
+func (e *Engine) resolve(p *funcPass, res *TimedResult) error {
 	plan, qBase, classes := p.plan, p.start, &p.sc.ws.cls
 	if err := checkRootConservation(plan, classes, p.outputs); err != nil {
 		return err
@@ -748,7 +703,10 @@ func (e *Engine) treeTiming(leafReady, ready []sim.Cycle, perPE []PEStats, inj *
 // default) or issues every access (the Fig. 13 ablation).
 //
 // The timing model is a wave model: all planned reads are issued to the DRAM
-// system at cycle zero (per-rank queues serialize them), each leaf PE starts
+// system at its current cycle, mem.Now() (per-rank queues serialize them),
+// and every reported cycle count is the span from there, so the same batch
+// costs the same on a fresh memory and on one that served a thousand
+// lookups before it (up to open rows and refresh). Each leaf PE starts
 // when the last of its ranks' reads lands, and every PE finishes one stage
 // latency after its inputs are ready plus one cycle per additional output
 // (the pipelined initiation interval). Successive hardware batches begin
@@ -781,7 +739,9 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 	defer src.close()
 	res.HWBatches = len(src.starts)
 
-	var clock sim.Cycle // DRAM-domain time at which the next batch may issue
+	issue := mem.Now()
+	issuePE := e.cfg.DRAMToPE(issue)
+	clock := issue // DRAM-domain time at which the next batch may issue
 	leafReady := make([]sim.Cycle, e.tree.NumPEs())
 	ready := make([]sim.Cycle, e.tree.NumPEs())
 
@@ -792,8 +752,11 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 		// Issue every planned read; record per-leaf-input readiness. Under
 		// fault injection the host consults the injector per access, remaps
 		// dark-rank reads, and charges retry backoff; remap records which
-		// leaf each redirected entry enters the tree through.
-		clear(leafReady)
+		// leaf each redirected entry enters the tree through. A leaf no read
+		// reaches is ready when the lookup issues.
+		for i := range leafReady {
+			leafReady[i] = issue
+		}
 		var remap map[header.Index]int
 		var memDone sim.Cycle
 		for _, acc := range plan.Accesses {
@@ -845,7 +808,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 		}
 		res.PETotals.Add(p.totals)
 		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
-		if err := e.resolve(p, &res.Result); err != nil {
+		if err := e.resolve(p, res); err != nil {
 			return nil, err
 		}
 		if e.rowSink != nil {
@@ -871,10 +834,10 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 		}
 
 		memPE := e.cfg.DRAMToPE(memDone)
-		res.MemCycles = memPE
+		res.MemCycles = memPE - issuePE
 		res.ComputeCycles += rootDone - memPE
 		res.TransferCycles += xfer
-		res.TotalCycles = rootDone + xfer
+		res.TotalCycles = rootDone + xfer - issuePE
 
 		// The batch's outputs and per-PE stats are fully consumed by now
 		// (resolve clones, treeTiming and traceBatch only read): src.next
@@ -884,8 +847,10 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 		clock = memDone
 	}
 
-	if err := checkCovered(res.Outputs); err != nil {
-		return nil, err
+	for qi, out := range res.Outputs {
+		if out == nil {
+			return nil, fmt.Errorf("fafnir: query %d produced no output: %w", qi, fault.ErrInvariantViolated)
+		}
 	}
 	if faulted {
 		deg.FailedRanks = inj.FailedRanks(clock)
@@ -959,7 +924,8 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 
 	stage := e.cfg.Latency.InteractiveStage()
 	depth := sim.Cycle(e.tree.Depth())
-	var clock sim.Cycle // DRAM-domain time
+	clock := mem.Now() // DRAM-domain time; the queries issue from here
+	issuePE := e.cfg.DRAMToPE(clock)
 
 	row := tensor.New(store.Dim())
 	for qi, q := range b.Queries {
@@ -988,9 +954,9 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 
 		memPE := e.cfg.DRAMToPE(memDone)
 		done := memPE + depth*stage + e.cfg.DRAMToPE(mem.Config().TransferCycles(layout.VectorBytes()))
-		res.MemCycles = memPE
+		res.MemCycles = memPE - issuePE
 		res.ComputeCycles += depth * stage
-		res.TotalCycles = done
+		res.TotalCycles = done - issuePE
 		res.HWBatches++
 		clock = memDone
 	}

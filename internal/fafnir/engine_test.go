@@ -26,6 +26,12 @@ func (p modPlacement) Addr(idx header.Index) dram.Addr {
 }
 func (p modPlacement) VectorBytes() int { return p.bytes }
 
+// lookup runs b through the timed engine with deduplication on a fresh
+// DDR4 memory.
+func lookup(e *Engine, store *embedding.Store, layout Placement, b embedding.Batch) (*TimedResult, error) {
+	return e.TimedLookup(store, layout, dram.MustSystem(dram.DDR4()), b, true)
+}
+
 // tablePlacement emulates Fig. 6: index "rt" (row digit, table digit) lives
 // in the rank of its table digit.
 type tablePlacement struct{ bytes int }
@@ -69,7 +75,7 @@ func TestLookupFig6(t *testing.T) {
 	e := smallEngine(t, 8, 2, 4, 4)
 	store := embedding.MustStore(100, 4, 77)
 	b := fig6Batch()
-	res, err := e.Lookup(store, tablePlacement{bytes: 16}, b)
+	res, err := lookup(e, store, tablePlacement{bytes: 16}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +117,7 @@ func TestLookupMatchesGoldenRandom(t *testing.T) {
 					t.Fatal(err)
 				}
 				b := gen.Batch(tensor.OpSum)
-				res, err := e.Lookup(store, modPlacement{ranks: ranks, bytes: 4 * dims[seed%2]}, b)
+				res, err := lookup(e, store, modPlacement{ranks: ranks, bytes: 4 * dims[seed%2]}, b)
 				if err != nil {
 					t.Fatalf("dist=%v ranks=%d seed=%d: %v", dist, ranks, seed, err)
 				}
@@ -138,7 +144,7 @@ func TestLookupAllOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := gen.Batch(op)
-		res, err := e.Lookup(store, modPlacement{ranks: 8, bytes: 16}, b)
+		res, err := lookup(e, store, modPlacement{ranks: 8, bytes: 16}, b)
 		if err != nil {
 			t.Fatalf("op %v: %v", op, err)
 		}
@@ -160,7 +166,7 @@ func TestLookupSingleIndexQueries(t *testing.T) {
 		},
 		Op: tensor.OpSum,
 	}
-	res, err := e.Lookup(store, modPlacement{ranks: 8, bytes: 16}, b)
+	res, err := lookup(e, store, modPlacement{ranks: 8, bytes: 16}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestLookupSplitsSoftwareBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := gen.Batch(tensor.OpSum)
-	res, err := e.Lookup(store, modPlacement{ranks: 8, bytes: 16}, b)
+	res, err := lookup(e, store, modPlacement{ranks: 8, bytes: 16}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +210,10 @@ func TestLookupRejectsOutOfRangeRank(t *testing.T) {
 		Op:      tensor.OpSum,
 	}
 	// Placement claims 8 ranks but the tree has 4.
-	if _, err := e.Lookup(store, modPlacement{ranks: 8, bytes: 16}, b); err == nil {
+	if _, err := lookup(e, store, modPlacement{ranks: 8, bytes: 16}, b); err == nil {
 		// Indices 1 and 2 map to ranks 1 and 2, which fit; use a bigger one.
 		b.Queries[0].Indices = header.NewIndexSet(6, 7)
-		if _, err := e.Lookup(store, modPlacement{ranks: 8, bytes: 16}, b); err == nil {
+		if _, err := lookup(e, store, modPlacement{ranks: 8, bytes: 16}, b); err == nil {
 			t.Fatal("rank beyond tree accepted")
 		}
 	}
@@ -270,7 +276,6 @@ func TestTimedLookupDedupReducesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem.Reset()
 	without, err := e.TimedLookup(store, layout, mem, b, false)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +391,7 @@ func TestLookupStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := gen.Batch(tensor.OpSum)
-		res, err := e.Lookup(store, modPlacement{ranks: ranks, bytes: 4 * dim}, b)
+		res, err := lookup(e, store, modPlacement{ranks: ranks, bytes: 4 * dim}, b)
 		if err != nil {
 			t.Fatalf("trial %d (ranks=%d fan=%d n=%d q=%d): %v", trial, ranks, fan, n, q, err)
 		}
@@ -474,13 +479,6 @@ func TestEmptyQueryResolvesToZeroVector(t *testing.T) {
 		"every query":          hole(0, 1, 2, 3, 4, 5),
 	}
 	modes := map[string]func(embedding.Batch) ([]tensor.Vector, error){
-		"Lookup": func(b embedding.Batch) ([]tensor.Vector, error) {
-			res, err := e.Lookup(store, layout, b)
-			if err != nil {
-				return nil, err
-			}
-			return res.Outputs, nil
-		},
 		"InteractiveLookup": func(b embedding.Batch) ([]tensor.Vector, error) {
 			res, err := e.InteractiveLookup(store, layout, dram.MustSystem(dram.DDR4()), b)
 			if err != nil {
@@ -540,7 +538,7 @@ func TestQuickOccupancyBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := gen.Batch(tensor.OpSum)
-		res, err := e.Lookup(store, modPlacement{ranks: ranks, bytes: 16}, b)
+		res, err := lookup(e, store, modPlacement{ranks: ranks, bytes: 16}, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

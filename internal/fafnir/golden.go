@@ -73,7 +73,7 @@ func foldGolden(sc *treeScratch, store *embedding.Store, plan *batch.Plan) ([]te
 // checkGolden is the engine's second always-on invariant, beside root
 // conservation: every resolved output of a hardware batch (got, starting at
 // batch query qBase) must equal its pass's reference fold exactly. A query
-// left unanswered is checkCovered's to report.
+// left unanswered is TimedLookup's to report.
 func checkGolden(got, want []tensor.Vector, qBase int) error {
 	if GoldenCheckHook != nil {
 		GoldenCheckHook(qBase, got, want)

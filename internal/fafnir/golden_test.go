@@ -26,18 +26,14 @@ func corruptOneOutput(t *testing.T) {
 
 // TestGoldenCheckCatchesCorruptOutput corrupts one element of one resolved
 // output and requires the golden check's error from every pass mode: the
-// functional and timed lookups inline (Parallelism 1) and with passes computed
-// ahead of the consumer (Parallelism 2), and a faulted run, which is inline at
-// any Parallelism.
+// timed lookup inline (Parallelism 1) and with passes computed ahead of the
+// consumer (Parallelism 2), and a faulted run, which is inline at any
+// Parallelism.
 func TestGoldenCheckCatchesCorruptOutput(t *testing.T) {
 	f := newFaultFixture(t, tensor.OpSum)
 	plan, err := fault.Parse("rank=0@0;ecc=0.02;seed=5")
 	if err != nil {
 		t.Fatal(err)
-	}
-	lookup := func(e *Engine) error {
-		_, err := e.Lookup(f.store, f.layout, f.batch)
-		return err
 	}
 	timed := func(e *Engine) error {
 		_, err := e.TimedLookup(f.store, f.layout, dram.MustSystem(f.mcfg), f.batch, true)
@@ -56,8 +52,6 @@ func TestGoldenCheckCatchesCorruptOutput(t *testing.T) {
 		par  int
 		run  func(*Engine) error
 	}{
-		{"functional/P1", 1, lookup},
-		{"functional/P2", 2, lookup},
 		{"timed/P1", 1, timed},
 		{"timed/P2", 2, timed},
 		{"faulted", 2, faulted},

@@ -95,9 +95,9 @@ func TestLookupDeterministicAcrossParallelism(t *testing.T) {
 		{"uniform", 32, modPlacement{ranks: 32, bytes: 64}},
 		{"skew", skewRanks, skewPlacement{ranks: skewRanks, bytes: 64}},
 	} {
-		var want *Result
+		var want *TimedResult
 		for _, par := range parallelismLevels() {
-			res, err := ranksEngine(t, in.ranks, par).Lookup(store, in.pl, b)
+			res, err := lookup(ranksEngine(t, in.ranks, par), store, in.pl, b)
 			if err != nil {
 				t.Fatalf("%s Parallelism=%d: %v", in.name, par, err)
 			}
@@ -201,7 +201,7 @@ func TestParallelLookupMatchesGolden(t *testing.T) {
 	store, b := detWorkload(t, 80)
 	pl := modPlacement{ranks: 32, bytes: 64}
 	e := parEngine(t, runtime.NumCPU())
-	res, err := e.Lookup(store, pl, b)
+	res, err := lookup(e, store, pl, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestParallelAllOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Lookup(store, modPlacement{ranks: 32, bytes: 32}, b)
+			res, err := lookup(e, store, modPlacement{ranks: 32, bytes: 32}, b)
 			if err != nil {
 				t.Fatalf("op=%v par=%d: %v", op, par, err)
 			}
@@ -272,10 +272,9 @@ func TestParallelErrorDeterministic(t *testing.T) {
 		var want string
 		for _, par := range parallelismLevels() {
 			e := parEngine(t, par)
-			_, lookupErr := e.Lookup(store, in.bad, b)
 			_, timedErr := e.TimedLookup(store, in.bad, dram.MustSystem(dram.DDR4()), b, true)
 			_, interErr := e.InteractiveLookup(store, in.bad, dram.MustSystem(dram.DDR4()), b)
-			for mode, err := range map[string]error{"Lookup": lookupErr, "TimedLookup": timedErr, "InteractiveLookup": interErr} {
+			for mode, err := range map[string]error{"TimedLookup": timedErr, "InteractiveLookup": interErr} {
 				if err == nil {
 					t.Fatalf("%s Parallelism=%d: %s accepted an out-of-range rank", in.name, par, mode)
 				}

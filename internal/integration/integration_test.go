@@ -159,8 +159,9 @@ func TestPaperOrderingHolds(t *testing.T) {
 }
 
 // TestSharedMemoryStateComposes runs two engines back to back on one DRAM
-// system (a co-located deployment): both must stay functionally correct and
-// the second must observe the first's bus occupancy.
+// system (a co-located deployment): both must stay functionally correct, and
+// the second must issue on the memory's timeline after the first and find
+// the rows it opened: same reads, no more cycles, at least as many row hits.
 func TestSharedMemoryStateComposes(t *testing.T) {
 	f := newFixture(t)
 	mem := dram.MustSystem(f.mcfg)
@@ -171,13 +172,18 @@ func TestSharedMemoryStateComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := mem.Now()
+	hits := mem.Stats().RowHits
 	second, err := f.faf.TimedLookup(f.store, f.layout, mem, b, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.TotalCycles <= first.TotalCycles {
-		t.Fatalf("second run (%d) did not queue behind the first (%d)",
-			second.TotalCycles, first.TotalCycles)
+	if after == 0 || mem.Now() <= after {
+		t.Fatalf("memory clock %d after the first run, %d after the second: the runs share no timeline", after, mem.Now())
+	}
+	if second.TotalCycles > first.TotalCycles || mem.Stats().RowHits-hits < hits {
+		t.Fatalf("second run (%d cycles, %d row hits) paid more than the first (%d cycles, %d row hits) on rows it left open",
+			second.TotalCycles, mem.Stats().RowHits-hits, first.TotalCycles, hits)
 	}
 	for qi := range golden {
 		if !second.Outputs[qi].Equal(golden[qi]) {

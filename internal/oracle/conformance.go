@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -16,9 +17,10 @@ import (
 
 // Check expands seed into a workload and runs the whole conformance suite
 // against it: every engine versus the oracle, the read-each-unique-index-once
-// property from the DRAM access log, cycle sanity bounds, and the metamorphic
-// properties. A nil return means the seed passed; a non-nil error leads with
-// the workload (whose first token is the reproducing seed).
+// property from the DRAM access log, cycle sanity bounds (stationarity on a
+// long-lived memory among them), and the metamorphic properties. A nil
+// return means the seed passed; a non-nil error leads with the workload
+// (whose first token is the reproducing seed).
 func Check(seed int64) error {
 	env, err := GenWorkload(seed).Build()
 	if err != nil {
@@ -46,11 +48,12 @@ func (e *Env) engine(parallelism int) (*core.Engine, error) {
 	return core.NewEngine(e.FafnirConfig(parallelism))
 }
 
-// CheckEngines replays the batch through Fafnir (functional, timed and
-// interactive paths), RecNMP, TensorDIMM, and the host-only baseline and
-// asserts every output set is bit-identical to the oracle's. Baselines must
-// also report a plausible latency: positive total cycles covering their
-// memory time.
+// CheckEngines replays the batch through Fafnir (timed with and without
+// deduplication, and interactive), RecNMP, TensorDIMM, and the host-only
+// baseline, each on a fresh memory, and asserts every output set is
+// bit-identical to the oracle's. The tree's PE occupancy must stay within
+// the hardware batch, and baselines must report a plausible latency:
+// positive total cycles covering their memory time.
 func (e *Env) CheckEngines() error {
 	want, err := Lookup(e.Store, e.Batch)
 	if err != nil {
@@ -61,16 +64,6 @@ func (e *Env) CheckEngines() error {
 	if err != nil {
 		return err
 	}
-	fres, err := eng.Lookup(e.Store, e.Layout, e.Batch)
-	if err != nil {
-		return fmt.Errorf("fafnir lookup: %w", err)
-	}
-	if d := Diff(fres.Outputs, want); d != "" {
-		return fmt.Errorf("fafnir lookup: %s", d)
-	}
-	if fres.MaxOccupancy > e.W.BatchCapacity {
-		return fmt.Errorf("fafnir: PE occupancy %d exceeds bound %d", fres.MaxOccupancy, e.W.BatchCapacity)
-	}
 	for _, dedup := range []bool{true, false} {
 		tres, err := eng.TimedLookup(e.Store, e.Layout, e.NewMem(), e.Batch, dedup)
 		if err != nil {
@@ -78,6 +71,9 @@ func (e *Env) CheckEngines() error {
 		}
 		if d := Diff(tres.Outputs, want); d != "" {
 			return fmt.Errorf("fafnir timed dedup=%v: %s", dedup, d)
+		}
+		if tres.MaxOccupancy > e.W.BatchCapacity {
+			return fmt.Errorf("fafnir timed dedup=%v: PE occupancy %d exceeds bound %d", dedup, tres.MaxOccupancy, e.W.BatchCapacity)
 		}
 	}
 	ires, err := eng.InteractiveLookup(e.Store, e.Layout, e.NewMem(), e.Batch)
@@ -145,10 +141,7 @@ func (e *Env) CheckEngines() error {
 func (e *Env) hwBatches() []embedding.Batch {
 	var out []embedding.Batch
 	for start := 0; start < len(e.Batch.Queries); start += e.W.BatchCapacity {
-		end := start + e.W.BatchCapacity
-		if end > len(e.Batch.Queries) {
-			end = len(e.Batch.Queries)
-		}
+		end := min(start+e.W.BatchCapacity, len(e.Batch.Queries))
 		out = append(out, embedding.Batch{Queries: e.Batch.Queries[start:end], Op: e.Batch.Op})
 	}
 	return out
@@ -215,7 +208,10 @@ func (e *Env) CheckReadOnce() error {
 }
 
 // CheckCycleSanity bounds the timed run from below with the engine's analytic
-// lower bound and asserts latency is monotone as the batch grows query by
+// lower bound, replays it on one memory, where its last run must cost what
+// its first did within Stationary's bracket (a lookup's cycles may depend on
+// the rows and refresh windows earlier lookups left, never on how many came
+// before it), and asserts latency is monotone as the batch grows query by
 // query within its first hardware batch. (Across hardware batches the model
 // double-buffers: reported latency is the last batch's completion, which can
 // legitimately shrink when a new small batch is appended, so end-to-end
@@ -228,23 +224,28 @@ func (e *Env) CheckCycleSanity() error {
 	}
 	bound := eng.LowerBoundCycles(e.Mem, e.Batch)
 	for _, dedup := range []bool{true, false} {
-		res, err := eng.TimedLookup(e.Store, e.Layout, e.NewMem(), e.Batch, dedup)
+		mem := e.NewMem()
+		var first, last *core.TimedResult
+		for i := 0; i < stationarityReplays && err == nil; i++ {
+			last, err = eng.TimedLookup(e.Store, e.Layout, mem, e.Batch, dedup)
+			first = cmp.Or(first, last)
+		}
 		if err != nil {
 			return err
 		}
-		if res.TotalCycles < bound {
+		if first.TotalCycles < bound {
 			return fmt.Errorf("dedup=%v: %d total cycles below analytic lower bound %d",
-				dedup, res.TotalCycles, bound)
+				dedup, first.TotalCycles, bound)
+		}
+		if err := Stationary(e.Mem, first.MemoryReads, first.TotalCycles, last.TotalCycles, eng.Config().ClockMHz); err != nil {
+			return fmt.Errorf("dedup=%v: stationarity: %w", dedup, err)
 		}
 	}
 
 	prefix := func(k int) embedding.Batch {
 		return embedding.Batch{Queries: e.Batch.Queries[:k], Op: e.Batch.Op}
 	}
-	limit := len(e.Batch.Queries)
-	if limit > e.W.BatchCapacity {
-		limit = e.W.BatchCapacity
-	}
+	limit := min(len(e.Batch.Queries), e.W.BatchCapacity)
 	var prevCycles, prevReads, prevBytes = int64(0), 0, uint64(0)
 	for k := 1; k <= limit; k++ {
 		res, err := eng.TimedLookup(e.Store, e.Layout, e.NewMem(), prefix(k), true)
@@ -274,6 +275,10 @@ func (e *Env) CheckCycleSanity() error {
 	return nil
 }
 
+// stationarityReplays is how often CheckCycleSanity replays the batch on
+// one memory.
+const stationarityReplays = 32
+
 // CheckMetamorphic asserts the four workload-level properties the functional
 // model must satisfy regardless of configuration:
 //
@@ -292,7 +297,10 @@ func (e *Env) CheckMetamorphic() error {
 	if err != nil {
 		return err
 	}
-	base, err := eng.Lookup(e.Store, e.Layout, e.Batch)
+	lookup := func(b embedding.Batch) (*core.TimedResult, error) {
+		return eng.TimedLookup(e.Store, e.Layout, e.NewMem(), b, true)
+	}
+	base, err := lookup(e.Batch)
 	if err != nil {
 		return err
 	}
@@ -304,7 +312,7 @@ func (e *Env) CheckMetamorphic() error {
 	for i, p := range perm {
 		permuted.Queries[i] = e.Batch.Queries[p]
 	}
-	pres, err := eng.Lookup(e.Store, e.Layout, permuted)
+	pres, err := lookup(permuted)
 	if err != nil {
 		return fmt.Errorf("permuted batch: %w", err)
 	}
@@ -322,7 +330,7 @@ func (e *Env) CheckMetamorphic() error {
 			{Queries: e.Batch.Queries[:half], Op: e.Batch.Op},
 			{Queries: e.Batch.Queries[half:], Op: e.Batch.Op},
 		} {
-			r, err := eng.Lookup(e.Store, e.Layout, part)
+			r, err := lookup(part)
 			if err != nil {
 				return fmt.Errorf("split batch: %w", err)
 			}
@@ -330,10 +338,8 @@ func (e *Env) CheckMetamorphic() error {
 				joined = append(joined, o)
 			}
 		}
-		for i := range base.Outputs {
-			if d := Diff(joined[i:i+1], base.Outputs[i:i+1]); d != "" {
-				return fmt.Errorf("batch-split: query %d: %s", i, d)
-			}
+		if d := Diff(joined, base.Outputs); d != "" {
+			return fmt.Errorf("batch-split: %s", d)
 		}
 	}
 
@@ -350,7 +356,7 @@ func (e *Env) CheckMetamorphic() error {
 				{Indices: q.Indices[:mid].Clone()},
 				{Indices: q.Indices[mid:].Clone()},
 			}}
-			r, err := eng.Lookup(e.Store, e.Layout, split)
+			r, err := lookup(split)
 			if err != nil {
 				return fmt.Errorf("query-split: %w", err)
 			}
@@ -368,7 +374,7 @@ func (e *Env) CheckMetamorphic() error {
 	// exactly as many reads: the copy contributes no new unique index.
 	dup := embedding.Batch{Queries: append(append([]embedding.Query{}, e.Batch.Queries...),
 		e.Batch.Queries[0]), Op: e.Batch.Op}
-	dres, err := eng.Lookup(e.Store, e.Layout, dup)
+	dres, err := lookup(dup)
 	if err != nil {
 		return fmt.Errorf("duplicated query: %w", err)
 	}
@@ -385,10 +391,6 @@ func (e *Env) CheckMetamorphic() error {
 	}
 
 	// 4. Parallelism-sweep equivalence: worker count must be unobservable.
-	ref, err := eng.TimedLookup(e.Store, e.Layout, e.NewMem(), e.Batch, true)
-	if err != nil {
-		return err
-	}
 	for _, par := range []int{2, 0} {
 		peng, err := e.engine(par)
 		if err != nil {
@@ -398,17 +400,17 @@ func (e *Env) CheckMetamorphic() error {
 		if err != nil {
 			return fmt.Errorf("parallelism=%d: %w", par, err)
 		}
-		if d := Diff(got.Outputs, ref.Outputs); d != "" {
+		if d := Diff(got.Outputs, base.Outputs); d != "" {
 			return fmt.Errorf("parallelism=%d: %s", par, d)
 		}
-		if got.TotalCycles != ref.TotalCycles || got.MemCycles != ref.MemCycles ||
-			got.ComputeCycles != ref.ComputeCycles || got.TransferCycles != ref.TransferCycles {
+		if got.TotalCycles != base.TotalCycles || got.MemCycles != base.MemCycles ||
+			got.ComputeCycles != base.ComputeCycles || got.TransferCycles != base.TransferCycles {
 			return fmt.Errorf("parallelism=%d: cycles %d/%d/%d/%d differ from serial %d/%d/%d/%d",
 				par, got.TotalCycles, got.MemCycles, got.ComputeCycles, got.TransferCycles,
-				ref.TotalCycles, ref.MemCycles, ref.ComputeCycles, ref.TransferCycles)
+				base.TotalCycles, base.MemCycles, base.ComputeCycles, base.TransferCycles)
 		}
-		if got.PETotals != ref.PETotals || got.MaxOccupancy != ref.MaxOccupancy ||
-			got.MemoryReads != ref.MemoryReads || got.BytesRead != ref.BytesRead {
+		if got.PETotals != base.PETotals || got.MaxOccupancy != base.MaxOccupancy ||
+			got.MemoryReads != base.MemoryReads || got.BytesRead != base.BytesRead {
 			return fmt.Errorf("parallelism=%d: statistics diverge from serial run", par)
 		}
 	}

@@ -184,7 +184,8 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 	toHost := func(d sim.Cycle) sim.Cycle { return sim.Rescale(d, e.cfg.DRAMClockMHz, e.cfg.ClockMHz) }
 	dimmOf := func(rank int) int { return rank / mcfg.RanksPerDIMM }
 
-	var memDone sim.Cycle
+	issue := mem.Now() // every read issues here; MemCycles is the span from it
+	memDone := issue
 	ndpBusy := make(map[int]sim.Cycle)   // per-DIMM NDP occupancy (units run in parallel)
 	cacheBusy := make(map[int]sim.Cycle) // per-rank cache occupancy (overlaps DRAM)
 	hostVectors := 0                     // raw vectors + partials the host must handle
@@ -223,7 +224,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 				if len(indices) == 1 {
 					dest = dram.DestHost
 				}
-				done := mem.Read(0, layout.Addr(idx), e.cfg.VectorBytes, dest)
+				done := mem.Read(issue, layout.Addr(idx), e.cfg.VectorBytes, dest)
 				memDone = sim.Max(memDone, done)
 				res.MemoryReads++
 			}
@@ -248,7 +249,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 	// Rank caches serve hits in parallel with DRAM; the slower of the two
 	// paths gates the gather ("the cache accesses can potentially cause a
 	// performance bottleneck").
-	res.MemCycles = toHost(memDone)
+	res.MemCycles = toHost(memDone) - toHost(issue)
 	for _, busy := range cacheBusy {
 		if busy > res.MemCycles {
 			res.MemCycles = busy

@@ -45,7 +45,6 @@ type breaker struct {
 	failures int       // consecutive structured failures while not dark
 	attempts int       // consecutive failed probes since going dark
 	reopenAt sim.Cycle // fleet cycle at which the next probe may run
-	darkAt   sim.Cycle // fleet cycle of the last healthy→dark trip
 
 	base sim.Cycle // first reopen backoff
 	cap  sim.Cycle // backoff ceiling
@@ -98,7 +97,6 @@ func (b *breaker) onFailure(now sim.Cycle) (tripped bool) {
 	b.failures++
 	if b.failures >= failureThreshold {
 		b.state = Dark
-		b.darkAt = now
 		b.attempts = 0
 		b.reopenAt = now + b.backoff(1)
 		return true

@@ -8,12 +8,73 @@ import (
 	"testing"
 
 	"fafnir/internal/embedding"
+	core "fafnir/internal/fafnir"
 	"fafnir/internal/fault"
 	"fafnir/internal/header"
 	"fafnir/internal/oracle"
 	"fafnir/internal/sim"
+	"fafnir/internal/telemetry"
 	"fafnir/internal/tensor"
 )
+
+// chaosPlan is the seeded storm of the chaos suite and of the golden chaos
+// digests: a shard lost for good, a flap that ends, correlated rank deaths
+// and ECC noise. Its stamps are fleet cycles (the storm's, memory cycles),
+// sized so that every event fires within chaosRounds batches of 16 queries.
+const (
+	chaosPlan   = "shard=1@20000;flap=2@1-12000;storm=6@20000;ecc=0.001;seed=7"
+	chaosRounds = 48
+)
+
+// assertFired fails the test, naming the event, for every event of f's
+// fault plan the replay never set off, as f's own robustness counters tell
+// it: a shard loss and a flap's start as a failure of that shard, a flap's
+// end as a reopen, a storm as reads remapped off dark ranks (remapped is the
+// replay's total). A plan that takes shards down must also have tripped a
+// breaker and sent a probe. f must have registered its metrics.
+func assertFired(t *testing.T, f *Fleet, remapped int) {
+	t.Helper()
+	plan := f.cfg.Fleet
+	var probes, trips uint64
+	for s := range f.leaves {
+		probes += f.m.probes.At(s).Value()
+		trips += f.m.dark.At(s).Value()
+	}
+	for _, l := range plan.ShardFailures {
+		if f.m.failures.At(l.Shard).Value() == 0 {
+			t.Errorf("shard %d loss at cycle %d never fired (clock %d)", l.Shard, l.At, f.Clock())
+		}
+	}
+	for _, fl := range plan.ShardFlaps {
+		if f.m.failures.At(fl.Shard).Value() == 0 {
+			t.Errorf("shard %d flap start at cycle %d never fired", fl.Shard, fl.DownAt)
+		}
+		if f.m.reopens.At(fl.Shard).Value() == 0 {
+			t.Errorf("shard %d flap end at cycle %d never fired (clock %d)", fl.Shard, fl.UpAt, f.Clock())
+		}
+	}
+	for _, st := range plan.RankStorms {
+		if remapped == 0 {
+			t.Errorf("rank storm at memory cycle %d never struck", st.At)
+		}
+	}
+	if len(plan.ShardFailures)+len(plan.ShardFlaps) > 0 {
+		if trips == 0 {
+			t.Error("no breaker tripped dark")
+		}
+		if probes == 0 {
+			t.Error("no probe was sent")
+		}
+	}
+}
+
+// remappedReads is a result's count of reads moved off dark ranks.
+func remappedReads(res *core.TimedResult) int {
+	if res.Degraded == nil {
+		return 0
+	}
+	return res.Degraded.RemappedReads
+}
 
 // This file is the deterministic chaos suite of ISSUE 6: seeded fault storms
 // replayed at Parallelism 1, 2, and NumCPU must produce bit-identical
@@ -148,11 +209,13 @@ func TestPairLossDegradesGracefully(t *testing.T) {
 // dark, and a successful probe reopening the shard once the flap ends —
 // after which lookups are clean again.
 func TestFlapRecovery(t *testing.T) {
+	const upAt = 60_000
 	f := testFleet(t, func(c *Config) {
-		c.Fleet.ShardFlaps = []fault.ShardFlap{{Shard: 2, DownAt: 1, UpAt: 400_000}}
+		c.Fleet.ShardFlaps = []fault.ShardFlap{{Shard: 2, DownAt: 1, UpAt: upAt}}
 		c.ProbeBackoff = 1_000
 		c.MaxProbeBackoff = 32_000
 	})
+	f.RegisterMetrics(telemetry.NewRegistry())
 	b := testBatch(t, f, 8, 13, tensor.OpSum)
 
 	if _, err := f.Lookup(b); err != nil { // cycle 0: up
@@ -187,9 +250,10 @@ func TestFlapRecovery(t *testing.T) {
 		t.Fatalf("breaker arc incomplete: suspect=%v dark=%v recovered=%v (clock %d)",
 			sawSuspect, sawDark, recovered != nil, f.Clock())
 	}
-	if *recovered < 400_000 {
+	if *recovered < upAt {
 		t.Fatalf("shard reopened at cycle %d, inside the flap window", *recovered)
 	}
+	assertFired(t, f, 0)
 }
 
 // chaosRun replays a fixed multi-batch workload under a seeded fleet storm
@@ -208,7 +272,7 @@ type chaosRun struct {
 
 func runChaos(t *testing.T, parallelism int, muts ...func(*Config)) chaosRun {
 	t.Helper()
-	plan, err := fault.ParseFleet("shard=1@40000;flap=2@1-300000;storm=6@20000;ecc=0.001;seed=7")
+	plan, err := fault.ParseFleet(chaosPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +284,16 @@ func runChaos(t *testing.T, parallelism int, muts ...func(*Config)) chaosRun {
 			mut(c)
 		}
 	})
+	f.RegisterMetrics(telemetry.NewRegistry())
 	var out chaosRun
-	for round := 0; round < 12; round++ {
+	remapped := 0
+	for round := 0; round < chaosRounds; round++ {
 		b := testBatch(t, f, 16, int64(round), tensor.OpSum)
 		res, err := f.Lookup(b)
 		if err != nil {
 			t.Fatalf("parallelism %d round %d: %v", parallelism, round, err)
 		}
+		remapped += remappedReads(res)
 		out.Outputs = append(out.Outputs, res.Outputs)
 		out.Cycles = append(out.Cycles, res.TotalCycles)
 		var d *struct {
@@ -249,6 +316,7 @@ func runChaos(t *testing.T, parallelism int, muts ...func(*Config)) chaosRun {
 	for s := 0; s < f.Shards(); s++ {
 		out.Health = append(out.Health, f.Health(s))
 	}
+	assertFired(t, f, remapped)
 	return out
 }
 

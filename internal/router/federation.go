@@ -16,7 +16,9 @@ package router
 // makes re-association exact; docs/ARCHITECTURE.md §15). A degraded member
 // reports its losses through the tier's one loss path, which numbers its
 // shard entries across the federation (fleet*Shards + shard), so callers
-// see one flat fleet of M*Shards shards. Each member keeps its own clock.
+// see one flat fleet of M*Shards shards. The members share the federation's
+// clock: each issues its sub-batch at the federation's cycle, so shard issue
+// times, fault stamps and breaker backoff all read one timeline.
 
 import (
 	"fmt"
@@ -24,6 +26,7 @@ import (
 	"fafnir/internal/embedding"
 	"fafnir/internal/fault"
 	"fafnir/internal/rnet"
+	"fafnir/internal/sim"
 	"fafnir/internal/telemetry"
 )
 
@@ -117,9 +120,10 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 		width:  cfg.Fleet.Shards,
 		par:    cfg.Fleet.Parallelism,
 		plan:   &fault.FleetPlan{},
+		clock:  new(sim.Cycle),
 	}}
 	for fm := 0; fm < cfg.Fleets; fm++ {
-		fleet, err := newFleet(cfg.Fleet, uint64(cfg.Fleets), uint64(fm))
+		fleet, err := newFleet(cfg.Fleet, uint64(cfg.Fleets), uint64(fm), fd.clock)
 		if err != nil {
 			return nil, fmt.Errorf("router: federation member %d: %w", fm, err)
 		}

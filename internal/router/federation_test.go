@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -124,8 +125,23 @@ func TestFederationMatchesSingleFleet(t *testing.T) {
 // federation adds a pass-through tree level over a fleet addressed exactly
 // like the standalone one, so the same batches — healthy, then with a shard
 // pair lost — must yield identical outputs, memory reads, and degraded
-// reports, with the stage split summing to the total on both.
+// reports, with the stage split summing to the total on both. The reports'
+// errors name the cycle the shard was found down at, and that cycle is each
+// front-end's own: the federation's clock also pays for its pass-through
+// level, so the comparison leaves the cycle out.
 func TestFederationOfOneMatchesFleet(t *testing.T) {
+	atCycle := regexp.MustCompile(` at fleet cycle \d+`)
+	withoutCycles := func(d *core.DegradedReport) *core.DegradedReport {
+		if d == nil {
+			return nil
+		}
+		c := *d
+		c.Shards = append([]core.ShardDegraded(nil), d.Shards...)
+		for i := range c.Shards {
+			c.Shards[i].Err = atCycle.ReplaceAllString(c.Shards[i].Err, "")
+		}
+		return &c
+	}
 	pairLoss := []fault.ShardFailure{{Shard: 1, At: 1}, {Shard: 3, At: 1}}
 	fd := testFederation(t, func(c *FederationConfig) {
 		c.Fleets = 1
@@ -150,7 +166,7 @@ func TestFederationOfOneMatchesFleet(t *testing.T) {
 		if got.MemoryReads != want.MemoryReads {
 			t.Fatalf("round %d: MemoryReads = %d, fleet read %d", round, got.MemoryReads, want.MemoryReads)
 		}
-		if !reflect.DeepEqual(got.Degraded, want.Degraded) {
+		if !reflect.DeepEqual(withoutCycles(got.Degraded), withoutCycles(want.Degraded)) {
 			t.Fatalf("round %d: degraded reports diverge:\nfederation %+v\nfleet      %+v", round, got.Degraded, want.Degraded)
 		}
 		sawLoss = sawLoss || !want.Degraded.Empty() && len(want.Degraded.LostQueries) > 0
@@ -331,7 +347,7 @@ func TestFederationDeterminism(t *testing.T) {
 		Degraded []string
 	}
 	replay := func(par int) run {
-		plan, err := fault.ParseFleet("shard=1@40000;storm=6@20000;ecc=0.001;seed=7")
+		plan, err := fault.ParseFleet("shard=1@1000;storm=6@20000;ecc=0.001;seed=7")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,8 +356,12 @@ func TestFederationDeterminism(t *testing.T) {
 			c.Fleet.Fleet = plan
 			c.Fleet.ProbeBackoff = 2_000
 		})
+		for _, f := range fd.fleets {
+			f.RegisterMetrics(telemetry.NewRegistry())
+		}
 		var out run
-		for round := 0; round < 8; round++ {
+		remapped := 0
+		for round := 0; round < 12; round++ {
 			b, err := fd.GenerateBatch(16, int64(round))
 			if err != nil {
 				t.Fatal(err)
@@ -351,9 +371,13 @@ func TestFederationDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parallelism %d round %d: %v", par, round, err)
 			}
+			remapped += remappedReads(res)
 			out.Outputs = append(out.Outputs, res.Outputs)
 			out.Cycles = append(out.Cycles, uint64(res.TotalCycles))
 			out.Degraded = append(out.Degraded, fmt.Sprintf("%+v", res.Degraded))
+		}
+		for _, f := range fd.fleets {
+			assertFired(t, f, remapped)
 		}
 		return out
 	}

@@ -29,7 +29,10 @@ import (
 //
 // The metrics digest covers every family's name, type, label set, order and
 // value; `# HELP` prose is documentation and is left out so rewording a help
-// string is not a behaviour change.
+// string is not a behaviour change. Every scenario also asserts that each
+// event its fault plan schedules fired in the replay (assertFired), so a
+// stamp the fleet clock never reaches fails by name instead of leaving the
+// digests to pin a run in which nothing happened.
 
 const goldenFile = "testdata/golden_digests.json"
 
@@ -59,12 +62,11 @@ func goldenScenarios() []goldenScenario {
 			},
 		},
 		{
-			// The chaos_test.go storm, run long enough for the fleet clock
-			// to pass the shard loss at 40000: failed probes, breaker trips
-			// and one- then two-deep serial failovers land in the digests.
-			name: "fleet-4x-radix2-chaos", rounds: 48, queries: 16,
+			// The chaos_test.go storm: failed and successful probes, breaker
+			// trips, a reopen and serial failovers land in the digests.
+			name: "fleet-4x-radix2-chaos", rounds: chaosRounds, queries: 16,
 			build: func(t *testing.T, par int) (goldenFront, []*Fleet) {
-				plan, err := fault.ParseFleet("shard=1@40000;flap=2@1-300000;storm=6@20000;ecc=0.001;seed=7")
+				plan, err := fault.ParseFleet(chaosPlan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,9 +79,8 @@ func goldenScenarios() []goldenScenario {
 			},
 		},
 		{
-			// What the storm above never reaches: a flap that ends (probe
-			// success reopens the shard), a pair loss (lost sub-batches,
-			// missing switch children) and a stalled switch.
+			// A pair loss (lost sub-batches, missing switch children), a
+			// flap that ends and a stalled switch.
 			name: "fleet-4x-radix2-recovery", rounds: 40, queries: 16,
 			build: func(t *testing.T, par int) (goldenFront, []*Fleet) {
 				plan, err := fault.ParseFleet("flap=2@1-12000;shard=1@1;shard=3@20000;swstall=2+300;seed=3")
@@ -111,6 +112,11 @@ func goldenScenarios() []goldenScenario {
 					{Shard: 1, At: 1},
 					{Shard: 3, At: 1},
 				}
+				// The members publish no metrics of their own; assertFired
+				// reads them from a registry of each member's.
+				for _, f := range fd.fleets {
+					f.RegisterMetrics(telemetry.NewRegistry())
+				}
 				return fd, fd.fleets
 			},
 		},
@@ -135,6 +141,7 @@ func goldenRun(t *testing.T, sc goldenScenario, par int) map[string]string {
 		}
 		return views[name]
 	}
+	remapped := 0
 	for round := 0; round < sc.rounds; round++ {
 		b, err := front.GenerateBatch(sc.queries, int64(round))
 		if err != nil {
@@ -145,6 +152,7 @@ func goldenRun(t *testing.T, sc goldenScenario, par int) map[string]string {
 		if err != nil {
 			t.Fatalf("parallelism %d round %d: %v", par, round, err)
 		}
+		remapped += remappedReads(res)
 		fmt.Fprintf(view("outputs"), "%d %v\n", round, res.Outputs)
 		fmt.Fprintf(view("cycles"), "%d total=%d mem=%d compute=%d transfer=%d reads=%d bytes=%d hw=%d occ=%d pe=%+v\n",
 			round, res.TotalCycles, res.MemCycles, res.ComputeCycles, res.TransferCycles,
@@ -163,6 +171,10 @@ func goldenRun(t *testing.T, sc goldenScenario, par int) map[string]string {
 				fmt.Fprintf(view("health"), "%d %d/%d=%v\n", round, fm, s, f.Health(s))
 			}
 		}
+	}
+
+	for _, f := range fleets {
+		assertFired(t, f, remapped)
 	}
 
 	var page strings.Builder

@@ -127,8 +127,8 @@ type attempt struct {
 // dispatch runs lookup for every leaf in run on min(par, len(run)) workers
 // (par 0 uses every core) that pull leaves in run order from a shared
 // counter, the caller's goroutine among them, storing each outcome at
-// attempts[leaf]. Leaves are fully independent (own engines, memories,
-// injectors, clocks), so concurrent sub-lookups share no mutable state;
+// attempts[leaf]. Leaves are fully independent (own engines, memories and
+// injectors), so concurrent sub-lookups share no mutable state;
 // callers settle the attempts in leaf order afterwards, so execution order
 // never leaks into outputs, cycles, or health transitions.
 func dispatch(attempts []attempt, run []int, par int, lookup func(leaf int) (*core.TimedResult, error)) {
@@ -179,7 +179,7 @@ func absorb(res *core.TimedResult, deg *core.DegradedReport, r *core.TimedResult
 func (t *tier) vectorBytes() int { return 4 * t.dim }
 
 // Clock reports the simulated cycle clock, advanced by every batch.
-func (t *tier) Clock() sim.Cycle { return t.clock }
+func (t *tier) Clock() sim.Cycle { return *t.clock }
 
 // SetSpanContext installs the parent span ID that subsequent batch spans
 // link under (0 detaches). Annotation only — timing is never perturbed.
@@ -265,12 +265,13 @@ func (t *tier) emitSwitchSpans(base sim.Cycle, r *rnet.Result, parent uint64) {
 // through the switch tree — every partial takes O(log_radix leaves) link
 // hops, a switch fires the moment its last live child lands, lost leaves
 // are simply absent (nil) and cost nothing — and only the root pool crosses
-// the host link. st carries the phases already spent (probe, and the backend
-// and failover windows the leaves' Ready times contain); reduce fills in the
-// rest of res: outputs, cycle totals and the stage split. It advances the
-// clock past the batch.
-func (t *tier) reduce(sc *scatter, leaves []*rnet.Partial, res *core.TimedResult, st core.StageCycles) (*rnet.Result, error) {
-	rres, err := t.rtree.Reduce(sc.op, sc.queries, leaves)
+// the host link. The flight's stages carry the phases already spent (probe,
+// and the backend and failover windows the leaves' Ready times contain);
+// reduce fills in the rest of its result: outputs, cycle totals and the
+// stage split.
+func (t *tier) reduce(fl *flight) (*rnet.Result, error) {
+	sc, res, st := fl.sc, fl.res, fl.stages
+	rres, err := t.rtree.Reduce(sc.op, sc.queries, fl.leaves)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +306,6 @@ func (t *tier) reduce(sc *scatter, leaves []*rnet.Partial, res *core.TimedResult
 	res.ComputeCycles = res.TotalCycles - res.MemCycles - st.Transfer
 
 	t.rm.count(rres)
-	t.emitSwitchSpans(t.clock+st.Probe, rres, telemetry.SpanID(t.spanCtx, "combine", 0))
-	t.clock += res.TotalCycles
+	t.emitSwitchSpans(fl.start+st.Probe, rres, telemetry.SpanID(t.spanCtx, "combine", 0))
 	return rres, nil
 }

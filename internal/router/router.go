@@ -153,21 +153,31 @@ type shardNode struct {
 	add  core.RowSink
 }
 
-func (sh *shardNode) lookup(b embedding.Batch, replica bool) (*core.TimedResult, error) {
+// lookup issues the sub-batch at tier cycle at, or when the shard's memory
+// is next free if it is still busy past at (a failed sub-lookup is charged
+// to no batch); that wait is part of the sub-lookup's span.
+func (sh *shardNode) lookup(b embedding.Batch, at sim.Cycle, replica bool) (*core.TimedResult, error) {
 	var view core.Placement
 	if replica {
 		view = sh.peerView
 	} else {
 		view = sh.primary
 	}
+	ecfg := sh.engine.Config()
+	wait := sim.Max(ecfg.DRAMToPE(sh.mem.Now()), at) - at
+	sh.mem.WaitUntil(ecfg.PEToDRAM(at))
 	mark := sh.rows.Len()
 	r, err := sh.engine.TimedLookup(sh.store, view, sh.mem, b, true)
 	if err != nil {
 		// A failed sub-lookup delivers nothing, so none of its reads are
 		// handed on.
 		sh.rows.Truncate(mark)
+		return nil, err
 	}
-	return r, err
+	r.TotalCycles += wait
+	r.MemCycles += wait
+	r.Stages.Backend += wait
+	return r, nil
 }
 
 func (sh *shardNode) collect(on bool) {
@@ -216,11 +226,12 @@ type Fleet struct {
 
 // New builds the fleet: Shards independent systems over one content-seeded
 // global store, with per-shard fault plans compiled from the fleet plan.
-func New(cfg Config) (*Fleet, error) { return newFleet(cfg, 1, 0) }
+func New(cfg Config) (*Fleet, error) { return newFleet(cfg, 1, 0, new(sim.Cycle)) }
 
 // newFleet builds a fleet serving the global indices congruent to phase
-// modulo stride: a federation's member fm of M is newFleet(cfg, M, fm).
-func newFleet(cfg Config, stride, phase uint64) (*Fleet, error) {
+// modulo stride, on the simulated timeline clock: a federation's member fm
+// of M is newFleet(cfg, M, fm, the federation's clock).
+func newFleet(cfg Config, stride, phase uint64, clock *sim.Cycle) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -268,6 +279,7 @@ func newFleet(cfg Config, stride, phase uint64) (*Fleet, error) {
 		dim:    store.Dim(),
 		host:   cpu.Default(),
 		mcfg:   mcfg,
+		clock:  clock,
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := core.Default()
@@ -322,9 +334,12 @@ func (f *Fleet) viewOf(s int) primaryView {
 	return primaryView{shards: f.cfg.Shards, stride: int(f.stride), ranks: f.cfg.RanksPerShard, bytes: f.vectorBytes(), slots: owned}
 }
 
-// lookup runs a member fleet's sub-batch: a fleet absorbs its own faults,
-// and holds no replica of another fleet's rows.
-func (f *Fleet) lookup(b embedding.Batch, _ bool) (*core.TimedResult, error) { return f.Lookup(b) }
+// lookup runs a member fleet's sub-batch at the federation's cycle at: a
+// fleet absorbs its own faults, and holds no replica of another fleet's
+// rows.
+func (f *Fleet) lookup(b embedding.Batch, at sim.Cycle, _ bool) (*core.TimedResult, error) {
+	return f.lookupAt(b, at)
+}
 
 // Store exposes the global embedding store (for golden comparisons).
 func (f *Fleet) Store() *embedding.Store { return f.store }

@@ -263,8 +263,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.onFailure(200) {
 		t.Fatal("threshold failure did not trip dark")
 	}
-	if b.state != Dark || b.darkAt != 200 {
-		t.Fatalf("after trip: %v darkAt=%d", b.state, b.darkAt)
+	if b.state != Dark {
+		t.Fatalf("after trip: %v", b.state)
 	}
 	if b.reopenAt <= 200 || b.reopenAt > 200+1000+250+1 {
 		t.Fatalf("first reopen backoff %d outside (0, base+jitter]", b.reopenAt-200)

@@ -31,10 +31,11 @@ import (
 
 // leaf is one child of a tier: a shard or a member fleet.
 type leaf interface {
-	// lookup runs one sub-batch and returns its result, degraded report
-	// included. replica reads it through the copy of its peer's rows the
-	// leaf holds, during a failover; only shards hold one.
-	lookup(b embedding.Batch, replica bool) (*core.TimedResult, error)
+	// lookup runs one sub-batch issued at tier cycle at and returns its
+	// result, degraded report included, with every cycle count a span from
+	// at. replica reads it through the copy of its peer's rows the leaf
+	// holds, during a failover; only shards hold one.
+	lookup(b embedding.Batch, at sim.Cycle, replica bool) (*core.TimedResult, error)
 	// collect turns the row hand-off on or off and reset empties what was
 	// collected. forward passes it on: a shard appends its rows to its
 	// tier's call (out), a tier makes a call of its own.
@@ -93,14 +94,19 @@ type tier struct {
 	forwarded []core.StagedRow
 
 	// The reduce half (pipeline.go): the switch tree over the leaves, the
-	// host link the root pool crosses, the simulated clock every batch
-	// advances, and the tracing and rnet-metric plumbing.
+	// host link the root pool crosses, and the tracing and rnet-metric
+	// plumbing.
 	rtree  *rnet.Tree
 	dim    int
 	host   cpu.Config
 	mcfg   dram.Config
-	clock  sim.Cycle
 	tracer telemetry.Tracer
+	// clock is the one simulated timeline of the whole hierarchy, in PE
+	// cycles: every batch issues at it and advances it. A federation's
+	// member fleets share its clock rather than keeping their own, so
+	// shard issue times, FleetPlan stamps and breaker backoff all read the
+	// one clock.
+	clock *sim.Cycle
 	// spanCtx is the parent span ID for request-linked tracing: the serving
 	// layer sets it to the flush span's ID before each Lookup (see
 	// SetSpanContext) so leaf, failover, combine, and switch spans chain
@@ -137,14 +143,15 @@ func (t *tier) replicaPeer(s int) int {
 	return (s - t.step + n) % n
 }
 
-// run runs one sub-batch on leaf s. The down check runs first so a dead
-// node fails fast without touching its engine or memory state — determinism
-// across replays depends on dead shards staying untouched.
+// run runs one sub-batch on leaf s, issued at tier cycle at. The down check
+// runs first so a dead node fails fast without touching its engine or
+// memory state — determinism across replays depends on dead shards staying
+// untouched.
 func (t *tier) run(s int, b embedding.Batch, at sim.Cycle, replica bool) (*core.TimedResult, error) {
 	if t.plan.Down(s, at) {
 		return nil, fmt.Errorf("router: shard %d is down at fleet cycle %d: %w", s, at, fault.ErrShardDown)
 	}
-	return t.leaves[s].lookup(b, replica)
+	return t.leaves[s].lookup(b, at, replica)
 }
 
 // Shards reports the tier's shard count: a fleet's width, or a
@@ -219,7 +226,7 @@ func (t *tier) forward(sink core.RowSink, out []core.StagedRow) []core.StagedRow
 // hand along.
 type flight struct {
 	sc    *scatter
-	start sim.Cycle // tier clock at batch entry
+	start sim.Cycle // the batch's issue cycle on the tier clock
 	res   *core.TimedResult
 	deg   *core.DegradedReport
 	// entries[s] is shard s's degraded-report entry, numbered across the
@@ -252,8 +259,18 @@ func (fl *flight) entry(s int) *core.ShardDegraded {
 // the outputs are the partial reduction of everything that survived and
 // res.Degraded itemizes the loss per shard (numbered across the tier) and
 // per query. Only programming errors (invariant violations, bad ops) return
-// a non-nil error.
+// a non-nil error. The batch issues at the tier's clock, which it advances
+// by its TotalCycles.
 func (t *tier) Lookup(b embedding.Batch) (*core.TimedResult, error) {
+	res, err := t.lookupAt(b, *t.clock)
+	if err == nil {
+		*t.clock += res.TotalCycles
+	}
+	return res, err
+}
+
+// lookupAt is Lookup issued at tier cycle at, leaving the clock alone.
+func (t *tier) lookupAt(b embedding.Batch, at sim.Cycle) (*core.TimedResult, error) {
 	sc, err := partition(b, len(t.leaves), t.leafOf)
 	if err != nil {
 		return nil, err
@@ -261,7 +278,7 @@ func (t *tier) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	t.reset()
 	fl := &flight{
 		sc:      sc,
-		start:   t.clock,
+		start:   at,
 		res:     &core.TimedResult{},
 		deg:     &core.DegradedReport{},
 		entries: make([]*core.ShardDegraded, t.Shards()),
@@ -277,7 +294,7 @@ func (t *tier) Lookup(b embedding.Batch) (*core.TimedResult, error) {
 	if err := t.failover(fl, failed); err != nil {
 		return nil, err
 	}
-	rres, err := t.reduce(sc, fl.leaves, fl.res, fl.stages)
+	rres, err := t.reduce(fl)
 	if err != nil {
 		return nil, err
 	}
@@ -356,10 +373,10 @@ func (t *tier) backend(fl *flight) (failed []int, err error) {
 			run = append(run, s)
 		}
 	}
-	dispatch(attempts, run, t.par, func(s int) (*core.TimedResult, error) {
-		return t.run(s, subs[s], fl.start, false)
-	})
 	scatterAt := fl.start + fl.stages.Probe
+	dispatch(attempts, run, t.par, func(s int) (*core.TimedResult, error) {
+		return t.run(s, subs[s], scatterAt, false)
+	})
 	for s, a := range attempts {
 		if len(subs[s].Queries) == 0 {
 			continue
@@ -392,18 +409,19 @@ func (t *tier) backend(fl *flight) (failed []int, err error) {
 }
 
 // failover retries each failed sub-batch once against its replica holder,
-// serially in leaf order, unless there is none or it is itself unreachable
-// — then the sub-batch's contribution is dropped and the loss recorded.
+// serially in leaf order, each retry issued when the one before it is done,
+// unless there is none or it is itself unreachable — then the sub-batch's
+// contribution is dropped and the loss recorded.
 func (t *tier) failover(fl *flight, failed []int) error {
-	retryAt := fl.start + fl.stages.Probe + fl.stages.Backend
 	for _, s := range failed {
+		retryAt := fl.start + fl.stages.Probe + fl.stages.Backend + fl.stages.Failover
 		target := t.replicaHolder(s)
-		if target == s || t.breakers[target].state == Dark || t.plan.Down(target, fl.start) {
+		if target == s || t.breakers[target].state == Dark || t.plan.Down(target, retryAt) {
 			t.lose(fl, s)
 			continue
 		}
 		add(t.m.retries, s, 1)
-		r, err := t.run(target, fl.sc.subs[s], fl.start, true)
+		r, err := t.run(target, fl.sc.subs[s], retryAt, true)
 		switch {
 		case err == nil:
 			add(t.m.failovers, s, 1)

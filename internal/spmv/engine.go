@@ -48,8 +48,8 @@ func (c Config) Validate() error {
 		return err
 	}
 	switch {
-	case c.VectorSize <= 0:
-		return fmt.Errorf("spmv: VectorSize must be positive, got %d", c.VectorSize)
+	case c.VectorSize < 2:
+		return fmt.Errorf("spmv: VectorSize must be at least 2 (it is the merge fan-in), got %d", c.VectorSize)
 	case c.MultElemsPerCycle <= 0:
 		return fmt.Errorf("spmv: MultElemsPerCycle must be positive, got %v", c.MultElemsPerCycle)
 	case c.MergeElemsPerCycle <= 0:

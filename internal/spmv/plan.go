@@ -31,13 +31,14 @@ type Plan struct {
 }
 
 // NewPlan computes the schedule for a matrix with cols columns at the given
-// vector size.
+// vector size. The vector size is also the merge fan-in, so it must be at
+// least 2: merging one stream at a time never reduces the stream count.
 func NewPlan(cols, vectorSize int) (*Plan, error) {
 	if cols <= 0 {
 		return nil, fmt.Errorf("spmv: cols must be positive, got %d", cols)
 	}
-	if vectorSize <= 0 {
-		return nil, fmt.Errorf("spmv: vector size must be positive, got %d", vectorSize)
+	if vectorSize < 2 {
+		return nil, fmt.Errorf("spmv: vector size must be at least 2, got %d", vectorSize)
 	}
 	p := &Plan{Cols: cols, VectorSize: vectorSize}
 	streams := (cols + vectorSize - 1) / vectorSize

@@ -175,7 +175,12 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 		}
 	}
 
-	var clock, peClock sim.Cycle // DRAM-domain and accelerator-domain time
+	// The rounds issue at the memory's current cycle, DRAM-domain clock and
+	// accelerator-domain peClock alike; every reported cycle is the span
+	// from there.
+	clock := mem.Now()
+	start := sim.Rescale(clock, s.DRAMClockMHz, s.ClockMHz)
+	peClock := start
 	// A round of iteration 0 reads its chunk's entries, a later one the
 	// streams of its group; out lists the lengths of the streams written.
 	in, out := entries, lens
@@ -206,11 +211,11 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 		in, out = out[:n], out[n:]
 		peClock += s.Fill
 		if it == 0 {
-			res.MultiplyCycles = peClock
+			res.MultiplyCycles = peClock - start
 		}
 	}
-	res.MergeCycles = peClock - res.MultiplyCycles
-	res.TotalCycles = peClock
+	res.TotalCycles = peClock - start
+	res.MergeCycles = res.TotalCycles - res.MultiplyCycles
 	return res, nil
 }
 

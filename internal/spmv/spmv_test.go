@@ -237,11 +237,13 @@ func TestDefaultUsesPaperTree(t *testing.T) {
 
 // Property: the plan always covers the whole matrix (rounds x V >= cols),
 // merge iterations shrink stream counts geometrically, and a single
-// iteration suffices exactly when cols <= V.
+// iteration suffices exactly when cols <= V. V ranges over 2..4096: a
+// vector size of 1 is rejected (TestVectorSizeOneRejected in
+// internal/twostep).
 func TestQuickPlanInvariants(t *testing.T) {
 	f := func(colsRaw uint32, vRaw uint16) bool {
 		cols := int(colsRaw%10_000_000) + 1
-		v := int(vRaw%4096) + 1
+		v := int(vRaw%4095) + 2
 		p, err := NewPlan(cols, v)
 		if err != nil {
 			return false

@@ -125,8 +125,10 @@ func (e *Engine) TimedLookup(store *embedding.Store, mem *dram.System, b embeddi
 	toHost := func(d sim.Cycle) sim.Cycle { return sim.Rescale(d, e.cfg.DRAMClockMHz, e.cfg.ClockMHz) }
 
 	// Each rank serves its slice reads in sequence; ranks run in parallel.
-	// Track the per-rank completion in the DRAM clock.
-	var memDone sim.Cycle
+	// Track the per-rank completion in the DRAM clock, from the memory's
+	// current cycle, where every read issues.
+	issue := mem.Now()
+	memDone := issue
 	for _, q := range b.Queries {
 		for _, idx := range q.Indices {
 			for r := 0; r < ranks; r++ {
@@ -136,13 +138,13 @@ func (e *Engine) TimedLookup(store *embedding.Store, mem *dram.System, b embeddi
 					return nil, err
 				}
 				addr := base + dram.Addr(off)
-				done := mem.Read(0, addr, sliceBytes, dram.DestLocal)
+				done := mem.Read(issue, addr, sliceBytes, dram.DestLocal)
 				memDone = sim.Max(memDone, done)
 				res.MemoryReads++
 			}
 		}
 	}
-	res.MemCycles = toHost(memDone)
+	res.MemCycles = toHost(memDone) - toHost(issue)
 
 	// Pipelined partial sums: every query costs q-1 sequential reduce steps
 	// per rank, all ranks in lockstep, queries back to back. (Fafnir instead

@@ -69,8 +69,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Ranks <= 0:
 		return fmt.Errorf("twostep: Ranks must be positive, got %d", c.Ranks)
-	case c.VectorSize <= 0:
-		return fmt.Errorf("twostep: VectorSize must be positive, got %d", c.VectorSize)
+	case c.VectorSize < 2:
+		return fmt.Errorf("twostep: VectorSize must be at least 2 (it is the merge fan-in), got %d", c.VectorSize)
 	case c.Step1ElemsPerCycle <= 0:
 		return fmt.Errorf("twostep: Step1ElemsPerCycle must be positive, got %v", c.Step1ElemsPerCycle)
 	case c.MergeElemsPerCycle <= 0:

@@ -1,6 +1,7 @@
 package twostep
 
 import (
+	"strings"
 	"testing"
 
 	"fafnir/internal/dram"
@@ -13,6 +14,25 @@ func smallConfig() Config {
 	cfg.Ranks = 8
 	cfg.VectorSize = 16
 	return cfg
+}
+
+// TestVectorSizeOneRejected: a vector size of 1 is a merge fan-in of 1, which
+// never shrinks the stream count, so planning with it would never finish.
+// The plan and both configurations reject it at once, naming the size.
+func TestVectorSizeOneRejected(t *testing.T) {
+	if _, err := spmv.NewPlan(1000, 1); err == nil || !strings.Contains(err.Error(), "vector size") {
+		t.Errorf("NewPlan(1000, 1) = %v, want a vector size error", err)
+	}
+	scfg := spmv.Default()
+	scfg.VectorSize = 1
+	if err := scfg.Validate(); err == nil || !strings.Contains(err.Error(), "VectorSize") {
+		t.Errorf("spmv.Config.Validate with VectorSize 1 = %v, want an error naming VectorSize", err)
+	}
+	tcfg := Default()
+	tcfg.VectorSize = 1
+	if err := tcfg.Validate(); err == nil || !strings.Contains(err.Error(), "VectorSize") {
+		t.Errorf("twostep.Config.Validate with VectorSize 1 = %v, want an error naming VectorSize", err)
+	}
 }
 
 func TestValidate(t *testing.T) {
