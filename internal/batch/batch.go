@@ -43,12 +43,24 @@ type Plan struct {
 
 	batch embedding.Batch
 	qbits header.Bitset // Rows.Words() words per query
+	pairs []uint64      // Compile's sort buffer, kept for the next compile
+	users []int32       // backs every access's Users
 }
 
-// Compile compiles a batch. With dedup true, every distinct index produces
-// one access used by every query that holds it; with dedup false (the paper's
-// "neither eliminates redundant accesses" ablation of Fig. 13), every
-// (query, index) pair produces its own access.
+// Compile compiles a batch into a fresh plan (see Plan.Compile).
+func Compile(b embedding.Batch, dedup bool) *Plan {
+	p := new(Plan)
+	p.Compile(b, dedup)
+	return p
+}
+
+// Compile recompiles p for batch b, reusing the arrays of p's earlier
+// compilations: a plan an engine keeps per hardware-batch slot allocates
+// nothing once it has seen its largest batch. Everything p held before —
+// accesses, rows, user lists — is overwritten. With dedup true, every
+// distinct index produces one access used by every query that holds it;
+// with dedup false (the paper's "neither eliminates redundant accesses"
+// ablation of Fig. 13), every (query, index) pair produces its own access.
 //
 // Compilation is one sort: the (index, query position) pairs, packed into a
 // word each, come out grouped by index with the batch's unique indices in
@@ -56,16 +68,20 @@ type Plan struct {
 // query and cuts the accesses. Compile runs once per hardware batch on the
 // timed path, so its constant factors matter; the plan carries no
 // sorted-slice header (see Build).
-func Compile(b embedding.Batch, dedup bool) *Plan {
-	pairs := make([]uint64, 0, b.TotalAccesses())
+func (p *Plan) Compile(b embedding.Batch, dedup bool) {
+	pairs := slices.Grow(p.pairs[:0], b.TotalAccesses())
 	for qi, q := range b.Queries {
 		for _, idx := range q.Indices {
 			pairs = append(pairs, uint64(idx)<<32|uint64(qi))
 		}
 	}
 	slices.Sort(pairs)
-	p := &Plan{Dedup: dedup, batch: b, Rows: make(header.Dense, 0, len(pairs)), Accesses: make([]Access, 0, len(pairs))}
-	users := make([]int32, len(pairs))
+	p.pairs = pairs
+	p.Dedup, p.batch = dedup, b
+	p.Rows = slices.Grow(p.Rows[:0], len(pairs))
+	p.Accesses = slices.Grow(p.Accesses[:0], len(pairs))
+	users := slices.Grow(p.users[:0], len(pairs))[:len(pairs)]
+	p.users = users
 	for i, pr := range pairs {
 		idx := header.Index(pr >> 32)
 		fresh := len(p.Rows) == 0 || p.Rows[len(p.Rows)-1] != idx
@@ -78,13 +94,14 @@ func Compile(b embedding.Batch, dedup bool) *Plan {
 		a := &p.Accesses[len(p.Accesses)-1]
 		a.Users = append(a.Users, int32(uint32(pr))) // lands in users[i]: an access's pairs are consecutive
 	}
-	p.qbits = make(header.Bitset, p.Rows.Words()*len(b.Queries))
+	n := p.Rows.Words() * len(b.Queries)
+	p.qbits = slices.Grow(p.qbits[:0], n)[:n]
+	clear(p.qbits)
 	for _, a := range p.Accesses {
 		for _, qi := range a.Users {
 			p.QueryBits(int(qi)).Set(int(a.Row))
 		}
 	}
-	return p
 }
 
 // Build is Compile plus the sorted-slice form of every access's header,

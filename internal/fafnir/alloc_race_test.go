@@ -2,7 +2,6 @@
 
 package fafnir
 
-// raceDetectorEnabled reports whether this test binary was built with -race.
-// The race-enabled runtime randomizes sync.Pool (Put drops items at random to
-// exercise miss paths), so pooled-scratch allocation counts are noise there.
+// raceDetectorEnabled reports whether this test binary was built with -race,
+// whose runtime's allocation counts are not the program's alone.
 const raceDetectorEnabled = true

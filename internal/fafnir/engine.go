@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fafnir/internal/batch"
 	"fafnir/internal/dram"
@@ -58,6 +59,8 @@ type Engine struct {
 	// rowSink receives each timed hardware batch's staged rows when attached
 	// (see AttachRowSink); nil — the default — costs one check per batch.
 	rowSink RowSink
+	// spare is the lookup scratch between lookups (see takeLookupScratch).
+	spare atomic.Pointer[lookupScratch]
 }
 
 // NewEngine builds an engine; it returns an error for invalid configurations.
@@ -221,9 +224,9 @@ func (d *DegradedReport) Empty() bool {
 		d.Retries == 0 && len(d.Shards) == 0 && len(d.LostQueries) == 0)
 }
 
-// hwBatchStarts lists the query offsets at which hardware batches begin.
-func (e *Engine) hwBatchStarts(n int) []int {
-	starts := make([]int, 0, (n+e.cfg.BatchCapacity-1)/e.cfg.BatchCapacity)
+// hwBatchStarts appends to starts the query offsets at which the hardware
+// batches of an n-query batch begin.
+func (e *Engine) hwBatchStarts(starts []int, n int) []int {
 	for s := 0; s < n; s += e.cfg.BatchCapacity {
 		starts = append(starts, s)
 	}
@@ -406,16 +409,14 @@ func checkRootConservation(plan *batch.Plan, classes *queryClasses, outputs []de
 // carries. It is the one place queries are resolved, so it also answers a
 // query with no indices — which reads nothing and owns no root output — with
 // the zero vector the reference implementations give it, and it ends with the
-// golden check of the batch's outputs (checkGolden).
-func (e *Engine) resolve(p *funcPass, res *TimedResult) error {
+// golden check of the batch's outputs (checkGolden). The outputs escape the
+// scratch, so each is copied into its query's window of the caller's slab.
+func (e *Engine) resolve(p *funcPass, outs []tensor.Vector, slab *OutputSlab) error {
 	plan, qBase, classes := p.plan, p.start, &p.sc.ws.cls
 	if err := checkRootConservation(plan, classes, p.outputs); err != nil {
 		return err
 	}
 	sub := plan.Batch()
-	// The outputs escape to the caller, so they cannot stay in the arena; one
-	// backing array per hardware batch holds them all.
-	var slab []float32
 	for _, out := range p.outputs {
 		if !classes.complete(&out) {
 			// Dead partial reduction (a query's chain that took a side
@@ -424,25 +425,22 @@ func (e *Engine) resolve(p *funcPass, res *TimedResult) error {
 		}
 		for qi, q := range sub.Queries {
 			// An answered slot is a duplicate completion via another path.
-			if res.Outputs[qBase+qi] == nil && plan.QueryBits(qi).Equal(out.indices) {
-				n := len(out.value)
-				if len(slab) < n {
-					slab = make([]float32, len(sub.Queries)*n)
-				}
-				v := tensor.Vector(slab[:n:n])
-				slab = slab[n:]
+			if outs[qBase+qi] == nil && plan.QueryBits(qi).Equal(out.indices) {
+				v := slab.Window(qBase + qi)
 				copy(v, out.value)
 				sub.Op.FinalizeMean(v, q.Indices.Len())
-				res.Outputs[qBase+qi] = v
+				outs[qBase+qi] = v
 			}
 		}
 	}
 	for qi, q := range sub.Queries {
 		if q.Indices.Empty() {
-			res.Outputs[qBase+qi] = tensor.New(e.cfg.VectorDim)
+			v := slab.Window(qBase + qi)
+			clear(v)
+			outs[qBase+qi] = v
 		}
 	}
-	return checkGolden(res.Outputs[qBase:qBase+len(sub.Queries)], p.want, qBase)
+	return checkGolden(outs[qBase:qBase+len(sub.Queries)], p.want, qBase)
 }
 
 // readFaulted performs one vector read under fault injection: a dark primary
@@ -503,8 +501,8 @@ func (e *Engine) readFaulted(layout Placement, mem *dram.System, inj *fault.Inje
 // compiled plan, the golden fold of its queries, the functional tree
 // reduction, and its accounting.
 type funcPass struct {
-	k, start int // hardware-batch ordinal and its first query's batch offset
-	plan     *batch.Plan
+	k, start int             // hardware-batch ordinal and its first query's batch offset
+	plan     *batch.Plan     // the ring slot's own plan, recompiled for every pass the slot holds
 	sc       *treeScratch    // leased by run; released when the source moves on
 	want     []tensor.Vector // golden fold per query, taken before the tree ran; aliases sc.want
 	outputs  []denseEntry    // arena-backed; valid while sc is leased
@@ -533,40 +531,57 @@ func (e *Engine) parallelism() int {
 //
 // The consumer calls next for the pass (plan compiled), reduce for its tree
 // outputs, and close when done; next and close end the previous pass's
-// scratch lease, so at most len(ring) leases are ever live.
+// scratch lease, so at most len(ring) leases are ever live. A source lives in
+// the engine's lookup scratch and is restarted by every lookup, so its ring,
+// plans and done channels are reused.
 type passSource struct {
 	e      *Engine
 	store  *embedding.Store
 	layout Placement
 	b      embedding.Batch
 	dedup  bool
-	starts []int
+	starts []int // the query offsets at which hardware batches begin
 
 	ring   []funcPass     // pass k lives in ring[k%len(ring)]; one slot when inline
+	plans  []batch.Plan   // ring slot i compiles into plans[i]
 	k      int            // ordinal of the pass the next call yields
 	issued int            // passes handed to the workers so far
 	jobs   chan *funcPass // nil when inline
 	wg     sync.WaitGroup
 }
 
-// newPassSource decides, once per lookup, between inline and ahead-of-time
-// passes. Inline when there is nothing to overlap (Parallelism 1, a single
-// hardware batch) and when the caller is serial by nature: a faulted run
-// threads the timed read loop's remap into each pass.
-func (e *Engine) newPassSource(store *embedding.Store, layout Placement, b embedding.Batch, dedup, serial bool) *passSource {
-	s := &passSource{e: e, store: store, layout: layout, b: b, dedup: dedup, starts: e.hwBatchStarts(len(b.Queries))}
+// start readies the source for one lookup, deciding between inline and
+// ahead-of-time passes. Inline when there is nothing to overlap (Parallelism
+// 1, a single hardware batch) and when the caller is serial by nature: a
+// faulted run threads the timed read loop's remap into each pass.
+func (s *passSource) start(e *Engine, store *embedding.Store, layout Placement, b embedding.Batch, dedup, serial bool) {
+	s.e, s.store, s.layout, s.b, s.dedup = e, store, layout, b, dedup
+	s.starts = e.hwBatchStarts(s.starts[:0], len(b.Queries))
+	s.k, s.issued, s.jobs = 0, 0, nil
 	workers := min(e.parallelism(), len(s.starts))
-	if serial || workers <= 1 {
-		s.ring = make([]funcPass, 1)
-		return s
+	slots := 1
+	if !serial && workers > 1 {
+		// One pass with the consumer plus one per worker: the window that
+		// bounds both the look-ahead and the live scratch leases.
+		slots = workers + 1
 	}
-	// One pass with the consumer plus one per worker: the window that bounds
-	// both the look-ahead and the live scratch leases.
-	s.ring = make([]funcPass, workers+1)
+	if len(s.plans) < slots {
+		s.plans = append(s.plans, make([]batch.Plan, slots-len(s.plans))...)
+		s.ring = append(s.ring, make([]funcPass, slots-len(s.ring))...)
+	}
+	s.ring = s.ring[:slots]
 	for i := range s.ring {
-		s.ring[i].done = make(chan struct{}, 1)
+		s.ring[i] = funcPass{plan: &s.plans[i], done: s.ring[i].done}
 	}
-	s.jobs = make(chan *funcPass, len(s.ring)) // holds the whole window, so next never blocks sending
+	if slots == 1 {
+		return
+	}
+	for i := range s.ring {
+		if s.ring[i].done == nil {
+			s.ring[i].done = make(chan struct{}, 1)
+		}
+	}
+	s.jobs = make(chan *funcPass, slots) // holds the whole window, so next never blocks sending
 	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -578,12 +593,11 @@ func (e *Engine) newPassSource(store *embedding.Store, layout Placement, b embed
 			}
 		}()
 	}
-	return s
 }
 
-// compile builds the pass's access plan.
+// compile builds the pass's access plan, in the ring slot's own plan.
 func (s *passSource) compile(p *funcPass) {
-	p.plan = batch.Compile(s.e.hwBatch(s.b, p.start), s.dedup)
+	p.plan.Compile(s.e.hwBatch(s.b, p.start), s.dedup)
 }
 
 // next ends the previous pass's lease and returns the next pass in program
@@ -598,14 +612,14 @@ func (s *passSource) next() *funcPass {
 	}
 	p := &s.ring[s.k%n]
 	if s.jobs == nil {
-		*p = funcPass{k: s.k, start: s.starts[s.k]}
+		*p = funcPass{k: s.k, start: s.starts[s.k], plan: p.plan}
 		s.compile(p)
 	} else {
 		// Top the window up (the slot just released is free again), then
 		// wait for this pass.
 		for ; s.issued < len(s.starts) && s.issued < s.k+n; s.issued++ {
 			q := &s.ring[s.issued%n]
-			*q = funcPass{k: s.issued, start: s.starts[s.issued], done: q.done}
+			*q = funcPass{k: s.issued, start: s.starts[s.issued], plan: q.plan, done: q.done}
 			s.jobs <- q
 		}
 		<-p.done
@@ -625,19 +639,28 @@ func (s *passSource) reduce(p *funcPass, remap map[header.Index]int) error {
 }
 
 // close stops the workers, waits for the passes still in flight, and returns
-// every scratch to the pool; nothing of the lookup runs after it.
+// every scratch to the free list; nothing of the lookup runs after it. A
+// pass a failed lookup issued but never consumed left its done signal
+// behind, which is drained so the channel starts the next lookup empty.
 func (s *passSource) close() {
 	if s.jobs != nil {
 		close(s.jobs)
 		s.wg.Wait()
+		s.jobs = nil
+		for i := range s.ring {
+			select {
+			case <-s.ring[i].done:
+			default:
+			}
+		}
 	}
 	for i := range s.ring {
 		s.ring[i].release(s.e)
 	}
 }
 
-// release returns the pass's scratch (if any) to the pool, invalidating its
-// outputs and per-PE stats.
+// release returns the pass's scratch (if any) to the free list, invalidating
+// its outputs and per-PE stats.
 func (p *funcPass) release(e *Engine) {
 	if p.sc != nil {
 		e.putTreeScratch(p.sc)
@@ -719,9 +742,26 @@ func (e *Engine) treeTiming(leafReady, ready []sim.Cycle, perPE []PEStats, inj *
 // TotalCycles), stalled PEs charge their extra latency in the tree walk, and
 // the result carries a DegradedReport. With no injector or an inactive one
 // the run is bit-identical to a memory without one.
+//
+// The result and its outputs are the caller's: TimedLookup allocates them
+// fresh for every call. TimedLookupInto is the same lookup writing into
+// storage the caller keeps.
 func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram.System, b embedding.Batch, dedup bool) (*TimedResult, error) {
-	res := &TimedResult{}
-	res.Outputs = make([]tensor.Vector, len(b.Queries))
+	res := new(TimedResult)
+	if err := e.TimedLookupInto(res, new(OutputSlab), store, layout, mem, b, dedup); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// TimedLookupInto is TimedLookup writing its result into res, which it
+// overwrites, and its outputs into slab, which it resets: once the slab has
+// grown to the batch, a steady-state lookup allocates nothing. The outputs
+// are valid until the slab's next reset. On error res holds nothing of use.
+func (e *Engine) TimedLookupInto(res *TimedResult, slab *OutputSlab, store *embedding.Store, layout Placement, mem *dram.System, b embedding.Batch, dedup bool) error {
+	*res = TimedResult{}
+	outs := slab.Reset(len(b.Queries), store.Dim())
+	res.Outputs = outs
 	inj := mem.Faults()
 	faulted := inj.Active()
 	var deg *DegradedReport
@@ -735,15 +775,16 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 	// serial read sequence), so cycle counts are bit-identical at every
 	// Parallelism. Fault injection threads host state through the read loop
 	// (remapped reads feed the functional pass), so faulted runs stay serial.
-	src := e.newPassSource(store, layout, b, dedup, faulted)
-	defer src.close()
+	ls := e.takeLookupScratch()
+	defer e.endLookup(ls)
+	src := &ls.src
+	src.start(e, store, layout, b, dedup, faulted)
 	res.HWBatches = len(src.starts)
 
 	issue := mem.Now()
 	issuePE := e.cfg.DRAMToPE(issue)
 	clock := issue // DRAM-domain time at which the next batch may issue
-	leafReady := make([]sim.Cycle, e.tree.NumPEs())
-	ready := make([]sim.Cycle, e.tree.NumPEs())
+	leafReady, ready := ls.leafReady, ls.ready
 
 	for p := src.next(); p != nil; p = src.next() {
 		plan := p.plan
@@ -767,7 +808,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 				before := deg.RemappedReads
 				rank, done, err = e.readFaulted(layout, mem, inj, acc.Index, clock, res, deg)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if deg.RemappedReads > before {
 					if remap == nil {
@@ -781,11 +822,11 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 				res.BytesRead += uint64(layout.VectorBytes())
 			}
 			if err := e.checkRank(acc.Index, rank); err != nil {
-				return nil, err
+				return err
 			}
 			leaf, err := e.tree.LeafOfRank(rank)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			leafReady[leaf.ID] = sim.Max(leafReady[leaf.ID], done)
 			memDone = sim.Max(memDone, done)
@@ -804,12 +845,12 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 		// Functional pass to learn per-PE occupancies (already computed when
 		// running ahead; faulted runs need the read loop's remap first).
 		if err := src.reduce(p, remap); err != nil {
-			return nil, err
+			return err
 		}
 		res.PETotals.Add(p.totals)
 		res.MaxOccupancy = max(res.MaxOccupancy, p.maxOcc)
-		if err := e.resolve(p, res); err != nil {
-			return nil, err
+		if err := e.resolve(p, outs, slab); err != nil {
+			return err
 		}
 		if e.rowSink != nil {
 			e.handRows(p)
@@ -847,9 +888,9 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 		clock = memDone
 	}
 
-	for qi, out := range res.Outputs {
+	for qi, out := range outs {
 		if out == nil {
-			return nil, fmt.Errorf("fafnir: query %d produced no output: %w", qi, fault.ErrInvariantViolated)
+			return fmt.Errorf("fafnir: query %d produced no output: %w", qi, fault.ErrInvariantViolated)
 		}
 	}
 	if faulted {
@@ -861,7 +902,14 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout Placement, mem *dram
 	// Sum() == TotalCycles invariant even in pathological many-batch shapes.
 	xferStage := min(res.TransferCycles, res.TotalCycles)
 	res.Stages = StageCycles{Backend: res.TotalCycles - xferStage, Transfer: xferStage}
-	return res, nil
+	return nil
+}
+
+// endLookup closes the lookup's pass source, releasing every scratch it
+// leased, and hands the lookup scratch back to the engine.
+func (e *Engine) endLookup(ls *lookupScratch) {
+	ls.src.close()
+	e.spare.Store(ls)
 }
 
 // LowerBoundCycles returns an analytic lower bound on the TotalCycles any

@@ -72,6 +72,20 @@ func TestGoldenCheckCatchesCorruptOutput(t *testing.T) {
 			if !errors.Is(err, fault.ErrInvariantViolated) || !strings.Contains(err.Error(), "mismatches the golden reference") {
 				t.Fatalf("a corrupted output got past the golden check: err = %v", err)
 			}
+			// The engine reuses its pass ring across lookups: the failed
+			// lookup must leave no done signal behind that the next one
+			// would take for its own pass's.
+			for i, p := range e.spare.Load().src.ring {
+				if len(p.done) != 0 {
+					t.Fatalf("the failed lookup left ring slot %d signalled", i)
+				}
+			}
+			GoldenCheckHook = nil
+			for range 3 {
+				if err := tc.run(e); err != nil {
+					t.Fatalf("clean run after the failed one: %v", err)
+				}
+			}
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -420,7 +421,7 @@ func TestHWBatchStarts(t *testing.T) {
 		{33, []int{0, 32}},
 		{100, []int{0, 32, 64, 96}},
 	} {
-		got := e.hwBatchStarts(tc.n)
+		got := e.hwBatchStarts([]int{}, tc.n)
 		if len(got) != len(tc.want) {
 			t.Fatalf("hwBatchStarts(%d) = %v, want %v", tc.n, got, tc.want)
 		}
@@ -429,5 +430,47 @@ func TestHWBatchStarts(t *testing.T) {
 				t.Fatalf("hwBatchStarts(%d) = %v, want %v", tc.n, got, tc.want)
 			}
 		}
+	}
+}
+
+// TestEngineSharedAcrossGoroutines runs lookups of two shapes on one engine
+// from several goroutines at once. A lookup takes the engine's lookup
+// scratch for its span and a concurrent one builds its own, and the tree
+// scratches come off one process-wide free list, so every result must equal
+// the serial one.
+func TestEngineSharedAcrossGoroutines(t *testing.T) {
+	store, big := detWorkload(t, 96) // 3 hardware batches
+	small := embedding.Batch{Op: big.Op, Queries: big.Queries[:5]}
+	pl := modPlacement{ranks: 32, bytes: 64}
+	for _, par := range parallelismLevels() {
+		e := ranksEngine(t, 32, par)
+		var want [2]*TimedResult
+		for i, b := range []embedding.Batch{big, small} {
+			res, err := e.TimedLookup(store, pl, dram.MustSystem(dram.DDR4()), b, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < 6; r++ {
+					i := (g + r) % 2
+					res, err := e.TimedLookup(store, pl, dram.MustSystem(dram.DDR4()), []embedding.Batch{big, small}[i], true)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(res, want[i]) {
+						t.Errorf("Parallelism=%d, goroutine %d: lookup %d diverges from the serial result", par, g, r)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -53,7 +53,7 @@ func TestPEStatsPinned(t *testing.T) {
 					}
 					b := gen.Batch(tensor.OpSum)
 					h := sha256.New()
-					for _, start := range e.hwBatchStarts(len(b.Queries)) {
+					for _, start := range e.hwBatchStarts(nil, len(b.Queries)) {
 						sc := e.getTreeScratch()
 						in, err := e.leafInputs(sc, store, layout, batch.Compile(e.hwBatch(b, start), dedup), nil)
 						if err != nil {

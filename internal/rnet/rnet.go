@@ -219,19 +219,47 @@ type Result struct {
 // Reduce runs one reduction: leaves[i] is leaf i's partial (nil for a leaf
 // that was lost and never produced one), numQueries sizes the dense output.
 // Every leaf partial present must have len(Vectors) == numQueries. The
-// returned outputs never alias leaf vectors, so callers may mutate them
-// (mean finalization) freely.
+// returned outputs are freshly allocated and never alias leaf vectors, so
+// callers may mutate them (mean finalization) freely.
 func (t *Tree) Reduce(op tensor.ReduceOp, numQueries int, leaves []*Partial) (*Result, error) {
+	return t.ReduceInto(op, numQueries, leaves, make([]tensor.Vector, numQueries), new(Scratch))
+}
+
+// Scratch is the working state of ReduceInto — the per-node readiness and
+// presence, the per-query holds, and the result with its span list — kept
+// by a caller across reductions so that a steady-state reduction allocates
+// nothing. The zero value is ready; a Scratch serves one reduction at a time.
+type Scratch struct {
+	started []bool // query -> its fold has begun
+	done    []sim.Cycle
+	present []bool
+	holds   []bool
+	res     Result
+}
+
+// ReduceInto is Reduce into caller-provided storage. out (one slot per
+// query) receives the outputs: slot qi is overwritten with query qi's fold,
+// reusing the slot's backing array when it has the room (a nil or short
+// slot is allocated), or set to nil when no live leaf holds the query. The
+// slots must not alias any leaf vector. The result lives in sc and is valid
+// until sc's next reduction; its Outputs is out.
+func (t *Tree) ReduceInto(op tensor.ReduceOp, numQueries int, leaves []*Partial, out []tensor.Vector, sc *Scratch) (*Result, error) {
 	if len(leaves) != t.leaves {
 		return nil, fmt.Errorf("rnet: %d partials for a %d-leaf tree", len(leaves), t.leaves)
+	}
+	if len(out) != numQueries {
+		return nil, fmt.Errorf("rnet: %d output slots for %d queries", len(out), numQueries)
 	}
 	for i, p := range leaves {
 		if p != nil && len(p.Vectors) != numQueries {
 			return nil, fmt.Errorf("rnet: leaf %d has %d query slots, want %d", i, len(p.Vectors), numQueries)
 		}
 	}
+	sc.reset(len(t.nodes), numQueries)
+	res := &sc.res
+	res.Outputs = out
 	// The values are the serial fold: each query's vectors in leaf order.
-	res := &Result{Outputs: make([]tensor.Vector, numQueries)}
+	started := sc.started
 	for i, p := range leaves {
 		if p == nil {
 			continue
@@ -239,30 +267,57 @@ func (t *Tree) Reduce(op tensor.ReduceOp, numQueries int, leaves []*Partial) (*R
 		for qi, v := range p.Vectors {
 			switch {
 			case v == nil:
-			case res.Outputs[qi] == nil:
-				res.Outputs[qi] = v.Clone()
+			case !started[qi]:
+				out[qi] = append(out[qi][:0], v...)
+				started[qi] = true
 			default:
-				if err := op.Apply(res.Outputs[qi], v); err != nil {
+				if err := op.Apply(out[qi], v); err != nil {
 					return nil, fmt.Errorf("rnet: query %d, leaf %d: %w", qi, i, err)
 				}
 			}
 		}
 	}
-	t.charge(numQueries, leaves, res)
+	for qi, ok := range started {
+		if !ok {
+			out[qi] = nil
+		}
+	}
+	t.charge(numQueries, leaves, sc)
 	return res, nil
 }
 
+// reset sizes the scratch for a tree of nodes nodes over numQueries queries
+// and zeroes it, keeping its arrays when they are large enough.
+func (sc *Scratch) reset(nodes, numQueries int) {
+	sc.started = resize(sc.started, numQueries)
+	sc.done = resize(sc.done, nodes)
+	sc.present = resize(sc.present, nodes)
+	sc.holds = resize(sc.holds, nodes*numQueries)
+	clear(sc.started)
+	clear(sc.done)
+	clear(sc.present)
+	clear(sc.holds)
+	sc.res = Result{Spans: sc.res.Spans[:0]}
+}
+
+// resize returns s with length n, reallocating only when s is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // charge walks the switches bottom-up and records the reduction's time in
-// res: each switch's fire and done cycles, the combines it performs, the
+// sc.res: each switch's fire and done cycles, the combines it performs, the
 // children it misses, and the root's critical path. IDs ascend bottom-up, so
 // one pass settles each switch after all of its children; a subtree with no
 // live leaf never fires and never blocks its siblings. A switch combines a
 // query once for every live child holding it beyond the first, which is
 // where a serial fold's combines happen in the tree.
-func (t *Tree) charge(numQueries int, leaves []*Partial, res *Result) {
-	done := make([]sim.Cycle, len(t.nodes))
-	present := make([]bool, len(t.nodes))
-	holds := make([]bool, len(t.nodes)*numQueries) // node ID x query: subtree has a vector for it
+func (t *Tree) charge(numQueries int, leaves []*Partial, sc *Scratch) {
+	res, done, present := &sc.res, sc.done, sc.present
+	holds := sc.holds // node ID x query: subtree has a vector for it
 	for i, p := range leaves {
 		if p == nil {
 			continue

@@ -30,7 +30,8 @@ type subref struct {
 	indices int // index count contributed by this leaf
 }
 
-// scatter is one batch partitioned by owning leaf.
+// scatter is one batch partitioned by owning leaf. It lives in the tier's
+// flight and is refilled by every batch, so its arrays are reused.
 type scatter struct {
 	op      tensor.ReduceOp // the batch's pooling op
 	queries int
@@ -42,18 +43,22 @@ type scatter struct {
 	// survivors[q] starts at query q's index count and drops by every index
 	// lost to an unreachable leaf; mean pooling divides by it.
 	survivors []int
+	// arena holds the batch's indices, each query's grouped by leaf: every
+	// sub-query's index set is a run of it.
+	arena      []header.Index
+	count, end []int // partition's per-leaf counting-sort cursors
 }
 
 // partition validates the batch and splits every query's indices by owning
 // leaf, preserving index order within each sub-query. Every sub-query's
-// index set is a run of one arena that holds the batch's indices, each
-// query's grouped by leaf, so the split allocates no map and no set clone.
-func partition(b embedding.Batch, n int, owner func(header.Index) int) (*scatter, error) {
+// index set is a run of the arena, so the split allocates no map and no set
+// clone, and once the scatter has seen its largest batch nothing at all.
+func (sc *scatter) partition(b embedding.Batch, n int, owner func(header.Index) int) error {
 	if len(b.Queries) == 0 {
-		return nil, fmt.Errorf("router: empty batch")
+		return fmt.Errorf("router: empty batch")
 	}
 	if !b.Op.Valid() {
-		return nil, fmt.Errorf("router: invalid reduce op %d", b.Op)
+		return fmt.Errorf("router: invalid reduce op %d", b.Op)
 	}
 	subOp := b.Op
 	if subOp == tensor.OpMean {
@@ -61,19 +66,21 @@ func partition(b embedding.Batch, n int, owner func(header.Index) int) (*scatter
 		// the surviving operand count, exactly as a single tree's root would.
 		subOp = tensor.OpSum
 	}
-	sc := &scatter{
-		op:        b.Op,
-		queries:   len(b.Queries),
-		subs:      make([]embedding.Batch, n),
-		refs:      make([][]subref, n),
-		survivors: make([]int, len(b.Queries)),
+	sc.op, sc.queries = b.Op, len(b.Queries)
+	sc.subs, sc.refs = resize(sc.subs, n), resize(sc.refs, n)
+	for leaf := range sc.subs {
+		sc.subs[leaf] = embedding.Batch{Op: subOp, Queries: sc.subs[leaf].Queries[:0]}
+		sc.refs[leaf] = sc.refs[leaf][:0]
 	}
+	sc.survivors = resize(sc.survivors, len(b.Queries))
 	total := 0
 	for _, q := range b.Queries {
 		total += q.Indices.Len()
 	}
-	arena := make([]header.Index, total)
-	count, end := make([]int, n), make([]int, n)
+	arena := resize(sc.arena, total)
+	sc.arena = arena
+	count, end := resize(sc.count, n), resize(sc.end, n)
+	sc.count, sc.end = count, end
 	at := 0
 	for qi, q := range b.Queries {
 		sc.survivors[qi] = q.Indices.Len()
@@ -100,22 +107,21 @@ func partition(b embedding.Batch, n int, owner func(header.Index) int) (*scatter
 			run := arena[end[leaf]-c : end[leaf]]
 			slices.Sort(run)
 			set := slices.Compact(run)
-			sc.subs[leaf].Op = subOp
 			sc.subs[leaf].Queries = append(sc.subs[leaf].Queries, embedding.Query{Indices: header.IndexSet(set[:len(set):len(set)])})
 			sc.refs[leaf] = append(sc.refs[leaf], subref{query: qi, indices: c})
 		}
 	}
-	return sc, nil
+	return nil
 }
 
-// pool spreads one leaf's sub-lookup outputs into the dense per-query pool
-// the switch tree reduces; queries the leaf holds nothing for stay nil.
-func (sc *scatter) pool(leaf int, outs []tensor.Vector) []tensor.Vector {
-	pool := make([]tensor.Vector, sc.queries)
-	for i, out := range outs {
-		pool[sc.refs[leaf][i].query] = out
+// resize returns s with length n, keeping what s already holds — for a
+// slice of slices, the inner arrays too — and reallocating only when s is
+// too short.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	return pool
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // attempt is one leaf sub-lookup's outcome.
@@ -267,22 +273,28 @@ func (t *tier) emitSwitchSpans(base sim.Cycle, r *rnet.Result, parent uint64) {
 // are simply absent (nil) and cost nothing — and only the root pool crosses
 // the host link. The flight's stages carry the phases already spent (probe,
 // and the backend and failover windows the leaves' Ready times contain);
-// reduce fills in the rest of its result: outputs, cycle totals and the
-// stage split.
-func (t *tier) reduce(fl *flight) (*rnet.Result, error) {
-	sc, res, st := fl.sc, fl.res, fl.stages
-	rres, err := t.rtree.Reduce(sc.op, sc.queries, fl.leaves)
+// reduce fills in the rest of its result: outputs (folded into slab, one
+// window per query), cycle totals and the stage split.
+func (t *tier) reduce(fl *flight, slab *core.OutputSlab) (*rnet.Result, error) {
+	sc, res, st := &fl.sc, fl.res, fl.stages
+	outs := slab.Reset(sc.queries, t.dim)
+	for qi := range outs {
+		outs[qi] = slab.Window(qi)
+	}
+	rres, err := t.rtree.ReduceInto(sc.op, sc.queries, fl.leaves, outs, &fl.red)
 	if err != nil {
 		return nil, err
 	}
 	// Queries that lost everything (or arrived empty) produce zero vectors
 	// like the engines; mean scales by the surviving operand count, the
 	// single-tree root's exact finalize operation.
-	res.Outputs = rres.Outputs
+	res.Outputs = outs
 	rootQueries := 0
-	for qi, v := range res.Outputs {
+	for qi, v := range outs {
 		if v == nil {
-			res.Outputs[qi] = tensor.New(t.dim)
+			v = slab.Window(qi)
+			clear(v)
+			outs[qi] = v
 			continue
 		}
 		rootQueries++

@@ -151,24 +151,32 @@ type shardNode struct {
 	// nothing.
 	rows core.RowCopies
 	add  core.RowSink
+	// res and out hold the node's last primary ([0]) and replica ([1])
+	// sub-lookup: the result and the outputs its partial pool points into
+	// until the tier's reduce has folded them.
+	res [2]core.TimedResult
+	out [2]core.OutputSlab
 }
 
 // lookup issues the sub-batch at tier cycle at, or when the shard's memory
 // is next free if it is still busy past at (a failed sub-lookup is charged
 // to no batch); that wait is part of the sub-lookup's span.
 func (sh *shardNode) lookup(b embedding.Batch, at sim.Cycle, replica bool) (*core.TimedResult, error) {
+	// The views are taken by address: boxing a view value into the
+	// interface would allocate on every sub-lookup.
 	var view core.Placement
+	slot := 0
 	if replica {
-		view = sh.peerView
+		view, slot = &sh.peerView, 1
 	} else {
-		view = sh.primary
+		view = &sh.primary
 	}
 	ecfg := sh.engine.Config()
 	wait := sim.Max(ecfg.DRAMToPE(sh.mem.Now()), at) - at
 	sh.mem.WaitUntil(ecfg.PEToDRAM(at))
 	mark := sh.rows.Len()
-	r, err := sh.engine.TimedLookup(sh.store, view, sh.mem, b, true)
-	if err != nil {
+	r := &sh.res[slot]
+	if err := sh.engine.TimedLookupInto(r, &sh.out[slot], sh.store, view, sh.mem, b, true); err != nil {
 		// A failed sub-lookup delivers nothing, so none of its reads are
 		// handed on.
 		sh.rows.Truncate(mark)
@@ -336,9 +344,13 @@ func (f *Fleet) viewOf(s int) primaryView {
 
 // lookup runs a member fleet's sub-batch at the federation's cycle at: a
 // fleet absorbs its own faults, and holds no replica of another fleet's
-// rows.
+// rows. The result and outputs are the member's flight storage, which the
+// federation folds before the member's next batch.
 func (f *Fleet) lookup(b embedding.Batch, at sim.Cycle, _ bool) (*core.TimedResult, error) {
-	return f.lookupAt(b, at)
+	if err := f.lookupAt(b, at, &f.fl.own, &f.fl.out); err != nil {
+		return nil, err
+	}
+	return &f.fl.own, nil
 }
 
 // Store exposes the global embedding store (for golden comparisons).

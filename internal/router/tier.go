@@ -34,7 +34,11 @@ type leaf interface {
 	// lookup runs one sub-batch issued at tier cycle at and returns its
 	// result, degraded report included, with every cycle count a span from
 	// at. replica reads it through the copy of its peer's rows the leaf
-	// holds, during a failover; only shards hold one.
+	// holds, during a failover; only shards hold one. The result and its
+	// outputs are the leaf's own storage, valid until the leaf's next
+	// lookup with the same replica flag: a tier reads them only within the
+	// batch that asked for them. A shard serves at most one primary and one
+	// replica sub-batch per batch, so the two never overwrite each other.
 	lookup(b embedding.Batch, at sim.Cycle, replica bool) (*core.TimedResult, error)
 	// collect turns the row hand-off on or off and reset empties what was
 	// collected. forward passes it on: a shard appends its rows to its
@@ -92,6 +96,10 @@ type tier struct {
 	m    Metrics
 	// forwarded is forward's reusable list of the leaves' rows.
 	forwarded []core.StagedRow
+	// fl is the batch in flight, reset by every lookup: all of the tier's
+	// per-batch working state, so a steady-state batch allocates only the
+	// result it returns.
+	fl flight
 
 	// The reduce half (pipeline.go): the switch tree over the leaves, the
 	// host link the root pool crosses, and the tracing and rnet-metric
@@ -223,24 +231,55 @@ func (t *tier) forward(sink core.RowSink, out []core.StagedRow) []core.StagedRow
 }
 
 // flight is one batch in flight through the tier: the state Lookup's phases
-// hand along.
+// hand along. The tier owns one and every batch resets it, keeping its
+// arrays, so nothing here outlives the batch: what a caller keeps is copied
+// out (a public result's outputs and degraded report), and what a parent
+// tier reads (a member fleet's result) it reads before this tier's next
+// batch. Only the degraded report's lists are made afresh, and only by a
+// batch that degrades.
 type flight struct {
-	sc    *scatter
+	sc    scatter
 	start sim.Cycle // the batch's issue cycle on the tier clock
 	res   *core.TimedResult
-	deg   *core.DegradedReport
+	deg   core.DegradedReport
 	// entries[s] is shard s's degraded-report entry, numbered across the
 	// tier and created on first use. A leaf's own entry (its failure, its
 	// failover, a shard's dark ranks) arises only in a fleet, where leaf
 	// and shard numbers agree.
 	entries []*core.ShardDegraded
-	// leaves[s] is the partial pool delivered for leaf s's sub-batch — by
-	// the leaf itself or its replica holder — nil while undelivered.
+	// leaves[s] points at parts[s], the partial delivered for leaf s's
+	// sub-batch — by the leaf itself or its replica holder — and is nil
+	// while undelivered; pools[s] is that partial's dense per-query pool.
 	leaves   []*rnet.Partial
+	parts    []rnet.Partial
+	pools    [][]tensor.Vector
 	partials int // delivered sub-queries, the combine span's annotation
 	// stages accumulates the probe, backend and failover windows as the
 	// phases run; reduce completes it.
 	stages core.StageCycles
+	// attempts, run and failed are backend's per-leaf outcomes, the leaves
+	// it dispatches and the ones it hands to failover.
+	attempts    []attempt
+	run, failed []int
+	red         rnet.Scratch
+	// own and out are a member fleet's result and outputs, handed up to the
+	// parent tier (see Fleet.lookup).
+	own core.TimedResult
+	out core.OutputSlab
+}
+
+// reset readies the flight for a batch of the tier's leaves and shards.
+func (fl *flight) reset(leaves, shards int, start sim.Cycle, res *core.TimedResult) {
+	fl.start, fl.res, fl.partials, fl.stages = start, res, 0, core.StageCycles{}
+	fl.deg = core.DegradedReport{}
+	fl.entries = resize(fl.entries, shards)
+	clear(fl.entries)
+	fl.leaves, fl.parts = resize(fl.leaves, leaves), resize(fl.parts, leaves)
+	clear(fl.leaves)
+	fl.pools = resize(fl.pools, leaves)
+	fl.attempts = resize(fl.attempts, leaves)
+	clear(fl.attempts)
+	fl.run, fl.failed = fl.run[:0], fl.failed[:0]
 }
 
 func (fl *flight) entry(s int) *core.ShardDegraded {
@@ -248,6 +287,18 @@ func (fl *flight) entry(s int) *core.ShardDegraded {
 		fl.entries[s] = &core.ShardDegraded{Shard: s}
 	}
 	return fl.entries[s]
+}
+
+// pool spreads one leaf's sub-lookup outputs into the dense per-query pool
+// the switch tree reduces; queries the leaf holds nothing for stay nil.
+func (fl *flight) pool(leaf int, outs []tensor.Vector) []tensor.Vector {
+	pool := resize(fl.pools[leaf], fl.sc.queries)
+	clear(pool)
+	for i, out := range outs {
+		pool[fl.sc.refs[leaf][i].query] = out
+	}
+	fl.pools[leaf] = pool
+	return pool
 }
 
 // Lookup scatters the batch across the leaves and runs it through the five
@@ -260,47 +311,44 @@ func (fl *flight) entry(s int) *core.ShardDegraded {
 // res.Degraded itemizes the loss per shard (numbered across the tier) and
 // per query. Only programming errors (invariant violations, bad ops) return
 // a non-nil error. The batch issues at the tier's clock, which it advances
-// by its TotalCycles.
+// by its TotalCycles. The result and its outputs are the caller's: they
+// share nothing with the tier's scratch and stay valid across later
+// lookups.
 func (t *tier) Lookup(b embedding.Batch) (*core.TimedResult, error) {
-	res, err := t.lookupAt(b, *t.clock)
-	if err == nil {
-		*t.clock += res.TotalCycles
+	res := new(core.TimedResult)
+	if err := t.lookupAt(b, *t.clock, res, new(core.OutputSlab)); err != nil {
+		return nil, err
 	}
-	return res, err
+	*t.clock += res.TotalCycles
+	return res, nil
 }
 
-// lookupAt is Lookup issued at tier cycle at, leaving the clock alone.
-func (t *tier) lookupAt(b embedding.Batch, at sim.Cycle) (*core.TimedResult, error) {
-	sc, err := partition(b, len(t.leaves), t.leafOf)
-	if err != nil {
-		return nil, err
+// lookupAt is Lookup issued at tier cycle at, leaving the clock alone: it
+// fills res, folding the outputs into slab.
+func (t *tier) lookupAt(b embedding.Batch, at sim.Cycle, res *core.TimedResult, slab *core.OutputSlab) error {
+	fl := &t.fl
+	if err := fl.sc.partition(b, len(t.leaves), t.leafOf); err != nil {
+		return err
 	}
 	t.reset()
-	fl := &flight{
-		sc:      sc,
-		start:   at,
-		res:     &core.TimedResult{},
-		deg:     &core.DegradedReport{},
-		entries: make([]*core.ShardDegraded, t.Shards()),
-		leaves:  make([]*rnet.Partial, len(t.leaves)),
-	}
+	*res = core.TimedResult{}
+	fl.reset(len(t.leaves), t.Shards(), at, res)
 	if err := t.probe(fl); err != nil {
-		return nil, err
+		return err
 	}
-	failed, err := t.backend(fl)
+	if err := t.backend(fl); err != nil {
+		return err
+	}
+	if err := t.failover(fl); err != nil {
+		return err
+	}
+	rres, err := t.reduce(fl, slab)
 	if err != nil {
-		return nil, err
-	}
-	if err := t.failover(fl, failed); err != nil {
-		return nil, err
-	}
-	rres, err := t.reduce(fl)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	if t.lv.combine {
 		windows := fl.stages.Probe + fl.stages.Backend + fl.stages.Failover
-		t.emit("combine", len(t.leaves), telemetry.PhaseSpan, fl.start+windows, fl.res.TotalCycles-windows, "combine", 0,
+		t.emit("combine", len(t.leaves), telemetry.PhaseSpan, fl.start+windows, res.TotalCycles-windows, "combine", 0,
 			telemetry.Arg{Key: "partials", Int: int64(fl.partials)},
 			telemetry.Arg{Key: "switch_fires", Int: int64(rres.Fires)})
 	}
@@ -314,7 +362,10 @@ func (t *tier) lookupAt(b embedding.Batch, at sim.Cycle) (*core.TimedResult, err
 		}
 	}
 	if !fl.deg.Empty() {
-		fl.res.Degraded = fl.deg
+		// The report's lists were made for this batch alone (reset drops
+		// them), so a copy of the struct hands them over.
+		deg := fl.deg
+		res.Degraded = &deg
 		count(t.m.degradedBatches, 1)
 		count(t.m.lostQueries, uint64(len(fl.deg.LostQueries)))
 	}
@@ -322,7 +373,7 @@ func (t *tier) lookupAt(b embedding.Batch, at sim.Cycle) (*core.TimedResult, err
 		t.forward(t.sink, nil)
 	}
 	count(t.m.batches, 1)
-	return fl.res, nil
+	return nil
 }
 
 // probe sends every dark leaf whose backoff elapsed a one-query canary
@@ -360,10 +411,8 @@ func (t *tier) probe(fl *flight) error {
 // settles the attempts strictly in leaf order: delivered partials stage as
 // tree leaves, structured failures drive the breakers and are returned for
 // the failover phase.
-func (t *tier) backend(fl *flight) (failed []int, err error) {
-	subs := fl.sc.subs
-	attempts := make([]attempt, len(subs))
-	run := make([]int, 0, len(subs))
+func (t *tier) backend(fl *flight) error {
+	subs, attempts, run := fl.sc.subs, fl.attempts, fl.run
 	for s := range subs {
 		switch {
 		case len(subs[s].Queries) == 0:
@@ -373,6 +422,7 @@ func (t *tier) backend(fl *flight) (failed []int, err error) {
 			run = append(run, s)
 		}
 	}
+	fl.run = run
 	scatterAt := fl.start + fl.stages.Probe
 	dispatch(attempts, run, t.par, func(s int) (*core.TimedResult, error) {
 		return t.run(s, subs[s], scatterAt, false)
@@ -399,21 +449,21 @@ func (t *tier) backend(fl *flight) (failed []int, err error) {
 				t.tripBreaker(s, fl.start)
 			}
 			t.blame(fl, s, a.err)
-			failed = append(failed, s)
+			fl.failed = append(fl.failed, s)
 			t.emit("shard.fail", s, telemetry.PhaseInstant, scatterAt, 0, "shard.fail", s)
 		default:
-			return nil, a.err
+			return a.err
 		}
 	}
-	return failed, nil
+	return nil
 }
 
 // failover retries each failed sub-batch once against its replica holder,
 // serially in leaf order, each retry issued when the one before it is done,
 // unless there is none or it is itself unreachable — then the sub-batch's
 // contribution is dropped and the loss recorded.
-func (t *tier) failover(fl *flight, failed []int) error {
-	for _, s := range failed {
+func (t *tier) failover(fl *flight) error {
+	for _, s := range fl.failed {
 		retryAt := fl.start + fl.stages.Probe + fl.stages.Backend + fl.stages.Failover
 		target := t.replicaHolder(s)
 		if target == s || t.breakers[target].state == Dark || t.plan.Down(target, retryAt) {
@@ -449,10 +499,11 @@ func (t *tier) failover(fl *flight, failed []int) error {
 // the sub-lookup's statistics and degraded report into the batch.
 func (t *tier) deliver(fl *flight, owner, served int, r *core.TimedResult, ready sim.Cycle) {
 	add(t.m.lookups, served, 1)
-	pool := fl.sc.pool(owner, r.Outputs)
-	fl.leaves[owner] = &rnet.Partial{Vectors: pool, Ready: ready}
+	pool := fl.pool(owner, r.Outputs)
+	fl.parts[owner] = rnet.Partial{Vectors: pool, Ready: ready}
+	fl.leaves[owner] = &fl.parts[owner]
 	fl.partials += len(r.Outputs)
-	absorb(fl.res, fl.deg, r)
+	absorb(fl.res, &fl.deg, r)
 	if !r.Degraded.Empty() {
 		add(t.m.degraded, served, 1)
 		t.merge(fl, owner, served, r.Degraded, pool)

@@ -129,7 +129,13 @@ func appendFloat32(b []byte, f float32) (_ []byte, ok bool) {
 	f64 := float64(f)
 	if math.Abs(f64) < 1<<24 {
 		if i := int32(f); float32(i) == f && (i != 0 || !math.Signbit(f64)) {
-			return strconv.AppendInt(b, int64(i), 10), true
+			// strconv's table of small numbers serves only non-negative
+			// ones, and about half of a reply's elements are negative:
+			// write the sign, then the magnitude.
+			if i < 0 {
+				b, i = append(b, '-'), -i
+			}
+			return strconv.AppendUint(b, uint64(i), 10), true
 		}
 	}
 	if math.IsInf(f64, 0) || math.IsNaN(f64) {

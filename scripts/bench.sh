@@ -3,7 +3,8 @@
 # machine-readable perf snapshot, so each PR leaves a trajectory point future
 # changes can be compared against.
 #
-#   ./scripts/bench.sh                 # writes BENCH_41.json at the repo root
+#   ./scripts/bench.sh                 # writes the next free BENCH_<n>.json
+#   BENCH_OUT=BENCH_46.json ./scripts/bench.sh   # names the point itself
 #   BENCH_OUT=perf.json ./scripts/bench.sh
 #   BENCH_TIME=1s BENCH_COUNT=5 ./scripts/bench.sh   # slower, tighter numbers
 #
@@ -22,7 +23,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT=${BENCH_OUT:-BENCH_41.json}
+# The default output is one past the highest-numbered BENCH_<n>.json at the
+# repo root, so a plain run adds a point instead of overwriting the newest.
+next_point() {
+	n=0
+	for f in BENCH_*.json; do
+		k=${f#BENCH_}
+		k=${k%.json}
+		case $k in '' | *[!0-9]*) continue ;; esac
+		if [ "$k" -gt "$n" ]; then n=$k; fi
+	done
+	echo "BENCH_$((n + 1)).json"
+}
+OUT=${BENCH_OUT:-$(next_point)}
 COUNT=${BENCH_COUNT:-5}
 TIME=${BENCH_TIME:-1x}
 
