@@ -120,7 +120,8 @@ var (
 )
 
 // ParseFaultPlan builds a FaultPlan from the compact spec format of
-// fafnir-sim's -faults flag, e.g. "rank=3@0;ecc=0.001;stall=5+200;seed=9".
+// fafnir-sim's -faults flag, e.g. "rank=3@0;ecc=0.001;stall=5+200;seed=9":
+// rank stamps are memory cycles, stall cycles PE cycles.
 func ParseFaultPlan(spec string) (FaultPlan, error) { return fault.Parse(spec) }
 
 // Pooling operations.
@@ -381,7 +382,7 @@ var (
 )
 
 // CyclesToSeconds converts PE-clock cycles (200 MHz) to seconds.
-func CyclesToSeconds(c uint64) float64 { return float64(c) / 200e6 }
+func CyclesToSeconds(c uint64) float64 { return sim.Seconds(sim.Cycle(c)) }
 
 // LookupInteractive serves the batch one query at a time in the paper's
 // interactive mode (Section IV-C): lowest single-query latency, no batch
@@ -545,7 +546,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return router.New(cfg) }
 // ParseFleetFaultPlan builds a FleetFaultPlan from the compact spec format
 // fafnir-serve's -faults flag takes on a fleet (a superset of
 // ParseFaultPlan's), e.g.
-// "shard=1@40000;flap=2@1-300000;storm=6@20000;ecc=0.001;seed=7".
+// "shard=1@40000;flap=2@1-300000;storm=6@20000;ecc=0.001;seed=7". Shard
+// and flap stamps are PE cycles on the fleet's clock; storm and rank stamps
+// are memory cycles on each shard's DDR4 clock, six to a PE cycle, so this
+// storm strikes near fleet cycle 3,333, long before the shard loss at 40,000.
 func ParseFleetFaultPlan(spec string) (FleetFaultPlan, error) { return fault.ParseFleet(spec) }
 
 // Cross-shard reduction network and multi-fleet federation (internal/rnet,

@@ -111,7 +111,7 @@ var logger *telemetry.Logger
 
 func logf(format string, args ...any) { logger.Infof(format, args...) }
 
-func usSeconds(c sim.Cycle) float64 { return sim.Seconds(c, 200) * 1e6 }
+func usSeconds(c sim.Cycle) float64 { return sim.Seconds(c) * 1e6 }
 
 func runLookup(engine string, batchN, q, rowsPer int, zipf float64, dedup bool, seed int64, faults, traceOut string) error {
 	plan, err := fault.Parse(faults)

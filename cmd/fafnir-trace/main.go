@@ -150,7 +150,7 @@ func cmdRun(args []string) error {
 	store := embedding.MustStore(layout.TotalRows(), 128, 1)
 	mem := dram.MustSystem(mcfg)
 
-	us := func(c sim.Cycle) float64 { return sim.Seconds(c, 200) * 1e6 }
+	us := func(c sim.Cycle) float64 { return sim.Seconds(c) * 1e6 }
 	switch *engine {
 	case "fafnir":
 		eng, err := core.NewEngine(core.Default())

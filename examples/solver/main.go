@@ -77,5 +77,5 @@ func report(w io.Writer, name string, r *solver.Result, xTrue tensor.Vector) {
 	}
 	fmt.Fprintf(w, "%-7s converged=%v iterations=%d residual=%.3g maxErr=%.3g  (%d SpMVs, %d cycles = %.1f us on Fafnir)\n",
 		name, r.Converged, r.Iterations, r.Residual, maxErr,
-		r.SpMVCount, r.SpMVCycles, sim.Seconds(r.SpMVCycles, 200)*1e6)
+		r.SpMVCount, r.SpMVCycles, sim.Seconds(r.SpMVCycles)*1e6)
 }

@@ -42,10 +42,6 @@ type Config struct {
 	// OtherSeconds is the remaining inference time outside embedding
 	// lookup and FC layers.
 	OtherSeconds float64
-	// ClockMHz is the reporting clock (the PE clock, 200 MHz).
-	ClockMHz float64
-	// DRAMClockMHz converts DRAM completion times into the reporting clock.
-	DRAMClockMHz float64
 }
 
 // Default returns the calibration used throughout the experiments.
@@ -56,8 +52,6 @@ func Default() Config {
 		Cores:               4,
 		FCSeconds:           0.5e-3,
 		OtherSeconds:        0.1e-3,
-		ClockMHz:            200,
-		DRAMClockMHz:        1200,
 	}
 }
 
@@ -68,18 +62,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cpu: VectorHandleCycles must be positive")
 	case c.Cores <= 0:
 		return fmt.Errorf("cpu: Cores must be positive, got %d", c.Cores)
-	case c.ClockMHz <= 0:
-		return fmt.Errorf("cpu: ClockMHz must be positive, got %v", c.ClockMHz)
-	case c.DRAMClockMHz <= 0:
-		return fmt.Errorf("cpu: DRAMClockMHz must be positive, got %v", c.DRAMClockMHz)
 	}
 	return nil
-}
-
-// DRAMToHost converts memory-clock cycles to reporting-clock cycles,
-// rounding up.
-func (c Config) DRAMToHost(d sim.Cycle) sim.Cycle {
-	return sim.Rescale(d, c.DRAMClockMHz, c.ClockMHz)
 }
 
 // Result is the outcome of a baseline batch lookup.
@@ -87,7 +71,7 @@ type Result struct {
 	// Outputs is the batch's reference, Batch.Golden: the host baseline is
 	// a timing model and reduces no values of its own.
 	Outputs []tensor.Vector
-	// MemCycles is when the last host-bound read completed (reporting clock).
+	// MemCycles is when the last host-bound read completed (PE clock).
 	MemCycles sim.Cycle
 	// ComputeCycles is the host-side reduction time after the reads.
 	ComputeCycles sim.Cycle
@@ -139,7 +123,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 	}
 	res.MemoryReads = vectors
 	res.BytesToHost = uint64(vectors) * uint64(layout.VectorBytes())
-	res.MemCycles = e.cfg.DRAMToHost(memDone) - e.cfg.DRAMToHost(issue)
+	res.MemCycles = mem.ToPE(memDone) - mem.ToPE(issue)
 
 	res.ComputeCycles = e.HandleVectors(vectors)
 	res.TotalCycles = res.MemCycles + res.ComputeCycles

@@ -36,8 +36,6 @@ func TestValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.VectorHandleCycles = 0 },
 		func(c *Config) { c.Cores = 0 },
-		func(c *Config) { c.ClockMHz = 0 },
-		func(c *Config) { c.DRAMClockMHz = 0 },
 	}
 	for i, m := range bad {
 		cfg := Default()
@@ -115,7 +113,7 @@ func TestChannelContentionSlowsBaseline(t *testing.T) {
 }
 
 func TestHandleVectors(t *testing.T) {
-	e, err := NewEngine(Config{VectorHandleCycles: 10, VectorLatencyCycles: 100, Cores: 4, ClockMHz: 200, DRAMClockMHz: 1200})
+	e, err := NewEngine(Config{VectorHandleCycles: 10, VectorLatencyCycles: 100, Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +128,39 @@ func TestHandleVectors(t *testing.T) {
 	}
 }
 
+// The host's memory time crosses to the PE clock at the frequency of the
+// memory it is handed. On HBM2 (1,800 MHz) a default engine reports what an
+// engine hand-set to 1,800 MHz reported before the memory owned its clock
+// (pinned); converting at DDR4's 1,200 MHz would have read 149 and 1293.
 func TestDRAMToHost(t *testing.T) {
-	cfg := Default()
-	if got := cfg.DRAMToHost(12); got != 2 {
-		t.Fatalf("DRAMToHost(12) = %d", got)
+	e, err := NewEngine(Default())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := cfg.DRAMToHost(13); got != 3 {
-		t.Fatalf("DRAMToHost(13) = %d (round up)", got)
+	for _, tc := range []struct {
+		name       string
+		mcfg       dram.Config
+		mem, total uint64
+	}{
+		{"ddr4", dram.DDR4(), 0, 0},
+		{"hbm2", dram.HBM2(), 100, 1244},
+	} {
+		layout := memmap.Uniform(tc.mcfg, 512, 32, 1024)
+		store := embedding.MustStore(layout.TotalRows(), 128, 1)
+		b := testBatch(t, 32, 16, layout.TotalRows(), 47)
+		mem := dram.MustSystem(tc.mcfg)
+		res, err := e.TimedLookup(store, layout, mem, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every read issued at cycle 0 of a fresh memory, and the last one
+		// to land set Now.
+		if want := mem.ToPE(mem.Now()); res.MemCycles != want {
+			t.Errorf("%s: MemCycles = %d, want ToPE(Now) = %d", tc.name, res.MemCycles, want)
+		}
+		if tc.mem != 0 && (uint64(res.MemCycles) != tc.mem || uint64(res.TotalCycles) != tc.total) {
+			t.Errorf("%s: MemCycles/TotalCycles = %d/%d, want %d/%d", tc.name, res.MemCycles, res.TotalCycles, tc.mem, tc.total)
+		}
 	}
 }
 

@@ -66,27 +66,29 @@ type Config struct {
 	InterleaveBytes int
 
 	// TRCD is the activate-to-read delay.
-	TRCD sim.Cycle
+	TRCD sim.MemCycle
 	// TCAS is the read-to-data delay (CL).
-	TCAS sim.Cycle
+	TCAS sim.MemCycle
 	// TRP is the precharge delay paid on a row conflict.
-	TRP sim.Cycle
+	TRP sim.MemCycle
 	// TBurst is the data-bus occupancy of one burst (BL/2 bus cycles).
-	TBurst sim.Cycle
+	TBurst sim.MemCycle
 	// TRRD is the minimum spacing between two activates on one rank.
-	TRRD sim.Cycle
+	TRRD sim.MemCycle
 	// TFAW is the four-activate window: at most four activates may issue
 	// on one rank within this window. Together with TRRD this throttles
 	// row-hostile access patterns (TensorDIMM's column-major reads).
-	TFAW sim.Cycle
+	TFAW sim.MemCycle
 	// TREFI is the refresh interval: every TREFI cycles each rank stalls
 	// for TRFC while a refresh runs (all banks). Zero disables refresh.
 	// The first refresh fires at TREFI, so short runs are unaffected.
-	TREFI sim.Cycle
+	TREFI sim.MemCycle
 	// TRFC is the refresh cycle time (rank busy during a refresh).
-	TRFC sim.Cycle
+	TRFC sim.MemCycle
 
-	// ClockMHz is the memory clock, used only for reporting.
+	// ClockMHz is the memory clock, the frequency of every cycle above.
+	// It is the one source of it: every crossing to the PE clock (ToPE,
+	// FromPE) and every engine's memory time reads it here.
 	ClockMHz float64
 
 	// ClosedPage, when true, precharges the row after every access instead
@@ -185,8 +187,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: RowBytes %d not a multiple of InterleaveBytes %d", c.RowBytes, c.InterleaveBytes)
 	case c.InterleaveBytes%c.BurstBytes != 0:
 		return fmt.Errorf("dram: InterleaveBytes %d not a multiple of BurstBytes %d", c.InterleaveBytes, c.BurstBytes)
+	case !(c.ClockMHz > 0): // also rejects NaN
+		return fmt.Errorf("dram: ClockMHz must be positive, got %v", c.ClockMHz)
 	}
 	return nil
+}
+
+// ToPE converts a span or point on this memory's clock to PE cycles,
+// rounding up: the first PE cycle by which memory cycle m has passed. It and
+// FromPE are the only crossings between the two clocks.
+func (c *Config) ToPE(m sim.MemCycle) sim.Cycle {
+	return sim.Rescale(m, c.ClockMHz, sim.PEClockMHz)
+}
+
+// FromPE converts PE cycle t to this memory's clock: the first memory cycle
+// of that PE cycle, truncating. A round trip through FromPE and ToPE is the
+// identity when ClockMHz is a whole multiple of the PE clock.
+func (c *Config) FromPE(t sim.Cycle) sim.MemCycle {
+	return sim.MemCycle(float64(t) * c.ClockMHz / sim.PEClockMHz)
 }
 
 // TotalRanks reports the number of ranks in the system.
@@ -265,8 +283,8 @@ func (c *Config) Encode(globalRank int, slot uint64) (Addr, error) {
 // read-each-unique-index-once claim) from the memory system's own evidence
 // rather than from engine-reported counters.
 type AccessRecord struct {
-	Issue sim.Cycle
-	Done  sim.Cycle
+	Issue sim.MemCycle
+	Done  sim.MemCycle
 	Addr  Addr
 	Size  int
 	Dest  Dest
@@ -294,15 +312,15 @@ func (l *AccessLog) Reset() { l.records = l.records[:0] }
 // bank tracks one bank's open row and availability.
 type bank struct {
 	openRow int // -1 when closed
-	readyAt sim.Cycle
+	readyAt sim.MemCycle
 }
 
 // rank tracks one rank's banks and data pins.
 type rank struct {
 	banks        []bank
-	pinsAt       sim.Cycle    // next cycle the rank data pins are free
-	lastActivate sim.Cycle    // previous activate issue time (tRRD)
-	activates    [4]sim.Cycle // issue times of the last four activates (tFAW)
+	pinsAt       sim.MemCycle    // next cycle the rank data pins are free
+	lastActivate sim.MemCycle    // previous activate issue time (tRRD)
+	activates    [4]sim.MemCycle // issue times of the last four activates (tFAW)
 	activateIdx  int
 }
 
@@ -310,8 +328,8 @@ type rank struct {
 type System struct {
 	cfg       Config
 	ranks     []rank
-	chanBusAt []sim.Cycle // per-channel host-bus availability
-	now       sim.Cycle   // every reserved bank, pin and bus is free by now
+	chanBusAt []sim.MemCycle // per-channel host-bus availability
+	now       sim.MemCycle   // every reserved bank, pin and bus is free by now
 	stats     Counters
 	faults    *fault.Injector  // nil when no fault plan is attached
 	log       *AccessLog       // nil when no access log is attached
@@ -331,7 +349,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:       cfg,
 		ranks:     make([]rank, cfg.TotalRanks()),
-		chanBusAt: make([]sim.Cycle, cfg.Channels),
+		chanBusAt: make([]sim.MemCycle, cfg.Channels),
 	}
 	// Every rank's banks are a window of one array, which Reset clears in
 	// place.
@@ -381,12 +399,18 @@ func (s *System) Stats() Counters { return s.stats }
 // Now reports the memory's current cycle: the first at which every bank,
 // rank pin and channel bus it has reserved is free. Engines issue a lookup
 // here and report its cycles as the span from it.
-func (s *System) Now() sim.Cycle { return s.now }
+func (s *System) Now() sim.MemCycle { return s.now }
+
+// ToPE is Config.ToPE on the system's memory clock.
+func (s *System) ToPE(m sim.MemCycle) sim.Cycle { return s.cfg.ToPE(m) }
+
+// FromPE is Config.FromPE on the system's memory clock.
+func (s *System) FromPE(t sim.Cycle) sim.MemCycle { return s.cfg.FromPE(t) }
 
 // WaitUntil moves Now forward to cycle t, if it is not there yet: the
 // memory's owner issues its next request no earlier than t. A router shard
 // calls it with its tier's clock.
-func (s *System) WaitUntil(t sim.Cycle) { s.now = sim.Max(s.now, t) }
+func (s *System) WaitUntil(t sim.MemCycle) { s.now = sim.Max(s.now, t) }
 
 // Reset clears all bank, bus, and statistics state, returning the system to
 // its initial (all rows closed, all resources free, Now at 0) condition.
@@ -405,7 +429,7 @@ func (s *System) Reset() {
 
 // afterRefresh pushes a command start time out of any refresh window: the
 // k-th refresh (k >= 1) occupies [k*TREFI, k*TREFI+TRFC) on every rank.
-func (s *System) afterRefresh(start sim.Cycle) sim.Cycle {
+func (s *System) afterRefresh(start sim.MemCycle) sim.MemCycle {
 	if s.cfg.TREFI == 0 || start < s.cfg.TREFI {
 		return start
 	}
@@ -448,7 +472,7 @@ func (o RowOutcome) String() string {
 // burst of data has arrived. Reads that span interleave-slot boundaries are
 // split and the pieces may land on different ranks; the completion is the
 // latest piece, and each piece counts as one read.
-func (s *System) Read(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
+func (s *System) Read(now sim.MemCycle, addr Addr, size int, dest Dest) sim.MemCycle {
 	if size <= 0 {
 		return now
 	}
@@ -459,7 +483,7 @@ func (s *System) Read(now sim.Cycle, addr Addr, size int, dest Dest) sim.Cycle {
 
 // countRead charges one top-level read of size bytes at addr, split into
 // pieces, to the request counters and the access log.
-func (s *System) countRead(issue, done sim.Cycle, addr Addr, size int, dest Dest, pieces uint64) {
+func (s *System) countRead(issue, done sim.MemCycle, addr Addr, size int, dest Dest, pieces uint64) {
 	s.stats.Reads += pieces
 	s.stats.Bytes += uint64(size)
 	if dest == DestHost {
@@ -479,7 +503,7 @@ func (s *System) countRead(issue, done sim.Cycle, addr Addr, size int, dest Dest
 // piece's completion and the piece count. Reads and writes share it: bank
 // events (bursts, row outcomes, refresh delays) count here for both, while
 // the request counters live in Read and Write.
-func (s *System) access(now sim.Cycle, addr Addr, size int, dest Dest) (done sim.Cycle, pieces uint64) {
+func (s *System) access(now sim.MemCycle, addr Addr, size int, dest Dest) (done sim.MemCycle, pieces uint64) {
 	done = now
 	for size > 0 {
 		slotOff := int(addr) % s.cfg.InterleaveBytes
@@ -500,7 +524,7 @@ func (s *System) access(now sim.Cycle, addr Addr, size int, dest Dest) (done sim
 // read whose address decodes to a rank that is dark at issue time returns
 // fault.ErrRankFailed instead of timing. With no injector attached (or an
 // inactive one) it is exactly Read.
-func (s *System) ReadChecked(now sim.Cycle, addr Addr, size int, dest Dest) (sim.Cycle, error) {
+func (s *System) ReadChecked(now sim.MemCycle, addr Addr, size int, dest Dest) (sim.MemCycle, error) {
 	if s.faults.Active() {
 		// Walk the interleave slots the read spans; each may map to a
 		// different rank.
@@ -524,7 +548,7 @@ func (s *System) ReadChecked(now sim.Cycle, addr Addr, size int, dest Dest) (sim
 
 // accessWithinSlot serves a transfer that stays inside one interleave slot
 // (hence one rank and one row), decoded to loc on global rank g.
-func (s *System) accessWithinSlot(now sim.Cycle, g int, loc Location, size int, dest Dest) sim.Cycle {
+func (s *System) accessWithinSlot(now sim.MemCycle, g int, loc Location, size int, dest Dest) sim.MemCycle {
 	rk := &s.ranks[g]
 	bk := &rk.banks[loc.Bank]
 
@@ -541,7 +565,7 @@ func (s *System) accessWithinSlot(now sim.Cycle, g int, loc Location, size int, 
 	default:
 		outcome = RowConflict
 	}
-	var preAt, actAt sim.Cycle // command times for the trace emitter
+	var preAt, actAt sim.MemCycle // command times for the trace emitter
 	switch outcome {
 	case RowHit:
 		s.stats.RowHits++
@@ -599,9 +623,9 @@ func (s *System) accessWithinSlot(now sim.Cycle, g int, loc Location, size int, 
 }
 
 // TransferCycles reports the channel-bus cycles needed to move size bytes.
-func (c Config) TransferCycles(size int) sim.Cycle {
+func (c Config) TransferCycles(size int) sim.MemCycle {
 	bursts := (size + c.BurstBytes - 1) / c.BurstBytes
-	return sim.Cycle(bursts) * c.TBurst
+	return sim.MemCycle(bursts) * c.TBurst
 }
 
 // Write performs a write of size bytes at addr, issued no earlier than
@@ -610,7 +634,7 @@ func (c Config) TransferCycles(size int) sim.Cycle {
 // shared constants) and are counted separately in the statistics: one write
 // per call, never a read. Data always originates at the NDP side in this
 // repository's engines, so no channel-bus reservation applies.
-func (s *System) Write(now sim.Cycle, addr Addr, size int) sim.Cycle {
+func (s *System) Write(now sim.MemCycle, addr Addr, size int) sim.MemCycle {
 	if size <= 0 {
 		return now
 	}
@@ -624,7 +648,7 @@ func (s *System) Write(now sim.Cycle, addr Addr, size int) sim.Cycle {
 // rank g starting at slot startSlot (the partial-result spill of an SpMV
 // merge round): one Write per slot, each issued when the previous one
 // completes. It returns an error for a rank outside the geometry.
-func (s *System) StreamWrite(now sim.Cycle, g int, startSlot uint64, size int) (sim.Cycle, error) {
+func (s *System) StreamWrite(now sim.MemCycle, g int, startSlot uint64, size int) (sim.MemCycle, error) {
 	return s.stream(now, g, startSlot, size, DestLocal, true)
 }
 
@@ -634,7 +658,7 @@ func (s *System) StreamWrite(now sim.Cycle, g int, startSlot uint64, size int) (
 // row-buffer friendly by construction: consecutive slots of a rank share
 // rows. Returns the completion cycle of the final burst, or an error for a
 // rank outside the geometry.
-func (s *System) StreamRead(now sim.Cycle, g int, startSlot uint64, size int, dest Dest) (sim.Cycle, error) {
+func (s *System) StreamRead(now sim.MemCycle, g int, startSlot uint64, size int, dest Dest) (sim.MemCycle, error) {
 	return s.stream(now, g, startSlot, size, dest, false)
 }
 
@@ -642,7 +666,7 @@ func (s *System) StreamRead(now sim.Cycle, g int, startSlot uint64, size int, de
 // log records of a Read or Write per slot at Encode(g, slot), but decodes
 // only the first slot: each next slot of a rank is the next column of its
 // row, then the next bank, then the next row, as Decode numbers them.
-func (s *System) stream(now sim.Cycle, g int, startSlot uint64, size int, dest Dest, write bool) (sim.Cycle, error) {
+func (s *System) stream(now sim.MemCycle, g int, startSlot uint64, size int, dest Dest, write bool) (sim.MemCycle, error) {
 	if size <= 0 {
 		return now, nil
 	}

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.InterleaveBytes = 32 },  // < burst
 		func(c *Config) { c.RowBytes = 1000 },       // not multiple of interleave
 		func(c *Config) { c.InterleaveBytes = 100 }, // not multiple of burst
+		func(c *Config) { c.ClockMHz = 0 },
+		func(c *Config) { c.ClockMHz = math.NaN() },
 	}
 	for i, m := range mutations {
 		cfg := base
@@ -236,11 +239,44 @@ func TestReadSpanningSlots(t *testing.T) {
 
 func TestTransferCycles(t *testing.T) {
 	cfg := DDR4()
-	if got := cfg.TransferCycles(512); got != sim.Cycle(8)*cfg.TBurst {
+	if got := cfg.TransferCycles(512); got != sim.MemCycle(8)*cfg.TBurst {
 		t.Fatalf("TransferCycles(512) = %d", got)
 	}
 	if got := cfg.TransferCycles(1); got != cfg.TBurst {
 		t.Fatalf("TransferCycles(1) = %d", got)
+	}
+}
+
+// The two crossings at the DDR4 (6 memory cycles per PE cycle) and HBM2 (9)
+// ratios: a PE cycle survives the round trip, and ToPE rounds a memory
+// cycle up to the first PE cycle by which it has passed.
+func TestCrossings(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, tc := range []struct {
+		cfg   Config
+		ratio sim.MemCycle
+	}{{DDR4(), 6}, {HBM2(), 9}} {
+		c := tc.cfg
+		for i := 0; i < 10_000; i++ {
+			pe := sim.Cycle(rng.Int63n(1 << uint(1+rng.Intn(40))))
+			if got := c.ToPE(c.FromPE(pe)); got != pe {
+				t.Fatalf("%v MHz: ToPE(FromPE(%d)) = %d", c.ClockMHz, pe, got)
+			}
+			if got := c.FromPE(pe); got != sim.MemCycle(pe)*tc.ratio {
+				t.Fatalf("%v MHz: FromPE(%d) = %d, want %d", c.ClockMHz, pe, got, sim.MemCycle(pe)*tc.ratio)
+			}
+			m := sim.MemCycle(rng.Int63n(1 << uint(1+rng.Intn(40))))
+			if want := sim.Cycle((m + tc.ratio - 1) / tc.ratio); c.ToPE(m) != want {
+				t.Fatalf("%v MHz: ToPE(%d) = %d, want the ceiling %d", c.ClockMHz, m, c.ToPE(m), want)
+			}
+		}
+		if c.ToPE(1) != 1 || c.ToPE(tc.ratio) != 1 || c.ToPE(tc.ratio+1) != 2 {
+			t.Fatalf("%v MHz: ToPE does not round up at a PE-cycle edge", c.ClockMHz)
+		}
+		s := MustSystem(c)
+		if s.ToPE(tc.ratio+1) != c.ToPE(tc.ratio+1) || s.FromPE(5) != c.FromPE(5) {
+			t.Fatalf("%v MHz: System crossings differ from its Config's", c.ClockMHz)
+		}
 	}
 }
 
@@ -306,8 +342,8 @@ func TestQuickReadMonotone(t *testing.T) {
 		s1 := MustSystem(cfg)
 		d1 := s1.Read(0, addr, 512, DestLocal)
 		s2 := MustSystem(cfg)
-		d2 := s2.Read(sim.Cycle(delay), addr, 512, DestLocal)
-		return d1 >= 0 && d2 >= sim.Cycle(delay) && d2 >= d1
+		d2 := s2.Read(sim.MemCycle(delay), addr, 512, DestLocal)
+		return d1 >= 0 && d2 >= sim.MemCycle(delay) && d2 >= d1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(10))}); err != nil {
 		t.Fatal(err)
@@ -330,15 +366,14 @@ func TestHBM2Config(t *testing.T) {
 	// channel buses, faster clock relative to the 200 MHz reporting base).
 	ddr := MustSystem(DDR4())
 	hbm := MustSystem(cfg)
-	var ddrDone, hbmDone sim.Cycle
+	var ddrDone, hbmDone sim.MemCycle
 	for r := 0; r < 32; r++ {
 		ddrDone = sim.Max(ddrDone, ddr.Read(0, DDR4().MustEncode(r, 0), 512, DestHost))
 		hbmDone = sim.Max(hbmDone, hbm.Read(0, cfg.MustEncode(r, 0), 512, DestHost))
 	}
-	ddrSec := sim.Seconds(ddrDone, DDR4().ClockMHz)
-	hbmSec := sim.Seconds(hbmDone, cfg.ClockMHz)
-	if hbmSec >= ddrSec {
-		t.Fatalf("HBM gather %.2e s not faster than DDR4 %.2e s", hbmSec, ddrSec)
+	ddrCfg := DDR4()
+	if ddrPE, hbmPE := ddrCfg.ToPE(ddrDone), cfg.ToPE(hbmDone); hbmPE >= ddrPE {
+		t.Fatalf("HBM gather %d PE cycles not faster than DDR4 %d", hbmPE, ddrPE)
 	}
 }
 
@@ -364,7 +399,7 @@ func TestActivateThrottling(t *testing.T) {
 	// Back-to-back activates to different banks of one rank must respect
 	// tRRD and tFAW even though the banks themselves are free.
 	slotsPerRow := uint64(cfg.RowBytes / cfg.InterleaveBytes)
-	var last sim.Cycle
+	var last sim.MemCycle
 	const activates = 16
 	for i := 0; i < activates; i++ {
 		// Each slot lands in a different bank (rows stripe across banks).
@@ -381,7 +416,7 @@ func TestActivateThrottling(t *testing.T) {
 	free.TRRD = 0
 	free.TFAW = 0
 	s2 := MustSystem(free)
-	var last2 sim.Cycle
+	var last2 sim.MemCycle
 	for i := 0; i < activates; i++ {
 		addr := free.MustEncode(0, uint64(i)*slotsPerRow)
 		last2 = s2.Read(0, addr, free.BurstBytes, DestLocal)

@@ -15,7 +15,7 @@ func TestAccessLog(t *testing.T) {
 
 	// Reference run without a log.
 	ref := MustSystem(cfg)
-	var want []sim.Cycle
+	var want []sim.MemCycle
 	addrs := []Addr{0, 512, 1024, 0, 8192 * 32}
 	for _, a := range addrs {
 		want = append(want, ref.Read(0, a, 512, DestLocal))

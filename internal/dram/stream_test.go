@@ -11,7 +11,7 @@ import (
 
 // refStream is a stream as a loop of top-level requests: Encode each slot,
 // then Read or Write it, issued when the previous slot completes.
-func refStream(s *System, now sim.Cycle, g int, slot uint64, size int, dest Dest, write bool) (sim.Cycle, error) {
+func refStream(s *System, now sim.MemCycle, g int, slot uint64, size int, dest Dest, write bool) (sim.MemCycle, error) {
 	done := now
 	for ; size > 0; slot++ {
 		chunk := min(size, s.cfg.InterleaveBytes)
@@ -56,7 +56,7 @@ func checkStreams(t *testing.T, cfg Config, logged bool, steps int) {
 		want.AttachLog(&AccessLog{})
 	}
 	rng := rand.New(rand.NewSource(int64(steps) + int64(cfg.TotalRanks())))
-	var clock sim.Cycle
+	var clock sim.MemCycle
 	for step := 0; step < steps; step++ {
 		g := rng.Intn(cfg.TotalRanks())
 		if rng.Intn(50) == 0 {
@@ -64,10 +64,10 @@ func checkStreams(t *testing.T, cfg Config, logged bool, steps int) {
 		}
 		slot := uint64(rng.Intn(4096))
 		size := rng.Intn(40<<10 + 1)
-		clock += sim.Cycle(rng.Intn(2000))
+		clock += sim.MemCycle(rng.Intn(2000))
 		dest := Dest(rng.Intn(2))
 		write := rng.Intn(3) == 0
-		var gotDone, wantDone sim.Cycle
+		var gotDone, wantDone sim.MemCycle
 		var gotErr, wantErr error
 		if write {
 			gotDone, gotErr = got.StreamWrite(clock, g, slot, size)
@@ -96,12 +96,12 @@ func checkStreams(t *testing.T, cfg Config, logged bool, steps int) {
 // of a fresh one.
 func TestResetReplaysAsFresh(t *testing.T) {
 	cfg := DDR4()
-	replay := func(s *System) ([]sim.Cycle, Counters) {
+	replay := func(s *System) ([]sim.MemCycle, Counters) {
 		rng := rand.New(rand.NewSource(7))
-		var out []sim.Cycle
+		var out []sim.MemCycle
 		for i := 0; i < 400; i++ {
 			addr := cfg.MustEncode(rng.Intn(cfg.TotalRanks()), uint64(rng.Intn(1<<14)))
-			at := sim.Cycle(i * 40)
+			at := sim.MemCycle(i * 40)
 			switch rng.Intn(3) {
 			case 0:
 				out = append(out, s.Read(at, addr, 64+rng.Intn(1024), Dest(rng.Intn(2))))

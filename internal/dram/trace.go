@@ -35,7 +35,7 @@ func (s *System) Tracer() telemetry.Tracer { return s.tracer }
 // of global rank g. preAt/actAt are zero for outcomes that skipped those
 // commands; colAt is the column command time and dataAt the final burst
 // arrival, so the RD span covers CAS latency, pin waits, and burst drain.
-func (s *System) traceAccess(g int, loc Location, outcome RowOutcome, preAt, actAt, colAt, dataAt sim.Cycle, size int) {
+func (s *System) traceAccess(g int, loc Location, outcome RowOutcome, preAt, actAt, colAt, dataAt sim.MemCycle, size int) {
 	pid := telemetry.PIDDRAMBase + g
 	if !s.namedRank[g] {
 		s.namedRank[g] = true

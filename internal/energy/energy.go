@@ -12,23 +12,20 @@ import (
 )
 
 // Model holds per-event DRAM energy costs. The defaults are DDR4-class
-// figures (activate+precharge per row cycle, read burst, and per-bit I/O);
-// absolute joules matter less than ratios, which depend only on counts.
+// figures (activate+precharge per row cycle, and read burst); absolute
+// joules matter less than ratios, which depend only on counts.
 type Model struct {
 	// ActivatePJ is the energy of one activate/precharge row cycle.
 	ActivatePJ float64
 	// BurstPJ is the energy of one 64 B read burst (core array + I/O).
 	BurstPJ float64
-	// StaticMWPerRank is background power per rank, charged over runtime.
-	StaticMWPerRank float64
 }
 
 // DDR4 returns the default DDR4-class calibration.
 func DDR4() Model {
 	return Model{
-		ActivatePJ:      2000,
-		BurstPJ:         500,
-		StaticMWPerRank: 50,
+		ActivatePJ: 2000,
+		BurstPJ:    500,
 	}
 }
 
@@ -36,9 +33,6 @@ func DDR4() Model {
 func (m Model) Validate() error {
 	if m.ActivatePJ <= 0 || m.BurstPJ <= 0 {
 		return fmt.Errorf("energy: non-positive event energies %+v", m)
-	}
-	if m.StaticMWPerRank < 0 {
-		return fmt.Errorf("energy: negative static power")
 	}
 	return nil
 }
@@ -48,28 +42,11 @@ func (m Model) Validate() error {
 type Counts struct {
 	Activates uint64 // row misses + conflicts
 	Bursts    uint64
-	Ranks     int
-	Runtime   sim.Cycle // in DRAM cycles
-	ClockMHz  float64
 }
 
 // DynamicPJ reports the dynamic energy of the run in picojoules.
 func (m Model) DynamicPJ(c Counts) float64 {
 	return float64(c.Activates)*m.ActivatePJ + float64(c.Bursts)*m.BurstPJ
-}
-
-// StaticPJ reports the background energy over the runtime.
-func (m Model) StaticPJ(c Counts) float64 {
-	if c.ClockMHz <= 0 {
-		return 0
-	}
-	seconds := sim.Seconds(c.Runtime, c.ClockMHz)
-	return m.StaticMWPerRank * 1e-3 * float64(c.Ranks) * seconds * 1e12
-}
-
-// TotalPJ reports dynamic plus static energy.
-func (m Model) TotalPJ(c Counts) float64 {
-	return m.DynamicPJ(c) + m.StaticPJ(c)
 }
 
 // Savings reports the fractional reduction going from the baseline counts to
@@ -93,10 +70,10 @@ func AccessSavings(totalAccesses, uniqueAccesses int) float64 {
 }
 
 // AcceleratorPJ reports the energy of NDP logic drawing powerMW for the
-// given runtime (cycles at clockMHz).
-func AcceleratorPJ(powerMW float64, runtime sim.Cycle, clockMHz float64) float64 {
-	if clockMHz <= 0 || powerMW <= 0 {
+// given runtime in PE cycles.
+func AcceleratorPJ(powerMW float64, runtime sim.Cycle) float64 {
+	if powerMW <= 0 {
 		return 0
 	}
-	return powerMW * 1e-3 * sim.Seconds(runtime, clockMHz) * 1e12
+	return powerMW * 1e-3 * sim.Seconds(runtime) * 1e12
 }

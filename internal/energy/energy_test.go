@@ -12,7 +12,6 @@ func TestValidate(t *testing.T) {
 	bad := []Model{
 		{ActivatePJ: 0, BurstPJ: 1},
 		{ActivatePJ: 1, BurstPJ: 0},
-		{ActivatePJ: 1, BurstPJ: 1, StaticMWPerRank: -1},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -26,27 +25,6 @@ func TestDynamicPJ(t *testing.T) {
 	c := Counts{Activates: 2, Bursts: 5}
 	if got := m.DynamicPJ(c); got != 250 {
 		t.Fatalf("DynamicPJ = %v", got)
-	}
-}
-
-func TestStaticPJ(t *testing.T) {
-	m := Model{ActivatePJ: 1, BurstPJ: 1, StaticMWPerRank: 1}
-	// 1 mW x 2 ranks x 1 s = 2 mJ = 2e9 pJ.
-	c := Counts{Ranks: 2, Runtime: 1200e6, ClockMHz: 1200}
-	if got := m.StaticPJ(c); math.Abs(got-2e9) > 1 {
-		t.Fatalf("StaticPJ = %v", got)
-	}
-	// No clock -> no static charge rather than a division by zero.
-	if got := m.StaticPJ(Counts{Ranks: 2, Runtime: 100}); got != 0 {
-		t.Fatalf("StaticPJ without clock = %v", got)
-	}
-}
-
-func TestTotalPJ(t *testing.T) {
-	m := Model{ActivatePJ: 100, BurstPJ: 10, StaticMWPerRank: 0}
-	c := Counts{Activates: 1, Bursts: 1}
-	if m.TotalPJ(c) != m.DynamicPJ(c) {
-		t.Fatal("total != dynamic with zero static power")
 	}
 }
 
@@ -77,11 +55,11 @@ func TestAccessSavingsPaperShape(t *testing.T) {
 }
 
 func TestAcceleratorPJ(t *testing.T) {
-	// 100 mW for 1 s = 0.1 J = 1e11 pJ.
-	if got := AcceleratorPJ(100, 200e6, 200); math.Abs(got-1e11) > 1 {
+	// 100 mW for 1 s (200e6 PE cycles) = 0.1 J = 1e11 pJ.
+	if got := AcceleratorPJ(100, 200e6); math.Abs(got-1e11) > 1 {
 		t.Fatalf("AcceleratorPJ = %v", got)
 	}
-	if AcceleratorPJ(0, 100, 200) != 0 || AcceleratorPJ(100, 100, 0) != 0 {
+	if AcceleratorPJ(0, 100) != 0 || AcceleratorPJ(100, 0) != 0 {
 		t.Fatal("degenerate inputs should yield zero")
 	}
 }

@@ -300,9 +300,7 @@ func AblHBM() (*Report, error) {
 	} {
 		layout := memmap.Uniform(mk.cfg, 512, 32, 1<<17)
 		store := embedding.MustStore(layout.TotalRows(), 128, 1)
-		cfg := fafnir.Default()
-		cfg.DRAMClockMHz = mk.cfg.ClockMHz
-		eng, err := fafnir.NewEngine(cfg)
+		eng, err := fafnir.NewEngine(fafnir.Default())
 		if err != nil {
 			return nil, err
 		}
@@ -446,12 +444,9 @@ func AblEnergy() (*Report, error) {
 		counts := energy.Counts{
 			Activates: mem.Stats().Counter("dram.row_misses") + mem.Stats().Counter("dram.row_conflicts"),
 			Bursts:    mem.Stats().Counter("dram.bursts"),
-			Ranks:     w.Mem.TotalRanks(),
-			Runtime:   runtime,
-			ClockMHz:  200,
 		}
 		dramPJ := model.DynamicPJ(counts)
-		ndpPJ := energy.AcceleratorPJ(ndpMW, runtime, 200)
+		ndpPJ := energy.AcceleratorPJ(ndpMW, runtime)
 		rep.AddRow(name,
 			fmt.Sprintf("%d/%d", counts.Activates, counts.Bursts),
 			f2(dramPJ/1000), f2(ndpPJ/1000), f2((dramPJ+ndpPJ)/1000))

@@ -9,6 +9,7 @@ import (
 	"fafnir/internal/fafnir"
 	"fafnir/internal/hwmodel"
 	"fafnir/internal/recnmp"
+	"fafnir/internal/sim"
 )
 
 func init() {
@@ -194,7 +195,7 @@ func Fig12() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		points[ranks] = point{rec: seconds(rres.TotalCycles), faf: seconds(fres.TotalCycles)}
+		points[ranks] = point{rec: sim.Seconds(rres.TotalCycles), faf: sim.Seconds(fres.TotalCycles)}
 	}
 
 	host := cpu.Default() // the fixed FC and other stages of one inference

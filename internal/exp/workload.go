@@ -104,11 +104,8 @@ func newEngines(w Workload, batchCap int) (*engines, error) {
 
 func (e *engines) mem() *dram.System { return dram.MustSystem(e.w.Mem) }
 
-// seconds converts PE cycles to seconds at the 200 MHz reporting clock.
-func seconds(c sim.Cycle) float64 { return sim.Seconds(c, 200) }
-
 // micros converts PE cycles to microseconds.
-func micros(c sim.Cycle) float64 { return seconds(c) * 1e6 }
+func micros(c sim.Cycle) float64 { return sim.Seconds(c) * 1e6 }
 
 // dedupStats compiles a batch both ways and reports access counts.
 func dedupStats(b embedding.Batch) (unique, total int, savings float64) {

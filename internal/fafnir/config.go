@@ -68,13 +68,9 @@ type Config struct {
 	VectorDim int
 	// Op is the pooling operation applied through the tree.
 	Op tensor.ReduceOp
-	// Latency holds the PE pipeline latencies.
+	// Latency holds the PE pipeline latencies, in cycles of
+	// sim.PEClockMHz.
 	Latency Latencies
-	// ClockMHz is the PE clock (200 MHz on the paper's FPGA).
-	ClockMHz float64
-	// DRAMClockMHz is the memory clock, for converting memory completion
-	// times into PE cycles.
-	DRAMClockMHz float64
 	// Parallelism is how many hardware batches of one lookup compute their
 	// functional pass at once, ahead of the batch being folded or timed (see
 	// passSource); within a hardware batch the tree evaluates serially. It
@@ -86,7 +82,7 @@ type Config struct {
 
 // Default returns the paper's evaluated configuration: 32 ranks, 1PE:2R,
 // batch capacity 32, 512 B vectors (128 float32 elements), sum pooling,
-// Table IV latencies at 200 MHz against a 1200 MHz memory clock.
+// Table IV latencies at the 200 MHz PE clock.
 func Default() Config {
 	return Config{
 		NumRanks:      32,
@@ -95,8 +91,6 @@ func Default() Config {
 		VectorDim:     128,
 		Op:            tensor.OpSum,
 		Latency:       TableIV(),
-		ClockMHz:      200,
-		DRAMClockMHz:  1200,
 	}
 }
 
@@ -115,10 +109,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fafnir: VectorDim must be positive, got %d", c.VectorDim)
 	case !c.Op.Valid():
 		return fmt.Errorf("fafnir: invalid reduce op %d", c.Op)
-	case c.ClockMHz <= 0:
-		return fmt.Errorf("fafnir: ClockMHz must be positive, got %v", c.ClockMHz)
-	case c.DRAMClockMHz <= 0:
-		return fmt.Errorf("fafnir: DRAMClockMHz must be positive, got %v", c.DRAMClockMHz)
 	case c.Parallelism < 0:
 		return fmt.Errorf("fafnir: Parallelism must be non-negative, got %d", c.Parallelism)
 	}
@@ -127,18 +117,6 @@ func (c Config) Validate() error {
 
 // NumLeaves reports the number of leaf PEs.
 func (c Config) NumLeaves() int { return c.NumRanks / c.LeafFanIn }
-
-// DRAMToPE converts a completion time in memory-clock cycles to PE-clock
-// cycles, rounding up.
-func (c Config) DRAMToPE(d sim.Cycle) sim.Cycle {
-	return sim.Rescale(d, c.DRAMClockMHz, c.ClockMHz)
-}
-
-// PEToDRAM converts a PE-clock cycle to the memory clock: the first memory
-// cycle of that PE cycle.
-func (c Config) PEToDRAM(t sim.Cycle) sim.Cycle {
-	return sim.Cycle(float64(t) * c.DRAMClockMHz / c.ClockMHz)
-}
 
 // VectorBytes reports the size of one embedding vector in bytes (float32
 // elements).

@@ -151,7 +151,7 @@ type DegradedReport struct {
 	Retries int
 	// RetryCycles is the memory-clock time spent in backoff and re-reads,
 	// summed over all retried accesses.
-	RetryCycles sim.Cycle
+	RetryCycles sim.MemCycle
 
 	// Fleet-level fields, filled by the shard router (internal/router) when
 	// a batch crossed a sharded deployment; empty for single-system runs.
@@ -448,7 +448,7 @@ func (e *Engine) resolve(p *funcPass, outs []tensor.Vector, slab *OutputSlab) er
 // retried with capped exponential backoff in the memory clock. It returns
 // the effective rank that served the read and its completion cycle.
 func (e *Engine) readFaulted(layout Placement, mem *dram.System, inj *fault.Injector,
-	idx header.Index, clock sim.Cycle, res *TimedResult, deg *DegradedReport) (int, sim.Cycle, error) {
+	idx header.Index, clock sim.MemCycle, res *TimedResult, deg *DegradedReport) (int, sim.MemCycle, error) {
 	rank := layout.Rank(idx)
 	addr := layout.Addr(idx)
 	if inj.RankFailed(rank, clock) {
@@ -692,16 +692,16 @@ func (s *passSource) run(p *funcPass, remap map[header.Index]int) {
 
 // treeTiming propagates input readiness up the tree in the PE clock domain
 // and returns per-node completion times (indexed by PE ID). leafReady holds
-// each leaf's last DRAM arrival in the memory clock domain. ready is reused
-// across batches; every node's slot is overwritten.
-func (e *Engine) treeTiming(leafReady, ready []sim.Cycle, perPE []PEStats, inj *fault.Injector, faulted bool) sim.Cycle {
+// each leaf's last DRAM arrival on mem's clock. ready is reused across
+// batches; every node's slot is overwritten.
+func (e *Engine) treeTiming(mem *dram.System, leafReady []sim.MemCycle, ready []sim.Cycle, perPE []PEStats, inj *fault.Injector, faulted bool) sim.Cycle {
 	stage := e.cfg.Latency.StageLatency()
 	// flat is in construction order: children precede parents.
 	for i := range e.flat {
 		n := &e.flat[i]
 		var inReady sim.Cycle
 		if n.leaf {
-			inReady = e.cfg.DRAMToPE(leafReady[i])
+			inReady = mem.ToPE(leafReady[i])
 		} else {
 			inReady = ready[n.left]
 			if n.right >= 0 {
@@ -782,8 +782,8 @@ func (e *Engine) TimedLookupInto(res *TimedResult, slab *OutputSlab, store *embe
 	res.HWBatches = len(src.starts)
 
 	issue := mem.Now()
-	issuePE := e.cfg.DRAMToPE(issue)
-	clock := issue // DRAM-domain time at which the next batch may issue
+	issuePE := mem.ToPE(issue)
+	clock := issue // memory-clock time at which the next batch may issue
 	leafReady, ready := ls.leafReady, ls.ready
 
 	for p := src.next(); p != nil; p = src.next() {
@@ -799,10 +799,10 @@ func (e *Engine) TimedLookupInto(res *TimedResult, slab *OutputSlab, store *embe
 			leafReady[i] = issue
 		}
 		var remap map[header.Index]int
-		var memDone sim.Cycle
+		var memDone sim.MemCycle
 		for _, acc := range plan.Accesses {
 			var rank int
-			var done sim.Cycle
+			var done sim.MemCycle
 			if faulted {
 				var err error
 				before := deg.RemappedReads
@@ -860,21 +860,21 @@ func (e *Engine) TimedLookupInto(res *TimedResult, slab *OutputSlab, store *embe
 		}
 
 		// Propagate readiness up the tree in the PE clock domain.
-		rootDone := e.treeTiming(leafReady, ready, p.perPE, inj, faulted)
+		rootDone := e.treeTiming(mem, leafReady, ready, p.perPE, inj, faulted)
 
 		// Root-to-host transfer of the completed outputs.
 		outBytes := len(p.outputs) * layout.VectorBytes()
-		xfer := e.cfg.DRAMToPE(mem.Config().TransferCycles(outBytes))
+		xfer := mem.ToPE(mem.Config().TransferCycles(outBytes))
 
 		// Trace emission happens here, in the serial timed loop, so the
 		// event stream is deterministic at every Parallelism setting. clock
 		// still holds this batch's issue time.
 		if e.tracer != nil {
-			e.traceBatch(p.k, plan.NumAccesses(), len(plan.Batch().Queries),
+			e.traceBatch(mem, p.k, plan.NumAccesses(), len(plan.Batch().Queries),
 				clock, leafReady, ready, p.perPE, rootDone+xfer)
 		}
 
-		memPE := e.cfg.DRAMToPE(memDone)
+		memPE := mem.ToPE(memDone)
 		res.MemCycles = memPE - issuePE
 		res.ComputeCycles += rootDone - memPE
 		res.TransferCycles += xfer
@@ -927,9 +927,9 @@ func (e *Engine) LowerBoundCycles(mcfg dram.Config, b embedding.Batch) sim.Cycle
 	if b.TotalAccesses() == 0 {
 		return 0
 	}
-	mem := e.cfg.DRAMToPE(mcfg.TCAS + mcfg.TBurst)
+	mem := mcfg.ToPE(mcfg.TCAS + mcfg.TBurst)
 	compute := sim.Cycle(e.tree.Depth()) * e.cfg.Latency.StageLatency()
-	xfer := e.cfg.DRAMToPE(mcfg.TransferCycles(e.cfg.VectorBytes()))
+	xfer := mcfg.ToPE(mcfg.TransferCycles(e.cfg.VectorBytes()))
 	return mem + compute + xfer
 }
 
@@ -972,8 +972,8 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 
 	stage := e.cfg.Latency.InteractiveStage()
 	depth := sim.Cycle(e.tree.Depth())
-	clock := mem.Now() // DRAM-domain time; the queries issue from here
-	issuePE := e.cfg.DRAMToPE(clock)
+	clock := mem.Now() // memory-clock time; the queries issue from here
+	issuePE := mem.ToPE(clock)
 
 	row := tensor.New(store.Dim())
 	for qi, q := range b.Queries {
@@ -984,7 +984,7 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 		// Gather the query's vectors (rank-parallel) and reduce while
 		// gathering: the tree output is ready one pipeline depth after the
 		// last vector lands. The output is the query's reference fold.
-		var memDone sim.Cycle
+		var memDone sim.MemCycle
 		res.Outputs[qi] = tensor.New(store.Dim())
 		err := q.Fold(b.Op, res.Outputs[qi], func(idx header.Index) (tensor.Vector, error) {
 			if err := e.checkRank(idx, layout.Rank(idx)); err != nil {
@@ -1000,8 +1000,8 @@ func (e *Engine) InteractiveLookup(store *embedding.Store, layout Placement, mem
 		}
 		res.PETotals.Reduces += q.Indices.Len() - 1
 
-		memPE := e.cfg.DRAMToPE(memDone)
-		done := memPE + depth*stage + e.cfg.DRAMToPE(mem.Config().TransferCycles(layout.VectorBytes()))
+		memPE := mem.ToPE(memDone)
+		done := memPE + depth*stage + mem.ToPE(mem.Config().TransferCycles(layout.VectorBytes()))
 		res.MemCycles = memPE - issuePE
 		res.ComputeCycles += depth * stage
 		res.TotalCycles = done - issuePE

@@ -264,7 +264,7 @@ func TestTimedLookupBasics(t *testing.T) {
 	if i := VerifyAgainstGolden(res.Outputs, golden); i >= 0 {
 		t.Fatalf("query %d mismatch", i)
 	}
-	if res.Seconds(e.Config()) <= 0 {
+	if res.Seconds() <= 0 {
 		t.Fatal("non-positive wall time")
 	}
 }
@@ -324,6 +324,27 @@ func TestTimedLookupScalesWithRanks(t *testing.T) {
 	}
 	if !(latency[32] < latency[8] && latency[8] < latency[2]) {
 		t.Fatalf("latency did not fall with rank count: %v", latency)
+	}
+}
+
+// A default engine reads the memory's clock from the memory it is handed:
+// on HBM2 (1,800 MHz) it reports what an engine hand-set to 1,800 MHz
+// reported before the memory owned its frequency (pinned). Converting at
+// DDR4's 1,200 MHz would have read 516 and 74.
+func TestTimedLookupOnHBM2ReadsMemoryClock(t *testing.T) {
+	e, err := NewEngine(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := dram.HBM2()
+	layout := memmap.Uniform(mcfg, 512, 32, 1024)
+	store := embedding.MustStore(layout.TotalRows(), 128, 1)
+	res, err := e.TimedLookup(store, layout, dram.MustSystem(mcfg), genBatch(t, 32, 16, layout.TotalRows(), 47), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalCycles != 435 || res.MemCycles != 50 {
+		t.Fatalf("TotalCycles/MemCycles = %d/%d, want 435/50", res.TotalCycles, res.MemCycles)
 	}
 }
 

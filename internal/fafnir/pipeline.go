@@ -60,7 +60,7 @@ func (e *Engine) OfferedLoad(store *embedding.Store, layout Placement, mcfg dram
 		queries += len(b.Queries)
 	}
 	res.load(services, interval)
-	res.QueriesPerMillisecond = float64(queries) / (sim.Seconds(res.Makespan, e.cfg.ClockMHz) * 1e3)
+	res.QueriesPerMillisecond = float64(queries) / (sim.Seconds(res.Makespan) * 1e3)
 	return res, nil
 }
 

@@ -121,8 +121,8 @@ func (e *Engine) putTreeScratch(sc *treeScratch) {
 // finds none and builds its own, which the engine then keeps instead.
 type lookupScratch struct {
 	src       passSource
-	leafReady []sim.Cycle // leaf PE ID -> its last read's arrival (memory clock)
-	ready     []sim.Cycle // PE ID -> its completion (PE clock)
+	leafReady []sim.MemCycle // leaf PE ID -> its last read's arrival (memory clock)
+	ready     []sim.Cycle    // PE ID -> its completion (PE clock)
 }
 
 // takeLookupScratch leases the engine's lookup scratch, sized for its tree.
@@ -130,7 +130,7 @@ func (e *Engine) takeLookupScratch() *lookupScratch {
 	ls := e.spare.Swap(nil)
 	if ls == nil {
 		n := len(e.flat)
-		ls = &lookupScratch{leafReady: make([]sim.Cycle, n), ready: make([]sim.Cycle, n)}
+		ls = &lookupScratch{leafReady: make([]sim.MemCycle, n), ready: make([]sim.Cycle, n)}
 	}
 	return ls
 }

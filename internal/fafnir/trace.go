@@ -3,6 +3,7 @@ package fafnir
 import (
 	"fmt"
 
+	"fafnir/internal/dram"
 	"fafnir/internal/sim"
 	"fafnir/internal/telemetry"
 )
@@ -49,16 +50,16 @@ func (e *Engine) SetSpanContext(parent uint64) { e.spanCtx = parent }
 
 // traceBatch emits the events of one timed hardware batch: the batch-level
 // span on the engine lane and one stage span per PE, with Table IV action
-// sub-spans. issue is the batch's read-issue time in the memory clock;
+// sub-spans. issue is the batch's read-issue time on mem's clock;
 // leafReady, ready, and perPE are the schedule treeTiming just produced;
 // batchDone is the root completion plus host transfer, in PE cycles.
 //
 // The stage span of each PE runs from its input-ready time to its completion
 // in the ready slot, so occupancy initiation intervals and injected PE
 // stalls are visible as the gap after the fixed-latency action sub-spans.
-func (e *Engine) traceBatch(k, reads, queries int, issue sim.Cycle, leafReady, ready []sim.Cycle, perPE []PEStats, batchDone sim.Cycle) {
-	mhz := e.cfg.ClockMHz
-	issuePE := e.cfg.DRAMToPE(issue)
+func (e *Engine) traceBatch(mem *dram.System, k, reads, queries int, issue sim.MemCycle, leafReady []sim.MemCycle, ready []sim.Cycle, perPE []PEStats, batchDone sim.Cycle) {
+	const mhz = sim.PEClockMHz
+	issuePE := mem.ToPE(issue)
 	ev := telemetry.Event{
 		Name: "hw_batch", Cat: "engine", Phase: telemetry.PhaseSpan,
 		PID: telemetry.PIDEngine, TID: 0,
@@ -80,7 +81,7 @@ func (e *Engine) traceBatch(k, reads, queries int, issue sim.Cycle, leafReady, r
 		// hold this batch's values.
 		var inReady sim.Cycle
 		if n.leaf {
-			inReady = e.cfg.DRAMToPE(leafReady[i])
+			inReady = mem.ToPE(leafReady[i])
 		} else {
 			inReady = ready[n.left]
 			if n.right >= 0 {

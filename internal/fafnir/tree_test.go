@@ -175,8 +175,6 @@ func TestTreeRejectsInvalidConfig(t *testing.T) {
 		func(c *Config) { c.BatchCapacity = 0 },
 		func(c *Config) { c.VectorDim = 0 },
 		func(c *Config) { c.Op = 99 },
-		func(c *Config) { c.ClockMHz = 0 },
-		func(c *Config) { c.DRAMClockMHz = 0 },
 	}
 	for i, m := range bad {
 		cfg := Default()
@@ -207,13 +205,6 @@ func TestConfigHelpers(t *testing.T) {
 	}
 	if cfg.VectorBytes() != 512 {
 		t.Fatalf("VectorBytes = %d", cfg.VectorBytes())
-	}
-	// 1200 MHz DRAM -> 200 MHz PE is a 6:1 ratio.
-	if got := cfg.DRAMToPE(12); got != 2 {
-		t.Fatalf("DRAMToPE(12) = %d, want 2", got)
-	}
-	if got := cfg.DRAMToPE(13); got != 3 {
-		t.Fatalf("DRAMToPE(13) = %d, want 3 (round up)", got)
 	}
 }
 

@@ -51,7 +51,7 @@ type RankFailure struct {
 	// Rank is the global rank identifier.
 	Rank int
 	// At is the first memory-clock cycle at which the rank is dark.
-	At sim.Cycle
+	At sim.MemCycle
 }
 
 // PEStall schedules a latency spike on one tree node.
@@ -84,7 +84,7 @@ type Plan struct {
 	// RetryBackoff is the base backoff in memory-clock cycles before the
 	// first retry; successive retries double it (capped at 8x). Zero selects
 	// DefaultRetryBackoff.
-	RetryBackoff sim.Cycle
+	RetryBackoff sim.MemCycle
 	// PEStalls lists tree nodes with spiked latency.
 	PEStalls []PEStall
 }
@@ -94,7 +94,7 @@ type Plan struct {
 const (
 	DefaultMaxConsecutiveFaults = 3
 	DefaultMaxRetries           = 5
-	DefaultRetryBackoff         = sim.Cycle(64)
+	DefaultRetryBackoff         = sim.MemCycle(64)
 )
 
 // Empty reports whether the plan injects nothing.
@@ -142,16 +142,16 @@ func (p Plan) Retries() int {
 }
 
 // Backoff resolves the base retry backoff.
-func (p Plan) Backoff() sim.Cycle {
+func (p Plan) Backoff() sim.MemCycle {
 	if p.RetryBackoff == 0 {
 		return DefaultRetryBackoff
 	}
 	return p.RetryBackoff
 }
 
-// BackoffAt reports the backoff charged before retry attempt (1-based):
-// exponential doubling from the base, capped at 8x.
-func (p Plan) BackoffAt(attempt int) sim.Cycle {
+// BackoffAt reports the memory-clock backoff charged before retry attempt
+// (1-based): exponential doubling from the base, capped at 8x.
+func (p Plan) BackoffAt(attempt int) sim.MemCycle {
 	base := p.Backoff()
 	b := base
 	for i := 1; i < attempt && b < 8*base; i++ {
@@ -167,11 +167,11 @@ func (p Plan) BackoffAt(attempt int) sim.Cycle {
 // It is not safe for concurrent use (simulations are single-goroutine).
 type Injector struct {
 	plan     Plan
-	darkAt   map[int]sim.Cycle // rank -> first dark cycle
-	stallBy  map[int]sim.Cycle // PE id -> extra cycles
-	probBits uint64            // ReadFaultProb scaled to a 63-bit threshold
-	draws    uint64            // sequence number of transient-fault draws
-	streak   int               // consecutive faults drawn
+	darkAt   map[int]sim.MemCycle // rank -> first dark memory cycle
+	stallBy  map[int]sim.Cycle    // PE id -> extra PE cycles
+	probBits uint64               // ReadFaultProb scaled to a 63-bit threshold
+	draws    uint64               // sequence number of transient-fault draws
+	streak   int                  // consecutive faults drawn
 }
 
 // NewInjector compiles a plan. numRanks bounds the rank identifiers; a plan
@@ -183,7 +183,7 @@ func NewInjector(p Plan, numRanks int) (*Injector, error) {
 	}
 	inj := &Injector{
 		plan:    p,
-		darkAt:  make(map[int]sim.Cycle, len(p.RankFailures)),
+		darkAt:  make(map[int]sim.MemCycle, len(p.RankFailures)),
 		stallBy: make(map[int]sim.Cycle, len(p.PEStalls)),
 	}
 	for _, f := range p.RankFailures {
@@ -209,8 +209,8 @@ func (i *Injector) Plan() Plan { return i.plan }
 // Active reports whether the injector can ever fire.
 func (i *Injector) Active() bool { return i != nil && !i.plan.Empty() }
 
-// RankFailed reports whether global rank r is dark at cycle now.
-func (i *Injector) RankFailed(r int, now sim.Cycle) bool {
+// RankFailed reports whether global rank r is dark at memory cycle now.
+func (i *Injector) RankFailed(r int, now sim.MemCycle) bool {
 	if i == nil {
 		return false
 	}
@@ -218,8 +218,8 @@ func (i *Injector) RankFailed(r int, now sim.Cycle) bool {
 	return ok && now >= at
 }
 
-// FailedRanks lists the ranks dark at cycle now, sorted.
-func (i *Injector) FailedRanks(now sim.Cycle) []int {
+// FailedRanks lists the ranks dark at memory cycle now, sorted.
+func (i *Injector) FailedRanks(now sim.MemCycle) []int {
 	if i == nil {
 		return nil
 	}
@@ -312,9 +312,9 @@ func (p Plan) String() string {
 // -faults flag: semicolon-separated clauses of
 //
 //	seed=N         transient-fault seed
-//	rank=R@C       rank R goes dark at memory cycle C
+//	rank=R@C       rank R goes dark at memory cycle C (the memory's clock)
 //	ecc=P          each vector read faults with probability P (0 <= P < 1)
-//	stall=PE+N     tree node PE gains N extra cycles per traversal
+//	stall=PE+N     tree node PE gains N extra PE cycles per traversal
 //
 // e.g. "rank=3@0;ecc=0.001;stall=5+200;seed=9". An empty spec is the empty
 // plan.

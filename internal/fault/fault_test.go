@@ -23,7 +23,7 @@ func TestEmptyPlan(t *testing.T) {
 	if inj.RankFailed(0, 0) || inj.ReadFault() || inj.PEStall(0) != 0 {
 		t.Fatal("empty injector fired")
 	}
-	if got := inj.FailedRanks(sim.MaxCycle); got != nil {
+	if got := inj.FailedRanks(math.MaxUint64); got != nil {
 		t.Fatalf("empty injector lists failed ranks %v", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestRankFailureTiming(t *testing.T) {
 	if !inj.RankFailed(7, 0) {
 		t.Fatal("rank 7 not dark at cycle 0")
 	}
-	if inj.RankFailed(6, sim.MaxCycle) {
+	if inj.RankFailed(6, math.MaxUint64) {
 		t.Fatal("healthy rank reported dark")
 	}
 	if got := inj.FailedRanks(0); len(got) != 1 || got[0] != 7 {
@@ -177,7 +177,7 @@ func TestPEStallAccumulates(t *testing.T) {
 
 func TestBackoffAt(t *testing.T) {
 	p := Plan{RetryBackoff: 10}
-	want := []sim.Cycle{10, 20, 40, 80, 80, 80}
+	want := []sim.MemCycle{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
 		if got := p.BackoffAt(i + 1); got != w {
 			t.Fatalf("BackoffAt(%d) = %d, want %d", i+1, got, w)

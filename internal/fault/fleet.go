@@ -20,7 +20,8 @@ var ErrShardDown = errors.New("fault: shard down")
 type ShardFailure struct {
 	// Shard is the fleet-level shard identifier.
 	Shard int
-	// At is the first fleet-clock cycle at which the shard is down.
+	// At is the first fleet-clock (PE-clock) cycle at which the shard is
+	// down.
 	At sim.Cycle
 }
 
@@ -30,7 +31,7 @@ type ShardFailure struct {
 type ShardFlap struct {
 	// Shard is the fleet-level shard identifier.
 	Shard int
-	// DownAt is the first fleet-clock cycle of the outage.
+	// DownAt is the first fleet-clock (PE-clock) cycle of the outage.
 	DownAt sim.Cycle
 	// UpAt is the first cycle at which the shard serves again.
 	UpAt sim.Cycle
@@ -42,7 +43,7 @@ type ShardFlap struct {
 // push, a thermal excursion across a row of nodes).
 type RankStorm struct {
 	// At is the memory-clock cycle at which the storm strikes.
-	At sim.Cycle
+	At sim.MemCycle
 	// Ranks is how many (shard, rank) pairs go dark.
 	Ranks int
 }
@@ -56,7 +57,7 @@ type RankStorm struct {
 type SwitchStall struct {
 	// Switch is the interior-switch ordinal in the rnet tree.
 	Switch int
-	// Cycles is the extra firing latency.
+	// Cycles is the extra firing latency, in PE cycles.
 	Cycles sim.Cycle
 }
 
@@ -214,14 +215,17 @@ func (p FleetPlan) String() string {
 // clauses, semicolon-separated, of
 //
 //	seed=N         storm/ECC seed
-//	shard=S@C      shard S goes down at fleet cycle C and stays down
-//	flap=S@D-U     shard S is down in fleet-cycle window [D,U)
-//	storm=N@C      N seed-drawn (shard, rank) pairs go dark at cycle C
-//	swstall=K+N    rnet switch K fires N cycles late
-//	rank=R@C       local rank R goes dark at cycle C on every shard
+//	shard=S@C      shard S goes down at PE cycle C and stays down
+//	flap=S@D-U     shard S is down in PE-cycle window [D,U)
+//	storm=N@C      N seed-drawn (shard, rank) pairs go dark at memory cycle C
+//	swstall=K+N    rnet switch K fires N PE cycles late
+//	rank=R@C       local rank R goes dark at memory cycle C on every shard
 //	ecc=P          per-shard transient read-fault probability
-//	stall=PE+N     tree node PE gains N extra cycles on every shard
+//	stall=PE+N     tree node PE gains N extra PE cycles on every shard
 //
+// The fleet's clock is the PE clock (sim.Cycle); storm and rank stamps are
+// on each shard's memory clock (sim.MemCycle), six of which make one PE
+// cycle on the default DDR4 memory.
 // e.g. "shard=1@1;storm=4@20000;ecc=0.0005;seed=7". An empty spec is the
 // empty plan.
 func ParseFleet(spec string) (FleetPlan, error) {

@@ -237,7 +237,7 @@ func (e *Env) CheckCycleSanity() error {
 			return fmt.Errorf("dedup=%v: %d total cycles below analytic lower bound %d",
 				dedup, first.TotalCycles, bound)
 		}
-		if err := Stationary(e.Mem, first.MemoryReads, first.TotalCycles, last.TotalCycles, eng.Config().ClockMHz); err != nil {
+		if err := Stationary(e.Mem, first.MemoryReads, first.TotalCycles, last.TotalCycles); err != nil {
 			return fmt.Errorf("dedup=%v: stationarity: %w", dedup, err)
 		}
 	}

@@ -139,21 +139,20 @@ func Diff(got, want []tensor.Vector) string {
 }
 
 // Stationary reports an error when a lookup replayed on one memory cost
-// first cycles on its first run and last on a later one, and the two lie
-// further apart than the history of the memory can explain, in the
-// reporting clock clockMHz. Each of the lookup's reads may find its row
-// open, closed or holding another row, which moves that read by at most a
-// precharge and an activate (TRP + TRCD); each refresh window its span
-// crosses may stall it by one TRFC; and one reporting cycle covers an issue
-// cycle off a reporting-clock edge. Anything beyond that bracket is a lookup
-// paying for the lookups before it.
-func Stationary(m dram.Config, reads int, first, last sim.Cycle, clockMHz float64) error {
-	bracket := sim.Cycle(reads) * (m.TRP + m.TRCD)
+// first PE cycles on its first run and last on a later one, and the two lie
+// further apart than the history of the memory can explain. Each of the
+// lookup's reads may find its row open, closed or holding another row, which
+// moves that read by at most a precharge and an activate (TRP + TRCD); each
+// refresh window its span crosses may stall it by one TRFC; and one PE
+// cycle covers an issue cycle off a PE-clock edge. Anything beyond that
+// bracket is a lookup paying for the lookups before it.
+func Stationary(m dram.Config, reads int, first, last sim.Cycle) error {
+	bracket := sim.MemCycle(reads) * (m.TRP + m.TRCD)
 	if m.TREFI > 0 {
-		span := sim.Cycle(float64(max(first, last)) * m.ClockMHz / clockMHz)
+		span := m.FromPE(max(first, last))
 		bracket += (span/m.TREFI + 1) * m.TRFC
 	}
-	bound := sim.Rescale(bracket, m.ClockMHz, clockMHz) + 1
+	bound := m.ToPE(bracket) + 1
 	if first > last+bound || last > first+bound {
 		return fmt.Errorf("last replay costs %d cycles, first %d: more than the %d-cycle bracket of row state and refresh apart", last, first, bound)
 	}

@@ -80,7 +80,7 @@ func TestBaselinesAreStationary(t *testing.T) {
 				}
 			}
 			t.Logf("replay 1: %d cycles, replay 1001: %d cycles, %d reads", first, last, reads)
-			if err := Stationary(env.Mem, reads, first, last, 200); err != nil {
+			if err := Stationary(env.Mem, reads, first, last); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -22,7 +22,7 @@ type Config struct {
 	// VectorBytes is the embedding-vector (and cache-line) size.
 	VectorBytes int
 	// ReduceCyclesPerStep is the DIMM-NDP cost of one partial-sum step, in
-	// reporting-clock cycles.
+	// PE-clock cycles.
 	ReduceCyclesPerStep sim.Cycle
 	// CacheHitCycles is the cost of serving one read from the rank cache
 	// (tag lookup plus SRAM access); the paper notes cache accesses "can
@@ -31,10 +31,6 @@ type Config struct {
 	// Host is the host-side model charged for forwarded raw vectors and the
 	// final cross-DIMM combines.
 	Host cpu.Config
-	// ClockMHz is the reporting clock.
-	ClockMHz float64
-	// DRAMClockMHz converts memory time into the reporting clock.
-	DRAMClockMHz float64
 }
 
 // Default returns the published configuration: 128 KB per-rank caches (the
@@ -47,8 +43,6 @@ func Default() Config {
 		ReduceCyclesPerStep: 4,
 		CacheHitCycles:      4,
 		Host:                cpu.Default(),
-		ClockMHz:            200,
-		DRAMClockMHz:        1200,
 	}
 }
 
@@ -63,10 +57,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("recnmp: VectorBytes must be positive, got %d", c.VectorBytes)
 	case c.ReduceCyclesPerStep == 0:
 		return fmt.Errorf("recnmp: ReduceCyclesPerStep must be positive")
-	case c.ClockMHz <= 0:
-		return fmt.Errorf("recnmp: ClockMHz must be positive, got %v", c.ClockMHz)
-	case c.DRAMClockMHz <= 0:
-		return fmt.Errorf("recnmp: DRAMClockMHz must be positive, got %v", c.DRAMClockMHz)
 	}
 	return c.Host.Validate()
 }
@@ -76,7 +66,7 @@ type Result struct {
 	// Outputs is the batch's reference, Batch.Golden: RecNMP is a timing
 	// model and reduces no values of its own.
 	Outputs []tensor.Vector
-	// MemCycles is when the last DRAM read completed (reporting clock).
+	// MemCycles is when the last DRAM read completed (PE clock).
 	MemCycles sim.Cycle
 	// NDPComputeCycles is the in-DIMM partial-sum time.
 	NDPComputeCycles sim.Cycle
@@ -181,7 +171,6 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 	}
 	res := &Result{Outputs: outputs}
 
-	toHost := func(d sim.Cycle) sim.Cycle { return sim.Rescale(d, e.cfg.DRAMClockMHz, e.cfg.ClockMHz) }
 	dimmOf := func(rank int) int { return rank / mcfg.RanksPerDIMM }
 
 	issue := mem.Now() // every read issues here; MemCycles is the span from it
@@ -249,7 +238,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 	// Rank caches serve hits in parallel with DRAM; the slower of the two
 	// paths gates the gather ("the cache accesses can potentially cause a
 	// performance bottleneck").
-	res.MemCycles = toHost(memDone) - toHost(issue)
+	res.MemCycles = mcfg.ToPE(memDone) - mcfg.ToPE(issue)
 	for _, busy := range cacheBusy {
 		if busy > res.MemCycles {
 			res.MemCycles = busy
@@ -270,7 +259,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, layout fafnir.Placement, me
 
 	// Partial/raw transfer beyond what DestHost reads already charged: the
 	// per-DIMM partials produced at NDP must also cross the channels.
-	xfer := toHost(mcfg.TransferCycles(int(res.BytesToHost) - res.ForwardedRaw*e.cfg.VectorBytes))
+	xfer := mcfg.ToPE(mcfg.TransferCycles(int(res.BytesToHost) - res.ForwardedRaw*e.cfg.VectorBytes))
 
 	res.TotalCycles = res.MemCycles + res.NDPComputeCycles + res.HostComputeCycles + xfer
 	return res, nil

@@ -112,8 +112,6 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.CacheBytes = 64; c.CacheWays = 0 },
 		func(c *Config) { c.VectorBytes = 0 },
 		func(c *Config) { c.ReduceCyclesPerStep = 0 },
-		func(c *Config) { c.ClockMHz = 0 },
-		func(c *Config) { c.DRAMClockMHz = 0 },
 		func(c *Config) { c.Host.Cores = 0 },
 	}
 	for i, m := range bad {

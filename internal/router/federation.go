@@ -140,7 +140,6 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	member := fd.fleets[0]
 	fd.rtree = tree
 	fd.dim = member.dim
-	fd.host = member.host
 	fd.mcfg = member.mcfg
 	return fd, nil
 }

@@ -216,7 +216,7 @@ func (t *tier) AttachTracer(tr telemetry.Tracer) {
 	}
 }
 
-// emitOn records one event on the simulated timeline (200 MHz PE clock),
+// emitOn records one event on the simulated timeline (the PE clock),
 // span-linked under parent; args precede the span identity.
 func (t *tier) emitOn(cat string, pid int, name string, lane int, phase byte, ts, dur sim.Cycle, span, parent uint64, args ...telemetry.Arg) {
 	if t.tracer == nil {
@@ -225,7 +225,7 @@ func (t *tier) emitOn(cat string, pid int, name string, lane int, phase byte, ts
 	ev := telemetry.Event{
 		Name: name, Cat: cat, Phase: phase,
 		PID: pid, TID: lane,
-		TS: uint64(ts), ClockMHz: 200,
+		TS: uint64(ts), ClockMHz: sim.PEClockMHz,
 	}
 	if phase == telemetry.PhaseSpan {
 		ev.Dur = uint64(dur)
@@ -311,7 +311,7 @@ func (t *tier) reduce(fl *flight, slab *core.OutputSlab) (*rnet.Result, error) {
 	} else {
 		st.Backend, st.Failover = rres.CriticalPath, 0
 	}
-	st.Transfer = t.host.DRAMToHost(t.mcfg.TransferCycles(rootQueries * t.vectorBytes()))
+	st.Transfer = t.mcfg.ToPE(t.mcfg.TransferCycles(rootQueries * t.vectorBytes()))
 	res.Stages = st
 	res.TotalCycles = st.Probe + rres.CriticalPath + st.Transfer
 	res.TransferCycles = st.Transfer

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fafnir/internal/cpu"
 	"fafnir/internal/dram"
 	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
@@ -171,9 +170,8 @@ func (sh *shardNode) lookup(b embedding.Batch, at sim.Cycle, replica bool) (*cor
 	} else {
 		view = &sh.primary
 	}
-	ecfg := sh.engine.Config()
-	wait := sim.Max(ecfg.DRAMToPE(sh.mem.Now()), at) - at
-	sh.mem.WaitUntil(ecfg.PEToDRAM(at))
+	wait := sim.Max(sh.mem.ToPE(sh.mem.Now()), at) - at
+	sh.mem.WaitUntil(sh.mem.FromPE(at))
 	mark := sh.rows.Len()
 	r := &sh.res[slot]
 	if err := sh.engine.TimedLookupInto(r, &sh.out[slot], sh.store, view, sh.mem, b, true); err != nil {
@@ -285,7 +283,6 @@ func newFleet(cfg Config, stride, phase uint64, clock *sim.Cycle) (*Fleet, error
 		plan:   &f.cfg.Fleet,
 		rtree:  tree,
 		dim:    store.Dim(),
-		host:   cpu.Default(),
 		mcfg:   mcfg,
 		clock:  clock,
 	}

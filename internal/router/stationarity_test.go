@@ -39,7 +39,7 @@ func TestTiersAreStationary(t *testing.T) {
 				}
 			}
 			t.Logf("batch 1: %d cycles, batch 1001: %d cycles, %d reads", first.TotalCycles, last.TotalCycles, first.MemoryReads)
-			if err := oracle.Stationary(tc.mcfg, first.MemoryReads, first.TotalCycles, last.TotalCycles, 200); err != nil {
+			if err := oracle.Stationary(tc.mcfg, first.MemoryReads, first.TotalCycles, last.TotalCycles); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -17,7 +17,6 @@ package router
 import (
 	"fmt"
 
-	"fafnir/internal/cpu"
 	"fafnir/internal/dram"
 	"fafnir/internal/embedding"
 	core "fafnir/internal/fafnir"
@@ -106,7 +105,6 @@ type tier struct {
 	// plumbing.
 	rtree  *rnet.Tree
 	dim    int
-	host   cpu.Config
 	mcfg   dram.Config
 	tracer telemetry.Tracer
 	// clock is the one simulated timeline of the whole hierarchy, in PE

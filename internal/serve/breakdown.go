@@ -57,7 +57,7 @@ type Breakdown struct {
 func usOf(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // simUS converts 200 MHz simulated cycles to microseconds.
-func simUS(c sim.Cycle) float64 { return float64(c) / 200 }
+func simUS(c sim.Cycle) float64 { return float64(c) / sim.PEClockMHz }
 
 // backendStages splits a timed result's cycles into the breakdown's
 // backend/combine/transfer columns. Producers maintain Stages.Sum() ==

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMax(t *testing.T) {
-	if Max(3, 5) != 5 || Max(5, 3) != 5 || Max(4, 4) != 4 {
+	if Max[Cycle](3, 5) != 5 || Max[MemCycle](5, 3) != 5 || Max[Cycle](4, 4) != 4 {
 		t.Fatal("Max wrong")
 	}
 	if Max(MaxCycle, 0) != MaxCycle {
@@ -15,17 +15,17 @@ func TestMax(t *testing.T) {
 }
 
 func TestSeconds(t *testing.T) {
-	if got := Seconds(200e6, 200); got != 1 {
+	if got := Seconds(200e6); got != 1 {
 		t.Fatalf("Seconds = %v, want 1", got)
 	}
-	if got := Seconds(0, 1200); got != 0 {
+	if got := Seconds(0); got != 0 {
 		t.Fatalf("Seconds(0) = %v, want 0", got)
 	}
 }
 
 func TestRescale(t *testing.T) {
 	cases := []struct {
-		d        Cycle
+		d        MemCycle
 		from, to float64
 		want     Cycle
 	}{
@@ -51,17 +51,17 @@ func TestRescale(t *testing.T) {
 
 // Rescale is the formula fafnir.Config.DRAMToPE, cpu.Config.DRAMToHost,
 // twostep's toPE and the recnmp and tensordimm closures each wrote out
-// before it existed; at the two clock pairs the repository configures it
-// returns what they returned, value for value.
+// before it existed; at the clock pairs they configured it returns what
+// they returned, value for value.
 func TestRescaleMatchesOldFormula(t *testing.T) {
-	old := func(d Cycle, dramMHz, clockMHz float64) Cycle {
+	old := func(d MemCycle, dramMHz, clockMHz float64) Cycle {
 		ratio := dramMHz / clockMHz
 		return Cycle((float64(d) + ratio - 1) / ratio)
 	}
 	rng := rand.New(rand.NewSource(24))
 	for _, clock := range []float64{200, 1200} {
 		for i := 0; i < 10_000; i++ {
-			d := Cycle(rng.Int63n(1 << uint(1+rng.Intn(40))))
+			d := MemCycle(rng.Int63n(1 << uint(1+rng.Intn(40))))
 			if got, want := Rescale(d, 1200, clock), old(d, 1200, clock); got != want {
 				t.Fatalf("Rescale(%d, 1200, %v) = %d, the old formula gave %d", d, clock, got, want)
 			}

@@ -77,8 +77,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Name:               "spmv",
 		Ranks:              cfg.Tree.NumRanks,
 		VectorSize:         cfg.VectorSize,
-		ClockMHz:           cfg.Tree.ClockMHz,
-		DRAMClockMHz:       cfg.Tree.DRAMClockMHz,
 		MultElemsPerCycle:  cfg.MultElemsPerCycle,
 		MergeElemsPerCycle: cfg.MergeElemsPerCycle,
 		// The tree's pipeline-fill latency: one stage per level.

@@ -37,12 +37,13 @@ func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (
 		return nil, err
 	}
 	res := &spmv.Result{Plan: plan}
-	var clock, peClock sim.Cycle
+	var clock sim.MemCycle
+	var peClock sim.Cycle
 	round := func(out *stream, elems int, rate float64, spill bool) error {
 		res.ElementsStreamed += elems
 		res.BytesStreamed += uint64(elems) * 8
 		if elems > 0 {
-			var memDone sim.Cycle
+			var memDone sim.MemCycle
 			for r := 0; r < s.Ranks; r++ {
 				done, err := mem.StreamRead(clock, r, 0, (elems+s.Ranks-1)/s.Ranks*8, dram.DestLocal)
 				if err != nil {
@@ -51,7 +52,7 @@ func refRun(s spmv.Schedule, m *sparse.LIL, x tensor.Vector, mem *dram.System) (
 				memDone = sim.Max(memDone, done)
 			}
 			clock = memDone
-			ratio := s.DRAMClockMHz / s.ClockMHz
+			ratio := mem.Config().ClockMHz / sim.PEClockMHz
 			arrived := sim.Cycle((float64(memDone) + ratio - 1) / ratio)
 			peClock = sim.Max(arrived, peClock+sim.Cycle(float64(elems)/rate+1))
 		}

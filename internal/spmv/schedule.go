@@ -22,9 +22,6 @@ type Schedule struct {
 	Ranks int
 	// VectorSize is the column-chunk width and the merge fan-in.
 	VectorSize int
-	// ClockMHz is the accelerator clock, the domain of every reported
-	// cycle; DRAMClockMHz is the domain memory completions arrive in.
-	ClockMHz, DRAMClockMHz float64
 	// MultElemsPerCycle and MergeElemsPerCycle are the aggregate compute
 	// throughputs of iteration 0 and of the merge iterations.
 	MultElemsPerCycle, MergeElemsPerCycle float64
@@ -61,12 +58,12 @@ type Result struct {
 // accelerator processes them at elemsPerCycle no earlier than peDone (rounds
 // of one iteration pipeline back to back; the slower of memory and compute
 // sets the sustained rate). It returns the updated clocks.
-func (s Schedule) round(mem *dram.System, memClock, peDone sim.Cycle, elems int, elemsPerCycle float64) (sim.Cycle, sim.Cycle, error) {
+func (s Schedule) round(mem *dram.System, memClock sim.MemCycle, peDone sim.Cycle, elems int, elemsPerCycle float64) (sim.MemCycle, sim.Cycle, error) {
 	if elems == 0 {
 		return memClock, peDone, nil
 	}
 	perRank := (elems + s.Ranks - 1) / s.Ranks
-	var memDone sim.Cycle
+	var memDone sim.MemCycle
 	for r := 0; r < s.Ranks; r++ {
 		done, err := mem.StreamRead(memClock, r, 0, perRank*8, dram.DestLocal)
 		if err != nil {
@@ -75,14 +72,14 @@ func (s Schedule) round(mem *dram.System, memClock, peDone sim.Cycle, elems int,
 		memDone = sim.Max(memDone, done)
 	}
 	compute := sim.Cycle(float64(elems)/elemsPerCycle + 1)
-	end := sim.Max(sim.Rescale(memDone, s.DRAMClockMHz, s.ClockMHz), peDone+compute)
+	end := sim.Max(mem.ToPE(memDone), peDone+compute)
 	return memDone, end, nil
 }
 
 // spill writes a round's output stream of elems partial sums (8 B each)
 // to memory for the merge iteration that re-reads it, spreading the bytes
 // over the ranks.
-func (s Schedule) spill(mem *dram.System, clock sim.Cycle, elems int) (sim.Cycle, error) {
+func (s Schedule) spill(mem *dram.System, clock sim.MemCycle, elems int) (sim.MemCycle, error) {
 	if elems == 0 {
 		return clock, nil
 	}
@@ -175,11 +172,11 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 		}
 	}
 
-	// The rounds issue at the memory's current cycle, DRAM-domain clock and
-	// accelerator-domain peClock alike; every reported cycle is the span
+	// The rounds issue at the memory's current cycle, clock on the memory's
+	// clock and peClock on the PE clock; every reported cycle is the span
 	// from there.
 	clock := mem.Now()
-	start := sim.Rescale(clock, s.DRAMClockMHz, s.ClockMHz)
+	start := mem.ToPE(clock)
 	peClock := start
 	// A round of iteration 0 reads its chunk's entries, a later one the
 	// streams of its group; out lists the lengths of the streams written.

@@ -32,10 +32,6 @@ type Config struct {
 	// ReduceCyclesPerSlice is the NDP pipeline cost of one partial-sum step
 	// on one rank's slice, in PE-equivalent (200 MHz) cycles.
 	ReduceCyclesPerSlice sim.Cycle
-	// ClockMHz is the reporting clock.
-	ClockMHz float64
-	// DRAMClockMHz converts memory time into the reporting clock.
-	DRAMClockMHz float64
 }
 
 // Default returns the calibration matching the paper's setup (512 B
@@ -44,8 +40,6 @@ func Default() Config {
 	return Config{
 		VectorBytes:          512,
 		ReduceCyclesPerSlice: 24,
-		ClockMHz:             200,
-		DRAMClockMHz:         1200,
 	}
 }
 
@@ -56,10 +50,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tensordimm: VectorBytes must be positive, got %d", c.VectorBytes)
 	case c.ReduceCyclesPerSlice == 0:
 		return fmt.Errorf("tensordimm: ReduceCyclesPerSlice must be positive")
-	case c.ClockMHz <= 0:
-		return fmt.Errorf("tensordimm: ClockMHz must be positive, got %v", c.ClockMHz)
-	case c.DRAMClockMHz <= 0:
-		return fmt.Errorf("tensordimm: DRAMClockMHz must be positive, got %v", c.DRAMClockMHz)
 	}
 	return nil
 }
@@ -69,7 +59,7 @@ type Result struct {
 	// Outputs is the batch's reference, Batch.Golden: TensorDIMM is a timing
 	// model and reduces no values of its own.
 	Outputs []tensor.Vector
-	// MemCycles is when the last slice read completed (reporting clock).
+	// MemCycles is when the last slice read completed (PE clock).
 	MemCycles sim.Cycle
 	// ComputeCycles is the pipelined NDP reduction time.
 	ComputeCycles sim.Cycle
@@ -122,8 +112,6 @@ func (e *Engine) TimedLookup(store *embedding.Store, mem *dram.System, b embeddi
 	}
 	res := &Result{Outputs: outputs}
 
-	toHost := func(d sim.Cycle) sim.Cycle { return sim.Rescale(d, e.cfg.DRAMClockMHz, e.cfg.ClockMHz) }
-
 	// Each rank serves its slice reads in sequence; ranks run in parallel.
 	// Track the per-rank completion in the DRAM clock, from the memory's
 	// current cycle, where every read issues.
@@ -144,7 +132,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, mem *dram.System, b embeddi
 			}
 		}
 	}
-	res.MemCycles = toHost(memDone) - toHost(issue)
+	res.MemCycles = mcfg.ToPE(memDone) - mcfg.ToPE(issue)
 
 	// Pipelined partial sums: every query costs q-1 sequential reduce steps
 	// per rank, all ranks in lockstep, queries back to back. (Fafnir instead
@@ -162,7 +150,7 @@ func (e *Engine) TimedLookup(store *embedding.Store, mem *dram.System, b embeddi
 	// channels.
 	outBytes := len(b.Queries) * e.cfg.VectorBytes
 	res.BytesToHost = uint64(outBytes)
-	xfer := toHost(mcfg.TransferCycles(outBytes))
+	xfer := mcfg.ToPE(mcfg.TransferCycles(outBytes))
 
 	res.TotalCycles = res.MemCycles + res.ComputeCycles + xfer
 	return res, nil

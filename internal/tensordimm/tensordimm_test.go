@@ -24,8 +24,6 @@ func TestValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.VectorBytes = 0 },
 		func(c *Config) { c.ReduceCyclesPerSlice = 0 },
-		func(c *Config) { c.ClockMHz = 0 },
-		func(c *Config) { c.DRAMClockMHz = 0 },
 	}
 	for i, m := range bad {
 		cfg := Default()

@@ -41,12 +41,9 @@ type Config struct {
 	// binary-tree multi-way merge core — higher than Fafnir's general
 	// reduction tree, the reason Two-Step wins iterations > 0.
 	MergeElemsPerCycle float64
-	// PipelineFill is the fixed per-iteration pipeline latency.
+	// PipelineFill is the fixed per-iteration pipeline latency, in cycles of
+	// the accelerator clock (the PE clock, sim.PEClockMHz).
 	PipelineFill sim.Cycle
-	// ClockMHz is the accelerator clock.
-	ClockMHz float64
-	// DRAMClockMHz converts memory completions into accelerator cycles.
-	DRAMClockMHz float64
 }
 
 // Default returns the calibration used in the Fig. 14 reproduction: the
@@ -59,8 +56,6 @@ func Default() Config {
 		Step1ElemsPerCycle: 64,
 		MergeElemsPerCycle: 96,
 		PipelineFill:       140,
-		ClockMHz:           200,
-		DRAMClockMHz:       1200,
 	}
 }
 
@@ -75,10 +70,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("twostep: Step1ElemsPerCycle must be positive, got %v", c.Step1ElemsPerCycle)
 	case c.MergeElemsPerCycle <= 0:
 		return fmt.Errorf("twostep: MergeElemsPerCycle must be positive, got %v", c.MergeElemsPerCycle)
-	case c.ClockMHz <= 0:
-		return fmt.Errorf("twostep: ClockMHz must be positive, got %v", c.ClockMHz)
-	case c.DRAMClockMHz <= 0:
-		return fmt.Errorf("twostep: DRAMClockMHz must be positive, got %v", c.DRAMClockMHz)
 	}
 	return nil
 }
@@ -106,8 +97,6 @@ func (e *Engine) Schedule() spmv.Schedule {
 		Name:               "twostep",
 		Ranks:              e.cfg.Ranks,
 		VectorSize:         e.cfg.VectorSize,
-		ClockMHz:           e.cfg.ClockMHz,
-		DRAMClockMHz:       e.cfg.DRAMClockMHz,
 		MultElemsPerCycle:  e.cfg.Step1ElemsPerCycle,
 		MergeElemsPerCycle: e.cfg.MergeElemsPerCycle,
 		Fill:               e.cfg.PipelineFill,

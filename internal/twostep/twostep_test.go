@@ -42,8 +42,6 @@ func TestValidate(t *testing.T) {
 
 		func(c *Config) { c.Step1ElemsPerCycle = 0 },
 		func(c *Config) { c.MergeElemsPerCycle = 0 },
-		func(c *Config) { c.ClockMHz = 0 },
-		func(c *Config) { c.DRAMClockMHz = 0 },
 	}
 	for i, m := range bad {
 		cfg := Default()

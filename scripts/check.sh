@@ -57,7 +57,8 @@
 #                      there and in internal/dram, internal/twostep (a
 #                      spmv.Schedule preset) has no for loop, and the
 #                      rounding-up clock-domain crossing is written out only
-#                      in internal/sim (sim.Rescale)
+#                      in internal/sim (sim.Rescale) and called only from
+#                      internal/dram (dram.Config.ToPE)
 #   7f. one workload — internal/trace's JSONL request stream is the only
 #       format         replayable workload: recordedRequest is gone, and
 #                      tensor.ParseOp is the only parser of a pooling-op name
@@ -100,13 +101,22 @@
 #                      are declared in none of them, and TimedLookupFaulted
 #                      (the fault injector rides dram.System), countAbandoned,
 #                      fafnir_router_retries_abandoned_total and the
-#                      -cache-seed flag appear in no non-test Go file
-#   7g. exhibits     — opt-in, for a change that must not move a simulated
-#                      number: with EXHIBIT_BASE=<checkout of the parent
-#                      commit>, all fafnir-bench exhibits are regenerated there
-#                      and here, at -j 1 and at the default, and must be
-#                      byte-equal (results/ is not the reference: it carries
-#                      three known stale cells, ROADMAP item 3)
+#                      -cache-seed flag appear in no non-test Go file. One
+#                      clock per domain: ClockMHz and DRAMClockMHz are
+#                      declared in none of fafnir.Config, cpu.Config,
+#                      recnmp.Config, tensordimm.Config, twostep.Config and
+#                      spmv.Schedule (the PE clock is sim.PEClockMHz, the
+#                      memory's is dram.Config.ClockMHz), DRAMClockMHz
+#                      appears in no non-test Go file, and outside
+#                      internal/dram and internal/sim no non-test Go file
+#                      converts a memory value with a bare sim.Cycle( or
+#                      sim.MemCycle( (cross with dram's ToPE and FromPE)
+#   7g. exhibits     — all 25 fafnir-bench exhibits are regenerated at -j 1
+#                      and at the default and must be byte-equal to
+#                      results/ (ROADMAP item 3): a change that moves a
+#                      simulated number re-records results/ and says why.
+#                      With EXHIBIT_BASE=<checkout of the parent commit> they
+#                      are regenerated there too and must be byte-equal
 #   8. coverage      — every internal/ package must keep statement coverage
 #                      at or above the floor (80%)
 #   9. telemetry     — run fafnir-sim with -trace-out, validate the emitted
@@ -236,7 +246,9 @@ echo "==> one schedule, one clock-domain crossing (Two-Step is a spmv.Schedule p
 ! grep -nE '^[[:space:]]*for ' internal/twostep/twostep.go \
     || { echo "internal/twostep loops again: it is a parameter set for spmv.Schedule, not an engine"; exit 1; }
 ! grep -rlF 'ratio - 1) / ratio' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/sim/' \
-    || { echo "a hand-written clock-domain crossing is back: call sim.Rescale"; exit 1; }
+    || { echo "a hand-written clock-domain crossing is back: cross with dram.Config.ToPE"; exit 1; }
+! grep -rlF 'sim.Rescale(' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/(sim|dram)/' \
+    || { echo "sim.Rescale is called outside internal/dram: cross with the memory's own ToPE"; exit 1; }
 
 echo "==> one replayable workload format, one pooling-op parser"
 ! grep -rlE 'recordedRequest|func [pP]arseOp\(' --include='*.go' . | grep -v '^\./internal/tensor/' \
@@ -291,21 +303,35 @@ echo "==> one value per setting (fixed settings stay constants, not config field
     || { echo "a deleted config field is back: a setting no program sets is the constant it defaults to"; exit 1; }
 ! grep -rnE 'TimedLookupFaulted|countAbandoned|fafnir_router_retries_abandoned_total|"cache-seed"' --include='*.go' --exclude='*_test.go' . \
     || { echo "a deleted fault-injector path, retry-deadline path or -cache-seed flag is back"; exit 1; }
+! awk '/^type (Config|Schedule) struct/ { on = 1; next }
+       on && /^}/ { on = 0 }
+       on && $1 ~ /^(ClockMHz|DRAMClockMHz),?$/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+       END { exit !bad }' internal/fafnir/config.go internal/cpu/cpu.go internal/recnmp/recnmp.go internal/tensordimm/tensordimm.go internal/twostep/twostep.go internal/spmv/schedule.go \
+    || { echo "an engine keeps its own clock again: the PE clock is sim.PEClockMHz, the memory's is dram.Config.ClockMHz"; exit 1; }
+! grep -rnE 'DRAMClockMHz' --include='*.go' --exclude='*_test.go' . \
+    || { echo "DRAMClockMHz is back: an engine reads the memory's clock from the dram.System it is handed"; exit 1; }
+# A conversion's argument (up to two nested calls deep) names the memory.
+BARE='sim\.(Mem)?Cycle\(([^()]|\(([^()]|\([^()]*\))*\))*(ClockMHz|\bmem\b|mcfg|\.Now\(\)|TransferCycles|\.T(RCD|CAS|RP|Burst|RRD|FAW|REFI|RFC)\b)'
+! grep -rnE "$BARE" --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/(dram|sim)/' \
+    || { echo "a memory value is converted with a bare sim.Cycle( or sim.MemCycle(: cross with dram's ToPE or FromPE"; exit 1; }
 
-if [ -n "${EXHIBIT_BASE:-}" ]; then
-    echo "==> exhibits byte-equal to $EXHIBIT_BASE (-j 1 and default)"
-    EXH=$(mktemp -d)
-    for j in "-j 1" ""; do
-        rm -rf "$EXH/base" "$EXH/here"
+echo "==> exhibits byte-equal to results/${EXHIBIT_BASE:+ and $EXHIBIT_BASE} (-j 1 and default)"
+EXH=$(mktemp -d)
+for j in "-j 1" ""; do
+    rm -rf "$EXH/base" "$EXH/here"
+    # shellcheck disable=SC2086
+    go run ./cmd/fafnir-bench -out "$EXH/here" -format md $j > /dev/null
+    diff -r results "$EXH/here" \
+        || { rm -rf "$EXH"; echo "exhibits differ from results/ at '${j:-default -j}': re-record results/ only for a change that means to move a number"; exit 1; }
+    if [ -n "${EXHIBIT_BASE:-}" ]; then
         # shellcheck disable=SC2086
         (cd "$EXHIBIT_BASE" && go run ./cmd/fafnir-bench -out "$EXH/base" -format md $j > /dev/null)
-        # shellcheck disable=SC2086
-        go run ./cmd/fafnir-bench -out "$EXH/here" -format md $j > /dev/null
         diff -r "$EXH/base" "$EXH/here" \
             || { rm -rf "$EXH"; echo "exhibits differ from $EXHIBIT_BASE at '${j:-default -j}'"; exit 1; }
-    done
-    rm -rf "$EXH"
-fi
+    fi
+done
+rm -rf "$EXH"
+
 
 echo "==> coverage floor (internal packages >= ${COVER_FLOOR}%)"
 go test -cover ./internal/... | awk -v floor="$COVER_FLOOR" '

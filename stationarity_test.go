@@ -71,7 +71,7 @@ func TestSystemIsStationary(t *testing.T) {
 				last = c
 			}
 			t.Logf("call 1: %d cycles, call %d: %d cycles, %d accesses", first, stationarityLookups, last, accesses)
-			if err := oracle.Stationary(sys.mcfg, int(accesses), first, last, 200); err != nil {
+			if err := oracle.Stationary(sys.mcfg, int(accesses), first, last); err != nil {
 				t.Fatal(err)
 			}
 		})
