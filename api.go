@@ -252,6 +252,10 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 // TotalRows reports the number of embedding vectors in the system.
 func (s *System) TotalRows() uint64 { return s.layout.TotalRows() }
 
+// Store exposes the system's embedding store (for golden comparisons), as
+// Fleet.Store does a fleet's.
+func (s *System) Store() *embedding.Store { return s.store }
+
 // AttachRowSink hands the rows every subsequent Lookup reads to sink, once
 // per hardware batch, each under the index it was read for (nil detaches).
 // The rows are valid only during the call. The serving layer's hot-embedding

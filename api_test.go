@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"fafnir/internal/dram"
-	core "fafnir/internal/fafnir"
 	"fafnir/internal/header"
 )
 
@@ -259,14 +258,14 @@ func TestLookupCatchesCorruptOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		corrupted := false
-		core.GoldenCheckHook = func(_ int, got, _ []Vector) {
+		sys.engine.GoldenCheckHook = func(_ int, got, _ []Vector) {
 			if !corrupted {
 				got[0][0]++
 				corrupted = true
 			}
 		}
 		_, err = sys.Lookup(b)
-		core.GoldenCheckHook = nil
+		sys.engine.GoldenCheckHook = nil
 		if !errors.Is(err, ErrInvariantViolated) || !strings.Contains(err.Error(), "mismatches the golden reference") {
 			t.Fatalf("faults=%q: a corrupted output got past System.Lookup: err = %v", spec, err)
 		}

@@ -26,6 +26,12 @@ type Store struct {
 	totalRows uint64
 	dim       int
 	seed      uint64
+
+	// FillHook, when non-nil, is called with the index of every row the
+	// store synthesizes (Vector, VectorInto), on the goroutine that asked
+	// for it. It lets tests count how often a path reads each row; nothing
+	// in the program sets it.
+	FillHook func(idx header.Index)
 }
 
 // NewStore builds a store covering totalRows embedding vectors of dimension
@@ -75,18 +81,12 @@ func (s *Store) Element(idx header.Index, e int) float32 {
 	return float32(int64(h%17)) - 8
 }
 
-// FillHook, when non-nil, is called with the index of every row a store
-// synthesizes (Vector, VectorInto), on the goroutine that asked for it. It
-// lets tests in other packages count how often a path reads each row;
-// nothing in the program sets it.
-var FillHook func(idx header.Index)
-
 // fill materializes the vector at idx into dst, bit-identical to Element per
 // element, with the kernel chosen once at package init: fillAsm where the
 // CPU runs AVX-512 (haveAVX512), fillGo everywhere else.
 func (s *Store) fill(idx header.Index, dst tensor.Vector) {
-	if FillHook != nil {
-		FillHook(idx)
+	if s.FillHook != nil {
+		s.FillHook(idx)
 	}
 	if haveAVX512 {
 		fillAsm(dst, s.rowBase(idx))

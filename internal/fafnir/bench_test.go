@@ -10,54 +10,81 @@ import (
 	"fafnir/internal/tensor"
 )
 
-func benchInputs(b *testing.B, n int) ([]Entry, []Entry) {
+// benchLeaf stages the two rank streams of a one-leaf tree for a 16-query
+// Zipf hardware batch, on a scratch that is deliberately never released, so
+// they stay valid across iterations.
+func benchLeaf(b *testing.B) rankEntries {
 	b.Helper()
+	cfg := Default()
+	cfg.NumRanks = 2
+	cfg.VectorDim = 32
+	e, err := NewEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	gen, err := embedding.NewGenerator(embedding.GeneratorConfig{
-		NumQueries: n, QuerySize: 8, Rows: 4096, Dist: embedding.Zipf, ZipfS: 1.3, Seed: 1,
+		NumQueries: 16, QuerySize: 8, Rows: 4096, Dist: embedding.Zipf, ZipfS: 1.3, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bt := gen.Batch(tensor.OpSum)
-	plan := batch.Build(bt, true)
 	store := embedding.MustStore(4096, 32, 1)
-	var inA, inB []Entry
-	for i, acc := range plan.Accesses {
-		e := Entry{Value: store.MustVector(acc.Index), Header: acc.LeafHeader()}
-		if i%2 == 0 {
-			inA = append(inA, e)
-		} else {
-			inB = append(inB, e)
-		}
-	}
-	inA, _, err = SelfMerge(tensor.OpSum, inA)
+	in, err := e.leafInputs(e.getTreeScratch(), store, modBenchPlacement{ranks: 2, bytes: 128}, batch.Compile(gen.Batch(tensor.OpSum), true), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inB, _, err = SelfMerge(tensor.OpSum, inB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return inA, inB
+	return in
 }
 
+// BenchmarkProcessPE times the leaf PE's join of its two self-merged rank
+// streams, on a scratch whose arenas recycle every iteration.
 func BenchmarkProcessPE(b *testing.B) {
-	inA, inB := benchInputs(b, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ProcessPE(tensor.OpSum, inA, inB); err != nil {
+	in := benchLeaf(b)
+	src := &workScratch{}
+	src.begin(in.rows, in.classes)
+	inA, _, err := src.selfMerge(tensor.OpSum, in.byRank[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	inB, _, err := src.selfMerge(tensor.OpSum, in.byRank[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := &workScratch{}
+	join := func() {
+		ws.reset()
+		ws.begin(in.rows, in.classes)
+		if _, _, err := ws.processPE(tensor.OpSum, inA, inB); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkSelfMerge(b *testing.B) {
-	inA, _ := benchInputs(b, 16)
+	// Two calls grow the arenas and their free lists, which at -benchtime
+	// 1x the timed call would otherwise measure.
+	join()
+	join()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SelfMerge(tensor.OpSum, inA); err != nil {
+		join()
+	}
+}
+
+// BenchmarkSelfMerge times selfMerge of one rank stream, on a scratch whose
+// arenas recycle every iteration.
+func BenchmarkSelfMerge(b *testing.B) {
+	in := benchLeaf(b)
+	ws := &workScratch{}
+	merge := func() {
+		ws.reset()
+		ws.begin(in.rows, in.classes)
+		if _, _, err := ws.selfMerge(tensor.OpSum, in.byRank[0]); err != nil {
 			b.Fatal(err)
 		}
+	}
+	merge() // grows the arenas and their free lists, as in BenchmarkProcessPE
+	merge()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merge()
 	}
 }
 

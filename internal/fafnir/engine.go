@@ -61,6 +61,13 @@ type Engine struct {
 	rowSink RowSink
 	// spare is the lookup scratch between lookups (see takeLookupScratch).
 	spare atomic.Pointer[lookupScratch]
+
+	// GoldenCheckHook, when non-nil, is called on the consumer goroutine
+	// with each hardware batch's first query offset, its resolved outputs
+	// and the reference fold, just before they are compared. It lets tests
+	// corrupt an output, or inspect the fold, and see the check fire;
+	// nothing in the program sets it.
+	GoldenCheckHook func(start int, got, want []tensor.Vector)
 }
 
 // NewEngine builds an engine; it returns an error for invalid configurations.
@@ -348,9 +355,9 @@ func (e *Engine) leafInputs(sc *treeScratch, store *embedding.Store, layout Plac
 // The tree evaluates serially on the calling goroutine (see evalTree) and all
 // accounting folds in construction order below, so a pass is a pure function
 // of its leaf inputs no matter which goroutine ran it.
-func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, totals *PEStats, maxOcc *int, perPE []PEStats) ([]denseEntry, error) {
+func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, totals *PEStats, maxOcc *int, perPE []PEStats) (stream, error) {
 	if err := e.evalTree(op, in, sc); err != nil {
-		return nil, err
+		return stream{}, err
 	}
 
 	// flat is in construction order: leaves first, IDs ascending.
@@ -378,18 +385,21 @@ func (e *Engine) runTree(sc *treeScratch, op tensor.ReduceOp, in rankEntries, to
 // checkRootConservation is the always-on cheap invariant checker run on
 // every hardware batch's root outputs: each output must still carry query
 // accounting (a header that lost its query sets can never resolve), and each
-// complete output's index set must correspond to a batch query. Violations
-// mean the reduction tree corrupted header state and are reported as
-// structured fault.ErrInvariantViolated errors rather than silently dropping
-// queries.
+// complete output's index set must correspond to a batch query. An output
+// equal to the rows of a class it owes does (a class is a row set of the
+// batch's queries); only another complete output is matched against every
+// query. Violations mean the reduction tree corrupted header state and are
+// reported as structured fault.ErrInvariantViolated errors rather than
+// silently dropping queries.
 func checkRootConservation(plan *batch.Plan, classes *queryClasses, outputs []denseEntry) error {
 	n := len(plan.Batch().Queries)
-	for _, out := range outputs {
+	for i := range outputs {
+		out := &outputs[i]
 		if out.queries.Empty() {
 			return fmt.Errorf("fafnir: root output %v carries no query sets: %w",
 				plan.Rows.AppendIndices(nil, out.indices), fault.ErrInvariantViolated)
 		}
-		if !classes.complete(&out) {
+		if classes.answers(out) || !classes.complete(out) {
 			continue
 		}
 		qi := 0
@@ -405,42 +415,43 @@ func checkRootConservation(plan *batch.Plan, classes *queryClasses, outputs []de
 }
 
 // resolve maps complete root outputs back to query positions; global indices
-// are long gone, so an output is matched to the queries whose row set it
-// carries. It is the one place queries are resolved, so it also answers a
-// query with no indices — which reads nothing and owns no root output — with
-// the zero vector the reference implementations give it, and it ends with the
-// golden check of the batch's outputs (checkGolden). The outputs escape the
-// scratch, so each is copied into its query's window of the caller's slab.
+// are long gone, so the root's class chain does it: an output whose Indices
+// equal the rows of a class it owes answers that class's queries, and any
+// other output is a dead partial the root discards. It is the one place
+// queries are resolved, so it also answers a query with no indices — which
+// reads nothing and owns no root output — with the zero vector the reference
+// implementations give it, and it ends with the golden check of the batch's
+// outputs (checkGolden). The outputs escape the scratch, so each is copied
+// into its query's window of the caller's slab.
 func (e *Engine) resolve(p *funcPass, outs []tensor.Vector, slab *OutputSlab) error {
-	plan, qBase, classes := p.plan, p.start, &p.sc.ws.cls
-	if err := checkRootConservation(plan, classes, p.outputs); err != nil {
+	plan, qBase, classes, root := p.plan, p.start, &p.sc.ws.cls, p.outputs
+	if err := checkRootConservation(plan, classes, root.ents); err != nil {
 		return err
 	}
+	answer := slices.Grow(p.sc.answer[:0], len(classes.rows))[:len(classes.rows)]
+	for c := range answer {
+		answer[c] = -1
+	}
+	p.sc.answer = answer
+	for _, l := range root.chain {
+		if root.ents[l.ent].indices.Equal(classes.rows[l.class]) {
+			answer[l.class] = l.ent
+		}
+	}
 	sub := plan.Batch()
-	for _, out := range p.outputs {
-		if !classes.complete(&out) {
-			// Dead partial reduction (a query's chain that took a side
-			// branch); the root discards it.
+	for qi, q := range sub.Queries {
+		v := slab.Window(qBase + qi)
+		if q.Indices.Empty() {
+			clear(v)
+		} else if o := answer[p.sc.classOf[qi]]; o >= 0 {
+			copy(v, root.ents[o].value)
+			sub.Op.FinalizeMean(v, q.Indices.Len())
+		} else {
 			continue
 		}
-		for qi, q := range sub.Queries {
-			// An answered slot is a duplicate completion via another path.
-			if outs[qBase+qi] == nil && plan.QueryBits(qi).Equal(out.indices) {
-				v := slab.Window(qBase + qi)
-				copy(v, out.value)
-				sub.Op.FinalizeMean(v, q.Indices.Len())
-				outs[qBase+qi] = v
-			}
-		}
+		outs[qBase+qi] = v
 	}
-	for qi, q := range sub.Queries {
-		if q.Indices.Empty() {
-			v := slab.Window(qBase + qi)
-			clear(v)
-			outs[qBase+qi] = v
-		}
-	}
-	return checkGolden(outs[qBase:qBase+len(sub.Queries)], p.want, qBase)
+	return e.checkGolden(outs[qBase:qBase+len(sub.Queries)], p.want, qBase)
 }
 
 // readFaulted performs one vector read under fault injection: a dark primary
@@ -505,7 +516,7 @@ type funcPass struct {
 	plan     *batch.Plan     // the ring slot's own plan, recompiled for every pass the slot holds
 	sc       *treeScratch    // leased by run; released when the source moves on
 	want     []tensor.Vector // golden fold per query, taken before the tree ran; aliases sc.want
-	outputs  []denseEntry    // arena-backed; valid while sc is leased
+	outputs  stream          // the root's; arena-backed, valid while sc is leased
 	perPE    []PEStats       // aliases sc.perPE
 	totals   PEStats
 	maxOcc   int
@@ -666,7 +677,7 @@ func (p *funcPass) release(e *Engine) {
 		e.putTreeScratch(p.sc)
 		p.sc = nil
 		p.want = nil
-		p.outputs = nil
+		p.outputs = stream{}
 		p.perPE = nil
 	}
 }
@@ -863,7 +874,7 @@ func (e *Engine) TimedLookupInto(res *TimedResult, slab *OutputSlab, store *embe
 		rootDone := e.treeTiming(mem, leafReady, ready, p.perPE, inj, faulted)
 
 		// Root-to-host transfer of the completed outputs.
-		outBytes := len(p.outputs) * layout.VectorBytes()
+		outBytes := len(p.outputs.ents) * layout.VectorBytes()
 		xfer := mem.ToPE(mem.Config().TransferCycles(outBytes))
 
 		// Trace emission happens here, in the serial timed loop, so the

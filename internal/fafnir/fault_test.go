@@ -270,14 +270,18 @@ func TestRootConservationChecker(t *testing.T) {
 		return b
 	}
 	// One query class, of the three lowest rows.
-	classes := queryClasses{rows: []header.Bitset{first(3)}, one: []uint64{1}, k: 1}
+	classes := queryClasses{rows: []header.Bitset{first(3)}, k: 1}
 	noQueries := []denseEntry{{indices: first(1)}}
 	if err := checkRootConservation(plan, &classes, noQueries); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("query-less root output accepted: %v", err)
 	}
 
-	// No query of the batch is exactly its three lowest rows.
-	phantom := []denseEntry{{indices: first(3), queries: classes.single(0)}}
+	// No query of the batch is exactly its three lowest rows: an output of
+	// them is complete for a class of two of them, but answers no query. (An
+	// output equal to the rows of a class it owes answers that class, since
+	// classes are the batch's query row sets.)
+	classes = queryClasses{rows: []header.Bitset{first(2)}, k: 1}
+	phantom := []denseEntry{{indices: first(3), queries: header.Bitset{1}}}
 	if err := checkRootConservation(plan, &classes, phantom); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("phantom complete output accepted: %v", err)
 	}

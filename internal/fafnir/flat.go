@@ -64,21 +64,17 @@ func (e *Engine) evalTree(op tensor.ReduceOp, in rankEntries, sc *treeScratch) e
 // scratch's arena.
 func (e *Engine) evalFlatNode(op tensor.ReduceOp, id int32, in rankEntries, sc *treeScratch) error {
 	n := &e.flat[id]
-	var inA, inB []denseEntry
+	var inA, inB stream
 	if n.leaf {
-		inA = gatherRanks(&sc.ws, in, n.ranksA)
-		inB = gatherRanks(&sc.ws, in, n.ranksB)
 		// Serially merge co-query entries arriving on the same input
 		// stream (see selfMerge); required whenever a query holds two
 		// indices on one rank.
 		var stA, stB PEStats
 		var err error
-		inA, stA, err = sc.ws.selfMerge(op, inA)
-		if err != nil {
+		if inA, stA, err = sc.ws.selfMerge(op, gatherRanks(&sc.ws, in, n.ranksA)); err != nil {
 			return fmt.Errorf("fafnir: PE %d input A: %w", id, err)
 		}
-		inB, stB, err = sc.ws.selfMerge(op, inB)
-		if err != nil {
+		if inB, stB, err = sc.ws.selfMerge(op, gatherRanks(&sc.ws, in, n.ranksB)); err != nil {
 			return fmt.Errorf("fafnir: PE %d input B: %w", id, err)
 		}
 		stA.Add(stB)

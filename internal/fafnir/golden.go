@@ -19,13 +19,6 @@ import (
 // float32, so the tree's sums are exact in any association order and the
 // comparison can be exact.
 
-// GoldenCheckHook, when non-nil, is called on the consumer goroutine with each
-// hardware batch's first query offset, its resolved outputs and the reference
-// fold, just before they are compared. It lets tests in other packages
-// corrupt an output, or inspect the fold, and see the check fire; nothing in
-// the program sets it.
-var GoldenCheckHook func(start int, got, want []tensor.Vector)
-
 // foldGolden folds every query of the pass's hardware batch with
 // embedding.Query.Fold, the reference's one reduction, into accumulators
 // carved from the scratch's value arena. A query's indices ascend and so do
@@ -74,9 +67,9 @@ func foldGolden(sc *treeScratch, store *embedding.Store, plan *batch.Plan) ([]te
 // conservation: every resolved output of a hardware batch (got, starting at
 // batch query qBase) must equal its pass's reference fold exactly. A query
 // left unanswered is TimedLookup's to report.
-func checkGolden(got, want []tensor.Vector, qBase int) error {
-	if GoldenCheckHook != nil {
-		GoldenCheckHook(qBase, got, want)
+func (e *Engine) checkGolden(got, want []tensor.Vector, qBase int) error {
+	if e.GoldenCheckHook != nil {
+		e.GoldenCheckHook(qBase, got, want)
 	}
 	for qi, w := range want {
 		if got[qi] != nil && !got[qi].Equal(w) {

@@ -10,18 +10,16 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// corruptOneOutput arms GoldenCheckHook to change one element of the first
-// resolved output it is shown, and disarms it when the test ends.
-func corruptOneOutput(t *testing.T) {
-	t.Helper()
+// corruptOneOutput arms e's GoldenCheckHook to change one element of the
+// first resolved output it is shown.
+func corruptOneOutput(e *Engine) {
 	done := false
-	GoldenCheckHook = func(_ int, got, _ []tensor.Vector) {
+	e.GoldenCheckHook = func(_ int, got, _ []tensor.Vector) {
 		if !done {
 			got[0][0]++
 			done = true
 		}
 	}
-	t.Cleanup(func() { GoldenCheckHook = nil })
 }
 
 // TestGoldenCheckCatchesCorruptOutput corrupts one element of one resolved
@@ -67,7 +65,7 @@ func TestGoldenCheckCatchesCorruptOutput(t *testing.T) {
 			if err := tc.run(e); err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
-			corruptOneOutput(t)
+			corruptOneOutput(e)
 			err = tc.run(e)
 			if !errors.Is(err, fault.ErrInvariantViolated) || !strings.Contains(err.Error(), "mismatches the golden reference") {
 				t.Fatalf("a corrupted output got past the golden check: err = %v", err)
@@ -80,7 +78,7 @@ func TestGoldenCheckCatchesCorruptOutput(t *testing.T) {
 					t.Fatalf("the failed lookup left ring slot %d signalled", i)
 				}
 			}
-			GoldenCheckHook = nil
+			e.GoldenCheckHook = nil
 			for range 3 {
 				if err := tc.run(e); err != nil {
 					t.Fatalf("clean run after the failed one: %v", err)

@@ -11,8 +11,9 @@ import (
 
 // This file is the PE unit tests' harness: it states a PE's inputs and
 // outputs in sorted-slice form (Entry, over global indices) and runs the
-// engine's own processPE and selfMerge on them. The engine itself only ever
-// runs them on dense entries, inside runTree.
+// engine's own processPE and selfMerge on them, or the referee's
+// (referee_test.go). The engine itself only ever runs them on dense entries,
+// inside runTree.
 
 // Entry is one value in flight through the tree in sorted-slice form: the
 // (partially reduced) embedding data and its header.
@@ -36,23 +37,64 @@ func hasQuery(h header.Header, q header.IndexSet) bool {
 	return slices.ContainsFunc(h.Queries, q.Equal)
 }
 
-// ProcessPE is processPE on sorted-slice entries (see viaDense).
+// ProcessPE is processPE, the class-chain join, on sorted-slice entries (see
+// viaDense). Each input's chain links every class its entries owe, which is
+// the stream the tree would give it when one entry owes each class.
 func ProcessPE(op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error) {
 	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
-		return ws.processPE(op, in[0], in[1])
+		out, st, err := ws.processPE(op, chainOf(ws, in[0]), chainOf(ws, in[1]))
+		return out.ents, st, err
 	}, inA, inB)
 }
 
 // SelfMerge is selfMerge on one sorted-slice stream (see viaDense).
 func SelfMerge(op tensor.ReduceOp, entries []Entry) ([]Entry, PEStats, error) {
 	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
-		return ws.selfMerge(op, in[0])
+		out, st, err := ws.selfMerge(op, in[0])
+		return out.ents, st, err
 	}, entries)
 }
 
+// RefProcessPE is the referee's processPE on sorted-slice entries.
+func RefProcessPE(op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error) {
+	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
+		return newReferee(ws).processPE(op, in[0], in[1])
+	}, inA, inB)
+}
+
+// RefSelfMerge is the referee's selfMerge on one sorted-slice stream.
+func RefSelfMerge(op tensor.ReduceOp, entries []Entry) ([]Entry, PEStats, error) {
+	return viaDense(func(ws *workScratch, in [][]denseEntry) ([]denseEntry, PEStats, error) {
+		return newReferee(ws).selfMerge(op, in[0])
+	}, entries)
+}
+
+// peImpl is one implementation of the PE, for unit tests whose inputs the
+// tree can produce: they run against the join and the referee alike.
+type peImpl struct {
+	name      string
+	processPE func(op tensor.ReduceOp, inA, inB []Entry) ([]Entry, PEStats, error)
+	selfMerge func(op tensor.ReduceOp, entries []Entry) ([]Entry, PEStats, error)
+}
+
+var pes = []peImpl{{"join", ProcessPE, SelfMerge}, {"referee", RefProcessPE, RefSelfMerge}}
+
+// chainOf is the class chain of in: a link from every class an entry owes to
+// that entry, classes ascending.
+func chainOf(ws *workScratch, in []denseEntry) stream {
+	var chain []link
+	for c := range ws.cls.rows {
+		for i := range in {
+			if in[i].owes(c) {
+				chain = append(chain, link{class: int32(c), ent: int32(i)})
+			}
+		}
+	}
+	return stream{ents: in, chain: chain}
+}
+
 // namedPool recycles the list of every index a viaDense call's inputs
-// mention, so BenchmarkProcessPE and BenchmarkSelfMerge count only the PE's
-// own allocations and the conversion out.
+// mention.
 var namedPool = sync.Pool{New: func() any { return new([]header.Index) }}
 
 // viaDense runs one PE unit on sorted-slice entries: the indices the input

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,27 +13,29 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// peSnapshot renders PE outputs exactly: order, both header fields and the
-// value bits.
-func peSnapshot(out []denseEntry) string {
+// peSnapshot renders a PE output stream exactly: the entries in order, both
+// header fields and the value bits, and the class chain.
+func peSnapshot(out stream) string {
 	var b strings.Builder
-	for _, e := range out {
+	for _, e := range out.ents {
 		fmt.Fprintf(&b, "%x %x", e.indices, e.queries)
 		for _, v := range e.value {
 			fmt.Fprintf(&b, " %08x", math.Float32bits(v))
 		}
 		b.WriteByte('\n')
 	}
+	fmt.Fprintln(&b, out.chain)
 	return b.String()
 }
 
 // TestPEOrderFree pins that a PE's result does not depend on the order its
 // input streams arrive in: every PE of the tree is rerun on seeded
 // permutations of its inputs — a leaf's rank streams before selfMerge and
-// the merged streams before processPE, an internal PE's children's outputs —
-// and must give the same outputs, in the same order and to the bit, with the
-// same PEStats. Batches are the Fig. 6 example and random uniform and Zipf
-// hardware batches.
+// the merged streams before processPE, an internal PE's children's outputs,
+// each stream's chain following its entries — and must give the same
+// outputs, in the same order (that of the least class each owes) and to the
+// bit, with the same class chain and the same PEStats. Batches are the Fig. 6
+// example and random uniform and Zipf hardware batches.
 func TestPEOrderFree(t *testing.T) {
 	type run struct {
 		name   string
@@ -74,11 +77,24 @@ func TestPEOrderFree(t *testing.T) {
 				}
 				return out
 			}
+			// shuffleStream permutes a stream's entries and relinks its chain.
+			shuffleStream := func(s stream) stream {
+				perm := rng.Perm(len(s.ents))
+				out := stream{ents: make([]denseEntry, len(s.ents)), chain: slices.Clone(s.chain)}
+				at := make([]int32, len(perm))
+				for i, j := range perm {
+					out.ents[i], at[j] = s.ents[j], int32(i)
+				}
+				for i := range out.chain {
+					out.chain[i].ent = at[out.chain[i].ent]
+				}
+				return out
+			}
 			for id := range r.e.flat {
 				n := &r.e.flat[id]
 				want := peSnapshot(sc.memo[id])
 				for perm := 0; perm < 4; perm++ {
-					var inA, inB []denseEntry
+					var inA, inB stream
 					if n.leaf {
 						var self PEStats
 						for side, ranks := range [][]int{n.ranksA, n.ranksB} {
@@ -102,7 +118,7 @@ func TestPEOrderFree(t *testing.T) {
 							inB = sc.memo[n.right]
 						}
 					}
-					out, st, err := ws.processPE(r.b.Op, shuffle(inA), shuffle(inB))
+					out, st, err := ws.processPE(r.b.Op, shuffleStream(inA), shuffleStream(inB))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package fafnir
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,8 +13,8 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// TestPartnerProbeMatchesScan is the differential test of processPE's
-// exact-partner rule: every PE of every batch below is rerun on the inputs the
+// TestPartnerProbeMatchesScan is the differential test of the referee
+// processPE's exact-partner rule: every PE of every batch below is rerun on the inputs the
 // tree gave it, and for every class every entry owes, in both directions, the
 // probe must pick the very entry the comparator scan (scanPartner) picks on
 // the remaining set, the class's rows minus the entry's Indices. The batches
@@ -48,21 +49,22 @@ func TestPartnerProbeMatchesScan(t *testing.T) {
 		if err := e.evalTree(b.Op, in, sc); err != nil {
 			t.Fatal(err)
 		}
-		ws := &sc.ws
+		ws := newReferee(&sc.ws)
 		for id := range e.flat {
 			n := &e.flat[id]
 			var inA, inB []denseEntry
 			if n.leaf {
-				if inA, _, err = ws.selfMerge(b.Op, gatherRanks(ws, in, n.ranksA)); err != nil {
+				if inA, _, err = ws.selfMerge(b.Op, gatherRanks(&sc.ws, in, n.ranksA)); err != nil {
 					t.Fatal(err)
 				}
-				if inB, _, err = ws.selfMerge(b.Op, gatherRanks(ws, in, n.ranksB)); err != nil {
+				if inB, _, err = ws.selfMerge(b.Op, gatherRanks(&sc.ws, in, n.ranksB)); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				inA = sc.memo[n.left]
+				// The join's outputs: as sets, the referee's (TestPEMatchesReferee).
+				inA = sc.memo[n.left].ents
 				if n.right >= 0 {
-					inB = sc.memo[n.right]
+					inB = sc.memo[n.right].ents
 				}
 			}
 			for _, sides := range [2][2][]denseEntry{{inA, inB}, {inB, inA}} {
@@ -80,7 +82,7 @@ func TestPartnerProbeMatchesScan(t *testing.T) {
 						if got != want {
 							t.Fatalf("PE %d: remaining set %v of %v: probe %v, scan %v", id,
 								ws.rows.AppendIndices(nil, qs), ws.rows.AppendIndices(nil, e.indices),
-								partnerString(ws, got), partnerString(ws, want))
+								partnerString(&sc.ws, got), partnerString(&sc.ws, want))
 						}
 						if got == nil {
 							forwards++
@@ -151,7 +153,7 @@ func TestGroupMatchesCanon(t *testing.T) {
 	halfFull := 0
 	for trial := range 60 {
 		rows := 64 + rng.Intn(2*64)
-		ws := &workScratch{}
+		ws := newReferee(&workScratch{})
 		ws.begin(make(header.Dense, rows), queryClasses{})
 		n := 1 << (1 + rng.Intn(6))
 		distinct := n
@@ -207,11 +209,11 @@ func TestGroupMatchesCanon(t *testing.T) {
 	}
 }
 
-// TestByClassMatchesGroup pins selfMerge's class grouping to the grouping it
-// replaced: group over every (entry, class) pair's full query, the class's
-// rows, with the pairs listed in canon order. On every leaf stream of seeded
-// random batches, shuffled, byClass must list the same pairs and give the
-// same heads in the same order and the same member chains. The batches repeat
+// TestByClassMatchesGroup pins the referee selfMerge's class grouping to the
+// grouping it replaced: group over every (entry, class) pair's full query, the
+// class's rows, with the pairs listed in canon order. On every leaf stream of
+// seeded random batches, shuffled, byClass must list the same pairs and give
+// the same heads (group's, put in class order) and the same member chains. The batches repeat
 // some queries verbatim (several queries in one class), run with and without
 // deduplication (a non-dedup stream holds duplicate reads of one row), and
 // run at B = 96 as well as B = 16, so that class fields span two words.
@@ -240,8 +242,8 @@ func TestByClassMatchesGroup(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ws := &sc.ws
-					ws.begin(in.rows, in.classes)
+					sc.ws.begin(in.rows, in.classes)
+					ws := newReferee(&sc.ws)
 					if in.classes.k > 1 {
 						wide++
 					}
@@ -253,7 +255,7 @@ func TestByClassMatchesGroup(t *testing.T) {
 						for _, ranks := range [][]int{n.ranksA, n.ranksB} {
 							// Leaf streams arrive in canonical order; shuffled,
 							// they are the random streams selfMerge must take.
-							stream := slices.Clone(gatherRanks(ws, in, ranks))
+							stream := slices.Clone(gatherRanks(&sc.ws, in, ranks))
 							rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
 							heads, next := ws.byClass(stream)
 							heads, next = slices.Clone(heads), slices.Clone(next)
@@ -278,7 +280,10 @@ func TestByClassMatchesGroup(t *testing.T) {
 									t.Fatalf("B=%d %v/%d dedup=%v PE %d: pair %d owes another class", capacity, dist, seed, dedup, id, p)
 								}
 							}
+							// group lists the classes in the canonical order of
+							// their rows, byClass in class order.
 							wantHeads, wantNext := ws.group(sets)
+							slices.SortFunc(wantHeads, func(a, b uint64) int { return cmp.Compare(ws.class[a], ws.class[b]) })
 							if len(heads) != len(wantHeads) {
 								t.Fatalf("B=%d %v/%d dedup=%v PE %d: %d classes, group has %d", capacity, dist, seed, dedup, id, len(heads), len(wantHeads))
 							}

@@ -1,15 +1,16 @@
 package fafnir
 
-// This file holds the PE: processPE, selfMerge and the merge unit's fold, on
-// the engine's working form of an in-flight value, denseEntry, whose header
-// fields are header.Bitset words, the Indices field over the hardware batch's
-// dense rows and the Queries field over its query classes. A PE derives each
-// remaining set from a class's rows and finds its partner with one hash probe,
-// the merge unit groups equal sets with one hash pass (setTable and group, in
-// arena.go), and a reduce combines values only for the outputs that survive
-// the merge, so a PE's host cost follows the entries it outputs.
-// docs/ARCHITECTURE.md section 3 says where dense rows and classes come from
-// and why any order that groups equal sets will do.
+// This file holds the PE: selfMerge and processPE, on the engine's working
+// form of an in-flight value, denseEntry, whose header fields are
+// header.Bitset words — the Indices field over the hardware batch's dense
+// rows, the Queries field over its query classes — gathered into streams,
+// which carry a class chain beside their entries. The tree keeps one
+// invariant (docs/ARCHITECTURE.md section 3): a subtree emits exactly one
+// entry per query class it holds rows of. A stream's chain, one link per
+// class it owes in ascending class order, is therefore its class → entry
+// table, and a PE joins its two children's tables class by class: no header
+// set is hashed, probed or sorted, and a reduce combines values once per
+// distinct output.
 
 import (
 	"fmt"
@@ -69,21 +70,24 @@ func (e *denseEntry) owes(c int) bool {
 	return c>>6 < len(e.queries) && e.queries[c>>6]&(1<<(c&63)) != 0
 }
 
-// queryClasses is the class table of one hardware batch. A query class is the
-// set of the batch's queries that share one row set; the classes are numbered
-// in the canonical order of their row sets (header.Bitset.Compare), so a
-// Queries field's members ascend in the order the merge unit would sort their
-// remaining sets in (removing the Indices both share moves no set past
-// another).
-type queryClasses struct {
-	rows []header.Bitset // class -> its row set
-	one  []uint64        // class c's singleton Queries field, at [c*k, (c+1)*k)
-	k    int             // the length of every Queries field
+// link ties a query class to the position of the stream entry owing it.
+type link struct{ class, ent int32 }
+
+// stream is one PE input or output: its entries and its class chain, one
+// link per class the stream owes, classes ascending. Each class is owed by
+// exactly one entry (the tree invariant), so the chain is the stream's
+// class → entry table. Both slices are carved from the scratch's arenas.
+type stream struct {
+	ents  []denseEntry
+	chain []link
 }
 
-// single is the Queries field naming class c alone.
-func (qc *queryClasses) single(c int) header.Bitset {
-	return qc.one[c*qc.k : (c+1)*qc.k : (c+1)*qc.k]
+// queryClasses is the class table of one hardware batch. A query class is the
+// set of the batch's queries that share one row set; the classes are numbered
+// in the order their row sets first appear among the batch's queries.
+type queryClasses struct {
+	rows []header.Bitset // class -> its row set
+	k    int             // the length of every Queries field
 }
 
 // complete reports whether e is a finished reduction (Header.Complete): some
@@ -99,239 +103,191 @@ func (qc *queryClasses) complete(e *denseEntry) bool {
 	return false
 }
 
-// classify numbers the distinct sets of rows as query classes, in canonical
-// order, and records the class of rows[i] in classOf[i]. The table's rows alias
-// the sets passed in; its singleton fields are carved from the arena.
-func (ws *workScratch) classify(rows []header.Bitset, classOf []int32) queryClasses {
-	heads, next := ws.group(rows)
-	qc := queryClasses{rows: ws.classRows[:0], k: max(1, (len(heads)+63)/64)}
-	qc.one = ws.words.alloc(len(heads) * qc.k)
-	clear(qc.one)
-	for c, h := range heads {
-		qc.rows = append(qc.rows, rows[h])
-		header.Bitset(qc.one[c*qc.k:]).Set(c)
-		for p := int32(h); p >= 0; p = next[p] {
-			classOf[p] = int32(c)
+// answers reports whether e's Indices equal the rows of a class it owes: e
+// is that class's finished reduction, and answers its queries.
+func (qc *queryClasses) answers(e *denseEntry) bool {
+	for i, w := range e.queries {
+		for ; w != 0; w &= w - 1 {
+			if e.indices.Equal(qc.rows[i<<6|bits.TrailingZeros64(w)]) {
+				return true
+			}
 		}
 	}
-	ws.classRows = qc.rows
+	return false
+}
+
+// topRow is one past the highest row of b, 0 for the empty set. Equal sets
+// share it, so it buckets sets for an equality search; the highest rather
+// than the lowest row, since the lowest indices are a skewed batch's hottest.
+func topRow(b header.Bitset) int32 {
+	for i := len(b) - 1; i >= 0; i-- {
+		if w := b[i]; w != 0 {
+			return int32(i<<6 + bits.Len64(w))
+		}
+	}
+	return 0
+}
+
+// negs returns s resized to n with every element -1, relying on what s
+// holds already being -1 (the state its users restore).
+func negs(s []int32, n int) []int32 {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	s = slices.Grow(s[:0], n)
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = -1
+	}
+	return s[:n]
+}
+
+// classify numbers the distinct sets of rows as query classes, in order of
+// first appearance, and records the class of rows[i] in classOf[i]. A set is
+// compared only with the classes whose rows end on the same row (topRow).
+// The table's rows alias the sets passed in.
+func (ws *workScratch) classify(rows []header.Bitset, classOf []int32) queryClasses {
+	qc := queryClasses{rows: ws.classRows[:0]}
+	prev := ws.classPrev[:0] // class -> the class before it in its bucket
+	if len(rows) > 0 {
+		ws.byTop = negs(ws.byTop, 64*len(rows[0])+1)
+	}
+	for i, s := range rows {
+		t := topRow(s)
+		c := ws.byTop[t]
+		for c >= 0 && !qc.rows[c].Equal(s) {
+			c = prev[c]
+		}
+		if c < 0 {
+			c = int32(len(qc.rows))
+			qc.rows, prev = append(qc.rows, s), append(prev, ws.byTop[t])
+			ws.byTop[t] = c
+		}
+		classOf[i] = c
+	}
+	for _, s := range qc.rows {
+		ws.byTop[topRow(s)] = -1
+	}
+	qc.k = max(1, (len(qc.rows)+63)/64)
+	ws.classRows, ws.classPrev = qc.rows, prev
 	return qc
 }
 
-// fold is the merge unit: raw PE outputs sharing an Indices set collapse into
-// one entry whose Queries field is the union of theirs, and the result is in
-// canonical Indices order — the step that makes PE evaluation deterministic
-// regardless of input order.
-//
-// group's order keeps arrival order within a group, so the group's
-// representative value is the first-arriving one (every member carries the
-// same reduction). Members share their Indices, so each class they owe, they
-// owe the same remaining set: the union of their Queries fields is the deduped
-// union of their remaining sets. Distinct groups carry distinct Indices sets,
-// so the order of the outputs is unique.
-//
-// A raw output whose reduce action is still pending (pend, aligned with raw
-// and nil for a stream with none pending) carries its own value and, in pend,
-// the partner's: only a representative's is combined, since the other members'
-// values are dropped anyway.
-func (ws *workScratch) fold(op tensor.ReduceOp, raw []denseEntry, pend []tensor.Vector, stats *PEStats) ([]denseEntry, error) {
-	heads, next := ws.group(ws.indicesOf(raw))
-	out := ws.ents.alloc(len(heads))[:0]
-	for _, h := range heads {
-		out = append(out, raw[h])
-		if pend != nil && pend[h] != nil {
-			v := tensor.Vector(ws.vals.alloc(len(raw[h].value)))
-			if err := op.ApplyTo(v, raw[h].value, pend[h]); err != nil {
-				return nil, fmt.Errorf("fafnir: reduce value: %w", err)
-			}
-			out[len(out)-1].value = v
-		}
-		if next[h] < 0 {
-			continue
-		}
-		list := header.Bitset(ws.words.alloc(ws.cls.k))
-		clear(list)
-		members := 0
-		for p := int32(h); p >= 0; p = next[p] {
-			if qs := raw[p].queries; len(qs) > 0 {
-				list.Or(list, qs)
-			}
-			members++
-		}
-		stats.MergedDuplicates += members - 1
-		out[len(out)-1].queries = list
-	}
-	stats.Outputs = len(out)
-	return out, nil
+// start empties the output buffers for a PE call.
+func (ws *workScratch) start() {
+	ws.out, ws.rec, ws.chain = ws.out[:0], ws.rec[:0], ws.chain[:0]
+}
+
+// emit appends an output of value and indices that owes no class yet, with
+// its bucket record (a key and the next output in the key's bucket), and
+// returns its position.
+func (ws *workScratch) emit(value tensor.Vector, indices header.Bitset, key, next int32) int32 {
+	qs := header.Bitset(ws.words.alloc(ws.cls.k))
+	clear(qs)
+	o := len(ws.out)
+	ws.out = append(ws.out, denseEntry{})
+	e := &ws.out[o] // filled in place: a composite literal would bounce through the stack
+	e.value, e.indices, e.queries = value, indices, qs
+	ws.rec = append(ws.rec, bucketRec{key: key, next: next})
+	return int32(o)
+}
+
+// owe makes output o owe class c and links c to it.
+func (ws *workScratch) owe(o, c int32) {
+	ws.out[o].queries.Set(int(c))
+	ws.chain = append(ws.chain, link{class: c, ent: o})
+}
+
+// finish copies the outputs emitted since start into the arena as a stream,
+// and records their count in st.
+func (ws *workScratch) finish(st *PEStats) stream {
+	s := stream{ents: ws.ents.alloc(len(ws.out)), chain: ws.links.alloc(len(ws.chain))}
+	copy(s.ents, ws.out)
+	copy(s.chain, ws.chain)
+	st.Outputs = len(s.ents)
+	return s
 }
 
 // processPE runs the functional semantics of one PE over its two input
-// buffers (Section IV-B/IV-C). For every entry and every query class in its
-// Queries field, the hardware's compute units compare the class's remaining
-// set against the indices field of every entry of the opposite input, and
-// PEStats charges those compares:
+// streams (Section IV-B/IV-C), by walking both class chains in ascending
+// class order:
 //
-//   - when opposite entries are covered by the set, the value is reduced
-//     with the *maximal* covered entry — the opposite subtree's complete
-//     partial reduction for that query — producing the unioned indices, which
-//     owe the class the rest;
-//   - when no opposite entry is covered, the class is forwarded;
-//   - a class whose remaining set is already empty (a fully reduced query
-//     travelling to the root) always forwards.
+//   - a class both inputs owe is a reduce: the hardware compares the
+//     class's remaining set against every opposite entry and reduces with
+//     the maximal covered one, which by the tree invariant is the opposite
+//     input's entry owing the class. Both directions reduce (the merge unit
+//     drops the mirror), and one output per distinct (A entry, B entry) pair
+//     carries the unioned Indices and every class the pair reduces for;
+//   - a class one input owes is a forward: each forwarding entry leaves as
+//     one output owing all the classes it forwards.
 //
-// The merge unit (fold) then removes duplicate outputs (the same reduction
-// reached from both input directions) and folds outputs sharing an Indices set
-// into one entry with united Queries fields. A reduce action's values are
-// combined there, for the surviving output only. Two kinds of raw output are
-// folded before they are made, and the folds they save are charged to
-// MergedDuplicates, so every PEStats count is the per-class model's: an
-// entry's forwarded classes leave as one raw output carrying all of them, and
-// a reduce of the second input that mirrors one of the first (mirrored) is not
-// emitted again.
+// Outputs come out in the order of the least class they owe, whatever order
+// the inputs arrived in. PEStats charges the per-class model exactly: with
+// CA and CB the classes the inputs owe,
 //
-// Reducing with the maximal covered entry rather than every covered entry is
-// what keeps each query's reduction a single chain through the tree. The host
-// finds that entry without the compares, by an exact-partner rule that rests
-// on an inductive invariant of the tree: each subtree emits exactly one entry
-// covering all of a query's indices within that subtree, and fold makes every
-// input's Indices sets distinct. The partner of a remaining set is therefore
-// the one opposite entry whose Indices equal the set's intersection with the
-// union of the opposite input's Indices; an empty intersection, or no entry
-// holding it, means the class forwards. One probe of a setTable indexing the
-// opposite input finds it.
+//	Compares         = |CA|·|B| + |CB|·|A|
+//	Reduces          = 2·|CA∩CB|
+//	Forwards         = |CA△CB|
+//	MergedDuplicates = |CA∩CB| + Σ(classes − 1) over outputs
 //
-// Every action allocates from the scratch's arenas, so the returned entries
-// are valid only while the scratch is.
-func (ws *workScratch) processPE(op tensor.ReduceOp, inA, inB []denseEntry) ([]denseEntry, PEStats, error) {
-	stats := PEStats{InA: len(inA), InB: len(inB)}
-	raw, pend := ws.raw[:0], ws.pend[:0]
-	fwd := ws.fwd
-	process := func(side, opp []denseEntry, second bool) {
-		ws.index(opp)
-		for i := range side {
-			e := &side[i]
-			if e.queries.Empty() {
-				// Nothing owed by any query: pass through untouched.
-				stats.Forwards++
-				raw, pend = append(raw, *e), append(pend, nil)
-				continue
-			}
-			clear(fwd)
-			n, nf := 0, 0
-			for j, w := range e.queries {
-				for ; w != 0; w &= w - 1 {
-					c := j<<6 | bits.TrailingZeros64(w)
-					n++
-					// One compare per opposite entry, charged whether or not
-					// the comparator can stop early (PE timing reads this
-					// count).
-					stats.Compares += len(opp)
-					best := ws.partner(e, c, opp)
-					if best == nil {
-						fwd.Set(c)
-						nf++
-						continue
-					}
-					// The value is combined in fold, once per distinct output.
-					stats.Reduces++
-					if second && ws.mirrored(e, c, best) {
-						stats.MergedDuplicates++
-						continue
-					}
-					raw = append(raw, denseEntry{value: e.value, indices: ws.or(e.indices, best.indices), queries: ws.cls.single(c)})
-					pend = append(pend, best.value)
-				}
-			}
-			if nf == 0 {
-				continue
-			}
-			stats.Forwards += nf
-			stats.MergedDuplicates += nf - 1
-			qs := e.queries
-			if nf < n {
-				qs = header.Bitset(ws.words.alloc(ws.cls.k))
-				copy(qs, fwd)
-			}
-			raw, pend = append(raw, denseEntry{value: e.value, indices: e.indices, queries: qs}), append(pend, nil)
+// — the mirrors, and the raw outputs each output's extra classes would have
+// made. An entry owing no class has no link and leaves nothing. Every action
+// allocates from the scratch's arenas, so the returned stream is valid only
+// while the scratch is.
+func (ws *workScratch) processPE(op tensor.ReduceOp, a, b stream) (stream, PEStats, error) {
+	na, nb := len(a.ents), len(b.ents)
+	st := PEStats{InA: na, InB: nb, Compares: len(a.chain)*nb + len(b.chain)*na}
+	ws.start()
+	// Per input entry: its forward output, and for an A entry the latest of
+	// its pair outputs (rec chains the rest by B partner).
+	ws.slots = slices.Grow(ws.slots[:0], 2*na+nb)[:2*na+nb]
+	for i := range ws.slots {
+		ws.slots[i] = -1
+	}
+	fwdA, fwdB, pairs := ws.slots[:na], ws.slots[na:na+nb], ws.slots[na+nb:]
+	forward := func(slot *int32, e *denseEntry) int32 {
+		st.Forwards++
+		if *slot < 0 {
+			*slot = ws.emit(e.value, e.indices, -1, -1)
+		} else {
+			st.MergedDuplicates++
 		}
+		return *slot
 	}
-	process(inA, inB, false)
-	// The first pass's opposite union, inB's, is what mirrored tests against.
-	copy(ws.probe[2*ws.k:], ws.probe[:ws.k])
-	process(inB, inA, true)
-	ws.raw, ws.pend = raw, pend
-	out, err := ws.fold(op, raw, pend, &stats)
-	return out, stats, err
-}
-
-// index builds processPE's partner index over one input: a setTable from
-// each entry's Indices to its position, and the union of all of them. Input
-// Indices are distinct (see processPE); a duplicate would keep its first
-// position.
-func (ws *workScratch) index(in []denseEntry) {
-	keys := ws.indicesOf(in)
-	ws.table.reset(len(keys))
-	ws.probe = slices.Grow(ws.probe[:0], 3*ws.k)[:3*ws.k]
-	union := header.Bitset(ws.probe[:ws.k])
-	clear(union)
-	for i, s := range keys {
-		if slot := ws.table.find(s, keys); *slot == 0 {
-			*slot = int32(i) + 1
+	for i, j := 0, 0; i < len(a.chain) || j < len(b.chain); {
+		var c, o int32
+		switch {
+		case j == len(b.chain) || i < len(a.chain) && a.chain[i].class < b.chain[j].class:
+			l := a.chain[i]
+			c, o = l.class, forward(&fwdA[l.ent], &a.ents[l.ent])
+			i++
+		case i == len(a.chain) || b.chain[j].class < a.chain[i].class:
+			l := b.chain[j]
+			c, o = l.class, forward(&fwdB[l.ent], &b.ents[l.ent])
+			j++
+		default:
+			la, lb := a.chain[i], b.chain[j]
+			c = la.class
+			i, j = i+1, j+1
+			st.Reduces += 2
+			st.MergedDuplicates++
+			for o = pairs[la.ent]; o >= 0 && ws.rec[o].key != lb.ent; o = ws.rec[o].next {
+			}
+			if o >= 0 {
+				st.MergedDuplicates++
+				break
+			}
+			ea, eb := &a.ents[la.ent], &b.ents[lb.ent]
+			v := tensor.Vector(ws.vals.alloc(len(ea.value)))
+			if err := op.ApplyTo(v, ea.value, eb.value); err != nil {
+				return stream{}, st, fmt.Errorf("fafnir: reduce value: %w", err)
+			}
+			o = ws.emit(v, ws.or(ea.indices, eb.indices), lb.ent, pairs[la.ent])
+			pairs[la.ent] = o
 		}
-		union.Or(union, s)
+		ws.owe(o, c)
 	}
-}
-
-// indicesOf lists the Indices sets of in (in ws.keys, valid until the next
-// call).
-func (ws *workScratch) indicesOf(in []denseEntry) []header.Bitset {
-	keys := ws.keys[:0]
-	for i := range in {
-		keys = append(keys, in[i].indices)
-	}
-	ws.keys = keys
-	return keys
-}
-
-// partner is the exact-partner rule of processPE for what e owes class c: the
-// entry of in, which index last indexed, whose Indices equal the class's rows
-// minus e's Indices, intersected with their union; or nil. The key is built in
-// one pass over the words.
-func (ws *workScratch) partner(e *denseEntry, c int, in []denseEntry) *denseEntry {
-	rows, union := ws.cls.rows[c], ws.probe[:ws.k]
-	key := header.Bitset(ws.probe[ws.k : 2*ws.k])
-	var members uint64
-	for i := range key {
-		key[i] = rows[i] &^ e.indices[i] & union[i]
-		members |= key[i]
-	}
-	if members == 0 {
-		return nil
-	}
-	if p := *ws.table.find(key, ws.keys); p != 0 {
-		return &in[p-1]
-	}
-	return nil
-}
-
-// mirrored reports whether processPE's first pass has already emitted the
-// reduce of e, an entry of the second input, with best for class c: best owes
-// c too, and the key it probed for c was e's Indices (the first pass's
-// opposite union is at probe[2k:3k]), so it reduced with an entry holding them
-// (or forwarded, had they been empty). That output has the same Indices and
-// owes c, and the first pass's outputs precede the second's, so the merge unit
-// would fold this one into it.
-func (ws *workScratch) mirrored(e *denseEntry, c int, best *denseEntry) bool {
-	if !best.owes(c) {
-		return false
-	}
-	rows, union := ws.cls.rows[c], ws.probe[2*ws.k:3*ws.k]
-	for i, w := range e.indices {
-		if rows[i]&^best.indices[i]&union[i] != w {
-			return false
-		}
-	}
-	return true
+	return ws.finish(&st), st, nil
 }
 
 // selfMerge reduces co-query entries that sit in the *same* input stream.
@@ -342,104 +298,113 @@ func (ws *workScratch) mirrored(e *denseEntry, c int, best *denseEntry) bool {
 // rank's entries serially and can compare each arriving entry against the
 // ones already buffered; selfMerge models the result of that serial pass.
 //
-// Every (entry, class) pair is grouped by its class (byClass), each group's
-// members are reduced together, and one entry per group is re-emitted with the
-// group's indices united, owing the class the rest. Entries within one group
-// must have pairwise disjoint indices — true for leaf streams, where each
-// planned access contributes one distinct index — and selfMerge returns an
-// error otherwise. A group that reduces nothing would re-emit its first entry
-// as it is, so those classes leave as one raw output per entry, the folds
-// that saves charged to MergedDuplicates as processPE charges its forwards.
-// The returned stats count the reduce actions and merge-unit folds
-// performed; the arena rules are processPE's.
-func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) ([]denseEntry, PEStats, error) {
-	var total PEStats
-	raw, k := ws.raw[:0], ws.cls.k
-	heads, next := ws.byClass(entries)
-	// solo holds, per stream position, the classes its entry leaves alone with.
-	solo := header.Bitset(ws.words.alloc(len(entries) * k))
-	clear(solo)
-	for _, h := range heads {
-		pos := int(ws.owner[h])
-		first := &entries[pos]
-		covered, value, reduced := first.indices, first.value, false
-		for p := next[h]; p >= 0; p = next[p] {
-			m := &entries[ws.owner[p]]
-			if covered.Covers(m.indices) {
-				continue // the same entry again, or a duplicate read of the same data (non-dedup stream)
-			}
-			if covered.Intersects(m.indices) {
-				return nil, total, fmt.Errorf("fafnir: self-merge stream entries overlap at %v", ws.rows.AppendIndices(nil, m.indices))
-			}
-			// The group's first reduce takes its one working copy (value and
-			// indices) in the arena; the rest accumulate into it.
-			dst := value
-			if !reduced {
-				dst = ws.vals.alloc(len(value))
-				covered = ws.or(covered, m.indices)
-			} else {
-				covered.Or(covered, m.indices)
-			}
-			if err := op.ApplyTo(dst, value, m.value); err != nil {
-				return nil, total, fmt.Errorf("fafnir: self-merge reduce: %w", err)
-			}
-			value, reduced = dst, true
-			total.Reduces++
-		}
-		if c := int(ws.class[h]); !reduced {
-			solo[pos*k:].Set(c)
-		} else {
-			raw = append(raw, denseEntry{value: value, indices: covered, queries: ws.cls.single(c)})
-		}
-	}
-	// Then each entry with classes left alone, and the passthroughs.
+// Every (entry, class) pair is chained behind its class in stream order, and
+// each class's chain reduces into its first entry: an entry whose Indices the
+// running union already covers is a duplicate read of the same data (a
+// non-dedup stream) and is skipped, and one that only overlaps it is an error
+// — the members must be disjoint, as every leaf stream's single-row entries
+// are. A class that reduces nothing leaves with its first entry as it is.
+// Classes whose results hold equal Indices leave as one output owing them all
+// (found by topRow buckets), in the order of the least class each owes, and
+// MergedDuplicates is charged one per class joining an output. The returned
+// stats count those and the reduce actions; the arena rules are processPE's.
+func (ws *workScratch) selfMerge(op tensor.ReduceOp, entries []denseEntry) (stream, PEStats, error) {
+	var st PEStats
+	ws.start()
+	// Chain every (entry, class) pair behind its class in stream order; a
+	// class's first pair is the one found before present has its bit.
+	present := header.Bitset(ws.present[:ws.cls.k])
+	clear(present)
+	owner, next, top := ws.owner[:0], ws.next[:0], ws.top[:0]
 	for pos := range entries {
 		e := &entries[pos]
-		if qs := solo[pos*k : (pos+1)*k : (pos+1)*k]; !qs.Empty() {
-			total.MergedDuplicates += qs.Len() - 1
-			raw = append(raw, denseEntry{value: e.value, indices: e.indices, queries: qs})
-		} else if e.queries.Empty() {
-			raw = append(raw, *e)
-		}
-	}
-	ws.raw = raw
-	out, err := ws.fold(op, raw, nil, &total)
-	return out, total, err
-}
-
-// byClass is selfMerge's grouping. The stream is put in canonical Indices
-// order (canon), which fixes the order a group's members combine in, and every
-// (entry, class) pair is listed in that order, an entry's classes ascending:
-// pair p comes from stream position ws.owner[p] and owes class ws.class[p].
-// heads holds each class's first pair, classes ascending, and next chains a
-// class's pairs in pair order, -1 ending the chain. Since classes are numbered
-// in the canonical order of their rows, this is exactly what group would make
-// of the pairs' full queries, without hashing or sorting a set. The result is
-// valid until the next byClass, group or canon.
-func (ws *workScratch) byClass(entries []denseEntry) (heads, next []int32) {
-	owner, class, next := ws.owner[:0], ws.class[:0], ws.next[:0]
-	for _, pos := range ws.canon(ws.indicesOf(entries)) {
-		for i, w := range entries[pos].queries {
+		top = append(top, topRow(e.indices))
+		for i, w := range e.queries {
+			seen := present[i]
+			present[i] |= w
 			for ; w != 0; w &= w - 1 {
 				c := i<<6 | bits.TrailingZeros64(w)
 				p := int32(len(owner))
-				owner, class, next = append(owner, int32(pos)), append(class, int32(c)), append(next, -1)
-				if t := ws.tail[c]; t < 0 {
+				owner, next = append(owner, int32(pos)), append(next, -1)
+				if seen&(w&-w) == 0 {
 					ws.head[c] = p
 				} else {
-					next[t] = p
+					next[ws.tail[c]] = p
 				}
 				ws.tail[c] = p
 			}
 		}
 	}
-	heads = ws.chains[:0]
-	for c, t := range ws.tail {
-		if t >= 0 {
-			heads = append(heads, ws.head[c])
-			ws.tail[c] = -1
+	ws.owner, ws.next, ws.top = owner, next, top
+	solo := ws.solo[:0] // stream position -> the output it leaves alone as
+	for range entries {
+		solo = append(solo, -1)
+	}
+	ws.solo = solo
+	err := ws.reduceClasses(op, entries, present, &st)
+	for _, r := range ws.rec {
+		ws.byTop[r.key] = -1
+	}
+	if err != nil {
+		return stream{}, st, err
+	}
+	return ws.finish(&st), st, nil
+}
+
+// reduceClasses is selfMerge's walk over the classes present, ascending. Its
+// outputs' bucket records key them by topRow and chain them from byTop, which
+// the caller restores.
+func (ws *workScratch) reduceClasses(op tensor.ReduceOp, entries []denseEntry, present header.Bitset, st *PEStats) error {
+	owner, next, top, solo := ws.owner, ws.next, ws.top, ws.solo
+	for i, w := range present {
+		for ; w != 0; w &= w - 1 {
+			c := i<<6 | bits.TrailingZeros64(w)
+			h := ws.head[c]
+			pos := owner[h]
+			covered, value, t, reduced := entries[pos].indices, entries[pos].value, top[pos], false
+			for p := next[h]; p >= 0; p = next[p] {
+				m := &entries[owner[p]]
+				if covered.Covers(m.indices) {
+					continue // the same entry again, or a duplicate read of the same data (non-dedup stream)
+				}
+				if covered.Intersects(m.indices) {
+					return fmt.Errorf("fafnir: self-merge stream entries overlap at %v", ws.rows.AppendIndices(nil, m.indices))
+				}
+				// The class's first reduce takes its one working copy (value
+				// and indices) in the arena; the rest accumulate into it.
+				dst := value
+				if !reduced {
+					dst = ws.vals.alloc(len(value))
+					covered = ws.or(covered, m.indices)
+				} else {
+					covered.Or(covered, m.indices)
+				}
+				if err := op.ApplyTo(dst, value, m.value); err != nil {
+					return fmt.Errorf("fafnir: self-merge reduce: %w", err)
+				}
+				value, reduced = dst, true
+				t = max(t, top[owner[p]])
+				st.Reduces++
+			}
+			o := int32(-1)
+			if !reduced {
+				o = solo[pos]
+			}
+			if o < 0 {
+				for o = ws.byTop[t]; o >= 0 && !ws.out[o].indices.Equal(covered); o = ws.rec[o].next {
+				}
+			}
+			if o < 0 {
+				o = ws.emit(value, covered, t, ws.byTop[t])
+				ws.byTop[t] = o
+			} else {
+				st.MergedDuplicates++
+			}
+			if !reduced {
+				solo[pos] = o
+			}
+			ws.owe(o, int32(c))
 		}
 	}
-	ws.owner, ws.class, ws.next, ws.chains = owner, class, next, heads
-	return heads, next
+	return nil
 }

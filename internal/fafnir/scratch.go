@@ -33,15 +33,16 @@ import (
 // exp sweep iterations (even across freshly built engines) reuse one
 // steady-state working set.
 type treeScratch struct {
-	memo  [][]denseEntry // node ID -> post-merge outputs
-	proc  []PEStats      // node ID -> processPE stats
-	self  []PEStats      // node ID -> leaf selfMerge stats (both inputs combined)
-	perPE []PEStats      // node ID -> folded per-PE stats (see runTree)
+	memo  []stream  // node ID -> its output stream
+	proc  []PEStats // node ID -> processPE stats
+	self  []PEStats // node ID -> leaf selfMerge stats (both inputs combined)
+	perPE []PEStats // node ID -> folded per-PE stats (see runTree)
 
 	in      [][]denseEntry  // rank -> staged leaf entries
 	counts  []int           // rank -> planned access count
 	staged  []StagedRow     // dense row -> the leaf read that filled it (see leafInputs)
 	classOf []int32         // batch query -> its query class (see leafInputs)
+	answer  []int32         // query class -> the root output answering it (see resolve)
 	want    []tensor.Vector // batch query -> golden fold (see foldGolden)
 
 	ws workScratch // the arenas and transient slices of every PE call
@@ -82,7 +83,7 @@ func (e *Engine) getTreeScratch() *treeScratch {
 // growing within capacity is a reslice.
 func (sc *treeScratch) ensure(numPEs, numRanks int) {
 	if cap(sc.memo) < numPEs {
-		sc.memo = make([][]denseEntry, numPEs)
+		sc.memo = make([]stream, numPEs)
 		sc.proc = make([]PEStats, numPEs)
 		sc.self = make([]PEStats, numPEs)
 		sc.perPE = make([]PEStats, numPEs)

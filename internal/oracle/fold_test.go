@@ -39,7 +39,7 @@ func TestPassFoldMatchesGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, dedup := range []bool{true, false} {
-					env.checkFolds(t, fmt.Sprintf("Parallelism=%d dedup=%v", par, dedup), func() error {
+					env.checkFolds(t, eng, fmt.Sprintf("Parallelism=%d dedup=%v", par, dedup), func() error {
 						_, err := eng.TimedLookup(env.Store, env.Layout, env.NewMem(), env.Batch, dedup)
 						return err
 					})
@@ -49,7 +49,7 @@ func TestPassFoldMatchesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.checkFolds(t, "faulted", func() error {
+			env.checkFolds(t, eng, "faulted", func() error {
 				inj, err := fault.NewInjector(plan, env.Mem.TotalRanks())
 				if err != nil {
 					return err
@@ -63,19 +63,19 @@ func TestPassFoldMatchesGolden(t *testing.T) {
 	}
 }
 
-// checkFolds runs one lookup with core.GoldenCheckHook capturing every pass's
-// fold, and compares each with the Golden of its hardware batch.
-func (e *Env) checkFolds(t *testing.T, mode string, run func() error) {
+// checkFolds runs one lookup on eng with its GoldenCheckHook capturing every
+// pass's fold, and compares each with the Golden of its hardware batch.
+func (e *Env) checkFolds(t *testing.T, eng *core.Engine, mode string, run func() error) {
 	t.Helper()
 	covered, bad := 0, ""
-	core.GoldenCheckHook = func(start int, _, want []tensor.Vector) {
+	eng.GoldenCheckHook = func(start int, _, want []tensor.Vector) {
 		hw := embedding.Batch{Queries: e.Batch.Queries[start : start+len(want)], Op: e.Batch.Op}
 		if d := Diff(want, hw.MustGolden(e.Store)); d != "" && bad == "" {
 			bad = fmt.Sprintf("hardware batch at query %d: %s", start, d)
 		}
 		covered += len(want)
 	}
-	defer func() { core.GoldenCheckHook = nil }()
+	defer func() { eng.GoldenCheckHook = nil }()
 	if err := run(); err != nil {
 		t.Fatalf("%s %s: %v", e.W, mode, err)
 	}

@@ -16,7 +16,8 @@ import (
 // reused. Two numbers pin that:
 //
 //   - testing.AllocsPerRun runs at GOMAXPROCS 1, where dispatch starts no
-//     goroutine, so the count is the batch's own and is exact;
+//     goroutine and allocates nothing, so the count is the batch's own and
+//     is exact;
 //   - a run at the ambient GOMAXPROCS, counted through runtime.MemStats,
 //     holds the acceptance bound that BenchmarkFleetLookup4Shards and
 //     BenchmarkFederationLookup are read against, goroutines included.
@@ -65,10 +66,8 @@ func TestFleetLookupAllocs(t *testing.T) {
 	})
 	t.Logf("fleet Lookup: %.0f allocs/op serial, %.1f allocs/op and %.1f KB/op at GOMAXPROCS %d",
 		serial, ambient, kb, runtime.GOMAXPROCS(0))
-	// The result, its output slots and their slab, and dispatch's four: the
-	// backend's closure, the shared counter, the worker closure and its
-	// WaitGroup.
-	const serialBudget, ambientBudget = 7, 40
+	// The result, its output slots and their slab.
+	const serialBudget, ambientBudget = 3, 40
 	if serial > serialBudget {
 		t.Errorf("fleet Lookup at GOMAXPROCS 1: %.0f allocs/op, budget %d", serial, serialBudget)
 	}
@@ -94,10 +93,9 @@ func TestFederationLookupAllocs(t *testing.T) {
 	})
 	t.Logf("federation Lookup: %.0f allocs/op serial, %.1f allocs/op and %.1f KB/op at GOMAXPROCS %d",
 		serial, ambient, kb, runtime.GOMAXPROCS(0))
-	// The result, its output slots and their slab, and dispatch's four at
-	// each of the three tiers a batch crosses: the federation and its two
-	// member fleets.
-	const serialBudget, ambientBudget, kbBudget = 15, 40, 16
+	// The result, its output slots and their slab: a member fleet's result
+	// is its own reused storage, and no tier's dispatch allocates serially.
+	const serialBudget, ambientBudget, kbBudget = 3, 40, 16
 	if serial > serialBudget {
 		t.Errorf("federation Lookup at GOMAXPROCS 1: %.0f allocs/op, budget %d", serial, serialBudget)
 	}

@@ -130,26 +130,42 @@ type attempt struct {
 	err error
 }
 
-// dispatch runs lookup for every leaf in run on min(par, len(run)) workers
-// (par 0 uses every core) that pull leaves in run order from a shared
-// counter, the caller's goroutine among them, storing each outcome at
-// attempts[leaf]. Leaves are fully independent (own engines, memories and
-// injectors), so concurrent sub-lookups share no mutable state;
-// callers settle the attempts in leaf order afterwards, so execution order
-// never leaks into outputs, cycles, or health transitions.
-func dispatch(attempts []attempt, run []int, par int, lookup func(leaf int) (*core.TimedResult, error)) {
+// dispatch runs the sub-batch subs[leaf] of every leaf in run, issued at
+// tier cycle at, storing each outcome at attempts[leaf]. With par (0: every
+// core) or run allowing one worker it runs them in run order on the caller's
+// goroutine and allocates nothing; otherwise min(par, len(run)) workers, the
+// caller among them, pull leaves in run order from a shared counter. Leaves
+// are fully independent (own engines, memories and injectors), so concurrent
+// sub-lookups share no mutable state; callers settle the attempts in leaf
+// order afterwards, so execution order never leaks into outputs, cycles, or
+// health transitions.
+func (t *tier) dispatch(attempts []attempt, run []int, subs []embedding.Batch, at sim.Cycle) {
+	par := t.par
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
+	if workers := min(par, len(run)); workers > 1 {
+		t.dispatchWorkers(workers, attempts, run, subs, at)
+		return
+	}
+	for _, s := range run {
+		r, err := t.run(s, subs[s], at, false)
+		attempts[s] = attempt{res: r, err: err}
+	}
+}
+
+// dispatchWorkers is dispatch on workers goroutines, the caller's among them.
+func (t *tier) dispatchWorkers(workers int, attempts []attempt, run []int, subs []embedding.Batch, at sim.Cycle) {
 	var next atomic.Int32
 	work := func() {
 		for i := int(next.Add(1)) - 1; i < len(run); i = int(next.Add(1)) - 1 {
-			r, err := lookup(run[i])
-			attempts[run[i]] = attempt{res: r, err: err}
+			s := run[i]
+			r, err := t.run(s, subs[s], at, false)
+			attempts[s] = attempt{res: r, err: err}
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(par, len(run)) - 1 {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

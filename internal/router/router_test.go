@@ -121,13 +121,14 @@ func TestShardGoldenCheckFires(t *testing.T) {
 	f := testFleet(t, nil)
 	b := testBatch(t, f, 16, 3, tensor.OpSum)
 	corrupted := false
-	core.GoldenCheckHook = func(_ int, got, _ []tensor.Vector) {
-		if !corrupted {
-			got[0][0]++
-			corrupted = true
+	for _, l := range f.leaves {
+		l.(*shardNode).engine.GoldenCheckHook = func(_ int, got, _ []tensor.Vector) {
+			if !corrupted {
+				got[0][0]++
+				corrupted = true
+			}
 		}
 	}
-	defer func() { core.GoldenCheckHook = nil }()
 	_, err := f.Lookup(b)
 	if !errors.Is(err, fault.ErrInvariantViolated) || !strings.Contains(err.Error(), "mismatches the golden reference") {
 		t.Fatalf("a corrupted shard output got past Fleet.Lookup: err = %v", err)

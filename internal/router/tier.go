@@ -422,9 +422,7 @@ func (t *tier) backend(fl *flight) error {
 	}
 	fl.run = run
 	scatterAt := fl.start + fl.stages.Probe
-	dispatch(attempts, run, t.par, func(s int) (*core.TimedResult, error) {
-		return t.run(s, subs[s], scatterAt, false)
-	})
+	t.dispatch(attempts, run, subs, scatterAt)
 	for s, a := range attempts {
 		if len(subs[s].Queries) == 0 {
 			continue

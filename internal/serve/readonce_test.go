@@ -16,21 +16,23 @@ import (
 	"fafnir/internal/tensor"
 )
 
-// cachedBackend is one topology the cache fill must read once on.
+// cachedBackend is one topology the cache fill must read once on. stores
+// lists the backend's embedding stores: one per system or fleet, every one
+// holding the same rows.
 type cachedBackend struct {
-	name  string
-	build func(t *testing.T) serve.Backend
-	store func(serve.Backend) *embedding.Store
+	name   string
+	build  func(t *testing.T) serve.Backend
+	stores func(serve.Backend) []*embedding.Store
 }
 
 func cachedBackends() []cachedBackend {
 	const rows = 1 << 14
-	fleetStore := func(b serve.Backend) *embedding.Store { return b.(*fafnir.Fleet).Store() }
+	fleetStores := func(b serve.Backend) []*embedding.Store { return []*embedding.Store{b.(*fafnir.Fleet).Store()} }
 	return []cachedBackend{
 		{
-			name:  "system",
-			build: func(t *testing.T) serve.Backend { return testSystem(t, fafnir.SystemConfig{}) },
-			store: func(serve.Backend) *embedding.Store { return embedding.MustStore(32*testRowsPerTable, 128, 1) },
+			name:   "system",
+			build:  func(t *testing.T) serve.Backend { return testSystem(t, fafnir.SystemConfig{}) },
+			stores: func(b serve.Backend) []*embedding.Store { return []*embedding.Store{b.(*fafnir.System).Store()} },
 		},
 		{
 			name: "fleet",
@@ -41,7 +43,7 @@ func cachedBackends() []cachedBackend {
 				}
 				return f
 			},
-			store: fleetStore,
+			stores: fleetStores,
 		},
 		{
 			name: "federation",
@@ -52,7 +54,14 @@ func cachedBackends() []cachedBackend {
 				}
 				return fd
 			},
-			store: func(b serve.Backend) *embedding.Store { return fleetStore(b.(*fafnir.Federation).Fleet(0)) },
+			stores: func(b serve.Backend) []*embedding.Store {
+				fd := b.(*fafnir.Federation)
+				var all []*embedding.Store
+				for fm := range fd.Fleets() {
+					all = append(all, fd.Fleet(fm).Store())
+				}
+				return all
+			},
 		},
 	}
 }
@@ -82,8 +91,9 @@ func TestFillReadsEachRowOnce(t *testing.T) {
 		t.Run(tb.name, func(t *testing.T) {
 			be := tb.build(t)
 			var fills atomic.Int64
-			embedding.FillHook = func(header.Index) { fills.Add(1) }
-			t.Cleanup(func() { embedding.FillHook = nil })
+			for _, st := range tb.stores(be) {
+				st.FillHook = func(header.Index) { fills.Add(1) }
+			}
 
 			co, err := serve.NewCoalescer(serve.Config{CacheBytes: 8 << 20}, be, nil)
 			if err != nil {
@@ -151,7 +161,7 @@ func TestCacheKeyedByIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Lookup(tb.store(be), embedding.Batch{Queries: qs, Op: tensor.OpMax})
+			want, err := oracle.Lookup(tb.stores(be)[0], embedding.Batch{Queries: qs, Op: tensor.OpMax})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,10 @@
 #                      hand-rolled tree walk, is gone). The merge unit's order
 #                      is a property of the bits alone: non-test
 #                      internal/header has no ReverseBytes32 and no
-#                      IndexSet.Key
+#                      IndexSet.Key. The PE joins class chains: setTable,
+#                      canon(, partner( and byClass( (the bitset PE's hash
+#                      table, sort, probe and grouping, now the tests'
+#                      referee) appear in no non-test file of internal/fafnir
 #   7d. one clock    — internal/sim is a cycle type, not a kernel: no non-test
 #                      Go file may import container/heap, call sim.NewEngine
 #                      or sim.NewStats, or bump a string-keyed "dram." counter,
@@ -233,6 +236,8 @@ echo "==> one PE implementation (no sorted-slice set algebra in internal/fafnir,
     || { echo "examples/dedup is back: the fig6 exhibit prints the worked example through the engine"; exit 1; }
 ! grep -rnE 'ReverseBytes32|func \(s IndexSet\) Key' --include='*.go' --exclude='*_test.go' internal/header \
     || { echo "internal/header reproduces a global-index key order again: the canonical order reads only the bits"; exit 1; }
+! grep -rnE 'setTable|canon\(|partner\(|byClass\(' --include='*.go' --exclude='*_test.go' internal/fafnir \
+    || { echo "internal/fafnir hashes, probes or sorts header sets again: the PE joins class chains (docs/ARCHITECTURE.md section 3)"; exit 1; }
 
 echo "==> one clock (no event queue, no string-keyed DRAM counters, no internal/scale)"
 ! grep -rlE 'container/heap|sim\.NewEngine|sim\.NewStats|\.Inc\("dram\.' --include='*.go' --exclude='*_test.go' . \
