@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	// Bind both listeners before building, so no error path leaves a
-	// server's flusher running behind a failed run.
+	// built server behind a failed run.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

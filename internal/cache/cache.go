@@ -18,8 +18,8 @@
 // A cached row is the raw row, whatever pooling operation later reduces it,
 // so the serving layer keys entries by index alone; a sharded deployment
 // keeps one cache per owning shard. All methods are single-caller
-// by design (the coalescer's flusher goroutine); the cache performs no
-// locking.
+// by design (whichever goroutine holds the coalescer's flight); the cache
+// performs no locking.
 package cache
 
 import (
@@ -101,8 +101,8 @@ type cell struct {
 }
 
 // Cache is a fixed-budget CLOCK cache of embedding rows. Not safe for
-// concurrent use; the serving layer drives it from its single flusher
-// goroutine only.
+// concurrent use; the serving layer drives it from one goroutine at a time,
+// the one holding the coalescer's flight.
 type Cache struct {
 	cfg      Config
 	slotSize int64

@@ -53,7 +53,7 @@ type treeScratch struct {
 // tree, so experiment sweeps that rebuild engines per configuration still hit
 // a warm working set. It is a mutex-guarded stack rather than a sync.Pool: a
 // pool parks a released scratch in the releasing P's private slot, where a
-// flusher running on another P cannot take it and builds a fresh one, and it
+// lookup running on another P cannot take it and builds a fresh one, and it
 // empties at every collection. The list holds at most the peak number of
 // scratches ever leased at once.
 var freeScratch struct {

@@ -97,7 +97,8 @@ var fleetLevel = &level{
 
 // Federation is M fleets behind one Lookup front-end: a tier whose leaves
 // are fleets. Like Fleet it is not safe for concurrent use; the serving
-// layer's single flusher goroutine is its intended caller.
+// layer's coalescer, which calls it from one goroutine at a time, is its
+// intended caller.
 type Federation struct {
 	tier
 	cfg    FederationConfig

@@ -223,7 +223,8 @@ var shardLevel = &level{
 
 // Fleet is a sharded deployment behind one Lookup front-end: a tier whose
 // leaves are shards. Like the single System it is not safe for concurrent
-// use — the serving layer's single flusher goroutine is its intended caller.
+// use — the serving layer's coalescer, which calls it from one goroutine at
+// a time, is its intended caller.
 type Fleet struct {
 	tier
 	cfg   Config

@@ -70,7 +70,8 @@ type level struct {
 
 // tier is the one router front-end Fleet and Federation embed. Like the
 // single System it is not safe for concurrent use — the serving layer's
-// single flusher goroutine is its intended caller.
+// coalescer, which calls it from one goroutine at a time, is its intended
+// caller.
 type tier struct {
 	lv       *level
 	leaves   []leaf

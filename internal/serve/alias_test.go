@@ -17,7 +17,7 @@ import (
 // reply encoder renders it over and over, and runs further flushes through
 // the same backend meanwhile: the backends reuse their per-batch working
 // state, so a response whose outputs were backed by it would change under
-// the encoder (and, under -race, race with the flusher). Every rendering
+// the encoder (and, under -race, race with the next flight). Every rendering
 // must be the first one's bytes, and the held outputs must still be the
 // golden fold. It runs on each backend, with the cache off and on.
 func TestRepliesOutliveTheNextFlush(t *testing.T) {

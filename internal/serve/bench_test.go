@@ -18,9 +18,10 @@ import (
 
 // BenchmarkCoalescer measures Submit throughput end to end (queueing, batch
 // assembly, the engine lookup, and demux) at fixed client parallelism. The
-// clients=1 case is the no-contention floor; higher counts show how much the
-// shared-flusher design costs — or saves, once coalescing folds concurrent
-// requests into shared hardware batches.
+// clients=1 case is the no-contention floor, where every request flies its
+// own batch; higher counts show how much sharing one flight at a time costs
+// — or saves, once coalescing folds concurrent requests into shared hardware
+// batches.
 func BenchmarkCoalescer(b *testing.B) { benchCoalescer(b, 0) }
 
 // BenchmarkCoalescerCached is BenchmarkCoalescer with the hot-embedding
@@ -58,26 +59,36 @@ func benchCoalescer(b *testing.B, cacheBytes int64) {
 			}
 			var next atomic.Int64
 			var failed atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
+			client := func() {
+				for {
+					i := next.Add(1) - 1
+					if i >= int64(b.N) {
+						return
+					}
+					q := pool.Queries[i%int64(len(pool.Queries))]
+					if _, err := co.Submit(ctx, serve.Request{Op: pool.Op, Queries: []embedding.Query{q}}); err != nil {
+						failed.Add(1)
+						return
+					}
+				}
+			}
+			// The benchmark's own goroutine is client 0. The others start
+			// before the timer, behind a barrier, so creating them is not
+			// measured; with one client nothing blocks or schedules.
+			start := make(chan struct{})
 			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
+			for c := 1; c < clients; c++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
-							return
-						}
-						q := pool.Queries[i%int64(len(pool.Queries))]
-						if _, err := co.Submit(ctx, serve.Request{Op: pool.Op, Queries: []embedding.Query{q}}); err != nil {
-							failed.Add(1)
-							return
-						}
-					}
+					<-start
+					client()
 				}()
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			close(start)
+			client()
 			wg.Wait()
 			b.StopTimer()
 			if failed.Load() > 0 {

@@ -36,7 +36,7 @@ type Breakdown struct {
 	RequestID uint64 `json:"request_id"`
 	// Queue is the admission-to-flush wait (lane wait included).
 	Queue StageLatency `json:"queue"`
-	// Coalesce is the flusher's batch build and demultiplex overhead.
+	// Coalesce is the flight's batch build and demultiplex overhead.
 	Coalesce StageLatency `json:"coalesce"`
 	// Cache is the hot-embedding cache consult/strip/merge work.
 	Cache StageLatency `json:"cache"`

@@ -348,7 +348,7 @@ func TestCacheCountersSurviveFailedSharedBatch(t *testing.T) {
 	if _, err := leaves.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("departed rider returned %v, want Canceled", err)
 	}
-	// The flusher is serial: once this (full, fully cached) batch is back,
+	// Flights are serial: once this (full, fully cached) batch is back,
 	// both retries are over.
 	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1), query(2)}}); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,8 @@ func TestLingerAndAttributionOnManualClock(t *testing.T) {
 	defer co.Close(context.Background())
 
 	enq := clk.Now()
-	tk := admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 1)
+	// The waiter takes the flight and lingers on the manual clock.
+	waited := waitAsync(admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 1))
 	if due := clk.AwaitTimer(); !due.Equal(enq.Add(linger)) {
 		t.Fatalf("linger timer due %v after enqueue, want %v", due.Sub(enq), linger)
 	}
@@ -44,7 +45,7 @@ func TestLingerAndAttributionOnManualClock(t *testing.T) {
 		t.Fatalf("one nanosecond short of the linger the timer is due %v after enqueue, want it still armed for %v", due.Sub(enq), linger)
 	}
 	clk.Advance(1)
-	bd := wait(t, tk).Stats.Breakdown
+	bd := await(t, waited).Stats.Breakdown
 
 	if !flushedAt.Equal(enq.Add(linger)) {
 		t.Fatalf("partial batch reached the backend %v after enqueue, want exactly %v", flushedAt.Sub(enq), linger)

@@ -23,7 +23,7 @@ import (
 // TraceAttacher is the optional backend capability behind ?debug=trace: a
 // backend that can thread a telemetry tracer through its engines.
 // *fafnir.System implements it. The coalescer only attaches and detaches
-// from its single flusher goroutine, matching the backend's concurrency
+// from the goroutine holding the flight, matching the backend's concurrency
 // contract.
 type TraceAttacher interface {
 	AttachTracer(telemetry.Tracer)
@@ -32,9 +32,10 @@ type TraceAttacher interface {
 // SpanContexter is the optional backend capability behind span parentage: a
 // backend that can link the trace spans it emits under a serving-layer
 // parent span ID. *fafnir.System, *router.Fleet, and *router.Federation
-// implement it. The coalescer sets the context only from its single flusher
-// goroutine, immediately before each Lookup, so a request's spans form one
-// parent-linked chain from the HTTP enqueue down to the hardware batch.
+// implement it. The coalescer sets the context only from the goroutine
+// holding the flight, immediately before each Lookup, so a request's spans
+// form one parent-linked chain from the HTTP enqueue down to the hardware
+// batch.
 type SpanContexter interface {
 	SetSpanContext(parent uint64)
 }
@@ -44,7 +45,7 @@ type SpanContexter interface {
 // *fafnir.System, *router.Fleet and *router.Federation implement it (a
 // fleet or federation sums its shards). The coalescer delta-folds the row
 // hit, miss and conflict counters into the registry after each flush, again
-// only from the flusher goroutine.
+// only from the goroutine holding the flight.
 type MemoryStatsSource interface {
 	MemoryCounters() dram.Counters
 }
@@ -99,7 +100,7 @@ type BatchStats struct {
 	Degraded *core.DegradedReport
 }
 
-// result is what the flusher delivers back to one waiting ticket.
+// result is what a flight delivers back to one waiting ticket.
 type result struct {
 	Response
 	err error
@@ -111,7 +112,7 @@ type request struct {
 	ctx  context.Context
 	id   uint64 // coalescer-assigned, in admission order; doubles as span ID
 	enq  time.Time
-	done chan result // buffered 1; the flusher never blocks on delivery
+	done chan result // buffered 1; a flight never blocks on delivery
 }
 
 func (r *request) deliver(res result) {
@@ -175,9 +176,13 @@ func nameServeLanes(t telemetry.Tracer, cached bool) {
 }
 
 // Coalescer accumulates concurrent lookup requests and flushes them through
-// the backend as shared hardware batches. It is safe for concurrent use; the
-// backend itself is only ever called from the single flusher goroutine, so a
-// Backend need not be concurrency-safe (fafnir.System is not).
+// the backend as shared hardware batches. It is safe for concurrent use and
+// runs no goroutine of its own: the requests fly their own batches. One
+// waiting request at a time holds the flight (group commit): it cuts and
+// flies batches on its own goroutine until one of them carries it, then
+// releases the flight to the next waiter. The backend is therefore never
+// called concurrently, so a Backend need not be concurrency-safe
+// (fafnir.System is not).
 //
 // Admission queues each request on its priority lane and sheds low-priority
 // work first (above half of MaxQueued); a request with no priority rides the
@@ -190,8 +195,9 @@ func nameServeLanes(t telemetry.Tracer, cached bool) {
 // queries and topped up with same-op work from the other lanes, so priority
 // scheduling never reduces coalescing. It flushes immediately when it is
 // full or when work it could not absorb waits behind it; otherwise the
-// flusher lingers up to Config.Linger past the oldest cut request's enqueue
-// time before flushing a partial batch.
+// flight's holder lingers up to Config.Linger past the oldest cut request's
+// enqueue time before flushing a partial batch, and an arrival wakes it to
+// cut again.
 //
 // Every flushed batch is one flight through the stage list in flight.go.
 // With Config.CacheBytes > 0 and a backend exposing RowSource, the flight
@@ -209,15 +215,25 @@ type Coalescer struct {
 	// sink is the global serve timeline (dead when Config.Tracer is nil, at
 	// the cost of one check per event); flights copy it and add their echo.
 	sink sink
-	// labels are the pprof goroutine-label sets the flusher wears while a
-	// stage runs, indexed by the stage's Breakdown column — built once here
-	// so labelling costs no allocation per flush.
+	// labels are the pprof goroutine-label sets the flight's holder wears
+	// while a stage runs, indexed by the stage's Breakdown column — built
+	// once here so labelling costs no allocation per flush.
 	labels [numStages]context.Context
 
+	// token is the flight: a goroutine holds it while its send sits in the
+	// buffer (capacity 1), and releases it by receiving. A release hands it
+	// straight to a goroutine blocked sending, so a waiter takes it the
+	// moment it is free.
+	token chan struct{}
+
+	// Everything from here to mu belongs to whichever goroutine holds the
+	// flight; holders follow one another through token, so none of it needs
+	// more synchronization. cur is the flight in progress, reset per cut.
+	cur flight
+
 	// attacher/spanner/memStats are the backend's optional capabilities,
-	// resolved once at construction; all are exercised only from the flusher
-	// goroutine. lastRow* hold the previously folded cumulative counters;
-	// flushSeq numbers flights for span-ID derivation.
+	// resolved once at construction. lastRow* hold the previously folded
+	// cumulative counters; flushSeq numbers flights for span-ID derivation.
 	attacher      TraceAttacher
 	spanner       SpanContexter
 	memStats      MemoryStatsSource
@@ -231,9 +247,8 @@ type Coalescer struct {
 	// rows/owner are the backend capabilities behind it. read holds copies
 	// of the rows the current flight's backend call read (readSink is
 	// read.Add, bound once) and readOrd orders them for the fill; both are
-	// reused across flights. All cache state is touched only by the flusher
-	// goroutine. lastCache* hold the previously folded cumulative cache
-	// counters.
+	// reused across flights. lastCache* hold the previously folded
+	// cumulative cache counters.
 	caches         []*cache.Cache
 	rows           RowSource
 	owner          ShardOwner
@@ -249,9 +264,11 @@ type Coalescer struct {
 	lanes  [numLanes][]*request
 	queued int // queries across all lanes
 	closed bool
-
-	kick    chan struct{} // buffered 1: wakes the flusher
-	drained chan struct{} // closed when the flusher exits
+	// lingering is true while the holder waits out a linger window; the
+	// next arrival, or Close, sends on wake (buffered 1) to make it cut
+	// again.
+	lingering bool
+	wake      chan struct{}
 }
 
 // NewCoalescer starts a coalescer over the backend. A nil Metrics allocates
@@ -272,13 +289,13 @@ func newCoalescer(cfg Config, be Backend, m *Metrics, clk clock) (*Coalescer, er
 		m = NewMetrics()
 	}
 	c := &Coalescer{
-		cfg:     cfg,
-		be:      be,
-		m:       m,
-		clk:     clk,
-		sink:    sink{t0: clk.Now(), global: cfg.Tracer},
-		kick:    make(chan struct{}, 1),
-		drained: make(chan struct{}),
+		cfg:   cfg,
+		be:    be,
+		m:     m,
+		clk:   clk,
+		sink:  sink{t0: clk.Now(), global: cfg.Tracer},
+		token: make(chan struct{}, 1),
+		wake:  make(chan struct{}, 1),
 	}
 	for i, name := range stageNames {
 		c.labels[i] = pprof.WithLabels(context.Background(), pprof.Labels("stage", name))
@@ -317,7 +334,6 @@ func newCoalescer(cfg Config, be Backend, m *Metrics, clk clock) (*Coalescer, er
 	if c.sink.global != nil {
 		nameServeLanes(c.sink.global, c.caches != nil)
 	}
-	go c.run()
 	return c, nil
 }
 
@@ -352,7 +368,10 @@ type Response struct {
 }
 
 // Ticket is an admitted request's claim on its result.
-type Ticket struct{ req *request }
+type Ticket struct {
+	c   *Coalescer
+	req *request
+}
 
 // ID is the request's coalescer-assigned ID (see BatchStats.RequestID).
 func (t Ticket) ID() uint64 { return t.req.id }
@@ -399,6 +418,7 @@ func (c *Coalescer) Admit(ctx context.Context, r Request) (Ticket, error) {
 	c.lanes[r.Priority] = append(c.lanes[r.Priority], req)
 	c.queued += len(r.Queries)
 	depth := c.queued
+	c.wakeLinger()
 	c.mu.Unlock()
 
 	if c.sink.live() {
@@ -409,27 +429,40 @@ func (c *Coalescer) Admit(ctx context.Context, r Request) (Ticket, error) {
 			telemetry.Arg{Key: "depth", Int: int64(depth)})
 	}
 	c.m.QueueDepth.Set(int64(depth))
-	c.kickFlusher()
-	return Ticket{req}, nil
+	return Ticket{c, req}, nil
 }
 
-// Wait blocks until the flusher delivers the ticket's result or the
-// request's ctx expires. Either way Response.Stats.RequestID names the
-// request, so a caller can file a timed-out or failed request under its ID.
+// Wait blocks until the ticket's result is delivered or the request's ctx
+// expires. Either way Response.Stats.RequestID names the request, so a
+// caller can file a timed-out or failed request under its ID.
+//
+// While it waits, the caller's goroutine may fly batches: when it takes the
+// flight, free or just released, it cuts and flies batches until one carries
+// its own request, then releases the flight. A follower — a waiter that
+// holds no flight — returns at its ctx's expiry and withdraws its request if
+// no flight has cut it yet. A leader returns when its own flight lands,
+// since a flight is bounded host work; if its ctx ended meanwhile, it
+// reports the ctx error and drops the delivery, as a follower would.
 func (t Ticket) Wait() (Response, error) {
+	c, r := t.c, t.req
 	var res result
 	select {
-	case res = <-t.req.done:
-	case <-t.req.ctx.Done():
-		// The flusher may still compute this request's batch; delivery into
-		// the buffered channel is dropped on the floor.
-		res.err = t.req.ctx.Err()
+	case res = <-r.done:
+	case c.token <- struct{}{}:
+		res = c.lead(r)
+	case <-r.ctx.Done():
+		res.err = r.ctx.Err()
+		c.withdraw(r)
 	}
-	res.Stats.RequestID = t.req.id
+	if err := r.ctx.Err(); err != nil && res.err == nil {
+		res = result{err: err} // a result that landed past the deadline is dropped
+	}
+	res.Stats.RequestID = r.id
 	return res.Response, res.err
 }
 
-// Submit is Admit followed by Wait.
+// Submit is Admit followed by Wait, so the caller's goroutine may fly
+// batches, its own and those queued ahead of it, before it returns.
 func (c *Coalescer) Submit(ctx context.Context, r Request) (Response, error) {
 	t, err := c.Admit(ctx, r)
 	if err != nil {
@@ -438,67 +471,127 @@ func (c *Coalescer) Submit(ctx context.Context, r Request) (Response, error) {
 	return t.Wait()
 }
 
-// Close stops admitting new requests, flushes everything still queued, and
-// waits for the flusher to exit (or ctx to expire). It is idempotent.
+// Close stops admitting new requests, takes the flight once it is released
+// (or returns when ctx expires first), then flies everything still queued —
+// tickets admitted but never waited on included — on the caller's
+// goroutine; once it holds the flight it flies the queue to the end, as each
+// flight is bounded host work. It is idempotent.
 func (c *Coalescer) Close(ctx context.Context) error {
 	c.mu.Lock()
 	c.closed = true
+	c.wakeLinger() // a lingering holder flies at once
 	c.mu.Unlock()
-	c.kickFlusher()
 	select {
-	case <-c.drained:
-		return nil
+	case c.token <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-func (c *Coalescer) kickFlusher() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-// run is the flusher: the single goroutine that cuts batches off the lanes
-// and flies them serially against the backend, waiting for a kick (or the
-// linger timer) whenever no batch is ready.
-func (c *Coalescer) run() {
-	defer close(c.drained)
-	var f flight // one value, reset per cut: the flusher flies one at a time
 	for {
-		riders, wait, done := c.next()
+		riders, _ := c.next() // closed: never lingers
+		if riders == nil {
+			break
+		}
+		c.cur = flight{riders: riders}
+		c.flush(&c.cur)
+	}
+	pprof.SetGoroutineLabels(ctx)
+	<-c.token
+	return nil
+}
+
+// lead flies batches on the caller's goroutine, which holds the flight,
+// until r's result is delivered; then it releases the flight and returns
+// that result. If r's ctx has ended when it takes the flight, or ends while
+// it lingers, it withdraws r, releases the flight and returns the ctx error.
+func (c *Coalescer) lead(r *request) result {
+	defer func() { <-c.token }()
+	if err := r.ctx.Err(); err != nil {
+		// Wait's select took the flight over an expiry it saw at once.
+		c.withdraw(r)
+		return result{err: err}
+	}
+	for {
+		select {
+		case res := <-r.done:
+			return res
+		default:
+		}
+		riders, wait := c.next()
 		switch {
 		case riders != nil:
-			f = flight{riders: riders}
-			c.flush(&f)
-		case done:
-			return
-		case wait > 0:
-			fired, stop := c.clk.NewTimer(wait)
-			select {
-			case <-c.kick:
-				stop()
-			case <-fired:
-			}
+			c.cur = flight{riders: riders}
+			c.flush(&c.cur)
+			// The holder wore the stage labels; it goes back to its own.
+			pprof.SetGoroutineLabels(r.ctx)
+		case wait == 0:
+			// Nothing is queued, so an earlier holder flew r and delivered
+			// before it released the flight.
+			return <-r.done
 		default:
-			<-c.kick
+			if !c.linger(r.ctx, wait) {
+				c.withdraw(r)
+				return result{err: r.ctx.Err()}
+			}
 		}
 	}
 }
 
-// next dequeues the next batch's riders. With nothing ready it returns nil
-// riders and either done (closed and empty: the flusher exits), a positive
-// linger wait, or zero (empty queue: wait for a kick).
-func (c *Coalescer) next() (riders []*request, wait time.Duration, done bool) {
+// linger waits out a partial batch's linger window on the holder's
+// goroutine: until the window closes or an arrival or Close wakes it (true),
+// or until ctx ends (false).
+func (c *Coalescer) linger(ctx context.Context, wait time.Duration) bool {
+	fired, stop := c.clk.NewTimer(wait)
+	defer stop()
+	select {
+	case <-fired:
+	case <-c.wake:
+	case <-ctx.Done():
+		return false
+	}
+	return true
+}
+
+// wakeLinger makes a lingering holder cut again. Callers hold c.mu.
+func (c *Coalescer) wakeLinger() {
+	if c.lingering {
+		c.lingering = false
+		select {
+		case c.wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
+}
+
+// withdraw takes a request whose ctx ended off its lane, unless a flight has
+// already cut it, and counts it as expired in queue: an abandoned request
+// holds no queue room, so it never sheds later arrivals.
+func (c *Coalescer) withdraw(r *request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	lane := &c.lanes[r.Priority]
+	i := slices.Index(*lane, r)
+	if i < 0 {
+		return
+	}
+	*lane = slices.Delete(*lane, i, i+1)
+	c.queued -= len(r.Queries)
+	c.m.QueueDepth.Set(int64(c.queued))
+	c.m.ExpiredInQueue.Add(1)
+}
+
+// next dequeues the next batch's riders. With nothing ready it returns nil
+// riders and either a positive linger wait, marking the holder lingering,
+// or zero (an empty queue).
+func (c *Coalescer) next() (riders []*request, wait time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lingering = false
 	total := 0
 	for l := range c.lanes {
 		total += len(c.lanes[l])
 	}
 	if total == 0 {
-		return nil, 0, c.closed
+		return nil, 0
 	}
 	now := c.clk.Now()
 	cut, counts, nq := c.cut(c.pickLane(now))
@@ -514,7 +607,13 @@ func (c *Coalescer) next() (riders []*request, wait time.Duration, done bool) {
 			}
 		}
 		if wait := c.cfg.Linger - now.Sub(oldest); wait > 0 {
-			return nil, wait, false
+			// A wake sent before this cut is stale: the cut saw its arrival.
+			select {
+			case <-c.wake:
+			default:
+			}
+			c.lingering = true
+			return nil, wait
 		}
 	}
 	for l, n := range counts {
@@ -524,7 +623,7 @@ func (c *Coalescer) next() (riders []*request, wait time.Duration, done bool) {
 	}
 	c.queued -= nq
 	c.m.QueueDepth.Set(int64(c.queued))
-	return cut, 0, false
+	return cut, 0
 }
 
 // deadlineSlack is the lane-escape threshold: a lower-priority head request
@@ -792,9 +891,9 @@ func (c *Coalescer) fill(missed []header.Index) {
 	}
 }
 
-// foldDelta folds a cumulative counter the flusher polls into the registry:
-// it adds what cur gained over the last-seen value. Only the flusher calls
-// it, so the last-seen values need no synchronization.
+// foldDelta folds a cumulative counter the flight's holder polls into the
+// registry: it adds what cur gained over the last-seen value. Only the
+// holder calls it, so the last-seen values need no synchronization.
 func foldDelta(into *telemetry.Counter, cur uint64, last *uint64) {
 	if cur > *last {
 		into.Add(cur - *last)

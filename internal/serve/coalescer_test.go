@@ -207,7 +207,7 @@ func TestCoalescingWinDeterministic(t *testing.T) {
 
 // TestCoalescerDeadlineWhileQueued expires a request while it waits behind a
 // stuck flush; Submit must return the context error promptly and the request
-// must be skipped (not computed) once the flusher reaches it.
+// must be skipped (not computed) once a flight reaches it.
 func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 	fake := newFake()
 	fake.gate = make(chan struct{})
@@ -237,8 +237,8 @@ func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 		t.Fatalf("timed-out request reports ID %d, want 2 (its admission order)", res.Stats.RequestID)
 	}
 
-	// Release A (and everything after it); the flusher must skip expired B
-	// and stay healthy.
+	// Release A (and everything after it); the next flight must skip
+	// expired B and the coalescer stay healthy.
 	close(fake.gate)
 	if err := <-aDone; err != nil {
 		t.Fatalf("request A failed: %v", err)
@@ -254,35 +254,85 @@ func TestCoalescerDeadlineWhileQueued(t *testing.T) {
 }
 
 // TestCoalescerDeadlineDuringFlush expires a request while its own batch is
-// executing; Submit returns the context error and the flusher's late
-// delivery is dropped without blocking anything.
+// executing. A follower, carried by another goroutine's flight, returns the
+// context error at its deadline, and the flight's late delivery is dropped
+// without blocking anything. A leader, flying its own batch, returns only
+// when that flight lands, with the context error and its delivery dropped.
+// The coalescer stays healthy either way.
 func TestCoalescerDeadlineDuringFlush(t *testing.T) {
-	fake := newFake()
-	fake.gate = make(chan struct{})
-	fake.enter = make(chan struct{}, 16)
-	co, err := serve.NewCoalescer(serve.Config{BatchCapacity: 4, MaxQueued: 8}, fake, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close(context.Background())
+	t.Run("follower", func(t *testing.T) {
+		fake := newFake()
+		fake.gate = make(chan struct{})
+		fake.enter = make(chan struct{}, 16)
+		co, err := serve.NewCoalescer(serve.Config{BatchCapacity: 4, MaxQueued: 8}, fake, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer co.Close(context.Background())
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = co.Submit(ctx, serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(7, 8)}})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("mid-flush expiry returned %v, want DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("Submit blocked %v past its deadline", waited)
-	}
-	<-fake.enter     // the flush had started before the deadline hit
-	close(fake.gate) // let it finish; delivery lands in the buffer and is dropped
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		mine := admit(t, co, ctx, tensor.OpSum, serve.PriorityNormal, 7)
+		// Another waiter takes the flight; the batch it cuts carries both.
+		carrier := waitAsync(admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 8))
+		<-fake.enter // the flush had started before the deadline hit
 
-	res, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(9)}})
-	if err != nil || len(res.Outputs) != 1 {
-		t.Fatalf("coalescer wedged after mid-flush expiry: %v", err)
-	}
+		start := time.Now()
+		if _, err := mine.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("mid-flush expiry returned %v, want DeadlineExceeded", err)
+		}
+		if waited := time.Since(start); waited > 5*time.Second {
+			t.Fatalf("Wait blocked %v past its deadline", waited)
+		}
+		close(fake.gate) // let it finish; delivery lands in the buffer and is dropped
+		if res := await(t, carrier); res.Stats.Requests != 2 {
+			t.Fatalf("carrier's batch held %d requests, want 2", res.Stats.Requests)
+		}
+
+		res, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(9)}})
+		if err != nil || len(res.Outputs) != 1 {
+			t.Fatalf("coalescer wedged after mid-flush expiry: %v", err)
+		}
+	})
+	t.Run("leader", func(t *testing.T) {
+		fake := newFake()
+		fake.gate = make(chan struct{})
+		fake.enter = make(chan struct{}, 16)
+		co, err := serve.NewCoalescer(serve.Config{BatchCapacity: 4, MaxQueued: 8}, fake, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer co.Close(context.Background())
+
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		tk := admit(t, co, ctx, tensor.OpSum, serve.PriorityNormal, 7)
+		waited := waitAsync(tk)
+		<-fake.enter // its own goroutine holds the flight, inside the backend
+		<-ctx.Done()
+		select {
+		case o := <-waited:
+			t.Fatalf("leader returned %v before its flight landed", o.err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(fake.gate)
+		o := <-waited
+		if !errors.Is(o.err, context.DeadlineExceeded) || o.res.Outputs != nil {
+			t.Fatalf("late leader returned %v with %d outputs, want DeadlineExceeded and its delivery dropped", o.err, len(o.res.Outputs))
+		}
+		if o.res.Stats.RequestID != tk.ID() {
+			t.Fatalf("late leader reports ID %d, want %d", o.res.Stats.RequestID, tk.ID())
+		}
+
+		res, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(9)}})
+		if err != nil || len(res.Outputs) != 1 {
+			t.Fatalf("coalescer wedged after the leader's expiry: %v", err)
+		}
+		// The leader's request flew: it is no in-queue expiry.
+		if got := co.Metrics().ExpiredInQueue.Value(); got != 0 {
+			t.Fatalf("ExpiredInQueue = %d, want 0", got)
+		}
+	})
 }
 
 // TestCoalescerShutdownWhileQueued drains a coalescer with requests still
@@ -355,20 +405,16 @@ func TestCoalescerOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := sync.OnceFunc(func() { close(fake.gate) })
 	defer func() {
-		close(fake.gate)
+		release()
 		co.Close(context.Background())
 	}()
 
-	var admitted [2]serve.Ticket
-	for i := range admitted {
-		if admitted[i], err = co.Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(header.Index(i + 1))}}); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			<-fake.enter // A holds the backend; queue is empty again
-		}
-	}
+	// A's waiter holds the backend; the queue is empty again, and B fills it.
+	parked := waitAsync(admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 1))
+	<-fake.enter
+	queued := admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 2)
 
 	start := time.Now()
 	_, err = co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(3)}})
@@ -378,14 +424,9 @@ func TestCoalescerOverload(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("overload rejection took %v, want fail-fast", took)
 	}
-	fake.gate <- struct{}{}
-	fake.gate <- struct{}{}
-	<-fake.enter
-	for i, tk := range admitted {
-		if _, err := tk.Wait(); err != nil {
-			t.Fatalf("admitted request %d failed: %v", i, err)
-		}
-	}
+	release()
+	await(t, parked)
+	wait(t, queued)
 }
 
 // TestCoalescerMixedOps verifies requests with different pooling operations

@@ -74,7 +74,10 @@ func (m *ManualClock) Advance(d time.Duration) {
 	m.timers = pending
 }
 
-// AwaitTimer blocks until a timer is armed and reports when it is due.
+// AwaitTimer blocks until a timer is armed and reports when it is due. The
+// coalescer's timers are linger windows, armed by the goroutine holding the
+// flight, so a test that awaits one waits on its ticket from another
+// goroutine.
 func (m *ManualClock) AwaitTimer() time.Time {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -102,7 +105,7 @@ func NewAt(sys System, cfg Config, clk *ManualClock) (*Server, error) {
 }
 
 // CacheRingStats sums the cache rings' own consultation counters. Call it
-// only while the flusher is idle.
+// only while no flight is in progress.
 func (c *Coalescer) CacheRingStats() (hits, misses uint64) {
 	for _, ca := range c.caches {
 		st := ca.Stats()
@@ -113,7 +116,7 @@ func (c *Coalescer) CacheRingStats() (hits, misses uint64) {
 }
 
 // CacheResident reports whether row idx is in the cache, without touching
-// the CLOCK state. Call it only while the flusher is idle.
+// the CLOCK state. Call it only while no flight is in progress.
 func (c *Coalescer) CacheResident(idx header.Index) bool {
 	return c.caches[c.shardOf(idx)].Contains(cache.Key{Index: idx})
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"runtime/pprof"
 	"time"
 
@@ -12,7 +11,7 @@ import (
 
 // flight is one batch's trip through the stage list: the riders it carries,
 // what each stage left behind for the next, and one timestamp per seam. All
-// of it belongs to the flusher goroutine.
+// of it belongs to the goroutine holding the flight.
 type flight struct {
 	riders []*request // all share one pooling op
 	// isolated marks a one-rider retry of a failed shared batch. It skips the
@@ -78,7 +77,9 @@ var stages = [...]stage{
 }
 
 // fly walks the flight through the stage list until a stage ends it, and
-// returns the backend's error if that is what ended it.
+// returns the backend's error if that is what ended it. The holder's
+// goroutine wears each stage's pprof label; its caller restores the
+// holder's own labels once the flight has landed.
 func (c *Coalescer) fly(f *flight) error {
 	f.sink = c.sink
 	f.start = c.clk.Now()
@@ -102,7 +103,6 @@ func (c *Coalescer) fly(f *flight) error {
 			break
 		}
 	}
-	pprof.SetGoroutineLabels(context.Background())
 	return f.err
 }
 
@@ -169,9 +169,9 @@ func (c *Coalescer) build(f *flight) bool {
 // backend runs the hardware batch — the cache misses when a plan stripped
 // it, nothing at all when the whole batch was served from cache. The echo
 // collector, and on a cached flight the row hand-off the merge stage fills
-// the cache from, are attached around the lookup only (flusher-only access,
-// honouring the backend's single-goroutine contract), and the flush span ID
-// is handed down so the backend's whole span tree parents under it.
+// the cache from, are attached around the lookup only (by the flight's
+// holder, honouring the backend's single-goroutine contract), and the flush
+// span ID is handed down so the backend's whole span tree parents under it.
 func (c *Coalescer) backend(f *flight) bool {
 	hw := f.batch
 	if f.plan != nil {

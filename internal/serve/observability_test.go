@@ -308,10 +308,12 @@ func TestServerStageAndSLOFamilies(t *testing.T) {
 	}
 }
 
-// TestFlusherWearsStageLabel pins the profile seam: while the backend stage
-// runs, the flusher goroutine carries the pprof label stage=backend — the
-// Breakdown column's name — so a CPU profile slices by the same names.
-func TestFlusherWearsStageLabel(t *testing.T) {
+// TestFlightHolderWearsStageLabel pins the profile seam: while the backend
+// stage runs, the goroutine holding the flight — the waiter flying its own
+// batch — carries the pprof label stage=backend, the Breakdown column's
+// name, so a CPU profile slices by the same names. Once the flight lands it
+// wears its own request's labels again.
+func TestFlightHolderWearsStageLabel(t *testing.T) {
 	f := newFake()
 	var during bytes.Buffer
 	f.fail = func(embedding.Batch) error {
@@ -322,10 +324,20 @@ func TestFlusherWearsStageLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close(context.Background())
-	if _, err := co.Submit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}}); err != nil {
+	ctx := pprof.WithLabels(context.Background(), pprof.Labels("caller", "holder-test"))
+	pprof.SetGoroutineLabels(ctx)
+	defer pprof.SetGoroutineLabels(context.Background())
+	if _, err := co.Submit(ctx, serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(during.String(), `"stage":"backend"`) {
 		t.Fatalf("no goroutine labelled stage=backend during the backend call:\n%s", during.String())
+	}
+	var after bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&after, 1); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(after.String(), `"stage":`) || !strings.Contains(after.String(), `"caller":"holder-test"`) {
+		t.Fatalf("after its flight the holder wears other labels than its request's own:\n%s", after.String())
 	}
 }

@@ -47,14 +47,42 @@ func TestParsePriority(t *testing.T) {
 	}
 }
 
-// occupyFlusher parks the coalescer's flusher inside a gated backend Lookup
-// so subsequent admissions accumulate in the queue. Returns the parked
-// request's ticket.
-func occupyFlusher(t *testing.T, co *serve.Coalescer, f *fakeBackend) serve.Ticket {
+// parkLeader admits a request and waits on it from its own goroutine, which
+// takes the flight and parks inside the gated backend Lookup, so subsequent
+// admissions accumulate in the queue. It returns the channel the parked
+// request's outcome arrives on.
+func parkLeader(t *testing.T, co *serve.Coalescer, f *fakeBackend) <-chan outcome {
 	t.Helper()
-	parked := admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 1)
+	parked := waitAsync(admit(t, co, context.Background(), tensor.OpSum, serve.PriorityNormal, 1))
 	<-f.enter
 	return parked
+}
+
+// outcome is what one Ticket.Wait returned.
+type outcome struct {
+	res serve.Response
+	err error
+}
+
+// waitAsync waits on tk from a new goroutine, which flies batches when the
+// flight comes to it; the outcome arrives on the returned channel.
+func waitAsync(tk serve.Ticket) <-chan outcome {
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := tk.Wait()
+		ch <- outcome{res, err}
+	}()
+	return ch
+}
+
+// await receives what waitAsync delivers, failing the test on an error.
+func await(t *testing.T, ch <-chan outcome) serve.Response {
+	t.Helper()
+	o := <-ch
+	if o.err != nil {
+		t.Fatalf("request %d: %v", o.res.Stats.RequestID, o.err)
+	}
+	return o.res
 }
 
 // admit queues a one-query request synchronously: when it returns, the
@@ -92,7 +120,7 @@ func TestQoSShedLowFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked := occupyFlusher(t, co, f)
+	parked := parkLeader(t, co, f)
 
 	var queued []serve.Ticket
 	tryReject := func(pri serve.Priority) {
@@ -126,7 +154,7 @@ func TestQoSShedLowFirst(t *testing.T) {
 
 	// Release the backend and drain everything still queued.
 	close(f.gate)
-	wait(t, parked)
+	await(t, parked)
 	for _, tk := range queued {
 		wait(t, tk)
 	}
@@ -152,8 +180,8 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Park the flusher so the burst piles into the admission queue.
-	parked := occupyFlusher(t, co, f)
+	// Park a leader so the burst piles into the admission queue.
+	parked := parkLeader(t, co, f)
 
 	// Seeded 20/80 mix over a burst of 2x MaxQueued requests: every fifth
 	// request is high priority. The burst is admitted open-loop (no waiting
@@ -207,7 +235,7 @@ func TestQoSOverloadAcceptance(t *testing.T) {
 
 	// Release the backend: every admitted request completes.
 	close(f.gate)
-	wait(t, parked)
+	await(t, parked)
 	for _, tk := range admitted {
 		wait(t, tk)
 	}
@@ -242,7 +270,7 @@ func TestQoSDeadlineEscape(t *testing.T) {
 			f := newFake()
 			f.gate = make(chan struct{})
 			f.enter = make(chan struct{}, 16)
-			// The flusher calls the backend sequentially, so recording each
+			// The backend is never called concurrently, so recording each
 			// batch's op gives the exact scheduling order.
 			var opOrder []tensor.ReduceOp
 			f.fail = func(b embedding.Batch) error {
@@ -254,7 +282,7 @@ func TestQoSDeadlineEscape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parked := occupyFlusher(t, co, f)
+			parked := parkLeader(t, co, f)
 
 			// A no-deadline high request, then a deadlined low request, with
 			// different ops so they cannot share a batch.
@@ -263,7 +291,7 @@ func TestQoSDeadlineEscape(t *testing.T) {
 			clk.Advance(tc.elapsed)
 
 			close(f.gate)
-			wait(t, parked)
+			await(t, parked)
 			wait(t, high)
 			wait(t, low)
 			if !slices.Equal(opOrder, tc.want) {

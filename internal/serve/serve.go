@@ -36,6 +36,8 @@ var (
 
 // Backend runs one embedding-lookup batch with full timing. *fafnir.System
 // (the repository's public facade) implements it; tests substitute fakes.
+// The coalescer calls it from one goroutine at a time — whichever waiting
+// request holds the flight — so it need not be safe for concurrent use.
 type Backend interface {
 	Lookup(b embedding.Batch) (*core.TimedResult, error)
 }
@@ -145,8 +147,8 @@ type Config struct {
 	// compiles into one hardware batch. Default 32.
 	BatchCapacity int
 	// Linger is how long the oldest queued query may wait for co-travellers
-	// before a partial batch is flushed anyway. Zero flushes as soon as the
-	// flusher observes a non-empty queue (lowest latency, least coalescing).
+	// before a partial batch is flushed anyway. Zero flushes as soon as a
+	// waiting request takes the flight (lowest latency, least coalescing).
 	Linger time.Duration
 	// MaxQueued bounds the admission queue in queries; submissions beyond it
 	// fail fast with ErrOverloaded. Default 16 x BatchCapacity.

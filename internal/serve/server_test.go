@@ -238,25 +238,32 @@ func TestServerBadRequests(t *testing.T) {
 }
 
 // holdBackendAndQueue admits two one-query requests straight into the
-// server's coalescer: the first parks the flusher at the fake's gate, the
-// second then sits in the admission queue. Admission is synchronous, so when
-// this returns the queue holds exactly one query.
-func holdBackendAndQueue(t *testing.T, srv *serve.Server, fake *fakeSystem) [2]serve.Ticket {
+// server's coalescer: a goroutine waits on the first, takes the flight and
+// parks at the fake's gate; the second then sits in the admission queue.
+// Admission is synchronous, so when this returns the queue holds exactly one
+// query. It returns the parked request's outcome channel and the queued
+// request's ticket.
+func holdBackendAndQueue(t *testing.T, srv *serve.Server, fake *fakeSystem) (<-chan outcome, serve.Ticket) {
 	t.Helper()
-	var held [2]serve.Ticket
-	for i := range held {
+	admit := func() serve.Ticket {
 		tk, err := srv.Coalescer().Admit(context.Background(), serve.Request{
 			Op: tensor.OpSum, Queries: []embedding.Query{query(1, 2)}, Priority: serve.PriorityNormal,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		held[i] = tk
-		if i == 0 {
-			<-fake.enter // the first request holds the backend; the queue is empty again
-		}
+		return tk
 	}
-	return held
+	parked := waitAsync(admit())
+	<-fake.enter // the first request holds the backend; the queue is empty again
+	return parked, admit()
+}
+
+// finishHeld waits for both requests holdBackendAndQueue admitted.
+func finishHeld(t *testing.T, parked <-chan outcome, queued serve.Ticket) {
+	t.Helper()
+	await(t, parked)
+	wait(t, queued)
 }
 
 // TestServerOverload saturates the bounded queue and checks the server
@@ -270,7 +277,7 @@ func TestServerOverload(t *testing.T) {
 	release := sync.OnceFunc(func() { close(fake.gate) })
 	defer release()
 
-	held := holdBackendAndQueue(t, srv, fake)
+	parked, queued := holdBackendAndQueue(t, srv, fake)
 
 	resp, decoded := postLookup(t, ts.URL, `{"indices": [5]}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -284,11 +291,7 @@ func TestServerOverload(t *testing.T) {
 	}
 
 	release()
-	for i, tk := range held {
-		if _, err := tk.Wait(); err != nil {
-			t.Fatalf("admitted request %d failed: %v", i, err)
-		}
-	}
+	finishHeld(t, parked, queued)
 }
 
 // TestServerDeadline gives a request a deadline shorter than the stuck
@@ -296,7 +299,17 @@ func TestServerOverload(t *testing.T) {
 func TestServerDeadline(t *testing.T) {
 	fake := &fakeSystem{fakeBackend: newFake(), rows: 1 << 16}
 	fake.gate = make(chan struct{})
+	fake.enter = make(chan struct{}, 16)
 	srv, ts := newTestServer(t, fake, serve.Config{BatchCapacity: 1})
+
+	// A parked leader holds the backend, so the lookup waits as a follower,
+	// which returns at its deadline.
+	tk, err := srv.Coalescer().Admit(context.Background(), serve.Request{Op: tensor.OpSum, Queries: []embedding.Query{query(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := waitAsync(tk)
+	<-fake.enter
 
 	start := time.Now()
 	resp, decoded := postLookup(t, ts.URL, `{"indices": [1], "timeout_ms": 30}`)
@@ -311,10 +324,11 @@ func TestServerDeadline(t *testing.T) {
 	}
 	// The request was admitted before it timed out, so the flight recorder
 	// files it under its real ID, joinable to its trace.
-	if slowest := srv.SLO().Snapshot().Slowest; len(slowest) != 1 || slowest[0].ID != 1 || slowest[0].Good {
-		t.Errorf("slowest ring = %+v, want the timed-out request filed bad under ID 1", slowest)
+	if slowest := srv.SLO().Snapshot().Slowest; len(slowest) != 1 || slowest[0].ID != 2 || slowest[0].Good {
+		t.Errorf("slowest ring = %+v, want the timed-out request filed bad under ID 2", slowest)
 	}
 	close(fake.gate)
+	await(t, parked)
 }
 
 // TestServerFaultKind routes a lookup of an index whose primary and replica
@@ -531,7 +545,7 @@ func TestServerRetryAfterJitter(t *testing.T) {
 	release := sync.OnceFunc(func() { close(fake.gate) })
 	defer release()
 
-	held := holdBackendAndQueue(t, srv, fake)
+	parked, queued := holdBackendAndQueue(t, srv, fake)
 
 	for seq := uint64(1); seq <= 5; seq++ {
 		resp, _ := postLookup(t, ts.URL, `{"indices": [5]}`)
@@ -549,11 +563,7 @@ func TestServerRetryAfterJitter(t *testing.T) {
 	}
 
 	release()
-	for i, tk := range held {
-		if _, err := tk.Wait(); err != nil {
-			t.Fatalf("admitted request %d failed: %v", i, err)
-		}
-	}
+	finishHeld(t, parked, queued)
 }
 
 // TestServerHealthzDuringDrain pins the shutdown ordering contract: the
@@ -566,7 +576,7 @@ func TestServerHealthzDuringDrain(t *testing.T) {
 	fake.enter = make(chan struct{}, 16)
 	srv, ts := newTestServer(t, fake, serve.Config{BatchCapacity: 1})
 
-	held := holdBackendAndQueue(t, srv, fake)
+	parked, queued := holdBackendAndQueue(t, srv, fake)
 
 	// A Drain that cannot wait still begins the drain: health flips
 	// unhealthy while both admitted requests are unanswered.
@@ -591,11 +601,7 @@ func TestServerHealthzDuringDrain(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i, tk := range held {
-		if _, err := tk.Wait(); err != nil {
-			t.Fatalf("queued request %d failed after drain: %v", i, err)
-		}
-	}
+	finishHeld(t, parked, queued)
 
 	resp, decoded := postLookup(t, ts.URL, `{"indices": [1]}`)
 	if resp.StatusCode != http.StatusServiceUnavailable || decoded["kind"] != "draining" {

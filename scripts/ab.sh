@@ -13,9 +13,12 @@
 # then runs `-workload <workload> -seconds <seconds> -trace 0` (defaults: 10
 # pairs, 3 s) once per side per pair, alternating which side goes first, and
 # reads each run's end-to-end metrics from the summary line run.sh prints
-# last. Micro mode compiles the test binary of every package with a benchmark
-# matching <regex> on both sides and alternates `-test.bench <regex>` runs the
-# same way (defaults: 10 pairs, -benchtime 1s), reading ns/op.
+# last, plus three information values from its op_tail_ms line: the slowest
+# operations' latency, the percentile it reads (fewer timed operations give
+# a lower one) and the number of timed operations it was taken over. Micro
+# mode compiles the test binary of every package with a benchmark matching
+# <regex> on both sides and alternates `-test.bench <regex>` runs the same
+# way (defaults: 10 pairs, -benchtime 1s), reading ns/op.
 #
 # For every metric it prints both sides' medians and interquartile ranges
 # (Python's exclusive quartiles, as the benchmark computes its spread), the
@@ -23,8 +26,12 @@
 # "better" direction in BENCHMARK.json (ns/op: lower). The verdict is
 # "better" (or "worse") when the candidate wins (or loses) at least 9 in 10
 # pairs and the medians differ by more than the base's interquartile range,
-# and "same" otherwise. End-to-end mode exits 1 when any sim_* value differs
-# between the two sides: a host-side change must not move a simulated number.
+# and "same" otherwise. The information values get the same row with "info"
+# for a verdict (wins count a lower tail latency and a higher percentile or
+# operation count), so a change that removes stalls shows in the tail pair
+# by pair. End-to-end mode exits 1 when any
+# sim_* value differs between the two sides: a host-side change must not
+# move a simulated number.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -61,7 +68,7 @@ base="$tmp/base"
 echo "base $sha (clone in $base), candidate $root (working tree)" >&2
 
 # run_side SIDE DIR PAIR: one run of one side, appending "SIDE PAIR name value"
-# lines to $tmp/samples.
+# lines to $tmp/samples (information values to $tmp/info).
 run_side() {
 	local side="$1" dir="$2" pair="$3" out="$tmp/$1-$3.txt"
 	if [ -n "$micro" ]; then
@@ -77,9 +84,15 @@ run_side() {
 				}' >> "$out"
 		done < "$tmp/pkgs"
 	else
-		(cd "$dir" && bash benchmark/run.sh -workload "$workload" -seconds "$seconds" -trace 0) |
-			tail -n 1 | grep -o '"[a-z_0-9.]*":{"value":[^,}]*' |
+		(cd "$dir" && bash benchmark/run.sh -workload "$workload" -seconds "$seconds" -trace 0) > "$out.log"
+		tail -n 1 "$out.log" | grep -o '"[a-z_0-9.]*":{"value":[^,}]*' |
 			sed 's/^"\([^"]*\)":{"value":/\1 /' > "$out"
+		# "op_tail_ms <ms> ms p<pct> over <n> timed operations"
+		awk -v side="$side" -v pair="$pair" '$1 == "op_tail_ms" {
+			print side, pair, "op_tail_ms", $2
+			print side, pair, "op_tail_percentile", substr($4, 2)
+			print side, pair, "op_tail_operations", $6
+		}' "$out.log" >> "$tmp/info"
 	fi
 	[ -s "$out" ] || { echo "ab: $side run $pair produced no metrics" >&2; exit 1; }
 	sed "s/^/$side $pair /" "$out" >> "$tmp/samples"
@@ -105,6 +118,7 @@ else
 fi
 
 : > "$tmp/samples"
+: > "$tmp/info"
 for pair in $(seq 1 "$pairs"); do
 	if [ $((pair % 2)) -eq 1 ]; then
 		run_side base "$base" "$pair"
@@ -131,6 +145,9 @@ function quart(a, n, k,    j, d) {
 	return (a[j] * (4 - d) + a[j + 1] * d) / 4
 }
 FILENAME ~ /better$/ { dir[$1] = $2; next }
+# The tail latency wins lower; more timed operations (and the higher
+# percentile they allow) mean more throughput, so those win higher.
+FILENAME ~ /info$/ { info[$3] = 1; dir[$3] = $3 == "op_tail_ms" ? "lower" : "higher" }
 {
 	v[$1, $2, $3] = $4
 	if (!($3 in seen)) { seen[$3] = 1; order[++m] = $3 }
@@ -162,6 +179,7 @@ END {
 		verdict = "same"
 		if (wins * 10 >= 9 * pairs && gap > iqb) verdict = "better"
 		if (losses * 10 >= 9 * pairs && gap > iqb) verdict = "worse"
+		if (name in info) verdict = "info"
 		if (name ~ /^sim_/) {
 			verdict = differ ? "DIFFERS" : "exact"
 			if (differ) bad = 1
@@ -169,4 +187,4 @@ END {
 		printf "%-40s %14.6g %10.4g %14.6g %10.4g %8.4f %3d/%-2d  %s\n", name, mb, iqb, mc, iqc, (mb ? mc / mb : 0), wins, pairs, verdict
 	}
 	exit bad
-}' "$tmp/better" "$tmp/samples"
+}' "$tmp/better" "$tmp/samples" "$tmp/info"
