@@ -11,8 +11,9 @@ import (
 
 // One product allocates its result, its plan and the row pass's counters and
 // scratch, and nothing per chunk, per merge group or per row: no stream is
-// built. Measured at 7 whether the matrix has 64 rows or 4096, in 16 chunks
-// (one merge iteration) or 64.
+// built. Measured at 6 whether the matrix has 64 rows or 4096, in 16 chunks
+// or 64 (one merge iteration, summed into y); the list-and-fold pass of
+// more than 256 chunks adds its partial list (7 at 300 chunks).
 func TestMultiplyAllocBudget(t *testing.T) {
 	e, err := NewEngine(Default())
 	if err != nil {

@@ -2,6 +2,7 @@ package spmv_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -165,7 +166,7 @@ type accelerator struct {
 }
 
 // schedules builds both accelerators on 8 ranks at the given vector size.
-func schedules(t *testing.T, width int) map[string]accelerator {
+func schedules(t testing.TB, width int) map[string]accelerator {
 	t.Helper()
 	fcfg := spmv.Default()
 	fcfg.Tree.NumRanks, fcfg.VectorSize = 8, width
@@ -254,10 +255,13 @@ func TestMultiplyKeepsMergeAssociation(t *testing.T) {
 	}
 }
 
+// sameResult compares every field of two results, Y bit for bit: a -0
+// where the reference has +0 is a difference, though the two compare equal.
 func sameResult(got, want *spmv.Result) error {
+	if r := firstBitDiff(got.Y, want.Y); r >= 0 {
+		return fmt.Errorf("Y differs from row %d on", r)
+	}
 	switch {
-	case !got.Y.Equal(want.Y):
-		return fmt.Errorf("Y differs")
 	case got.TotalCycles != want.TotalCycles, got.MultiplyCycles != want.MultiplyCycles, got.MergeCycles != want.MergeCycles:
 		return fmt.Errorf("cycles total/multiply/merge %d/%d/%d, want %d/%d/%d",
 			got.TotalCycles, got.MultiplyCycles, got.MergeCycles, want.TotalCycles, want.MultiplyCycles, want.MergeCycles)
@@ -268,6 +272,17 @@ func sameResult(got, want *spmv.Result) error {
 		return fmt.Errorf("plan %v, want %v", got.Plan, want.Plan)
 	}
 	return nil
+}
+
+// firstBitDiff returns the first row at which a and b differ in their
+// float32 bits or in length, or -1 if they are identical.
+func firstBitDiff(a, b tensor.Vector) int {
+	for i := range max(len(a), len(b)) {
+		if i >= min(len(a), len(b)) || math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Fafnir forwards a partial sum that cancelled to exactly zero like any

@@ -2,6 +2,8 @@ package spmv
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"fafnir/internal/dram"
 	"fafnir/internal/sim"
@@ -111,9 +113,12 @@ type partial struct {
 // row's entries per chunk in column order, drops a partial that cancelled
 // to zero unless KeepZero is set, and folds the kept partials up the
 // iterations as the merges would: each group's partials added into zero in
-// stream order, a merged row counted whatever its sum. It counts every
-// round's input elements and output stream length on the way, and the
-// rounds then replay those counts against the memory.
+// stream order, a merged row counted whatever its sum. With at most one
+// merge iteration that fold is the row's partials added into zero in chunk
+// order, and a row of short runs per chunk is summed that way without a
+// branch per partial (sumRows). The pass counts every round's input
+// elements and output stream length on the way, and the rounds then replay
+// those counts against the memory.
 func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result, error) {
 	if len(x) != m.Cols {
 		return nil, fmt.Errorf("%s: operand of %d elements against %d columns", s.Name, len(x), m.Cols)
@@ -132,46 +137,49 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 	lens := make([]int, total+rounds[0])
 	entries := lens[total:]
 	res := &Result{Plan: plan, Y: tensor.New(m.Rows)}
-	v := uint32(s.VectorSize)
-	kept := make([]partial, rounds[0])
-	for r, cols := range m.ColIdx {
-		vals := m.Vals[r][:len(cols)]
-		n := 0
-		for i := 0; i < len(cols); {
-			k := uint32(cols[i]) / v
-			var acc float32
-			e := i
-			for hi := int32((k + 1) * v); e < len(cols) && cols[e] < hi; e++ {
-				acc += vals[e] * x[cols[e]]
-			}
-			entries[k] += e - i
-			if acc != 0 || s.KeepZero {
-				kept[n] = partial{k, acc}
-				n++
-				lens[k]++
-			}
-			i = e
-		}
-		// Fold in place: a group's sum goes where its first partial was.
-		for it, base := 1, 0; it < len(rounds); it++ {
-			base += rounds[it-1]
-			w := 0
-			for i := 0; i < n; w++ {
-				g := kept[i].k / v
-				var sum float32
-				for end := (g + 1) * v; i < n && kept[i].k < end; i++ {
-					sum += kept[i].v
+	if w := s.VectorSize; len(rounds) <= 2 && rounds[0] <= maxChunks && w&(w-1) == 0 {
+		s.sumRows(m, x, res.Y, lens[:total], entries)
+	} else {
+		v := uint32(s.VectorSize)
+		kept := make([]partial, rounds[0])
+		for r, cols := range m.ColIdx {
+			vals := m.Vals[r][:len(cols)]
+			n := 0
+			for i := 0; i < len(cols); {
+				k := uint32(cols[i]) / v
+				var acc float32
+				e := i
+				for hi := int32((k + 1) * v); e < len(cols) && cols[e] < hi; e++ {
+					acc += vals[e] * x[cols[e]]
 				}
-				kept[w] = partial{g, sum}
-				lens[base+int(g)]++
+				entries[k] += e - i
+				if acc != 0 || s.KeepZero {
+					kept[n] = partial{k, acc}
+					n++
+					lens[k]++
+				}
+				i = e
 			}
-			n = w
-		}
-		if n == 1 { // the last iteration has one stream
-			res.Y[r] = kept[0].v
+			// Fold in place: a group's sum goes where its first partial was.
+			for it, base := 1, 0; it < len(rounds); it++ {
+				base += rounds[it-1]
+				w := 0
+				for i := 0; i < n; w++ {
+					g := kept[i].k / v
+					var sum float32
+					for end := (g + 1) * v; i < n && kept[i].k < end; i++ {
+						sum += kept[i].v
+					}
+					kept[w] = partial{g, sum}
+					lens[base+int(g)]++
+				}
+				n = w
+			}
+			if n == 1 { // the last iteration has one stream
+				res.Y[r] = kept[0].v
+			}
 		}
 	}
-
 	// The rounds issue at the memory's current cycle, clock on the memory's
 	// clock and peClock on the PE clock; every reported cycle is the span
 	// from there.
@@ -214,6 +222,82 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 	res.TotalCycles = peClock - start
 	res.MergeCycles = res.TotalCycles - res.MultiplyCycles
 	return res, nil
+}
+
+// maxChunks bounds the chunk count of the plans sumRows runs: it keeps its
+// counts in fixed arrays, which a byte indexes without a bounds check.
+const maxChunks = 256
+
+// sumRows is the row pass of a plan with at most one merge iteration, at
+// most maxChunks chunks and a power-of-two VectorSize. Its one merge group
+// adds a row's kept partials into zero in chunk order, so each partial goes
+// straight into y[r]; a dropped partial is a zero, which adds exactly. lens
+// takes the chunk streams' lengths, then the merge stream's if there is
+// one. A row with long runs per chunk (at least four entries a chunk it
+// spans, as in every banded row) sums each chunk in a loop of its own. A
+// row of short runs would mispredict one loop exit per partial, so with
+// KeepZero, where every partial is kept, shortRow sums it branch-free.
+func (s Schedule) sumRows(m *sparse.LIL, x, y tensor.Vector, lens, entries []int) {
+	sh := uint(min(bits.TrailingZeros(uint(s.VectorSize)), 31)) // no column reaches 2^31
+	var cnt [2][maxChunks]int                                   // per chunk: partials kept, entries
+	rowsKept := 0
+	for r, cols := range m.ColIdx {
+		vals := m.Vals[r][:len(cols)]
+		if l := len(cols); s.KeepZero && l > 0 && l < 4*int(uint32(cols[l-1])>>sh-uint32(cols[0])>>sh+1) {
+			y[r] = shortRow(cols, vals, x, &cnt, sh)
+			rowsKept++
+			continue
+		}
+		sum, kept := float32(0), uint32(0)
+		for i := 0; i < len(cols); {
+			k := uint32(cols[i]) >> sh
+			var acc float32
+			e := i
+			for hi := int64(k+1) << sh; e < len(cols) && int64(cols[e]) < hi; e++ {
+				acc += vals[e] * x[cols[e]]
+			}
+			keep := b2u(acc != 0 || s.KeepZero)
+			sum += acc
+			cnt[0][uint8(k)] += int(keep)
+			cnt[1][uint8(k)] += e - i
+			kept |= keep
+			i = e
+		}
+		y[r] = sum
+		rowsKept += int(kept)
+	}
+	copy(entries, cnt[1][:])
+	copy(lens, cnt[0][:len(entries)])
+	copy(lens[len(entries):], []int{rowsKept}) // the merge stream, if any
+}
+
+// shortRow sums a row for sumRows without a branch per partial: per entry,
+// a chunk change b (0 or 1) selects the open partial's bits into the sum (a
+// +0 otherwise, which adds exactly: the sum starts at +0, so it is never
+// -0), restarts the partial at +0 and counts the opened chunk's partial.
+// Selecting bits, not multiplying by b, keeps an infinite partial infinite
+// where 0*Inf would be NaN.
+func shortRow(cols []int32, vals []float32, x tensor.Vector, cnt *[2][maxChunks]int, sh uint) float32 {
+	var sum, cur float32
+	prev := ^uint32(0) // the first entry opens a partial like any chunk change
+	for i, c := range cols {
+		k := uint32(c) >> (sh & 31) // sh < 32: the mask spares the shift a range check
+		b := b2u(k != prev)
+		cnt[0][uint8(k)] += int(b)
+		cnt[1][uint8(k)]++
+		sum += math.Float32frombits(math.Float32bits(cur) & -b)
+		cur = math.Float32frombits(math.Float32bits(cur)&^-b) + vals[i]*x[c]
+		prev = k
+	}
+	return sum + cur
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Executor returns the schedule as a solver/graph SpMV executor (the func

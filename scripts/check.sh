@@ -31,9 +31,9 @@
 #                      FuzzCacheOps', FuzzFromCOO's, FuzzParseFleet's,
 #                      FuzzLookupRequest's, FuzzLookupDecode's,
 #                      FuzzReplyEncoding's, FuzzLoadWorkload's, FuzzParseMix's,
-#                      FuzzParseSLO's, FuzzTopology's, FuzzFillKernel's and
-#                      FuzzSumKernel's seed corpora replayed in -run mode (no
-#                      fuzzing; deterministic and fast)
+#                      FuzzParseSLO's, FuzzTopology's, FuzzFillKernel's,
+#                      FuzzSumKernel's and FuzzSpMV's seed corpora replayed
+#                      in -run mode (no fuzzing; deterministic and fast)
 #   7b. one grain    — runtime.Gosched, stealHead and evalAsync must appear in
 #                      no non-test Go file: host parallelism is whole hardware
 #                      batches, shards and fleets, never a per-PE scheduler
@@ -168,6 +168,7 @@
 #   go test -fuzz=FuzzTopology -fuzztime=30s ./cmd/fafnir-serve
 #   go test -fuzz=FuzzFillKernel -fuzztime=30s ./internal/embedding
 #   go test -fuzz=FuzzSumKernel -fuzztime=30s ./internal/tensor
+#   go test -fuzz=FuzzSpMV -fuzztime=30s ./internal/spmv
 #
 # Perf regressions are gated separately by scripts/bench_diff.sh (benchmarks
 # are too slow for every pre-land run).
@@ -221,7 +222,7 @@ go test -race -count=20 ./internal/serve
 echo "==> fuzz corpus (replay, -run mode)"
 # ./internal/serve/ replays FuzzLookupRequest, FuzzLookupDecode and
 # FuzzReplyEncoding.
-go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/fault/ ./internal/serve/ ./internal/trace/ ./internal/embedding/ ./internal/tensor/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
+go test -run 'Fuzz' ./internal/header/ ./internal/batch/ ./internal/cache/ ./internal/sparse/ ./internal/spmv/ ./internal/fault/ ./internal/serve/ ./internal/trace/ ./internal/embedding/ ./internal/tensor/ ./cmd/fafnir-loadgen/ ./cmd/fafnir-serve/
 
 echo "==> one grain of host parallelism (no per-PE scheduler in non-test code)"
 ! grep -rlE 'runtime\.Gosched|stealHead|evalAsync' --include='*.go' --exclude='*_test.go' . \
