@@ -145,3 +145,61 @@ func FuzzParseMix(f *testing.F) {
 		}
 	})
 }
+
+// TestServerSummary scrapes a fixed /metrics page and checks every line of
+// the server-side summary README.md documents: coalescing, degradation,
+// cache, shed per lane, the per-member roll-ups with their imbalance, and
+// the rnet combine.
+func TestServerSummary(t *testing.T) {
+	const page = `# HELP fafnir_serve_queries_total Queries served.
+# TYPE fafnir_serve_queries_total counter
+fafnir_serve_queries_total 100
+fafnir_serve_batches_total 25
+fafnir_serve_dram_reads_total 400
+fafnir_serve_naive_reads_total 1600
+fafnir_serve_degraded_total 3
+fafnir_serve_degraded_batches_total 1
+fafnir_cache_hits_total 30
+fafnir_cache_misses_total 10
+fafnir_cache_evictions_total 2
+fafnir_cache_resident_bytes 4096
+fafnir_serve_shed_total{lane="high"} 0
+fafnir_serve_shed_total{lane="normal"} 1
+fafnir_serve_shed_total{lane="low"} 7
+fafnir_federation_fleet_lookups_total{fleet="0"} 6
+fafnir_federation_fleet_lookups_total{fleet="1"} 4
+fafnir_router_shard_lookups_total{shard="0"} 10
+fafnir_router_shard_lookups_total{shard="1"} 40
+fafnir_router_shard_lookups_total{shard="2"} 20
+fafnir_router_shard_lookups_total{shard="3"} 30
+fafnir_rnet_combines_total 12
+fafnir_rnet_switch_fires_total 6
+fafnir_rnet_link_transfers_total 18
+fafnir_rnet_critical_path_cycles 42
+`
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/lookup", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, `{"outputs":[[0]]}`)
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, page) })
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	var out strings.Builder
+	if err := run([]string{"-url", ts.URL, "-clients", "1", "-requests", "2", "-rows", "64", "-q", "4"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"server: 100 queries in 25 batches (coalesce factor 4.00), 4.00 reads/query (naive 16.00, saved 75%)",
+		"server: 3 degraded responses from 1 degraded batches",
+		"server: cache 30 hits / 10 misses (hit ratio 0.75), 2 evictions, 4096 resident bytes",
+		"server: shed high=0 normal=1 low=7",
+		"server: fleet lookups 10 total (0=6 1=4), imbalance 1.50x (fleet 0 hottest, fleet 1 coldest)",
+		"server: shard lookups 100 total (0=10 1=40 2=20 3=30), imbalance 4.00x (shard 1 hottest, shard 0 coldest)",
+		"server: rnet combine — 12 switch combines in 6 fires, 18 link hops, last critical path 42 cycles",
+	} {
+		if !strings.Contains(out.String(), "\n"+line+"\n") {
+			t.Errorf("summary lacks %q:\n%s", line, out.String())
+		}
+	}
+}

@@ -64,7 +64,7 @@ func TestShapeFlagsAreErrors(t *testing.T) {
 	}
 }
 
-// TestBootDrainTopologies boots the three deployments check.sh serves, sends
+// TestBootDrainTopologies boots the three deployments the server has, sends
 // two serial requests and drains. The startup and drain lines are pinned as
 // the serving CLI printed them before the shape flags chose the topology.
 // The fleet's fault plan loses shard 1 from fleet cycle 1, so the second
@@ -101,7 +101,8 @@ func TestBootDrainTopologies(t *testing.T) {
 }
 
 // bootDrain runs the server in process on a free port, hands its address
-// to drive, cancels, and returns every line run printed.
+// to drive, cancels, and returns every line run printed. The linger is
+// 500us unless args set their own.
 func bootDrain(t *testing.T, args string, drive func(addr string)) []string {
 	t.Helper()
 	pr, pw := io.Pipe()
@@ -109,7 +110,7 @@ func bootDrain(t *testing.T, args string, drive func(addr string)) []string {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		err := run(ctx, strings.Fields(args+" -addr 127.0.0.1:0 -linger 500us"), pw)
+		err := run(ctx, strings.Fields("-linger 500us "+args+" -addr 127.0.0.1:0"), pw)
 		pw.Close()
 		done <- err
 	}()
@@ -120,6 +121,9 @@ func bootDrain(t *testing.T, args string, drive func(addr string)) []string {
 	}
 	if len(lines) == 2 {
 		drive(strings.TrimPrefix(lines[0], "listening on "))
+		// A connection dialed for a burst but never used would hold the
+		// drain for the server's 5 s grace on unused connections.
+		http.DefaultClient.CloseIdleConnections()
 	}
 	cancel()
 	for sc.Scan() {
@@ -134,15 +138,8 @@ func bootDrain(t *testing.T, args string, drive func(addr string)) []string {
 // post sends body to /v1/lookup and requires a 200. It reports with
 // t.Errorf, so client goroutines may call it.
 func post(t *testing.T, addr, body string) {
-	resp, err := http.Post("http://"+addr+"/v1/lookup", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("POST %s answered %d", body, resp.StatusCode)
+	if r := send(addr, "", []byte(body)); r.status != http.StatusOK {
+		t.Errorf("POST %s answered %d", body, r.status)
 	}
 }
 

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"fafnir"
 )
 
 // TestBadFlagsAreErrors feeds run the flag values that used to reach a
@@ -78,5 +82,22 @@ func TestSmallModesRun(t *testing.T) {
 		if err := run(strings.Fields(args), &bytes.Buffer{}); err != nil {
 			t.Errorf("%q: %v", args, err)
 		}
+	}
+}
+
+// TestTraceOutValidates: -trace-out writes the run as a Chrome trace that
+// fafnir.ValidateTrace accepts.
+func TestTraceOutValidates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run-trace.json")
+	var out bytes.Buffer
+	if err := run(strings.Fields("-mode lookup -engine fafnir -batch 8 -q 8 -rows 4096 -trace-out "+path), &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := fafnir.ValidateTrace(data); err != nil || n == 0 {
+		t.Errorf("-trace-out wrote %d events: %v", n, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -346,5 +347,38 @@ func TestRunReportsMemoryErrors(t *testing.T) {
 	s.Ranks = 1 << 20
 	if _, err := s.Run(m, x, dram.MustSystem(dram.DDR4())); err == nil {
 		t.Fatal("a stream read from a rank outside the geometry succeeded")
+	}
+}
+
+// A chunk wider than the matrix is its one chunk at any width. The widths
+// here are not powers of two, so they run the list-and-fold pass, and their
+// chunk bounds overflow 32 bits; each must give what width 4096 (also one
+// chunk of these 300 columns) gives, down to every memory counter.
+func TestWideNonPowerOfTwoVectorSize(t *testing.T) {
+	m := sparse.Banded(300, 3, 1)
+	x := sparse.DenseVector(300, 2)
+	for _, width := range []int{1<<31 - 1, 1<<31 + 1, 1<<32 + 3} {
+		for name, e := range schedules(t, width) {
+			wantMem, gotMem := dram.MustSystem(dram.DDR4()), dram.MustSystem(dram.DDR4())
+			want, err := schedules(t, 4096)[name].multiply(m, x, wantMem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.multiply(m, x, gotMem)
+			if err != nil {
+				t.Fatalf("%s at width %d: %v", name, width, err)
+			}
+			if !slices.Equal(got.Plan.RoundsPerIteration, want.Plan.RoundsPerIteration) {
+				t.Errorf("%s at width %d: rounds %v, want %v", name, width, got.Plan.RoundsPerIteration, want.Plan.RoundsPerIteration)
+			}
+			same := *got
+			same.Plan = want.Plan
+			if err := sameResult(&same, want); err != nil {
+				t.Errorf("%s at width %d: %v", name, width, err)
+			}
+			if g, w := gotMem.Stats(), wantMem.Stats(); g != w {
+				t.Errorf("%s at width %d: memory counters %+v, want %+v", name, width, g, w)
+			}
+		}
 	}
 }

@@ -41,11 +41,12 @@ func NewPlan(cols, vectorSize int) (*Plan, error) {
 		return nil, fmt.Errorf("spmv: vector size must be at least 2, got %d", vectorSize)
 	}
 	p := &Plan{Cols: cols, VectorSize: vectorSize}
-	streams := (cols + vectorSize - 1) / vectorSize
+	// Ceilings written (n-1)/v+1, which cannot overflow at any width.
+	streams := (cols-1)/vectorSize + 1
 	p.RoundsPerIteration = append(p.RoundsPerIteration, streams)
 	// Each merge round combines up to VectorSize partial streams into one.
 	for streams > 1 {
-		streams = (streams + vectorSize - 1) / vectorSize
+		streams = (streams-1)/vectorSize + 1
 		p.RoundsPerIteration = append(p.RoundsPerIteration, streams)
 	}
 	return p, nil

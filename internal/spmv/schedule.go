@@ -140,21 +140,23 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 	if w := s.VectorSize; len(rounds) <= 2 && rounds[0] <= maxChunks && w&(w-1) == 0 {
 		s.sumRows(m, x, res.Y, lens[:total], entries)
 	} else {
-		v := uint32(s.VectorSize)
+		// A chunk wider than the matrix is its one chunk, and in int64 no
+		// chunk's bound overflows, whatever the width.
+		v := int64(min(s.VectorSize, m.Cols))
 		kept := make([]partial, rounds[0])
 		for r, cols := range m.ColIdx {
 			vals := m.Vals[r][:len(cols)]
 			n := 0
 			for i := 0; i < len(cols); {
-				k := uint32(cols[i]) / v
+				k := int64(cols[i]) / v
 				var acc float32
 				e := i
-				for hi := int32((k + 1) * v); e < len(cols) && cols[e] < hi; e++ {
+				for hi := (k + 1) * v; e < len(cols) && int64(cols[e]) < hi; e++ {
 					acc += vals[e] * x[cols[e]]
 				}
 				entries[k] += e - i
 				if acc != 0 || s.KeepZero {
-					kept[n] = partial{k, acc}
+					kept[n] = partial{uint32(k), acc}
 					n++
 					lens[k]++
 				}
@@ -165,12 +167,12 @@ func (s Schedule) Run(m *sparse.LIL, x tensor.Vector, mem *dram.System) (*Result
 				base += rounds[it-1]
 				w := 0
 				for i := 0; i < n; w++ {
-					g := kept[i].k / v
+					g := int64(kept[i].k) / v
 					var sum float32
-					for end := (g + 1) * v; i < n && kept[i].k < end; i++ {
+					for end := (g + 1) * v; i < n && int64(kept[i].k) < end; i++ {
 						sum += kept[i].v
 					}
-					kept[w] = partial{g, sum}
+					kept[w] = partial{uint32(g), sum}
 					lens[base+int(g)]++
 				}
 				n = w

@@ -8,7 +8,7 @@ import (
 )
 
 // Text mode must render byte-identically to the fmt.Printf lines it replaced:
-// check.sh parses the serve handshake ("listening on host:port") with grep.
+// check.sh parses the serve handshake ("listening on host:port") with awk.
 func TestLoggerTextMatchesPrintf(t *testing.T) {
 	var sb strings.Builder
 	l, err := NewLogger(&sb, "text")
